@@ -31,7 +31,7 @@ use wfasic_soc::clock::Cycle;
 #[derive(Debug, Default)]
 pub struct AlignerScratch {
     /// Wavefront offset-buffer pool (shared with the software WFA oracle's
-    /// [`wfa_core::wfa_align_with_arena`] when the driver falls back).
+    /// [`wfa_core::wfa_align_seqs_with_arena`] when the driver falls back).
     pub arena: WavefrontArena,
     section_sum: Vec<Cycle>,
     section_cnt: Vec<Cycle>,

@@ -76,6 +76,12 @@ impl MultiLaneSoc {
         self.arbiter.borrow().stats.clone()
     }
 
+    /// Clear the shared port's busy timeline and statistics (see
+    /// [`BusArbiter::reset`]).
+    pub fn reset_arbiter(&mut self) {
+        self.arbiter.borrow_mut().reset();
+    }
+
     /// CPU-side MMIO write into the flat multi-lane address space. Writes
     /// beyond the last lane's window are ignored (no device decodes them).
     pub fn mmio_write(&mut self, addr: u64, value: u64) {

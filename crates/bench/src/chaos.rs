@@ -183,16 +183,17 @@ const QUEUE_DEPTH: usize = 4;
 /// Pairs per scheduler sub-job: small, so one service job fans out across
 /// several lanes and quarantine redistribution actually happens mid-batch.
 const LANE_CHUNK: usize = 4;
-/// A budget no feasible chunk fits under (device jobs run tens of
-/// thousands of cycles).
-const TIGHT_BUDGET_MAX: Cycle = 4_000;
+/// A budget almost no chunk fits under (a 4-pair chunk runs a few
+/// thousand cycles).
+const TIGHT_BUDGET_MAX: Cycle = 1_000;
 const GENEROUS_BUDGET: Cycle = 1 << 40;
 
 fn soak_policy() -> AlignPolicy {
     AlignPolicy {
         // `resilient()` cools down on a production timescale; the soak
-        // compresses it so re-admissions happen many times per run.
-        quarantine_cooldown: 250_000,
+        // compresses it to roughly a dozen jobs so re-admissions happen
+        // many times per run.
+        quarantine_cooldown: 50_000,
         ..AlignPolicy::resilient()
     }
 }
@@ -356,7 +357,7 @@ fn soak(
         match kind {
             JobKind::TightDeadline => {
                 tight_jobs += 1;
-                job = job.with_deadline(rng.gen_range(500, TIGHT_BUDGET_MAX as usize) as Cycle);
+                job = job.with_deadline(rng.gen_range(200, TIGHT_BUDGET_MAX as usize) as Cycle);
             }
             JobKind::GenerousDeadline => job = job.with_deadline(GENEROUS_BUDGET),
             _ => {}
@@ -675,7 +676,9 @@ fn retire_scenario(opts: &ChaosOptions, violations: &mut Vec<String>) -> (u64, u
             queue_depth: QUEUE_DEPTH,
             policy: AlignPolicy {
                 quarantine_threshold: 2,
-                quarantine_cooldown: 40_000,
+                // A few batches: the quick run's 24 jobs must see the
+                // probation strike that retires the lane.
+                quarantine_cooldown: 8_000,
                 retire_after: 2,
                 ..soak_policy()
             },

@@ -157,12 +157,12 @@ pub fn backtrace(
 mod tests {
     use crate::penalties::Penalties;
     use crate::swg::swg_align;
-    use crate::wfa::align;
+    use crate::wfa::{wfa_align, WfaOptions};
 
     const P: Penalties = Penalties::WFASIC_DEFAULT;
 
     fn roundtrip(a: &[u8], b: &[u8]) {
-        let r = align(a, b, P).unwrap();
+        let r = wfa_align(a, b, &WfaOptions::exact(P)).unwrap();
         let cigar = r.cigar.unwrap();
         cigar.check(a, b).unwrap();
         assert_eq!(

@@ -105,7 +105,7 @@ fn absorb_stats(lhs: &mut WfaStats, rhs: &WfaStats) {
 }
 
 /// Entry point for the `BiWfa` strategy (called by
-/// [`crate::wfa::wfa_align_seqs_ref`] when a CIGAR is requested).
+/// `wfa_align_seqs_ref` when a CIGAR is requested).
 pub(crate) fn biwfa_align(
     seqs: SeqsRef<'_>,
     opts: &WfaOptions,
@@ -715,13 +715,14 @@ mod tests {
     #[test]
     fn packed_inputs_round_trip_through_biwfa() {
         use crate::bitpack::PackedSeq;
+        use crate::seq::Seq;
         let mut rng = SmallRng::seed_from_u64(0xACC7);
         let a = random_seq(1800, &mut rng);
         let b = mutate(&a, 5, &mut rng);
-        let pa = PackedSeq::from_ascii(&a).unwrap();
-        let pb = PackedSeq::from_ascii(&b).unwrap();
+        let pa = Seq::Packed(PackedSeq::from_ascii(&a).unwrap());
+        let pb = Seq::Packed(PackedSeq::from_ascii(&b).unwrap());
         let exact = wfa_align(&a, &b, &WfaOptions::exact(P)).unwrap();
-        let bi = crate::wfa::wfa_align_packed(&pa, &pb, &biwfa_opts()).unwrap();
+        let bi = crate::wfa::wfa_align_seqs(&pa, &pb, &biwfa_opts()).unwrap();
         assert_eq!(bi.score, exact.score);
         bi.cigar.unwrap().check(&a, &b).unwrap();
     }

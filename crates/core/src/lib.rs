@@ -9,8 +9,8 @@
 //! * the exact gap-affine **WFA** (paper Eq. 3/4) with full backtrace,
 //!   score-only bounded-memory mode, hardware-style score/band limits, and
 //!   work statistics ([`wfa`], [`wavefront`], [`backtrace`]);
-//! * the **Smith-Waterman-Gotoh** full-DP baseline (Eq. 2) and the gap-linear
-//!   DP (Eq. 1) as correctness oracles and CUPS references ([`swg`]);
+//! * the **Smith-Waterman-Gotoh** full-DP baseline (Eq. 2) as the
+//!   correctness oracle and CUPS reference ([`swg`]);
 //! * 2-bit **packed sequences** with machine-word extension — the functional
 //!   model of the hardware Extend sub-module and of vectorized CPU code
 //!   ([`bitpack`]);
@@ -20,11 +20,11 @@
 //! ## Quickstart
 //!
 //! ```
-//! use wfa_core::{align, Penalties};
+//! use wfa_core::{wfa_align, Penalties, WfaOptions};
 //!
 //! let a = b"GATTACAGATTACA";
 //! let b = b"GATCACAGATTACA";
-//! let r = align(a, b, Penalties::WFASIC_DEFAULT).unwrap();
+//! let r = wfa_align(a, b, &WfaOptions::exact(Penalties::WFASIC_DEFAULT)).unwrap();
 //! assert_eq!(r.score, 4); // one mismatch under (x, o, e) = (4, 6, 2)
 //! let cigar = r.cigar.unwrap();
 //! assert_eq!(cigar.to_rle_string(), "3M1X10M");
@@ -37,7 +37,6 @@ pub mod backtrace;
 pub mod bitpack;
 pub mod biwfa;
 pub mod cigar;
-pub mod gap_linear;
 pub mod kernel;
 pub mod penalties;
 pub mod pool;
@@ -52,14 +51,12 @@ pub use adaptive::AdaptiveParams;
 pub use arena::{ArenaStats, WavefrontArena};
 pub use bitpack::PackedSeq;
 pub use cigar::{Cigar, CigarError, EditStats, Op};
-pub use gap_linear::{gap_linear_wavefront, GapLinearAlignment};
 pub use penalties::{Penalties, PenaltyError};
 pub use rng::SmallRng;
 pub use seq::Seq;
-pub use swg::{gap_linear_score, swg_align, swg_score, DpAlignment};
+pub use swg::{swg_align, swg_score, DpAlignment};
 pub use wavefront::{Wavefront, WavefrontSet, OFFSET_NULL};
 pub use wfa::{
-    align, wfa_align, wfa_align_packed, wfa_align_packed_with_arena, wfa_align_seqs,
-    wfa_align_seqs_ref, wfa_align_seqs_with_arena, wfa_align_with_arena, AlignStrategy, SeqsRef,
-    WfaAlignment, WfaError, WfaOptions, WfaStats,
+    wfa_align, wfa_align_seqs, wfa_align_seqs_with_arena, AlignStrategy, WfaAlignment, WfaError,
+    WfaOptions, WfaStats,
 };

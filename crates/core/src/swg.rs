@@ -1,8 +1,8 @@
-//! Full dynamic-programming baselines: Smith-Waterman-Gotoh (gap-affine,
-//! paper Eq. 2) and the gap-linear variant (paper Eq. 1).
+//! Full dynamic-programming baseline: Smith-Waterman-Gotoh (gap-affine,
+//! paper Eq. 2).
 //!
-//! These are the `O(n^2)` exact references the WFA is equivalent to. The paper
-//! uses them both as the conceptual background (§2.2) and as the definition of
+//! This is the `O(n^2)` exact reference the WFA is equivalent to. The paper
+//! uses it both as the conceptual background (§2.2) and as the definition of
 //! "equivalent DP cells" for the CUPS metric (§5.5). Here they also serve as
 //! the correctness oracle for every other aligner in the workspace.
 //!
@@ -19,7 +19,7 @@ const INF: u64 = u64::MAX / 4;
 /// Result of a full-DP alignment.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DpAlignment {
-    /// Optimal gap-affine (or gap-linear) score.
+    /// Optimal gap-affine score.
     pub score: u64,
     /// An optimal transcript.
     pub cigar: Cigar,
@@ -178,25 +178,6 @@ pub fn swg_score(a: &[u8], b: &[u8], p: &Penalties) -> u64 {
     mr[m]
 }
 
-/// Global gap-linear alignment (paper Eq. 1): each gap base costs `g`,
-/// each mismatch costs `x`. Returns score only.
-pub fn gap_linear_score(a: &[u8], b: &[u8], x: u32, g: u32) -> u64 {
-    let m = b.len();
-    let mut prev: Vec<u64> = (0..=m as u64).map(|j| j * g as u64).collect();
-    let mut cur = vec![0u64; m + 1];
-    for i in 1..=a.len() {
-        cur[0] = i as u64 * g as u64;
-        for j in 1..=m {
-            let sub = if a[i - 1] == b[j - 1] { 0 } else { x as u64 };
-            cur[j] = (prev[j - 1] + sub)
-                .min(prev[j] + g as u64)
-                .min(cur[j - 1] + g as u64);
-        }
-        std::mem::swap(&mut prev, &mut cur);
-    }
-    prev[m]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -262,16 +243,6 @@ mod tests {
         assert_eq!(swg_score(a, b, &P), full.score);
         full.cigar.check(a, b).unwrap();
         assert_eq!(full.cigar.score(&P), full.score);
-    }
-
-    #[test]
-    fn gap_linear_basics() {
-        assert_eq!(gap_linear_score(b"ACGT", b"ACGT", 4, 2), 0);
-        assert_eq!(gap_linear_score(b"ACGT", b"AGGT", 4, 2), 4);
-        // One gap base costs g = 2 under gap-linear (no opening penalty).
-        assert_eq!(gap_linear_score(b"ACGT", b"ACGGT", 4, 2), 2);
-        // Gap-linear prefers two gaps over a mismatch when 2g < x.
-        assert_eq!(gap_linear_score(b"AC", b"AG", 5, 2), 4);
     }
 
     #[test]

@@ -323,22 +323,12 @@ pub fn compute_cell_m(m_sub: i32, i_cur: i32, d_cur: i32, k: i32, n: i32, m: i32
     sub.max(i_cur).max(d_cur)
 }
 
-/// Count matching bases of `a[i..]` vs `b[j..]` (the `extend()` primitive).
-///
-/// Word-parallel (8 bases per `u64`) via the shared
-/// [`crate::kernel::lcp_bytes`]; [`crate::kernel::lcp_bytes_scalar`] is the
-/// property-tested scalar reference.
-#[inline]
-pub fn extend_matches(a: &[u8], b: &[u8], i: usize, j: usize) -> usize {
-    kernel::lcp_bytes(a, b, i, j)
-}
-
 /// A borrowed pair of input sequences in either representation. The WFA
 /// core is representation-agnostic: the only sequence-dependent operation
 /// it performs is the `extend()` LCP, which dispatches here to the byte or
 /// packed kernel tier.
 #[derive(Clone, Copy)]
-pub enum SeqsRef<'s> {
+pub(crate) enum SeqsRef<'s> {
     /// ASCII bytes (1 byte/base) — any alphabet.
     Bytes(&'s [u8], &'s [u8]),
     /// 2-bit packed ACGT — the hot-path representation (4 bases/byte,
@@ -394,47 +384,11 @@ fn fill_source_row(row: &mut Vec<i32>, lo: i32, hi: i32, w: Option<&crate::wavef
     }
 }
 
-/// Align `a` against `b` end-to-end with the exact WFA.
-///
-/// Allocates a private [`WavefrontArena`] per call; sweeps aligning many
-/// pairs should reuse one arena via [`wfa_align_with_arena`].
+/// Align `a` against `b` end-to-end over raw bytes (any alphabet), with a
+/// private [`WavefrontArena`]. Callers aligning many pairs should hold
+/// [`Seq`]s and reuse one arena via [`wfa_align_seqs_with_arena`].
 pub fn wfa_align(a: &[u8], b: &[u8], opts: &WfaOptions) -> Result<WfaAlignment, WfaError> {
-    wfa_align_with_arena(a, b, opts, &mut WavefrontArena::new())
-}
-
-/// [`wfa_align`] with caller-provided scratch: wavefront buffers come from
-/// (and return to) `arena`, so aligning a stream of pairs stops hitting the
-/// allocator after the first few. Results, statistics and simulated-cycle
-/// inputs are bit-identical to [`wfa_align`].
-pub fn wfa_align_with_arena(
-    a: &[u8],
-    b: &[u8],
-    opts: &WfaOptions,
-    arena: &mut WavefrontArena,
-) -> Result<WfaAlignment, WfaError> {
-    wfa_align_seqs_ref(SeqsRef::Bytes(a, b), opts, arena)
-}
-
-/// [`wfa_align`] over 2-bit packed sequences — the hot path for clean ACGT
-/// reads. Bit-identical results to the byte path on the same content (the
-/// per-tier equivalence suite enforces it); the packed LCP kernel compares
-/// 4 bases per byte, so `extend()` runs proportionally wider.
-pub fn wfa_align_packed(
-    a: &PackedSeq,
-    b: &PackedSeq,
-    opts: &WfaOptions,
-) -> Result<WfaAlignment, WfaError> {
-    wfa_align_packed_with_arena(a, b, opts, &mut WavefrontArena::new())
-}
-
-/// [`wfa_align_packed`] with caller-provided scratch.
-pub fn wfa_align_packed_with_arena(
-    a: &PackedSeq,
-    b: &PackedSeq,
-    opts: &WfaOptions,
-    arena: &mut WavefrontArena,
-) -> Result<WfaAlignment, WfaError> {
-    wfa_align_seqs_ref(SeqsRef::Packed(a, b), opts, arena)
+    wfa_align_seqs_ref(SeqsRef::Bytes(a, b), opts, &mut WavefrontArena::new())
 }
 
 /// Align a [`Seq`] pair, picking the representation-appropriate kernel:
@@ -445,7 +399,10 @@ pub fn wfa_align_seqs(a: &Seq, b: &Seq, opts: &WfaOptions) -> Result<WfaAlignmen
     wfa_align_seqs_with_arena(a, b, opts, &mut WavefrontArena::new())
 }
 
-/// [`wfa_align_seqs`] with caller-provided scratch.
+/// [`wfa_align_seqs`] with caller-provided scratch: wavefront buffers come
+/// from (and return to) `arena`, so aligning a stream of pairs stops
+/// hitting the allocator after the first few. Results, statistics and
+/// simulated-cycle inputs are bit-identical to a fresh arena.
 pub fn wfa_align_seqs_with_arena(
     a: &Seq,
     b: &Seq,
@@ -465,7 +422,7 @@ pub fn wfa_align_seqs_with_arena(
 }
 
 /// The lowest-level entry: align an already-borrowed [`SeqsRef`].
-pub fn wfa_align_seqs_ref(
+pub(crate) fn wfa_align_seqs_ref(
     seqs: SeqsRef<'_>,
     opts: &WfaOptions,
     arena: &mut WavefrontArena,
@@ -910,17 +867,16 @@ pub(crate) fn wfa_align_inner(
     }
 }
 
-/// Convenience wrapper: exact alignment with CIGAR under the given penalties.
-pub fn align(a: &[u8], b: &[u8], penalties: Penalties) -> Result<WfaAlignment, WfaError> {
-    wfa_align(a, b, &WfaOptions::exact(penalties))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::swg::swg_align;
 
     const P: Penalties = Penalties::WFASIC_DEFAULT;
+
+    fn align(a: &[u8], b: &[u8], p: Penalties) -> Result<WfaAlignment, WfaError> {
+        wfa_align(a, b, &WfaOptions::exact(p))
+    }
 
     fn check_against_swg(a: &[u8], b: &[u8]) {
         let wfa = align(a, b, P).unwrap();

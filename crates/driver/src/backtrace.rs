@@ -321,7 +321,7 @@ pub fn walk_origins(
 pub fn insert_matches(a: &[u8], b: &[u8], edits: &[Edit]) -> Result<Cigar, BtError> {
     let mut cigar = Cigar::new();
     let (mut i, mut j) = (0usize, 0usize);
-    let extend = |i: usize, j: usize| wfa_core::wfa::extend_matches(a, b, i, j);
+    let extend = |i: usize, j: usize| wfa_core::kernel::lcp_bytes(a, b, i, j);
     for edit in edits {
         if edit.extend_before {
             let m = extend(i, j);

@@ -185,7 +185,8 @@ pub struct BatchResult {
     pub lanes: Vec<usize>,
     /// Per-lane completion cycle.
     pub lane_done: Vec<Cycle>,
-    /// Shared-port arbitration statistics (per-lane grants/waits).
+    /// Shared-port arbitration statistics (per-lane grants/waits) of this
+    /// batch alone.
     pub arbiter: ArbiterStats,
     /// Per-lane per-stage attribution of the *entire* batch window
     /// `[0, total_cycles)`, when perf collection was on: each lane's
@@ -438,6 +439,9 @@ impl BatchScheduler {
     /// and cycle results are bit-identical to the pre-quarantine scheduler.
     pub fn submit_batch(&mut self, jobs: &[BatchJob]) -> BatchResult {
         let n = self.num_lanes();
+        // Every batch's lane timelines start at cycle 0, so the shared port
+        // must too: `BatchResult::arbiter` then describes this batch alone.
+        self.soc.reset_arbiter();
         self.readmit_due_lanes();
         let avail: Vec<usize> = (0..n).filter(|&l| self.health[l].available()).collect();
         let mut results: Vec<Option<Result<JobResult, DriverError>>> =

@@ -5,7 +5,8 @@
 use wfa_core::prop;
 use wfasic_accel::AccelConfig;
 use wfasic_driver::{
-    BatchJob, BatchScheduler, DispatchPolicy, DriverError, WaitMode, WfasicDriver,
+    AlignmentBackend, BatchJob, BatchScheduler, DispatchPolicy, DriverError, MultiLaneBackend,
+    WaitMode, WfasicDriver,
 };
 use wfasic_seqio::dataset::InputSetSpec;
 use wfasic_seqio::generate::{ErrorProfile, Pair, PairGenerator};
@@ -468,4 +469,27 @@ fn a_corrupted_doorbell_does_not_wedge_the_lane_forever() {
         0,
         "hardware success must reset the failure streak"
     );
+}
+
+#[test]
+fn repeated_batches_through_one_backend_cost_the_same_cycles() {
+    // Regression: each batch restarts its lane timelines at cycle 0, but
+    // the shared port arbiter used to keep every earlier batch's busy
+    // intervals, so the same batch cost 2x, 3x, ... cycles on later
+    // submissions. Two lanes so the arbiter actually arbitrates.
+    let mut backend = MultiLaneBackend::new(AccelConfig::wfasic_chip(), 2);
+    backend.chunk = 3;
+    let job = BatchJob::with_backtrace(pairs(12, 100, 0xA4B1));
+    let first = backend.align_batch(&job).unwrap();
+    let first_arb = backend.sched.soc.arbiter_stats();
+    let second = backend.align_batch(&job).unwrap();
+    let second_arb = backend.sched.soc.arbiter_stats();
+
+    assert!(first.sim_cycles.unwrap() > 0);
+    assert_eq!(second.sim_cycles, first.sim_cycles);
+    assert!(first_arb.grants() > 0);
+    assert_eq!(second_arb, first_arb, "arbiter stats describe one batch");
+    for (a, b) in first.results.iter().zip(&second.results) {
+        assert_eq!((a.id, a.success, a.score), (b.id, b.success, b.score));
+    }
 }

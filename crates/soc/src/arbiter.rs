@@ -99,6 +99,15 @@ impl BusArbiter {
         start
     }
 
+    /// Forget every busy interval and zero the per-lane statistics (the
+    /// lane count is kept): the port as it stood before any traffic. A
+    /// caller that restarts its lanes' timelines at cycle 0 must reset the
+    /// arbiter too, or new transfers queue behind stale history.
+    pub fn reset(&mut self) {
+        self.busy.clear();
+        self.stats.lanes.fill(LaneArbStats::default());
+    }
+
     /// First cycle at which the port is free forever (end of the last busy
     /// interval).
     pub fn free_at(&self) -> Cycle {
@@ -179,6 +188,19 @@ mod tests {
         assert_eq!(arb.grant(1, 43, 40), 43, "fits the [43,100) gap");
         // A transfer too large for the gap goes after the later interval.
         assert_eq!(arb.grant(1, 43, 80), 143);
+    }
+
+    #[test]
+    fn reset_forgets_history_and_stats() {
+        let mut arb = BusArbiter::new(2);
+        arb.grant(0, 0, 43);
+        arb.grant(1, 10, 43);
+        arb.reset();
+        assert_eq!(arb.free_at(), 0);
+        assert_eq!(arb.stats, BusArbiter::new(2).stats);
+        // A replay of the same traffic sees the same grants.
+        assert_eq!(arb.grant(0, 0, 43), 0);
+        assert_eq!(arb.grant(1, 10, 43), 43);
     }
 
     #[test]

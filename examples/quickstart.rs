@@ -7,7 +7,7 @@
 use wfasic::accel::AccelConfig;
 use wfasic::driver::{WaitMode, WfasicDriver};
 use wfasic::seqio::Pair;
-use wfasic::wfa::{align, swg_align, Penalties};
+use wfasic::wfa::{swg_align, wfa_align, Penalties, WfaOptions};
 
 fn main() {
     let a = b"GATTACAGATTACAGATTACAGATTACA".to_vec();
@@ -19,7 +19,7 @@ fn main() {
     println!("penalties: x={} o={} e={}\n", p.x, p.o, p.e);
 
     // 1. Software WFA (the algorithm the chip accelerates).
-    let wfa = align(&a, &b, p).expect("exact WFA cannot fail unbounded");
+    let wfa = wfa_align(&a, &b, &WfaOptions::exact(p)).expect("exact WFA cannot fail unbounded");
     let cigar = wfa.cigar.clone().unwrap();
     println!("software WFA : score {:>3}  cigar {}", wfa.score, cigar);
     println!(

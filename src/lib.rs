@@ -4,7 +4,7 @@
 //! ASIC Accelerator for DNA Sequence Alignment on a RISC-V SoC* (ICPP 2023):
 //!
 //! * [`wfa`] (`wfa-core`) — the exact gap-affine WaveFront Alignment
-//!   algorithm, SWG/gap-linear baselines, CIGARs, packed sequences;
+//!   algorithm, the SWG baseline, CIGARs, packed sequences;
 //! * [`seqio`] — synthetic workloads, datasets, and the accelerator's
 //!   memory wire formats;
 //! * [`soc`] — SoC substrate models (memory, buses, DMA, FIFOs, caches);
