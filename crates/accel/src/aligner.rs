@@ -16,8 +16,8 @@ use crate::extractor::ExtractedPair;
 use crate::schedule::WavefrontSchedule;
 use wfa_core::arena::WavefrontArena;
 use wfa_core::bitpack::PackedSeq;
-use wfa_core::kernel::{compute_row, compute_row_with_origins, lcp_packed_batch};
-use wfa_core::wavefront::{offset_is_valid, Wavefront, OFFSET_NULL};
+use wfa_core::kernel::{compute_row, compute_row_with_origins, extend_row};
+use wfa_core::wavefront::{fill_row, Wavefront};
 use wfasic_seqio::memimage::{bt_block_bytes, pack_code_into, pack_codes_dense};
 use wfasic_soc::clock::Cycle;
 
@@ -33,20 +33,13 @@ pub struct AlignerScratch {
     /// Wavefront offset-buffer pool (shared with the software WFA oracle's
     /// [`wfa_core::wfa_align_seqs_with_arena`] when the driver falls back).
     pub arena: WavefrontArena,
-    section_sum: Vec<Cycle>,
-    section_cnt: Vec<Cycle>,
+    /// Per-section cycle sums of one extend phase.
+    sections: Vec<Cycle>,
     code_row: Vec<u8>,
     sub_row: Vec<i32>,
     open_row: Vec<i32>,
     iext_row: Vec<i32>,
     dext_row: Vec<i32>,
-    // Staging for the batched extend: one entry per valid M cell of the
-    // current frame column (cell index, section, (i, j) start, LCP result).
-    ext_idx: Vec<u32>,
-    ext_sec: Vec<u32>,
-    ext_is: Vec<i32>,
-    ext_js: Vec<i32>,
-    ext_lcp: Vec<u32>,
 }
 
 impl AlignerScratch {
@@ -72,7 +65,7 @@ pub struct AlignerStats {
 }
 
 /// The outcome of aligning one pair (or rejecting it).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct AlignerOutcome {
     /// Alignment ID.
     pub id: u32,
@@ -135,58 +128,6 @@ impl AlignerOutcome {
     }
 }
 
-/// Borrowed view of a wavefront for the per-cell hot loop: the same
-/// semantics as [`Wavefront::get`] (NULL outside the stored range) without
-/// the per-access `Option` chain. A missing source becomes the empty view
-/// (`lo > hi`), so every lookup resolves to NULL through the one range
-/// check the access needs anyway.
-#[derive(Clone, Copy)]
-struct WfView<'a> {
-    lo: i32,
-    hi: i32,
-    offs: &'a [i32],
-}
-
-impl<'a> WfView<'a> {
-    fn of(w: Option<&'a Wavefront>) -> Self {
-        match w {
-            Some(w) => WfView {
-                lo: w.lo,
-                hi: w.hi,
-                offs: &w.offsets,
-            },
-            None => WfView {
-                lo: 0,
-                hi: -1,
-                offs: &[],
-            },
-        }
-    }
-
-    /// Gather the wavefront's offsets for `k in lo..=hi` into `row` with
-    /// [`Wavefront::get`] semantics (NULL outside the stored range): NULL
-    /// fill plus one block copy of the overlap (the batched compute
-    /// kernel's source form).
-    fn fill_row(&self, row: &mut Vec<i32>, lo: i32, hi: i32) {
-        let len = (hi - lo + 1) as usize;
-        row.resize(len, OFFSET_NULL);
-        let s = lo.max(self.lo);
-        let e = hi.min(self.hi);
-        if s <= e {
-            // Write each slot exactly once: NULL head, overlap copy, NULL
-            // tail (a clear + full NULL resize would write the overlap twice).
-            let dst = (s - lo) as usize;
-            let src = (s - self.lo) as usize;
-            let count = (e - s + 1) as usize;
-            row[..dst].fill(OFFSET_NULL);
-            row[dst..dst + count].copy_from_slice(&self.offs[src..src + count]);
-            row[dst + count..].fill(OFFSET_NULL);
-        } else {
-            row.fill(OFFSET_NULL);
-        }
-    }
-}
-
 /// One score's wavefront storage inside the Aligner window.
 #[derive(Debug, Clone)]
 struct WfSet {
@@ -239,19 +180,8 @@ impl Window {
     }
 }
 
-/// Align an extracted pair. `bt` enables origin-block emission.
-///
-/// Convenience wrapper over [`align_extracted_in`] with throwaway scratch.
-pub fn align_extracted(
-    cfg: &AccelConfig,
-    schedule: &WavefrontSchedule,
-    ex: &ExtractedPair,
-    bt: bool,
-) -> AlignerOutcome {
-    align_extracted_in(cfg, schedule, ex, bt, &mut AlignerScratch::new())
-}
-
-/// [`align_extracted`] with caller-provided reusable scratch.
+/// Align an extracted pair with caller-provided reusable scratch. `bt`
+/// enables origin-block emission.
 pub fn align_extracted_in(
     cfg: &AccelConfig,
     schedule: &WavefrontSchedule,
@@ -303,6 +233,61 @@ pub fn align_packed_in(
     b: &PackedSeq,
     bt: bool,
     scratch: &mut AlignerScratch,
+) -> AlignerOutcome {
+    align_with(cfg, schedule, id, a, b, bt, scratch, extend_column)
+}
+
+/// One frame column's Extend phase: extends the valid M cells of `offs`
+/// (diagonals from `k_lo`) in place and returns the phase's cycles, the
+/// extends performed and the bases compared. `sections` is scratch.
+type ExtendColumn =
+    fn(&AccelConfig, &PackedSeq, &PackedSeq, &mut [i32], i32, &mut Vec<Cycle>) -> (Cycle, u64, u64);
+
+/// The [`ExtendColumn`] model: one streaming pass over the frame column. Cell
+/// `idx` belongs to section `idx % P` (striping over the *full* row range,
+/// so the assignment is exactly the hardware's bank mapping, independent
+/// of which cells are valid). `section_run_cycles` over a run is fill +
+/// Σ(compare + issue), so each section accumulates only the sum; every
+/// cell adds at least one cycle, so a zero sum marks an idle section.
+fn extend_column(
+    cfg: &AccelConfig,
+    a: &PackedSeq,
+    b: &PackedSeq,
+    offs: &mut [i32],
+    k_lo: i32,
+    sections: &mut Vec<Cycle>,
+) -> (Cycle, u64, u64) {
+    let p = cfg.parallel_sections;
+    sections.clear();
+    sections.resize(p, 0);
+    let (mut extends, mut bases) = (0u64, 0u64);
+    // `(idx, idx % p)` of the cell after the last one handed over: cells
+    // arrive in increasing order, so the section advances without a divide.
+    extend_row(a, b, offs, k_lo, |idx, _, matches, limit| {
+        sections[idx % p] += compare_cycles(cfg, matches) + cfg.extend_issue_cycles;
+        extends += 1;
+        bases += matches as u64 + (matches < limit) as u64;
+    });
+    let busiest = sections.iter().copied().max().unwrap_or(0);
+    let cycles = if busiest > 0 {
+        cfg.extend_fill_cycles + busiest
+    } else {
+        0
+    };
+    (cycles, extends, bases)
+}
+
+/// The Aligner datapath over any [`ExtendColumn`] model.
+#[allow(clippy::too_many_arguments)]
+fn align_with(
+    cfg: &AccelConfig,
+    schedule: &WavefrontSchedule,
+    id: u32,
+    a: &PackedSeq,
+    b: &PackedSeq,
+    bt: bool,
+    scratch: &mut AlignerScratch,
+    extend_column: ExtendColumn,
 ) -> AlignerOutcome {
     let n = a.len() as i32;
     let m = b.len() as i32;
@@ -370,17 +355,10 @@ pub fn align_packed_in(
         let mut wi = scratch.arena.wavefront_overwritten(-depth, depth);
         let mut wd = scratch.arena.wavefront_overwritten(-depth, depth);
 
-        // Hoist the window lookups out of the per-cell loop: the three
-        // source sets are fixed for the whole score step, so resolve each
-        // once — and flatten them to slice views so the per-cell fetch is a
-        // single range check instead of an `Option` chain.
+        // The three source sets are fixed for the whole score step.
         let set_sub = window.get(s - px);
         let set_open = window.get(s - poe);
         let set_ext = window.get(s - pe);
-        let sub_m = WfView::of(set_sub.map(|t| &t.m));
-        let open_m = WfView::of(set_open.map(|t| &t.m));
-        let ext_i = WfView::of(set_ext.map(|t| &t.i));
-        let ext_d = WfView::of(set_ext.map(|t| &t.d));
 
         // Compute phase: P-aligned row groups of the wavefront matrix
         // covering the frame column's range (row = k + k_max; the Fig. 6
@@ -405,10 +383,11 @@ pub fn align_packed_in(
         let wm_offs = &mut wm.offsets[..];
         let wi_offs = &mut wi.offsets[..];
         let wd_offs = &mut wd.offsets[..];
-        sub_m.fill_row(&mut scratch.sub_row, -depth - 1, depth + 1);
-        open_m.fill_row(&mut scratch.open_row, -depth - 1, depth + 1);
-        ext_i.fill_row(&mut scratch.iext_row, -depth - 1, depth + 1);
-        ext_d.fill_row(&mut scratch.dext_row, -depth - 1, depth + 1);
+        let (lo, hi) = (-depth - 1, depth + 1);
+        fill_row(&mut scratch.sub_row, lo, hi, set_sub.map(|t| &t.m));
+        fill_row(&mut scratch.open_row, lo, hi, set_open.map(|t| &t.m));
+        fill_row(&mut scratch.iext_row, lo, hi, set_ext.map(|t| &t.i));
+        fill_row(&mut scratch.dext_row, lo, hi, set_ext.map(|t| &t.d));
         if bt {
             // Backtrace on: the kernel also emits each cell's 5-bit origin
             // code (identical to `compute_cell().origin.code()`), which the
@@ -467,75 +446,11 @@ pub fn align_packed_in(
         }
 
         // Extend phase: each section extends its stripe's valid M cells.
-        // Per-section cycles are accumulated as (sum, count) pairs:
-        // `section_run_cycles` over a run is fill + sum + count * issue, so
-        // the pairs carry everything the max needs without staging vectors.
-        if scratch.section_sum.len() < p {
-            scratch.section_sum.resize(p, 0);
-            scratch.section_cnt.resize(p, 0);
-        }
-        let section_sum = &mut scratch.section_sum[..p];
-        let section_cnt = &mut scratch.section_cnt[..p];
-        section_sum.fill(0);
-        section_cnt.fill(0);
-        // Pass 1 — collect the valid cells' coordinates. `sec` tracks
-        // `idx % p` incrementally (striping over the *full* row range, so
-        // the section assignment is exactly the hardware's bank mapping,
-        // independent of which cells are valid).
-        scratch.ext_idx.clear();
-        scratch.ext_sec.clear();
-        scratch.ext_is.clear();
-        scratch.ext_js.clear();
-        let mut sec = 0usize;
-        for (idx, &off) in wm.offsets.iter().enumerate() {
-            let cur = sec;
-            sec += 1;
-            if sec == p {
-                sec = 0;
-            }
-            if !offset_is_valid(off) {
-                continue;
-            }
-            let k = idx as i32 - depth;
-            scratch.ext_idx.push(idx as u32);
-            scratch.ext_sec.push(cur as u32);
-            scratch.ext_is.push(off - k);
-            scratch.ext_js.push(off);
-        }
-        // Pass 2 — resolve every cell's LCP through the batched SIMD
-        // kernel (bit-identical to per-cell `extend_cell`).
-        let cells = scratch.ext_idx.len();
-        scratch.ext_lcp.resize(cells, 0);
-        lcp_packed_batch(
-            a,
-            b,
-            &scratch.ext_is,
-            &scratch.ext_js,
-            &mut scratch.ext_lcp[..cells],
-        );
-        // Pass 3 — apply results: offsets, per-section cycle pairs, stats.
-        // `stopped_inside` (both coordinates still in range after the run)
-        // is exactly `matches < limit`, since matches ≤ limit = min(n-i, m-j).
-        let mut bases: u64 = 0;
-        for t in 0..cells {
-            let matches = scratch.ext_lcp[t] as usize;
-            let limit = (n - scratch.ext_is[t]).min(m - scratch.ext_js[t]);
-            bases += matches as u64 + (((matches as i32) < limit) as u64);
-            wm.offsets[scratch.ext_idx[t] as usize] += matches as i32;
-            section_sum[scratch.ext_sec[t] as usize] += compare_cycles(cfg, matches);
-            section_cnt[scratch.ext_sec[t] as usize] += 1;
-        }
+        let (cycles, extends, bases) =
+            extend_column(cfg, a, b, &mut wm.offsets, -depth, &mut scratch.sections);
+        out.extend_cycles += cycles;
+        out.stats.extends += extends;
         out.stats.bases_compared += bases;
-        // Every valid M cell was extended exactly once.
-        out.stats.extends += section_cnt.iter().sum::<Cycle>();
-        let extend_phase = section_sum
-            .iter()
-            .zip(section_cnt.iter())
-            .filter(|(_, &cnt)| cnt > 0)
-            .map(|(&sum, &cnt)| cfg.extend_fill_cycles + sum + cnt * cfg.extend_issue_cycles)
-            .max()
-            .unwrap_or(0);
-        out.extend_cycles += extend_phase;
 
         // Termination check.
         let done = k_end.abs() <= depth && wm.get(k_end) == m;
@@ -732,6 +647,84 @@ mod tests {
         );
     }
 
+    /// The Extend phase spelled out cell by cell: one [`extend_cell`] per
+    /// valid M cell, each section's compare cycles collected as a run and
+    /// charged with [`section_run_cycles`].
+    fn extend_column_per_cell(
+        cfg: &AccelConfig,
+        a: &PackedSeq,
+        b: &PackedSeq,
+        offs: &mut [i32],
+        k_lo: i32,
+        _: &mut Vec<Cycle>,
+    ) -> (Cycle, u64, u64) {
+        let mut runs: Vec<Vec<Cycle>> = vec![Vec::new(); cfg.parallel_sections];
+        let (mut extends, mut bases) = (0u64, 0u64);
+        for (idx, off) in offs.iter_mut().enumerate() {
+            if !wfa_core::wavefront::offset_is_valid(*off) {
+                continue;
+            }
+            let k = k_lo + idx as i32;
+            let (i, j) = ((*off - k) as usize, *off as usize);
+            let r = extend_cell(cfg, a, b, k, *off);
+            extends += 1;
+            let inside = i + r.matches < a.len() && j + r.matches < b.len();
+            bases += r.matches as u64 + inside as u64;
+            *off += r.matches as i32;
+            runs[idx % cfg.parallel_sections].push(r.compare_cycles);
+        }
+        let cycles = runs.iter().map(|r| section_run_cycles(cfg, r)).max();
+        (cycles.unwrap_or(0), extends, bases)
+    }
+
+    #[test]
+    fn row_extend_matches_per_cell_reference() {
+        use wfa_core::prop;
+        use wfa_core::rng::SmallRng;
+        fn mutate(rng: &mut SmallRng, a: &[u8], rate: f64) -> Vec<u8> {
+            let mut b = Vec::with_capacity(a.len());
+            for &base in a {
+                if !rng.gen_bool(rate) {
+                    b.push(base);
+                    continue;
+                }
+                match rng.gen_range(0, 3) {
+                    0 => b.push(*rng.pick(b"ACGT")),
+                    1 => b.extend([base, *rng.pick(b"ACGT")]),
+                    _ => {}
+                }
+            }
+            b
+        }
+        // P = 6 is not a multiple of the AVX2 kernel's four lanes.
+        for p in [6, 8, 32, 64] {
+            let c = cfg().with_parallel_sections(p);
+            let schedule = WavefrontSchedule::for_config(&c);
+            let mut scratch = AlignerScratch::new();
+            prop::cases(24, 0xA1_16E5 ^ p as u64, |rng, case| {
+                let (len, rate) = [(600, 0.10), (150, 0.05), (1000, 0.02), (100, 0.20)][case % 4];
+                let a: Vec<u8> = (0..len).map(|_| *rng.pick(b"ACGT")).collect();
+                let b = mutate(rng, &a, rate);
+                let pa = PackedSeq::from_ascii(&a).unwrap();
+                let pb = PackedSeq::from_ascii(&b).unwrap();
+                for bt in [false, true] {
+                    let got = align_packed_in(&c, &schedule, 7, &pa, &pb, bt, &mut scratch);
+                    let want = align_with(
+                        &c,
+                        &schedule,
+                        7,
+                        &pa,
+                        &pb,
+                        bt,
+                        &mut AlignerScratch::new(),
+                        extend_column_per_cell,
+                    );
+                    assert_eq!(got, want, "P={p} len={len} rate={rate} bt={bt}");
+                }
+            });
+        }
+    }
+
     #[test]
     fn rejected_pair_outcome() {
         let c = cfg();
@@ -742,7 +735,7 @@ mod tests {
             reject: Some(crate::extractor::RejectReason::UnknownBase),
             decode_cycles: 5,
         };
-        let out = align_extracted(&c, &schedule, &ex, true);
+        let out = align_extracted_in(&c, &schedule, &ex, true, &mut AlignerScratch::new());
         assert!(!out.success);
         assert_eq!(out.id, 5);
         assert!(out.bt_blocks.is_empty());

@@ -141,6 +141,9 @@ pub struct WfasicDevice {
     /// The shared memory-controller arbiter, when this device is one lane
     /// of a multi-lane SoC.
     shared_bus: Option<Rc<RefCell<BusArbiter>>>,
+    /// Host-side wavefront/staging scratch, reused across pairs and jobs
+    /// (wall-clock only; outcomes and cycles are unaffected).
+    scratch: AlignerScratch,
 }
 
 impl WfasicDevice {
@@ -173,6 +176,7 @@ impl WfasicDevice {
             jobs_run: 0,
             lane: 0,
             shared_bus: None,
+            scratch: AlignerScratch::new(),
         }
     }
 
@@ -456,10 +460,6 @@ impl WfasicDevice {
         // Pending NBT records (flushed four per transaction).
         let mut nbt_pending: Vec<(NbtRecord, Cycle)> = Vec::new();
 
-        // Host-side wavefront/staging scratch, reused across the job's
-        // pairs (wall-clock only; outcomes and cycles are unaffected).
-        let mut scratch = AlignerScratch::new();
-
         let mut read_free: Cycle = dma_start;
         'job: for i in 0..num_pairs {
             // The Extractor starts ingesting a pair only when an Aligner is
@@ -497,8 +497,13 @@ impl WfasicDevice {
                 .min_by_key(|&w| aligner_free[w])
                 .unwrap_or(0);
             let t0 = ingest.max(aligner_free[w]);
-            let outcome =
-                align_extracted_in(&self.cfg, &self.schedule, &ex, job.backtrace, &mut scratch);
+            let outcome = align_extracted_in(
+                &self.cfg,
+                &self.schedule,
+                &ex,
+                job.backtrace,
+                &mut self.scratch,
+            );
             if dev_perf.enabled {
                 dev_perf.spans.extend(outcome.phase_spans(t0, w));
             }

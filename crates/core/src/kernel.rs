@@ -12,8 +12,12 @@
 //!   or 32 packed bases ([`lcp_packed_word`]) via XOR + `trailing_zeros`.
 //!   The portable fast path and the fallback on non-x86_64 hosts.
 //! * **Avx2** — `std::arch::x86_64` kernels comparing 32 ASCII bases or
-//!   128 packed bases per iteration ([`lcp_bytes_simd`],
-//!   [`lcp_packed_simd`]), selected with `is_x86_feature_detected!`.
+//!   128 packed bases per iteration ([`lcp_packed_simd`]), selected with
+//!   `is_x86_feature_detected!`.
+//!
+//! [`extend_row`] extends a whole wavefront row of packed cells in one
+//! pass (gathering four diagonals' windows at a time on AVX2); it is the
+//! Extend phase of both the accelerator model and the software WFA.
 //!
 //! The active tier comes from [`kernel_dispatch`]: `Auto` (the default)
 //! picks the widest tier the CPU supports; the `WFASIC_KERNEL` environment
@@ -182,8 +186,10 @@ pub fn set_kernel_dispatch(d: KernelDispatch) {
 pub fn lcp_bytes(a: &[u8], b: &[u8], i: usize, j: usize) -> usize {
     match kernel_dispatch() {
         KernelDispatch::Scalar => lcp_bytes_scalar(a, b, i, j),
+        // SAFETY: the Avx2 tier is only ever resolved when the CPU reports
+        // the feature.
         #[cfg(target_arch = "x86_64")]
-        KernelDispatch::Avx2 => lcp_bytes_simd(a, b, i, j),
+        KernelDispatch::Avx2 => unsafe { lcp_bytes_avx2(a, b, i, j) },
         _ => lcp_bytes_word(a, b, i, j),
     }
 }
@@ -229,20 +235,7 @@ pub fn lcp_bytes_word(a: &[u8], b: &[u8], i: usize, j: usize) -> usize {
     k
 }
 
-/// AVX2 byte LCP (32 bytes per compare) when the CPU supports it, the word
-/// kernel otherwise. Callers normally go through [`lcp_bytes`]; this entry
-/// pins the SIMD path regardless of the dispatch override.
-#[cfg(target_arch = "x86_64")]
-#[inline]
-pub fn lcp_bytes_simd(a: &[u8], b: &[u8], i: usize, j: usize) -> usize {
-    if is_x86_feature_detected!("avx2") {
-        // SAFETY: feature checked above.
-        unsafe { lcp_bytes_avx2(a, b, i, j) }
-    } else {
-        lcp_bytes_word(a, b, i, j)
-    }
-}
-
+/// AVX2 byte LCP: 32 bytes per compare.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
 unsafe fn lcp_bytes_avx2(a: &[u8], b: &[u8], i: usize, j: usize) -> usize {
@@ -396,123 +389,170 @@ unsafe fn lcp_packed_avx2(a: &PackedSeq, b: &PackedSeq, i: usize, j: usize) -> u
     (matched + lcp_packed_word(a, b, i + matched, j + matched)).min(limit)
 }
 
-/// Batched packed LCP: `out[t] = lcp_packed(a, b, is[t], js[t])` for every
-/// lane. Lane coordinates are `i32` (the aligner's native offset type);
-/// each must satisfy `0 <= is[t] <= a.len()` and `0 <= js[t] <= b.len()`.
+/// The Extend phase (paper §4.3.2) as one pass over a wavefront row:
+/// `offs[t]` is the offset (`j`) of diagonal `k_lo + t`. NULL cells are left
+/// untouched; every valid cell (it must lie inside the DP matrix, or this
+/// panics) advances by its `lcp_packed` match count, then `on_cell(t,
+/// offset, matches, limit)` gets its index, new offset, matches and
+/// `limit = min(a.len() - i, b.len() - j)`, in increasing index order.
+/// `matches < limit` means the run stopped on a mismatch inside both
+/// sequences.
 ///
-/// This is the vector form of the Extend phase: the aligner collects a
-/// whole frame column's valid cells, then resolves their extends four at a
-/// time. On the AVX2 tier each iteration fetches four 32-base windows per
-/// sequence with masked gathers (lanes at a sequence end never touch
-/// memory), bit-aligns them with variable 64-bit shifts, and XORs; only
-/// the rare lane whose entire first window matches escalates to the
-/// long-run kernel. Every other tier falls back to a scalar loop over
-/// [`lcp_packed`], so values are identical on every tier.
-pub fn lcp_packed_batch(a: &PackedSeq, b: &PackedSeq, is: &[i32], js: &[i32], out: &mut [u32]) {
-    assert_eq!(is.len(), js.len(), "lane vectors must have equal length");
-    assert_eq!(is.len(), out.len(), "lane vectors must have equal length");
+/// The AVX2 tier takes four offsets per step straight from the row, one
+/// masked 64-bit gather per sequence fetches each lane's window, and a
+/// per-lane trailing-zeros count resolves it; a run past the window
+/// escalates to the long-run kernel. Other tiers loop over [`lcp_packed`],
+/// so offsets and callbacks are identical on every tier.
+pub fn extend_row<F: FnMut(usize, i32, usize, usize)>(
+    a: &PackedSeq,
+    b: &PackedSeq,
+    offs: &mut [i32],
+    k_lo: i32,
+    mut on_cell: F,
+) {
     #[cfg(target_arch = "x86_64")]
-    if kernel_dispatch() == KernelDispatch::Avx2 && is_x86_feature_detected!("avx2") {
-        // SAFETY: feature checked above.
-        unsafe { lcp_packed_batch_avx2(a, b, is, js, out) };
+    if kernel_dispatch() == KernelDispatch::Avx2 {
+        // SAFETY: the Avx2 tier is only ever resolved when the CPU reports
+        // the feature.
+        unsafe { extend_row_avx2(a, b, offs, k_lo, &mut on_cell) };
         return;
     }
-    for t in 0..is.len() {
-        out[t] = lcp_packed(a, b, is[t] as usize, js[t] as usize) as u32;
+    extend_cells(a, b, offs, k_lo, 0, &mut on_cell);
+}
+
+/// [`extend_row`] one cell at a time over `offs[start..]`: the non-AVX2
+/// tiers and the AVX2 tail.
+fn extend_cells<F: FnMut(usize, i32, usize, usize)>(
+    a: &PackedSeq,
+    b: &PackedSeq,
+    offs: &mut [i32],
+    k_lo: i32,
+    start: usize,
+    on_cell: &mut F,
+) {
+    let (n, m) = (a.len() as i64, b.len() as i64);
+    for (t, off) in offs.iter_mut().enumerate().skip(start) {
+        if !crate::wavefront::offset_is_valid(*off) {
+            continue;
+        }
+        let (i, j) = (*off as i64 - (k_lo as i64 + t as i64), *off as i64);
+        assert!(
+            (0..=n).contains(&i) && (0..=m).contains(&j),
+            "extend_row: cell (i={i}, j={j}) outside the {n}x{m} matrix"
+        );
+        let matches = lcp_packed(a, b, i as usize, j as usize);
+        *off += matches as i32;
+        on_cell(t, *off, matches, (n - i).min(m - j) as usize);
     }
 }
 
+/// [`extend_row`] on the AVX2 tier.
+///
+/// # Safety
+///
+/// The CPU must support AVX2. Every gather stays in bounds for any input:
+/// cells outside the matrix panic before their lanes are fetched.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn lcp_packed_batch_avx2(
+unsafe fn extend_row_avx2<F: FnMut(usize, i32, usize, usize)>(
     a: &PackedSeq,
     b: &PackedSeq,
-    is: &[i32],
-    js: &[i32],
-    out: &mut [u32],
+    offs: &mut [i32],
+    k_lo: i32,
+    on_cell: &mut F,
 ) {
     use std::arch::x86_64::*;
-    let aw = a.words();
-    let bw = b.words();
+    let (ab, bb) = (a.as_raw_bytes(), b.as_raw_bytes());
     let n_v = _mm_set1_epi32(a.len() as i32);
     let m_v = _mm_set1_epi32(b.len() as i32);
-    let awlen = _mm_set1_epi32(aw.len() as i32);
-    let bwlen = _mm_set1_epi32(bw.len() as i32);
+    let a_last = _mm_set1_epi32(ab.len() as i32 - 8);
+    let b_last = _mm_set1_epi32(bb.len() as i32 - 8);
+    let null_half = _mm_set1_epi32(OFFSET_NULL / 2);
+    let iota = _mm_setr_epi32(0, 1, 2, 3);
     let zero = _mm_setzero_si128();
-    let zero256 = _mm256_setzero_si256();
-    let mask31 = _mm_set1_epi32(31);
-    let one = _mm_set1_epi32(1);
-    let v63 = _mm256_set1_epi64x(63);
+    let three = _mm_set1_epi32(3);
+    let bases_per_word = _mm_set1_epi32(crate::bitpack::BASES_PER_WORD as i32);
 
-    // One sequence's four 32-base windows at base positions `v`, as the
-    // register form of `PackedSeq::window`: gather word `v/32` (lo) and
-    // word `v/32 + 1` (hi, masked off at the last word — hardware reads 0
-    // there), then `(lo >> sh) | (((hi << (63-sh)) << 1))` per 64-bit lane.
-    // Gather masks guarantee an inactive or out-of-range lane never touches
-    // memory, so lanes with `i == len` are safe with any index.
+    // Four windows at base positions `v`: an unaligned 8-byte gather at byte
+    // `v/4` (pulled back to the buffer's last 8 bytes near its end), shifted
+    // so base `v` is bit 0. It holds `32 - shift/2` real bases (at least 29
+    // away from the end), then zeros. Inactive lanes never touch memory.
     macro_rules! windows {
-        ($words:expr, $wlen:expr, $v:expr, $active:expr) => {{
-            let wi = _mm_srli_epi32::<5>($v);
-            let wi1 = _mm_add_epi32(wi, one);
-            let sh = _mm256_cvtepi32_epi64(_mm_slli_epi32::<1>(_mm_and_si128($v, mask31)));
-            let lo_mask = _mm256_cvtepi32_epi64($active);
-            let lo = _mm256_mask_i32gather_epi64::<8>(
-                zero256,
-                $words.as_ptr() as *const i64,
-                wi,
-                lo_mask,
+        ($bytes:expr, $last:expr, $v:expr, $active:expr) => {{
+            let byte = _mm_srli_epi32::<2>($v);
+            let at = _mm_min_epi32(byte, $last);
+            let sh = _mm_add_epi32(
+                _mm_slli_epi32::<3>(_mm_sub_epi32(byte, at)),
+                _mm_slli_epi32::<1>(_mm_and_si128($v, three)),
             );
-            let hi_mask =
-                _mm256_cvtepi32_epi64(_mm_and_si128($active, _mm_cmpgt_epi32($wlen, wi1)));
-            let hi = _mm256_mask_i32gather_epi64::<8>(
-                zero256,
-                $words.as_ptr() as *const i64,
-                wi1,
-                hi_mask,
+            let w = _mm256_mask_i32gather_epi64::<1>(
+                _mm256_setzero_si256(),
+                $bytes.as_ptr() as *const i64,
+                at,
+                _mm256_cvtepi32_epi64($active),
             );
-            _mm256_or_si256(
-                _mm256_srlv_epi64(lo, sh),
-                _mm256_slli_epi64::<1>(_mm256_sllv_epi64(hi, _mm256_sub_epi64(v63, sh))),
-            )
+            (_mm256_srlv_epi64(w, _mm256_cvtepi32_epi64(sh)), sh)
         }};
     }
 
     let mut t = 0usize;
-    while t + 4 <= is.len() {
-        let vi = _mm_loadu_si128(is.as_ptr().add(t) as *const __m128i);
-        let vj = _mm_loadu_si128(js.as_ptr().add(t) as *const __m128i);
+    while t + 4 <= offs.len() {
+        let vj = _mm_loadu_si128(offs.as_ptr().add(t) as *const __m128i);
+        let valid = _mm_cmpgt_epi32(vj, null_half);
+        let valid_bits = _mm_movemask_ps(_mm_castsi128_ps(valid));
+        if valid_bits == 0 {
+            t += 4;
+            continue;
+        }
+        let vi = _mm_sub_epi32(vj, _mm_add_epi32(_mm_set1_epi32(k_lo + t as i32), iota));
         let limit = _mm_min_epi32(_mm_sub_epi32(n_v, vi), _mm_sub_epi32(m_v, vj));
-        // active ⇔ limit > 0 ⇔ i < a.len() and j < b.len(): the lo-word
-        // gather is in bounds exactly on active lanes.
-        let active = _mm_cmpgt_epi32(limit, zero);
-        let diff = _mm256_xor_si256(
-            windows!(aw, awlen, vi, active),
-            windows!(bw, bwlen, vj, active),
+        // A valid cell outside the matrix would gather out of bounds.
+        let outside = _mm_or_si128(
+            _mm_cmpgt_epi32(zero, _mm_min_epi32(vi, vj)),
+            _mm_cmpgt_epi32(zero, limit),
         );
+        assert!(
+            _mm_testz_si128(outside, valid) != 0,
+            "extend_row: cell outside the matrix"
+        );
+        // active ⇔ valid and limit > 0 ⇔ i < a.len() and j < b.len(): the
+        // gathers are in bounds exactly on active lanes.
+        let active = _mm_and_si128(valid, _mm_cmpgt_epi32(limit, zero));
+        let (wa, sha) = windows!(ab, a_last, vi, active);
+        let (wb, shb) = windows!(bb, b_last, vj, active);
         let mut dl = [0u64; 4];
-        _mm256_storeu_si256(dl.as_mut_ptr() as *mut __m256i, diff);
+        _mm256_storeu_si256(dl.as_mut_ptr() as *mut __m256i, _mm256_xor_si256(wa, wb));
         let mut ll = [0i32; 4];
         _mm_storeu_si128(ll.as_mut_ptr() as *mut __m128i, limit);
+        // Real bases both windows of a lane hold.
+        let mut wl = [0i32; 4];
+        let covered = _mm_sub_epi32(bases_per_word, _mm_srli_epi32::<1>(_mm_max_epi32(sha, shb)));
+        _mm_storeu_si128(wl.as_mut_ptr() as *mut __m128i, covered);
         for lane in 0..4 {
-            let lim = ll[lane];
-            out[t + lane] = if lim <= 0 {
+            if valid_bits >> lane & 1 == 0 {
+                continue;
+            }
+            let (idx, lim, window) = (t + lane, ll[lane] as usize, wl[lane] as usize);
+            let off = offs[idx];
+            let first_diff = (dl[lane].trailing_zeros() / 2) as usize;
+            let matches = if lim == 0 {
                 0
-            } else if dl[lane] != 0 {
-                ((dl[lane].trailing_zeros() / 2) as i32).min(lim) as u32
-            } else if lim <= crate::bitpack::BASES_PER_WORD as i32 {
-                lim as u32
+            } else if first_diff < window {
+                first_diff.min(lim)
+            } else if lim <= window {
+                lim
             } else {
                 // The whole first window matched and the run continues past
                 // it — rare at realistic error rates; resolve with the
                 // long-run kernel (identical to `lcp_packed`'s tier call).
-                lcp_packed_avx2(a, b, is[t + lane] as usize, js[t + lane] as usize) as u32
+                lcp_packed_avx2(a, b, (off - (k_lo + idx as i32)) as usize, off as usize)
             };
+            offs[idx] = off + matches as i32;
+            on_cell(idx, offs[idx], matches, lim);
         }
         t += 4;
     }
-    for t in t..is.len() {
-        out[t] = lcp_packed(a, b, is[t] as usize, js[t] as usize) as u32;
-    }
+    extend_cells(a, b, offs, k_lo, t, on_cell);
 }
 
 // ---------------------------------------------------------------------------
@@ -920,7 +960,10 @@ mod tests {
     fn byte_tiers() -> Vec<(&'static str, ByteLcpFn)> {
         let mut tiers: Vec<(&'static str, ByteLcpFn)> = vec![("word", lcp_bytes_word)];
         #[cfg(target_arch = "x86_64")]
-        tiers.push(("simd", lcp_bytes_simd));
+        if KernelDispatch::Avx2.available() {
+            // SAFETY: the CPU reports AVX2.
+            tiers.push(("avx2", |a, b, i, j| unsafe { lcp_bytes_avx2(a, b, i, j) }));
+        }
         tiers
     }
 
@@ -1003,63 +1046,123 @@ mod tests {
         });
     }
 
+    /// A callback trace of [`extend_row`]: `(index, offset, matches, limit)`.
+    type RowTrace = Vec<(usize, i32, usize, usize)>;
+
+    /// Per-cell reference for [`extend_row`] over the scalar LCP oracle.
+    fn extend_row_reference(a: &PackedSeq, b: &PackedSeq, offs: &mut [i32], k_lo: i32) -> RowTrace {
+        let mut trace = Vec::new();
+        for (t, off) in offs.iter_mut().enumerate() {
+            if !offset_is_valid(*off) {
+                continue;
+            }
+            let (i, j) = ((*off - (k_lo + t as i32)) as usize, *off as usize);
+            let matches = lcp_packed_scalar(a, b, i, j);
+            *off += matches as i32;
+            trace.push((t, *off, matches, (a.len() - i).min(b.len() - j)));
+        }
+        trace
+    }
+
+    type ExtendRowFn = fn(&PackedSeq, &PackedSeq, &mut [i32], i32, &mut RowTrace);
+
+    /// Every compiled [`extend_row`] path, by name: the dispatched entry,
+    /// the per-cell loop of the non-AVX2 tiers, and the AVX2 body.
+    fn extend_row_paths() -> Vec<(&'static str, ExtendRowFn)> {
+        let mut paths: Vec<(&'static str, ExtendRowFn)> = vec![
+            ("dispatched", |a, b, offs, k_lo, tr| {
+                extend_row(a, b, offs, k_lo, |t, o, mt, l| tr.push((t, o, mt, l)))
+            }),
+            ("per-cell", |a, b, offs, k_lo, tr| {
+                extend_cells(a, b, offs, k_lo, 0, &mut |t, o, mt, l| {
+                    tr.push((t, o, mt, l))
+                })
+            }),
+        ];
+        #[cfg(target_arch = "x86_64")]
+        if KernelDispatch::Avx2.available() {
+            // SAFETY: the CPU reports AVX2.
+            paths.push(("avx2", |a, b, offs, k_lo, tr| unsafe {
+                extend_row_avx2(a, b, offs, k_lo, &mut |t, o, mt, l| tr.push((t, o, mt, l)))
+            }));
+        }
+        paths
+    }
+
+    /// A random wavefront row over `a` x `b`: NULL cells (exact and
+    /// perturbed sentinels), cells at a sequence end (`limit == 0`) and
+    /// in-matrix cells, from a `k_lo` that is often negative.
+    fn random_extend_row(rng: &mut SmallRng, n: usize, m: usize) -> (Vec<i32>, i32) {
+        let len = rng.gen_range(0, 15);
+        let k_lo = rng.gen_range(0, n + m + 1) as i32 - n as i32;
+        let row = (0..len)
+            .map(|t| {
+                let k = k_lo + t as i32;
+                let (lo, hi) = (k.max(0), (m as i32).min(n as i32 + k));
+                if lo > hi || rng.gen_bool(0.25) {
+                    OFFSET_NULL + rng.gen_range(0, 3) as i32
+                } else if rng.gen_bool(0.15) {
+                    hi
+                } else {
+                    lo + rng.gen_range(0, (hi - lo + 1) as usize) as i32
+                }
+            })
+            .collect();
+        (row, k_lo)
+    }
+
     #[test]
-    fn batch_lcp_matches_scalar_oracle_per_lane() {
-        prop::cases(200, 0x1C_BA7C4, |rng, _| {
+    fn extend_row_matches_per_cell_reference() {
+        prop::cases(300, 0x1C_E7E4D, |rng, case| {
             let len = rng.gen_range(1, 300);
-            let (a, b) = related_pair(rng, len);
+            let (a, mut b) = related_pair(rng, len);
+            if case % 3 == 0 {
+                // Identical sequences: most runs clear the first 32-base
+                // window and take the long-run escalation path.
+                b = a.clone();
+            }
             let pa = PackedSeq::from_ascii(&a).unwrap();
             let pb = PackedSeq::from_ascii(&b).unwrap();
-            // Lane count sweeps the SIMD body, the scalar tail, and empty.
-            let lanes = rng.gen_range(0, 11);
-            let mut is = Vec::with_capacity(lanes);
-            let mut js = Vec::with_capacity(lanes);
-            for _ in 0..lanes {
-                // Bias toward the i == n / j == m ends so the inactive-lane
-                // (limit <= 0) path is exercised every few cases.
-                is.push(if rng.gen_bool(0.15) {
-                    a.len() as i32
-                } else {
-                    rng.gen_range(0, a.len() + 1) as i32
-                });
-                js.push(if rng.gen_bool(0.15) {
-                    b.len() as i32
-                } else {
-                    rng.gen_range(0, b.len() + 1) as i32
-                });
+            let (row, k_lo) = random_extend_row(rng, a.len(), b.len());
+            let mut want_row = row.clone();
+            let want = extend_row_reference(&pa, &pb, &mut want_row, k_lo);
+            for (t, &off) in row.iter().enumerate() {
+                if !offset_is_valid(off) {
+                    assert_eq!(want_row[t], off, "NULL cells stay untouched");
+                }
             }
-            let mut got = vec![u32::MAX; lanes];
-            lcp_packed_batch(&pa, &pb, &is, &js, &mut got);
-            for t in 0..lanes {
-                assert_eq!(
-                    got[t],
-                    lcp_packed_scalar(&pa, &pb, is[t] as usize, js[t] as usize) as u32,
-                    "lane {t}: len={len} i={} j={}",
-                    is[t],
-                    js[t]
-                );
+            for (name, f) in extend_row_paths() {
+                let (mut got_row, mut got) = (row.clone(), Vec::new());
+                f(&pa, &pb, &mut got_row, k_lo, &mut got);
+                assert_eq!(got_row, want_row, "{name}: len={len} k_lo={k_lo}");
+                assert_eq!(got, want, "{name}: len={len} k_lo={k_lo}");
             }
         });
     }
 
     #[test]
-    fn batch_lcp_long_run_escalation() {
-        // Identical 200-base sequences from aligned and unaligned starts:
-        // every lane's first window matches fully (limit > 32), forcing the
-        // long-run escalation path.
-        let a = vec![b'G'; 200];
-        let pa = PackedSeq::from_ascii(&a).unwrap();
-        let is: Vec<i32> = (0..8).collect();
-        let js: Vec<i32> = (0..8).map(|t| t * 3).collect();
-        let mut got = vec![0u32; 8];
-        lcp_packed_batch(&pa, &pa, &is, &js, &mut got);
-        for t in 0..8 {
-            assert_eq!(
-                got[t],
-                lcp_packed_scalar(&pa, &pa, is[t] as usize, js[t] as usize) as u32,
-                "lane {t}"
-            );
+    fn extend_row_long_runs_escalate() {
+        // Identical 200-base sequences on the main diagonals from aligned
+        // and unaligned starts: every first window matches fully (limit >
+        // 32), forcing the long-run path; 7 cells leave a 3-cell tail.
+        let pa = PackedSeq::from_ascii(&[b'G'; 200]).unwrap();
+        let row: Vec<i32> = (0..7).map(|t| 3 * t).collect();
+        let mut want_row = row.clone();
+        let want = extend_row_reference(&pa, &pa, &mut want_row, -3);
+        assert!(want.iter().all(|&(_, _, matches, _)| matches > 32));
+        for (name, f) in extend_row_paths() {
+            let (mut got_row, mut got) = (row.clone(), Vec::new());
+            f(&pa, &pa, &mut got_row, -3, &mut got);
+            assert_eq!((got_row, got), (want_row.clone(), want.clone()), "{name}");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the")]
+    fn extend_row_refuses_a_cell_outside_the_matrix() {
+        let p = PackedSeq::from_ascii(b"ACGTACGT").unwrap();
+        // Diagonal 0 with offset 9 is past the end of both sequences.
+        extend_row(&p, &p, &mut [0, 9, 0, 0], -1, |_, _, _, _| {});
     }
 
     #[test]

@@ -23,6 +23,24 @@ pub fn offset_is_valid(off: i32) -> bool {
     off > OFFSET_NULL / 2
 }
 
+/// Fill `row` with `w.get(k)` for `k in lo..=hi` (all NULL without a
+/// source): the gathered form the batched Eq. 3 kernels consume. Each slot
+/// is written once: NULL head, one block copy of the overlap with the
+/// source's stored range, NULL tail.
+pub fn fill_row(row: &mut Vec<i32>, lo: i32, hi: i32, w: Option<&Wavefront>) {
+    row.resize((hi - lo + 1) as usize, OFFSET_NULL);
+    match w.filter(|w| w.lo <= hi && lo <= w.hi) {
+        Some(w) => {
+            let (s, e) = (lo.max(w.lo), hi.min(w.hi));
+            let (dst, src, count) = ((s - lo) as usize, (s - w.lo) as usize, (e - s + 1) as usize);
+            row[..dst].fill(OFFSET_NULL);
+            row[dst..dst + count].copy_from_slice(&w.offsets[src..src + count]);
+            row[dst + count..].fill(OFFSET_NULL);
+        }
+        None => row.fill(OFFSET_NULL),
+    }
+}
+
 /// One wavefront vector: offsets for diagonals `lo..=hi`.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Wavefront {

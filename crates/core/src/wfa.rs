@@ -20,7 +20,7 @@ use crate::cigar::Cigar;
 use crate::kernel;
 use crate::penalties::Penalties;
 use crate::seq::Seq;
-use crate::wavefront::{offset_is_valid, WavefrontSet, OFFSET_NULL};
+use crate::wavefront::{fill_row, offset_is_valid, WavefrontSet, OFFSET_NULL};
 
 /// Which algorithm answers an alignment call — the strategy axis of the
 /// engine. All three strategies share the same wavefront kernels, arena
@@ -325,8 +325,8 @@ pub fn compute_cell_m(m_sub: i32, i_cur: i32, d_cur: i32, k: i32, n: i32, m: i32
 
 /// A borrowed pair of input sequences in either representation. The WFA
 /// core is representation-agnostic: the only sequence-dependent operation
-/// it performs is the `extend()` LCP, which dispatches here to the byte or
-/// packed kernel tier.
+/// it performs is the `extend()` LCP, which [`WfaMachine::extend_current`]
+/// runs per cell on the byte kernel or per row on [`kernel::extend_row`].
 #[derive(Clone, Copy)]
 pub(crate) enum SeqsRef<'s> {
     /// ASCII bytes (1 byte/base) — any alphabet.
@@ -352,34 +352,6 @@ impl SeqsRef<'_> {
         match self {
             SeqsRef::Bytes(_, b) => b.len(),
             SeqsRef::Packed(_, b) => b.len(),
-        }
-    }
-
-    /// Matching bases of `a[i..]` vs `b[j..]` in the representation's
-    /// fastest kernel tier.
-    #[inline]
-    pub fn lcp(&self, i: usize, j: usize) -> usize {
-        match self {
-            SeqsRef::Bytes(a, b) => kernel::lcp_bytes(a, b, i, j),
-            SeqsRef::Packed(a, b) => kernel::lcp_packed(a, b, i, j),
-        }
-    }
-}
-
-/// Fill `row` with `w.get(k)` for `k in lo..=hi`: NULL everywhere, then one
-/// block copy of the overlap with the source's stored range. The gathered
-/// form the batched [`kernel::compute_row`] consumes.
-fn fill_source_row(row: &mut Vec<i32>, lo: i32, hi: i32, w: Option<&crate::wavefront::Wavefront>) {
-    row.clear();
-    row.resize((hi - lo + 1) as usize, OFFSET_NULL);
-    if let Some(w) = w {
-        let s = lo.max(w.lo);
-        let e = hi.min(w.hi);
-        if s <= e {
-            let dst = (s - lo) as usize;
-            let src = (s - w.lo) as usize;
-            let count = (e - s + 1) as usize;
-            row[dst..dst + count].copy_from_slice(&w.offsets[src..src + count]);
         }
     }
 }
@@ -562,32 +534,36 @@ impl<'s> WfaMachine<'s> {
     /// (matches are free). Returns true when a front exists at the
     /// current score.
     pub(crate) fn extend_current(&mut self) -> bool {
-        let (n, m) = (self.n, self.m);
-        let seqs = self.seqs;
+        let (n, m) = (self.n as usize, self.m as usize);
         let Some(set) = self.fronts[self.s].as_mut() else {
             return false;
         };
-        self.stats.score_steps += 1;
-        self.stats.max_wavefront_len = self.stats.max_wavefront_len.max(set.m.len() as u64);
+        let (stats, max_antidiag) = (&mut self.stats, &mut self.max_antidiag);
+        stats.score_steps += 1;
+        stats.max_wavefront_len = stats.max_wavefront_len.max(set.m.len() as u64);
         let lo = set.m.lo;
-        for idx in 0..set.m.offsets.len() {
-            let off = set.m.offsets[idx];
-            if !offset_is_valid(off) {
-                continue;
-            }
-            let k = lo + idx as i32;
-            let i = (off - k) as usize;
-            let j = off as usize;
-            let matches = seqs.lcp(i, j);
-            self.stats.extend_calls += 1;
+        let mut account = |idx: usize, new_off: i32, matches: usize, limit: usize| {
+            stats.extend_calls += 1;
             // Count the terminating comparison too when we stopped on a
             // mismatch inside both sequences.
-            let stopped_inside = i + matches < n as usize && j + matches < m as usize;
-            self.stats.bases_compared += matches as u64 + stopped_inside as u64;
-            let new_off = off + matches as i32;
-            set.m.offsets[idx] = new_off;
-            let antidiag = 2 * new_off as i64 - k as i64;
-            self.max_antidiag = self.max_antidiag.max(antidiag);
+            stats.bases_compared += matches as u64 + (matches < limit) as u64;
+            let antidiag = 2 * new_off as i64 - (lo as i64 + idx as i64);
+            *max_antidiag = (*max_antidiag).max(antidiag);
+        };
+        match self.seqs {
+            SeqsRef::Packed(a, b) => kernel::extend_row(a, b, &mut set.m.offsets, lo, account),
+            // The only path for non-ACGT input: one byte LCP per valid cell.
+            SeqsRef::Bytes(a, b) => {
+                for (idx, off) in set.m.offsets.iter_mut().enumerate() {
+                    if !offset_is_valid(*off) {
+                        continue;
+                    }
+                    let (i, j) = ((*off - (lo + idx as i32)) as usize, *off as usize);
+                    let matches = kernel::lcp_bytes(a, b, i, j);
+                    *off += matches as i32;
+                    account(idx, *off, matches, (n - i).min(m - j));
+                }
+            }
         }
         true
     }
@@ -729,10 +705,10 @@ impl<'s> WfaMachine<'s> {
         let mut open_row = arena.take_row();
         let mut iext_row = arena.take_row();
         let mut dext_row = arena.take_row();
-        fill_source_row(&mut sub_row, lo - 1, hi + 1, sub_m);
-        fill_source_row(&mut open_row, lo - 1, hi + 1, open_m);
-        fill_source_row(&mut iext_row, lo - 1, hi + 1, ext_i);
-        fill_source_row(&mut dext_row, lo - 1, hi + 1, ext_d);
+        fill_row(&mut sub_row, lo - 1, hi + 1, sub_m);
+        fill_row(&mut open_row, lo - 1, hi + 1, open_m);
+        fill_row(&mut iext_row, lo - 1, hi + 1, ext_i);
+        fill_row(&mut dext_row, lo - 1, hi + 1, ext_d);
         kernel::compute_row(
             &sub_row,
             &open_row,

@@ -156,9 +156,8 @@ fn score_bounded_by_all_gaps() {
 /// skipped (the CI matrix still forces each one where available).
 #[test]
 fn wfa_exactness_holds_at_every_dispatch_tier() {
-    use wfa_core::kernel::{
-        kernel_dispatch, lcp_packed_batch, set_kernel_dispatch, KernelDispatch,
-    };
+    use wfa_core::kernel::{extend_row, kernel_dispatch, set_kernel_dispatch, KernelDispatch};
+    use wfa_core::wavefront::{offset_is_valid, OFFSET_NULL};
     for tier in [
         KernelDispatch::Scalar,
         KernelDispatch::Word,
@@ -178,28 +177,49 @@ fn wfa_exactness_holds_at_every_dispatch_tier() {
             assert_eq!(cigar.score(&p), wfa.score as u64);
             assert_eq!(wfa.score as u64, swg_score(&a, &b, &p));
 
-            // Single-cell and batched extends agree with the byte oracle
-            // at this tier too.
+            // Single-cell and row extends agree with the byte oracle at
+            // this tier too.
             let pa = PackedSeq::from_ascii(&a).unwrap();
             let pb = PackedSeq::from_ascii(&b).unwrap();
             let i = rng.gen_range(0, a.len() + 1);
             let j = rng.gen_range(0, b.len() + 1);
             assert_eq!(lcp_packed(&pa, &pb, i, j), lcp_bytes(&a, &b, i, j));
-            let is: Vec<i32> = (0..5)
-                .map(|_| rng.gen_range(0, a.len() + 1) as i32)
+            // A row of 0..=10 cells (tails of every length) from a k_lo
+            // that is often negative: NULLs stay, the rest extend.
+            let (n, m) = (a.len() as i32, b.len() as i32);
+            let k_lo = rng.gen_range(0, (n + m + 1) as usize) as i32 - n;
+            let row: Vec<i32> = (0..rng.gen_range(0, 11) as i32)
+                .map(|t| {
+                    let k = k_lo + t;
+                    let (lo, hi) = (k.max(0), m.min(n + k));
+                    if lo > hi || rng.gen_bool(0.2) {
+                        OFFSET_NULL
+                    } else {
+                        lo + rng.gen_range(0, (hi - lo + 1) as usize) as i32
+                    }
+                })
                 .collect();
-            let js: Vec<i32> = (0..5)
-                .map(|_| rng.gen_range(0, b.len() + 1) as i32)
-                .collect();
-            let mut out = [0u32; 5];
-            lcp_packed_batch(&pa, &pb, &is, &js, &mut out);
-            for t in 0..5 {
-                assert_eq!(
-                    out[t] as usize,
-                    lcp_bytes(&a, &b, is[t] as usize, js[t] as usize),
-                    "tier {tier:?} lane {t}"
-                );
+            let mut got = row.clone();
+            let mut cells = Vec::new();
+            extend_row(&pa, &pb, &mut got, k_lo, |t, off, matches, limit| {
+                cells.push((t, off, matches, limit))
+            });
+            let mut want = Vec::new();
+            for (t, &off) in row.iter().enumerate() {
+                if !offset_is_valid(off) {
+                    assert_eq!(got[t], off, "tier {tier:?}: NULL cell {t} touched");
+                    continue;
+                }
+                let (i, j) = ((off - k_lo - t as i32) as usize, off as usize);
+                let matches = lcp_bytes(&a, &b, i, j);
+                want.push((
+                    t,
+                    off + matches as i32,
+                    matches,
+                    (a.len() - i).min(b.len() - j),
+                ));
             }
+            assert_eq!(cells, want, "tier {tier:?} k_lo={k_lo}");
         });
     }
     set_kernel_dispatch(KernelDispatch::Auto);
@@ -236,6 +256,36 @@ fn biwfa_matches_exact_at_every_dispatch_tier() {
         });
     }
     set_kernel_dispatch(KernelDispatch::Auto);
+}
+
+/// The packed and byte representations run the same engine: on ACGT pairs
+/// the exact and BiWFA strategies return identical alignments and
+/// identical `WfaStats` (extend calls, bases compared, peak memory and
+/// all) whichever representation they are handed.
+#[test]
+fn packed_and_byte_paths_are_identical() {
+    use wfa_core::Seq;
+    cases(CASES, 0x57FA_0030, |rng, case| {
+        let (a, b) = dna_pair(rng, if case % 4 == 0 { 400 } else { 96 });
+        let (sa, sb) = (Seq::from_ascii(&a), Seq::from_ascii(&b));
+        assert!(sa.as_packed().is_some() && sb.as_packed().is_some());
+        let p = Penalties::WFASIC_DEFAULT;
+        for opts in [
+            WfaOptions::exact(p),
+            WfaOptions::score_only(p),
+            WfaOptions::biwfa(p),
+        ] {
+            let bytes = wfa_align(&a, &b, &opts).unwrap();
+            let packed = wfa_core::wfa_align_seqs(&sa, &sb, &opts).unwrap();
+            assert_eq!(
+                format!("{packed:?}"),
+                format!("{bytes:?}"),
+                "{:?} cigar={}",
+                opts.strategy,
+                opts.compute_cigar
+            );
+        }
+    });
 }
 
 /// BiWFA stays exact on non-default penalty sets (odd costs exercise

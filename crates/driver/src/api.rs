@@ -503,7 +503,10 @@ pub(crate) fn parse_nbt_results_at(
     pairs: &[Pair],
     report: &RunReport,
 ) -> Vec<AlignmentResult> {
-    let bytes = mem.read(out_addr, report.output_bytes as usize);
+    // An output window the memory cannot hold parses as no records.
+    let bytes = mem
+        .view(out_addr, report.output_bytes as usize)
+        .unwrap_or_default();
     let recs = wfasic_accel::collector::parse_nbt_records(&bytes, pairs.len());
     // A short or ID-mismatched record set (torn/corrupted output) leaves
     // the affected pairs marked failed rather than crashing; the CPU
@@ -540,7 +543,10 @@ pub(crate) fn parse_bt_results_at(
     report: &RunReport,
     separated: bool,
 ) -> Result<(Vec<AlignmentResult>, Cycle), BtError> {
-    let bytes = mem.read(out_addr, report.output_bytes as usize);
+    // An output window the memory cannot hold reads as a cut-off stream.
+    let bytes = mem
+        .view(out_addr, report.output_bytes as usize)
+        .map_err(|_| BtError::TruncatedStream)?;
     let alignments: Vec<BtAlignment> = if separated {
         separate_stream(&bytes)?
     } else {

@@ -113,7 +113,16 @@ pub fn split_consecutive_stream(bytes: &[u8]) -> Result<Vec<BtAlignment>, BtErro
     let mut out = Vec::new();
     let mut payload: Vec<u8> = Vec::new();
     let mut count: usize = 0;
-    for chunk in bytes.chunks_exact(SECTION) {
+    let is_last = |chunk: &[u8]| chunk[15] >> 7 == 1;
+    for (t, chunk) in bytes.chunks_exact(SECTION).enumerate() {
+        if count == 0 {
+            // First transaction of an alignment: size its payload buffer
+            // to the transactions before its Last flag, so the copies
+            // below never reallocate.
+            let rest = bytes[t * SECTION..].chunks_exact(SECTION);
+            let txns = rest.clone().position(is_last).unwrap_or(rest.len());
+            payload.reserve_exact(txns * BT_PAYLOAD_BYTES);
+        }
         // Decode the 6 info bytes in place (`BtTxn::decode` layout); the
         // payload streams straight from the chunk, copied exactly once.
         let counter = chunk[10] as u32 | (chunk[11] as u32) << 8 | (chunk[12] as u32) << 16;
@@ -123,7 +132,7 @@ pub fn split_consecutive_stream(bytes: &[u8]) -> Result<Vec<BtAlignment>, BtErro
             return Err(BtError::BadCounters { id });
         }
         count += 1;
-        if tail >> 23 & 1 == 1 {
+        if is_last(chunk) {
             let mut rec = [0u8; BT_PAYLOAD_BYTES];
             rec.copy_from_slice(&chunk[..BT_PAYLOAD_BYTES]);
             out.push(BtAlignment {

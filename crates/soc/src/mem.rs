@@ -1,6 +1,31 @@
 //! Byte-addressable main-memory model (the off-chip DRAM behind the memory
 //! controller in Fig. 3). Functional only — timing lives in [`crate::bus`].
 
+use std::borrow::Cow;
+
+/// A memory access outside `[0, cap)`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OutOfRange {
+    /// First byte requested.
+    pub addr: u64,
+    /// Bytes requested.
+    pub len: usize,
+    /// The memory's capacity cap.
+    pub cap: usize,
+}
+
+impl std::fmt::Display for OutOfRange {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(
+            f,
+            "{} bytes at {:#x} reach past the {}B memory cap",
+            self.len, self.addr, self.cap
+        )
+    }
+}
+
+impl std::error::Error for OutOfRange {}
+
 /// Flat byte-addressable memory, growing on demand up to a configured cap.
 #[derive(Debug, Clone)]
 pub struct MainMemory {
@@ -68,6 +93,27 @@ impl MainMemory {
         out
     }
 
+    /// Borrow `len` bytes at `addr` without copying when they are backed;
+    /// a range reaching past the backed bytes is copied, its unbacked tail
+    /// reading as 0 (exactly [`MainMemory::read`]). A range past the cap
+    /// is a typed error rather than a panic.
+    pub fn view(&self, addr: u64, len: usize) -> Result<Cow<'_, [u8]>, OutOfRange> {
+        let end = usize::try_from(addr)
+            .ok()
+            .and_then(|a| a.checked_add(len))
+            .filter(|&end| end <= self.cap)
+            .ok_or(OutOfRange {
+                addr,
+                len,
+                cap: self.cap,
+            })?;
+        let start = addr as usize;
+        Ok(match self.data.get(start..end) {
+            Some(bytes) => Cow::Borrowed(bytes),
+            None => Cow::Owned(self.read(addr, len)),
+        })
+    }
+
     /// Read into a fixed 16-byte section.
     pub fn read_section(&self, addr: u64) -> [u8; 16] {
         let v = self.read(addr, 16);
@@ -128,6 +174,26 @@ mod tests {
         let mut m = MainMemory::new(1024);
         m.write(16, &[7u8; 16]);
         assert_eq!(m.read_section(16), [7u8; 16]);
+    }
+
+    #[test]
+    fn view_borrows_backed_bytes_and_zero_fills_the_rest() {
+        let mut m = MainMemory::new(1024);
+        m.write(100, b"hello");
+        assert!(matches!(m.view(100, 5), Ok(Cow::Borrowed(b"hello"))));
+        assert_eq!(m.view(103, 4).unwrap().as_ref(), b"lo\0\0");
+        assert_eq!(m.view(512, 3).unwrap().as_ref(), [0, 0, 0]);
+        assert!(m.view(1024, 0).unwrap().is_empty());
+        for (addr, len) in [(1020, 5), (u64::MAX, 1), (0, usize::MAX)] {
+            assert_eq!(
+                m.view(addr, len),
+                Err(OutOfRange {
+                    addr,
+                    len,
+                    cap: 1024
+                })
+            );
+        }
     }
 
     #[test]
