@@ -164,7 +164,7 @@ pub fn backends_report(sizes: &Sizes) -> String {
     out.push_str(&format!(
         "\nlanes for multilane/hetero: {LANES}; aligns/s is host wall clock \
          (varies); sim cycles are deterministic — device-backed rows are \
-         gated by ci-check, the riscv row by cosim-check; 12kb ms is one \
+         gated by ci-check, the riscv row by the cosim gate; 12kb ms is one \
          12 kb/5% long read beyond the device envelope (CPU strategy in \
          parentheses; '-' where the envelope refuses it)\n"
     ));

@@ -1,5 +1,5 @@
-//! The CI cycle-regression gate: checked-in baseline cycle counts and the
-//! drift comparison behind `report -- ci-check`.
+//! The CI cycle-regression gate behind `report -- ci-check`, and the
+//! baseline format and comparison every gate shares ([`drift_report`]).
 //!
 //! The baseline (`bench/baselines/cycles.json` at the repo root) records the
 //! deterministic Table 1 / Fig. 9 cycle metrics at [`Sizes::quick`] and the
@@ -10,20 +10,15 @@
 //!
 //! The file format is deliberately trivial (hand-rolled, no serde): a JSON
 //! object whose `"metrics"` map holds one `"name": value` pair per line.
-//! [`parse_json`] accepts exactly what [`render_json`] writes.
+//! [`parse_json`] accepts exactly what [`push_metrics`] writes, which ends
+//! this baseline and every gated `BENCH_*.json` record alike.
 
 use crate::experiments::{measure, Sizes};
 use wfasic_accel::AccelConfig;
 use wfasic_seqio::dataset::InputSetSpec;
 
-/// Allowed relative drift, in percent, before `ci-check` fails.
+/// Allowed relative drift, in percent, before a two-sided gate fails.
 pub const TOLERANCE_PCT: f64 = 2.0;
-
-/// Default baseline location: `bench/baselines/cycles.json` at the repo
-/// root (two levels up from this crate's manifest).
-pub fn default_path() -> std::path::PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench/baselines/cycles.json")
-}
 
 /// One named cycle metric.
 #[derive(Debug, Clone, PartialEq)]
@@ -86,13 +81,20 @@ pub fn render_json(metrics: &[Metric]) -> String {
     let mut s = String::from("{\n");
     s.push_str("  \"workload\": \"quick\",\n");
     s.push_str(&format!("  \"tolerance_pct\": {TOLERANCE_PCT},\n"));
-    s.push_str("  \"metrics\": {\n");
+    push_metrics(&mut s, metrics);
+    s
+}
+
+/// Append the `"metrics"` object, one `"name": value` pair per line, and
+/// close the document. Every gated record ends this way, so [`parse_json`]'s
+/// first-`"metrics"` scan sees exactly this object.
+pub fn push_metrics(doc: &mut String, metrics: &[Metric]) {
+    doc.push_str("  \"metrics\": {\n");
     for (i, m) in metrics.iter().enumerate() {
         let comma = if i + 1 < metrics.len() { "," } else { "" };
-        s.push_str(&format!("    \"{}\": {}{}\n", m.name, m.value, comma));
+        doc.push_str(&format!("    \"{}\": {}{}\n", m.name, m.value, comma));
     }
-    s.push_str("  }\n}\n");
-    s
+    doc.push_str("  }\n}\n");
 }
 
 /// Parse a baseline document written by [`render_json`]: every
@@ -129,91 +131,79 @@ pub fn parse_json(text: &str) -> Result<Vec<Metric>, String> {
     Ok(metrics)
 }
 
-/// One comparison outcome.
-#[derive(Debug, Clone)]
-pub struct Drift {
-    /// Metric name.
-    pub name: String,
-    /// Baseline value (`None` = metric is new, not in the baseline).
-    pub baseline: Option<f64>,
-    /// Measured value (`None` = metric vanished from the measurement).
-    pub measured: Option<f64>,
-    /// Relative drift in percent (0 when either side is missing).
-    pub pct: f64,
+/// How a gate compares measured metrics against its baseline.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Comparison {
+    /// Fail on more than this many percent drift in either direction:
+    /// deterministic metrics, where being faster is as suspect as slower.
+    TwoSided(f64),
+    /// Fail only below this fraction of the baseline value: host wall-clock
+    /// ratios, which may grow freely but must not collapse.
+    Floor(f64),
 }
 
-impl Drift {
-    /// Does this entry fail the gate?
-    pub fn fails(&self, tolerance_pct: f64) -> bool {
-        self.baseline.is_none() || self.measured.is_none() || self.pct.abs() > tolerance_pct
+impl Comparison {
+    fn passes(self, baseline: f64, measured: f64, pct: f64) -> bool {
+        match self {
+            Comparison::TwoSided(tolerance_pct) => pct.abs() <= tolerance_pct,
+            Comparison::Floor(fraction) => measured >= baseline * fraction,
+        }
     }
 }
 
-/// Compare measured metrics against the baseline. Returns every metric's
-/// drift (callers filter with [`Drift::fails`]); missing or new metrics
-/// always fail, so renaming a metric forces a bless.
-pub fn compare(baseline: &[Metric], measured: &[Metric]) -> Vec<Drift> {
-    let mut drifts = Vec::new();
-    for b in baseline {
-        match measured.iter().find(|m| m.name == b.name) {
-            Some(m) => {
-                let pct = if b.value == 0.0 {
-                    if m.value == 0.0 {
+impl std::fmt::Display for Comparison {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            Comparison::TwoSided(tolerance_pct) => write!(f, "within {tolerance_pct}% of baseline"),
+            Comparison::Floor(fraction) => write!(f, "at or above {fraction}x of baseline"),
+        }
+    }
+}
+
+/// Compare measured metrics against the baseline and render one row per
+/// metric: the drift table every gate prints, plus its failure count.
+/// Baseline metrics come first, in order, then metrics new to this
+/// measurement. A metric missing on either side always fails, so renaming
+/// a metric forces a bless.
+pub fn drift_report(
+    baseline: &[Metric],
+    measured: &[Metric],
+    comparison: Comparison,
+) -> (String, usize) {
+    let find = |set: &[Metric], name: &str| set.iter().find(|m| m.name == name).map(|m| m.value);
+    let new = measured
+        .iter()
+        .filter(|m| find(baseline, &m.name).is_none());
+    let mut out = String::new();
+    let mut failures = 0;
+    for name in baseline.iter().chain(new).map(|m| m.name.as_str()) {
+        let (b, m) = (find(baseline, name), find(measured, name));
+        let (pct, ok) = match (b, m) {
+            (Some(b), Some(m)) => {
+                let pct = if b == 0.0 {
+                    if m == 0.0 {
                         0.0
                     } else {
                         100.0
                     }
                 } else {
-                    (m.value / b.value - 1.0) * 100.0
+                    (m / b - 1.0) * 100.0
                 };
-                drifts.push(Drift {
-                    name: b.name.clone(),
-                    baseline: Some(b.value),
-                    measured: Some(m.value),
-                    pct,
-                });
+                (pct, comparison.passes(b, m, pct))
             }
-            None => drifts.push(Drift {
-                name: b.name.clone(),
-                baseline: Some(b.value),
-                measured: None,
-                pct: 0.0,
-            }),
-        }
-    }
-    for m in measured {
-        if !baseline.iter().any(|b| b.name == m.name) {
-            drifts.push(Drift {
-                name: m.name.clone(),
-                baseline: None,
-                measured: Some(m.value),
-                pct: 0.0,
-            });
-        }
-    }
-    drifts
-}
-
-/// Render a drift table plus its failure count — the shared report body
-/// behind both gates (`ci-check` and `dse --check`), so CI job summaries
-/// print regressions in one uniform format.
-pub fn drift_report(drifts: &[Drift], tolerance_pct: f64) -> (String, usize) {
-    let mut out = String::new();
-    let mut failures = 0;
-    for d in drifts {
-        let status = if d.fails(tolerance_pct) {
+            _ => (0.0, false),
+        };
+        let status = if ok {
+            "ok"
+        } else {
             failures += 1;
             "FAIL"
-        } else {
-            "ok"
         };
         let fmt = |v: Option<f64>| v.map_or("-".to_string(), |v| format!("{v:.2}"));
         out.push_str(&format!(
-            "{status:>4}  {:<44} baseline {:>12}  measured {:>12}  drift {:+.2}%\n",
-            d.name,
-            fmt(d.baseline),
-            fmt(d.measured),
-            d.pct
+            "{status:>4}  {name:<44} baseline {:>12}  measured {:>12}  drift {pct:+.2}%\n",
+            fmt(b),
+            fmt(m),
         ));
     }
     (out, failures)
@@ -247,33 +237,39 @@ mod tests {
         assert!(parse_json("{\"metrics\": {\"a\": what}}").is_err());
     }
 
+    const TWO_SIDED: Comparison = Comparison::TwoSided(TOLERANCE_PCT);
+
     #[test]
     fn small_drift_passes_large_drift_fails() {
         let base = vec![metric("a", 100.0), metric("b", 1000.0)];
         let meas = vec![metric("a", 101.0), metric("b", 1030.0)];
-        let drifts = compare(&base, &meas);
-        assert!(!drifts[0].fails(TOLERANCE_PCT), "1% is inside the gate");
-        assert!(drifts[1].fails(TOLERANCE_PCT), "3% is a regression");
+        let (text, failures) = drift_report(&base, &meas, TWO_SIDED);
+        assert_eq!(failures, 1, "{text}");
+        assert!(text.contains("  ok  a "), "1% is inside the gate");
+        assert!(text.contains("FAIL  b "), "3% is a regression");
         // Improvements beyond the band also fail — drift is two-sided.
         let faster = vec![metric("a", 100.0), metric("b", 900.0)];
-        let drifts = compare(&base, &faster);
-        assert!(drifts[1].fails(TOLERANCE_PCT), "-10% must be blessed too");
+        let (text, failures) = drift_report(&base, &faster, TWO_SIDED);
+        assert_eq!(failures, 1, "{text}");
+        assert!(text.contains("FAIL  b "), "-10% must be blessed too");
     }
 
     #[test]
     fn missing_and_new_metrics_fail() {
         let base = vec![metric("gone", 5.0)];
         let meas = vec![metric("new", 7.0)];
-        let drifts = compare(&base, &meas);
-        assert_eq!(drifts.len(), 2);
-        assert!(drifts.iter().all(|d| d.fails(TOLERANCE_PCT)));
+        for comparison in [TWO_SIDED, Comparison::Floor(0.5)] {
+            let (text, failures) = drift_report(&base, &meas, comparison);
+            assert_eq!(text.lines().count(), 2);
+            assert_eq!(failures, 2, "{comparison}: {text}");
+        }
     }
 
     #[test]
     fn drift_report_counts_failures_and_marks_rows() {
         let base = vec![metric("steady", 100.0), metric("gone", 5.0)];
         let meas = vec![metric("steady", 100.5), metric("new", 7.0)];
-        let (text, failures) = drift_report(&compare(&base, &meas), TOLERANCE_PCT);
+        let (text, failures) = drift_report(&base, &meas, TWO_SIDED);
         assert_eq!(failures, 2, "one vanished + one new metric");
         assert!(text.contains("  ok  steady"));
         assert!(text.contains("FAIL  gone"));

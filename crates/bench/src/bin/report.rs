@@ -2,51 +2,40 @@
 //!
 //! ```text
 //! cargo run -p wfasic-bench --release --bin report -- \
-//!     [table1|fig8|fig9|fig10|fig11|table2|ablation|faults|perf|batch|all] [--quick] [--seed N]
+//!     [table1|fig8|fig9|fig10|fig11|table2|ablation|faults|perf|batch|backends|all] \
+//!     [--quick] [--seed N]
 //! cargo run -p wfasic-bench --release --bin report -- trace [set]
-//! cargo run -p wfasic-bench --release --bin report -- ci-check [--bless] [--baseline PATH]
-//! cargo run -p wfasic-bench --release --bin report -- host [--quick] [--threads N] [--out PATH]
-//! cargo run -p wfasic-bench --release --bin report -- backends [--quick] [--seed N]
-//! cargo run -p wfasic-bench --release --bin report -- chaos [--quick] [--seed N] [--out PATH]
-//! cargo run -p wfasic-bench --release --bin report -- dse [--quick] [--seed N] [--threads N] \
-//!     [--out PATH] [--check] [--bless] [--baseline PATH]
-//! cargo run -p wfasic-bench --release --bin report -- cosim [--quick] [--seed N] [--threads N] \
-//!     [--out PATH] [--check] [--bless] [--baseline PATH]
-//! cargo run -p wfasic-bench --release --bin report -- longread [--quick] [--seed N] \
+//! cargo run -p wfasic-bench --release --bin report -- \
+//!     [ci-check|dse|cosim|longread|host|chaos] [--quick] [--seed N] [--threads N] \
 //!     [--out PATH] [--check] [--bless] [--baseline PATH]
 //! ```
 //!
 //! `trace` prints Chrome `trace_event` JSON for one input set (default
 //! `1K-10%`) — redirect to a file and load it in `chrome://tracing` or
-//! Perfetto. `ci-check` measures the baseline cycle metrics at the fixed
-//! quick workload and fails (exit 1) on more than 2% drift against
-//! `bench/baselines/cycles.json`; `--bless` regenerates the baseline
-//! instead. `host` measures the simulator's own wall-clock throughput
-//! (alignments/sec at 1 and N host threads) and writes `BENCH_host.json`.
-//! `dse` sweeps the §5.4 design space (lanes × sections × banking × bus ×
-//! clock), prints the Pareto frontier and writes `BENCH_dse.json`; with
-//! `--check` it instead gates the frontier metrics against
-//! `bench/baselines/dse.json` with `ci-check` semantics. `cosim` runs the
-//! differential co-simulation sweep (ISA WFA kernels on the interpreter vs
-//! `wfa_align`, analytic models, backend counters, simulated device),
-//! prints the Fig. 9/10-shaped speedup table and writes `BENCH_cosim.json`;
-//! `--check` gates it against `bench/baselines/cosim.json`. `longread`
-//! routes technology-shaped read sets (PacBio CLR/HiFi, Nanopore) through
-//! the heterogeneous backend's length-class router, prints the strategy
-//! tallies and measured BiWFA memory reduction, and writes
-//! `BENCH_longread.json`; `--check` gates it against
-//! `bench/baselines/longread.json`.
+//! Perfetto.
+//!
+//! The gated subcommands share one engine, [`wfasic_bench::gate`]: one
+//! table entry per gate and one `run_gate` driver that measures, prints,
+//! then writes the record (a plain run), compares against the committed
+//! baseline (`--check`), or rewrites it (`--bless`). `--check` and
+//! `--bless` always run the quick tier, the tier every baseline holds;
+//! a `--quick` run writes its record only to an explicit `--out`.
+//! [`wfasic_bench::gate::GATES`] lists each gate's record, baseline and
+//! comparison; the README's "Gates" section describes them.
 //!
 //! Every subcommand uses the same exit codes (see `report --help`):
 //! 0 = success, 1 = gate violation or drift (including an unreadable
-//! baseline), 2 = usage error.
+//! baseline and a record or baseline that cannot be written), 2 = usage
+//! error.
 
+use std::path::PathBuf;
 use wfasic_bench::experiments::{trace_json, Sizes};
-use wfasic_bench::{backends, baseline, chaos, cosim, dse, host, longread, report};
+use wfasic_bench::gate::{self, Mode, RunOptions};
+use wfasic_bench::{backends, report};
 use wfasic_seqio::dataset::InputSetSpec;
 
-/// A gate tripped: cycle/frontier drift, chaos invariant violation, or a
-/// missing/garbled baseline.
+/// A gate tripped: drift, an invariant violation, or a baseline or record
+/// that cannot be read or written.
 const EXIT_VIOLATION: i32 = 1;
 /// The invocation itself is wrong: unknown subcommand, bad flag argument.
 const EXIT_USAGE: i32 = 2;
@@ -57,37 +46,39 @@ usage: report [SUBCOMMAND ...] [FLAGS]
 subcommands (default: all)
   table1 fig8 fig9 fig10 fig11 table2   one paper table/figure
   ablation faults perf batch all        further experiment reports
-  trace [set]                           Chrome trace JSON for one input set
-  ci-check [--bless]                    cycle-regression gate vs bench/baselines/cycles.json
-  dse [--check] [--bless]               design-space sweep; --check gates the
-                                        Pareto frontier vs bench/baselines/dse.json
-  cosim [--check] [--bless]             differential co-simulation sweep; --check
-                                        gates it vs bench/baselines/cosim.json
-  longread [--check] [--bless]          long-read scale-out through the hetero
-                                        router; --check gates the strategy tallies
-                                        and memory peaks vs bench/baselines/longread.json
-  host [--check] [--bless]              host wall-clock throughput (BENCH_host.json);
-                                        --check gates the speedup *ratios* vs
-                                        bench/baselines/host.json (one-sided floor)
-  chaos                                 chaos soak with invariant gates
   backends                              execution-backend comparison
+  trace [set]                           Chrome trace JSON for one input set
+
+gates (one engine: measure, print, then record, --check or --bless)
+  ci-check                              Table 1 / Fig. 9 cycles vs
+                                        bench/baselines/cycles.json (always checks)
+  dse                                   design-space sweep + Pareto frontier
+                                        (BENCH_dse.json; bench/baselines/dse.json)
+  cosim                                 differential co-simulation sweep
+                                        (BENCH_cosim.json; bench/baselines/cosim.json)
+  longread                              long-read scale-out through the hetero router
+                                        (BENCH_longread.json; bench/baselines/longread.json)
+  host                                  host wall-clock throughput (BENCH_host.json);
+                                        gates speedup *ratios* vs bench/baselines/host.json
+                                        (one-sided floor)
+  chaos                                 chaos soak; gates its invariants (BENCH_chaos.json)
   help | --help | -h                    this text
 
 flags
   --quick            small workloads/grids (the CI tier)
-  --seed N           workload seed (experiments, chaos, dse, cosim, longread)
+  --seed N           workload seed (experiments and every gate but ci-check)
   --threads N        host threads (host, dse, cosim); results are thread-invariant
-  --out PATH         JSON record path (host, chaos, dse, cosim, longread)
-  --baseline PATH    override the gate baseline file (ci-check, dse, cosim, host,
-                     longread)
-  --bless            rewrite the gate baseline instead of comparing
-  --check            dse/cosim/longread: compare against the baseline instead of
-                     writing the BENCH_*.json record (pass --out to keep it too)
+  --out PATH         gate JSON record path; a full-tier run defaults to its
+                     BENCH_*.json, a --quick run writes only to --out
+  --check            compare against the gate baseline (quick tier; pass --out
+                     to keep the record too)
+  --bless            rewrite the gate baseline instead (quick tier)
+  --baseline PATH    override the gate baseline file
 
 exit codes
   0  success — reports printed, gates within tolerance
-  1  violation or drift — a gate failed (cycle drift, frontier drift,
-     chaos invariant, missing/unparsable baseline)
+  1  violation or drift — a gate failed (drift, chaos invariant,
+     missing/unparsable baseline, unwritable record or baseline)
   2  usage error — unknown subcommand or malformed flag
 ";
 
@@ -103,67 +94,42 @@ fn parse_num<T: std::str::FromStr>(args: &[String], i: usize, flag: &str) -> T {
         .unwrap_or_else(|| usage_error(&format!("{flag} needs a number")))
 }
 
+fn parse_path(args: &[String], i: usize, flag: &str) -> PathBuf {
+    args.get(i)
+        .unwrap_or_else(|| usage_error(&format!("{flag} needs a path")))
+        .into()
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut what: Vec<String> = Vec::new();
-    let mut sizes = Sizes::default_report();
-    let mut bless = false;
+    let mut opts = RunOptions::default();
     let mut check = false;
-    let mut baseline_override: Option<std::path::PathBuf> = None;
-    let mut host_opts = host::HostOptions::default();
-    let mut chaos_opts = chaos::ChaosOptions::default();
-    let mut dse_opts = dse::DseOptions::default();
-    let mut cosim_opts = cosim::CosimOptions::default();
-    let mut longread_opts = longread::LongreadOptions::default();
+    let mut bless = false;
+    let mut out: Option<PathBuf> = None;
+    let mut baseline: Option<PathBuf> = None;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
-            "--quick" => {
-                sizes = Sizes::quick();
-                host_opts.quick = true;
-                chaos_opts.quick = true;
-                dse_opts.quick = true;
-                cosim_opts.quick = true;
-                longread_opts.quick = true;
-            }
+            "--quick" => opts.quick = true,
             "--threads" => {
                 i += 1;
-                let threads: usize = parse_num(&args, i, "--threads");
-                host_opts.threads = threads;
-                dse_opts.threads = threads;
-                cosim_opts.threads = threads;
-            }
-            "--out" => {
-                i += 1;
-                let path: std::path::PathBuf = args
-                    .get(i)
-                    .unwrap_or_else(|| usage_error("--out needs a path"))
-                    .into();
-                host_opts.out = Some(path.clone());
-                chaos_opts.out = Some(path.clone());
-                dse_opts.out = Some(path.clone());
-                cosim_opts.out = Some(path.clone());
-                longread_opts.out = Some(path);
+                opts.threads = Some(parse_num(&args, i, "--threads"));
             }
             "--seed" => {
                 i += 1;
-                let seed: u64 = parse_num(&args, i, "--seed");
-                sizes.seed = seed;
-                chaos_opts.seed = seed;
-                dse_opts.seed = seed;
-                cosim_opts.seed = seed;
-                longread_opts.seed = seed;
+                opts.seed = Some(parse_num(&args, i, "--seed"));
             }
-            "--bless" => bless = true,
-            "--check" => check = true,
+            "--out" => {
+                i += 1;
+                out = Some(parse_path(&args, i, "--out"));
+            }
             "--baseline" => {
                 i += 1;
-                baseline_override = Some(
-                    args.get(i)
-                        .unwrap_or_else(|| usage_error("--baseline needs a path"))
-                        .into(),
-                );
+                baseline = Some(parse_path(&args, i, "--baseline"));
             }
+            "--check" => check = true,
+            "--bless" => bless = true,
             "--help" | "-h" | "help" => {
                 print!("{USAGE}");
                 return;
@@ -175,8 +141,21 @@ fn main() {
         }
         i += 1;
     }
+    let mode = match (bless, check) {
+        (true, _) => Mode::Bless,
+        (false, true) => Mode::Check,
+        (false, false) => Mode::Record,
+    };
     if what.is_empty() {
         what.push("all".to_string());
+    }
+    let mut sizes = if opts.quick {
+        Sizes::quick()
+    } else {
+        Sizes::default_report()
+    };
+    if let Some(seed) = opts.seed {
+        sizes.seed = seed;
     }
 
     // `trace [set]` consumes the next positional as an input-set name.
@@ -203,6 +182,15 @@ fn main() {
     }
 
     for w in &what {
+        if let Some(g) = gate::find(w) {
+            let result = gate::run_gate(g, opts, mode, out.as_deref(), baseline.as_deref());
+            if let Err(msg) = result {
+                eprintln!("{msg}");
+                std::process::exit(EXIT_VIOLATION);
+            }
+            println!();
+            continue;
+        }
         match w.as_str() {
             "table1" => print!("{}", report::table1_report(&sizes)),
             "fig8" => print!("{}", report::fig8_report()),
@@ -214,47 +202,6 @@ fn main() {
             "faults" => print!("{}", report::faults_report(&sizes)),
             "batch" => print!("{}", report::batch_report(&sizes)),
             "perf" => print!("{}", report::perf_report(&sizes)),
-            "ci-check" => {
-                let path = baseline_override
-                    .clone()
-                    .unwrap_or_else(baseline::default_path);
-                ci_check(bless, &path);
-            }
-            "dse" => {
-                let path = baseline_override
-                    .clone()
-                    .unwrap_or_else(dse::default_baseline_path);
-                run_dse(&dse_opts, check, bless, &path);
-            }
-            "cosim" => {
-                let path = baseline_override
-                    .clone()
-                    .unwrap_or_else(cosim::default_baseline_path);
-                run_cosim(&cosim_opts, check, bless, &path);
-            }
-            "longread" => {
-                let path = baseline_override
-                    .clone()
-                    .unwrap_or_else(longread::default_baseline_path);
-                run_longread(&longread_opts, check, bless, &path);
-            }
-            "chaos" => {
-                let outcome = chaos::chaos_report(&chaos_opts);
-                print!("{}", outcome.text);
-                if !outcome.violations.is_empty() {
-                    eprintln!(
-                        "chaos: {} invariant violation(s) — see above",
-                        outcome.violations.len()
-                    );
-                    std::process::exit(EXIT_VIOLATION);
-                }
-            }
-            "host" => {
-                let path = baseline_override
-                    .clone()
-                    .unwrap_or_else(host::default_baseline_path);
-                run_host(&host_opts, check, bless, &path);
-            }
             "backends" => print!("{}", backends::backends_report(&sizes)),
             "all" => {
                 println!("{}", report::table1_report(&sizes));
@@ -273,294 +220,5 @@ fn main() {
             }
         }
         println!();
-    }
-}
-
-/// Read and parse a gate baseline, exiting with [`EXIT_VIOLATION`] when it
-/// is missing or garbled (a broken gate is a gate failure, not a usage
-/// error — CI must go red, not grey).
-fn load_baseline(path: &std::path::Path, bless_hint: &str) -> Vec<baseline::Metric> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("cannot read baseline {}: {e}", path.display());
-        eprintln!("generate it with: {bless_hint}");
-        std::process::exit(EXIT_VIOLATION);
-    });
-    baseline::parse_json(&text).unwrap_or_else(|e| {
-        eprintln!("cannot parse baseline {}: {e}", path.display());
-        std::process::exit(EXIT_VIOLATION);
-    })
-}
-
-/// The CI cycle-regression gate: measure, compare, exit non-zero on drift.
-fn ci_check(bless: bool, path: &std::path::Path) {
-    let measured = baseline::collect();
-    if bless {
-        if let Some(dir) = path.parent() {
-            std::fs::create_dir_all(dir).expect("create baseline directory");
-        }
-        std::fs::write(path, baseline::render_json(&measured)).expect("write baseline");
-        println!("blessed {} metrics into {}", measured.len(), path.display());
-        return;
-    }
-    let base = load_baseline(path, "report -- ci-check --bless");
-    let (text, failures) = baseline::drift_report(
-        &baseline::compare(&base, &measured),
-        baseline::TOLERANCE_PCT,
-    );
-    print!("{text}");
-    if failures > 0 {
-        eprintln!(
-            "ci-check: {failures} metric(s) drifted more than {}% — \
-             if intentional, rerun with --bless and commit the baseline",
-            baseline::TOLERANCE_PCT
-        );
-        std::process::exit(EXIT_VIOLATION);
-    }
-    println!(
-        "ci-check: {} metrics within {}% of baseline",
-        base.len(),
-        baseline::TOLERANCE_PCT
-    );
-}
-
-/// `report -- dse`: run the sweep, print the frontier, then either write
-/// the JSON record (default `BENCH_dse.json`), gate it against the
-/// committed baseline (`--check`), or rebless the baseline (`--bless`).
-fn run_dse(opts: &dse::DseOptions, check: bool, bless: bool, baseline_path: &std::path::Path) {
-    let outcome = dse::sweep(opts);
-    print!("{}", report::dse_report(&outcome));
-
-    if bless {
-        if let Some(dir) = baseline_path.parent() {
-            std::fs::create_dir_all(dir).expect("create baseline directory");
-        }
-        std::fs::write(baseline_path, dse::render_json(&outcome)).expect("write dse baseline");
-        println!(
-            "blessed {} dse metrics into {}",
-            dse::metrics(&outcome).len(),
-            baseline_path.display()
-        );
-        return;
-    }
-
-    // `--check` never touches the committed full-tier record; pass `--out`
-    // explicitly to keep the measured document too.
-    let record = match (&opts.out, check) {
-        (Some(path), _) => Some(path.clone()),
-        (None, false) => Some(std::path::PathBuf::from("BENCH_dse.json")),
-        (None, true) => None,
-    };
-    if let Some(path) = record {
-        std::fs::write(&path, dse::render_json(&outcome)).expect("write dse record");
-        println!("wrote {}", path.display());
-    }
-
-    if check {
-        let base = load_baseline(baseline_path, "report -- dse --quick --check --bless");
-        let (text, failures) = baseline::drift_report(
-            &baseline::compare(&base, &dse::metrics(&outcome)),
-            baseline::TOLERANCE_PCT,
-        );
-        print!("{text}");
-        if failures > 0 {
-            eprintln!(
-                "dse-check: {failures} metric(s) drifted more than {}% — \
-                 if the frontier moved intentionally, rerun with \
-                 --check --bless and commit the baseline",
-                baseline::TOLERANCE_PCT
-            );
-            std::process::exit(EXIT_VIOLATION);
-        }
-        println!(
-            "dse-check: {} metrics within {}% of baseline",
-            base.len(),
-            baseline::TOLERANCE_PCT
-        );
-    }
-}
-
-/// `report -- cosim`: run the differential sweep (its cross-model
-/// invariants assert in place), print the speedup table, then either write
-/// the JSON record (default `BENCH_cosim.json`), gate it against the
-/// committed baseline (`--check`), or rebless the baseline (`--bless`).
-fn run_cosim(
-    opts: &cosim::CosimOptions,
-    check: bool,
-    bless: bool,
-    baseline_path: &std::path::Path,
-) {
-    let outcome = cosim::sweep(opts);
-    print!("{}", report::cosim_report(&outcome));
-
-    if bless {
-        if let Some(dir) = baseline_path.parent() {
-            std::fs::create_dir_all(dir).expect("create baseline directory");
-        }
-        std::fs::write(baseline_path, cosim::render_json(&outcome)).expect("write cosim baseline");
-        println!(
-            "blessed {} cosim metrics into {}",
-            cosim::metrics(&outcome).len(),
-            baseline_path.display()
-        );
-        return;
-    }
-
-    // `--check` never touches the committed full-tier record; pass `--out`
-    // explicitly to keep the measured document too.
-    let record = match (&opts.out, check) {
-        (Some(path), _) => Some(path.clone()),
-        (None, false) => Some(std::path::PathBuf::from("BENCH_cosim.json")),
-        (None, true) => None,
-    };
-    if let Some(path) = record {
-        std::fs::write(&path, cosim::render_json(&outcome)).expect("write cosim record");
-        println!("wrote {}", path.display());
-    }
-
-    if check {
-        let base = load_baseline(baseline_path, "report -- cosim --quick --check --bless");
-        let (text, failures) = baseline::drift_report(
-            &baseline::compare(&base, &cosim::metrics(&outcome)),
-            baseline::TOLERANCE_PCT,
-        );
-        print!("{text}");
-        if failures > 0 {
-            eprintln!(
-                "cosim-check: {failures} metric(s) drifted more than {}% — \
-                 if the co-simulation totals moved intentionally, rerun with \
-                 --check --bless and commit the baseline",
-                baseline::TOLERANCE_PCT
-            );
-            std::process::exit(EXIT_VIOLATION);
-        }
-        println!(
-            "cosim-check: {} metrics within {}% of baseline",
-            base.len(),
-            baseline::TOLERANCE_PCT
-        );
-    }
-}
-
-/// `report -- longread`: run the technology sweep through the
-/// heterogeneous router, print the routing/memory table, then either write
-/// the JSON record (default `BENCH_longread.json`), gate the deterministic
-/// tallies against the committed baseline (`--check`), or rebless the
-/// baseline (`--bless`).
-fn run_longread(
-    opts: &longread::LongreadOptions,
-    check: bool,
-    bless: bool,
-    baseline_path: &std::path::Path,
-) {
-    let outcome = longread::run(opts);
-    print!("{}", longread::longread_report(&outcome));
-
-    if bless {
-        if let Some(dir) = baseline_path.parent() {
-            std::fs::create_dir_all(dir).expect("create baseline directory");
-        }
-        std::fs::write(baseline_path, longread::render_json(&outcome))
-            .expect("write longread baseline");
-        println!(
-            "blessed {} longread metrics into {}",
-            longread::metrics(&outcome).len(),
-            baseline_path.display()
-        );
-        return;
-    }
-
-    // `--check` never touches the committed full-tier record; pass `--out`
-    // explicitly to keep the measured document too.
-    let record = match (&opts.out, check) {
-        (Some(path), _) => Some(path.clone()),
-        (None, false) => Some(std::path::PathBuf::from("BENCH_longread.json")),
-        (None, true) => None,
-    };
-    if let Some(path) = record {
-        std::fs::write(&path, longread::render_json(&outcome)).expect("write longread record");
-        println!("wrote {}", path.display());
-    }
-
-    if check {
-        let base = load_baseline(baseline_path, "report -- longread --quick --check --bless");
-        let (text, failures) = baseline::drift_report(
-            &baseline::compare(&base, &longread::metrics(&outcome)),
-            baseline::TOLERANCE_PCT,
-        );
-        print!("{text}");
-        if failures > 0 {
-            eprintln!(
-                "longread-check: {failures} metric(s) drifted more than {}% — \
-                 if the routing or the engines moved intentionally, rerun with \
-                 --check --bless and commit the baseline",
-                baseline::TOLERANCE_PCT
-            );
-            std::process::exit(EXIT_VIOLATION);
-        }
-        println!(
-            "longread-check: {} metrics within {}% of baseline",
-            base.len(),
-            baseline::TOLERANCE_PCT
-        );
-    }
-}
-
-/// `report -- host`: measure host throughput, then either write the
-/// schema-versioned JSON record (default `BENCH_host.json`), gate the
-/// speedup ratios against the committed baseline (`--check`), or rebless
-/// the baseline (`--bless`). The gate is one-sided and generous
-/// ([`host::RATIO_FLOOR`] of baseline): wall clock is machine-dependent,
-/// so only ratio collapses fail, never absolute times and never faster
-/// measurements.
-fn run_host(opts: &host::HostOptions, check: bool, bless: bool, baseline_path: &std::path::Path) {
-    let outcome = host::run(opts);
-    print!("{}", outcome.text);
-
-    if bless {
-        if let Some(dir) = baseline_path.parent() {
-            std::fs::create_dir_all(dir).expect("create baseline directory");
-        }
-        std::fs::write(
-            baseline_path,
-            baseline::render_json(&host::metrics(&outcome)),
-        )
-        .expect("write host baseline");
-        println!(
-            "blessed {} host ratio metrics into {}",
-            host::metrics(&outcome).len(),
-            baseline_path.display()
-        );
-        return;
-    }
-
-    // `--check` never touches the committed record; pass `--out` explicitly
-    // to keep the measured document too.
-    let record = match (&opts.out, check) {
-        (Some(path), _) => Some(path.clone()),
-        (None, false) => Some(std::path::PathBuf::from("BENCH_host.json")),
-        (None, true) => None,
-    };
-    if let Some(path) = record {
-        std::fs::write(&path, host::render_json(&outcome)).expect("write host record");
-        println!("wrote {}", path.display());
-    }
-
-    if check {
-        let base = load_baseline(baseline_path, "report -- host --quick --check --bless");
-        let (text, failures) = host::floor_check(&base, &host::metrics(&outcome));
-        print!("{text}");
-        if failures > 0 {
-            eprintln!(
-                "host-check: {failures} ratio(s) collapsed below {}x of baseline — \
-                 if intentional, rerun with --check --bless and commit the baseline",
-                host::RATIO_FLOOR
-            );
-            std::process::exit(EXIT_VIOLATION);
-        }
-        println!(
-            "host-check: {} speedup ratios at or above {}x of baseline",
-            base.len(),
-            host::RATIO_FLOOR
-        );
     }
 }

@@ -33,8 +33,8 @@
 //! `BENCH_chaos.json` so CI can archive recovery time, fallback rate,
 //! quarantine/readmission counts and refusal counts per class.
 
+use crate::gate::{GateRun, RunOptions};
 use std::collections::VecDeque;
-use std::path::{Path, PathBuf};
 use wfa_core::rng::SmallRng;
 use wfasic_accel::AccelConfig;
 use wfasic_driver::backend::{AlignPolicy, AlignmentBackend, BackendCounters};
@@ -47,39 +47,8 @@ use wfasic_service::{AlignmentService, CompletedJob, ServiceConfig, ServiceError
 use wfasic_soc::clock::Cycle;
 use wfasic_soc::fault::{FaultPlan, Storm};
 
-/// Options for the chaos soak.
-#[derive(Debug, Clone)]
-pub struct ChaosOptions {
-    /// Shrink the soak for CI smoke runs.
-    pub quick: bool,
-    /// RNG seed for workloads, storm plans and churn decisions.
-    pub seed: u64,
-    /// Where to write the JSON record (`None` = `BENCH_chaos.json`).
-    pub out: Option<PathBuf>,
-}
-
-impl Default for ChaosOptions {
-    fn default() -> Self {
-        ChaosOptions {
-            quick: false,
-            seed: 0x0C4A_05C4,
-            out: None,
-        }
-    }
-}
-
-/// The soak's result: the printable report, the JSON record, and every
-/// invariant violation found (empty = the soak passed).
-#[derive(Debug)]
-pub struct ChaosOutcome {
-    /// The printable report (deterministic for a given seed).
-    pub text: String,
-    /// The `BENCH_chaos.json` payload (deterministic for a given seed).
-    pub json: String,
-    /// Invariant violations — drops, duplicates, reorders, stuck lanes,
-    /// untyped refusals. CI fails on any.
-    pub violations: Vec<String>,
-}
+/// Default RNG seed for workloads, storm plans and churn decisions.
+pub const DEFAULT_SEED: u64 = 0x0C4A_05C4;
 
 /// Refusal counters keyed by [`FaultClass`] (presentation order).
 #[derive(Debug, Clone, Copy, Default)]
@@ -252,15 +221,16 @@ fn soak(
     name: &'static str,
     mut backend: Box<dyn AlignmentBackend>,
     hetero: bool,
-    opts: &ChaosOptions,
+    quick: bool,
+    seed: u64,
     violations: &mut Vec<String>,
 ) -> PhaseOutcome {
-    let n_jobs: u64 = if opts.quick { 160 } else { 1_200 };
-    let mut rng = SmallRng::seed_from_u64(opts.seed ^ (name.len() as u64) << 8);
+    let n_jobs: u64 = if quick { 160 } else { 1_200 };
+    let mut rng = SmallRng::seed_from_u64(seed ^ (name.len() as u64) << 8);
 
     // Constant background noise on lane 2; lane 3 stays clean.
-    backend.set_lane_fault_plan(2, FaultPlan::uniform(opts.seed ^ 0x33, 0.01));
-    let storms = storm_schedule(opts.seed, opts.quick);
+    backend.set_lane_fault_plan(2, FaultPlan::uniform(seed ^ 0x33, 0.01));
+    let storms = storm_schedule(seed, quick);
     let mut raging = vec![false; storms.len()];
 
     let mut svc = AlignmentService::new(
@@ -604,14 +574,13 @@ fn verify_completion(
 /// set beyond the horizon. Once all breakers open, the scheduler has no
 /// silicon left — graceful degradation must answer every job on the CPU
 /// cost model ([`BatchScheduler::degrade_job`]'s path), never hang or drop.
-fn blackout_scenario(opts: &ChaosOptions, violations: &mut Vec<String>) -> (u64, u64) {
+fn blackout_scenario(quick: bool, seed: u64, violations: &mut Vec<String>) -> (u64, u64) {
     let mut backend = MultiLaneBackend::new(chaos_config(), 2);
     backend.chunk = LANE_CHUNK;
     for lane in 0..2 {
         backend.set_lane_fault_plan(
             lane,
-            FaultPlan::uniform(opts.seed ^ (0x88 + lane as u64), 0.5)
-                .with_storm(Storm::permanent()),
+            FaultPlan::uniform(seed ^ (0x88 + lane as u64), 0.5).with_storm(Storm::permanent()),
         );
     }
     let mut svc = AlignmentService::new(
@@ -625,8 +594,8 @@ fn blackout_scenario(opts: &ChaosOptions, violations: &mut Vec<String>) -> (u64,
             },
         },
     );
-    let n_jobs = if opts.quick { 16 } else { 40 };
-    let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0xB1AC);
+    let n_jobs = if quick { 16 } else { 40 };
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xB1AC);
     let mut next_id = 0u32;
     for t in 0..n_jobs {
         let pairs = gen_pairs(&mut rng, 8, 60, 90, next_id);
@@ -663,12 +632,12 @@ fn blackout_scenario(opts: &ChaosOptions, violations: &mut Vec<String>) -> (u64,
 /// `retire_after` set. The breaker must quarantine it, give it its chances,
 /// then retire it for good — while every job still completes in order on
 /// the surviving lanes.
-fn retire_scenario(opts: &ChaosOptions, violations: &mut Vec<String>) -> (u64, u32, usize) {
+fn retire_scenario(quick: bool, seed: u64, violations: &mut Vec<String>) -> (u64, u32, usize) {
     let mut backend = MultiLaneBackend::new(chaos_config(), 3);
     backend.chunk = LANE_CHUNK;
     backend.set_lane_fault_plan(
         0,
-        FaultPlan::uniform(opts.seed ^ 0x77, 0.5).with_storm(Storm::permanent()),
+        FaultPlan::uniform(seed ^ 0x77, 0.5).with_storm(Storm::permanent()),
     );
     let mut svc = AlignmentService::new(
         Box::new(backend),
@@ -684,8 +653,8 @@ fn retire_scenario(opts: &ChaosOptions, violations: &mut Vec<String>) -> (u64, u
             },
         },
     );
-    let n_jobs = if opts.quick { 24 } else { 60 };
-    let mut rng = SmallRng::seed_from_u64(opts.seed ^ 0x7E7E);
+    let n_jobs = if quick { 24 } else { 60 };
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x7E7E);
     let mut next_id = 0u32;
     let mut want_ids: Vec<Vec<u32>> = Vec::new();
     for _ in 0..n_jobs {
@@ -808,16 +777,19 @@ fn phase_json(p: &PhaseOutcome) -> String {
     )
 }
 
-/// Run the soak on both batch engines plus the retirement scenario.
-/// Deterministic for a given seed — no wall clock anywhere in the output.
-pub fn chaos_run(opts: &ChaosOptions) -> ChaosOutcome {
+/// Run the soak on both batch engines plus the retirement and blackout
+/// scenarios. Deterministic for a given seed — no wall clock anywhere in
+/// the report or the `BENCH_chaos.json` record. Gates on its invariant
+/// violations only; it has no metrics baseline.
+pub fn chaos_run(opts: &RunOptions) -> GateRun {
+    let (quick, seed) = (opts.quick, opts.seed_or(DEFAULT_SEED));
     let mut violations = Vec::new();
     let mut text = String::new();
     text.push_str("== Chaos soak: storms, deadlines, violators, backpressure ==\n");
     text.push_str(&format!(
         "seed {:#x} · {} mode · {} lanes · queue depth {} · chunk {}\n\n",
-        opts.seed,
-        if opts.quick { "quick" } else { "full" },
+        seed,
+        opts.tier(),
         LANES,
         QUEUE_DEPTH,
         LANE_CHUNK,
@@ -825,21 +797,29 @@ pub fn chaos_run(opts: &ChaosOptions) -> ChaosOutcome {
 
     let mut ml = MultiLaneBackend::new(chaos_config(), LANES);
     ml.chunk = LANE_CHUNK;
-    let multilane = soak("multilane", Box::new(ml), false, opts, &mut violations);
+    let multilane = soak(
+        "multilane",
+        Box::new(ml),
+        false,
+        quick,
+        seed,
+        &mut violations,
+    );
     text.push_str(&phase_table(&multilane));
 
     let mut he = HeterogeneousBackend::new(chaos_config(), LANES);
     he.accel.chunk = LANE_CHUNK;
-    let hetero = soak("hetero", Box::new(he), true, opts, &mut violations);
+    let hetero = soak("hetero", Box::new(he), true, quick, seed, &mut violations);
     text.push_str(&phase_table(&hetero));
 
-    let (retire_jobs, retire_quarantines, retire_retired) = retire_scenario(opts, &mut violations);
+    let (retire_jobs, retire_quarantines, retire_retired) =
+        retire_scenario(quick, seed, &mut violations);
     text.push_str(&format!(
         "Retirement scenario: {retire_jobs} jobs, permanently-storming lane retired after \
          {retire_quarantines} quarantine(s)\n"
     ));
 
-    let (blackout_jobs, blackout_degraded) = blackout_scenario(opts, &mut violations);
+    let (blackout_jobs, blackout_degraded) = blackout_scenario(quick, seed, &mut violations);
     text.push_str(&format!(
         "Blackout scenario: {blackout_jobs} jobs with every lane open-circuit, \
          {blackout_degraded} answered by CPU degradation\n\n"
@@ -859,7 +839,7 @@ pub fn chaos_run(opts: &ChaosOptions) -> ChaosOutcome {
         }
     }
 
-    let json = format!(
+    let record = format!(
         concat!(
             "{{\n",
             "  \"chaos\": {{\"quick\": {}, \"seed\": {}, \"violations\": {}}},\n",
@@ -870,8 +850,8 @@ pub fn chaos_run(opts: &ChaosOptions) -> ChaosOutcome {
             "  \"blackout\": {{\"jobs\": {}, \"degraded_jobs\": {}}}\n",
             "}}\n"
         ),
-        opts.quick,
-        opts.seed,
+        quick,
+        seed,
         violations.len(),
         phase_json(&multilane),
         phase_json(&hetero),
@@ -882,29 +862,11 @@ pub fn chaos_run(opts: &ChaosOptions) -> ChaosOutcome {
         blackout_degraded,
     );
 
-    ChaosOutcome {
+    GateRun {
         text,
-        json,
+        record,
+        metrics: Vec::new(),
         violations,
-    }
-}
-
-/// Run the soak, write `BENCH_chaos.json`, and return the outcome (the
-/// write log is appended to the text).
-pub fn chaos_report(opts: &ChaosOptions) -> ChaosOutcome {
-    let mut outcome = chaos_run(opts);
-    let path = opts
-        .out
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("BENCH_chaos.json"));
-    write_json(&path, &outcome.json, &mut outcome.text);
-    outcome
-}
-
-fn write_json(path: &Path, json: &str, log: &mut String) {
-    match std::fs::write(path, json) {
-        Ok(()) => log.push_str(&format!("\nwrote {}\n", path.display())),
-        Err(e) => log.push_str(&format!("\nfailed to write {}: {e}\n", path.display())),
     }
 }
 
@@ -914,11 +876,7 @@ mod tests {
 
     #[test]
     fn quick_soak_passes_and_is_deterministic() {
-        let opts = ChaosOptions {
-            quick: true,
-            ..ChaosOptions::default()
-        };
-        let a = chaos_run(&opts);
+        let a = chaos_run(&RunOptions::quick());
         assert!(
             a.violations.is_empty(),
             "chaos violations: {:#?}",
@@ -926,44 +884,24 @@ mod tests {
         );
         // Same seed, same soak, byte for byte: the summary has no wall
         // clock in it.
-        let b = chaos_run(&opts);
+        let b = chaos_run(&RunOptions::quick());
         assert_eq!(a.text, b.text);
-        assert_eq!(a.json, b.json);
+        assert_eq!(a.record, b.record);
         // The soak genuinely exercised its machinery.
-        assert!(a.json.contains("\"quarantine_events\""));
+        for field in ["quarantine_events", "refusals", "backpressure", "retire"] {
+            assert!(a.record.contains(&format!("\"{field}\"")), "{field}");
+        }
         assert!(a.text.contains("chaos: PASS"));
     }
 
     #[test]
     fn different_seeds_change_the_soak() {
-        let a = chaos_run(&ChaosOptions {
-            quick: true,
-            ..ChaosOptions::default()
-        });
-        let b = chaos_run(&ChaosOptions {
-            quick: true,
-            seed: 0xDEAD_BEEF,
-            ..ChaosOptions::default()
+        let a = chaos_run(&RunOptions::quick());
+        let b = chaos_run(&RunOptions {
+            seed: Some(0xDEAD_BEEF),
+            ..RunOptions::quick()
         });
         assert!(b.violations.is_empty(), "{:#?}", b.violations);
-        assert_ne!(a.json, b.json, "the seed must drive the whole soak");
-    }
-
-    #[test]
-    fn report_writes_the_json_record() {
-        let dir = std::env::temp_dir().join("wfasic_chaos_bench_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_chaos.json");
-        let outcome = chaos_report(&ChaosOptions {
-            quick: true,
-            out: Some(path.clone()),
-            ..ChaosOptions::default()
-        });
-        assert!(outcome.text.contains("wrote "));
-        let json = std::fs::read_to_string(&path).unwrap();
-        assert!(json.contains("\"refusals\""));
-        assert!(json.contains("\"backpressure\""));
-        assert!(json.contains("\"retire\""));
-        std::fs::remove_file(&path).ok();
+        assert_ne!(a.record, b.record, "the seed must drive the whole soak");
     }
 }

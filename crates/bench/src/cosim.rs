@@ -27,7 +27,7 @@
 //! vectorized CPU baselines) emitted by [`crate::report::cosim_report`] and
 //! as a schema-versioned JSON record ([`render_json`], default
 //! `BENCH_cosim.json`). The trailing `"metrics"` object feeds
-//! [`crate::baseline::compare`], so `report -- cosim --check` gates the
+//! [`crate::baseline::drift_report`], so `report -- cosim --check` gates the
 //! deterministic cycle/instruction totals against the committed
 //! `bench/baselines/cosim.json` with `ci-check` semantics.
 //!
@@ -35,9 +35,9 @@
 //! output per `(tier, seed)`, invariant to `--threads` (classes fan out
 //! over the deterministic [`ThreadPool`] with per-class derived seeds).
 
-use crate::baseline::Metric;
-use std::path::PathBuf;
-use wfa_core::pool::{available_threads, ThreadPool};
+use crate::baseline::{self, Metric};
+use crate::gate::RunOptions;
+use wfa_core::pool::ThreadPool;
 use wfa_core::{wfa_align_seqs_with_arena, Penalties, WavefrontArena, WfaOptions};
 use wfasic_accel::AccelConfig;
 use wfasic_driver::batch::BatchJob;
@@ -53,12 +53,6 @@ pub const SCHEMA: &str = "wfasic-cosim/1";
 /// Default RNG seed for the sweep workloads.
 pub const DEFAULT_SEED: u64 = 0xC051_5EED;
 
-/// Default baseline location: `bench/baselines/cosim.json` at the repo
-/// root.
-pub fn default_baseline_path() -> PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench/baselines/cosim.json")
-}
-
 /// The penalty-set axis: the chip's default plus the two alternates the
 /// differential suite exercises. All three keep every kernel lookback
 /// (`x`, `o+e`, `e`) inside the 16-slot wavefront ring.
@@ -67,31 +61,6 @@ pub const PENALTY_SETS: [Penalties; 3] = [
     Penalties { x: 7, o: 4, e: 1 },
     Penalties { x: 2, o: 8, e: 3 },
 ];
-
-/// Options for the sweep.
-#[derive(Debug, Clone)]
-pub struct CosimOptions {
-    /// Small class grid + fewer pairs for the CI gate.
-    pub quick: bool,
-    /// RNG seed for the generated workloads.
-    pub seed: u64,
-    /// Pool width for the sweep (0 = all host threads). Changes wall clock
-    /// only — results are bit-identical at every width.
-    pub threads: usize,
-    /// Where to write the JSON record (`None` = `BENCH_cosim.json`).
-    pub out: Option<PathBuf>,
-}
-
-impl Default for CosimOptions {
-    fn default() -> Self {
-        CosimOptions {
-            quick: false,
-            seed: DEFAULT_SEED,
-            threads: 0,
-            out: None,
-        }
-    }
-}
 
 /// One workload class: a sequence shape under one penalty set.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -353,18 +322,13 @@ fn run_class(index: usize, class: &CosimClass, n: usize, seed: u64) -> CosimRow 
 }
 
 /// Run the sweep: every class in parallel over the deterministic pool.
-pub fn sweep(opts: &CosimOptions) -> CosimOutcome {
+pub fn sweep(opts: &RunOptions) -> CosimOutcome {
     let grid = class_grid(opts.quick);
     let n = pairs_per_class(opts.quick);
-    let threads = if opts.threads == 0 {
-        available_threads()
-    } else {
-        opts.threads
-    };
-    let seed = opts.seed;
-    let rows = ThreadPool::new(threads).map(&grid, |i, class| run_class(i, class, n, seed));
+    let seed = opts.seed_or(DEFAULT_SEED);
+    let rows = ThreadPool::new(opts.threads()).map(&grid, |i, class| run_class(i, class, n, seed));
     CosimOutcome {
-        tier: if opts.quick { "quick" } else { "full" },
+        tier: opts.tier(),
         seed,
         rows,
     }
@@ -451,28 +415,21 @@ pub fn render_json(outcome: &CosimOutcome) -> String {
         ));
     }
     s.push_str("  ],\n");
-    // The gate slice, last so baseline::parse_json's first-"metrics" scan
-    // sees exactly this object.
-    s.push_str("  \"metrics\": {\n");
-    let ms = metrics(outcome);
-    for (i, m) in ms.iter().enumerate() {
-        let comma = if i + 1 < ms.len() { "," } else { "" };
-        s.push_str(&format!("    \"{}\": {}{}\n", m.name, m.value, comma));
-    }
-    s.push_str("  }\n}\n");
+    baseline::push_metrics(&mut s, &metrics(outcome));
     s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline;
+    use crate::baseline::{drift_report, Comparison, TOLERANCE_PCT};
 
-    fn quick_opts(threads: usize) -> CosimOptions {
-        CosimOptions {
-            quick: true,
-            threads,
-            ..CosimOptions::default()
+    const TWO_SIDED: Comparison = Comparison::TwoSided(TOLERANCE_PCT);
+
+    fn quick_opts(threads: usize) -> RunOptions {
+        RunOptions {
+            threads: Some(threads),
+            ..RunOptions::quick()
         }
     }
 
@@ -520,10 +477,9 @@ mod tests {
     #[test]
     fn json_metrics_round_trip_through_the_baseline_parser() {
         let outcome = sweep(&quick_opts(0));
-        let parsed = baseline::parse_json(&render_json(&outcome)).unwrap();
+        let parsed = crate::baseline::parse_json(&render_json(&outcome)).unwrap();
         assert_eq!(parsed, metrics(&outcome));
-        let drifts = baseline::compare(&parsed, &metrics(&outcome));
-        assert!(drifts.iter().all(|d| !d.fails(baseline::TOLERANCE_PCT)));
+        assert_eq!(drift_report(&parsed, &metrics(&outcome), TWO_SIDED).1, 0);
     }
 
     #[test]
@@ -536,13 +492,6 @@ mod tests {
             .position(|m| m.name.ends_with("/scalar_cycles"))
             .unwrap();
         drifted[idx].value *= 1.05;
-        let drifts = baseline::compare(&base, &drifted);
-        assert_eq!(
-            drifts
-                .iter()
-                .filter(|d| d.fails(baseline::TOLERANCE_PCT))
-                .count(),
-            1
-        );
+        assert_eq!(drift_report(&base, &drifted, TWO_SIDED).1, 1);
     }
 }

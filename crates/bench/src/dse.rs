@@ -19,8 +19,8 @@
 //! embeds a flat `"metrics"` map (per-point `sim_cycles`/`area_mm2`,
 //! frontier membership, frontier size) in the same format as the cycle
 //! baseline, so `report -- dse --check` reuses [`crate::baseline`]'s
-//! comparison — 2% tolerance, missing or new metrics always fail — against
-//! the committed `bench/baselines/dse.json`.
+//! two-sided comparison — 2% tolerance, missing or new metrics always
+//! fail — against the committed `bench/baselines/dse.json`.
 //!
 //! Determinism contract: output is byte-identical per `(tier, seed)` and
 //! invariant to `--threads` — the sweep fans out over the deterministic
@@ -29,9 +29,9 @@
 //! pure arithmetic: points sharing `(lanes, sections, banking, bus)` reuse
 //! one simulation.
 
-use crate::baseline::Metric;
-use std::path::PathBuf;
-use wfa_core::pool::{available_threads, ThreadPool};
+use crate::baseline::{self, Metric};
+use crate::gate::RunOptions;
+use wfa_core::pool::ThreadPool;
 use wfasic_accel::area::soc_area_report;
 use wfasic_accel::AccelConfig;
 use wfasic_driver::{BatchJob, BatchScheduler};
@@ -44,36 +44,6 @@ pub const SCHEMA: &str = "wfasic-dse/1";
 
 /// Default RNG seed for the sweep workload.
 pub const DEFAULT_SEED: u64 = 0xD5E0_5EED;
-
-/// Default baseline location: `bench/baselines/dse.json` at the repo root.
-pub fn default_baseline_path() -> PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench/baselines/dse.json")
-}
-
-/// Options for the sweep.
-#[derive(Debug, Clone)]
-pub struct DseOptions {
-    /// Small grid + workload for the CI gate.
-    pub quick: bool,
-    /// RNG seed for the generated workload.
-    pub seed: u64,
-    /// Pool width for the sweep (0 = all host threads). Changes wall clock
-    /// only — results are bit-identical at every width.
-    pub threads: usize,
-    /// Where to write the JSON record (`None` = `BENCH_dse.json`).
-    pub out: Option<PathBuf>,
-}
-
-impl Default for DseOptions {
-    fn default() -> Self {
-        DseOptions {
-            quick: false,
-            seed: DEFAULT_SEED,
-            threads: 0,
-            out: None,
-        }
-    }
-}
 
 /// The wavefront-RAM banking axis.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -298,9 +268,10 @@ pub fn mark_frontier(rows: &mut [DseRow]) {
 
 /// Run the sweep: simulate the grid in parallel, expand over the clock
 /// axis, join with the area model, and mark the frontier.
-pub fn sweep(opts: &DseOptions) -> DseOutcome {
+pub fn sweep(opts: &RunOptions) -> DseOutcome {
+    let seed = opts.seed_or(DEFAULT_SEED);
     let grid = sim_grid(opts.quick);
-    let jobs = workload(opts.quick, opts.seed);
+    let jobs = workload(opts.quick, seed);
     let pairs: usize = jobs.iter().map(|j| j.pairs.len()).sum();
     let cells: u64 = jobs
         .iter()
@@ -308,13 +279,8 @@ pub fn sweep(opts: &DseOptions) -> DseOutcome {
         .map(|p| p.a.len() as u64 * p.b.len() as u64)
         .sum();
 
-    let threads = if opts.threads == 0 {
-        available_threads()
-    } else {
-        opts.threads
-    };
     // (total_cycles, arb_wait, alignments) per sim point, in grid order.
-    let sims = ThreadPool::new(threads).map(&grid, |_, point| {
+    let sims = ThreadPool::new(opts.threads()).map(&grid, |_, point| {
         let mut sched = BatchScheduler::new(point.config(), point.lanes);
         let batch = sched.submit_batch(&jobs);
         assert!(
@@ -353,8 +319,8 @@ pub fn sweep(opts: &DseOptions) -> DseOutcome {
     mark_frontier(&mut rows);
 
     DseOutcome {
-        tier: if opts.quick { "quick" } else { "full" },
-        seed: opts.seed,
+        tier: opts.tier(),
+        seed,
         rows,
         jobs: jobs.len(),
         pairs,
@@ -364,7 +330,7 @@ pub fn sweep(opts: &DseOptions) -> DseOutcome {
 
 /// The gated metric slice: per-point batch cycles and SoC area, frontier
 /// membership, and the frontier/point counts. Fed through
-/// [`crate::baseline::compare`], so a vanished or newly-appeared point (or
+/// [`crate::baseline::drift_report`], so a vanished or newly-appeared point (or
 /// a membership flip) fails the gate exactly like a cycle drift.
 pub fn metrics(outcome: &DseOutcome) -> Vec<Metric> {
     let mut m = vec![
@@ -446,28 +412,21 @@ pub fn render_json(outcome: &DseOutcome) -> String {
         .map(|r| format!("\"{}\"", r.name()))
         .collect();
     s.push_str(&format!("  \"frontier\": [{}],\n", frontier.join(", ")));
-    // The gate slice, last so baseline::parse_json's first-"metrics" scan
-    // sees exactly this object.
-    s.push_str("  \"metrics\": {\n");
-    let ms = metrics(outcome);
-    for (i, m) in ms.iter().enumerate() {
-        let comma = if i + 1 < ms.len() { "," } else { "" };
-        s.push_str(&format!("    \"{}\": {}{}\n", m.name, m.value, comma));
-    }
-    s.push_str("  }\n}\n");
+    baseline::push_metrics(&mut s, &metrics(outcome));
     s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline;
+    use crate::baseline::{drift_report, Comparison, TOLERANCE_PCT};
 
-    fn quick_opts(threads: usize) -> DseOptions {
-        DseOptions {
-            quick: true,
-            threads,
-            ..DseOptions::default()
+    const TWO_SIDED: Comparison = Comparison::TwoSided(TOLERANCE_PCT);
+
+    fn quick_opts(threads: usize) -> RunOptions {
+        RunOptions {
+            threads: Some(threads),
+            ..RunOptions::quick()
         }
     }
 
@@ -587,11 +546,10 @@ mod tests {
     #[test]
     fn json_metrics_round_trip_through_the_baseline_parser() {
         let outcome = sweep(&quick_opts(1));
-        let parsed = baseline::parse_json(&render_json(&outcome)).unwrap();
+        let parsed = crate::baseline::parse_json(&render_json(&outcome)).unwrap();
         assert_eq!(parsed, metrics(&outcome));
         // And a clean self-comparison has zero failures.
-        let drifts = baseline::compare(&parsed, &metrics(&outcome));
-        assert!(drifts.iter().all(|d| !d.fails(baseline::TOLERANCE_PCT)));
+        assert_eq!(drift_report(&parsed, &metrics(&outcome), TWO_SIDED).1, 0);
     }
 
     #[test]
@@ -605,14 +563,7 @@ mod tests {
             .position(|m| m.name.ends_with("/sim_cycles"))
             .unwrap();
         drifted[idx].value *= 1.05;
-        let drifts = baseline::compare(&base, &drifted);
-        assert_eq!(
-            drifts
-                .iter()
-                .filter(|d| d.fails(baseline::TOLERANCE_PCT))
-                .count(),
-            1
-        );
+        assert_eq!(drift_report(&base, &drifted, TWO_SIDED).1, 1);
         // A frontier-membership flip shows up as missing + new metrics.
         let mut flipped = base.clone();
         let f = flipped
@@ -620,12 +571,8 @@ mod tests {
             .position(|m| m.name.starts_with("dse/frontier/l"))
             .unwrap();
         flipped[f].name = "dse/frontier/l9-ps96-dup-default-9.9GHz".into();
-        let drifts = baseline::compare(&base, &flipped);
         assert_eq!(
-            drifts
-                .iter()
-                .filter(|d| d.fails(baseline::TOLERANCE_PCT))
-                .count(),
+            drift_report(&base, &flipped, TWO_SIDED).1,
             2,
             "one vanished + one new membership metric"
         );

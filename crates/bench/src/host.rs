@@ -25,8 +25,8 @@
 //! bit-identity tests enforce.
 
 use crate::baseline::Metric;
+use crate::gate::RunOptions;
 use crate::timing::measure;
-use std::path::{Path, PathBuf};
 use wfa_core::kernel::{self, KernelDispatch};
 use wfa_core::pool::available_threads;
 use wfa_core::rng::SmallRng;
@@ -42,35 +42,8 @@ pub const SCHEMA: &str = "wfasic-host/1";
 /// this fraction of its blessed baseline value (being faster never fails).
 pub const RATIO_FLOOR: f64 = 0.5;
 
-/// The committed ratio baseline the `--check` gate compares against.
-pub fn default_baseline_path() -> PathBuf {
-    PathBuf::from("bench/baselines/host.json")
-}
-
-/// Options for the host-throughput report.
-#[derive(Debug, Clone)]
-pub struct HostOptions {
-    /// Shrink the workload for CI smoke runs.
-    pub quick: bool,
-    /// Pool width for the parallel end-to-end measurement (0 = all host
-    /// threads).
-    pub threads: usize,
-    /// Where to write the JSON record (`None` = `BENCH_host.json`).
-    pub out: Option<PathBuf>,
-    /// RNG seed for the generated workloads.
-    pub seed: u64,
-}
-
-impl Default for HostOptions {
-    fn default() -> Self {
-        HostOptions {
-            quick: false,
-            threads: 0,
-            out: None,
-            seed: 0x1057_BEEF,
-        }
-    }
-}
+/// Default RNG seed for the generated workloads.
+pub const DEFAULT_SEED: u64 = 0x1057_BEEF;
 
 /// One measured throughput point.
 #[derive(Debug, Clone, Copy)]
@@ -165,12 +138,9 @@ fn lcp_sweep(f: impl Fn(usize, usize) -> usize, len: usize, probes: usize, seed:
 }
 
 /// Run the full measurement and return the structured outcome.
-pub fn run(opts: &HostOptions) -> HostOutcome {
-    let threads = if opts.threads == 0 {
-        available_threads()
-    } else {
-        opts.threads
-    };
+pub fn run(opts: &RunOptions) -> HostOutcome {
+    let threads = opts.threads();
+    let seed = opts.seed_or(DEFAULT_SEED);
     let mut out = String::new();
     out.push_str("== Host throughput (simulator wall clock) ==\n");
     out.push_str(&format!(
@@ -183,7 +153,7 @@ pub fn run(opts: &HostOptions) -> HostOutcome {
     let kernel_len = if opts.quick { 20_000 } else { 100_000 };
     let probes = if opts.quick { 2_000 } else { 10_000 };
     let iters = if opts.quick { 3 } else { 8 };
-    let mut rng = SmallRng::seed_from_u64(opts.seed);
+    let mut rng = SmallRng::seed_from_u64(seed);
     let (ka, kb) = related_bytes(&mut rng, kernel_len);
     let (pa, pb) = (
         PackedSeq::from_ascii(&ka).expect("ACGT only"),
@@ -195,27 +165,27 @@ pub fn run(opts: &HostOptions) -> HostOutcome {
         |i, j| kernel::lcp_bytes_scalar(&ka, &kb, i, j),
         kernel_len,
         probes,
-        opts.seed,
+        seed,
     );
     let t_scalar = measure(iters, || {
         lcp_sweep(
             |i, j| kernel::lcp_bytes_scalar(&ka, &kb, i, j),
             kernel_len,
             probes,
-            opts.seed,
+            seed,
         )
     });
     let bases_word = lcp_sweep(
         |i, j| kernel::lcp_packed_word(&pa, &pb, i, j),
         kernel_len,
         probes,
-        opts.seed,
+        seed,
     );
     let bases_simd = lcp_sweep(
         |i, j| kernel::lcp_packed_simd(&pa, &pb, i, j),
         kernel_len,
         probes,
-        opts.seed,
+        seed,
     );
     assert!(
         bases_scalar == bases_word && bases_word == bases_simd,
@@ -226,7 +196,7 @@ pub fn run(opts: &HostOptions) -> HostOutcome {
             |i, j| kernel::lcp_packed_word(&pa, &pb, i, j),
             kernel_len,
             probes,
-            opts.seed,
+            seed,
         )
     });
     let t_simd = measure(iters, || {
@@ -234,7 +204,7 @@ pub fn run(opts: &HostOptions) -> HostOutcome {
             |i, j| kernel::lcp_packed_simd(&pa, &pb, i, j),
             kernel_len,
             probes,
-            opts.seed,
+            seed,
         )
     });
     let scalar_gbps = bases_scalar as f64 / (t_scalar.p50_ms / 1e3) / 1e9;
@@ -259,13 +229,13 @@ pub fn run(opts: &HostOptions) -> HostOutcome {
         |i, j| kernel::lcp_packed_word(&pa, &pa, i, j),
         kernel_len,
         peak_probes,
-        opts.seed ^ 0x9E,
+        seed ^ 0x9E,
     );
     let bases_peak_simd = lcp_sweep(
         |i, j| kernel::lcp_packed_simd(&pa, &pa, i, j),
         kernel_len,
         peak_probes,
-        opts.seed ^ 0x9E,
+        seed ^ 0x9E,
     );
     assert_eq!(
         bases_peak_word, bases_peak_simd,
@@ -276,7 +246,7 @@ pub fn run(opts: &HostOptions) -> HostOutcome {
             |i, j| kernel::lcp_packed_word(&pa, &pa, i, j),
             kernel_len,
             peak_probes,
-            opts.seed ^ 0x9E,
+            seed ^ 0x9E,
         )
     });
     let t_peak_simd = measure(iters, || {
@@ -284,7 +254,7 @@ pub fn run(opts: &HostOptions) -> HostOutcome {
             |i, j| kernel::lcp_packed_simd(&pa, &pa, i, j),
             kernel_len,
             peak_probes,
-            opts.seed ^ 0x9E,
+            seed ^ 0x9E,
         )
     });
     let peak_word_gbps = bases_peak_word as f64 / (t_peak_word.p50_ms / 1e3) / 1e9;
@@ -310,7 +280,7 @@ pub fn run(opts: &HostOptions) -> HostOutcome {
         }
     };
     let oracle_pairs = spec
-        .generate(if opts.quick { 16 } else { 64 }, opts.seed ^ 0x0A)
+        .generate(if opts.quick { 16 } else { 64 }, seed ^ 0x0A)
         .pairs;
     // Both variants route through the unified software answer path
     // ([`CpuWfaBackend::align_pair_in`]): fresh allocates a new arena per
@@ -355,7 +325,7 @@ pub fn run(opts: &HostOptions) -> HostOutcome {
         }
     };
     let e2e_pairs = e2e_spec
-        .generate(if opts.quick { 56 } else { 224 }, opts.seed ^ 0xE2)
+        .generate(if opts.quick { 56 } else { 224 }, seed ^ 0xE2)
         .pairs;
     let e2e_cells: u64 = e2e_pairs
         .iter()
@@ -407,7 +377,7 @@ pub fn run(opts: &HostOptions) -> HostOutcome {
     HostOutcome {
         threads,
         quick: opts.quick,
-        seed: opts.seed,
+        seed,
         scalar_gbps,
         word_gbps,
         simd_gbps,
@@ -419,27 +389,6 @@ pub fn run(opts: &HostOptions) -> HostOutcome {
         one,
         many,
         text: out,
-    }
-}
-
-/// Run the benchmark, print the table, and write the JSON record (the
-/// plain `report -- host` path).
-pub fn host_report(opts: &HostOptions) -> String {
-    let outcome = run(opts);
-    let mut out = outcome.text.clone();
-    let json = render_json(&outcome);
-    let path = opts
-        .out
-        .clone()
-        .unwrap_or_else(|| PathBuf::from("BENCH_host.json"));
-    write_json(&path, &json, &mut out);
-    out
-}
-
-fn write_json(path: &Path, json: &str, log: &mut String) {
-    match std::fs::write(path, json) {
-        Ok(()) => log.push_str(&format!("\nwrote {}\n", path.display())),
-        Err(e) => log.push_str(&format!("\nfailed to write {}: {e}\n", path.display())),
     }
 }
 
@@ -521,77 +470,28 @@ pub fn metrics(o: &HostOutcome) -> Vec<Metric> {
     ]
 }
 
-/// One-sided ratio-floor comparison: each measured ratio must be at least
-/// [`RATIO_FLOOR`] × its baseline value. Returns the report text and the
-/// number of failures. A baseline metric missing from the measurement (or
-/// vice versa) fails — the gate must notice renames.
-pub fn floor_check(base: &[Metric], measured: &[Metric]) -> (String, usize) {
-    let mut text = String::new();
-    let mut failures = 0usize;
-    let find = |set: &[Metric], name: &str| set.iter().find(|m| m.name == name).map(|m| m.value);
-    let mut names: Vec<String> = base.iter().map(|m| m.name.clone()).collect();
-    for m in measured {
-        if !names.contains(&m.name) {
-            names.push(m.name.clone());
-        }
-    }
-    for name in &names {
-        match (find(base, name), find(measured, name)) {
-            (Some(b), Some(m)) => {
-                let floor = b * RATIO_FLOOR;
-                let ok = m >= floor;
-                if !ok {
-                    failures += 1;
-                }
-                text.push_str(&format!(
-                    "{}  {name:<42} baseline {b:>8.3}  measured {m:>8.3}  floor {floor:>8.3}\n",
-                    if ok { "  ok " } else { "FAIL " },
-                ));
-            }
-            (Some(b), None) => {
-                failures += 1;
-                text.push_str(&format!(
-                    "FAIL  {name:<42} baseline {b:>8.3}  measured  (missing)\n"
-                ));
-            }
-            (None, Some(m)) => {
-                failures += 1;
-                text.push_str(&format!(
-                    "FAIL  {name:<42} baseline  (missing)  measured {m:>8.3}\n"
-                ));
-            }
-            (None, None) => {}
-        }
-    }
-    (text, failures)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::baseline::{drift_report, Comparison};
+
+    const FLOOR: Comparison = Comparison::Floor(RATIO_FLOOR);
 
     #[test]
-    fn quick_host_report_runs_and_writes_json() {
-        let dir = std::env::temp_dir().join("wfasic_host_bench_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("BENCH_host.json");
-        let opts = HostOptions {
-            quick: true,
-            threads: 2,
-            out: Some(path.clone()),
-            ..HostOptions::default()
-        };
-        let report = host_report(&opts);
-        assert!(report.contains("LCP kernel"));
-        assert!(report.contains("device path"));
-        let json = std::fs::read_to_string(&path).unwrap();
+    fn quick_host_run_renders_text_and_json() {
+        let o = run(&RunOptions {
+            threads: Some(2),
+            ..RunOptions::quick()
+        });
+        assert!(o.text.contains("LCP kernel"));
+        assert!(o.text.contains("device path"));
+        let json = render_json(&o);
         assert!(json.contains("\"schema\": \"wfasic-host/1\""));
         assert!(json.contains("\"threads_measured\": 2"));
         assert!(json.contains("\"simd_tier\""));
         assert!(json.contains("\"speedup_simd_over_word\""));
         assert!(json.contains("\"speedup_simd_over_word_peak\""));
         assert!(json.contains("\"speedup_n_over_1\""));
-        std::fs::remove_file(&path).ok();
     }
 
     #[test]
@@ -599,18 +499,15 @@ mod tests {
         // The threads==1 path reuses the width-1 measurement instead of
         // re-measuring it (jitter used to report speedups like 0.974 for
         // identical work).
-        let opts = HostOptions {
-            quick: true,
-            threads: 1,
-            out: Some(std::env::temp_dir().join("wfasic_host_w1.json")),
-            ..HostOptions::default()
-        };
-        let o = run(&opts);
+        let o = run(&RunOptions {
+            threads: Some(1),
+            ..RunOptions::quick()
+        });
         assert_eq!(o.speedup_n_over_1(), 1.0);
     }
 
     #[test]
-    fn floor_check_passes_equal_and_better_fails_collapse() {
+    fn ratio_floor_passes_equal_and_better_fails_collapse() {
         let base = vec![
             Metric {
                 name: "host/kernel/speedup_simd_over_word".into(),
@@ -622,7 +519,7 @@ mod tests {
             },
         ];
         // Identical → pass; better → pass.
-        let (_, f) = floor_check(&base, &base);
+        let (_, f) = drift_report(&base, &base, FLOOR);
         assert_eq!(f, 0);
         let better = vec![
             Metric {
@@ -634,7 +531,7 @@ mod tests {
                 value: 1.0,
             },
         ];
-        let (_, f) = floor_check(&base, &better);
+        let (_, f) = drift_report(&base, &better, FLOOR);
         assert_eq!(f, 0);
         // Collapse below the floor → fail.
         let collapsed = vec![
@@ -647,10 +544,10 @@ mod tests {
                 value: 1.0,
             },
         ];
-        let (text, f) = floor_check(&base, &collapsed);
+        let (text, f) = drift_report(&base, &collapsed, FLOOR);
         assert_eq!(f, 1, "{text}");
         // Missing metric → fail.
-        let (_, f) = floor_check(&base, &base[..1]);
+        let (_, f) = drift_report(&base, &base[..1], FLOOR);
         assert_eq!(f, 1);
     }
 

@@ -6,7 +6,10 @@
 //! * [`backends`] — the execution-backend comparison behind
 //!   `report -- backends` (aligns/s + simulated cycles per backend);
 //! * [`baseline`] — the CI cycle-regression gate behind
-//!   `report -- ci-check`;
+//!   `report -- ci-check`, and the baseline comparison every gate shares;
+//! * [`gate`] — the one gate engine: the table of gated subcommands
+//!   (`ci-check`, `dse`, `cosim`, `longread`, `host`, `chaos`), their
+//!   shared [`gate::RunOptions`], and the record/check/bless driver;
 //! * [`paper`] — the paper's reported numbers for side-by-side printing;
 //! * [`report`] — the formatted reports (also used by the `report` binary);
 //! * [`host`] — the host wall-clock throughput benchmark behind
@@ -41,6 +44,7 @@ pub mod cosim;
 pub mod dse;
 pub mod experiments;
 pub mod fmt;
+pub mod gate;
 pub mod host;
 pub mod longread;
 pub mod paper;

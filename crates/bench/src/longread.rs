@@ -11,7 +11,7 @@
 //! `peak_memory_bytes` high-water marks are all deterministic per
 //! `(tier, seed)`, so `--check` gates them against
 //! `bench/baselines/longread.json` with the same 2%-tolerance machinery as
-//! the dse/cosim gates ([`crate::baseline::compare`]). Wall-clock aligns/s
+//! the dse/cosim gates ([`crate::baseline::drift_report`]). Wall-clock aligns/s
 //! is printed for orientation but never gated.
 //!
 //! A separate **memory probe** pits the exact full-history engine against
@@ -27,9 +27,9 @@
 //! * **full**: the stock `wfasic_chip()` envelope, default 10 kb
 //!   threshold, and true 7.5–45 kb technology lengths.
 
-use crate::baseline::Metric;
+use crate::baseline::{self, Metric};
 use crate::fmt::render_table;
-use std::path::PathBuf;
+use crate::gate::RunOptions;
 use wfa_core::{wfa_align_seqs, Penalties, WfaOptions};
 use wfasic_accel::AccelConfig;
 use wfasic_driver::batch::BatchJob;
@@ -45,33 +45,6 @@ pub const DEFAULT_SEED: u64 = 0x10E6_4EAD;
 
 /// Device lanes behind the heterogeneous backend.
 pub const LANES: usize = 4;
-
-/// Default baseline location: `bench/baselines/longread.json` at the repo
-/// root.
-pub fn default_baseline_path() -> PathBuf {
-    std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("../../bench/baselines/longread.json")
-}
-
-/// Options for the bench.
-#[derive(Debug, Clone)]
-pub struct LongreadOptions {
-    /// Shrunken lengths/envelope for the CI gate.
-    pub quick: bool,
-    /// RNG seed for the generated read sets.
-    pub seed: u64,
-    /// Where to write the JSON record (`None` = `BENCH_longread.json`).
-    pub out: Option<PathBuf>,
-}
-
-impl Default for LongreadOptions {
-    fn default() -> Self {
-        LongreadOptions {
-            quick: false,
-            seed: DEFAULT_SEED,
-            out: None,
-        }
-    }
-}
 
 /// One technology preset's batch through the heterogeneous backend.
 #[derive(Debug, Clone)]
@@ -181,7 +154,8 @@ fn run_probe(length: usize, seed: u64) -> MemoryProbe {
 
 /// Run the bench: every technology preset through a fresh heterogeneous
 /// backend, plus the memory probe.
-pub fn run(opts: &LongreadOptions) -> LongreadOutcome {
+pub fn run(opts: &RunOptions) -> LongreadOutcome {
+    let seed = opts.seed_or(DEFAULT_SEED);
     let (divisor, per_tech, envelope, threshold, probe_len) = tier(opts.quick);
     let mut cfg = AccelConfig::wfasic_chip();
     cfg.max_supported_len = envelope;
@@ -195,8 +169,7 @@ pub fn run(opts: &LongreadOptions) -> LongreadOutcome {
         .enumerate()
         .map(|(i, &tech)| {
             let nominal = tech.nominal_length() / divisor;
-            let pairs =
-                tech.pairs_with_nominal(per_tech, opts.seed ^ ((i as u64 + 1) << 32), nominal);
+            let pairs = tech.pairs_with_nominal(per_tech, seed ^ ((i as u64 + 1) << 32), nominal);
             let bases: u64 = pairs.iter().map(|p| (p.a.len() + p.b.len()) as u64).sum();
             let job = BatchJob::with_backtrace(pairs);
 
@@ -230,12 +203,12 @@ pub fn run(opts: &LongreadOptions) -> LongreadOutcome {
         .collect();
 
     LongreadOutcome {
-        tier: if opts.quick { "quick" } else { "full" },
-        seed: opts.seed,
+        tier: opts.tier(),
+        seed,
         envelope,
         threshold,
         rows,
-        probe: run_probe(probe_len, opts.seed),
+        probe: run_probe(probe_len, seed),
     }
 }
 
@@ -376,29 +349,16 @@ pub fn render_json(outcome: &LongreadOutcome) -> String {
         p.biwfa_peak_bytes,
         p.reduction()
     ));
-    // The gate slice, last so baseline::parse_json's first-"metrics" scan
-    // sees exactly this object.
-    s.push_str("  \"metrics\": {\n");
-    let ms = metrics(outcome);
-    for (i, m) in ms.iter().enumerate() {
-        let comma = if i + 1 < ms.len() { "," } else { "" };
-        s.push_str(&format!("    \"{}\": {}{}\n", m.name, m.value, comma));
-    }
-    s.push_str("  }\n}\n");
+    baseline::push_metrics(&mut s, &metrics(outcome));
     s
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::baseline;
 
     fn quick() -> LongreadOutcome {
-        run(&LongreadOptions {
-            quick: true,
-            seed: DEFAULT_SEED,
-            out: None,
-        })
+        run(&RunOptions::quick())
     }
 
     #[test]

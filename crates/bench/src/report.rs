@@ -445,11 +445,7 @@ mod tests {
 
     #[test]
     fn quick_dse_report_renders_the_frontier() {
-        let opts = crate::dse::DseOptions {
-            quick: true,
-            ..Default::default()
-        };
-        let outcome = crate::dse::sweep(&opts);
+        let outcome = crate::dse::sweep(&crate::gate::RunOptions::quick());
         let s = dse_report(&outcome);
         assert!(s.contains("DSE Pareto frontier (quick tier)"));
         assert!(s.contains("GCUPS/mm2"));
