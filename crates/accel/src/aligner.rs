@@ -263,7 +263,7 @@ fn extend_column(
     let (mut extends, mut bases) = (0u64, 0u64);
     // `(idx, idx % p)` of the cell after the last one handed over: cells
     // arrive in increasing order, so the section advances without a divide.
-    extend_row(a, b, offs, k_lo, |idx, _, matches, limit| {
+    extend_row(a, b, offs, k_lo, |idx, matches, limit| {
         sections[idx % p] += compare_cycles(cfg, matches) + cfg.extend_issue_cycles;
         extends += 1;
         bases += matches as u64 + (matches < limit) as u64;

@@ -41,7 +41,7 @@
 use crate::arena::WavefrontArena;
 use crate::cigar::{Cigar, Op};
 use crate::penalties::Penalties;
-use crate::wavefront::{offset_is_valid, Wavefront};
+use crate::wavefront::{offset_is_valid, Wavefront, WavefrontSet};
 use crate::wfa::{
     wfa_align_seqs_ref, Retention, SeqsRef, WfaAlignment, WfaError, WfaMachine, WfaOptions,
     WfaStats,
@@ -68,8 +68,23 @@ enum Touch {
     Dd,
 }
 
+impl Touch {
+    /// Every touch kind, in scan order (also the index into a
+    /// [`Side`]'s reach triples).
+    const ALL: [Touch; 3] = [Touch::Mm, Touch::Ii, Touch::Dd];
+
+    /// The component of `set` whose fronts meet in this kind of touch.
+    fn component(self, set: &WavefrontSet) -> Option<&Wavefront> {
+        match self {
+            Touch::Mm => Some(&set.m),
+            Touch::Ii => set.i.as_ref(),
+            Touch::Dd => set.d.as_ref(),
+        }
+    }
+}
+
 /// A recorded frontier touch: a candidate split of the pair.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 struct Candidate {
     /// Cost of an alignment through this split (`c1 + c2`, minus `o` for
     /// gap-interior touches).
@@ -338,6 +353,81 @@ fn splice(out: &mut Cigar, piece: &Cigar) {
     }
 }
 
+/// The geometry every touch scan of one meet phase shares.
+struct Meet {
+    /// Length of `a` (rows).
+    n: usize,
+    /// Length of `b` (columns).
+    m: usize,
+    /// Gap-open penalty: the credit an I–I / D–D touch earns.
+    open: u64,
+    /// How many scores back `fixed`'s retained fronts reach.
+    window: usize,
+}
+
+impl Meet {
+    /// The exact reachability gate for one component pair. A touch on
+    /// mover diagonal `k` (fixed diagonal `k' = (m − n) − k`) needs
+    /// `f + r ≥ m`, which is `(2f − k) + (2r − k') ≥ n + m`: the two
+    /// cells' anti-diagonals must span the matrix. So components whose
+    /// [`reach`] values sum below `n + m` cannot touch on any diagonal.
+    fn may_touch(&self, mover_reach: i64, fixed_reach: i64) -> bool {
+        mover_reach + fixed_reach >= (self.n + self.m) as i64
+    }
+}
+
+/// `reach` of an absent component: two of them still sum without overflow
+/// and fall far below any matrix span.
+const UNREACHED: i64 = i64::MIN / 4;
+
+/// Farthest anti-diagonal `i + j = 2·offset − k` over the valid cells of
+/// `w`. A stored offset is either
+/// [`OFFSET_NULL`](crate::wavefront::OFFSET_NULL) (`i32::MIN / 4`) or a
+/// column in `0..=m`, so the branch-free `i32` pass neither overflows nor
+/// needs a validity test: NULL cells map far below zero, and an all-NULL
+/// component yields a value no gate admits.
+fn reach(w: Option<&Wavefront>) -> i64 {
+    let Some(w) = w else {
+        return UNREACHED;
+    };
+    let far = w
+        .offsets
+        .iter()
+        .zip(0i32..)
+        .fold(i32::MIN / 2, |far, (&off, idx)| far.max(2 * off - idx));
+    far as i64 - w.lo as i64
+}
+
+/// One side of the meet phase: a machine plus the M/I/D [`reach`] of every
+/// front it has finalised, indexed by score like its spine.
+struct Side<'s> {
+    mach: WfaMachine<'s>,
+    /// `reach[s][t as usize]` for `t` in [`Touch::ALL`]; [`UNREACHED`] for
+    /// scores without a front.
+    reach: Vec<[i64; 3]>,
+}
+
+impl<'s> Side<'s> {
+    fn new(a: &'s [u8], b: &'s [u8], p: &Penalties, arena: &mut WavefrontArena) -> Self {
+        Side {
+            mach: WfaMachine::new(SeqsRef::Bytes(a, b), *p, None, None, arena),
+            reach: Vec::new(),
+        }
+    }
+
+    /// Extend the current front, which makes it final, and record its
+    /// per-component reach. True when a front exists at this score.
+    fn extend(&mut self) -> bool {
+        let found = self.mach.extend_current();
+        let s = self.mach.s;
+        self.reach.resize(s + 1, [UNREACHED; 3]);
+        if let Some(set) = self.mach.front(s) {
+            self.reach[s] = Touch::ALL.map(|t| reach(t.component(set)));
+        }
+        found
+    }
+}
+
 /// Drive a forward and a reverse [`WfaMachine`] toward each other and
 /// collect frontier-touch candidates, best (lowest value, then most
 /// balanced) first.
@@ -349,8 +439,24 @@ fn meet_phase(
     arena: &mut WavefrontArena,
     stats: &mut WfaStats,
 ) -> Result<Vec<Candidate>, WfaError> {
-    let n = a.len();
-    let m = b.len();
+    meet_phase_with(a, b, expected, p, arena, stats, scan_touches)
+}
+
+/// [`meet_phase`] with its touch scan passed in, so a test can run a
+/// reference scan beside [`scan_touches`] on the very same machines.
+#[allow(clippy::too_many_arguments)]
+fn meet_phase_with<S>(
+    a: &[u8],
+    b: &[u8],
+    expected: u64,
+    p: &Penalties,
+    arena: &mut WavefrontArena,
+    stats: &mut WfaStats,
+    mut scan: S,
+) -> Result<Vec<Candidate>, WfaError>
+where
+    S: FnMut(&Side<'_>, &Side<'_>, &Meet, bool, &mut Vec<Candidate>),
+{
     let lookback = p.x.max(p.o + p.e) as usize;
     // Retention window: a touch pairs the newest front on one side with a
     // front up to `window` scores old on the other. Optimal splits have a
@@ -361,12 +467,18 @@ fn meet_phase(
     // Advance both sides to `horizon`: past the balanced representative of
     // any optimal split, with slack for an imperfect `expected` hint.
     let horizon = ((expected as usize + p.o as usize + window) / 2 + 2).max(window);
+    let meet = Meet {
+        n: a.len(),
+        m: b.len(),
+        open: p.o as u64,
+        window,
+    };
 
     let ar: Vec<u8> = a.iter().rev().copied().collect();
     let br: Vec<u8> = b.iter().rev().copied().collect();
 
-    let mut fwd = WfaMachine::new(SeqsRef::Bytes(a, b), *p, None, None, arena);
-    let mut rev = WfaMachine::new(SeqsRef::Bytes(&ar, &br), *p, None, None, arena);
+    let mut fwd = Side::new(a, b, p, arena);
+    let mut rev = Side::new(&ar, &br, p, arena);
 
     let mut cands: Vec<Candidate> = Vec::new();
     let mut phase_peak: u64 = 0;
@@ -374,31 +486,31 @@ fn meet_phase(
     // Extend the two score-0 fronts, then alternate: step the lower-score
     // side, extend its new front, and scan that front against the other
     // side's retained window.
-    fwd.extend_current();
-    rev.extend_current();
-    scan_touches(&fwd, &rev, n, m, p, window, true, &mut cands);
+    fwd.extend();
+    rev.extend();
+    scan(&fwd, &rev, &meet, true, &mut cands);
 
     loop {
-        phase_peak = phase_peak.max(fwd.live_memory() + rev.live_memory());
-        let fwd_turn = fwd.s <= rev.s;
+        phase_peak = phase_peak.max(fwd.mach.live_memory() + rev.mach.live_memory());
+        let fwd_turn = fwd.mach.s <= rev.mach.s;
         let (mover, fixed) = if fwd_turn {
             (&mut fwd, &rev)
         } else {
             (&mut rev, &fwd)
         };
-        if mover.at_cap() {
+        if mover.mach.at_cap() {
             // The score cap is the all-gaps bound, which admits every
             // pair — reaching it without a touch means the hint starved
             // us; surface "no candidates" and let the caller fall back.
             break;
         }
-        mover.step(arena, Retention::Strict(window))?;
+        mover.mach.step(arena, Retention::Strict(window))?;
         let mut met_end = false;
-        if mover.extend_current() {
-            met_end = mover.reached_end();
-            scan_touches(mover, fixed, n, m, p, window, fwd_turn, &mut cands);
+        if mover.extend() {
+            met_end = mover.mach.reached_end();
+            scan(mover, fixed, &meet, fwd_turn, &mut cands);
         }
-        let depth = fwd.s.min(rev.s);
+        let depth = fwd.mach.s.min(rev.mach.s);
         if met_end || (depth >= horizon && !cands.is_empty()) {
             break;
         }
@@ -409,10 +521,10 @@ fn meet_phase(
         }
     }
 
-    let fwd_stats = fwd.stats;
-    let rev_stats = rev.stats;
-    fwd.finish(arena);
-    rev.finish(arena);
+    let fwd_stats = fwd.mach.stats;
+    let rev_stats = rev.mach.stats;
+    fwd.mach.finish(arena);
+    rev.mach.finish(arena);
     absorb_stats(stats, &fwd_stats);
     absorb_stats(stats, &rev_stats);
     stats.peak_memory_bytes = stats.peak_memory_bytes.max(phase_peak);
@@ -423,131 +535,157 @@ fn meet_phase(
 
 /// Scan `mover`'s newest (just-extended) front against every front still
 /// retained by `fixed`, recording each diagonal touch as a candidate.
-#[allow(clippy::too_many_arguments)]
+///
+/// Cheap reachability gate, exact per (front, component) pair: a pair
+/// whose precomputed [`reach`] values fail [`Meet::may_touch`] — their
+/// farthest anti-diagonals sum below `n + m` — cannot touch on any
+/// diagonal, so its offsets are never read.
 fn scan_touches(
-    mover: &WfaMachine<'_>,
-    fixed: &WfaMachine<'_>,
-    n: usize,
-    m: usize,
-    p: &Penalties,
-    window: usize,
+    mover: &Side<'_>,
+    fixed: &Side<'_>,
+    meet: &Meet,
     mover_is_fwd: bool,
     cands: &mut Vec<Candidate>,
 ) {
-    // Cheap reachability gate: M offsets dominate I/D on the same
-    // diagonal, so until the two sides' best anti-diagonals span the
-    // matrix no component can touch.
-    if mover.max_antidiag + fixed.max_antidiag < (n + m) as i64 {
-        return;
-    }
-    let c_mover = mover.s;
-    let Some(mover_set) = mover.front(c_mover) else {
+    let c_mover = mover.mach.s;
+    let Some(mover_set) = mover.mach.front(c_mover) else {
         return;
     };
-    for c_fixed in fixed.s.saturating_sub(window)..=fixed.s {
-        let Some(fixed_set) = fixed.front(c_fixed) else {
+    let mover_reach = mover.reach[c_mover];
+    for c_fixed in fixed.mach.s.saturating_sub(meet.window)..=fixed.mach.s {
+        let Some(fixed_set) = fixed.mach.front(c_fixed) else {
             continue;
         };
-        // M–M touch: witnesses cost c_mover + c_fixed.
-        record_component_touches(
-            Some(&mover_set.m),
-            Some(&fixed_set.m),
-            c_mover,
-            c_fixed,
-            n,
-            m,
-            0,
-            Touch::Mm,
-            mover_is_fwd,
-            cands,
-        );
-        // I–I / D–D touch: both halves pay the open, so the witnessed
-        // alignment (one gap run crossing the split) costs `o` less.
-        record_component_touches(
-            mover_set.i.as_ref(),
-            fixed_set.i.as_ref(),
-            c_mover,
-            c_fixed,
-            n,
-            m,
-            p.o as u64,
-            Touch::Ii,
-            mover_is_fwd,
-            cands,
-        );
-        record_component_touches(
-            mover_set.d.as_ref(),
-            fixed_set.d.as_ref(),
-            c_mover,
-            c_fixed,
-            n,
-            m,
-            p.o as u64,
-            Touch::Dd,
-            mover_is_fwd,
-            cands,
-        );
+        let fixed_reach = fixed.reach[c_fixed];
+        for touch in Touch::ALL {
+            if !meet.may_touch(mover_reach[touch as usize], fixed_reach[touch as usize]) {
+                continue;
+            }
+            let (Some(mw), Some(fw)) = (touch.component(mover_set), touch.component(fixed_set))
+            else {
+                continue;
+            };
+            let pair = FrontPair::new(c_mover, c_fixed, mover_is_fwd, touch);
+            record_component_touches(mw, fw, &pair, meet, cands);
+        }
     }
 }
 
-/// Record every diagonal on which `mover`'s component overlaps `fixed`'s.
-#[allow(clippy::too_many_arguments)]
+/// Diagonals per block of the touch walk's pre-check.
+const TOUCH_BLOCK: usize = 16;
+
+/// Record every diagonal on which the mover's component `mw` touches the
+/// fixed side's `fw`.
+///
+/// The overlap is walked as two slices — the mover's ascending in `k`, the
+/// fixed side's descending — one block of [`TOUCH_BLOCK`] diagonals at a
+/// time. A block first tests `f + r ≥ m` on every diagonal in one
+/// branch-free (vectorisable) pass; only a block with a hit runs the
+/// per-cell logic. [`OFFSET_NULL`](crate::wavefront::OFFSET_NULL) is
+/// `i32::MIN / 4`, so a sum with a NULL neither overflows nor passes.
 fn record_component_touches(
-    mover_w: Option<&Wavefront>,
-    fixed_w: Option<&Wavefront>,
-    c_mover: usize,
-    c_fixed: usize,
-    n: usize,
-    m: usize,
-    open_credit: u64,
-    touch: Touch,
-    mover_is_fwd: bool,
+    mw: &Wavefront,
+    fw: &Wavefront,
+    pair: &FrontPair,
+    meet: &Meet,
     cands: &mut Vec<Candidate>,
 ) {
-    let (Some(mw), Some(fw)) = (mover_w, fixed_w) else {
-        return;
-    };
     // mover diagonal k ↔ fixed diagonal (m-n) - k: reversing both
     // sequences maps diagonal k to (m-n)-k, in either direction.
-    let shift = m as i32 - n as i32;
+    let shift = meet.m as i32 - meet.n as i32;
     let klo = mw.lo.max(shift - fw.hi);
     let khi = mw.hi.min(shift - fw.lo);
-    for k in klo..=khi {
-        let f = mw.get(k);
-        let r = fw.get(shift - k);
-        if !offset_is_valid(f) || !offset_is_valid(r) {
-            continue;
-        }
-        if f as i64 + r as i64 >= m as i64 {
-            let (c_fwd, c_rev, k_fwd, off_fwd) = if mover_is_fwd {
-                (c_mover, c_fixed, k, f)
-            } else {
-                (c_fixed, c_mover, shift - k, r)
-            };
-            let value = ((c_fwd + c_rev) as u64).saturating_sub(open_credit);
-            let j = off_fwd as usize;
-            let i = (off_fwd - k_fwd) as usize;
-            // Gap-interior splits peel one op off the forward half, so
-            // the touch cell must not sit on the matrix edge for that op.
-            let usable = match touch {
-                Touch::Mm => true,
-                Touch::Ii => j >= 1,
-                Touch::Dd => i >= 1,
-            };
-            if usable && i <= n && j <= m {
-                push_candidate(
-                    cands,
-                    Candidate {
-                        value,
-                        c_fwd: c_fwd as u32,
-                        c_rev: c_rev as u32,
-                        i,
-                        j,
-                        touch,
-                    },
-                );
+    if klo > khi {
+        return;
+    }
+    let movers = &mw.offsets[(klo - mw.lo) as usize..=(khi - mw.lo) as usize];
+    let fixeds = &fw.offsets[(shift - khi - fw.lo) as usize..=(shift - klo - fw.lo) as usize];
+    let m = meet.m as i32;
+    let mut block = |k0: i32, fs: &[i32], rs: &[i32]| {
+        let cells = || fs.iter().zip(rs.iter().rev());
+        if cells().fold(false, |hit, (&f, &r)| hit | (f + r >= m)) {
+            for (t, (&f, &r)) in cells().enumerate() {
+                record_cell(k0 + t as i32, f, r, pair, meet, cands);
             }
         }
+    };
+    // Whole blocks (a fixed length the compiler unrolls), then the tail.
+    let blocks = movers.chunks_exact(TOUCH_BLOCK);
+    let fixed_blocks = fixeds.rchunks_exact(TOUCH_BLOCK);
+    let (tail, fixed_tail) = (blocks.remainder(), fixed_blocks.remainder());
+    for (idx, (fs, rs)) in blocks.zip(fixed_blocks).enumerate() {
+        block(klo + (idx * TOUCH_BLOCK) as i32, fs, rs);
+    }
+    block(khi + 1 - tail.len() as i32, tail, fixed_tail);
+}
+
+/// One (mover front, fixed front, component) pairing of a touch scan.
+struct FrontPair {
+    /// Forward-side front cost.
+    c_fwd: usize,
+    /// Reverse-side front cost.
+    c_rev: usize,
+    mover_is_fwd: bool,
+    touch: Touch,
+}
+
+impl FrontPair {
+    fn new(c_mover: usize, c_fixed: usize, mover_is_fwd: bool, touch: Touch) -> Self {
+        let (c_fwd, c_rev) = if mover_is_fwd {
+            (c_mover, c_fixed)
+        } else {
+            (c_fixed, c_mover)
+        };
+        FrontPair {
+            c_fwd,
+            c_rev,
+            mover_is_fwd,
+            touch,
+        }
+    }
+}
+
+/// Record the touch of mover offset `f` on diagonal `k` with fixed offset
+/// `r` on diagonal `(m − n) − k`, if the two valid cells meet.
+fn record_cell(k: i32, f: i32, r: i32, pair: &FrontPair, meet: &Meet, cands: &mut Vec<Candidate>) {
+    let (n, m) = (meet.n, meet.m);
+    if !offset_is_valid(f) || !offset_is_valid(r) || (f as i64 + r as i64) < m as i64 {
+        return;
+    }
+    let (k_fwd, off_fwd) = if pair.mover_is_fwd {
+        (k, f)
+    } else {
+        (m as i32 - n as i32 - k, r)
+    };
+    // I–I / D–D touch: both halves pay the open, so the witnessed
+    // alignment (one gap run crossing the split) costs `o` less.
+    let open_credit = if pair.touch == Touch::Mm {
+        0
+    } else {
+        meet.open
+    };
+    let value = ((pair.c_fwd + pair.c_rev) as u64).saturating_sub(open_credit);
+    let j = off_fwd as usize;
+    let i = (off_fwd - k_fwd) as usize;
+    // Gap-interior splits peel one op off the forward half, so the touch
+    // cell must not sit on the matrix edge for that op.
+    let usable = match pair.touch {
+        Touch::Mm => true,
+        Touch::Ii => j >= 1,
+        Touch::Dd => i >= 1,
+    };
+    if usable && i <= n && j <= m {
+        push_candidate(
+            cands,
+            Candidate {
+                value,
+                c_fwd: pair.c_fwd as u32,
+                c_rev: pair.c_rev as u32,
+                i,
+                j,
+                touch: pair.touch,
+            },
+        );
     }
 }
 
@@ -596,23 +734,190 @@ mod tests {
     }
 
     fn mutate(a: &[u8], error_pct: usize, rng: &mut SmallRng) -> Vec<u8> {
+        mutate_mix(a, error_pct, [1, 1, 1], rng)
+    }
+
+    /// `a` with `error_pct`% of its bases edited, the edit kind drawn by
+    /// the `[substitute, insert, delete]` weights.
+    fn mutate_mix(a: &[u8], error_pct: usize, mix: [usize; 3], rng: &mut SmallRng) -> Vec<u8> {
         const BASES: [u8; 4] = *b"ACGT";
         let mut b = Vec::with_capacity(a.len() + 8);
         for &ch in a {
             if rng.gen_range(0, 100) < error_pct {
-                match rng.gen_range(0, 3) {
-                    0 => b.push(BASES[rng.gen_range(0, 4)]), // substitute
-                    1 => {
-                        b.push(BASES[rng.gen_range(0, 4)]); // insert
-                        b.push(ch);
-                    }
-                    _ => {} // delete
-                }
+                let pick = rng.gen_range(0, mix.iter().sum());
+                if pick < mix[0] {
+                    b.push(BASES[rng.gen_range(0, 4)]); // substitute
+                } else if pick < mix[0] + mix[1] {
+                    b.push(BASES[rng.gen_range(0, 4)]); // insert
+                    b.push(ch);
+                } // else delete
             } else {
                 b.push(ch);
             }
         }
         b
+    }
+
+    /// The pre-gate touch scan, kept as the reference: every retained
+    /// fixed front, every component, every overlapping diagonal read
+    /// through [`Wavefront::get`].
+    fn scan_touches_reference(
+        mover: &Side<'_>,
+        fixed: &Side<'_>,
+        meet: &Meet,
+        mover_is_fwd: bool,
+        cands: &mut Vec<Candidate>,
+    ) {
+        let c_mover = mover.mach.s;
+        let Some(mover_set) = mover.mach.front(c_mover) else {
+            return;
+        };
+        let shift = meet.m as i32 - meet.n as i32;
+        for c_fixed in fixed.mach.s.saturating_sub(meet.window)..=fixed.mach.s {
+            let Some(fixed_set) = fixed.mach.front(c_fixed) else {
+                continue;
+            };
+            for touch in Touch::ALL {
+                let (Some(mw), Some(fw)) = (touch.component(mover_set), touch.component(fixed_set))
+                else {
+                    continue;
+                };
+                let pair = FrontPair::new(c_mover, c_fixed, mover_is_fwd, touch);
+                for k in mw.lo.max(shift - fw.hi)..=mw.hi.min(shift - fw.lo) {
+                    record_cell(k, mw.get(k), fw.get(shift - k), &pair, meet, cands);
+                }
+            }
+        }
+    }
+
+    /// Run the top-level meet of `a` vs `b` with the gated, blocked scan,
+    /// and after every scan check that the reference scan, fed the same
+    /// machines, holds the identical candidate list (element for element,
+    /// in order). Returns the meet's sorted candidates.
+    fn meet_against_reference(a: &[u8], b: &[u8], p: &Penalties) -> Vec<Candidate> {
+        let mut arena = WavefrontArena::new();
+        let mut stats = WfaStats::default();
+        let (expected, _) = exact_score(SeqsRef::Bytes(a, b), p, None, &mut arena).unwrap();
+        let mut reference = Vec::new();
+        let mut scans = 0usize;
+        let cands = meet_phase_with(
+            a,
+            b,
+            expected as u64,
+            p,
+            &mut arena,
+            &mut stats,
+            |mover, fixed, meet, mover_is_fwd, cands| {
+                scan_touches(mover, fixed, meet, mover_is_fwd, cands);
+                scan_touches_reference(mover, fixed, meet, mover_is_fwd, &mut reference);
+                assert_eq!(
+                    *cands, reference,
+                    "scan {scans} diverged from the reference"
+                );
+                scans += 1;
+            },
+        )
+        .unwrap();
+        assert!(scans > 1);
+        cands
+    }
+
+    #[test]
+    fn gated_blocked_scan_matches_the_full_scan_reference() {
+        let mut rng = SmallRng::seed_from_u64(0x70C4_0001);
+        let odd = Penalties::new(5, 7, 3).unwrap();
+        let free_open = Penalties::new(3, 0, 1).unwrap();
+        // (length, error %, [sub, ins, del] mix, penalties): HiFi-like
+        // (substitution-leaning 1%), Nanopore-like (deletion-heavy 6%,
+        // so |a| > |b|), insertion-heavy (|a| < |b|), and non-default
+        // penalties with odd costs and a free gap open.
+        let cases: &[(usize, usize, [usize; 3], Penalties)] = &[
+            (3000, 1, [95, 3, 2], P),
+            (3000, 6, [25, 30, 45], P),
+            (2000, 8, [20, 60, 20], P),
+            (2500, 4, [1, 1, 1], odd),
+            (2500, 4, [1, 1, 1], free_open),
+        ];
+        let mut gap_touches = 0;
+        for &(len, err, mix, p) in cases {
+            let a = random_seq(len, &mut rng);
+            let b = mutate_mix(&a, err, mix, &mut rng);
+            let cands = meet_against_reference(&a, &b, &p);
+            assert!(!cands.is_empty(), "len={len} err={err}% found no touch");
+            gap_touches += cands.iter().filter(|c| c.touch != Touch::Mm).count();
+        }
+        assert!(gap_touches > 0, "no I–I / D–D touch exercised");
+    }
+
+    /// A random stored front for an `n × m` matrix: NULL or an in-matrix
+    /// column on each diagonal, biased toward the far end so touches (and
+    /// exact `f + r = m` boundary touches) are common.
+    fn random_front(rng: &mut SmallRng, n: usize, m: usize) -> Wavefront {
+        let (n, m) = (n as i32, m as i32);
+        let lo = rng.gen_range(0, (n + m + 1) as usize) as i32 - n;
+        let hi = (lo + rng.gen_range(0, 40) as i32).min(m);
+        let mut w = Wavefront::null_range(lo, hi);
+        for k in lo..=hi {
+            let (first, last) = (k.max(0), m.min(n + k));
+            if first <= last && !rng.gen_bool(0.3) {
+                let back = rng.gen_range(0, 4).min((last - first) as usize) as i32;
+                w.set(k, last - back);
+            }
+        }
+        w
+    }
+
+    #[test]
+    fn reach_gate_and_blocked_walk_are_exact_on_random_fronts() {
+        let mut rng = SmallRng::seed_from_u64(0x70C4_0002);
+        let (mut touching, mut on_boundary) = (0, 0);
+        for _ in 0..20_000 {
+            let (n, m) = (rng.gen_range(1, 50), rng.gen_range(1, 50));
+            let meet = Meet {
+                n,
+                m,
+                open: 3,
+                window: 0,
+            };
+            let (mw, fw) = (random_front(&mut rng, n, m), random_front(&mut rng, n, m));
+            let touch = Touch::ALL[rng.gen_range(0, 3)];
+            let pair = FrontPair::new(4, 6, rng.gen_bool(0.5), touch);
+            let shift = m as i32 - n as i32;
+            let mut want = Vec::new();
+            let mut meets = false;
+            for k in mw.lo.max(shift - fw.hi)..=mw.hi.min(shift - fw.lo) {
+                let (f, r) = (mw.get(k), fw.get(shift - k));
+                meets |= offset_is_valid(f) && offset_is_valid(r) && f + r >= m as i32;
+                record_cell(k, f, r, &pair, &meet, &mut want);
+            }
+            let mut got = Vec::new();
+            record_component_touches(&mw, &fw, &pair, &meet, &mut got);
+            assert_eq!(got, want);
+            if meets {
+                let (rm, rf) = (reach(Some(&mw)), reach(Some(&fw)));
+                assert!(meet.may_touch(rm, rf), "gate refused a touching pair");
+                touching += 1;
+                // The gate's tight case: the touch sits exactly at the
+                // farthest cells of both fronts.
+                on_boundary += (rm + rf == (n + m) as i64) as usize;
+            }
+        }
+        assert!(
+            touching > 1_000 && on_boundary > 10,
+            "{touching} / {on_boundary}"
+        );
+    }
+
+    #[test]
+    fn reach_is_the_farthest_valid_anti_diagonal() {
+        use crate::wavefront::OFFSET_NULL;
+        assert_eq!(reach(None), UNREACHED);
+        let mut w = Wavefront::null_range(-2, 3);
+        assert!(reach(Some(&w)) + reach(Some(&w)) < 0);
+        w.set(-2, 4); // (i, j) = (6, 4): anti-diagonal 10
+        w.set(1, 5); // (4, 5): 9
+        assert_eq!(w.get(0), OFFSET_NULL);
+        assert_eq!(reach(Some(&w)), 10);
     }
 
     fn biwfa_opts() -> WfaOptions {

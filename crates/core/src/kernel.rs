@@ -393,8 +393,8 @@ unsafe fn lcp_packed_avx2(a: &PackedSeq, b: &PackedSeq, i: usize, j: usize) -> u
 /// `offs[t]` is the offset (`j`) of diagonal `k_lo + t`. NULL cells are left
 /// untouched; every valid cell (it must lie inside the DP matrix, or this
 /// panics) advances by its `lcp_packed` match count, then `on_cell(t,
-/// offset, matches, limit)` gets its index, new offset, matches and
-/// `limit = min(a.len() - i, b.len() - j)`, in increasing index order.
+/// matches, limit)` gets its index, matches and `limit = min(a.len() - i,
+/// b.len() - j)`, in increasing index order.
 /// `matches < limit` means the run stopped on a mismatch inside both
 /// sequences.
 ///
@@ -403,7 +403,7 @@ unsafe fn lcp_packed_avx2(a: &PackedSeq, b: &PackedSeq, i: usize, j: usize) -> u
 /// per-lane trailing-zeros count resolves it; a run past the window
 /// escalates to the long-run kernel. Other tiers loop over [`lcp_packed`],
 /// so offsets and callbacks are identical on every tier.
-pub fn extend_row<F: FnMut(usize, i32, usize, usize)>(
+pub fn extend_row<F: FnMut(usize, usize, usize)>(
     a: &PackedSeq,
     b: &PackedSeq,
     offs: &mut [i32],
@@ -422,7 +422,7 @@ pub fn extend_row<F: FnMut(usize, i32, usize, usize)>(
 
 /// [`extend_row`] one cell at a time over `offs[start..]`: the non-AVX2
 /// tiers and the AVX2 tail.
-fn extend_cells<F: FnMut(usize, i32, usize, usize)>(
+fn extend_cells<F: FnMut(usize, usize, usize)>(
     a: &PackedSeq,
     b: &PackedSeq,
     offs: &mut [i32],
@@ -442,7 +442,7 @@ fn extend_cells<F: FnMut(usize, i32, usize, usize)>(
         );
         let matches = lcp_packed(a, b, i as usize, j as usize);
         *off += matches as i32;
-        on_cell(t, *off, matches, (n - i).min(m - j) as usize);
+        on_cell(t, matches, (n - i).min(m - j) as usize);
     }
 }
 
@@ -454,7 +454,7 @@ fn extend_cells<F: FnMut(usize, i32, usize, usize)>(
 /// cells outside the matrix panic before their lanes are fetched.
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "avx2")]
-unsafe fn extend_row_avx2<F: FnMut(usize, i32, usize, usize)>(
+unsafe fn extend_row_avx2<F: FnMut(usize, usize, usize)>(
     a: &PackedSeq,
     b: &PackedSeq,
     offs: &mut [i32],
@@ -548,7 +548,7 @@ unsafe fn extend_row_avx2<F: FnMut(usize, i32, usize, usize)>(
                 lcp_packed_avx2(a, b, (off - (k_lo + idx as i32)) as usize, off as usize)
             };
             offs[idx] = off + matches as i32;
-            on_cell(idx, offs[idx], matches, lim);
+            on_cell(idx, matches, lim);
         }
         t += 4;
     }
@@ -1046,8 +1046,8 @@ mod tests {
         });
     }
 
-    /// A callback trace of [`extend_row`]: `(index, offset, matches, limit)`.
-    type RowTrace = Vec<(usize, i32, usize, usize)>;
+    /// A callback trace of [`extend_row`]: `(index, matches, limit)`.
+    type RowTrace = Vec<(usize, usize, usize)>;
 
     /// Per-cell reference for [`extend_row`] over the scalar LCP oracle.
     fn extend_row_reference(a: &PackedSeq, b: &PackedSeq, offs: &mut [i32], k_lo: i32) -> RowTrace {
@@ -1059,7 +1059,7 @@ mod tests {
             let (i, j) = ((*off - (k_lo + t as i32)) as usize, *off as usize);
             let matches = lcp_packed_scalar(a, b, i, j);
             *off += matches as i32;
-            trace.push((t, *off, matches, (a.len() - i).min(b.len() - j)));
+            trace.push((t, matches, (a.len() - i).min(b.len() - j)));
         }
         trace
     }
@@ -1071,19 +1071,17 @@ mod tests {
     fn extend_row_paths() -> Vec<(&'static str, ExtendRowFn)> {
         let mut paths: Vec<(&'static str, ExtendRowFn)> = vec![
             ("dispatched", |a, b, offs, k_lo, tr| {
-                extend_row(a, b, offs, k_lo, |t, o, mt, l| tr.push((t, o, mt, l)))
+                extend_row(a, b, offs, k_lo, |t, mt, l| tr.push((t, mt, l)))
             }),
             ("per-cell", |a, b, offs, k_lo, tr| {
-                extend_cells(a, b, offs, k_lo, 0, &mut |t, o, mt, l| {
-                    tr.push((t, o, mt, l))
-                })
+                extend_cells(a, b, offs, k_lo, 0, &mut |t, mt, l| tr.push((t, mt, l)))
             }),
         ];
         #[cfg(target_arch = "x86_64")]
         if KernelDispatch::Avx2.available() {
             // SAFETY: the CPU reports AVX2.
             paths.push(("avx2", |a, b, offs, k_lo, tr| unsafe {
-                extend_row_avx2(a, b, offs, k_lo, &mut |t, o, mt, l| tr.push((t, o, mt, l)))
+                extend_row_avx2(a, b, offs, k_lo, &mut |t, mt, l| tr.push((t, mt, l)))
             }));
         }
         paths
@@ -1149,7 +1147,7 @@ mod tests {
         let row: Vec<i32> = (0..7).map(|t| 3 * t).collect();
         let mut want_row = row.clone();
         let want = extend_row_reference(&pa, &pa, &mut want_row, -3);
-        assert!(want.iter().all(|&(_, _, matches, _)| matches > 32));
+        assert!(want.iter().all(|&(_, matches, _)| matches > 32));
         for (name, f) in extend_row_paths() {
             let (mut got_row, mut got) = (row.clone(), Vec::new());
             f(&pa, &pa, &mut got_row, -3, &mut got);
@@ -1162,7 +1160,7 @@ mod tests {
     fn extend_row_refuses_a_cell_outside_the_matrix() {
         let p = PackedSeq::from_ascii(b"ACGTACGT").unwrap();
         // Diagonal 0 with offset 9 is past the end of both sequences.
-        extend_row(&p, &p, &mut [0, 9, 0, 0], -1, |_, _, _, _| {});
+        extend_row(&p, &p, &mut [0, 9, 0, 0], -1, |_, _, _| {});
     }
 
     #[test]

@@ -455,9 +455,6 @@ pub(crate) struct WfaMachine<'s> {
     /// First spine slot not yet reclaimed by [`Retention::Strict`].
     drop_floor: usize,
     live_memory: u64,
-    /// Farthest anti-diagonal `i + j` any M offset has reached (monotone;
-    /// the bidirectional engine uses it to gate overlap scans).
-    pub(crate) max_antidiag: i64,
     pub(crate) stats: WfaStats,
 }
 
@@ -501,7 +498,6 @@ impl<'s> WfaMachine<'s> {
             s: 0,
             drop_floor: 0,
             live_memory,
-            max_antidiag: 0,
             stats,
         }
     }
@@ -538,17 +534,15 @@ impl<'s> WfaMachine<'s> {
         let Some(set) = self.fronts[self.s].as_mut() else {
             return false;
         };
-        let (stats, max_antidiag) = (&mut self.stats, &mut self.max_antidiag);
+        let stats = &mut self.stats;
         stats.score_steps += 1;
         stats.max_wavefront_len = stats.max_wavefront_len.max(set.m.len() as u64);
         let lo = set.m.lo;
-        let mut account = |idx: usize, new_off: i32, matches: usize, limit: usize| {
+        let mut account = |_idx: usize, matches: usize, limit: usize| {
             stats.extend_calls += 1;
             // Count the terminating comparison too when we stopped on a
             // mismatch inside both sequences.
             stats.bases_compared += matches as u64 + (matches < limit) as u64;
-            let antidiag = 2 * new_off as i64 - (lo as i64 + idx as i64);
-            *max_antidiag = (*max_antidiag).max(antidiag);
         };
         match self.seqs {
             SeqsRef::Packed(a, b) => kernel::extend_row(a, b, &mut set.m.offsets, lo, account),
@@ -561,7 +555,7 @@ impl<'s> WfaMachine<'s> {
                     let (i, j) = ((*off - (lo + idx as i32)) as usize, *off as usize);
                     let matches = kernel::lcp_bytes(a, b, i, j);
                     *off += matches as i32;
-                    account(idx, *off, matches, (n - i).min(m - j));
+                    account(idx, matches, (n - i).min(m - j));
                 }
             }
         }

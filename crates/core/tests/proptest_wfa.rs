@@ -201,24 +201,23 @@ fn wfa_exactness_holds_at_every_dispatch_tier() {
                 .collect();
             let mut got = row.clone();
             let mut cells = Vec::new();
-            extend_row(&pa, &pb, &mut got, k_lo, |t, off, matches, limit| {
-                cells.push((t, off, matches, limit))
+            extend_row(&pa, &pb, &mut got, k_lo, |t, matches, limit| {
+                cells.push((t, matches, limit))
             });
-            let mut want = Vec::new();
-            for (t, &off) in row.iter().enumerate() {
-                if !offset_is_valid(off) {
-                    assert_eq!(got[t], off, "tier {tier:?}: NULL cell {t} touched");
+            let (mut want_row, mut want) = (row.clone(), Vec::new());
+            for (t, off) in want_row.iter_mut().enumerate() {
+                if !offset_is_valid(*off) {
                     continue;
                 }
-                let (i, j) = ((off - k_lo - t as i32) as usize, off as usize);
+                let (i, j) = ((*off - k_lo - t as i32) as usize, *off as usize);
                 let matches = lcp_bytes(&a, &b, i, j);
-                want.push((
-                    t,
-                    off + matches as i32,
-                    matches,
-                    (a.len() - i).min(b.len() - j),
-                ));
+                *off += matches as i32;
+                want.push((t, matches, (a.len() - i).min(b.len() - j)));
             }
+            assert_eq!(
+                got, want_row,
+                "tier {tier:?} k_lo={k_lo}: NULL cells stay, the rest extend"
+            );
             assert_eq!(cells, want, "tier {tier:?} k_lo={k_lo}");
         });
     }
@@ -303,6 +302,60 @@ fn biwfa_matches_exact_on_other_penalties() {
         let cigar = bi.cigar.unwrap();
         cigar.check(&a, &b).unwrap();
         assert_eq!(cigar.score(&p), bi.score as u64);
+    });
+}
+
+/// BiWFA stays exact past the exact cutoff (`n + m` > 1,024), where the
+/// meet phase and its touch scan actually run: pairs of 1,100–3,000 total
+/// bases at 1–10% error, `a` longer than `b` on even cases and shorter on
+/// odd ones, under random penalties (a free gap open on every fourth case,
+/// odd costs throughout) so I–I and D–D touches occur.
+#[test]
+fn biwfa_matches_exact_past_the_exact_cutoff() {
+    cases(24, 0x57FA_0023, |rng, case| {
+        let len = rng.gen_range(580, 1481);
+        let mut a: Vec<u8> = (0..len).map(|_| *rng.pick(BASES)).collect();
+        let error_pct = rng.gen_range(1, 11);
+        let mut b = Vec::with_capacity(len + len / 8);
+        for &ch in &a {
+            if rng.gen_range(0, 100) >= error_pct {
+                b.push(ch);
+                continue;
+            }
+            match rng.gen_range(0, 3) {
+                0 => b.push(*rng.pick(BASES)),
+                1 => b.extend([*rng.pick(BASES), ch]),
+                _ => {}
+            }
+        }
+        if a.len() == b.len() {
+            b.push(*rng.pick(BASES));
+        }
+        if (a.len() > b.len()) != (case % 2 == 0) {
+            std::mem::swap(&mut a, &mut b);
+        }
+        assert!((1_100..=3_000).contains(&(a.len() + b.len())));
+
+        let x = rng.gen_range(1, 8) as u32;
+        let o = if case % 4 == 0 {
+            0
+        } else {
+            rng.gen_range(1, 10) as u32
+        };
+        let e = rng.gen_range(1, 5) as u32;
+        let p = Penalties::new(x, o, e).unwrap();
+        let exact = align(&a, &b, p).unwrap();
+        let bi = wfa_align(&a, &b, &WfaOptions::biwfa(p)).unwrap();
+        assert_eq!(
+            bi.score,
+            exact.score,
+            "{p:?} |a|={} |b|={}",
+            a.len(),
+            b.len()
+        );
+        let cigar = bi.cigar.unwrap();
+        cigar.check(&a, &b).unwrap();
+        assert_eq!(cigar.score(&p), exact.score as u64, "{p:?}");
     });
 }
 

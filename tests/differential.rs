@@ -26,12 +26,13 @@
 
 use wfasic::accel::AccelConfig;
 use wfasic::driver::{
-    AlignmentResult, BatchJob, BatchScheduler, CpuWfaBackend, DispatchPolicy, MultiLaneBackend,
+    AlignmentBackend, AlignmentResult, BatchJob, BatchScheduler, CpuWfaBackend, DispatchPolicy,
+    MultiLaneBackend, StrategySelect,
 };
-use wfasic::seqio::{InputSetSpec, Pair};
+use wfasic::seqio::{InputSetSpec, Pair, Technology};
 use wfasic::service::{AlignmentService, ServiceConfig};
 use wfasic::wfa::pool::ThreadPool;
-use wfasic::wfa::{swg_score, Penalties, WavefrontArena};
+use wfasic::wfa::{swg_score, wfa_align_seqs, Penalties, WavefrontArena, WfaOptions};
 
 /// Pairs per (penalty set x shape) bucket; 3 shapes x 224 = 672 per penalty
 /// set, 2,016 across the three sweep tests.
@@ -217,3 +218,29 @@ fn differential_sweep_gap_heavy_penalties() {
 /// (compile-time: shrinking `PAIRS_PER_BUCKET` below the 2,000-pair floor
 /// is a build error, not a silent coverage loss).
 const _SWEEP_COVERS_AT_LEAST_TWO_THOUSAND_PAIRS: () = assert!(3 * 3 * PAIRS_PER_BUCKET >= 2000);
+
+/// BiWFA end to end: a PacBio HiFi pair (its band shortened to 2–6 kb so a
+/// debug build stays fast, still far past BiWFA's 1 kb exact cutoff, so the
+/// meet phase and its touch scan run) through [`CpuWfaBackend`] forced to
+/// BiWFA. The score equals the exact engine's, the CIGAR replays to it,
+/// and the backend tallies exactly one BiWFA pair.
+#[test]
+fn cpu_backend_biwfa_matches_exact_on_a_hifi_pair() {
+    let p = Penalties::WFASIC_DEFAULT;
+    let pair = Technology::PacBioHifi.pairs_with_nominal(1, 0xB1F4, 4_000)[0].clone();
+    assert!(pair.a.len() + pair.b.len() > 4_000);
+    let exact = wfa_align_seqs(&pair.a, &pair.b, &WfaOptions::exact(p)).unwrap();
+
+    let mut cpu = CpuWfaBackend::new(p);
+    cpu.route.select = StrategySelect::BiWfa;
+    let batch = cpu
+        .align_batch(&BatchJob::with_backtrace(vec![pair.clone()]))
+        .unwrap();
+    let res = &batch.results[0];
+    assert!(res.success);
+    assert_eq!(res.score, exact.score);
+    let cigar = res.cigar.as_ref().expect("BiWFA returns a CIGAR");
+    cigar.check(&pair.a.bytes(), &pair.b.bytes()).unwrap();
+    assert_eq!(cigar.score(&p), exact.score as u64);
+    assert_eq!(cpu.counters().biwfa_pairs, 1);
+}
