@@ -9,6 +9,12 @@
 //! on the shared AXI-Full port — which is precisely what saturates
 //! multi-Aligner scaling for short reads (Table 1 / Fig. 10 / Eq. 7).
 //!
+//! On the host, `run_at` splits function from timing: phase 1 aligns the
+//! job's records on every host thread, phase 2 replays the cycle timeline
+//! serially and takes each precomputed answer only where the bytes it read
+//! match (see [`WfasicDevice::run_at`]). Simulated results do not depend on
+//! the host's thread count.
+//!
 //! Malformed configuration never panics (the paper's §5.1 campaign: broken
 //! data "did not \[cause\] any CPU freeze"). Invalid jobs are refused with a
 //! latched [`offsets::ERROR_CODE`]/[`offsets::ERROR_INFO`] pair and the
@@ -17,14 +23,16 @@
 //! deterministically (bit flips, dropped/duplicated DMA beats, stuck FIFOs,
 //! bus stalls, MMIO corruption).
 
-use crate::aligner::{align_extracted_in, AlignerScratch, AlignerStats};
+use crate::aligner::{align_extracted_in, AlignerOutcome, AlignerScratch, AlignerStats};
 use crate::collector::{collect_bt_bytes, nbt_record, pack_nbt_records};
 use crate::config::AccelConfig;
 use crate::extractor::extract_pair;
 use crate::regs::{error_code, offsets, DeviceError, JobConfig};
 use crate::schedule::WavefrontSchedule;
 use std::cell::RefCell;
+use std::ops::Range;
 use std::rc::Rc;
+use wfa_core::pool::{available_threads, in_worker, ThreadPool};
 use wfasic_seqio::memimage::{pair_record_bytes, NbtRecord, SECTION};
 use wfasic_soc::arbiter::BusArbiter;
 use wfasic_soc::bus::{BusStats, MemoryBus};
@@ -119,6 +127,10 @@ const MAX_READ_LEN_SANITY: usize = 1 << 20;
 /// Cycles charged for decoding and refusing an invalid configuration.
 const REFUSE_CYCLES: Cycle = 2;
 
+/// Phase 1's window (see [`WfasicDevice::run_at`]): at most this many
+/// pairs per host worker.
+pub const PAIRS_PER_WORKER: usize = 32;
+
 /// The WFAsic accelerator device.
 #[derive(Debug)]
 pub struct WfasicDevice {
@@ -141,9 +153,10 @@ pub struct WfasicDevice {
     /// The shared memory-controller arbiter, when this device is one lane
     /// of a multi-lane SoC.
     shared_bus: Option<Rc<RefCell<BusArbiter>>>,
-    /// Host-side wavefront/staging scratch, reused across pairs and jobs
-    /// (wall-clock only; outcomes and cycles are unaffected).
-    scratch: AlignerScratch,
+    /// Host-side wavefront/staging scratch, one per phase-1 worker (the
+    /// first also serves phase 2's inline path), reused across pairs and
+    /// jobs (wall-clock only; outcomes and cycles are unaffected).
+    scratches: Vec<AlignerScratch>,
 }
 
 impl WfasicDevice {
@@ -176,7 +189,7 @@ impl WfasicDevice {
             jobs_run: 0,
             lane: 0,
             shared_bus: None,
-            scratch: AlignerScratch::new(),
+            scratches: vec![AlignerScratch::new()],
         }
     }
 
@@ -364,6 +377,34 @@ impl WfasicDevice {
     /// job *k*'s input at [`RunReport::input_done`] can start job *k+1*'s
     /// DMA there while job *k* is still computing (`compute_start` = job
     /// *k*'s completion).
+    ///
+    /// The host work runs in two phases, and neither changes a simulated
+    /// result:
+    ///
+    /// * **Phase 1 (function).** Once the job passes validation, read a
+    ///   window of input records straight from `mem` (no bus, no faults)
+    ///   and run the Extractor and an Aligner on each across the host's
+    ///   threads ([`ThreadPool::map_with`], one [`AlignerScratch`] per
+    ///   worker, kept across jobs). Outcomes are stored by pair index, so
+    ///   they never depend on scheduling. A window holds at most
+    ///   [`PAIRS_PER_WORKER`] pairs per worker, which bounds the outcomes
+    ///   (backtrace blocks included) held at once.
+    /// * **Phase 2 (timing).** The serial loop: DMA reads, fault draws,
+    ///   Input FIFO, Collector, DMA writes and perf spans, record by record.
+    ///   It takes pair *i*'s precomputed outcome only when the bytes
+    ///   `dma.read` returned equal the bytes phase 1 aligned; otherwise it
+    ///   aligns the bytes it read, inline. A bus bit flip, a dropped or
+    ///   duplicated beat, a result write that landed on a not-yet-read
+    ///   input record and a time-windowed [`FaultPlan`] all take that
+    ///   path, so the report and the output bytes are bit-identical to a
+    ///   serial run under every input.
+    ///
+    /// The width is [`available_threads`] capped at the pair count. The job
+    /// runs inline, phase 2 aligning every record itself as the serial
+    /// model does, when the width is 1 or when the call is already inside a
+    /// [`ThreadPool`] worker ([`in_worker`]): parallel sweeps of whole
+    /// jobs then do not oversubscribe the host. Each lane of a multi-lane
+    /// SoC splits its own `run_at`; one job is never split across lanes.
     pub fn run_at(
         &mut self,
         mem: &mut MainMemory,
@@ -460,8 +501,19 @@ impl WfasicDevice {
         // Pending NBT records (flushed four per transaction).
         let mut nbt_pending: Vec<(NbtRecord, Cycle)> = Vec::new();
 
+        let width = if in_worker() {
+            1
+        } else {
+            available_threads().min(num_pairs)
+        };
+        let mut ahead = Ahead::default();
+
         let mut read_free: Cycle = dma_start;
         'job: for i in 0..num_pairs {
+            if width > 1 && i == ahead.end() {
+                let window = i..num_pairs.min(i + width * PAIRS_PER_WORKER);
+                ahead = self.align_ahead(mem, &job, window, width);
+            }
             // The Extractor starts ingesting a pair only when an Aligner is
             // (about to be) idle: gate on the (i - N)-th completion.
             let gate = if i >= n_aligners {
@@ -483,13 +535,22 @@ impl WfasicDevice {
             // Extractor; a stuck FIFO delays ingestion.
             let ingest = in_fifo.output_ready(read_done);
 
-            let ex = extract_pair(&self.cfg, &record, job.max_read_len);
+            let (decode_cycles, outcome) = match ahead.take(i, &record) {
+                Some(precomputed) => precomputed,
+                None => extract_and_align(
+                    &self.cfg,
+                    &self.schedule,
+                    &record,
+                    &job,
+                    &mut self.scratches[0],
+                ),
+            };
             dev_perf.record(
                 Stage::Extract,
                 track::DEVICE,
                 ingest,
-                ingest + ex.decode_cycles,
-                ex.id,
+                ingest + decode_cycles,
+                outcome.id,
             );
 
             // Dispatch to the earliest-idle Aligner.
@@ -497,13 +558,6 @@ impl WfasicDevice {
                 .min_by_key(|&w| aligner_free[w])
                 .unwrap_or(0);
             let t0 = ingest.max(aligner_free[w]);
-            let outcome = align_extracted_in(
-                &self.cfg,
-                &self.schedule,
-                &ex,
-                job.backtrace,
-                &mut self.scratch,
-            );
             if dev_perf.enabled {
                 dev_perf.spans.extend(outcome.phase_spans(t0, w));
             }
@@ -643,6 +697,86 @@ impl WfasicDevice {
             faults: job_faults,
             perf,
         }
+    }
+
+    /// Phase 1 of [`WfasicDevice::run_at`]: the Extractor and an Aligner on
+    /// the input records `window`, read straight from `mem`, across `width`
+    /// host threads.
+    fn align_ahead(
+        &mut self,
+        mem: &MainMemory,
+        job: &JobConfig,
+        window: Range<usize>,
+        width: usize,
+    ) -> Ahead {
+        let rec_bytes = pair_record_bytes(job.max_read_len);
+        let addr = job.in_addr + (window.start * rec_bytes) as u64;
+        // Validation put the whole input window inside memory; should a
+        // read still fail, the rest of the job is aligned inline.
+        let Ok(bytes) = mem.view(addr, window.len() * rec_bytes) else {
+            return Ahead::default();
+        };
+        let bytes = bytes.into_owned();
+        let records: Vec<&[u8]> = bytes.chunks_exact(rec_bytes).collect();
+        let (cfg, schedule) = (&self.cfg, &self.schedule);
+        let outcomes =
+            ThreadPool::new(width).map_with(&mut self.scratches, &records, |scratch, _, record| {
+                Some(extract_and_align(cfg, schedule, record, job, scratch))
+            });
+        Ahead {
+            first: window.start,
+            rec_bytes,
+            bytes,
+            outcomes,
+        }
+    }
+}
+
+/// The Extractor then an Aligner on one input record: the decode cycles
+/// and the outcome. A pure function of the record bytes and the job's
+/// configuration (`scratch` only saves allocations), which is what lets
+/// phase 1 compute it ahead of the timeline.
+fn extract_and_align(
+    cfg: &AccelConfig,
+    schedule: &WavefrontSchedule,
+    record: &[u8],
+    job: &JobConfig,
+    scratch: &mut AlignerScratch,
+) -> (Cycle, AlignerOutcome) {
+    let ex = extract_pair(cfg, record, job.max_read_len);
+    let outcome = align_extracted_in(cfg, schedule, &ex, job.backtrace, scratch);
+    (ex.decode_cycles, outcome)
+}
+
+/// Phase 1's answers for a window of consecutive input records, kept with
+/// the record bytes they were computed from.
+#[derive(Debug, Default)]
+struct Ahead {
+    /// Pair index of the window's first record.
+    first: usize,
+    rec_bytes: usize,
+    /// The window's records as phase 1 read them.
+    bytes: Vec<u8>,
+    /// `(decode cycles, outcome)` per record; taken at most once.
+    outcomes: Vec<Option<(Cycle, AlignerOutcome)>>,
+}
+
+impl Ahead {
+    /// One past the window's last pair.
+    fn end(&self) -> usize {
+        self.first + self.outcomes.len()
+    }
+
+    /// Pair `i`'s precomputed answer, if phase 1 aligned exactly `record`.
+    fn take(&mut self, i: usize, record: &[u8]) -> Option<(Cycle, AlignerOutcome)> {
+        let k = i.checked_sub(self.first)?;
+        let aligned = self
+            .bytes
+            .get(k * self.rec_bytes..(k + 1) * self.rec_bytes)?;
+        if aligned != record {
+            return None;
+        }
+        self.outcomes.get_mut(k)?.take()
     }
 }
 

@@ -12,15 +12,85 @@
 //!
 //! Worker panics propagate to the caller (via `std::thread::scope`'s join),
 //! so a failing property inside a parallel sweep still fails the test.
+//!
+//! [`ThreadPool::map_with`] adds per-worker state (scratch that outlives
+//! the call) and balances by claiming items from a shared cursor instead
+//! of fixed chunks; its results still come back in input order.
+//!
+//! Nesting: every worker thread carries a thread-local marker
+//! ([`in_worker`]). [`ThreadPool::map_with`] runs inline when called from
+//! inside a worker, so a parallel sweep whose items themselves fan out
+//! (a device job aligning its pairs on every core) does not oversubscribe
+//! the host.
 
+use std::cell::Cell;
 use std::ops::Range;
-use std::sync::mpsc;
+use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{mpsc, OnceLock};
 
-/// Host threads available to this process (>= 1).
+/// Host threads available to this process (>= 1). Read once and cached:
+/// `std::thread::available_parallelism` re-reads the cgroup files on every
+/// Linux call, and per-job callers ask for it on a hot path.
 pub fn available_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
+    static THREADS: OnceLock<usize> = OnceLock::new();
+    *THREADS.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|n| n.get())
+            .unwrap_or(1)
+    })
+}
+
+thread_local! {
+    static IN_WORKER: Cell<bool> = const { Cell::new(false) };
+}
+
+/// Is the current thread running pool work? True inside the spawned
+/// workers of [`ThreadPool::map`], on every thread of a parallel
+/// [`ThreadPool::map_with`] (the caller's included) while it runs, and on
+/// both sides of [`join`].
+pub fn in_worker() -> bool {
+    IN_WORKER.with(Cell::get)
+}
+
+/// Marks the current thread as a pool worker until dropped (also on
+/// unwind), restoring whatever it was before.
+struct WorkerMark(bool);
+
+impl WorkerMark {
+    fn enter() -> Self {
+        WorkerMark(IN_WORKER.with(|w| w.replace(true)))
+    }
+}
+
+impl Drop for WorkerMark {
+    fn drop(&mut self) {
+        IN_WORKER.with(|w| w.set(self.0));
+    }
+}
+
+/// Run `a` on the caller's thread and `b` on a scoped worker thread at the
+/// same time, both marked as pool workers ([`in_worker`]) so that neither
+/// fans out further; returns both results. A panic in `b` propagates.
+pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
+where
+    A: FnOnce() -> RA,
+    B: FnOnce() -> RB + Send,
+    RB: Send,
+{
+    std::thread::scope(|scope| {
+        let worker = scope.spawn(|| {
+            let _mark = WorkerMark::enter();
+            b()
+        });
+        let ra = {
+            let _mark = WorkerMark::enter();
+            a()
+        };
+        match worker.join() {
+            Ok(rb) => (ra, rb),
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    })
 }
 
 /// Split `0..len` into at most `chunks` contiguous ranges whose sizes
@@ -94,6 +164,7 @@ impl ThreadPool {
                 let start = range.start;
                 let slice = &items[range.clone()];
                 handles.push(scope.spawn(move || {
+                    let _mark = WorkerMark::enter();
                     let out: Vec<R> = slice
                         .iter()
                         .enumerate()
@@ -120,6 +191,78 @@ impl ThreadPool {
             .into_iter()
             .flat_map(|p| p.expect("every worker delivers exactly one chunk"))
             .collect()
+    }
+
+    /// Apply `f(&mut state, index, &item)` to every item, returning results
+    /// in input order; each worker owns one of `states` for the whole call.
+    ///
+    /// The width is `threads` capped at `items.len()`, and 1 when called
+    /// from inside a pool worker ([`in_worker`]). `states` grows (with
+    /// `S::default()`) to that width and is never shrunk, so a caller that
+    /// keeps the vector keeps its per-worker state — scratch buffers, say —
+    /// across calls. At width 1 everything runs inline on the caller's
+    /// thread with `states[0]`, spawning nothing. Wider, the caller works
+    /// too (with `states[0]`), and the workers claim items one at a time
+    /// from a shared cursor, so a slow or descheduled worker simply takes
+    /// fewer. Which state serves an item therefore depends on timing; the
+    /// results do not, as long as `f`'s answer does not depend on the
+    /// state it is handed.
+    pub fn map_with<S, T, R, F>(&self, states: &mut Vec<S>, items: &[T], f: F) -> Vec<R>
+    where
+        S: Default + Send,
+        T: Sync,
+        R: Send,
+        F: Fn(&mut S, usize, &T) -> R + Sync,
+    {
+        let width = if in_worker() {
+            1
+        } else {
+            self.threads.min(items.len()).max(1)
+        };
+        if states.len() < width {
+            states.resize_with(width, S::default);
+        }
+        let Some((first, rest)) = states.split_first_mut() else {
+            return Vec::new();
+        };
+        if width == 1 {
+            return items
+                .iter()
+                .enumerate()
+                .map(|(i, t)| f(first, i, t))
+                .collect();
+        }
+        // The cursor only hands out indices; results travel back through
+        // the joins, so `Relaxed` suffices.
+        let cursor = AtomicUsize::new(0);
+        let drain = |state: &mut S| -> Vec<(usize, R)> {
+            let _mark = WorkerMark::enter();
+            let mut out = Vec::new();
+            loop {
+                let i = cursor.fetch_add(1, Ordering::Relaxed);
+                let Some(item) = items.get(i) else {
+                    return out;
+                };
+                out.push((i, f(state, i, item)));
+            }
+        };
+        let mut indexed = std::thread::scope(|scope| {
+            let drain = &drain;
+            let handles: Vec<_> = rest[..width - 1]
+                .iter_mut()
+                .map(|state| scope.spawn(move || drain(state)))
+                .collect();
+            let mut out = drain(first);
+            for handle in handles {
+                match handle.join() {
+                    Ok(part) => out.extend(part),
+                    Err(payload) => std::panic::resume_unwind(payload),
+                }
+            }
+            out
+        });
+        indexed.sort_unstable_by_key(|&(i, _)| i);
+        indexed.into_iter().map(|(_, r)| r).collect()
     }
 }
 
@@ -186,6 +329,114 @@ mod tests {
         let pool = ThreadPool::new(8);
         assert_eq!(pool.map(&[] as &[u32], |_, &x| x), Vec::<u32>::new());
         assert_eq!(pool.map(&[5u32], |i, &x| (i, x)), vec![(0, 5)]);
+    }
+
+    #[test]
+    fn map_with_preserves_input_order_at_every_width() {
+        let items: Vec<u64> = (0..97).collect();
+        let expect: Vec<(usize, u64)> = items.iter().map(|&x| (x as usize, x * 3)).collect();
+        for threads in [1, 2, 3, 8] {
+            let mut states: Vec<u64> = Vec::new();
+            let got = ThreadPool::new(threads).map_with(&mut states, &items, |seen, i, &x| {
+                *seen += 1;
+                (i, x * 3)
+            });
+            assert_eq!(got, expect, "threads={threads}");
+            assert_eq!(states.len(), threads, "one state per worker");
+            assert_eq!(states.iter().sum::<u64>(), 97, "every item ran once");
+        }
+    }
+
+    #[test]
+    fn map_with_reuses_each_workers_state_across_items_and_calls() {
+        // Each state records the indices it served. Every item is served
+        // once per call, each worker claims in ascending order, and the
+        // same vectors keep growing on the next call.
+        let items = [(); 10];
+        let mut states: Vec<Vec<usize>> = Vec::new();
+        let pool = ThreadPool::new(3);
+        for call in 1..=2 {
+            pool.map_with(&mut states, &items, |seen, i, _| seen.push(i));
+            assert_eq!(states.len(), 3);
+            let mut all: Vec<usize> = states.iter().flatten().copied().collect();
+            all.sort_unstable();
+            let expect: Vec<usize> = (0..10).flat_map(|i| std::iter::repeat_n(i, call)).collect();
+            assert_eq!(all, expect, "call {call}");
+        }
+        for seen in &states {
+            let mut calls = seen.windows(2).filter(|w| w[1] <= w[0]).count();
+            calls += usize::from(!seen.is_empty());
+            assert!(calls <= 2, "one ascending run per call: {seen:?}");
+        }
+        // At width 1 the caller's state serves every item, and a narrower
+        // call keeps the wider state vector.
+        let before = states[0].len();
+        pool.map_with(&mut states, &items[..1], |seen, i, _| seen.push(i));
+        assert_eq!(states.len(), 3);
+        assert_eq!(states[0].len(), before + 1);
+        let mut inline: Vec<u32> = Vec::new();
+        ThreadPool::new(1).map_with(&mut inline, &items, |n, _, _| *n += 1);
+        assert_eq!(inline, vec![10]);
+    }
+
+    #[test]
+    fn map_with_nested_inside_a_worker_runs_inline() {
+        assert!(!in_worker());
+        let outer = ThreadPool::new(2).map_with(&mut Vec::<()>::new(), &[0, 1], |_, _, _| {
+            let me = std::thread::current().id();
+            let mut inner_states: Vec<u8> = Vec::new();
+            let inner = ThreadPool::new(4).map_with(&mut inner_states, &[(); 6], |_, _, _| {
+                (std::thread::current().id(), in_worker())
+            });
+            (
+                inner.iter().all(|&(id, marked)| id == me && marked),
+                inner_states.len(),
+            )
+        });
+        assert_eq!(outer, vec![(true, 1), (true, 1)]);
+        // Plain `map` workers count as workers too.
+        let nested = ThreadPool::new(2).map(&[0, 1], |_, _| {
+            let mut states: Vec<u8> = Vec::new();
+            ThreadPool::new(4).map_with(&mut states, &[(); 6], |_, _, _| ());
+            states.len()
+        });
+        assert_eq!(nested, vec![1, 1]);
+        assert!(!in_worker(), "the marker is cleared on the caller");
+    }
+
+    #[test]
+    fn join_runs_both_sides_as_workers() {
+        let caller = std::thread::current().id();
+        let (a, b) = join(
+            || (std::thread::current().id(), in_worker()),
+            || (std::thread::current().id(), in_worker()),
+        );
+        assert_eq!(a, (caller, true));
+        assert!(b.0 != caller && b.1);
+        assert!(!in_worker());
+    }
+
+    #[test]
+    #[should_panic(expected = "stateful boom")]
+    fn map_with_worker_panic_propagates() {
+        let items: Vec<i32> = (0..16).collect();
+        ThreadPool::new(4).map_with(&mut Vec::<u8>::new(), &items, |_, _, &x| {
+            assert!(x != 13, "stateful boom");
+            x
+        });
+    }
+
+    #[test]
+    fn map_with_panic_leaves_the_caller_unmarked() {
+        let items: Vec<i32> = (0..8).collect();
+        let caught = std::panic::catch_unwind(|| {
+            ThreadPool::new(2).map_with(&mut Vec::<u8>::new(), &items, |_, _, &x| {
+                assert!(x != 0, "first item boom");
+                x
+            })
+        });
+        assert!(caught.is_err());
+        assert!(!in_worker());
     }
 
     #[test]

@@ -37,7 +37,7 @@
 
 use crate::api::{AlignmentResult, DriverError, JobResult, WaitMode, WfasicDriver};
 use crate::batch::{BatchJob, BatchScheduler};
-use wfa_core::pool::ThreadPool;
+use wfa_core::pool::{self, ThreadPool};
 use wfa_core::{
     swg_align, wfa_align_seqs_with_arena, AdaptiveParams, AlignStrategy, Penalties, WavefrontArena,
     WfaOptions,
@@ -1047,38 +1047,34 @@ impl AlignmentBackend for HeterogeneousBackend {
             deadline: job.deadline,
         };
 
-        // The accelerator simulates on this thread while a scoped host
-        // worker answers the out-of-envelope partition — the lanes never
-        // wait on the CPU route. The worker routes by strategy: realistic
-        // long reads (the usual reason a pair misses the envelope) take
-        // the linear-memory BiWFA engine under the default `Auto` policy.
+        // The accelerator simulates on this thread while a host worker
+        // answers the out-of-envelope partition — the lanes never wait on
+        // the CPU route. The worker routes by strategy: realistic long
+        // reads (the usual reason a pair misses the envelope) take the
+        // linear-memory BiWFA engine under the default `Auto` policy. Both
+        // sides run as pool workers, so while the CPU side runs the device
+        // does not also spread its jobs over the host's threads.
         let penalties = self.cpu.penalties;
         let backtrace = job.backtrace;
         let route = self.cpu.route;
         let cpu_pairs: Vec<&Pair> = cpu_idx.iter().map(|&i| &job.pairs[i]).collect();
-        let (accel_out, cpu_out) = std::thread::scope(|scope| {
-            let worker = scope.spawn(move || {
-                let mut arena = WavefrontArena::new();
-                cpu_pairs
-                    .iter()
-                    .map(|p| {
-                        CpuWfaBackend::align_pair_routed(
-                            &mut arena, penalties, &route, p, backtrace, true,
-                        )
-                    })
-                    .collect::<Vec<(AlignmentResult, AlignStrategy, u64)>>()
-            });
-            let accel_out = if dev_job.pairs.is_empty() {
-                None
-            } else {
-                Some(self.accel.align_batch(&dev_job))
-            };
-            let cpu_out = match worker.join() {
-                Ok(results) => results,
-                Err(payload) => std::panic::resume_unwind(payload),
-            };
-            (accel_out, cpu_out)
-        });
+        let mut device = || (!dev_job.pairs.is_empty()).then(|| self.accel.align_batch(&dev_job));
+        let cpu = move || {
+            let mut arena = WavefrontArena::new();
+            cpu_pairs
+                .iter()
+                .map(|p| {
+                    CpuWfaBackend::align_pair_routed(
+                        &mut arena, penalties, &route, p, backtrace, true,
+                    )
+                })
+                .collect::<Vec<(AlignmentResult, AlignStrategy, u64)>>()
+        };
+        let (accel_out, cpu_out) = if cpu_idx.is_empty() {
+            (device(), Vec::new())
+        } else {
+            pool::join(device, cpu)
+        };
 
         // Fill the device partition back in, recovering overflowed pairs
         // (score over the envelope, unknown bases, fault damage) — and the
