@@ -70,7 +70,7 @@ pub struct PairReport {
 }
 
 /// The report of one accelerator job.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RunReport {
     /// Absolute cycle at which everything completed. For a job launched at
     /// cycle 0 (the single-device path) this is the job duration; for a

@@ -419,7 +419,7 @@ pub fn perf_breakdown(sizes: &Sizes) -> Vec<PerfRow> {
         .map(|spec| {
             let set = spec.generate(sizes.pairs_for(spec), sizes.seed);
             let mut drv = WfasicDriver::new(cfg);
-            drv.collect_perf = true;
+            drv.policy.collect_perf = true;
             let job = drv
                 .submit(&set.pairs, false, WaitMode::PollIdle)
                 .expect("fault-free job cannot fail");
@@ -440,7 +440,7 @@ pub fn trace_json(spec: &InputSetSpec, sizes: &Sizes) -> String {
     use wfasic_driver::{WaitMode, WfasicDriver};
     let set = spec.generate(sizes.pairs_for(spec), sizes.seed);
     let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip().with_aligners(2));
-    drv.collect_perf = true;
+    drv.policy.collect_perf = true;
     let job = drv
         .submit(&set.pairs, false, WaitMode::PollIdle)
         .expect("fault-free job cannot fail");
@@ -578,8 +578,8 @@ pub fn fault_sweep(sizes: &Sizes) -> Vec<FaultSweepRow> {
         let set = spec.generate(sizes.pairs_for(&spec), sizes.seed);
         for rate in RATES {
             let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-            drv.cpu_fallback = true;
-            drv.max_retries = 2;
+            drv.policy.cpu_fallback = true;
+            drv.policy.max_retries = 2;
             if rate > 0.0 {
                 drv.device
                     .set_fault_plan(FaultPlan::uniform(sizes.seed ^ 0xFA17, rate));

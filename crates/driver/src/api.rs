@@ -1,36 +1,34 @@
 //! The Linux-driver-style API (paper §3/§5.3: "We use a standard Linux
 //! driver and API to configure the WFAsic accelerator").
 //!
-//! [`WfasicDriver`] owns the device and main memory, and exposes the flow
+//! [`WfasicDriver`] owns one device and main memory, and exposes the flow
 //! the paper's co-design uses: build the input image, program the
 //! memory-mapped registers over AXI-Lite, start the job, wait (polling Idle
 //! or taking the interrupt), then parse results — including the CPU-side
-//! backtrace when enabled.
+//! backtrace when enabled. [`WfasicDriver::submit`] is a one-lane call into
+//! the attempt loop in [`crate::job`], the same loop every lane of a
+//! [`crate::BatchScheduler`] runs.
 //!
-//! Robustness (paper §5.1, made a driver contract): [`WfasicDriver::submit`]
-//! returns a [`Result`] instead of asserting. A watchdog bounds how long the
-//! driver will wait on a job; device-refused jobs, watchdog timeouts, and
-//! unparseable result streams are retried up to [`WfasicDriver::max_retries`]
-//! times (injected faults are transients, so a resubmission can succeed).
-//! With [`WfasicDriver::cpu_fallback`] enabled, pairs the hardware could not
-//! complete — and whole jobs that exhaust their retries — are re-run through
-//! the software WFA ([`wfa_core::wfa_align`]) and marked
-//! [`AlignmentResult::recovered`], so the application always gets answers.
+//! Robustness (paper §5.1, made a driver contract): `submit` returns a
+//! [`Result`] instead of asserting. Under the driver's [`JobPolicy`] a
+//! watchdog bounds how long it waits on a job; device-refused jobs,
+//! watchdog timeouts and unparseable result streams are retried (injected
+//! faults are transients, so a resubmission can succeed). With CPU
+//! fallback on, pairs the hardware could not complete — and whole jobs
+//! that exhaust their retries — are re-run through the software WFA and
+//! marked [`AlignmentResult::recovered`], so the application always gets
+//! answers.
 
-use crate::backend::CpuWfaBackend;
-use crate::backtrace::{
-    backtrace_alignment, separate_stream, split_consecutive_stream, BtAlignment, BtError,
-};
+use crate::backtrace::BtError;
 use crate::cpu_model::BacktraceCosts;
 use crate::faults::{FaultClass, FaultLayer, Provenance};
+use crate::job::{self, JobPolicy, Lane, LaneTimeline};
 use wfa_core::cigar::Cigar;
 use wfasic_accel::device::{RunReport, WfasicDevice};
-use wfasic_accel::regs::{offsets, DeviceError};
+use wfasic_accel::regs::DeviceError;
 use wfasic_accel::schedule::WavefrontSchedule;
 use wfasic_accel::AccelConfig;
-use wfasic_seqio::dataset::round_up_16;
 use wfasic_seqio::generate::Pair;
-use wfasic_seqio::memimage::InputImage;
 use wfasic_soc::bus::AxiLite;
 use wfasic_soc::clock::Cycle;
 use wfasic_soc::mem::MainMemory;
@@ -98,7 +96,9 @@ pub struct JobResult {
     /// Per-alignment results, in submission order.
     pub results: Vec<AlignmentResult>,
     /// The accelerator's run report (cycles, bus stats, per-pair details)
-    /// from the last attempt.
+    /// from the last attempt, on the lane's timeline: a retry starts after
+    /// the failed attempt plus the backoff, so after a retry `start` is that
+    /// cycle and `total_cycles` includes the failed attempts.
     pub report: RunReport,
     /// AXI-Lite configuration cycles spent by the driver (all attempts).
     pub config_cycles: Cycle,
@@ -117,7 +117,7 @@ impl JobResult {
     }
 
     /// Per-stage cycle attribution for the last attempt, when the driver was
-    /// configured with [`WfasicDriver::collect_perf`]. The counters sum
+    /// configured with [`JobPolicy::collect_perf`]. The counters sum
     /// exactly to `report.total_cycles`.
     pub fn perf_breakdown(&self) -> Option<&PerfCounters> {
         self.report.perf.as_ref().map(|p| &p.counters)
@@ -248,35 +248,9 @@ pub struct WfasicDriver {
     pub axi_lite: AxiLite,
     /// CPU backtrace cost model.
     pub bt_costs: BacktraceCosts,
-    /// Force the data-separation method even with one Aligner (Fig. 11's
-    /// `[Sep]` configurations). Multi-Aligner jobs always separate.
-    pub force_separation: bool,
-    /// Give up on a job whose cycle count exceeds this bound (the driver's
-    /// watchdog timer against a wedged device).
-    pub watchdog_cycles: Cycle,
-    /// Resubmit a failed job this many times before giving up (injected
-    /// faults are transient, so retries genuinely help).
-    pub max_retries: u32,
-    /// Simulated cycles of deterministic backoff charged before each retry
-    /// (a real driver sleeps between resubmissions instead of hammering a
-    /// faulting device). Counts against the deadline budget.
-    pub retry_backoff_cycles: Cycle,
-    /// Optional cycle budget for the whole job (all attempts + backoff).
-    /// When the budget runs out the driver refuses with
-    /// [`DriverError::DeadlineExceeded`] instead of waiting or retrying
-    /// further — CPU fallback does **not** rescue a blown deadline; the
-    /// refusal is the contract. `None` = no deadline (the watchdog is then
-    /// the only bound).
-    pub deadline_cycles: Option<Cycle>,
-    /// Re-run failed pairs (and fully-failed jobs) through the software WFA
-    /// so the application always gets answers.
-    pub cpu_fallback: bool,
-    /// Output-buffer size programmed into `OUT_SIZE` (0 = unbounded).
-    pub out_size: u64,
-    /// Program `PERF_CTRL` so every job collects per-stage cycle
-    /// attribution, readable via [`JobResult::perf_breakdown`]. Attribution
-    /// is observational: it never changes cycle results.
-    pub collect_perf: bool,
+    /// Watchdog, retry, deadline, fallback and programming policy for
+    /// every job.
+    pub policy: JobPolicy,
     /// Where jobs are staged in main memory.
     pub layout: MemLayout,
     schedule: WavefrontSchedule,
@@ -291,325 +265,43 @@ impl WfasicDriver {
             mem: MainMemory::with_default_cap(),
             axi_lite: AxiLite::default(),
             bt_costs: BacktraceCosts::default(),
-            force_separation: false,
-            watchdog_cycles: 1 << 40,
-            max_retries: 1,
-            retry_backoff_cycles: 0,
-            deadline_cycles: None,
-            cpu_fallback: false,
-            out_size: 0,
-            collect_perf: false,
+            policy: JobPolicy::default(),
             layout: MemLayout::default(),
             schedule,
         }
     }
 
-    /// Submit a batch of pairs and run to completion.
+    /// Submit a batch of pairs and run to completion: one job on this
+    /// driver's device, starting at cycle 0, under [`Self::policy`].
     ///
     /// Failures (device refusal, watchdog timeout, unparseable results) are
-    /// retried up to [`Self::max_retries`] times; if every attempt fails the
-    /// job is either recovered entirely on the CPU
-    /// (when [`Self::cpu_fallback`] is set) or reported as an error.
+    /// retried up to [`JobPolicy::max_retries`] times; if every attempt
+    /// fails the job is either recovered entirely on the CPU (when
+    /// [`JobPolicy::cpu_fallback`] is set) or reported as an error.
     pub fn submit(
         &mut self,
         pairs: &[Pair],
         backtrace: bool,
         wait: WaitMode,
     ) -> Result<JobResult, DriverError> {
-        let max_read_len = round_up_16(
-            pairs
-                .iter()
-                .map(|p| p.a.len().max(p.b.len()))
-                .max()
-                .unwrap_or(16)
-                .max(16),
-        );
-        // The CPU parses the input and stores it in main memory (Fig. 4
-        // step 1), padding every sequence to MAX_READ_LEN with dummy bases.
-        let img = InputImage::encode_raw(pairs, max_read_len);
-        if self.layout.in_addr + img.bytes.len() as u64 > self.layout.out_addr {
-            return Err(DriverError::BatchTooLarge {
-                bytes: img.bytes.len(),
-            });
-        }
-
-        let separated = self.force_separation || self.device.cfg.num_aligners > 1;
-        let mut config_cycles: Cycle = 0;
-        let mut last_err = DriverError::Timeout {
-            waited: 0,
-            watchdog: self.watchdog_cycles,
+        let lane = Lane {
+            device: &mut self.device,
+            mem: &mut self.mem,
+            layout: self.layout,
+            axi_lite: self.axi_lite,
+            bt_costs: &self.bt_costs,
+            schedule: &self.schedule,
+            timeline: &mut LaneTimeline::default(),
         };
-        let mut last_report: Option<RunReport> = None;
-        // Cycle budget accounting: every attempt's duration and every retry
-        // backoff counts against the (optional) deadline.
-        let mut spent: Cycle = 0;
-
-        for attempt in 0..=self.max_retries {
-            if attempt > 0 {
-                spent += self.retry_backoff_cycles;
-            }
-            // (Re)stage the image and program the registers over AXI-Lite —
-            // a retry reprograms everything in case a fault corrupted the
-            // configuration path.
-            self.mem.write(self.layout.in_addr, &img.bytes);
-            let mut writes = 0u64;
-            let mut w = |dev: &mut WfasicDevice, off, val| {
-                dev.mmio_write(off, val);
-                writes += 1;
-            };
-            w(&mut self.device, offsets::BT_ENABLE, backtrace as u64);
-            w(&mut self.device, offsets::MAX_READ_LEN, max_read_len as u64);
-            w(&mut self.device, offsets::IN_ADDR, self.layout.in_addr);
-            w(&mut self.device, offsets::IN_SIZE, img.bytes.len() as u64);
-            w(&mut self.device, offsets::OUT_ADDR, self.layout.out_addr);
-            w(&mut self.device, offsets::OUT_SIZE, self.out_size);
-            w(
-                &mut self.device,
-                offsets::PERF_CTRL,
-                self.collect_perf as u64,
-            );
-            w(
-                &mut self.device,
-                offsets::IRQ_ENABLE,
-                matches!(wait, WaitMode::Interrupt) as u64,
-            );
-            w(&mut self.device, offsets::START, 1);
-            config_cycles += self.axi_lite.cycles_for(writes);
-
-            let report = self.device.run(&mut self.mem);
-
-            // Completion: take the interrupt, falling back to polling Idle
-            // if the interrupt was lost (e.g. a corrupted IRQ_ENABLE write).
-            debug_assert_eq!(self.device.mmio_read(offsets::IDLE), 1);
-
-            // Acknowledge any pending interrupt (write-1-to-clear) once the
-            // status registers have been collected. Always check, even when
-            // polling: a corrupted IRQ_ENABLE write can raise an interrupt
-            // the driver never asked for. The ack value itself travels over
-            // MMIO too and can arrive corrupted (a flipped bit 0 drops the
-            // clear), so verify the pending bit dropped and re-arm if not.
-            let error = report.error;
-            let waited = report.total_cycles;
-            for _ in 0..4 {
-                if self.device.mmio_read(offsets::IRQ_PENDING) == 0 {
-                    break;
-                }
-                self.device.mmio_write(offsets::IRQ_PENDING, 1);
-            }
-
-            spent += waited;
-            if let Some(budget) = self.deadline_cycles {
-                // The caller stopped waiting the moment the budget ran out:
-                // refuse with the typed error instead of parsing, retrying
-                // or falling back — a late answer is still a missed
-                // deadline.
-                if spent > budget {
-                    return Err(DriverError::DeadlineExceeded { budget, spent });
-                }
-            }
-            if waited > self.watchdog_cycles {
-                last_err = DriverError::Timeout {
-                    waited,
-                    watchdog: self.watchdog_cycles,
-                };
-                last_report = Some(report);
-                continue;
-            }
-            if let Some(e) = error {
-                last_err = DriverError::Device(e);
-                last_report = Some(report);
-                continue;
-            }
-
-            let parsed = if backtrace {
-                self.parse_bt_results(pairs, &report, separated)
-            } else {
-                Ok((self.parse_nbt_results(pairs, &report), 0))
-            };
-            match parsed {
-                Ok((mut results, cpu_backtrace_cycles)) => {
-                    if self.cpu_fallback {
-                        let mut cpu = CpuWfaBackend::new(self.device.cfg.penalties);
-                        for (res, pair) in results.iter_mut().zip(pairs) {
-                            if !res.success {
-                                *res = cpu.recover_pair(pair, backtrace);
-                            }
-                        }
-                    }
-                    return Ok(JobResult {
-                        results,
-                        report,
-                        config_cycles,
-                        cpu_backtrace_cycles,
-                        separated,
-                        retries: attempt,
-                    });
-                }
-                Err(e) => {
-                    last_err = DriverError::Stream(e);
-                    last_report = Some(report);
-                }
-            }
-        }
-
-        // Every attempt failed. Recover the whole batch on the CPU, or
-        // surface the last failure.
-        if self.cpu_fallback {
-            let mut cpu = CpuWfaBackend::new(self.device.cfg.penalties);
-            let results: Vec<AlignmentResult> = pairs
-                .iter()
-                .map(|p| cpu.recover_pair(p, backtrace))
-                .collect();
-            let report = last_report.expect("at least one attempt ran");
-            return Ok(JobResult {
-                results,
-                report,
-                config_cycles,
-                cpu_backtrace_cycles: 0,
-                separated,
-                retries: self.max_retries,
-            });
-        }
-        Err(last_err)
+        job::run_job(lane, &self.policy, pairs, backtrace, wait).result
     }
-
-    fn parse_nbt_results(&self, pairs: &[Pair], report: &RunReport) -> Vec<AlignmentResult> {
-        parse_nbt_results_at(&self.mem, self.layout.out_addr, pairs, report)
-    }
-
-    fn parse_bt_results(
-        &self,
-        pairs: &[Pair],
-        report: &RunReport,
-        separated: bool,
-    ) -> Result<(Vec<AlignmentResult>, Cycle), BtError> {
-        parse_bt_results_at(
-            &self.mem,
-            self.layout.out_addr,
-            &self.schedule,
-            &self.device.cfg,
-            &self.bt_costs,
-            pairs,
-            report,
-            separated,
-        )
-    }
-}
-
-/// Parse a job's NBT result records from `out_addr`.
-pub(crate) fn parse_nbt_results_at(
-    mem: &MainMemory,
-    out_addr: u64,
-    pairs: &[Pair],
-    report: &RunReport,
-) -> Vec<AlignmentResult> {
-    // An output window the memory cannot hold parses as no records.
-    let bytes = mem
-        .view(out_addr, report.output_bytes as usize)
-        .unwrap_or_default();
-    let recs = wfasic_accel::collector::parse_nbt_records(&bytes, pairs.len());
-    // A short or ID-mismatched record set (torn/corrupted output) leaves
-    // the affected pairs marked failed rather than crashing; the CPU
-    // fallback can then recover them.
-    let mut results: Vec<AlignmentResult> = pairs
-        .iter()
-        .map(|pair| AlignmentResult {
-            id: pair.id,
-            success: false,
-            score: 0,
-            cigar: None,
-            recovered: false,
-        })
-        .collect();
-    for (i, rec) in recs.iter().enumerate().take(pairs.len()) {
-        if rec.id as u32 == pairs[i].id & 0xFFFF {
-            results[i].success = rec.success;
-            results[i].score = rec.score as u32;
-        }
-    }
-    results
-}
-
-/// Parse a job's backtrace stream from `out_addr` and run the CPU
-/// backtrace, returning the results and the modeled CPU cycles.
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn parse_bt_results_at(
-    mem: &MainMemory,
-    out_addr: u64,
-    schedule: &WavefrontSchedule,
-    cfg: &AccelConfig,
-    bt_costs: &BacktraceCosts,
-    pairs: &[Pair],
-    report: &RunReport,
-    separated: bool,
-) -> Result<(Vec<AlignmentResult>, Cycle), BtError> {
-    // An output window the memory cannot hold reads as a cut-off stream.
-    let bytes = mem
-        .view(out_addr, report.output_bytes as usize)
-        .map_err(|_| BtError::TruncatedStream)?;
-    let alignments: Vec<BtAlignment> = if separated {
-        separate_stream(&bytes)?
-    } else {
-        split_consecutive_stream(&bytes)?
-    };
-    let by_id: std::collections::HashMap<u32, &BtAlignment> =
-        alignments.iter().map(|a| (a.id, a)).collect();
-
-    let p = cfg.penalties;
-    let ps = cfg.parallel_sections;
-    let mut cycles: Cycle = 0;
-    let mut results = Vec::with_capacity(pairs.len());
-    for pair in pairs {
-        let bt = by_id
-            .get(&(pair.id & 0x7F_FFFF))
-            .ok_or(BtError::TruncatedStream)?;
-        if !bt.record.success {
-            results.push(AlignmentResult {
-                id: pair.id,
-                success: false,
-                score: 0,
-                cigar: None,
-                recovered: false,
-            });
-            continue;
-        }
-        // Packed pairs replay packed; only raw (non-ACGT) sequences take
-        // the byte path, so the hot path never decodes to ASCII.
-        let cigar = match (pair.a.as_packed(), pair.b.as_packed()) {
-            (Some(pa), Some(pb)) => {
-                crate::backtrace::backtrace_alignment_packed(schedule, bt, pa, pb, &p, ps)?
-            }
-            _ => {
-                let (ba, bb) = (pair.a.bytes(), pair.b.bytes());
-                backtrace_alignment(schedule, bt, &ba, &bb, &p, ps)?
-            }
-        };
-        let edits = {
-            let st = cigar.stats();
-            st.edits()
-        };
-        cycles += bt_costs.cycles(
-            (bt.txns * 16) as u64,
-            edits,
-            (pair.a.len() + pair.b.len()) as u64,
-            separated,
-        );
-        results.push(AlignmentResult {
-            id: pair.id,
-            success: true,
-            score: bt.record.score as u32,
-            cigar: Some(cigar),
-            recovered: false,
-        });
-    }
-    Ok((results, cycles))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use wfa_core::{swg_score, Penalties};
-    use wfasic_accel::regs::error_code;
+    use wfasic_accel::regs::{error_code, offsets};
     use wfasic_seqio::dataset::InputSetSpec;
     use wfasic_soc::fault::FaultPlan;
 
@@ -687,7 +379,7 @@ mod tests {
         .generate(2, 5)
         .pairs;
         let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-        drv.force_separation = true;
+        drv.policy.force_separation = true;
         let sep_job = drv.submit(&pairs, true, WaitMode::PollIdle).unwrap();
         assert!(sep_job.separated);
 
@@ -749,7 +441,7 @@ mod tests {
         .pairs;
         pairs[1].b.set_byte(5, b'N');
         let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-        drv.cpu_fallback = true;
+        drv.policy.cpu_fallback = true;
         let job = drv.submit(&pairs, true, WaitMode::PollIdle).unwrap();
         assert_eq!(job.recovered_count(), 1);
         for res in &job.results {
@@ -774,14 +466,14 @@ mod tests {
         .generate(2, 9)
         .pairs;
         let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-        drv.watchdog_cycles = 1; // everything times out
+        drv.policy.watchdog_cycles = 1; // everything times out
         let err = drv.submit(&pairs, false, WaitMode::PollIdle).unwrap_err();
         assert!(
             matches!(err, DriverError::Timeout { watchdog: 1, .. }),
             "{err}"
         );
         // Device is still usable afterwards.
-        drv.watchdog_cycles = 1 << 40;
+        drv.policy.watchdog_cycles = 1 << 40;
         assert!(drv.submit(&pairs, false, WaitMode::PollIdle).is_ok());
     }
 
@@ -794,11 +486,11 @@ mod tests {
         .generate(2, 9)
         .pairs;
         let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-        drv.watchdog_cycles = 1;
-        drv.cpu_fallback = true;
+        drv.policy.watchdog_cycles = 1;
+        drv.policy.cpu_fallback = true;
         let job = drv.submit(&pairs, false, WaitMode::PollIdle).unwrap();
         assert_eq!(job.recovered_count(), 2);
-        assert_eq!(job.retries, drv.max_retries);
+        assert_eq!(job.retries, drv.policy.max_retries);
         for (res, pair) in job.results.iter().zip(&pairs) {
             assert!(res.success);
             assert_eq!(
@@ -817,7 +509,7 @@ mod tests {
         .generate(4, 11)
         .pairs;
         let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-        drv.out_size = 32; // too small for a BT stream -> OUT_OVERRUN
+        drv.policy.out_size = 32; // too small for a BT stream -> OUT_OVERRUN
         let err = drv.submit(&pairs, true, WaitMode::PollIdle).unwrap_err();
         match err {
             DriverError::Device(e) => assert_eq!(e.code, error_code::OUT_OVERRUN),
@@ -837,7 +529,7 @@ mod tests {
         .generate(6, 21)
         .pairs;
         let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-        drv.cpu_fallback = true;
+        drv.policy.cpu_fallback = true;
         drv.device.set_fault_plan(FaultPlan {
             bit_flip_per_beat: 0.2,
             drop_beat: 0.02,
@@ -878,7 +570,7 @@ mod tests {
         .generate(4, 13)
         .pairs;
         let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-        drv.collect_perf = true;
+        drv.policy.collect_perf = true;
         let job = drv.submit(&pairs, false, WaitMode::PollIdle).unwrap();
         let counters = job.perf_breakdown().expect("collect_perf was set");
         assert_eq!(counters.total(), job.report.total_cycles);

@@ -10,17 +10,18 @@
 //!
 //! * [`CpuWfaBackend`] — the software WFA oracle (arena-reused, optional
 //!   thread-pool fan-out). Its [`CpuWfaBackend::recover_pair`] is **the**
-//!   single CPU-fallback implementation: the driver retry path
-//!   ([`crate::WfasicDriver::submit`]) and the batch scheduler's per-lane
-//!   fallback both route through it.
+//!   single CPU-fallback implementation: the attempt loop in [`crate::job`]
+//!   (behind [`crate::WfasicDriver::submit`] and every scheduler lane)
+//!   routes through it.
 //! * [`SwgBackend`] — the full-DP Smith-Waterman-Gotoh reference (Eq. 2).
 //! * [`crate::RiscvBackend`] — the paper's CPU baseline: the hand-written
 //!   WFA kernel on the RV64IM interpreter with Sargantana-like timing,
 //!   cross-checked per pair against `wfa_align` and the analytic cost
 //!   model (see `crate::riscv_backend`).
-//! * [`DeviceBackend`] — one [`WfasicDriver`] over a single-lane WFAsic.
 //! * [`MultiLaneBackend`] — a [`BatchScheduler`] over an N-lane SoC with a
-//!   shared-port arbiter.
+//!   shared-port arbiter. [`BackendKind::Device`], the paper's taped-out
+//!   configuration, is its one-lane form ([`MultiLaneBackend::device`]):
+//!   each backend batch runs whole, as one job.
 //! * [`HeterogeneousBackend`] — accelerator lanes plus CPU workers:
 //!   out-of-envelope pairs (Eq. 5/6 — too long for the device, see
 //!   [`Capabilities`]) are routed to the CPU *before* submission (so they
@@ -35,8 +36,9 @@
 //! equally-optimal transcript (optimal alignments are not unique), which
 //! the backend-equivalence suite pins down precisely.
 
-use crate::api::{AlignmentResult, DriverError, JobResult, WaitMode, WfasicDriver};
+use crate::api::{AlignmentResult, DriverError};
 use crate::batch::{BatchJob, BatchScheduler};
+use crate::job::JobPolicy;
 use wfa_core::pool::{self, ThreadPool};
 use wfa_core::{
     swg_align, wfa_align_seqs_with_arena, AdaptiveParams, AlignStrategy, Penalties, WavefrontArena,
@@ -91,18 +93,6 @@ pub struct BackendBatch {
     /// dispatch order; empty for pure software engines). The trace hook for
     /// callers that need per-pair cycle detail or fault counters.
     pub reports: Vec<RunReport>,
-}
-
-impl BackendBatch {
-    fn from_job(job: JobResult) -> Self {
-        let perf = job.report.perf.clone();
-        BackendBatch {
-            results: job.results,
-            sim_cycles: Some(job.report.total_cycles),
-            perf,
-            reports: vec![job.report],
-        }
-    }
 }
 
 /// Which CPU alignment strategy a policy asks for — either a fixed
@@ -296,33 +286,31 @@ impl BackendCounters {
 }
 
 /// Watchdog / retry / fallback / perf policy, applied in **one** place (the
-/// service layer) instead of being re-plumbed at every call site.
+/// service layer) instead of being re-plumbed at every call site. Its
+/// per-job fields map onto a [`JobPolicy`] in [`AlignPolicy::job_policy`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AlignPolicy {
-    /// Give up on a job whose device cycle count exceeds this bound.
+    /// [`JobPolicy::watchdog_cycles`].
     pub watchdog_cycles: Cycle,
-    /// Resubmit a failed device job this many times.
+    /// [`JobPolicy::max_retries`].
     pub max_retries: u32,
-    /// Simulated cycles of deterministic backoff before each retry; counts
-    /// against the deadline budget.
+    /// [`JobPolicy::retry_backoff_cycles`].
     pub retry_backoff_cycles: Cycle,
-    /// Default cycle budget per job (all attempts + backoff); a job's own
-    /// [`BatchJob::deadline`] overrides it. When the budget runs out the
-    /// job gets a typed [`DriverError::DeadlineExceeded`] refusal instead
-    /// of an unbounded wait. `None` = no deadline.
+    /// [`JobPolicy::deadline_cycles`]; a job's own [`BatchJob::deadline`]
+    /// overrides it.
     pub deadline_cycles: Option<Cycle>,
     /// Quarantine a device lane after this many consecutive job failures
-    /// (0 = circuit breaker off). Single-lane engines ignore this.
+    /// (0 = circuit breaker off). Every device-backed engine has a breaker,
+    /// the one-lane `device` backend included.
     pub quarantine_threshold: u32,
     /// Cycles a quarantined lane sits out before probation re-admission.
     pub quarantine_cooldown: Cycle,
     /// Retire a lane permanently after this many quarantines (0 = never).
     pub retire_after: u32,
-    /// Re-run failed pairs (and fully-failed jobs) through the software WFA
-    /// inside the driver. [`HeterogeneousBackend`] recovers on the CPU
-    /// regardless — that is its contract.
+    /// [`JobPolicy::cpu_fallback`]. [`HeterogeneousBackend`] recovers on
+    /// the CPU regardless — that is its contract.
     pub cpu_fallback: bool,
-    /// Collect per-stage cycle attribution on device jobs.
+    /// [`JobPolicy::collect_perf`].
     pub collect_perf: bool,
     /// Which engine CPU-routed pairs run on ([`StrategySelect::Auto`]
     /// routes by length; the device lanes are unaffected).
@@ -337,16 +325,17 @@ pub struct AlignPolicy {
 
 impl Default for AlignPolicy {
     fn default() -> Self {
+        let job = JobPolicy::default();
         AlignPolicy {
-            watchdog_cycles: 1 << 40,
-            max_retries: 1,
-            retry_backoff_cycles: 0,
-            deadline_cycles: None,
+            watchdog_cycles: job.watchdog_cycles,
+            max_retries: job.max_retries,
+            retry_backoff_cycles: job.retry_backoff_cycles,
+            deadline_cycles: job.deadline_cycles,
             quarantine_threshold: 0,
             quarantine_cooldown: 0,
             retire_after: 0,
-            cpu_fallback: false,
-            collect_perf: false,
+            cpu_fallback: job.cpu_fallback,
+            collect_perf: job.collect_perf,
             strategy: StrategySelect::Auto,
             long_read_threshold: AlignPolicy::DEFAULT_LONG_READ_THRESHOLD,
             adaptive: None,
@@ -355,6 +344,20 @@ impl Default for AlignPolicy {
 }
 
 impl AlignPolicy {
+    /// This policy's per-job fields over `base`, which keeps the two fields
+    /// a service policy does not set (`force_separation`, `out_size`).
+    pub fn job_policy(&self, base: JobPolicy) -> JobPolicy {
+        JobPolicy {
+            watchdog_cycles: self.watchdog_cycles,
+            max_retries: self.max_retries,
+            retry_backoff_cycles: self.retry_backoff_cycles,
+            deadline_cycles: self.deadline_cycles,
+            cpu_fallback: self.cpu_fallback,
+            collect_perf: self.collect_perf,
+            ..base
+        }
+    }
+
     /// Default `Auto` cutover to BiWFA: at 10 kb the exact engine's
     /// full-history footprint crosses into hundreds of megabytes at
     /// realistic long-read error rates.
@@ -399,7 +402,7 @@ pub trait AlignmentBackend {
     fn counters(&self) -> BackendCounters;
 
     /// Per-lane circuit-breaker health, for engines with device lanes
-    /// (empty for pure software engines and the single-lane device).
+    /// (empty for pure software engines).
     fn lane_health(&self) -> Vec<crate::batch::LaneHealth> {
         Vec::new()
     }
@@ -432,7 +435,7 @@ pub enum BackendKind {
     Swg,
     /// [`crate::RiscvBackend`].
     Riscv,
-    /// [`DeviceBackend`].
+    /// [`MultiLaneBackend::device`]: one lane, whole batches.
     Device,
     /// [`MultiLaneBackend`].
     MultiLane,
@@ -475,7 +478,7 @@ impl BackendKind {
             BackendKind::Cpu => Box::new(CpuWfaBackend::new(cfg.penalties)),
             BackendKind::Swg => Box::new(SwgBackend::new(cfg.penalties)),
             BackendKind::Riscv => Box::new(crate::RiscvBackend::new(cfg.penalties)),
-            BackendKind::Device => Box::new(DeviceBackend::new(cfg)),
+            BackendKind::Device => Box::new(MultiLaneBackend::device(cfg)),
             BackendKind::MultiLane => Box::new(MultiLaneBackend::new(cfg, lanes)),
             BackendKind::Heterogeneous => Box::new(HeterogeneousBackend::new(cfg, lanes)),
         }
@@ -608,31 +611,25 @@ impl CpuWfaBackend {
 
     /// Align one pair as a primary engine (not a recovery).
     pub fn align_pair(&mut self, pair: &Pair, backtrace: bool) -> AlignmentResult {
-        let (result, strategy, peak) = Self::align_pair_routed(
-            &mut self.arena,
-            self.penalties,
-            &self.route,
-            pair,
-            backtrace,
-            false,
-        );
-        Self::tally(&mut self.counters, strategy, peak);
-        result
+        self.answer(pair, backtrace, false)
     }
 
     /// Recover one pair a device-backed path could not complete. This is
-    /// the single CPU-fallback implementation behind
-    /// [`crate::WfasicDriver::submit`] and the batch scheduler's per-lane
-    /// fallback.
+    /// the single CPU-fallback implementation behind the attempt loop in
+    /// [`crate::job`] and the heterogeneous backend.
     pub fn recover_pair(&mut self, pair: &Pair, backtrace: bool) -> AlignmentResult {
         self.counters.recovered_pairs += 1;
+        self.answer(pair, backtrace, true)
+    }
+
+    fn answer(&mut self, pair: &Pair, backtrace: bool, recovered: bool) -> AlignmentResult {
         let (result, strategy, peak) = Self::align_pair_routed(
             &mut self.arena,
             self.penalties,
             &self.route,
             pair,
             backtrace,
-            true,
+            recovered,
         );
         Self::tally(&mut self.counters, strategy, peak);
         result
@@ -778,90 +775,6 @@ impl AlignmentBackend for SwgBackend {
 }
 
 // ---------------------------------------------------------------------------
-// DeviceBackend
-// ---------------------------------------------------------------------------
-
-/// A single-lane WFAsic behind the [`WfasicDriver`] — the paper's taped-out
-/// configuration, one job at a time.
-#[derive(Debug)]
-pub struct DeviceBackend {
-    /// The driver (device + memory + policy). Public so tests can install
-    /// fault plans or tweak the layout.
-    pub driver: WfasicDriver,
-    counters: BackendCounters,
-}
-
-impl DeviceBackend {
-    /// Bring up a fresh device.
-    pub fn new(cfg: AccelConfig) -> Self {
-        Self::from_driver(WfasicDriver::new(cfg))
-    }
-
-    /// Wrap an existing (possibly customized) driver.
-    pub fn from_driver(driver: WfasicDriver) -> Self {
-        DeviceBackend {
-            driver,
-            counters: BackendCounters::default(),
-        }
-    }
-}
-
-impl AlignmentBackend for DeviceBackend {
-    fn capabilities(&self) -> Capabilities {
-        let cfg = &self.driver.device.cfg;
-        Capabilities {
-            name: "device",
-            max_len: cfg.max_supported_len,
-            score_max: Some(cfg.score_max()),
-            lanes: 1,
-            simulated: true,
-        }
-    }
-
-    fn align_batch(&mut self, job: &BatchJob) -> Result<BackendBatch, DriverError> {
-        match self
-            .driver
-            .submit(&job.pairs, job.backtrace, WaitMode::PollIdle)
-        {
-            Ok(result) => {
-                let batch = BackendBatch::from_job(result);
-                self.counters.absorb(&batch);
-                Ok(batch)
-            }
-            Err(e) => {
-                self.counters.errors += 1;
-                Err(e)
-            }
-        }
-    }
-
-    fn counters(&self) -> BackendCounters {
-        let mut c = self.counters;
-        c.faults = self.driver.device.fault_counters();
-        c
-    }
-
-    fn set_lane_fault_plan(&mut self, lane: usize, plan: FaultPlan) {
-        if lane == 0 {
-            self.driver.device.set_fault_plan(plan);
-        }
-    }
-
-    fn reset_counters(&mut self) {
-        self.counters = BackendCounters::default();
-    }
-
-    fn apply_policy(&mut self, policy: &AlignPolicy) {
-        self.driver.watchdog_cycles = policy.watchdog_cycles;
-        self.driver.max_retries = policy.max_retries;
-        self.driver.retry_backoff_cycles = policy.retry_backoff_cycles;
-        self.driver.deadline_cycles = policy.deadline_cycles;
-        self.driver.cpu_fallback = policy.cpu_fallback;
-        self.driver.collect_perf = policy.collect_perf;
-    }
-}
-
-// ---------------------------------------------------------------------------
 // MultiLaneBackend
 // ---------------------------------------------------------------------------
 
@@ -877,23 +790,34 @@ pub struct MultiLaneBackend {
     /// The scheduler (SoC + memory + policy). Public so tests can install
     /// per-lane fault plans or change the dispatch policy.
     pub sched: BatchScheduler,
-    /// Pairs per sub-job ([`DEFAULT_LANE_CHUNK`] by default).
+    /// Pairs per sub-job ([`DEFAULT_LANE_CHUNK`] by default). A batch that
+    /// fits one chunk runs as one job, passed through uncopied; an empty
+    /// batch runs no job, except on `device` (`usize::MAX`), which runs
+    /// every batch whole as the lone driver does.
     pub chunk: usize,
+    name: &'static str,
     counters: BackendCounters,
 }
 
 impl MultiLaneBackend {
     /// A backend over `lanes` identically-configured lanes.
     pub fn new(cfg: AccelConfig, lanes: usize) -> Self {
-        Self::from_scheduler(BatchScheduler::new(cfg, lanes))
+        MultiLaneBackend {
+            sched: BatchScheduler::new(cfg, lanes),
+            chunk: DEFAULT_LANE_CHUNK,
+            name: "multilane",
+            counters: BackendCounters::default(),
+        }
     }
 
-    /// Wrap an existing (possibly customized) scheduler.
-    pub fn from_scheduler(sched: BatchScheduler) -> Self {
+    /// The paper's taped-out configuration, named `device`: one lane that
+    /// runs every backend batch whole, as one job, so a batch of any size
+    /// takes the cycles of one driver submit.
+    pub fn device(cfg: AccelConfig) -> Self {
         MultiLaneBackend {
-            sched,
-            chunk: DEFAULT_LANE_CHUNK,
-            counters: BackendCounters::default(),
+            chunk: usize::MAX,
+            name: "device",
+            ..Self::new(cfg, 1)
         }
     }
 }
@@ -902,7 +826,7 @@ impl AlignmentBackend for MultiLaneBackend {
     fn capabilities(&self) -> Capabilities {
         let cfg = self.sched.soc.lane(0).cfg;
         Capabilities {
-            name: "multilane",
+            name: self.name,
             max_len: cfg.max_supported_len,
             score_max: Some(cfg.score_max()),
             lanes: self.sched.num_lanes(),
@@ -912,16 +836,23 @@ impl AlignmentBackend for MultiLaneBackend {
 
     fn align_batch(&mut self, job: &BatchJob) -> Result<BackendBatch, DriverError> {
         let chunk = self.chunk.max(1);
-        let jobs: Vec<BatchJob> = job
-            .pairs
-            .chunks(chunk)
-            .map(|pairs| BatchJob {
-                pairs: pairs.to_vec(),
-                backtrace: job.backtrace,
-                deadline: job.deadline,
-            })
-            .collect();
-        let batch = self.sched.submit_batch(&jobs);
+        let chunked: Vec<BatchJob>;
+        let whole = self.chunk == usize::MAX || (1..=chunk).contains(&job.pairs.len());
+        let jobs = if whole {
+            std::slice::from_ref(job)
+        } else {
+            chunked = job
+                .pairs
+                .chunks(chunk)
+                .map(|pairs| BatchJob {
+                    pairs: pairs.to_vec(),
+                    backtrace: job.backtrace,
+                    deadline: job.deadline,
+                })
+                .collect();
+            &chunked
+        };
+        let batch = self.sched.submit_batch(jobs);
         let mut results = Vec::with_capacity(job.pairs.len());
         let mut perf: Option<JobPerf> = None;
         let mut reports = Vec::with_capacity(batch.jobs.len());
@@ -978,15 +909,11 @@ impl AlignmentBackend for MultiLaneBackend {
     }
 
     fn apply_policy(&mut self, policy: &AlignPolicy) {
-        self.sched.watchdog_cycles = policy.watchdog_cycles;
-        self.sched.max_retries = policy.max_retries;
-        self.sched.retry_backoff_cycles = policy.retry_backoff_cycles;
-        self.sched.deadline_cycles = policy.deadline_cycles;
-        self.sched.quarantine_threshold = policy.quarantine_threshold;
-        self.sched.quarantine_cooldown = policy.quarantine_cooldown;
-        self.sched.retire_after = policy.retire_after;
-        self.sched.cpu_fallback = policy.cpu_fallback;
-        self.sched.collect_perf = policy.collect_perf;
+        let sched = &mut self.sched;
+        sched.policy = policy.job_policy(sched.policy);
+        sched.quarantine_threshold = policy.quarantine_threshold;
+        sched.quarantine_cooldown = policy.quarantine_cooldown;
+        sched.retire_after = policy.retire_after;
     }
 }
 
@@ -1214,20 +1141,6 @@ mod tests {
     }
 
     #[test]
-    fn device_backend_matches_raw_driver() {
-        let p = pairs(4, 100, 0xD0D0);
-        let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-        let want = drv.submit(&p, true, WaitMode::PollIdle).unwrap();
-        let mut backend = DeviceBackend::new(AccelConfig::wfasic_chip());
-        let got = backend.align_batch(&BatchJob::with_backtrace(p)).unwrap();
-        assert_eq!(got.sim_cycles, Some(want.report.total_cycles));
-        for (a, b) in got.results.iter().zip(&want.results) {
-            assert_eq!((a.id, a.success, a.score), (b.id, b.success, b.score));
-            assert_eq!(a.cigar, b.cigar);
-        }
-    }
-
-    #[test]
     fn multilane_chunks_and_preserves_order() {
         let p = pairs(10, 80, 0x1A4E);
         let mut backend = MultiLaneBackend::new(AccelConfig::wfasic_chip(), 3);
@@ -1239,6 +1152,20 @@ mod tests {
         let want: Vec<u32> = p.iter().map(|x| x.id).collect();
         assert_eq!(ids, want);
         assert!(got.sim_cycles.unwrap() > 0);
+    }
+
+    #[test]
+    fn empty_batch_runs_a_job_only_on_device() {
+        let cfg = AccelConfig::wfasic_chip();
+        let empty = BatchJob::score_only(Vec::new());
+        for (mut backend, jobs) in [
+            (MultiLaneBackend::device(cfg), 1),
+            (MultiLaneBackend::new(cfg, 3), 0),
+        ] {
+            let got = backend.align_batch(&empty).unwrap();
+            assert!(got.results.is_empty());
+            assert_eq!((got.reports.len(), got.sim_cycles), (jobs, Some(0)));
+        }
     }
 
     #[test]
@@ -1372,25 +1299,25 @@ mod tests {
             long_read_threshold: AlignPolicy::DEFAULT_LONG_READ_THRESHOLD,
             adaptive: None,
         };
-        let mut dev = DeviceBackend::new(AccelConfig::wfasic_chip());
+        let mut dev = MultiLaneBackend::device(AccelConfig::wfasic_chip());
         dev.apply_policy(&policy);
-        assert_eq!(dev.driver.watchdog_cycles, 123);
-        assert_eq!(dev.driver.max_retries, 7);
-        assert_eq!(dev.driver.retry_backoff_cycles, 55);
-        assert_eq!(dev.driver.deadline_cycles, Some(9_999));
-        assert!(dev.driver.cpu_fallback);
-        assert!(dev.driver.collect_perf);
+        assert_eq!(dev.sched.policy.watchdog_cycles, 123);
+        assert_eq!(dev.sched.policy.max_retries, 7);
+        assert_eq!(dev.sched.policy.retry_backoff_cycles, 55);
+        assert_eq!(dev.sched.policy.deadline_cycles, Some(9_999));
+        assert!(dev.sched.policy.cpu_fallback);
+        assert!(dev.sched.policy.collect_perf);
 
         let mut hetero = HeterogeneousBackend::new(AccelConfig::wfasic_chip(), 2);
         hetero.apply_policy(&policy);
-        assert_eq!(hetero.accel.sched.watchdog_cycles, 123);
-        assert_eq!(hetero.accel.sched.retry_backoff_cycles, 55);
-        assert_eq!(hetero.accel.sched.deadline_cycles, Some(9_999));
+        assert_eq!(hetero.accel.sched.policy.watchdog_cycles, 123);
+        assert_eq!(hetero.accel.sched.policy.retry_backoff_cycles, 55);
+        assert_eq!(hetero.accel.sched.policy.deadline_cycles, Some(9_999));
         assert_eq!(hetero.accel.sched.quarantine_threshold, 4);
         assert_eq!(hetero.accel.sched.quarantine_cooldown, 1_000);
         assert_eq!(hetero.accel.sched.retire_after, 2);
         assert!(
-            !hetero.accel.sched.cpu_fallback,
+            !hetero.accel.sched.policy.cpu_fallback,
             "hetero owns recovery itself"
         );
     }

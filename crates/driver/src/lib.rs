@@ -2,8 +2,11 @@
 //!
 //! Everything the paper's Fig. 4 runs on the CPU:
 //!
-//! * [`api`] — the Linux-driver-style interface (register programming over
-//!   AXI-Lite, Start/Idle/interrupt protocol, result parsing);
+//! * [`api`] — the Linux-driver-style interface: [`WfasicDriver`], one
+//!   device and its memory, whose `submit` is a one-lane call into [`job`];
+//! * [`job`] — the one attempt loop every device job runs (stage, program
+//!   the registers over AXI-Lite, start, wait, acknowledge, parse) and the
+//!   [`JobPolicy`] that bounds, retries and rescues it;
 //! * [`backend`] — the unified execution layer: every engine (software WFA,
 //!   SWG reference, single-lane device, multi-lane SoC, heterogeneous
 //!   CPU+accel) behind one [`AlignmentBackend`] trait;
@@ -11,7 +14,7 @@
 //!   stream: multi-Aligner data separation, single-Aligner no-separation
 //!   boundary detection, the origin walk, and match insertion (§4.5);
 //! * [`batch`] — the multi-lane batch scheduler: a queue of jobs dispatched
-//!   across N lanes with DMA/compute overlap, per-lane fault degradation,
+//!   across N lanes with DMA/compute overlap, a per-lane circuit breaker,
 //!   and submission-order results;
 //! * [`cpu_model`] — analytic Sargantana cycle models for the scalar and
 //!   vectorized CPU WFA baselines and the CPU backtrace costs;
@@ -27,17 +30,18 @@ pub mod batch;
 pub mod codesign;
 pub mod cpu_model;
 pub mod faults;
+pub mod job;
 pub mod riscv_backend;
 
 pub use api::{AlignmentResult, DriverError, JobResult, MemLayout, WaitMode, WfasicDriver};
 pub use backend::{
     AlignPolicy, AlignmentBackend, BackendBatch, BackendCounters, BackendKind, Capabilities,
-    CpuRoute, CpuWfaBackend, DeviceBackend, HeterogeneousBackend, MultiLaneBackend, StrategySelect,
-    SwgBackend,
+    CpuRoute, CpuWfaBackend, HeterogeneousBackend, MultiLaneBackend, StrategySelect, SwgBackend,
 };
 pub use backtrace::{backtrace_alignment, backtrace_alignment_packed, BtAlignment, BtError, Edit};
 pub use batch::{BatchJob, BatchResult, BatchScheduler, DispatchPolicy, LaneHealth, LaneState};
 pub use codesign::{run_experiment, ExperimentResult};
 pub use cpu_model::{software_backtrace_cycles, BacktraceCosts, CpuCosts};
 pub use faults::{FaultClass, FaultLayer, Provenance};
+pub use job::JobPolicy;
 pub use riscv_backend::RiscvBackend;

@@ -1,6 +1,7 @@
 //! Batch-scheduler system tests: submission-order integrity, DMA/compute
-//! overlap, 1-lane bit-identity with the single-device driver, per-lane
-//! perf-window invariants, and per-lane fault degradation.
+//! overlap, per-lane perf-window invariants, and per-lane fault
+//! degradation. (1-lane bit-identity with the single-device driver lives
+//! in the root `tests/backend_equivalence.rs`.)
 
 use wfa_core::prop;
 use wfasic_accel::AccelConfig;
@@ -34,37 +35,6 @@ fn assign_unique_ids(jobs: &mut [BatchJob]) {
 }
 
 #[test]
-fn batch_of_one_job_on_one_lane_is_bit_identical_to_the_driver() {
-    let cfg = AccelConfig::wfasic_chip();
-    let p = pairs(5, 100, 0xBA7C);
-
-    let mut drv = WfasicDriver::new(cfg);
-    drv.collect_perf = true;
-    let solo = drv.submit(&p, true, WaitMode::PollIdle).unwrap();
-
-    let mut sched = BatchScheduler::new(cfg, 1);
-    sched.collect_perf = true;
-    let batch = sched.submit_batch(&[BatchJob::with_backtrace(p.clone())]);
-    let job = batch.jobs[0].as_ref().unwrap();
-
-    assert_eq!(job.report.total_cycles, solo.report.total_cycles);
-    assert_eq!(job.report.output_bytes, solo.report.output_bytes);
-    assert_eq!(job.config_cycles, solo.config_cycles);
-    assert_eq!(job.cpu_backtrace_cycles, solo.cpu_backtrace_cycles);
-    assert_eq!(batch.total_cycles, solo.report.total_cycles);
-    for (a, b) in job.results.iter().zip(&solo.results) {
-        assert_eq!((a.id, a.success, a.score), (b.id, b.success, b.score));
-        assert_eq!(a.cigar, b.cigar);
-    }
-    // Same per-stage attribution, too.
-    assert_eq!(
-        job.perf_breakdown().unwrap(),
-        solo.perf_breakdown().unwrap()
-    );
-    assert_eq!(batch.arbiter.wait_cycles(), 0, "one lane never contends");
-}
-
-#[test]
 fn dma_of_the_next_job_overlaps_compute_of_the_previous() {
     let cfg = AccelConfig::wfasic_chip();
     let mut sched = BatchScheduler::new(cfg, 1);
@@ -95,7 +65,7 @@ fn both_policies_preserve_submission_order_and_lane_accounting() {
     let cfg = AccelConfig::wfasic_chip();
     for policy in [DispatchPolicy::RoundRobin, DispatchPolicy::ShortestQueue] {
         let mut sched = BatchScheduler::new(cfg, 3);
-        sched.policy = policy;
+        sched.dispatch = policy;
         let mut jobs: Vec<BatchJob> = (0..7)
             .map(|i| BatchJob::score_only(pairs(1 + i % 3, 60 + 20 * (i % 4), 40 + i as u64)))
             .collect();
@@ -128,7 +98,7 @@ fn both_policies_preserve_submission_order_and_lane_accounting() {
 fn per_lane_counters_attribute_every_cycle_of_the_batch_window() {
     let cfg = AccelConfig::wfasic_chip();
     let mut sched = BatchScheduler::new(cfg, 2);
-    sched.collect_perf = true;
+    sched.policy.collect_perf = true;
     let jobs = vec![
         BatchJob::score_only(pairs(4, 200, 11)),
         BatchJob::score_only(pairs(2, 100, 12)),
@@ -162,7 +132,7 @@ fn per_lane_counters_attribute_every_cycle_of_the_batch_window() {
 fn a_faulting_lane_degrades_to_cpu_answers_without_stalling_the_batch() {
     let cfg = AccelConfig::wfasic_chip();
     let mut sched = BatchScheduler::new(cfg, 2);
-    sched.cpu_fallback = true;
+    sched.policy.cpu_fallback = true;
     sched.set_lane_fault_plan(
         1,
         FaultPlan {
@@ -233,12 +203,12 @@ fn batches_never_drop_duplicate_or_reorder_jobs() {
         let n_jobs = rng.gen_range(1, 7);
         let cfg = AccelConfig::wfasic_chip();
         let mut sched = BatchScheduler::new(cfg, lanes);
-        sched.policy = if rng.gen_bool(0.5) {
+        sched.dispatch = if rng.gen_bool(0.5) {
             DispatchPolicy::RoundRobin
         } else {
             DispatchPolicy::ShortestQueue
         };
-        sched.cpu_fallback = true;
+        sched.policy.cpu_fallback = true;
         // Sometimes poison one lane; cpu_fallback still answers everything.
         if rng.gen_bool(0.4) {
             let victim = rng.gen_range(0, lanes);
@@ -302,14 +272,14 @@ fn run_parallel_matches_per_job_driver_submissions_bit_exactly() {
     assign_unique_ids(&mut jobs);
 
     let mut sched = BatchScheduler::new(cfg, 2);
-    sched.collect_perf = true;
+    sched.policy.collect_perf = true;
     let par = sched.run_parallel(&jobs, 4);
     assert_eq!(par.len(), jobs.len());
 
     for (job, got) in jobs.iter().zip(&par) {
         let got = got.as_ref().expect("clean jobs must pass");
         let mut drv = WfasicDriver::new(cfg);
-        drv.collect_perf = true;
+        drv.policy.collect_perf = true;
         let want = drv
             .submit(&job.pairs, job.backtrace, WaitMode::PollIdle)
             .unwrap();
@@ -342,7 +312,7 @@ fn run_parallel_thread_width_never_changes_anything() {
     assign_unique_ids(&mut jobs);
 
     let mut sched = BatchScheduler::new(cfg, 1);
-    sched.collect_perf = true;
+    sched.policy.collect_perf = true;
     let reference = format!("{:?}", sched.run_parallel(&jobs, 1));
     for width in [2, 3, 8] {
         let wide = format!("{:?}", sched.run_parallel(&jobs, width));
@@ -437,8 +407,8 @@ fn a_corrupted_doorbell_does_not_wedge_the_lane_forever() {
     // lane. The FSM must consume a malformed doorbell when it refuses it.
     let cfg = AccelConfig::wfasic_chip();
     let mut sched = BatchScheduler::new(cfg, 1);
-    sched.cpu_fallback = true;
-    sched.max_retries = 0;
+    sched.policy.cpu_fallback = true;
+    sched.policy.max_retries = 0;
     sched.set_lane_fault_plan(
         0,
         FaultPlan {

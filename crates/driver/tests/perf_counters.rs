@@ -15,7 +15,7 @@ fn pairs(length: usize, error_pct: u32, n: usize, seed: u64) -> Vec<wfasic_seqio
 
 fn perf_driver(cfg: AccelConfig) -> WfasicDriver {
     let mut drv = WfasicDriver::new(cfg);
-    drv.collect_perf = true;
+    drv.policy.collect_perf = true;
     drv
 }
 
@@ -103,7 +103,7 @@ fn disabling_perf_changes_no_cycle_results() {
 fn counters_still_sum_under_an_active_fault_plan() {
     let input = pairs(100, 5, 8, 21);
     let mut drv = perf_driver(AccelConfig::wfasic_chip());
-    drv.cpu_fallback = true;
+    drv.policy.cpu_fallback = true;
     drv.device.set_fault_plan(FaultPlan {
         bit_flip_per_beat: 0.1,
         bus_stall: 0.2,
@@ -135,8 +135,8 @@ fn counters_still_sum_under_an_active_fault_plan() {
 fn aborted_job_reports_partial_attribution_without_panicking() {
     let input = pairs(400, 10, 4, 13);
     let mut drv = perf_driver(AccelConfig::wfasic_chip());
-    drv.out_size = 32; // guarantees OUT_OVERRUN on a BT stream
-    drv.max_retries = 0;
+    drv.policy.out_size = 32; // guarantees OUT_OVERRUN on a BT stream
+    drv.policy.max_retries = 0;
     let err = drv.submit(&input, true, WaitMode::PollIdle).unwrap_err();
     assert!(matches!(err, wfasic_driver::DriverError::Device(_)));
     // The device still published the partial attribution over MMIO.

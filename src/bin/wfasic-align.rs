@@ -123,6 +123,7 @@ fn main() {
                 aligners = args
                     .get(i)
                     .and_then(|s| s.parse().ok())
+                    .filter(|&n| n >= 1)
                     .unwrap_or_else(|| usage());
             }
             "--help" | "-h" => usage(),

@@ -20,15 +20,21 @@
 //!   WFA picks a different optimal transcript than the device on ~20% of
 //!   pairs). Optimal-cost replay is the property that matters.
 //!
-//! Plus: a 1-lane/1-job batch through the backend layer keeps the raw
-//! driver's perf counters bit-exactly, and the heterogeneous backend never
-//! drops, duplicates, or reorders a pair under random envelope violations
-//! and fault plans.
+//! Plus: one job on one lane — through the raw driver, the batch scheduler
+//! or the backend layer — is bit-identical on every failure path, perf
+//! counters included, and the heterogeneous backend never drops,
+//! duplicates, or reorders a pair under random envelope violations and
+//! fault plans.
 
-use wfasic::accel::AccelConfig;
+use wfasic::accel::{offsets, AccelConfig};
 use wfasic::driver::batch::BatchJob;
-use wfasic::driver::{AlignPolicy, AlignmentBackend, BackendKind, WaitMode, WfasicDriver};
+use wfasic::driver::{
+    AlignPolicy, AlignmentBackend, BackendKind, BatchScheduler, DriverError, JobResult,
+    MultiLaneBackend, WaitMode, WfasicDriver,
+};
 use wfasic::seqio::{InputSetSpec, Pair};
+use wfasic::soc::fault::{FaultCounters, FaultPlan};
+use wfasic::soc::perf::PerfCounters;
 use wfasic::wfa::{prop, swg_score, Penalties};
 
 /// The differential sweep's shapes, shortened in debug builds the same way.
@@ -172,44 +178,241 @@ fn all_backends_agree_on_the_fixed_seed_sweep() {
     }
 }
 
+/// One job as a one-lane engine saw it: the answers and the full run
+/// report (rendered, since reports hold floats) or the error, and what the
+/// device was left holding.
+#[derive(Debug, PartialEq)]
+struct OneLane {
+    results: Result<String, DriverError>,
+    report: Option<String>,
+    perf: Option<PerfCounters>,
+    /// `(config_cycles, retries, cpu_backtrace_cycles)`, which only a
+    /// `JobResult` carries.
+    job: Option<(u64, u32, u64)>,
+    interrupt_raised: bool,
+    faults: FaultCounters,
+    irq_pending: u64,
+}
+
+impl OneLane {
+    fn of_job(
+        out: Result<JobResult, DriverError>,
+        faults: FaultCounters,
+        irq_pending: u64,
+    ) -> Self {
+        match out {
+            Ok(j) => OneLane {
+                results: Ok(format!("{:?}", j.results)),
+                report: Some(format!("{:?}", j.report)),
+                perf: j.perf_breakdown().copied(),
+                job: Some((j.config_cycles, j.retries, j.cpu_backtrace_cycles)),
+                interrupt_raised: j.report.interrupt_raised,
+                faults,
+                irq_pending,
+            },
+            Err(e) => OneLane {
+                results: Err(e),
+                report: None,
+                perf: None,
+                job: None,
+                interrupt_raised: false,
+                faults,
+                irq_pending,
+            },
+        }
+    }
+}
+
+/// One policy and fault plan to run a job under, and what must hold of it
+/// given one clean attempt's duration for the job.
+struct Scenario {
+    name: &'static str,
+    backtrace: bool,
+    policy: AlignPolicy,
+    plan: Option<FaultPlan>,
+    expect: fn(&OneLane, u64) -> bool,
+}
+
+/// The raw driver, a one-lane scheduler, the `device` backend and a
+/// one-lane `multilane` backend run one job through the same attempt loop,
+/// so on every path — clean, retried, timed out, refused, interrupted —
+/// they agree on the answers, the full run report (per-stage perf counters
+/// included), configuration cycles, retries, injected faults and the
+/// interrupt left pending. A retry replays the job after the failed attempt
+/// and its backoff, so the watchdog and the deadline see each attempt's own
+/// duration.
 #[test]
 fn one_lane_one_job_keeps_raw_driver_perf_counters() {
+    let cfg = AccelConfig::wfasic_chip();
     let pairs = InputSetSpec {
         length: 100,
         error_pct: 5,
     }
     .generate(5, 0x9E2F)
     .pairs;
+    assert_eq!(
+        BackendKind::Device.create(cfg, 1).capabilities(),
+        MultiLaneBackend::device(cfg).capabilities()
+    );
+    let clean = |backtrace| {
+        let mut drv = WfasicDriver::new(cfg);
+        let out = drv.submit(&pairs, backtrace, WaitMode::PollIdle);
+        out.unwrap().report.duration()
+    };
+    let bt_cycles = clean(true);
 
-    let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-    drv.collect_perf = true;
-    let want = drv.submit(&pairs, true, WaitMode::PollIdle).unwrap();
+    let scenarios = [
+        Scenario {
+            name: "clean backtrace job",
+            backtrace: true,
+            policy: AlignPolicy {
+                collect_perf: true,
+                ..AlignPolicy::default()
+            },
+            plan: None,
+            expect: |s, _| s.perf.is_some() && s.job.is_some_and(|(_, retries, _)| retries == 0),
+        },
+        Scenario {
+            name: "retried under a uniform fault plan",
+            backtrace: true,
+            policy: AlignPolicy {
+                max_retries: 2,
+                cpu_fallback: true,
+                ..AlignPolicy::default()
+            },
+            plan: Some(FaultPlan::uniform(2, 0.01)),
+            expect: |s, _| s.job.is_some_and(|(_, retries, _)| retries == 1),
+        },
+        Scenario {
+            name: "retried inside a deadline",
+            backtrace: true,
+            policy: AlignPolicy {
+                max_retries: 2,
+                retry_backoff_cycles: bt_cycles / 2,
+                deadline_cycles: Some(3 * bt_cycles),
+                cpu_fallback: true,
+                ..AlignPolicy::default()
+            },
+            plan: Some(FaultPlan::uniform(2, 0.01)),
+            expect: |s, _| s.job.is_some_and(|(_, retries, _)| retries == 1),
+        },
+        Scenario {
+            name: "watchdog timeout",
+            backtrace: false,
+            policy: AlignPolicy {
+                watchdog_cycles: 10,
+                max_retries: 1,
+                ..AlignPolicy::default()
+            },
+            plan: None,
+            // Both attempts time out; the retry waited its own attempt's
+            // cycles, like the first.
+            expect: |s, cycles| {
+                matches!(s.results, Err(DriverError::Timeout { waited, watchdog: 10 })
+                    if waited == cycles)
+            },
+        },
+        Scenario {
+            name: "deadline refusal",
+            backtrace: false,
+            policy: AlignPolicy {
+                deadline_cycles: Some(100),
+                ..AlignPolicy::default()
+            },
+            plan: None,
+            expect: |s, _| {
+                matches!(
+                    s.results,
+                    Err(DriverError::DeadlineExceeded { budget: 100, .. })
+                )
+            },
+        },
+        Scenario {
+            name: "corrupted IRQ_ENABLE write",
+            backtrace: false,
+            policy: AlignPolicy {
+                cpu_fallback: true,
+                ..AlignPolicy::default()
+            },
+            plan: Some(FaultPlan {
+                seed: 0,
+                mmio_corrupt: 0.1,
+                ..FaultPlan::none()
+            }),
+            expect: |s, _| s.interrupt_raised,
+        },
+    ];
 
-    for kind in [BackendKind::Device, BackendKind::MultiLane] {
-        let mut backend = kind.create(AccelConfig::wfasic_chip(), 1);
-        backend.apply_policy(&AlignPolicy {
-            collect_perf: true,
-            ..AlignPolicy::default()
-        });
-        let got = backend
-            .align_batch(&BatchJob::with_backtrace(pairs.clone()))
-            .unwrap();
-        assert_eq!(
-            got.sim_cycles,
-            Some(want.report.total_cycles),
-            "{}: cycle count changed through the backend layer",
-            kind.name()
+    for sc in &scenarios {
+        let job = BatchJob {
+            pairs: pairs.clone(),
+            backtrace: sc.backtrace,
+            deadline: None,
+        };
+
+        let mut drv = WfasicDriver::new(cfg);
+        drv.policy = sc.policy.job_policy(drv.policy);
+        if let Some(plan) = sc.plan {
+            drv.device.set_fault_plan(plan);
+        }
+        let out = drv.submit(&pairs, sc.backtrace, WaitMode::PollIdle);
+        let irq = drv.device.mmio_read(offsets::IRQ_PENDING);
+        let want = OneLane::of_job(out, drv.device.fault_counters(), irq);
+        assert!(
+            (sc.expect)(&want, clean(sc.backtrace)),
+            "{}: {want:?}",
+            sc.name
         );
-        let got_perf = got.perf.as_ref().expect("perf was requested");
-        assert_eq!(
-            got_perf.counters,
-            want.perf().unwrap().counters,
-            "{}: per-stage perf counters changed through the backend layer",
-            kind.name()
-        );
-        for (a, b) in got.results.iter().zip(&want.results) {
-            assert_eq!((a.id, a.success, a.score), (b.id, b.success, b.score));
-            assert_eq!(a.cigar, b.cigar);
+        assert_eq!(want.irq_pending, 0, "{}: interrupt left pending", sc.name);
+
+        let mut sched = BatchScheduler::new(cfg, 1);
+        sched.policy = sc.policy.job_policy(sched.policy);
+        if let Some(plan) = sc.plan {
+            sched.set_lane_fault_plan(0, plan);
+        }
+        let batch = sched.submit_batch(std::slice::from_ref(&job));
+        assert_eq!(batch.arbiter.wait_cycles(), 0, "one lane never contends");
+        if let Ok(j) = &batch.jobs[0] {
+            assert_eq!(batch.total_cycles, j.report.total_cycles, "{}", sc.name);
+        }
+        let out = batch.jobs.into_iter().next().expect("one job");
+        let irq = sched.soc.lane_mut(0).mmio_read(offsets::IRQ_PENDING);
+        let got = OneLane::of_job(out, sched.fault_counters(), irq);
+        assert_eq!(got, want, "{}: scheduler differs from the driver", sc.name);
+
+        for mut backend in [MultiLaneBackend::device(cfg), MultiLaneBackend::new(cfg, 1)] {
+            let name = backend.capabilities().name;
+            backend.apply_policy(&sc.policy);
+            if let Some(plan) = sc.plan {
+                backend.set_lane_fault_plan(0, plan);
+            }
+            let out = backend.align_batch(&job);
+            let irq = backend
+                .sched
+                .soc
+                .lane_mut(0)
+                .mmio_read(offsets::IRQ_PENDING);
+            let faults = backend.counters().faults;
+            // The backend layer does not carry configuration cycles or
+            // retries; the scheduler check above covers them.
+            let got = match out {
+                Ok(b) => {
+                    assert_eq!(b.reports.len(), 1, "{}: {name} split the job", sc.name);
+                    let report = &b.reports[0];
+                    assert_eq!(b.sim_cycles, Some(report.total_cycles), "{}", sc.name);
+                    OneLane {
+                        results: Ok(format!("{:?}", b.results)),
+                        report: Some(format!("{report:?}")),
+                        perf: b.perf.map(|p| p.counters),
+                        job: want.job,
+                        interrupt_raised: report.interrupt_raised,
+                        faults,
+                        irq_pending: irq,
+                    }
+                }
+                Err(e) => OneLane::of_job(Err(e), faults, irq),
+            };
+            assert_eq!(got, want, "{}: {name} differs from the driver", sc.name);
         }
     }
 }
@@ -220,7 +423,6 @@ fn one_lane_one_job_keeps_raw_driver_perf_counters() {
 #[test]
 fn hetero_never_drops_duplicates_or_reorders_under_violations_and_faults() {
     use wfasic::driver::HeterogeneousBackend;
-    use wfasic::soc::fault::FaultPlan;
 
     let n_cases = if cfg!(debug_assertions) { 10 } else { 20 };
     prop::cases(n_cases, 0x8E7E_0D11, |rng, _| {
@@ -242,7 +444,7 @@ fn hetero_never_drops_duplicates_or_reorders_under_violations_and_faults() {
                     ..FaultPlan::none()
                 },
             );
-            backend.accel.sched.max_retries = rng.gen_range(0, 3) as u32;
+            backend.accel.sched.policy.max_retries = rng.gen_range(0, 3) as u32;
         }
 
         let n_pairs = rng.gen_range(4, 16);

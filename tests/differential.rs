@@ -124,7 +124,7 @@ fn sweep(penalties: Penalties, policy: DispatchPolicy, master_seed: u64) {
     // queue below) behind the bounded streaming service. One service
     // per sweep — buckets stream through it in submission order.
     let mut backend = MultiLaneBackend::new(cfg, LANES);
-    backend.sched.policy = policy;
+    backend.sched.dispatch = policy;
     backend.chunk = JOB_CHUNK;
     let mut svc = AlignmentService::new(Box::new(backend), ServiceConfig::default());
 
@@ -145,7 +145,7 @@ fn sweep(penalties: Penalties, policy: DispatchPolicy, master_seed: u64) {
         // Path 1: independent single-lane jobs through the parallel
         // scheduler path (each job a fresh one-lane device).
         let mut sched = BatchScheduler::new(cfg, LANES);
-        sched.policy = policy;
+        sched.dispatch = policy;
         let single_jobs = sched.run_parallel(&jobs, pool.threads());
         let single: Vec<_> = single_jobs
             .iter()

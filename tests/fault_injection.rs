@@ -28,8 +28,8 @@ fn pairs(n: usize, seed: u64) -> Vec<wfasic::seqio::Pair> {
 
 fn recovering_driver() -> WfasicDriver {
     let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-    drv.cpu_fallback = true;
-    drv.max_retries = 2;
+    drv.policy.cpu_fallback = true;
+    drv.policy.max_retries = 2;
     drv
 }
 
@@ -181,7 +181,7 @@ fn scenario_output_buffer_overrun() {
 
     // Without fallback the abort surfaces as a driver error.
     let mut strict = WfasicDriver::new(AccelConfig::wfasic_chip());
-    strict.out_size = 16; // one transaction: far too small
+    strict.policy.out_size = 16; // one transaction: far too small
     let err = strict.submit(&input, true, WaitMode::PollIdle).unwrap_err();
     match err {
         DriverError::Device(e) => assert_eq!(e.code, error_code::OUT_OVERRUN),
@@ -191,7 +191,7 @@ fn scenario_output_buffer_overrun() {
 
     // With fallback every pair is still answered, exactly.
     let mut drv = recovering_driver();
-    drv.out_size = 16;
+    drv.policy.out_size = 16;
     let job = drv.submit(&input, true, WaitMode::PollIdle).unwrap();
     assert_eq!(job.recovered_count(), input.len());
     for (res, pair) in job.results.iter().zip(&input) {
@@ -249,13 +249,13 @@ fn scenario_combined_storm_with_interrupts() {
 fn scenario_watchdog_timeout_recovery() {
     let input = pairs(3, 108);
     let mut drv = recovering_driver();
-    drv.watchdog_cycles = 10; // nothing real completes this fast
+    drv.policy.watchdog_cycles = 10; // nothing real completes this fast
     let job = drv.submit(&input, false, WaitMode::PollIdle).unwrap();
     assert_eq!(job.recovered_count(), input.len());
-    assert_eq!(job.retries, drv.max_retries);
+    assert_eq!(job.retries, drv.policy.max_retries);
 
     // Without fallback, the timeout is an error the caller sees.
-    drv.cpu_fallback = false;
+    drv.policy.cpu_fallback = false;
     let err = drv.submit(&input, false, WaitMode::PollIdle).unwrap_err();
     assert!(
         matches!(err, DriverError::Timeout { watchdog: 10, .. }),
