@@ -33,7 +33,8 @@ pub enum RejectReason {
     OverMaxReadLen { len: usize, max: usize },
     /// A recorded length exceeds the design's supported maximum.
     OverSupportedLen { len: usize, max: usize },
-    /// The bases contain an 'N' (or any non-ACGT byte).
+    /// The bases contain an 'N' (or any byte outside uppercase ACGT,
+    /// lowercase bases included).
     UnknownBase,
     /// The record is not `pair_record_bytes(max_read_len)` long (a truncated
     /// or torn stream — only reachable with injected faults or a broken DMA).
@@ -167,11 +168,13 @@ mod tests {
 
     #[test]
     fn rejects_n_bases() {
-        let pair = Pair::new(7, b"ACGNACGT".to_vec(), b"ACGTACGT".to_vec());
-        let rec = record_for(&pair, 16);
-        let ex = extract_pair(&cfg(), &rec, 16);
-        assert_eq!(ex.reject, Some(RejectReason::UnknownBase));
-        assert_eq!(ex.id, 7, "id still reported for the Success=0 result");
+        for a in [&b"ACGNACGT"[..], b"acgtacgt"] {
+            let pair = Pair::new(7, a.to_vec(), b"ACGTACGT".to_vec());
+            let rec = record_for(&pair, 16);
+            let ex = extract_pair(&cfg(), &rec, 16);
+            assert_eq!(ex.reject, Some(RejectReason::UnknownBase), "{a:?}");
+            assert_eq!(ex.id, 7, "id still reported for the Success=0 result");
+        }
     }
 
     #[test]

@@ -16,8 +16,8 @@ pub struct InputSeqRam {
 
 impl InputSeqRam {
     /// Build the RAM image for a sequence. Returns `None` if the sequence
-    /// contains a non-ACGT base (the Extractor flags the read unsupported
-    /// instead of storing it).
+    /// contains a byte outside uppercase ACGT (the Extractor flags the read
+    /// unsupported instead of storing it).
     pub fn load(id: u32, seq: &[u8], capacity_words: usize) -> Option<InputSeqRam> {
         let base_words = seq.len().div_ceil(16);
         assert!(

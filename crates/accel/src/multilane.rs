@@ -1,5 +1,5 @@
 //! A multi-lane WFAsic SoC: N independent device instances behind one
-//! shared memory controller, with per-lane MMIO windows.
+//! shared memory controller, each with its own register file.
 //!
 //! The paper tapes out a single WFAsic instance; the scaling story beyond
 //! one chip is more instances on the same SoC, not more Aligners per
@@ -11,23 +11,20 @@
 //! * every lane's AXI-Full traffic is granted slots by one shared
 //!   [`BusArbiter`], so concurrent lanes contend for memory bandwidth and
 //!   the contention shows up as per-lane arbitration waits;
-//! * the CPU sees one flat MMIO space, `lane * LANE_WINDOW + offset`
-//!   (see [`offsets::lane_addr`]) — the SoC interconnect's address decode.
+//! * the CPU programs a lane through that lane's own register file
+//!   ([`MultiLaneSoc::lane_mut`]), the same nine registers a lone device
+//!   has.
 //!
 //! A 1-lane SoC is bit-identical to a lone [`WfasicDevice`]: lane 0 keeps
-//! the flat register map, the bare perf track IDs, the lone device's fault
-//! stream keys, and an uncontended arbiter grants every transfer at its
-//! local ready cycle.
+//! the bare perf track IDs and the lone device's fault stream keys, and an
+//! uncontended arbiter grants every transfer at its local ready cycle.
 
 use crate::config::AccelConfig;
-use crate::device::{RunReport, WfasicDevice};
-use crate::regs::offsets;
+use crate::device::WfasicDevice;
 use std::cell::RefCell;
 use std::rc::Rc;
 use wfasic_soc::arbiter::{ArbiterStats, BusArbiter};
-use wfasic_soc::clock::Cycle;
 use wfasic_soc::fault::FaultPlan;
-use wfasic_soc::mem::MainMemory;
 
 /// N WFAsic lanes behind a shared memory controller.
 #[derive(Debug)]
@@ -81,51 +78,21 @@ impl MultiLaneSoc {
     pub fn reset_arbiter(&mut self) {
         self.arbiter.borrow_mut().reset();
     }
-
-    /// CPU-side MMIO write into the flat multi-lane address space. Writes
-    /// beyond the last lane's window are ignored (no device decodes them).
-    pub fn mmio_write(&mut self, addr: u64, value: u64) {
-        let (lane, off) = offsets::split_lane_addr(addr);
-        if let Some(dev) = self.lanes.get_mut(lane) {
-            dev.mmio_write(off, value);
-        }
-    }
-
-    /// CPU-side MMIO read from the flat multi-lane address space. Reads
-    /// beyond the last lane's window return 0 (open bus).
-    pub fn mmio_read(&mut self, addr: u64) -> u64 {
-        let (lane, off) = offsets::split_lane_addr(addr);
-        match self.lanes.get_mut(lane) {
-            Some(dev) => dev.mmio_read(off),
-            None => 0,
-        }
-    }
-
-    /// Run the job latched in `lane`'s registers, with the lane's input DMA
-    /// gated to `dma_start` and its Aligners to `compute_start` (see
-    /// [`WfasicDevice::run_at`]). The lane's transfers contend with all
-    /// traffic the other lanes have placed on the shared port.
-    pub fn run_lane_at(
-        &mut self,
-        lane: usize,
-        mem: &mut MainMemory,
-        dma_start: Cycle,
-        compute_start: Cycle,
-    ) -> RunReport {
-        self.lanes[lane].run_at(mem, dma_start, compute_start)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::device::RunReport;
+    use crate::regs::offsets;
     use wfasic_seqio::dataset::InputSetSpec;
     use wfasic_seqio::memimage::InputImage;
+    use wfasic_soc::mem::MainMemory;
 
     const OUT_STRIDE: u64 = 0x10_0000;
 
     /// Stage one job per lane (same generated input set per lane, distinct
-    /// memory windows) and latch START through the flat MMIO space.
+    /// memory windows) and latch START in each lane's registers.
     fn stage_jobs(soc: &mut MultiLaneSoc, mem: &mut MainMemory, n_pairs: usize, seed: u64) {
         let set = InputSetSpec {
             length: 100,
@@ -138,35 +105,13 @@ mod tests {
             let in_addr = 0x1000 + lane as u64 * OUT_STRIDE;
             let out_addr = 0x800_0000 + lane as u64 * OUT_STRIDE;
             mem.write(in_addr, &img.bytes);
-            let a = |off| offsets::lane_addr(lane, off);
-            soc.mmio_write(a(offsets::MAX_READ_LEN), max as u64);
-            soc.mmio_write(a(offsets::IN_ADDR), in_addr);
-            soc.mmio_write(a(offsets::IN_SIZE), img.bytes.len() as u64);
-            soc.mmio_write(a(offsets::OUT_ADDR), out_addr);
-            soc.mmio_write(a(offsets::START), 1);
+            let dev = soc.lane_mut(lane);
+            dev.mmio_write(offsets::MAX_READ_LEN, max as u64);
+            dev.mmio_write(offsets::IN_ADDR, in_addr);
+            dev.mmio_write(offsets::IN_SIZE, img.bytes.len() as u64);
+            dev.mmio_write(offsets::OUT_ADDR, out_addr);
+            dev.mmio_write(offsets::START, 1);
         }
-    }
-
-    #[test]
-    fn mmio_windows_route_to_the_right_lane() {
-        let mut soc = MultiLaneSoc::new(AccelConfig::wfasic_chip(), 3);
-        soc.mmio_write(offsets::lane_addr(1, offsets::MAX_READ_LEN), 4096);
-        assert_eq!(
-            soc.mmio_read(offsets::lane_addr(1, offsets::MAX_READ_LEN)),
-            4096
-        );
-        assert_eq!(
-            soc.mmio_read(offsets::lane_addr(0, offsets::MAX_READ_LEN)),
-            0,
-            "lane 0 untouched"
-        );
-        assert_eq!(soc.mmio_read(offsets::lane_addr(2, offsets::IDLE)), 1);
-        // Beyond the last window: reads-as-zero, writes ignored.
-        soc.mmio_write(offsets::lane_addr(7, offsets::MAX_READ_LEN), 99);
-        assert_eq!(
-            soc.mmio_read(offsets::lane_addr(7, offsets::MAX_READ_LEN)),
-            0
-        );
     }
 
     #[test]
@@ -191,7 +136,7 @@ mod tests {
         dev.mmio_write(offsets::OUT_ADDR, 0x800_0000);
         dev.mmio_write(offsets::START, 1);
 
-        let rs = soc.run_lane_at(0, &mut soc_mem, 0, 0);
+        let rs = soc.lane_mut(0).run_at(&mut soc_mem, 0, 0);
         let rd = dev.run(&mut mem);
         assert_eq!(rs.total_cycles, rd.total_cycles);
         assert_eq!(rs.output_bytes, rd.output_bytes);
@@ -210,12 +155,14 @@ mod tests {
         let mut one = MultiLaneSoc::new(AccelConfig::wfasic_chip(), 1);
         let mut m1 = MainMemory::with_default_cap();
         stage_jobs(&mut one, &mut m1, 8, 73);
-        let solo = one.run_lane_at(0, &mut m1, 0, 0);
+        let solo = one.lane_mut(0).run_at(&mut m1, 0, 0);
 
         let mut four = MultiLaneSoc::new(AccelConfig::wfasic_chip(), 4);
         let mut m4 = MainMemory::with_default_cap();
         stage_jobs(&mut four, &mut m4, 8, 73);
-        let reports: Vec<RunReport> = (0..4).map(|l| four.run_lane_at(l, &mut m4, 0, 0)).collect();
+        let reports: Vec<RunReport> = (0..4)
+            .map(|l| four.lane_mut(l).run_at(&mut m4, 0, 0))
+            .collect();
 
         // Same scores everywhere — contention delays, it never corrupts.
         for r in &reports {
@@ -244,7 +191,9 @@ mod tests {
             },
         );
         stage_jobs(&mut soc, &mut mem, 6, 79);
-        let reports: Vec<RunReport> = (0..3).map(|l| soc.run_lane_at(l, &mut mem, 0, 0)).collect();
+        let reports: Vec<RunReport> = (0..3)
+            .map(|l| soc.lane_mut(l).run_at(&mut mem, 0, 0))
+            .collect();
         assert_eq!(reports[0].faults.total(), 0);
         assert_eq!(reports[2].faults.total(), 0);
         assert!(reports[1].faults.total() > 0, "lane 1's plan fired");

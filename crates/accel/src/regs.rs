@@ -85,23 +85,6 @@ pub mod offsets {
     pub fn perf_counter(stage: Stage) -> u64 {
         PERF_COUNTERS[stage as usize]
     }
-
-    /// Size of one lane's MMIO register window in a multi-lane SoC. Lane
-    /// `l`'s registers live at `l * LANE_WINDOW + offset`; the register map
-    /// above occupies `0x00..=0xC0`, so a 4 KiB window (one MMU page per
-    /// lane) leaves generous decode headroom.
-    pub const LANE_WINDOW: u64 = 0x1000;
-
-    /// The system address of register `offset` in lane `lane`'s window.
-    pub fn lane_addr(lane: usize, offset: u64) -> u64 {
-        debug_assert!(offset < LANE_WINDOW);
-        lane as u64 * LANE_WINDOW + offset
-    }
-
-    /// Decompose a system MMIO address into `(lane, register offset)`.
-    pub fn split_lane_addr(addr: u64) -> (usize, u64) {
-        ((addr / LANE_WINDOW) as usize, addr % LANE_WINDOW)
-    }
 }
 
 /// `ERROR_CODE` values.
@@ -277,20 +260,6 @@ mod tests {
         assert_eq!(offs.len(), Stage::COUNT);
         assert_eq!(offsets::perf_counter(Stage::Compute), offsets::PERF_COMPUTE);
         assert_eq!(offsets::perf_counter(Stage::Idle), offsets::PERF_IDLE);
-    }
-
-    #[test]
-    fn lane_windows_round_trip_and_do_not_overlap() {
-        use offsets::*;
-        assert_eq!(lane_addr(0, START), START, "lane 0 keeps the flat map");
-        assert_eq!(lane_addr(2, JOB_CYCLES), 2 * LANE_WINDOW + JOB_CYCLES);
-        for lane in 0..8 {
-            for off in [START, IDLE, PERF_IDLE] {
-                assert_eq!(split_lane_addr(lane_addr(lane, off)), (lane, off));
-            }
-        }
-        // Every register fits inside a window.
-        const { assert!(PERF_IDLE < LANE_WINDOW) };
     }
 
     #[test]

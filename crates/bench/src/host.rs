@@ -34,7 +34,7 @@ use std::time::Instant;
 use wfa_core::kernel::{self, KernelDispatch};
 use wfa_core::pool::{available_threads, chunk_ranges, ThreadPool};
 use wfa_core::rng::SmallRng;
-use wfa_core::{PackedSeq, Penalties, WavefrontArena};
+use wfa_core::{PackedSeq, Penalties};
 use wfasic_accel::AccelConfig;
 use wfasic_driver::{BatchJob, BatchScheduler, CpuWfaBackend};
 use wfasic_seqio::InputSetSpec;
@@ -306,15 +306,14 @@ pub fn run(opts: &RunOptions) -> HostOutcome {
     let oracle_pairs = spec
         .generate(if opts.quick { 16 } else { 64 }, seed ^ 0x0A)
         .pairs;
-    // Both variants route through the unified software answer path
-    // ([`CpuWfaBackend::align_pair_in`]): fresh allocates a new arena per
-    // pair; arena-reused threads one arena through the whole set.
+    // Both variants run the one software answer path
+    // ([`CpuWfaBackend::align`]): fresh builds a new engine (and arena) per
+    // pair; arena-reused threads one engine through the whole set.
     let t_fresh = measure(iters, || {
         let mut acc = 0u64;
         for p in &oracle_pairs {
-            let mut arena = WavefrontArena::new();
-            let r = CpuWfaBackend::align_pair_in(&mut arena, Penalties::default(), p, true, false);
-            acc += r.score as u64;
+            let mut cpu = CpuWfaBackend::new(Penalties::default());
+            acc += cpu.align(p, true, false).score as u64;
         }
         acc
     });
@@ -322,7 +321,7 @@ pub fn run(opts: &RunOptions) -> HostOutcome {
         let mut cpu = CpuWfaBackend::new(Penalties::default());
         let mut acc = 0u64;
         for p in &oracle_pairs {
-            acc += cpu.align_pair(p, true).score as u64;
+            acc += cpu.align(p, true, false).score as u64;
         }
         acc
     });

@@ -9,14 +9,17 @@
 //! * it doubles as the "CPU vector code" analogue (the paper's RVV kernel),
 //!   since a 64-bit XOR + trailing-zero count compares 32 bases at once.
 
-/// 2-bit encoding of one base: A=0, C=1, G=2, T=3.
+/// 2-bit encoding of one base: A=0, C=1, G=2, T=3. Only uppercase ACGT
+/// packs: the software engines compare raw bytes, so a lowercase base is a
+/// different symbol to them, and the hardware must not fold it into its
+/// uppercase twin.
 #[inline]
 pub fn encode_base(b: u8) -> Option<u8> {
     match b {
-        b'A' | b'a' => Some(0),
-        b'C' | b'c' => Some(1),
-        b'G' | b'g' => Some(2),
-        b'T' | b't' => Some(3),
+        b'A' => Some(0),
+        b'C' => Some(1),
+        b'G' => Some(2),
+        b'T' => Some(3),
         _ => None,
     }
 }
@@ -184,7 +187,7 @@ mod tests {
             assert_eq!(decode_base(encode_base(b).unwrap()), b);
         }
         assert_eq!(encode_base(b'N'), None);
-        assert_eq!(encode_base(b'a'), Some(0));
+        assert_eq!(encode_base(b'a'), None);
     }
 
     #[test]

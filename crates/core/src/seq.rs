@@ -35,17 +35,12 @@ pub enum Seq {
 
 impl Seq {
     /// Build the canonical representation: packed when every byte is
-    /// uppercase ACGT (so unpacking reproduces the input exactly), raw
-    /// otherwise. Lowercase bases stay raw on purpose — packing would
-    /// silently uppercase them at the wire-format boundary.
+    /// uppercase ACGT, the one alphabet [`encode_base`] packs; raw
+    /// otherwise, so a lowercase base stays its own symbol.
     pub fn from_bytes(bytes: Vec<u8>) -> Seq {
-        if bytes
-            .iter()
-            .all(|&b| matches!(b, b'A' | b'C' | b'G' | b'T'))
-        {
-            Seq::Packed(PackedSeq::from_ascii(&bytes).expect("ACGT-only checked"))
-        } else {
-            Seq::Raw(bytes)
+        match PackedSeq::from_ascii(&bytes) {
+            Some(p) => Seq::Packed(p),
+            None => Seq::Raw(bytes),
         }
     }
 
@@ -104,7 +99,7 @@ impl Seq {
     pub fn set_byte(&mut self, i: usize, val: u8) {
         match self {
             Seq::Packed(p) => {
-                if let (true, Some(code)) = (val.is_ascii_uppercase(), encode_base(val)) {
+                if let Some(code) = encode_base(val) {
                     p.set_code(i, code);
                 } else {
                     let mut v = p.to_ascii();

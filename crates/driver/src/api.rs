@@ -19,6 +19,7 @@
 //! marked [`AlignmentResult::recovered`], so the application always gets
 //! answers.
 
+use crate::backend::CpuWfaBackend;
 use crate::backtrace::BtError;
 use crate::cpu_model::BacktraceCosts;
 use crate::faults::{FaultClass, FaultLayer, Provenance};
@@ -237,7 +238,8 @@ impl std::fmt::Display for DriverError {
 
 impl std::error::Error for DriverError {}
 
-/// The driver: device + memory + policy.
+/// The driver: device + memory + policy, and the CPU engine that answers
+/// its fallbacks.
 #[derive(Debug)]
 pub struct WfasicDriver {
     /// The accelerator.
@@ -253,6 +255,10 @@ pub struct WfasicDriver {
     pub policy: JobPolicy,
     /// Where jobs are staged in main memory.
     pub layout: MemLayout,
+    /// The CPU engine the fallback runs on (default route; a
+    /// [`crate::BatchScheduler::run_parallel`] worker takes its
+    /// scheduler's).
+    pub(crate) cpu: CpuWfaBackend,
     schedule: WavefrontSchedule,
 }
 
@@ -267,6 +273,7 @@ impl WfasicDriver {
             bt_costs: BacktraceCosts::default(),
             policy: JobPolicy::default(),
             layout: MemLayout::default(),
+            cpu: CpuWfaBackend::new(cfg.penalties),
             schedule,
         }
     }
@@ -286,6 +293,7 @@ impl WfasicDriver {
     ) -> Result<JobResult, DriverError> {
         let lane = Lane {
             device: &mut self.device,
+            cpu: &mut self.cpu,
             mem: &mut self.mem,
             layout: self.layout,
             axi_lite: self.axi_lite,

@@ -8,11 +8,12 @@
 //! penalties plumbing, envelope checks and result shaping; now every test,
 //! bench and tool can exercise every engine interchangeably:
 //!
-//! * [`CpuWfaBackend`] — the software WFA oracle (arena-reused, optional
-//!   thread-pool fan-out). Its [`CpuWfaBackend::recover_pair`] is **the**
-//!   single CPU-fallback implementation: the attempt loop in [`crate::job`]
-//!   (behind [`crate::WfasicDriver::submit`] and every scheduler lane)
-//!   routes through it.
+//! * [`CpuWfaBackend`] — the software WFA oracle, routed per pair by
+//!   strategy in one reused arena. Its [`CpuWfaBackend::align`] is **the**
+//!   one software answer path: this backend's batches, the heterogeneous
+//!   CPU partition and its recoveries, the attempt loop's fallback in
+//!   [`crate::job`] and the scheduler's degraded jobs all call it, each on
+//!   an engine its caller owns.
 //! * [`SwgBackend`] — the full-DP Smith-Waterman-Gotoh reference (Eq. 2).
 //! * [`crate::RiscvBackend`] — the paper's CPU baseline: the hand-written
 //!   WFA kernel on the RV64IM interpreter with Sargantana-like timing,
@@ -39,7 +40,7 @@
 use crate::api::{AlignmentResult, DriverError};
 use crate::batch::{BatchJob, BatchScheduler};
 use crate::job::JobPolicy;
-use wfa_core::pool::{self, ThreadPool};
+use wfa_core::pool;
 use wfa_core::{
     swg_align, wfa_align_seqs_with_arena, AdaptiveParams, AlignStrategy, Penalties, WavefrontArena,
     WfaOptions,
@@ -178,15 +179,6 @@ impl Default for CpuRoute {
 }
 
 impl CpuRoute {
-    /// The legacy fixed-exact route (what every pre-strategy call site
-    /// did): exact engine, no length routing, no band.
-    pub fn exact() -> Self {
-        CpuRoute {
-            select: StrategySelect::Exact,
-            ..CpuRoute::default()
-        }
-    }
-
     /// Project a policy's strategy fields.
     pub fn from_policy(policy: &AlignPolicy) -> Self {
         CpuRoute {
@@ -282,6 +274,15 @@ impl BackendCounters {
         self.failed_pairs += batch.results.iter().filter(|r| !r.success).count() as u64;
         self.recovered_pairs += batch.results.iter().filter(|r| r.recovered).count() as u64;
         self.sim_cycles += batch.sim_cycles.unwrap_or(0);
+    }
+
+    /// Take a CPU engine's strategy tallies and memory peak; recoveries
+    /// come from [`Self::absorb`].
+    fn merge_cpu_tallies(&mut self, cpu: &BackendCounters) {
+        self.exact_pairs = cpu.exact_pairs;
+        self.biwfa_pairs = cpu.biwfa_pairs;
+        self.adaptive_pairs = cpu.adaptive_pairs;
+        self.peak_memory_bytes = cpu.peak_memory_bytes;
     }
 }
 
@@ -500,9 +501,9 @@ impl std::str::FromStr for BackendKind {
 // CpuWfaBackend
 // ---------------------------------------------------------------------------
 
-/// The software WFA oracle: exact gap-affine alignment on the host CPU,
-/// reusing one [`WavefrontArena`] across a batch and optionally fanning a
-/// batch out over the deterministic thread pool.
+/// The software WFA oracle: gap-affine alignment on the host CPU, routed
+/// per pair by a [`CpuRoute`] and reusing one [`WavefrontArena`] for the
+/// engine's lifetime.
 #[derive(Debug)]
 pub struct CpuWfaBackend {
     /// Penalty model.
@@ -510,129 +511,51 @@ pub struct CpuWfaBackend {
     /// Strategy routing (length-class `Auto` by default; set via
     /// [`AlignmentBackend::apply_policy`] or directly).
     pub route: CpuRoute,
-    threads: usize,
     arena: WavefrontArena,
     counters: BackendCounters,
 }
 
 impl CpuWfaBackend {
-    /// A sequential (1-thread) CPU backend.
+    /// A CPU engine on the default route.
     pub fn new(penalties: Penalties) -> Self {
         CpuWfaBackend {
             penalties,
             route: CpuRoute::default(),
-            threads: 1,
             arena: WavefrontArena::new(),
             counters: BackendCounters::default(),
         }
     }
 
-    /// Fan batches out over `threads` host workers (0 = all host threads).
-    /// Results are bit-identical at any width; only wall clock changes.
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = if threads == 0 {
-            wfa_core::pool::available_threads()
-        } else {
-            threads
-        };
-        self
-    }
-
-    /// **The** software-WFA answer path: every CPU fallback and CPU route
-    /// in the workspace funnels through this one function. `recovered`
-    /// marks results produced on behalf of a device that could not finish
-    /// the pair itself.
-    pub fn align_pair_in(
-        arena: &mut WavefrontArena,
-        penalties: Penalties,
-        pair: &Pair,
-        backtrace: bool,
-        recovered: bool,
-    ) -> AlignmentResult {
-        Self::align_pair_routed(
-            arena,
-            penalties,
-            &CpuRoute::exact(),
-            pair,
-            backtrace,
-            recovered,
-        )
-        .0
-    }
-
-    /// [`Self::align_pair_in`] with strategy routing: picks an engine per
-    /// `route`, and also reports which strategy ran and the pair's retained
-    /// wavefront memory peak (bytes) so callers can tally
-    /// [`BackendCounters`].
-    pub fn align_pair_routed(
-        arena: &mut WavefrontArena,
-        penalties: Penalties,
-        route: &CpuRoute,
-        pair: &Pair,
-        backtrace: bool,
-        recovered: bool,
-    ) -> (AlignmentResult, AlignStrategy, u64) {
-        let strategy = route.pick(pair);
-        let opts = route.options(strategy, penalties, backtrace);
-        let (result, peak) = match wfa_align_seqs_with_arena(&pair.a, &pair.b, &opts, arena) {
-            Ok(al) => (
-                AlignmentResult {
-                    id: pair.id,
-                    success: true,
-                    score: al.score,
-                    cigar: al.cigar,
-                    recovered,
-                },
-                al.stats.peak_memory_bytes,
-            ),
-            Err(_) => (
-                AlignmentResult {
-                    id: pair.id,
-                    success: false,
-                    score: 0,
-                    cigar: None,
-                    recovered,
-                },
-                0,
-            ),
-        };
-        (result, strategy, peak)
-    }
-
-    /// Record one routed CPU answer in a counter block.
-    fn tally(counters: &mut BackendCounters, strategy: AlignStrategy, peak: u64) {
+    /// **The** software answer path: every CPU alignment and every CPU
+    /// fallback in the workspace runs through this method. It picks the
+    /// pair's strategy by [`Self::route`], aligns in this engine's arena,
+    /// and tallies the strategy and the retained wavefront memory peak.
+    /// `recovered` only stamps the result: it marks an answer given on
+    /// behalf of a device that could not finish the pair itself.
+    pub fn align(&mut self, pair: &Pair, backtrace: bool, recovered: bool) -> AlignmentResult {
+        let strategy = self.route.pick(pair);
+        let opts = self.route.options(strategy, self.penalties, backtrace);
+        let c = &mut self.counters;
         match strategy {
-            AlignStrategy::Exact => counters.exact_pairs += 1,
-            AlignStrategy::BiWfa => counters.biwfa_pairs += 1,
-            AlignStrategy::AdaptiveBand => counters.adaptive_pairs += 1,
+            AlignStrategy::Exact => c.exact_pairs += 1,
+            AlignStrategy::BiWfa => c.biwfa_pairs += 1,
+            AlignStrategy::AdaptiveBand => c.adaptive_pairs += 1,
         }
-        counters.peak_memory_bytes = counters.peak_memory_bytes.max(peak);
-    }
-
-    /// Align one pair as a primary engine (not a recovery).
-    pub fn align_pair(&mut self, pair: &Pair, backtrace: bool) -> AlignmentResult {
-        self.answer(pair, backtrace, false)
-    }
-
-    /// Recover one pair a device-backed path could not complete. This is
-    /// the single CPU-fallback implementation behind the attempt loop in
-    /// [`crate::job`] and the heterogeneous backend.
-    pub fn recover_pair(&mut self, pair: &Pair, backtrace: bool) -> AlignmentResult {
-        self.counters.recovered_pairs += 1;
-        self.answer(pair, backtrace, true)
-    }
-
-    fn answer(&mut self, pair: &Pair, backtrace: bool, recovered: bool) -> AlignmentResult {
-        let (result, strategy, peak) = Self::align_pair_routed(
-            &mut self.arena,
-            self.penalties,
-            &self.route,
-            pair,
-            backtrace,
+        let (success, score, cigar) =
+            match wfa_align_seqs_with_arena(&pair.a, &pair.b, &opts, &mut self.arena) {
+                Ok(al) => {
+                    c.peak_memory_bytes = c.peak_memory_bytes.max(al.stats.peak_memory_bytes);
+                    (true, al.score, al.cigar)
+                }
+                Err(_) => (false, 0, None),
+            };
+        AlignmentResult {
+            id: pair.id,
+            success,
+            score,
+            cigar,
             recovered,
-        );
-        Self::tally(&mut self.counters, strategy, peak);
-        result
+        }
     }
 }
 
@@ -648,41 +571,12 @@ impl AlignmentBackend for CpuWfaBackend {
     }
 
     fn align_batch(&mut self, job: &BatchJob) -> Result<BackendBatch, DriverError> {
-        let routed: Vec<(AlignmentResult, AlignStrategy, u64)> =
-            if self.threads > 1 && job.pairs.len() > 1 {
-                // Parallel fan-out: each worker item gets a private arena
-                // (the pool's `Fn` closures cannot share one mutably).
-                // Answers do not depend on the arena, so this is
-                // bit-identical to the sequential path.
-                let penalties = self.penalties;
-                let backtrace = job.backtrace;
-                let route = self.route;
-                ThreadPool::new(self.threads).map(&job.pairs, move |_, pair| {
-                    let mut arena = WavefrontArena::new();
-                    Self::align_pair_routed(&mut arena, penalties, &route, pair, backtrace, false)
-                })
-            } else {
-                job.pairs
-                    .iter()
-                    .map(|p| {
-                        Self::align_pair_routed(
-                            &mut self.arena,
-                            self.penalties,
-                            &self.route,
-                            p,
-                            job.backtrace,
-                            false,
-                        )
-                    })
-                    .collect()
-            };
-        let mut results = Vec::with_capacity(routed.len());
-        for (result, strategy, peak) in routed {
-            Self::tally(&mut self.counters, strategy, peak);
-            results.push(result);
-        }
         let batch = BackendBatch {
-            results,
+            results: job
+                .pairs
+                .iter()
+                .map(|p| self.align(p, job.backtrace, false))
+                .collect(),
             sim_cycles: None,
             perf: None,
             reports: Vec::new(),
@@ -788,7 +682,7 @@ pub const DEFAULT_LANE_CHUNK: usize = 28;
 #[derive(Debug)]
 pub struct MultiLaneBackend {
     /// The scheduler (SoC + memory + policy). Public so tests can install
-    /// per-lane fault plans or change the dispatch policy.
+    /// per-lane fault plans or change the job policy.
     pub sched: BatchScheduler,
     /// Pairs per sub-job ([`DEFAULT_LANE_CHUNK`] by default). A batch that
     /// fits one chunk runs as one job, passed through uncopied; an empty
@@ -894,23 +788,27 @@ impl AlignmentBackend for MultiLaneBackend {
 
     fn counters(&self) -> BackendCounters {
         // Merge the scheduler's health ledger in: fault counters from every
-        // lane's device, breaker transitions, degradations, refusals.
+        // lane's device, breaker transitions, degradations, refusals, and
+        // its CPU engine's strategy tallies.
         let mut c = self.counters;
         c.faults = self.sched.fault_counters();
         c.quarantine_events = self.sched.quarantine_events();
         c.readmissions = self.sched.readmissions();
         c.degraded_jobs = self.sched.degraded_jobs();
         c.deadline_refusals = self.sched.deadline_refusals();
+        c.merge_cpu_tallies(&self.sched.cpu.counters);
         c
     }
 
     fn reset_counters(&mut self) {
         self.counters = BackendCounters::default();
+        self.sched.cpu.reset_counters();
     }
 
     fn apply_policy(&mut self, policy: &AlignPolicy) {
         let sched = &mut self.sched;
         sched.policy = policy.job_policy(sched.policy);
+        sched.cpu.apply_policy(policy);
         sched.quarantine_threshold = policy.quarantine_threshold;
         sched.quarantine_cooldown = policy.quarantine_cooldown;
         sched.retire_after = policy.retire_after;
@@ -975,32 +873,25 @@ impl AlignmentBackend for HeterogeneousBackend {
         };
 
         // The accelerator simulates on this thread while a host worker
-        // answers the out-of-envelope partition — the lanes never wait on
-        // the CPU route. The worker routes by strategy: realistic long
-        // reads (the usual reason a pair misses the envelope) take the
-        // linear-memory BiWFA engine under the default `Auto` policy. Both
-        // sides run as pool workers, so while the CPU side runs the device
-        // does not also spread its jobs over the host's threads.
-        let penalties = self.cpu.penalties;
-        let backtrace = job.backtrace;
-        let route = self.cpu.route;
-        let cpu_pairs: Vec<&Pair> = cpu_idx.iter().map(|&i| &job.pairs[i]).collect();
-        let mut device = || (!dev_job.pairs.is_empty()).then(|| self.accel.align_batch(&dev_job));
-        let cpu = move || {
-            let mut arena = WavefrontArena::new();
-            cpu_pairs
+        // answers the out-of-envelope partition on this backend's CPU
+        // engine — the lanes never wait on the CPU route. The engine routes
+        // by strategy: realistic long reads (the usual reason a pair misses
+        // the envelope) take the linear-memory BiWFA engine under the
+        // default `Auto` policy. Both sides run as pool workers, so while
+        // the CPU side runs the device does not also spread its jobs over
+        // the host's threads.
+        let (accel, cpu) = (&mut self.accel, &mut self.cpu);
+        let mut device = || (!dev_job.pairs.is_empty()).then(|| accel.align_batch(&dev_job));
+        let cpu_side = || {
+            cpu_idx
                 .iter()
-                .map(|p| {
-                    CpuWfaBackend::align_pair_routed(
-                        &mut arena, penalties, &route, p, backtrace, true,
-                    )
-                })
-                .collect::<Vec<(AlignmentResult, AlignStrategy, u64)>>()
+                .map(|&i| cpu.align(&job.pairs[i], job.backtrace, true))
+                .collect::<Vec<_>>()
         };
         let (accel_out, cpu_out) = if cpu_idx.is_empty() {
             (device(), Vec::new())
         } else {
-            pool::join(device, cpu)
+            pool::join(device, cpu_side)
         };
 
         // Fill the device partition back in, recovering overflowed pairs
@@ -1020,19 +911,17 @@ impl AlignmentBackend for HeterogeneousBackend {
                     slots[i] = Some(if res.success {
                         res
                     } else {
-                        self.cpu.recover_pair(&job.pairs[i], job.backtrace)
+                        self.cpu.align(&job.pairs[i], job.backtrace, true)
                     });
                 }
             }
             Some(Err(_)) => {
                 for &i in &dev_idx {
-                    slots[i] = Some(self.cpu.recover_pair(&job.pairs[i], job.backtrace));
+                    slots[i] = Some(self.cpu.align(&job.pairs[i], job.backtrace, true));
                 }
             }
         }
-        for (&i, (res, strategy, peak)) in cpu_idx.iter().zip(cpu_out) {
-            self.cpu.counters.recovered_pairs += 1;
-            CpuWfaBackend::tally(&mut self.cpu.counters, strategy, peak);
+        for (&i, res) in cpu_idx.iter().zip(cpu_out) {
             slots[i] = Some(res);
         }
 
@@ -1068,11 +957,7 @@ impl AlignmentBackend for HeterogeneousBackend {
         c.readmissions = accel.readmissions;
         c.degraded_jobs = accel.degraded_jobs;
         c.deadline_refusals = accel.deadline_refusals;
-        let cpu = self.cpu.counters();
-        c.exact_pairs = cpu.exact_pairs;
-        c.biwfa_pairs = cpu.biwfa_pairs;
-        c.adaptive_pairs = cpu.adaptive_pairs;
-        c.peak_memory_bytes = cpu.peak_memory_bytes;
+        c.merge_cpu_tallies(&self.cpu.counters);
         c
     }
 
@@ -1195,7 +1080,7 @@ mod tests {
                 .all(|(i, r)| i == 2 || !r.recovered),
             "in-envelope pairs stayed on the accelerator"
         );
-        let want = CpuWfaBackend::new(cfg.penalties).align_pair(&p[2], true);
+        let want = CpuWfaBackend::new(cfg.penalties).align(&p[2], true, false);
         assert_eq!(got.results[2].score, want.score);
         assert!(backend.counters().recovered_pairs >= 1);
     }
@@ -1220,7 +1105,11 @@ mod tests {
             ..route
         };
         assert_eq!(long_route.pick(short), AlignStrategy::BiWfa);
-        assert_eq!(CpuRoute::exact().pick(short), AlignStrategy::Exact);
+        let exact = CpuRoute {
+            select: StrategySelect::Exact,
+            ..long_route
+        };
+        assert_eq!(exact.pick(short), AlignStrategy::Exact);
         let forced = CpuRoute {
             select: StrategySelect::Adaptive,
             ..route
@@ -1271,8 +1160,8 @@ mod tests {
         // The exact full-history oracle on the same pair: score-identical,
         // but with a retained-memory peak far (≥ 20×) above BiWFA's.
         let mut exact = CpuWfaBackend::new(Penalties::WFASIC_DEFAULT);
-        exact.route = CpuRoute::exact();
-        let want = exact.align_pair(&p[0], true);
+        exact.route.select = StrategySelect::Exact;
+        let want = exact.align(&p[0], true, false);
         assert_eq!(got.results[0].score, want.score);
         let ec = exact.counters();
         assert!(

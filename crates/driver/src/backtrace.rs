@@ -324,60 +324,9 @@ pub fn walk_origins(
     Ok(edits_rev)
 }
 
-/// Insert matches: replay the edits forward over the sequences
-/// (paper §4.5: "the CPU traverses the two sequences and inserts all the
-/// necessary matches between the differences").
-pub fn insert_matches(a: &[u8], b: &[u8], edits: &[Edit]) -> Result<Cigar, BtError> {
-    let mut cigar = Cigar::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    let extend = |i: usize, j: usize| wfa_core::kernel::lcp_bytes(a, b, i, j);
-    for edit in edits {
-        if edit.extend_before {
-            let m = extend(i, j);
-            cigar.push_run(Op::Match, m as u32);
-            i += m;
-            j += m;
-        }
-        match edit.op {
-            Op::Mismatch => {
-                if i >= a.len() || j >= b.len() || a[i] == b[j] {
-                    return Err(BtError::ReconstructionMismatch);
-                }
-                cigar.push(Op::Mismatch);
-                i += 1;
-                j += 1;
-            }
-            Op::Ins => {
-                if j >= b.len() {
-                    return Err(BtError::ReconstructionMismatch);
-                }
-                cigar.push(Op::Ins);
-                j += 1;
-            }
-            Op::Del => {
-                if i >= a.len() {
-                    return Err(BtError::ReconstructionMismatch);
-                }
-                cigar.push(Op::Del);
-                i += 1;
-            }
-            Op::Match => unreachable!("the walk never emits Match edits"),
-        }
-    }
-    // Trailing matches to the ends.
-    let m = extend(i, j);
-    cigar.push_run(Op::Match, m as u32);
-    i += m;
-    j += m;
-    if i != a.len() || j != b.len() {
-        return Err(BtError::ReconstructionMismatch);
-    }
-    Ok(cigar)
-}
-
-/// [`insert_matches`] over 2-bit packed sequences: the same replay without
-/// decoding to ASCII first (the packed-vs-byte LCP equivalence is pinned by
-/// `wfa_core`'s kernel property tests).
+/// Insert matches: replay the edits forward over the 2-bit packed
+/// sequences (paper §4.5: "the CPU traverses the two sequences and inserts
+/// all the necessary matches between the differences").
 pub fn insert_matches_packed(
     a: &wfa_core::bitpack::PackedSeq,
     b: &wfa_core::bitpack::PackedSeq,
@@ -444,19 +393,6 @@ pub fn backtrace_alignment_packed(
     insert_matches_packed(a, b, &edits)
 }
 
-/// Full per-alignment CPU backtrace: walk + match insertion.
-pub fn backtrace_alignment(
-    schedule: &WavefrontSchedule,
-    bt: &BtAlignment,
-    a: &[u8],
-    b: &[u8],
-    p: &Penalties,
-    parallel_sections: usize,
-) -> Result<Cigar, BtError> {
-    let edits = walk_origins(schedule, bt, p, parallel_sections)?;
-    insert_matches(a, b, &edits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -475,11 +411,11 @@ mod tests {
         let bytes = bt_txns_to_bytes(&collect_bt(&outcome));
         let alignments = split_consecutive_stream(&bytes).unwrap();
         assert_eq!(alignments.len(), 1);
-        let cigar = backtrace_alignment(
+        let cigar = backtrace_alignment_packed(
             &schedule,
             &alignments[0],
-            a,
-            b,
+            &pa,
+            &pb,
             &cfg.penalties,
             cfg.parallel_sections,
         )
@@ -546,46 +482,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_backtrace_equals_byte_backtrace() {
-        let cfg = AccelConfig::wfasic_chip();
-        let schedule = WavefrontSchedule::for_config(&cfg);
-        for (a, b) in [
-            (
-                b"GATTACAGATTACAGATTACA".as_slice(),
-                b"GATCACAGGATTACAGATACA".as_slice(),
-            ),
-            (b"AG".as_slice(), b"ATGG".as_slice()),
-            (b"CCCCAAAATTTT".as_slice(), b"CCCCTTTT".as_slice()),
-        ] {
-            let pa = PackedSeq::from_ascii(a).unwrap();
-            let pb = PackedSeq::from_ascii(b).unwrap();
-            let outcome = align_packed(&cfg, &schedule, 3, &pa, &pb, true);
-            assert!(outcome.success);
-            let bytes = bt_txns_to_bytes(&collect_bt(&outcome));
-            let alignments = split_consecutive_stream(&bytes).unwrap();
-            let byte_cigar = backtrace_alignment(
-                &schedule,
-                &alignments[0],
-                a,
-                b,
-                &cfg.penalties,
-                cfg.parallel_sections,
-            )
-            .unwrap();
-            let packed_cigar = backtrace_alignment_packed(
-                &schedule,
-                &alignments[0],
-                &pa,
-                &pb,
-                &cfg.penalties,
-                cfg.parallel_sections,
-            )
-            .unwrap();
-            assert_eq!(byte_cigar, packed_cigar);
-        }
-    }
-
-    #[test]
     fn separation_equals_no_separation_for_one_stream() {
         let cfg = AccelConfig::wfasic_chip();
         let schedule = WavefrontSchedule::for_config(&cfg);
@@ -619,13 +515,16 @@ mod tests {
         // Fabricate a two-Aligner interleave by zipping two streams.
         let cfg = AccelConfig::wfasic_chip();
         let schedule = WavefrontSchedule::for_config(&cfg);
-        let mk = |id: u32, a: &[u8], b: &[u8]| {
-            let pa = PackedSeq::from_ascii(a).unwrap();
-            let pb = PackedSeq::from_ascii(b).unwrap();
-            collect_bt(&align_packed(&cfg, &schedule, id, &pa, &pb, true))
+        let packed = |a: &[u8], b: &[u8]| {
+            (
+                PackedSeq::from_ascii(a).unwrap(),
+                PackedSeq::from_ascii(b).unwrap(),
+            )
         };
-        let t1 = mk(1, b"GATTACAGATTACA", b"GATCACAGATAACA");
-        let t2 = mk(2, b"CCCCAAAATTTT", b"CCCCTTTT");
+        let (a1, b1) = packed(b"GATTACAGATTACA", b"GATCACAGATAACA");
+        let (a2, b2) = packed(b"CCCCAAAATTTT", b"CCCCTTTT");
+        let t1 = collect_bt(&align_packed(&cfg, &schedule, 1, &a1, &b1, true));
+        let t2 = collect_bt(&align_packed(&cfg, &schedule, 2, &a2, &b2, true));
         let mut bytes = Vec::new();
         let (mut i1, mut i2) = (0, 0);
         while i1 < t1.len() || i2 < t2.len() {
@@ -642,25 +541,11 @@ mod tests {
         assert_eq!(alignments.len(), 2);
         let by_id: std::collections::HashMap<u32, &BtAlignment> =
             alignments.iter().map(|a| (a.id, a)).collect();
-        let c1 = backtrace_alignment(
-            &schedule,
-            by_id[&1],
-            b"GATTACAGATTACA",
-            b"GATCACAGATAACA",
-            &cfg.penalties,
-            64,
-        )
-        .unwrap();
+        let c1 =
+            backtrace_alignment_packed(&schedule, by_id[&1], &a1, &b1, &cfg.penalties, 64).unwrap();
         c1.check(b"GATTACAGATTACA", b"GATCACAGATAACA").unwrap();
-        let c2 = backtrace_alignment(
-            &schedule,
-            by_id[&2],
-            b"CCCCAAAATTTT",
-            b"CCCCTTTT",
-            &cfg.penalties,
-            64,
-        )
-        .unwrap();
+        let c2 =
+            backtrace_alignment_packed(&schedule, by_id[&2], &a2, &b2, &cfg.penalties, 64).unwrap();
         c2.check(b"CCCCAAAATTTT", b"CCCCTTTT").unwrap();
     }
 }

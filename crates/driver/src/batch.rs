@@ -4,11 +4,10 @@
 //! The paper's co-design drives one WFAsic instance one job at a time; a
 //! production SoC serves many alignment requests concurrently. The
 //! [`BatchScheduler`] is the driver-side answer: it accepts a queue of
-//! [`BatchJob`]s, spreads them over N lanes ([`DispatchPolicy::RoundRobin`]
-//! or [`DispatchPolicy::ShortestQueue`]), and on each lane overlaps the
-//! DMA-in of job *k+1* with the compute of job *k* (the lane's input port
-//! is free once the last record has arrived — [`RunReport::input_done`] —
-//! long before the Aligners drain).
+//! [`BatchJob`]s, deals them round-robin over the available lanes, and on
+//! each lane overlaps the DMA-in of job *k+1* with the compute of job *k*
+//! (the lane's input port is free once the last record has arrived —
+//! [`RunReport::input_done`] — long before the Aligners drain).
 //!
 //! Cycle accounting stays honest end to end: every lane's transfers are
 //! granted slots by the shared memory-controller arbiter (contention is
@@ -30,6 +29,7 @@
 //! uncontended bus timing. The backend-equivalence suite pins this.
 
 use crate::api::{DriverError, JobResult, MemLayout, WaitMode, WfasicDriver};
+use crate::backend::CpuWfaBackend;
 use crate::cpu_model::BacktraceCosts;
 use crate::job::{self, JobPolicy, Lane, LaneTimeline};
 use wfa_core::pool::ThreadPool;
@@ -44,17 +44,6 @@ use wfasic_soc::clock::Cycle;
 use wfasic_soc::fault::{FaultCounters, FaultPlan};
 use wfasic_soc::mem::MainMemory;
 use wfasic_soc::perf::{attribute_window, PerfCounters};
-
-/// How jobs are spread across lanes.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DispatchPolicy {
-    /// Job `i` goes to lane `i mod N`.
-    RoundRobin,
-    /// Each job (in submission order) goes to the lane with the least
-    /// estimated queued work (total sequence bytes); ties break to the
-    /// lowest lane ID. Deterministic.
-    ShortestQueue,
-}
 
 /// One alignment job in a batch queue.
 #[derive(Debug, Clone)]
@@ -93,14 +82,6 @@ impl BatchJob {
     pub fn with_deadline(mut self, budget: Cycle) -> Self {
         self.deadline = Some(budget);
         self
-    }
-
-    /// Dispatch-cost estimate: total sequence bytes.
-    fn cost(&self) -> u64 {
-        self.pairs
-            .iter()
-            .map(|p| (p.a.len() + p.b.len()) as u64)
-            .sum()
     }
 }
 
@@ -211,8 +192,6 @@ pub struct BatchScheduler {
     pub axi_lite: AxiLite,
     /// CPU backtrace cost model.
     pub bt_costs: BacktraceCosts,
-    /// Dispatch policy.
-    pub dispatch: DispatchPolicy,
     /// Watchdog, retry, deadline, fallback and programming policy for
     /// every job.
     pub policy: JobPolicy,
@@ -223,6 +202,10 @@ pub struct BatchScheduler {
     pub quarantine_cooldown: Cycle,
     /// Retire a lane permanently after this many quarantines (0 = never).
     pub retire_after: u32,
+    /// The CPU engine every lane's fallback and every degraded job runs
+    /// on; [`crate::MultiLaneBackend`] sets its route from the service
+    /// policy.
+    pub(crate) cpu: CpuWfaBackend,
     schedule: WavefrontSchedule,
     health: Vec<LaneHealth>,
     /// Monotone cross-batch clock: per-batch timelines restart at 0, so
@@ -245,11 +228,11 @@ impl BatchScheduler {
             mem: MainMemory::with_default_cap(),
             axi_lite: AxiLite::default(),
             bt_costs: BacktraceCosts::default(),
-            dispatch: DispatchPolicy::RoundRobin,
             policy: JobPolicy::default(),
             quarantine_threshold: 0,
             quarantine_cooldown: 0,
             retire_after: 0,
+            cpu: CpuWfaBackend::new(cfg.penalties),
             schedule,
             health: vec![LaneHealth::default(); lanes],
             epoch: 0,
@@ -342,6 +325,7 @@ impl BatchScheduler {
         // state and is not touched by this path).
         let cfg = self.soc.lane(0).cfg;
         let (axi_lite, bt_costs, policy) = (self.axi_lite, self.bt_costs, self.policy);
+        let route = self.cpu.route;
         ThreadPool::new(threads).map(jobs, move |_, job| {
             WORKER_DRIVER.with(|slot| {
                 let mut slot = slot.borrow_mut();
@@ -355,6 +339,7 @@ impl BatchScheduler {
                 drv.axi_lite = axi_lite;
                 drv.bt_costs = bt_costs;
                 drv.policy = policy.with_deadline(job.deadline);
+                drv.cpu.route = route;
                 drv.layout = MemLayout::default();
                 drv.submit(&job.pairs, job.backtrace, WaitMode::PollIdle)
             })
@@ -393,26 +378,10 @@ impl BatchScheduler {
                 lanes[i] = i % n;
             }
         } else {
-            match self.dispatch {
-                DispatchPolicy::RoundRobin => {
-                    for i in 0..jobs.len() {
-                        let lane = avail[i % avail.len()];
-                        queues[lane].push(i);
-                        lanes[i] = lane;
-                    }
-                }
-                DispatchPolicy::ShortestQueue => {
-                    let mut load = vec![0u64; n];
-                    for (i, job) in jobs.iter().enumerate() {
-                        let lane = *avail
-                            .iter()
-                            .min_by_key(|&&l| (load[l], l))
-                            .expect("avail is non-empty");
-                        queues[lane].push(i);
-                        lanes[i] = lane;
-                        load[lane] += job.cost().max(1);
-                    }
-                }
+            for i in 0..jobs.len() {
+                let lane = avail[i % avail.len()];
+                queues[lane].push(i);
+                lanes[i] = lane;
             }
         }
 
@@ -543,7 +512,11 @@ impl BatchScheduler {
             .sum::<Cycle>();
         let cfg = self.soc.lane(0).cfg;
         Ok(JobResult {
-            results: job::recover_all(cfg.penalties, &job.pairs, job.backtrace),
+            results: job
+                .pairs
+                .iter()
+                .map(|p| self.cpu.align(p, job.backtrace, true))
+                .collect(),
             report: RunReport::default(),
             config_cycles: 0,
             cpu_backtrace_cycles: 0,
@@ -562,6 +535,7 @@ impl BatchScheduler {
     ) -> Result<JobResult, DriverError> {
         let run = Lane {
             device: self.soc.lane_mut(lane),
+            cpu: &mut self.cpu,
             mem: &mut self.mem,
             layout: MemLayout::for_lane(lane),
             axi_lite: self.axi_lite,

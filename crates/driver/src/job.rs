@@ -22,11 +22,9 @@
 use crate::api::{AlignmentResult, DriverError, JobResult, MemLayout, WaitMode};
 use crate::backend::CpuWfaBackend;
 use crate::backtrace::{
-    backtrace_alignment, backtrace_alignment_packed, separate_stream, split_consecutive_stream,
-    BtAlignment, BtError,
+    backtrace_alignment_packed, separate_stream, split_consecutive_stream, BtAlignment, BtError,
 };
 use crate::cpu_model::BacktraceCosts;
-use wfa_core::Penalties;
 use wfasic_accel::device::{RunReport, WfasicDevice};
 use wfasic_accel::regs::offsets;
 use wfasic_accel::schedule::WavefrontSchedule;
@@ -117,10 +115,12 @@ impl LaneTimeline {
 }
 
 /// Where a job runs: one device (a lone driver's, or one lane of a
-/// multi-lane SoC), the memory it shares with the CPU, and the CPU-side
-/// models the loop charges.
+/// multi-lane SoC), the memory it shares with the CPU, the CPU-side models
+/// the loop charges, and the CPU engine its caller owns, which answers the
+/// pairs the fallback takes.
 pub(crate) struct Lane<'a> {
     pub device: &'a mut WfasicDevice,
+    pub cpu: &'a mut CpuWfaBackend,
     pub mem: &'a mut MainMemory,
     pub layout: MemLayout,
     pub axi_lite: AxiLite,
@@ -175,7 +175,6 @@ pub(crate) fn run_job(
         return Outcome::refused(DriverError::BatchTooLarge { bytes }, 0);
     }
 
-    let penalties = lane.device.cfg.penalties;
     let separated = policy.force_separation || lane.device.cfg.num_aligners > 1;
     let registers = [
         (offsets::BT_ENABLE, backtrace as u64),
@@ -255,10 +254,9 @@ pub(crate) fn run_job(
             match parse_results(&lane, pairs, &report, backtrace, separated) {
                 Ok((mut results, cpu_backtrace_cycles)) => {
                     if policy.cpu_fallback {
-                        let mut cpu = CpuWfaBackend::new(penalties);
                         for (res, pair) in results.iter_mut().zip(pairs) {
                             if !res.success {
-                                *res = cpu.recover_pair(pair, backtrace);
+                                *res = lane.cpu.align(pair, backtrace, true);
                             }
                         }
                     }
@@ -288,7 +286,10 @@ pub(crate) fn run_job(
     let (err, report) = last_failure.expect("at least one attempt ran");
     let result = if policy.cpu_fallback {
         Ok(JobResult {
-            results: recover_all(penalties, pairs, backtrace),
+            results: pairs
+                .iter()
+                .map(|p| lane.cpu.align(p, backtrace, true))
+                .collect(),
             report,
             config_cycles,
             cpu_backtrace_cycles: 0,
@@ -303,19 +304,6 @@ pub(crate) fn run_job(
         failed_attempts,
         exhausted: true,
     }
-}
-
-/// Answer every pair of a job in software, each marked `recovered`.
-pub(crate) fn recover_all(
-    penalties: Penalties,
-    pairs: &[Pair],
-    backtrace: bool,
-) -> Vec<AlignmentResult> {
-    let mut cpu = CpuWfaBackend::new(penalties);
-    pairs
-        .iter()
-        .map(|p| cpu.recover_pair(p, backtrace))
-        .collect()
 }
 
 /// Acknowledge any pending interrupt (write-1-to-clear) once the status
@@ -387,19 +375,16 @@ fn parse_results(
         let bt = by_id
             .get(&(pair.id & 0x7F_FFFF))
             .ok_or(BtError::TruncatedStream)?;
-        if !bt.record.success {
+        // The Extractor accepts exactly the alphabet `Seq` packs, so a raw
+        // (non-ACGT) pair comes back successful only from a corrupted
+        // record: answer it as failed.
+        let (Some(pa), Some(pb), true) =
+            (pair.a.as_packed(), pair.b.as_packed(), bt.record.success)
+        else {
             results.push(failed(pair));
             continue;
-        }
-        // Packed pairs replay packed; only raw (non-ACGT) sequences take
-        // the byte path, so the hot path never decodes to ASCII.
-        let cigar = match (pair.a.as_packed(), pair.b.as_packed()) {
-            (Some(pa), Some(pb)) => backtrace_alignment_packed(lane.schedule, bt, pa, pb, &p, ps)?,
-            _ => {
-                let (ba, bb) = (pair.a.bytes(), pair.b.bytes());
-                backtrace_alignment(lane.schedule, bt, &ba, &bb, &p, ps)?
-            }
         };
+        let cigar = backtrace_alignment_packed(lane.schedule, bt, pa, pb, &p, ps)?;
         cycles += lane.bt_costs.cycles(
             (bt.txns * 16) as u64,
             cigar.stats().edits(),

@@ -13,9 +13,9 @@
 //! * [`backtrace`] — the CPU backtrace over the accelerator's origin
 //!   stream: multi-Aligner data separation, single-Aligner no-separation
 //!   boundary detection, the origin walk, and match insertion (§4.5);
-//! * [`batch`] — the multi-lane batch scheduler: a queue of jobs dispatched
-//!   across N lanes with DMA/compute overlap, a per-lane circuit breaker,
-//!   and submission-order results;
+//! * [`batch`] — the multi-lane batch scheduler: a queue of jobs dealt
+//!   round-robin across N lanes with DMA/compute overlap, a per-lane
+//!   circuit breaker, and submission-order results;
 //! * [`cpu_model`] — analytic Sargantana cycle models for the scalar and
 //!   vectorized CPU WFA baselines and the CPU backtrace costs;
 //! * [`codesign`] — end-to-end experiment execution (accelerator + CPU
@@ -38,8 +38,8 @@ pub use backend::{
     AlignPolicy, AlignmentBackend, BackendBatch, BackendCounters, BackendKind, Capabilities,
     CpuRoute, CpuWfaBackend, HeterogeneousBackend, MultiLaneBackend, StrategySelect, SwgBackend,
 };
-pub use backtrace::{backtrace_alignment, backtrace_alignment_packed, BtAlignment, BtError, Edit};
-pub use batch::{BatchJob, BatchResult, BatchScheduler, DispatchPolicy, LaneHealth, LaneState};
+pub use backtrace::{backtrace_alignment_packed, BtAlignment, BtError, Edit};
+pub use batch::{BatchJob, BatchResult, BatchScheduler, LaneHealth, LaneState};
 pub use codesign::{run_experiment, ExperimentResult};
 pub use cpu_model::{software_backtrace_cycles, BacktraceCosts, CpuCosts};
 pub use faults::{FaultClass, FaultLayer, Provenance};

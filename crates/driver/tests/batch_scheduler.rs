@@ -6,8 +6,8 @@
 use wfa_core::prop;
 use wfasic_accel::AccelConfig;
 use wfasic_driver::{
-    AlignmentBackend, BatchJob, BatchScheduler, DispatchPolicy, DriverError, MultiLaneBackend,
-    WaitMode, WfasicDriver,
+    AlignmentBackend, BatchJob, BatchScheduler, DriverError, MultiLaneBackend, WaitMode,
+    WfasicDriver,
 };
 use wfasic_seqio::dataset::InputSetSpec;
 use wfasic_seqio::generate::{ErrorProfile, Pair, PairGenerator};
@@ -61,37 +61,28 @@ fn dma_of_the_next_job_overlaps_compute_of_the_previous() {
 }
 
 #[test]
-fn both_policies_preserve_submission_order_and_lane_accounting() {
+fn round_robin_preserves_submission_order_and_lane_accounting() {
     let cfg = AccelConfig::wfasic_chip();
-    for policy in [DispatchPolicy::RoundRobin, DispatchPolicy::ShortestQueue] {
-        let mut sched = BatchScheduler::new(cfg, 3);
-        sched.dispatch = policy;
-        let mut jobs: Vec<BatchJob> = (0..7)
-            .map(|i| BatchJob::score_only(pairs(1 + i % 3, 60 + 20 * (i % 4), 40 + i as u64)))
-            .collect();
-        assign_unique_ids(&mut jobs);
-        let expected: Vec<Vec<u32>> = jobs
-            .iter()
-            .map(|j| j.pairs.iter().map(|p| p.id).collect())
-            .collect();
+    let mut sched = BatchScheduler::new(cfg, 3);
+    let mut jobs: Vec<BatchJob> = (0..7)
+        .map(|i| BatchJob::score_only(pairs(1 + i % 3, 60 + 20 * (i % 4), 40 + i as u64)))
+        .collect();
+    assign_unique_ids(&mut jobs);
+    let expected: Vec<Vec<u32>> = jobs
+        .iter()
+        .map(|j| j.pairs.iter().map(|p| p.id).collect())
+        .collect();
 
-        let batch = sched.submit_batch(&jobs);
-        assert_eq!(batch.jobs.len(), 7);
-        assert_eq!(batch.lanes.len(), 7);
-        let got: Vec<Vec<u32>> = batch
-            .jobs
-            .iter()
-            .map(|j| j.as_ref().unwrap().results.iter().map(|r| r.id).collect())
-            .collect();
-        assert_eq!(got, expected, "{policy:?} reordered results");
-        for lane in &batch.lanes {
-            assert!(*lane < 3);
-        }
-        if policy == DispatchPolicy::RoundRobin {
-            assert_eq!(batch.lanes, vec![0, 1, 2, 0, 1, 2, 0]);
-        }
-        assert!(batch.throughput() > 0.0);
-    }
+    let batch = sched.submit_batch(&jobs);
+    assert_eq!(batch.jobs.len(), 7);
+    let got: Vec<Vec<u32>> = batch
+        .jobs
+        .iter()
+        .map(|j| j.as_ref().unwrap().results.iter().map(|r| r.id).collect())
+        .collect();
+    assert_eq!(got, expected, "reordered results");
+    assert_eq!(batch.lanes, vec![0, 1, 2, 0, 1, 2, 0]);
+    assert!(batch.throughput() > 0.0);
 }
 
 #[test]
@@ -192,8 +183,8 @@ fn an_oversized_job_fails_alone_without_poisoning_the_batch() {
     assert!(batch.jobs[2].is_ok());
 }
 
-/// The scheduler property: for random lane counts, queue shapes, policies
-/// and per-lane fault plans, every submitted pair comes back exactly once,
+/// The scheduler property: for random lane counts, queue shapes and
+/// per-lane fault plans, every submitted pair comes back exactly once,
 /// in submission order, with the right ID — no drops, no duplicates.
 #[test]
 fn batches_never_drop_duplicate_or_reorder_jobs() {
@@ -203,11 +194,6 @@ fn batches_never_drop_duplicate_or_reorder_jobs() {
         let n_jobs = rng.gen_range(1, 7);
         let cfg = AccelConfig::wfasic_chip();
         let mut sched = BatchScheduler::new(cfg, lanes);
-        sched.dispatch = if rng.gen_bool(0.5) {
-            DispatchPolicy::RoundRobin
-        } else {
-            DispatchPolicy::ShortestQueue
-        };
         sched.policy.cpu_fallback = true;
         // Sometimes poison one lane; cpu_fallback still answers everything.
         if rng.gen_bool(0.4) {

@@ -1,15 +1,16 @@
 //! DNA alphabet utilities.
 //!
-//! WFAsic supports the four canonical bases; reads containing 'N' (unknown)
-//! bases are flagged unsupported by the Extractor (paper §4.2).
+//! WFAsic supports the four canonical uppercase bases; reads containing
+//! any other byte ('N', lowercase) are flagged unsupported by the Extractor
+//! (paper §4.2).
 
 /// The four canonical bases in 2-bit code order.
 pub const BASES: [u8; 4] = [b'A', b'C', b'G', b'T'];
 
-/// Is this byte a supported (canonical, either case) base?
+/// Is this byte a supported (canonical, uppercase) base?
 #[inline]
 pub fn is_canonical(b: u8) -> bool {
-    matches!(b, b'A' | b'C' | b'G' | b'T' | b'a' | b'c' | b'g' | b't')
+    matches!(b, b'A' | b'C' | b'G' | b'T')
 }
 
 /// Does the sequence contain any unsupported base (e.g. 'N')?
@@ -47,7 +48,8 @@ mod tests {
     #[test]
     fn canonical_detection() {
         assert!(is_canonical(b'A'));
-        assert!(is_canonical(b't'));
+        assert!(is_canonical(b'T'));
+        assert!(!is_canonical(b't'));
         assert!(!is_canonical(b'N'));
         assert!(!is_canonical(b'-'));
         assert!(has_unsupported(b"ACGNT"));

@@ -22,15 +22,17 @@
 //!
 //! Plus: one job on one lane — through the raw driver, the batch scheduler
 //! or the backend layer — is bit-identical on every failure path, perf
-//! counters included, and the heterogeneous backend never drops,
-//! duplicates, or reorders a pair under random envelope violations and
-//! fault plans.
+//! counters included; a pair the device cannot finish gets the same
+//! software answer, on the service policy's route, whichever backend
+//! recovers it; and the heterogeneous backend never drops, duplicates, or
+//! reorders a pair under random envelope violations and fault plans.
 
 use wfasic::accel::{offsets, AccelConfig};
 use wfasic::driver::batch::BatchJob;
 use wfasic::driver::{
-    AlignPolicy, AlignmentBackend, BackendKind, BatchScheduler, DriverError, JobResult,
-    MultiLaneBackend, WaitMode, WfasicDriver,
+    AlignPolicy, AlignmentBackend, AlignmentResult, BackendKind, BatchScheduler, CpuWfaBackend,
+    DriverError, HeterogeneousBackend, JobResult, MultiLaneBackend, StrategySelect, WaitMode,
+    WfasicDriver,
 };
 use wfasic::seqio::{InputSetSpec, Pair};
 use wfasic::soc::fault::{FaultCounters, FaultPlan};
@@ -417,13 +419,107 @@ fn one_lane_one_job_keeps_raw_driver_perf_counters() {
     }
 }
 
+/// What a result says, rendered so results from different engines compare.
+fn rendered(r: &AlignmentResult) -> (u32, bool, u32, Option<String>, bool) {
+    let cigar = r.cigar.as_ref().map(|c| c.to_rle_string());
+    (r.id, r.success, r.score, cigar, r.recovered)
+}
+
+/// The device backends' CPU fallback runs on the service policy's route:
+/// with `strategy: Adaptive`, every pair a `k_max = 12` device cannot
+/// finish comes back exactly as a CPU engine on that route answers it, and
+/// the backend's counters tally each recovery once, as an adaptive pair.
+#[test]
+fn device_fallback_routes_by_the_policy_and_tallies_its_pairs() {
+    let mut cfg = AccelConfig::wfasic_chip();
+    cfg.k_max = 12;
+    let pairs = InputSetSpec {
+        length: 100,
+        error_pct: 10,
+    }
+    .generate(12, 0xADA7)
+    .pairs;
+    let policy = AlignPolicy {
+        cpu_fallback: true,
+        strategy: StrategySelect::Adaptive,
+        ..AlignPolicy::default()
+    };
+    let mut cpu = CpuWfaBackend::new(cfg.penalties);
+    cpu.apply_policy(&policy);
+    for kind in [BackendKind::Device, BackendKind::MultiLane] {
+        let mut backend = kind.create(cfg, 2);
+        backend.apply_policy(&policy);
+        let batch = backend
+            .align_batch(&BatchJob::with_backtrace(pairs.clone()))
+            .unwrap();
+        let mut recovered = 0;
+        for (res, pair) in batch.results.iter().zip(&pairs) {
+            assert!(res.success, "{}: pair {} unanswered", kind.name(), pair.id);
+            if res.recovered {
+                recovered += 1;
+                let want = cpu.align(pair, true, true);
+                assert_eq!(rendered(res), rendered(&want), "{}", kind.name());
+            }
+        }
+        assert!(recovered > 0, "{}: k_max 12 recovers pairs", kind.name());
+        let c = backend.counters();
+        assert_eq!(c.adaptive_pairs, recovered, "{}", kind.name());
+        assert_eq!((c.exact_pairs, c.biwfa_pairs), (0, 0), "{}", kind.name());
+        assert_eq!(c.recovered_pairs, recovered, "{}", kind.name());
+        assert!(c.peak_memory_bytes > 0, "{}", kind.name());
+    }
+}
+
+/// The heterogeneous backend keeps one CPU engine (and its arena) across
+/// batches: two batches through one backend answer and tally exactly as
+/// two fresh backends do. Each batch mixes in-envelope pairs, some over
+/// `Score_max` (recovered after the device job), with pairs past the
+/// envelope (aligned on the worker thread).
+#[test]
+fn hetero_reuses_its_cpu_engine_across_batches() {
+    let mut cfg = AccelConfig::wfasic_chip();
+    cfg.max_supported_len = 64;
+    cfg.k_max = 12;
+    let batch = |short: u64, long: u64| {
+        let mut pairs = Vec::new();
+        for (length, seed) in [(56, short), (150, long)] {
+            let spec = InputSetSpec {
+                length,
+                error_pct: 10,
+            };
+            for mut p in spec.generate(4, seed).pairs {
+                p.id = pairs.len() as u32;
+                pairs.push(p);
+            }
+        }
+        BatchJob::with_backtrace(pairs)
+    };
+    let batches = [batch(0x0E01, 0x0E02), batch(0x0E03, 0x0E04)];
+    let answers =
+        |b: &wfasic::driver::BackendBatch| -> Vec<_> { b.results.iter().map(rendered).collect() };
+    let mut reused = HeterogeneousBackend::new(cfg, 2);
+    let mut fresh_tally = (0, 0);
+    for job in &batches {
+        let mut fresh = HeterogeneousBackend::new(cfg, 2);
+        let want = fresh.align_batch(job).unwrap();
+        let got = reused.align_batch(job).unwrap();
+        assert_eq!(answers(&got), answers(&want));
+        let c = fresh.counters();
+        fresh_tally = (
+            fresh_tally.0 + c.exact_pairs,
+            fresh_tally.1 + c.recovered_pairs,
+        );
+    }
+    let c = reused.counters();
+    assert!(c.exact_pairs > 0, "the CPU side ran");
+    assert_eq!((c.exact_pairs, c.recovered_pairs), fresh_tally);
+}
+
 /// The heterogeneous property: random mixes of in-envelope and
 /// out-of-envelope pairs, random fault plans on random lanes — every pair
 /// comes back exactly once, in order, successfully.
 #[test]
 fn hetero_never_drops_duplicates_or_reorders_under_violations_and_faults() {
-    use wfasic::driver::HeterogeneousBackend;
-
     let n_cases = if cfg!(debug_assertions) { 10 } else { 20 };
     prop::cases(n_cases, 0x8E7E_0D11, |rng, _| {
         // A small device envelope so random pairs genuinely violate it:

@@ -1,16 +1,24 @@
 //! End-to-end checks of the `wfasic-align` binary: a bad argument exits
-//! with the usage code instead of aborting, and the `device` backend prints
-//! exactly what a one-lane `multilane` backend prints.
+//! with the usage code instead of aborting, the `device` backend prints
+//! exactly what a one-lane `multilane` backend prints, and lowercase bases
+//! mean the same to the device as to the software engines.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output};
 use wfasic::seqio::InputSetSpec;
 
-/// Write `n` generated pairs as `a.fasta` and `b.fasta` in a fresh
-/// directory under the system temp dir.
-fn write_fasta_pair(tag: &str, n: usize) -> PathBuf {
+/// Write `a` and `b` as `a.fasta` and `b.fasta` in a fresh directory under
+/// the system temp dir.
+fn write_fasta(tag: &str, a: &str, b: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("wfasic-cli-{tag}-{}", std::process::id()));
     std::fs::create_dir_all(&dir).unwrap();
+    std::fs::write(dir.join("a.fasta"), a).unwrap();
+    std::fs::write(dir.join("b.fasta"), b).unwrap();
+    dir
+}
+
+/// Write `n` generated pairs with [`write_fasta`].
+fn write_fasta_pair(tag: &str, n: usize) -> PathBuf {
     let pairs = InputSetSpec {
         length: 100,
         error_pct: 5,
@@ -30,9 +38,7 @@ fn write_fasta_pair(tag: &str, n: usize) -> PathBuf {
             String::from_utf8_lossy(&p.b.bytes())
         ));
     }
-    std::fs::write(dir.join("a.fasta"), a).unwrap();
-    std::fs::write(dir.join("b.fasta"), b).unwrap();
-    dir
+    write_fasta(tag, &a, &b)
 }
 
 fn align(dir: &Path, args: &[&str]) -> Output {
@@ -66,4 +72,35 @@ fn device_backend_prints_what_one_multilane_lane_prints() {
     let stdout = String::from_utf8(device.stdout).unwrap();
     assert_eq!(stdout.lines().count(), 28);
     assert_eq!(stdout, String::from_utf8(one_lane.stdout).unwrap());
+}
+
+/// `a`-side lowercase against `b`-side uppercase: the software engines
+/// compare bytes, so every base mismatches. The device must not fold the
+/// case away and report a perfect match; it flags the read unsupported.
+#[test]
+fn mixed_case_pair_fails_on_the_device_and_mismatches_in_software() {
+    let dir = write_fasta(
+        "case",
+        ">r0\nacgtacgtacgtacgtacgt\n",
+        ">r0\nACGTACGTACGTACGTACGT\n",
+    );
+    let software: Vec<(&str, Output)> = ["cpu", "swg", "hetero"]
+        .into_iter()
+        .map(|b| (b, align(&dir, &["--backend", b])))
+        .collect();
+    let device: Vec<Output> = [&[][..], &["--no-backtrace"]]
+        .into_iter()
+        .map(|extra| align(&dir, &[&["--backend", "device"][..], extra].concat()))
+        .collect();
+    std::fs::remove_dir_all(&dir).unwrap();
+    for (backend, out) in software {
+        assert!(out.status.success(), "{backend}: {out:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert_eq!(stdout, "r0\tOK\tscore=80\tcigar=20X\n", "{backend}");
+    }
+    for out in device {
+        assert_eq!(out.status.code(), Some(0), "{out:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        assert!(stdout.starts_with("r0\tFAIL\t"), "{stdout}");
+    }
 }

@@ -16,8 +16,8 @@
 //! For every pair: accelerator score == WFA score == SWG score; the
 //! accelerator-derived CIGAR replays against the sequences and costs
 //! exactly the expected score; and batched results are identical to
-//! single-job results (lane count, dispatch policy, DMA overlap and the
-//! service's queue must never change an answer).
+//! single-job results (lane count, DMA overlap and the service's queue
+//! must never change an answer).
 //!
 //! The sweep covers >= 2,000 pairs in every build profile. Debug builds
 //! (`cargo test`) use shorter reads so the cycle-level simulation stays
@@ -26,13 +26,13 @@
 
 use wfasic::accel::AccelConfig;
 use wfasic::driver::{
-    AlignmentBackend, AlignmentResult, BatchJob, BatchScheduler, CpuWfaBackend, DispatchPolicy,
-    MultiLaneBackend, StrategySelect,
+    AlignmentBackend, AlignmentResult, BatchJob, BatchScheduler, CpuWfaBackend, MultiLaneBackend,
+    StrategySelect,
 };
 use wfasic::seqio::{InputSetSpec, Pair, Technology};
 use wfasic::service::{AlignmentService, ServiceConfig};
 use wfasic::wfa::pool::ThreadPool;
-use wfasic::wfa::{swg_score, wfa_align_seqs, Penalties, WavefrontArena, WfaOptions};
+use wfasic::wfa::{swg_score, wfa_align_seqs, Penalties, WfaOptions};
 
 /// Pairs per (penalty set x shape) bucket; 3 shapes x 224 = 672 per penalty
 /// set, 2,016 across the three sweep tests.
@@ -66,12 +66,12 @@ fn shapes() -> [InputSetSpec; 3] {
 }
 
 /// Check one accelerator answer against both software references. The WFA
-/// golden runs through [`CpuWfaBackend::align_pair_in`] — the exact code
-/// path the driver's CPU fallback uses.
+/// golden runs through [`CpuWfaBackend::align`] on the default route — the
+/// exact call the driver's CPU fallback makes.
 fn check_pair(res: &AlignmentResult, pair: &Pair, p: &Penalties, ctx: &str) {
     assert!(res.success, "{ctx}: pair {} failed", pair.id);
     assert_eq!(res.id, pair.id, "{ctx}: result/pair ID mismatch");
-    let golden = CpuWfaBackend::align_pair_in(&mut WavefrontArena::new(), *p, pair, true, false);
+    let golden = CpuWfaBackend::new(*p).align(pair, true, true);
     assert!(
         golden.success,
         "{ctx}: software WFA must handle every generated pair"
@@ -114,7 +114,7 @@ fn check_pair(res: &AlignmentResult, pair: &Pair, p: &Penalties, ctx: &str) {
 /// job grouping and thread count (the `run_parallel` bit-identity tests in
 /// `wfasic-driver` pin this), so the sweep verifies exactly the same
 /// properties at any pool width — just faster on multi-core hosts.
-fn sweep(penalties: Penalties, policy: DispatchPolicy, master_seed: u64) {
+fn sweep(penalties: Penalties, master_seed: u64) {
     let mut cfg = AccelConfig::wfasic_chip();
     cfg.penalties = penalties;
     let pool = ThreadPool::host_sized();
@@ -124,7 +124,6 @@ fn sweep(penalties: Penalties, policy: DispatchPolicy, master_seed: u64) {
     // queue below) behind the bounded streaming service. One service
     // per sweep — buckets stream through it in submission order.
     let mut backend = MultiLaneBackend::new(cfg, LANES);
-    backend.sched.dispatch = policy;
     backend.chunk = JOB_CHUNK;
     let mut svc = AlignmentService::new(Box::new(backend), ServiceConfig::default());
 
@@ -144,8 +143,7 @@ fn sweep(penalties: Penalties, policy: DispatchPolicy, master_seed: u64) {
 
         // Path 1: independent single-lane jobs through the parallel
         // scheduler path (each job a fresh one-lane device).
-        let mut sched = BatchScheduler::new(cfg, LANES);
-        sched.dispatch = policy;
+        let sched = BatchScheduler::new(cfg, LANES);
         let single_jobs = sched.run_parallel(&jobs, pool.threads());
         let single: Vec<_> = single_jobs
             .iter()
@@ -189,29 +187,17 @@ fn sweep(penalties: Penalties, policy: DispatchPolicy, master_seed: u64) {
 
 #[test]
 fn differential_sweep_wfasic_default_penalties() {
-    sweep(
-        Penalties::WFASIC_DEFAULT,
-        DispatchPolicy::RoundRobin,
-        0xD1FF_0001,
-    );
+    sweep(Penalties::WFASIC_DEFAULT, 0xD1FF_0001);
 }
 
 #[test]
 fn differential_sweep_mismatch_heavy_penalties() {
-    sweep(
-        Penalties::new(7, 4, 1).unwrap(),
-        DispatchPolicy::ShortestQueue,
-        0xD1FF_0002,
-    );
+    sweep(Penalties::new(7, 4, 1).unwrap(), 0xD1FF_0002);
 }
 
 #[test]
 fn differential_sweep_gap_heavy_penalties() {
-    sweep(
-        Penalties::new(2, 8, 3).unwrap(),
-        DispatchPolicy::RoundRobin,
-        0xD1FF_0003,
-    );
+    sweep(Penalties::new(2, 8, 3).unwrap(), 0xD1FF_0003);
 }
 
 /// The three sweeps above must add up to the advertised coverage
