@@ -17,6 +17,12 @@
 //! the call) and balances by claiming items from a shared cursor instead
 //! of fixed chunks; its results still come back in input order.
 //!
+//! That cursor is [`Cursor`]: a queue of the indices `0..len` that any
+//! number of threads drain together, each claiming the next index in
+//! turn. [`ThreadPool::map_with`] drains one with its workers, and the
+//! heterogeneous backend drains one of CPU pairs with both its worker
+//! and, once its device batch is done, its lane thread.
+//!
 //! Nesting: every worker thread carries a thread-local marker
 //! ([`in_worker`]). [`ThreadPool::map_with`] runs inline when called from
 //! inside a worker, so a parallel sweep whose items themselves fan out
@@ -91,6 +97,41 @@ where
             Err(payload) => std::panic::resume_unwind(payload),
         }
     })
+}
+
+/// A work queue over the indices `0..len`, shared by any number of
+/// drainers: each [`Cursor::drain`] claims the next unclaimed index, one at
+/// a time, until none is left, so every index is handed out exactly once
+/// and a slow or descheduled drainer simply takes fewer.
+#[derive(Debug)]
+pub struct Cursor {
+    next: AtomicUsize,
+    len: usize,
+}
+
+impl Cursor {
+    /// A queue holding every index of `0..len`.
+    pub fn new(len: usize) -> Self {
+        Cursor {
+            next: AtomicUsize::new(0),
+            len,
+        }
+    }
+
+    /// Claim indices until the queue is empty, returning `(index, f(index))`
+    /// for each claimed index in claim (ascending) order.
+    pub fn drain<R>(&self, mut f: impl FnMut(usize) -> R) -> Vec<(usize, R)> {
+        let mut out = Vec::new();
+        loop {
+            // The cursor only hands out indices; results travel back
+            // through the caller's joins, so `Relaxed` suffices.
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.len {
+                return out;
+            }
+            out.push((i, f(i)));
+        }
+    }
 }
 
 /// Split `0..len` into at most `chunks` contiguous ranges whose sizes
@@ -232,19 +273,10 @@ impl ThreadPool {
                 .map(|(i, t)| f(first, i, t))
                 .collect();
         }
-        // The cursor only hands out indices; results travel back through
-        // the joins, so `Relaxed` suffices.
-        let cursor = AtomicUsize::new(0);
+        let cursor = Cursor::new(items.len());
         let drain = |state: &mut S| -> Vec<(usize, R)> {
             let _mark = WorkerMark::enter();
-            let mut out = Vec::new();
-            loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                let Some(item) = items.get(i) else {
-                    return out;
-                };
-                out.push((i, f(state, i, item)));
-            }
+            cursor.drain(|i| f(state, i, &items[i]))
         };
         let mut indexed = std::thread::scope(|scope| {
             let drain = &drain;
@@ -402,6 +434,29 @@ mod tests {
         });
         assert_eq!(nested, vec![1, 1]);
         assert!(!in_worker(), "the marker is cleared on the caller");
+    }
+
+    #[test]
+    fn cursor_hands_every_index_to_exactly_one_of_two_drainers() {
+        // One slow item: its drainer stalls while the other keeps claiming,
+        // and still no index is skipped or handed out twice.
+        let cursor = Cursor::new(40);
+        let work = |i: usize| {
+            if i == 2 {
+                std::thread::sleep(std::time::Duration::from_millis(20));
+            }
+            i * 7
+        };
+        let (a, b) = join(|| cursor.drain(work), || cursor.drain(work));
+        for part in [&a, &b] {
+            assert!(part.windows(2).all(|w| w[0].0 < w[1].0), "claims ascend");
+            assert!(part.iter().all(|&(i, r)| r == i * 7));
+        }
+        let mut all: Vec<usize> = a.iter().chain(&b).map(|&(i, _)| i).collect();
+        all.sort_unstable();
+        assert_eq!(all, (0..40).collect::<Vec<_>>());
+        assert!(cursor.drain(work).is_empty(), "a drained queue stays empty");
+        assert!(Cursor::new(0).drain(work).is_empty());
     }
 
     #[test]

@@ -28,8 +28,10 @@
 //!   [`Capabilities`]) are routed to the CPU *before* submission (so they
 //!   never inflate the batch's `MAX_READ_LEN` padding), and pairs the
 //!   hardware flags unsuccessful (score over `Score_max`, unknown bases,
-//!   fault damage) are recovered on the CPU afterwards. The accelerator
-//!   simulates while the CPU partition runs on a scoped host thread.
+//!   fault damage) are recovered on the CPU afterwards. The CPU partition
+//!   is one queue: a scoped host thread drains it while the accelerator
+//!   simulates, and on a multi-core host the lane thread joins in once
+//!   its device batch is done.
 //!
 //! Scores are bit-identical across every backend (all six compute the
 //! exact gap-affine optimum). CIGARs are bit-identical across the three
@@ -276,13 +278,15 @@ impl BackendCounters {
         self.sim_cycles += batch.sim_cycles.unwrap_or(0);
     }
 
-    /// Take a CPU engine's strategy tallies and memory peak; recoveries
-    /// come from [`Self::absorb`].
+    /// Add a CPU engine's strategy tallies and fold in its memory peak;
+    /// recoveries come from [`Self::absorb`]. Sums and a max, so engines
+    /// that split one queue between them merge to the same totals however
+    /// the pairs fell.
     fn merge_cpu_tallies(&mut self, cpu: &BackendCounters) {
-        self.exact_pairs = cpu.exact_pairs;
-        self.biwfa_pairs = cpu.biwfa_pairs;
-        self.adaptive_pairs = cpu.adaptive_pairs;
-        self.peak_memory_bytes = cpu.peak_memory_bytes;
+        self.exact_pairs += cpu.exact_pairs;
+        self.biwfa_pairs += cpu.biwfa_pairs;
+        self.adaptive_pairs += cpu.adaptive_pairs;
+        self.peak_memory_bytes = self.peak_memory_bytes.max(cpu.peak_memory_bytes);
     }
 }
 
@@ -827,7 +831,8 @@ impl AlignmentBackend for MultiLaneBackend {
 pub struct HeterogeneousBackend {
     /// The accelerator side. Public for fault-plan installation in tests.
     pub accel: MultiLaneBackend,
-    /// The CPU side (also the overflow-recovery worker).
+    /// The CPU side (also the overflow-recovery worker). Its route and
+    /// penalties also govern the lane thread's share of the CPU queue.
     pub cpu: CpuWfaBackend,
     counters: BackendCounters,
 }
@@ -872,27 +877,49 @@ impl AlignmentBackend for HeterogeneousBackend {
             deadline: job.deadline,
         };
 
-        // The accelerator simulates on this thread while a host worker
-        // answers the out-of-envelope partition on this backend's CPU
-        // engine — the lanes never wait on the CPU route. The engine routes
-        // by strategy: realistic long reads (the usual reason a pair misses
-        // the envelope) take the linear-memory BiWFA engine under the
-        // default `Auto` policy. Both sides run as pool workers, so while
-        // the CPU side runs the device does not also spread its jobs over
-        // the host's threads.
+        // The out-of-envelope partition is one queue, longest pair first
+        // (BiWFA's cost grows about with length squared). A host worker
+        // drains it on this backend's CPU engine while the accelerator
+        // simulates on this thread. On a multi-core host this thread then
+        // drains it too (on one core it would only time-slice against the
+        // worker), on the accelerator's own CPU engine, which never runs
+        // here otherwise (the device's `cpu_fallback` is forced off).
+        // That engine takes this one's route and penalties, so a pair's
+        // answer does not depend on which thread claimed it. The engine
+        // routes by strategy: realistic long reads (the usual reason a
+        // pair misses the envelope) take the linear-memory BiWFA engine
+        // under the default `Auto` policy. Both sides run as pool workers,
+        // so while the CPU side runs the device does not also spread its
+        // jobs over the host's threads.
+        cpu_idx.sort_unstable_by_key(|&i| {
+            (
+                std::cmp::Reverse(job.pairs[i].a.len() + job.pairs[i].b.len()),
+                i,
+            )
+        });
+        let queue = pool::Cursor::new(cpu_idx.len());
+        let drain = |engine: &mut CpuWfaBackend| {
+            queue.drain(|k| engine.align(&job.pairs[cpu_idx[k]], job.backtrace, true))
+        };
+        let lane_drains = pool::available_threads() > 1;
         let (accel, cpu) = (&mut self.accel, &mut self.cpu);
-        let mut device = || (!dev_job.pairs.is_empty()).then(|| accel.align_batch(&dev_job));
-        let cpu_side = || {
-            cpu_idx
-                .iter()
-                .map(|&i| cpu.align(&job.pairs[i], job.backtrace, true))
-                .collect::<Vec<_>>()
+        accel.sched.cpu.route = cpu.route;
+        accel.sched.cpu.penalties = cpu.penalties;
+        let mut lane = || {
+            let out = (!dev_job.pairs.is_empty()).then(|| accel.align_batch(&dev_job));
+            let drained = if lane_drains {
+                drain(&mut accel.sched.cpu)
+            } else {
+                Vec::new()
+            };
+            (out, drained)
         };
-        let (accel_out, cpu_out) = if cpu_idx.is_empty() {
-            (device(), Vec::new())
+        let ((accel_out, mut cpu_out), worker_out) = if cpu_idx.is_empty() {
+            (lane(), Vec::new())
         } else {
-            pool::join(device, cpu_side)
+            pool::join(lane, || drain(cpu))
         };
+        cpu_out.extend(worker_out);
 
         // Fill the device partition back in, recovering overflowed pairs
         // (score over the envelope, unknown bases, fault damage) — and the
@@ -921,8 +948,8 @@ impl AlignmentBackend for HeterogeneousBackend {
                 }
             }
         }
-        for (&i, res) in cpu_idx.iter().zip(cpu_out) {
-            slots[i] = Some(res);
+        for (k, res) in cpu_out {
+            slots[cpu_idx[k]] = Some(res);
         }
 
         let batch = BackendBatch {
@@ -948,8 +975,8 @@ impl AlignmentBackend for HeterogeneousBackend {
 
     fn counters(&self) -> BackendCounters {
         // Surface the accelerator side's health ledger (faults, breaker
-        // transitions, refusals) and the CPU side's strategy tallies
-        // alongside this backend's own totals.
+        // transitions, refusals) and the strategy tallies of both CPU
+        // engines that drain the queue alongside this backend's own totals.
         let mut c = self.counters;
         let accel = self.accel.counters();
         c.faults = accel.faults;
@@ -957,12 +984,14 @@ impl AlignmentBackend for HeterogeneousBackend {
         c.readmissions = accel.readmissions;
         c.degraded_jobs = accel.degraded_jobs;
         c.deadline_refusals = accel.deadline_refusals;
+        c.merge_cpu_tallies(&accel);
         c.merge_cpu_tallies(&self.cpu.counters);
         c
     }
 
     fn reset_counters(&mut self) {
         self.counters = BackendCounters::default();
+        self.accel.reset_counters();
         self.cpu.reset_counters();
     }
 

@@ -30,9 +30,9 @@
 use wfasic::accel::{offsets, AccelConfig};
 use wfasic::driver::batch::BatchJob;
 use wfasic::driver::{
-    AlignPolicy, AlignmentBackend, AlignmentResult, BackendKind, BatchScheduler, CpuWfaBackend,
-    DriverError, HeterogeneousBackend, JobResult, MultiLaneBackend, StrategySelect, WaitMode,
-    WfasicDriver,
+    AlignPolicy, AlignmentBackend, AlignmentResult, BackendKind, BatchScheduler, CpuRoute,
+    CpuWfaBackend, DriverError, HeterogeneousBackend, JobResult, MultiLaneBackend, StrategySelect,
+    WaitMode, WfasicDriver,
 };
 use wfasic::seqio::{InputSetSpec, Pair};
 use wfasic::soc::fault::{FaultCounters, FaultPlan};
@@ -513,6 +513,120 @@ fn hetero_reuses_its_cpu_engine_across_batches() {
     let c = reused.counters();
     assert!(c.exact_pairs > 0, "the CPU side ran");
     assert_eq!((c.exact_pairs, c.recovered_pairs), fresh_tally);
+}
+
+/// A device with a 64-base envelope and a job where most pairs miss it:
+/// twelve pairs of 80 to 200 bases for the shared CPU queue, interleaved
+/// with `in_envelope` pairs of 56 bases for the device.
+fn queue_cfg_and_job(in_envelope: usize, seed: u64) -> (AccelConfig, BatchJob) {
+    let mut cfg = AccelConfig::wfasic_chip();
+    cfg.max_supported_len = 64;
+    let mut pairs = Vec::new();
+    for k in 0..12 + in_envelope {
+        let length = if k % 5 == 4 && k / 5 < in_envelope {
+            56
+        } else {
+            [80, 200, 120, 160][k % 4]
+        };
+        let spec = InputSetSpec {
+            length,
+            error_pct: 5,
+        };
+        let mut p = spec.generate(1, seed ^ k as u64).pairs.remove(0);
+        p.id = k as u32;
+        pairs.push(p);
+    }
+    (cfg, BatchJob::with_backtrace(pairs))
+}
+
+/// The CPU pairs of a heterogeneous batch are one queue that the worker
+/// and the lane thread drain together, so which engine answers a pair
+/// depends on timing. The answers and the tallies must not: twenty runs
+/// through one backend all answer every CPU-routed pair exactly as a lone
+/// `CpuWfaBackend` does, and the counters add up to that engine's tallies.
+#[test]
+fn hetero_shared_cpu_queue_answers_and_tallies_deterministically() {
+    let (cfg, job) = queue_cfg_and_job(3, 0x0E05);
+    let mut oracle = CpuWfaBackend::new(cfg.penalties);
+    let mut hetero = HeterogeneousBackend::new(cfg, 2);
+    let first = hetero.align_batch(&job).unwrap();
+    let mut cpu_routed = 0;
+    for (res, pair) in first.results.iter().zip(&job.pairs) {
+        if res.recovered {
+            cpu_routed += 1;
+            let want = oracle.align(pair, true, true);
+            assert_eq!(rendered(res), rendered(&want), "pair {}", pair.id);
+        } else {
+            let swg = swg_score(&pair.a.bytes(), &pair.b.bytes(), &cfg.penalties);
+            assert_eq!(
+                (res.success, res.score as u64),
+                (true, swg),
+                "pair {}",
+                pair.id
+            );
+        }
+    }
+    assert_eq!(cpu_routed, 12, "every pair past the envelope took the CPU");
+    let once = oracle.counters();
+    let answers: Vec<_> = first.results.iter().map(rendered).collect();
+    for run in 1..=20u64 {
+        if run > 1 {
+            let again = hetero.align_batch(&job).unwrap();
+            assert_eq!(
+                again.results.iter().map(rendered).collect::<Vec<_>>(),
+                answers
+            );
+        }
+        let c = hetero.counters();
+        let tallies = (c.exact_pairs, c.biwfa_pairs, c.adaptive_pairs);
+        let want = (once.exact_pairs, once.biwfa_pairs, once.adaptive_pairs);
+        assert_eq!(
+            tallies,
+            (run * want.0, run * want.1, run * want.2),
+            "run {run}"
+        );
+        assert_eq!(c.recovered_pairs, run * cpu_routed, "run {run}");
+        assert_eq!(c.peak_memory_bytes, once.peak_memory_bytes, "run {run}");
+    }
+}
+
+/// A route set directly on `hetero.cpu` holds on both threads that drain
+/// the CPU queue: with a job of CPU pairs only, the lane thread starts
+/// claiming pairs at once, and every pair must still be tallied under the
+/// route's strategy, not the default one.
+#[test]
+fn hetero_cpu_route_holds_on_both_drainers() {
+    let (cfg, job) = queue_cfg_and_job(0, 0x0E06);
+    let mut hetero = HeterogeneousBackend::new(cfg, 2);
+    hetero.cpu.route = CpuRoute {
+        select: StrategySelect::BiWfa,
+        ..CpuRoute::default()
+    };
+    let runs = 5;
+    for _ in 0..runs {
+        let batch = hetero.align_batch(&job).unwrap();
+        assert!(batch.results.iter().all(|r| r.success && r.recovered));
+    }
+    let c = hetero.counters();
+    assert_eq!(c.biwfa_pairs, runs * job.pairs.len() as u64);
+    assert_eq!((c.exact_pairs, c.adaptive_pairs), (0, 0));
+}
+
+/// `reset_counters` clears the tallies of both CPU engines that drain the
+/// queue.
+#[test]
+fn hetero_reset_clears_both_cpu_engines() {
+    let (cfg, job) = queue_cfg_and_job(2, 0x0E07);
+    let mut hetero = HeterogeneousBackend::new(cfg, 2);
+    for _ in 0..3 {
+        hetero.align_batch(&job).unwrap();
+    }
+    let c = hetero.counters();
+    assert!(c.exact_pairs > 0 && c.peak_memory_bytes > 0);
+    hetero.reset_counters();
+    let c = hetero.counters();
+    let tallies = (c.exact_pairs, c.biwfa_pairs, c.adaptive_pairs);
+    assert_eq!((tallies, c.peak_memory_bytes), ((0, 0, 0), 0));
 }
 
 /// The heterogeneous property: random mixes of in-envelope and
