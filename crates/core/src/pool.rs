@@ -10,8 +10,9 @@
 //! is trivially bit-identical, and any per-item seeding derived from the
 //! item index is reproducible at every thread count.
 //!
-//! Worker panics propagate to the caller (via `std::thread::scope`'s join),
-//! so a failing property inside a parallel sweep still fails the test.
+//! Worker panics propagate to the caller (via `std::thread::scope`'s join,
+//! or a resident helper's reply), so a failing property inside a parallel
+//! sweep still fails the test.
 //!
 //! [`ThreadPool::map_with`] adds per-worker state (scratch that outlives
 //! the call) and balances by claiming items from a shared cursor instead
@@ -19,20 +20,29 @@
 //!
 //! That cursor is [`Cursor`]: a queue of the indices `0..len` that any
 //! number of threads drain together, each claiming the next index in
-//! turn. [`ThreadPool::map_with`] drains one with its workers, and the
-//! heterogeneous backend drains one of CPU pairs with both its worker
-//! and, once its device batch is done, its lane thread.
+//! turn. [`ThreadPool::map_with`] drains one with its workers, [`share`]
+//! with the resident helpers, and the heterogeneous backend drains one of
+//! CPU pairs with both its worker and, once its device batch is done, its
+//! lane thread.
+//!
+//! [`ThreadPool`] and [`join`] spawn *scoped* threads per call (tens of
+//! microseconds, noise next to a sweep or a multi-millisecond job) that
+//! may borrow the caller's data. [`share`] is for jobs too short to pay
+//! that: the process's *resident* helpers, spawned once, work on owned
+//! (`Arc`'d) data.
 //!
 //! Nesting: every worker thread carries a thread-local marker
-//! ([`in_worker`]). [`ThreadPool::map_with`] runs inline when called from
-//! inside a worker, so a parallel sweep whose items themselves fan out
-//! (a device job aligning its pairs on every core) does not oversubscribe
-//! the host.
+//! ([`in_worker`]). [`ThreadPool::map_with`] and [`share`] run inline when
+//! called from inside a worker, so a parallel sweep whose items themselves
+//! fan out (a device job aligning its pairs on every core) does not
+//! oversubscribe the host.
 
 use std::cell::Cell;
 use std::ops::Range;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, OnceLock};
+use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
+use std::time::{Duration, Instant};
 
 /// Host threads available to this process (>= 1). Read once and cached:
 /// `std::thread::available_parallelism` re-reads the cgroup files on every
@@ -52,8 +62,9 @@ thread_local! {
 
 /// Is the current thread running pool work? True inside the spawned
 /// workers of [`ThreadPool::map`], on every thread of a parallel
-/// [`ThreadPool::map_with`] (the caller's included) while it runs, and on
-/// both sides of [`join`].
+/// [`ThreadPool::map_with`] (the caller's included) while it runs, on
+/// both sides of [`join`], on the caller of [`share`] while it drains, and
+/// always on a resident helper.
 pub fn in_worker() -> bool {
     IN_WORKER.with(Cell::get)
 }
@@ -124,7 +135,8 @@ impl Cursor {
         let mut out = Vec::new();
         loop {
             // The cursor only hands out indices; results travel back
-            // through the caller's joins, so `Relaxed` suffices.
+            // through the caller's joins or channels, so `Relaxed`
+            // suffices.
             let i = self.next.fetch_add(1, Ordering::Relaxed);
             if i >= self.len {
                 return out;
@@ -132,6 +144,128 @@ impl Cursor {
             out.push((i, f(i)));
         }
     }
+}
+
+/// A unit of work for a resident helper.
+type Task = Box<dyn FnOnce() + Send>;
+
+/// How long a helper polls for its next task (a closed-loop client's next
+/// short job usually comes within it), and a [`share`] caller for a
+/// helper's reply (the helper is finishing its last claim), before parking.
+const HELPER_SPIN: Duration = Duration::from_micros(60);
+const CALLER_SPIN: Duration = Duration::from_micros(30);
+
+/// Poll for up to `spin`, then block, skipping a park and wake-up (~15 µs
+/// together on a 2-vCPU VM) when what is awaited is microseconds away.
+fn spin_then<T>(
+    spin: Duration,
+    mut poll: impl FnMut() -> Option<T>,
+    block: impl FnOnce() -> T,
+) -> T {
+    let start = Instant::now();
+    loop {
+        if let Some(t) = poll() {
+            return t;
+        }
+        if start.elapsed() >= spin {
+            return block();
+        }
+        std::hint::spin_loop();
+    }
+}
+
+/// The tasks channel of the process's resident helpers, spawning them on
+/// first use: `available_threads() - 1` threads that take turns receiving
+/// from one channel, run each task marked as pool workers, and never exit.
+fn helper_tasks() -> &'static mpsc::Sender<Task> {
+    static TASKS: OnceLock<mpsc::Sender<Task>> = OnceLock::new();
+    TASKS.get_or_init(|| {
+        let (tx, rx) = mpsc::channel::<Task>();
+        let rx = Arc::new(Mutex::new(rx));
+        for k in 1..available_threads() {
+            let rx = Arc::clone(&rx);
+            std::thread::Builder::new()
+                .name(format!("pool-helper-{k}"))
+                .spawn(move || {
+                    let _mark = WorkerMark::enter();
+                    let tasks = || rx.lock().unwrap_or_else(PoisonError::into_inner);
+                    loop {
+                        let task = spin_then(
+                            HELPER_SPIN,
+                            || tasks().try_recv().ok(),
+                            || tasks().recv().expect("the task sender lives in a static"),
+                        );
+                        task();
+                    }
+                })
+                .expect("spawn a resident pool helper");
+        }
+        tx
+    })
+}
+
+/// Share the queue `0..len` between the caller and the process's resident
+/// helpers; returns every index's result in input order, plus the report
+/// of each helper whose share the caller waited for.
+///
+/// The caller drains with `mine`; up to `len - 1` helpers drain at the
+/// same time with the closure `helper()` builds, which must own its data,
+/// and each returns its claims and a report (its tallies, say). The caller
+/// waits only for helpers that claimed an index. A helper's panic is
+/// re-raised on the caller; the helper stays up. On one host thread, inside
+/// a pool worker ([`in_worker`]) or for fewer than two indices, `mine`
+/// drains everything inline and no thread is spawned.
+pub fn share<R, T, H>(
+    len: usize,
+    mine: impl FnOnce(&Cursor) -> Vec<(usize, R)>,
+    helper: impl FnOnce() -> H,
+) -> (Vec<R>, Vec<T>)
+where
+    R: Send + 'static,
+    T: Send + 'static,
+    H: Fn(&Cursor) -> (Vec<(usize, R)>, T) + Send + Sync + 'static,
+{
+    let wake = if in_worker() {
+        0
+    } else {
+        (available_threads() - 1).min(len.saturating_sub(1))
+    };
+    let cursor = Arc::new(Cursor::new(len));
+    let (tx, rx) = mpsc::channel();
+    if wake > 0 {
+        let helper = Arc::new(helper());
+        let tasks = helper_tasks();
+        for _ in 0..wake {
+            let (cursor, helper, tx) = (Arc::clone(&cursor), Arc::clone(&helper), tx.clone());
+            // Helpers never exit, so the send cannot fail; the reply fails
+            // only once the caller holds every result and has hung up.
+            let _ = tasks.send(Box::new(move || {
+                let _ = tx.send(catch_unwind(AssertUnwindSafe(|| helper(&cursor))));
+            }));
+        }
+    }
+    drop(tx);
+    let mut got = {
+        let _mark = WorkerMark::enter();
+        mine(&cursor)
+    };
+    let mut reports = Vec::new();
+    while got.len() < len {
+        let reply = spin_then(
+            CALLER_SPIN,
+            || rx.try_recv().ok(),
+            || rx.recv().expect("a helper that claimed an index replies"),
+        );
+        match reply {
+            Ok((part, report)) => {
+                got.extend(part);
+                reports.push(report);
+            }
+            Err(payload) => std::panic::resume_unwind(payload),
+        }
+    }
+    got.sort_unstable_by_key(|&(i, _)| i);
+    (got.into_iter().map(|(_, r)| r).collect(), reports)
 }
 
 /// Split `0..len` into at most `chunks` contiguous ranges whose sizes
@@ -157,8 +291,9 @@ pub fn chunk_ranges(len: usize, chunks: usize) -> Vec<Range<usize>> {
 /// A fixed-width deterministic thread pool.
 ///
 /// The pool holds no threads between calls; each [`ThreadPool::map`] spawns
-/// scoped workers and joins them before returning, keeping lifetimes simple
-/// and leaving no idle threads behind in test binaries.
+/// scoped workers and joins them before returning, so they may borrow the
+/// caller's data. (The resident helpers behind [`share`] are the one
+/// exception in this module.)
 #[derive(Debug, Clone, Copy)]
 pub struct ThreadPool {
     threads: usize,
@@ -457,6 +592,176 @@ mod tests {
         assert_eq!(all, (0..40).collect::<Vec<_>>());
         assert!(cursor.drain(work).is_empty(), "a drained queue stays empty");
         assert!(Cursor::new(0).drain(work).is_empty());
+    }
+
+    /// Wait (up to 10 s) until `flag` is set; true if it was.
+    fn wait_for(flag: &std::sync::atomic::AtomicBool) -> bool {
+        let start = std::time::Instant::now();
+        while !flag.load(Ordering::SeqCst) {
+            if start.elapsed() > std::time::Duration::from_secs(10) {
+                return false;
+            }
+            std::thread::sleep(std::time::Duration::from_millis(1));
+        }
+        true
+    }
+
+    #[test]
+    fn share_claims_every_index_exactly_once() {
+        for len in [0usize, 1, 2, 3, 57, 400] {
+            for _ in 0..5 {
+                let claims: Arc<Vec<AtomicUsize>> =
+                    Arc::new((0..len).map(|_| AtomicUsize::new(0)).collect());
+                let work = |claims: &[AtomicUsize], i: usize| {
+                    claims[i].fetch_add(1, Ordering::SeqCst);
+                    i * 3
+                };
+                let mine_claims = Arc::clone(&claims);
+                let (got, reports) = share(
+                    len,
+                    |q| q.drain(|i| work(&mine_claims, i)),
+                    || {
+                        let claims = Arc::clone(&claims);
+                        move |q: &Cursor| {
+                            let part = q.drain(|i| work(&claims, i));
+                            let n = part.len();
+                            (part, n)
+                        }
+                    },
+                );
+                assert_eq!(
+                    got,
+                    (0..len).map(|i| i * 3).collect::<Vec<_>>(),
+                    "len {len}"
+                );
+                assert!(claims.iter().all(|c| c.load(Ordering::SeqCst) == 1));
+                assert!(reports.len() < len.max(1), "at most len - 1 helpers wake");
+                assert!(reports.len() < available_threads());
+            }
+        }
+        assert!(!in_worker(), "the marker is cleared on the caller");
+    }
+
+    #[test]
+    fn share_returns_without_waiting_when_helpers_claimed_nothing() {
+        // Every helper is held at a gate the test opens only after `share`
+        // returns, so the caller drains the whole queue itself and must
+        // not wait for a reply.
+        let (open, gate) = mpsc::channel::<()>();
+        let gate = Arc::new(Mutex::new(gate));
+        let start = std::time::Instant::now();
+        let (got, reports) = share(
+            64,
+            |q| q.drain(|i| i),
+            || {
+                let gate = Arc::clone(&gate);
+                move |q: &Cursor| {
+                    let held = gate.lock().unwrap_or_else(PoisonError::into_inner);
+                    let _ = held.recv_timeout(std::time::Duration::from_secs(10));
+                    (q.drain(|i| i), ())
+                }
+            },
+        );
+        assert!(start.elapsed() < std::time::Duration::from_secs(5));
+        assert_eq!(got, (0..64).collect::<Vec<_>>());
+        assert!(reports.is_empty());
+        for _ in 1..available_threads() {
+            let _ = open.send(());
+        }
+    }
+
+    #[test]
+    fn share_helper_panic_reaches_the_caller_and_the_helper_survives() {
+        use std::sync::atomic::AtomicBool;
+        if available_threads() < 2 {
+            return; // no helpers: nothing can claim but the caller
+        }
+        // The caller holds back until a helper has claimed an index, so
+        // the helper's share is never empty.
+        let run = |boom: bool| {
+            let claimed = Arc::new(AtomicBool::new(false));
+            let seen = Arc::clone(&claimed);
+            share(
+                32,
+                move |q| {
+                    assert!(wait_for(&seen), "a helper claimed an index");
+                    q.drain(|i| i)
+                },
+                || {
+                    move |q: &Cursor| {
+                        let part = q.drain(|i| {
+                            claimed.store(true, Ordering::SeqCst);
+                            assert!(!boom, "helper boom");
+                            std::thread::sleep(std::time::Duration::from_millis(2));
+                            i
+                        });
+                        (part, ())
+                    }
+                },
+            )
+        };
+        let caught = catch_unwind(|| run(true)).expect_err("the helper's panic surfaces");
+        let msg = caught
+            .downcast_ref::<String>()
+            .map(String::as_str)
+            .or_else(|| caught.downcast_ref::<&str>().copied());
+        assert_eq!(msg, Some("helper boom"));
+        assert!(!in_worker());
+        let (got, reports) = run(false);
+        assert_eq!(got, (0..32).collect::<Vec<_>>());
+        assert!(!reports.is_empty(), "a helper answered the later batch");
+    }
+
+    #[test]
+    fn share_nested_inside_a_worker_runs_inline() {
+        use std::sync::atomic::AtomicBool;
+        /// Does a share started here run on this thread alone, without
+        /// building a helper?
+        fn nested(built: &AtomicBool) -> bool {
+            let me = std::thread::current().id();
+            let (ids, reports) = share(
+                8,
+                |q| q.drain(|_| std::thread::current().id()),
+                || {
+                    built.store(true, Ordering::SeqCst);
+                    |q: &Cursor| (q.drain(|_| std::thread::current().id()), ())
+                },
+            );
+            ids.iter().all(|&id| id == me) && reports.is_empty()
+        }
+        let built = AtomicBool::new(false);
+        let inline = ThreadPool::new(2).map(&[0, 1], |_, _| nested(&built));
+        assert_eq!(inline, vec![true, true]);
+        assert!(
+            !built.load(Ordering::SeqCst),
+            "no helper is built in a worker"
+        );
+        // A resident helper is a worker too: a share it starts runs inline.
+        // The caller holds back until the helper has claimed an index.
+        if available_threads() < 2 {
+            return;
+        }
+        let claimed = Arc::new(AtomicBool::new(false));
+        let seen = Arc::clone(&claimed);
+        let (from_helper, reports) = share(
+            2,
+            move |q| {
+                assert!(wait_for(&seen), "a helper claimed an index");
+                q.drain(|_| true)
+            },
+            || {
+                move |q: &Cursor| {
+                    let part = q.drain(|_| {
+                        claimed.store(true, Ordering::SeqCst);
+                        let built = AtomicBool::new(false);
+                        in_worker() && nested(&built) && !built.load(Ordering::SeqCst)
+                    });
+                    (part, ())
+                }
+            },
+        );
+        assert_eq!(reports.len(), 1, "one helper wakes for two indices");
+        assert_eq!(from_helper, vec![true, true]);
     }
 
     #[test]

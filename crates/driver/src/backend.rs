@@ -13,7 +13,9 @@
 //!   one software answer path: this backend's batches, the heterogeneous
 //!   CPU partition and its recoveries, the attempt loop's fallback in
 //!   [`crate::job`] and the scheduler's degraded jobs all call it, each on
-//!   an engine its caller owns.
+//!   an engine its caller owns. A batch of two or more pairs is one queue
+//!   that this engine drains together with the process's resident helper
+//!   threads ([`pool::share`]), each on an engine of its own.
 //! * [`SwgBackend`] — the full-DP Smith-Waterman-Gotoh reference (Eq. 2).
 //! * [`crate::RiscvBackend`] — the paper's CPU baseline: the hand-written
 //!   WFA kernel on the RV64IM interpreter with Sargantana-like timing,
@@ -42,6 +44,8 @@
 use crate::api::{AlignmentResult, DriverError};
 use crate::batch::{BatchJob, BatchScheduler};
 use crate::job::JobPolicy;
+use std::cell::RefCell;
+use std::sync::Arc;
 use wfa_core::pool;
 use wfa_core::{
     swg_align, wfa_align_seqs_with_arena, AdaptiveParams, AlignStrategy, Penalties, WavefrontArena,
@@ -508,6 +512,12 @@ impl std::str::FromStr for BackendKind {
 /// The software WFA oracle: gap-affine alignment on the host CPU, routed
 /// per pair by a [`CpuRoute`] and reusing one [`WavefrontArena`] for the
 /// engine's lifetime.
+///
+/// [`AlignmentBackend::align_batch`] shares a batch with the process's
+/// resident helper threads ([`pool::share`]), each aligning on its own
+/// engine with this one's route and penalties. Answers come back in input
+/// order and the helpers' tallies merge as sums and a max, so neither
+/// depends on which thread claimed a pair.
 #[derive(Debug)]
 pub struct CpuWfaBackend {
     /// Penalty model.
@@ -575,12 +585,32 @@ impl AlignmentBackend for CpuWfaBackend {
     }
 
     fn align_batch(&mut self, job: &BatchJob) -> Result<BackendBatch, DriverError> {
+        thread_local! {
+            static HELPER_ENGINE: RefCell<CpuWfaBackend> =
+                RefCell::new(CpuWfaBackend::new(Penalties::default()));
+        }
+        let (route, penalties, backtrace) = (self.route, self.penalties, job.backtrace);
+        let (results, helper_tallies) = pool::share(
+            job.pairs.len(),
+            |queue| queue.drain(|i| self.align(&job.pairs[i], backtrace, false)),
+            || {
+                let pairs = Arc::new(job.pairs.clone());
+                move |queue: &pool::Cursor| {
+                    HELPER_ENGINE.with_borrow_mut(|engine| {
+                        engine.route = route;
+                        engine.penalties = penalties;
+                        engine.counters = BackendCounters::default();
+                        let part = queue.drain(|i| engine.align(&pairs[i], backtrace, false));
+                        (part, engine.counters)
+                    })
+                }
+            },
+        );
+        for tallies in &helper_tallies {
+            self.counters.merge_cpu_tallies(tallies);
+        }
         let batch = BackendBatch {
-            results: job
-                .pairs
-                .iter()
-                .map(|p| self.align(p, job.backtrace, false))
-                .collect(),
+            results,
             sim_cycles: None,
             perf: None,
             reports: Vec::new(),

@@ -24,17 +24,19 @@
 //! or the backend layer — is bit-identical on every failure path, perf
 //! counters included; a pair the device cannot finish gets the same
 //! software answer, on the service policy's route, whichever backend
-//! recovers it; and the heterogeneous backend never drops, duplicates, or
-//! reorders a pair under random envelope violations and fault plans.
+//! recovers it; the heterogeneous backend never drops, duplicates, or
+//! reorders a pair under random envelope violations and fault plans; and a
+//! `cpu` batch, shared with the process's resident helper threads, answers
+//! and tallies exactly as a serial `CpuWfaBackend::align` loop.
 
 use wfasic::accel::{offsets, AccelConfig};
 use wfasic::driver::batch::BatchJob;
 use wfasic::driver::{
-    AlignPolicy, AlignmentBackend, AlignmentResult, BackendKind, BatchScheduler, CpuRoute,
-    CpuWfaBackend, DriverError, HeterogeneousBackend, JobResult, MultiLaneBackend, StrategySelect,
-    WaitMode, WfasicDriver,
+    AlignPolicy, AlignmentBackend, AlignmentResult, BackendCounters, BackendKind, BatchScheduler,
+    CpuRoute, CpuWfaBackend, DriverError, HeterogeneousBackend, JobResult, MultiLaneBackend,
+    StrategySelect, WaitMode, WfasicDriver,
 };
-use wfasic::seqio::{InputSetSpec, Pair};
+use wfasic::seqio::{InputSetSpec, Pair, Seq};
 use wfasic::soc::fault::{FaultCounters, FaultPlan};
 use wfasic::soc::perf::PerfCounters;
 use wfasic::wfa::{prop, swg_score, Penalties};
@@ -704,4 +706,147 @@ fn hetero_never_drops_duplicates_or_reorders_under_violations_and_faults() {
             }
         }
     });
+}
+
+/// The `cpu` batch mix: 57 pairs of 150 bp at 5% error, except a raw pair
+/// (lowercase bases and an `N`, so it is aligned as bytes) at index 1 and
+/// a 10.5 kb pair (BiWFA under `Auto`) at index 7. Ids are positions.
+fn cpu_mix(seed: u64) -> Vec<Pair> {
+    let short = InputSetSpec {
+        length: 150,
+        error_pct: 5,
+    };
+    let mut pairs = short.generate(57, seed).pairs;
+    let long = InputSetSpec {
+        length: 10_500,
+        error_pct: 1,
+    };
+    pairs[7] = long.generate(1, seed ^ 0x7).pairs.remove(0);
+    let mut raw = pairs[1].a.bytes().into_owned();
+    raw[3] = b'N';
+    raw[10..20].make_ascii_lowercase();
+    pairs[1].a = Seq::from_bytes(raw);
+    for (i, p) in pairs.iter_mut().enumerate() {
+        p.id = i as u32;
+    }
+    pairs
+}
+
+/// A `cpu` batch is one queue the backend's engine drains together with
+/// the resident helpers, so which engine answers a pair depends on timing.
+/// The answers and the counters must not: batches of 0, 1, 2, 29 and 57
+/// pairs, on the default `Auto` route and on an `Adaptive` route set
+/// through `apply_policy`, with and without backtrace, answer exactly as a
+/// serial `CpuWfaBackend::align` loop, and after every batch the counters
+/// equal that loop's tallies plus the batch bookkeeping.
+#[test]
+fn cpu_batches_match_a_serial_align_loop() {
+    let cfg = AccelConfig::wfasic_chip();
+    let pairs = cpu_mix(0xC0_0001);
+    let adaptive = AlignPolicy {
+        strategy: StrategySelect::Adaptive,
+        ..AlignPolicy::default()
+    };
+    for policy in [AlignPolicy::default(), adaptive] {
+        let mut backend = BackendKind::Cpu.create(cfg, 1);
+        backend.apply_policy(&policy);
+        let mut serial = CpuWfaBackend::new(cfg.penalties);
+        serial.apply_policy(&policy);
+        let mut want_counters = BackendCounters::default();
+        for n in [0, 1, 2, 29, 57] {
+            for backtrace in [true, false] {
+                let job = BatchJob {
+                    pairs: pairs[..n].to_vec(),
+                    backtrace,
+                    deadline: None,
+                };
+                let want: Vec<_> = job
+                    .pairs
+                    .iter()
+                    .map(|p| rendered(&serial.align(p, backtrace, false)))
+                    .collect();
+                let got = backend.align_batch(&job).unwrap();
+                let got: Vec<_> = got.results.iter().map(rendered).collect();
+                let label = format!("{:?} n={n} bt={backtrace}", policy.strategy);
+                assert_eq!(got, want, "{label}");
+                want_counters.jobs += 1;
+                want_counters.pairs += n as u64;
+                want_counters.failed_pairs += want.iter().filter(|r| !r.1).count() as u64;
+                let tallies = serial.counters();
+                let want_counters = BackendCounters {
+                    exact_pairs: tallies.exact_pairs,
+                    biwfa_pairs: tallies.biwfa_pairs,
+                    adaptive_pairs: tallies.adaptive_pairs,
+                    peak_memory_bytes: tallies.peak_memory_bytes,
+                    ..want_counters
+                };
+                assert_eq!(backend.counters(), want_counters, "{label}");
+            }
+        }
+        let c = backend.counters();
+        match policy.strategy {
+            StrategySelect::Auto => assert_eq!((c.biwfa_pairs, c.adaptive_pairs), (4, 0)),
+            _ => assert_eq!((c.exact_pairs, c.biwfa_pairs), (0, 0)),
+        }
+    }
+}
+
+/// Four threads run `cpu` batches at once, all sharing the process's
+/// resident helpers: each gets its own answers, batch after batch.
+#[test]
+fn cpu_batches_on_four_threads_each_get_their_own_answers() {
+    let cfg = AccelConfig::wfasic_chip();
+    let sets: Vec<Vec<Pair>> = (0..4u32)
+        .map(|t| {
+            let mut pairs = cpu_mix(0xC0_0100 + t as u64);
+            pairs.remove(7); // the long pair: keep the rounds short
+            for p in &mut pairs {
+                p.id += 1000 * t;
+            }
+            pairs
+        })
+        .collect();
+    std::thread::scope(|scope| {
+        for set in &sets {
+            scope.spawn(move || {
+                let mut serial = CpuWfaBackend::new(cfg.penalties);
+                let want: Vec<_> = set
+                    .iter()
+                    .map(|p| rendered(&serial.align(p, false, false)))
+                    .collect();
+                let mut backend = BackendKind::Cpu.create(cfg, 1);
+                for round in 0..10 {
+                    let got = backend
+                        .align_batch(&BatchJob::score_only(set.clone()))
+                        .unwrap();
+                    let got: Vec<_> = got.results.iter().map(rendered).collect();
+                    assert_eq!(got, want, "round {round}");
+                }
+                assert_eq!(backend.counters().exact_pairs, 10 * set.len() as u64);
+            });
+        }
+    });
+}
+
+/// The resident helpers number at most one per spare host thread, and on
+/// a one-thread host (`taskset -c 0`) a `cpu` batch runs inline and no
+/// helper thread exists. Helper threads are named `pool-helper-N`; the
+/// count reads `/proc/self/task`, so it is checked only where that exists.
+#[test]
+fn cpu_batches_spawn_no_helper_beyond_the_spare_threads() {
+    let mut backend = BackendKind::Cpu.create(AccelConfig::wfasic_chip(), 1);
+    let mut pairs = cpu_mix(0xC0_0200);
+    pairs.truncate(7);
+    backend.align_batch(&BatchJob::score_only(pairs)).unwrap();
+    let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
+        return;
+    };
+    let helpers = tasks
+        .filter_map(|t| std::fs::read_to_string(t.ok()?.path().join("comm")).ok())
+        .filter(|name| name.starts_with("pool-helper"))
+        .count();
+    assert!(
+        helpers < wfasic::wfa::pool::available_threads(),
+        "{helpers} helpers"
+    );
 }

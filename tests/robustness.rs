@@ -221,3 +221,60 @@ fn fuzz_arbitrary_mmio_sequences_never_panic() {
         }
     });
 }
+
+/// Boundary fuzz: the FASTA reader on corrupted and truncated bytes. A
+/// valid multi-record file is damaged per case (random byte values, which
+/// break UTF-8; stray `>`; NULs; `\r`; a cut mid-record) and both entry
+/// points must return `Ok` or an `io::Error`, never panic. Where the bytes
+/// are still UTF-8, `read_fasta` and `parse_fasta` give the same answer,
+/// and no record they return holds whitespace in its sequence.
+#[test]
+fn fuzz_corrupted_fasta_never_panics() {
+    use wfasic::seqio::fasta::{format_fasta, parse_fasta, read_fasta, Record};
+    use wfasic::wfa::prop::cases;
+
+    cases(400, 0xFA57_0001, |rng, _| {
+        let records: Vec<Record> = (0..rng.gen_range(1, 5))
+            .map(|r| Record {
+                name: format!("read{r} sample"),
+                seq: (0..rng.gen_range(0, 90))
+                    .map(|_| *rng.pick(b"ACGTNacgt"))
+                    .collect(),
+            })
+            .collect();
+        let mut bytes = format_fasta(&records, rng.gen_range(0, 40)).into_bytes();
+        for _ in 0..rng.gen_range(0, 6) {
+            if bytes.is_empty() {
+                break;
+            }
+            let at = rng.gen_range(0, bytes.len());
+            match rng.gen_range(0, 5) {
+                0 => bytes[at] = rng.next_u32() as u8,
+                1 => bytes.insert(at, b'>'),
+                2 => bytes.insert(at, 0),
+                3 => bytes.insert(at, b'\r'),
+                _ => bytes.truncate(at),
+            }
+        }
+        let from_reader = read_fasta(bytes.as_slice());
+        if let Ok(recs) = &from_reader {
+            assert!(recs
+                .iter()
+                .all(|r| !r.seq.iter().any(u8::is_ascii_whitespace)));
+        }
+        match std::str::from_utf8(&bytes) {
+            Ok(text) => {
+                let from_text = parse_fasta(text);
+                match (&from_reader, &from_text) {
+                    (Ok(a), Ok(b)) => assert_eq!(a, b),
+                    (Err(_), Err(_)) => {}
+                    _ => panic!("the reader and the parser disagree on {text:?}"),
+                }
+            }
+            Err(_) => {
+                assert!(from_reader.is_err(), "non-UTF-8 input is an io::Error");
+                let _ = parse_fasta(&String::from_utf8_lossy(&bytes));
+            }
+        }
+    });
+}
