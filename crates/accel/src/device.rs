@@ -32,7 +32,8 @@ use crate::schedule::WavefrontSchedule;
 use std::cell::RefCell;
 use std::ops::Range;
 use std::rc::Rc;
-use wfa_core::pool::{available_threads, in_worker, ThreadPool};
+use std::sync::Arc;
+use wfa_core::pool::{self, available_threads, in_worker};
 use wfasic_seqio::memimage::{pair_record_bytes, NbtRecord, SECTION};
 use wfasic_soc::arbiter::BusArbiter;
 use wfasic_soc::bus::{BusStats, MemoryBus};
@@ -138,7 +139,7 @@ pub struct WfasicDevice {
     pub cfg: AccelConfig,
     /// The AXI-Lite register file.
     pub regs: RegFile,
-    schedule: WavefrontSchedule,
+    schedule: Arc<WavefrontSchedule>,
     /// Installed fault plan (`None` = fault-free operation).
     fault_plan: Option<FaultPlan>,
     /// Faults injected across all jobs (bus + FIFO streams).
@@ -153,17 +154,18 @@ pub struct WfasicDevice {
     /// The shared memory-controller arbiter, when this device is one lane
     /// of a multi-lane SoC.
     shared_bus: Option<Rc<RefCell<BusArbiter>>>,
-    /// Host-side wavefront/staging scratch, one per phase-1 worker (the
-    /// first also serves phase 2's inline path), reused across pairs and
-    /// jobs (wall-clock only; outcomes and cycles are unaffected).
-    scratches: Vec<AlignerScratch>,
+    /// Host-side wavefront/staging scratch for the pairs this thread
+    /// aligns, in either phase, reused across pairs and jobs (wall-clock
+    /// only; outcomes and cycles are unaffected). Resident helpers keep
+    /// their own.
+    scratch: AlignerScratch,
 }
 
 impl WfasicDevice {
     /// Instantiate a device.
     pub fn new(cfg: AccelConfig) -> Self {
         cfg.validate().expect("invalid accelerator configuration");
-        let schedule = WavefrontSchedule::for_config(&cfg);
+        let schedule = Arc::new(WavefrontSchedule::for_config(&cfg));
         let mut regs = RegFile::new();
         for ro in [
             offsets::IDLE,
@@ -189,7 +191,7 @@ impl WfasicDevice {
             jobs_run: 0,
             lane: 0,
             shared_bus: None,
-            scratches: vec![AlignerScratch::new()],
+            scratch: AlignerScratch::new(),
         }
     }
 
@@ -383,12 +385,14 @@ impl WfasicDevice {
     ///
     /// * **Phase 1 (function).** Once the job passes validation, read a
     ///   window of input records straight from `mem` (no bus, no faults)
-    ///   and run the Extractor and an Aligner on each across the host's
-    ///   threads ([`ThreadPool::map_with`], one [`AlignerScratch`] per
-    ///   worker, kept across jobs). Outcomes are stored by pair index, so
-    ///   they never depend on scheduling. A window holds at most
-    ///   [`PAIRS_PER_WORKER`] pairs per worker, which bounds the outcomes
-    ///   (backtrace blocks included) held at once.
+    ///   and run the Extractor and an Aligner on each. The window is one
+    ///   queue that this thread drains together with the process's
+    ///   resident helper threads ([`pool::share`]), each on an
+    ///   [`AlignerScratch`] of its own that it keeps across jobs. Outcomes
+    ///   are stored by pair index, so they never depend on scheduling. A
+    ///   window holds at most [`PAIRS_PER_WORKER`] pairs per host thread,
+    ///   which bounds the outcomes (backtrace blocks included) held at
+    ///   once.
     /// * **Phase 2 (timing).** The serial loop: DMA reads, fault draws,
     ///   Input FIFO, Collector, DMA writes and perf spans, record by record.
     ///   It takes pair *i*'s precomputed outcome only when the bytes
@@ -401,10 +405,11 @@ impl WfasicDevice {
     ///
     /// The width is [`available_threads`] capped at the pair count. The job
     /// runs inline, phase 2 aligning every record itself as the serial
-    /// model does, when the width is 1 or when the call is already inside a
-    /// [`ThreadPool`] worker ([`in_worker`]): parallel sweeps of whole
-    /// jobs then do not oversubscribe the host. Each lane of a multi-lane
-    /// SoC splits its own `run_at`; one job is never split across lanes.
+    /// model does, when the width is 1 or when the call is already inside
+    /// pool work ([`in_worker`]): a parallel sweep of whole jobs, or a
+    /// heterogeneous batch whose CPU queue has the helpers, then does not
+    /// oversubscribe the host. Each lane of a multi-lane SoC splits its own
+    /// `run_at`; one job is never split across lanes.
     pub fn run_at(
         &mut self,
         mem: &mut MainMemory,
@@ -512,7 +517,7 @@ impl WfasicDevice {
         'job: for i in 0..num_pairs {
             if width > 1 && i == ahead.end() {
                 let window = i..num_pairs.min(i + width * PAIRS_PER_WORKER);
-                ahead = self.align_ahead(mem, &job, window, width);
+                ahead = self.align_ahead(mem, &job, window);
             }
             // The Extractor starts ingesting a pair only when an Aligner is
             // (about to be) idle: gate on the (i - N)-th completion.
@@ -537,13 +542,9 @@ impl WfasicDevice {
 
             let (decode_cycles, outcome) = match ahead.take(i, &record) {
                 Some(precomputed) => precomputed,
-                None => extract_and_align(
-                    &self.cfg,
-                    &self.schedule,
-                    &record,
-                    &job,
-                    &mut self.scratches[0],
-                ),
+                None => {
+                    extract_and_align(&self.cfg, &self.schedule, &record, &job, &mut self.scratch)
+                }
             };
             dev_perf.record(
                 Stage::Extract,
@@ -700,15 +701,12 @@ impl WfasicDevice {
     }
 
     /// Phase 1 of [`WfasicDevice::run_at`]: the Extractor and an Aligner on
-    /// the input records `window`, read straight from `mem`, across `width`
-    /// host threads.
-    fn align_ahead(
-        &mut self,
-        mem: &MainMemory,
-        job: &JobConfig,
-        window: Range<usize>,
-        width: usize,
-    ) -> Ahead {
+    /// the input records `window`, read straight from `mem`, shared with the
+    /// resident helpers.
+    fn align_ahead(&mut self, mem: &MainMemory, job: &JobConfig, window: Range<usize>) -> Ahead {
+        thread_local! {
+            static HELPER_SCRATCH: RefCell<AlignerScratch> = RefCell::new(AlignerScratch::new());
+        }
         let rec_bytes = pair_record_bytes(job.max_read_len);
         let addr = job.in_addr + (window.start * rec_bytes) as u64;
         // Validation put the whole input window inside memory; should a
@@ -716,13 +714,30 @@ impl WfasicDevice {
         let Ok(bytes) = mem.view(addr, window.len() * rec_bytes) else {
             return Ahead::default();
         };
-        let bytes = bytes.into_owned();
-        let records: Vec<&[u8]> = bytes.chunks_exact(rec_bytes).collect();
-        let (cfg, schedule) = (&self.cfg, &self.schedule);
-        let outcomes =
-            ThreadPool::new(width).map_with(&mut self.scratches, &records, |scratch, _, record| {
-                Some(extract_and_align(cfg, schedule, record, job, scratch))
-            });
+        let bytes: Arc<[u8]> = bytes.into();
+        let (cfg, job) = (self.cfg, *job);
+        let (schedule, scratch) = (&self.schedule, &mut self.scratch);
+        let (outcomes, _) = pool::share(
+            window.len(),
+            |queue| {
+                queue.drain(|k| {
+                    let record = &bytes[k * rec_bytes..][..rec_bytes];
+                    Some(extract_and_align(&cfg, schedule, record, &job, scratch))
+                })
+            },
+            || {
+                let (bytes, schedule) = (Arc::clone(&bytes), Arc::clone(schedule));
+                move |queue: &pool::Cursor| {
+                    HELPER_SCRATCH.with_borrow_mut(|scratch| {
+                        let part = queue.drain(|k| {
+                            let record = &bytes[k * rec_bytes..][..rec_bytes];
+                            Some(extract_and_align(&cfg, &schedule, record, &job, scratch))
+                        });
+                        (part, ())
+                    })
+                }
+            },
+        );
         Ahead {
             first: window.start,
             rec_bytes,
@@ -756,7 +771,7 @@ struct Ahead {
     first: usize,
     rec_bytes: usize,
     /// The window's records as phase 1 read them.
-    bytes: Vec<u8>,
+    bytes: Arc<[u8]>,
     /// `(decode cycles, outcome)` per record; taken at most once.
     outcomes: Vec<Option<(Cycle, AlignerOutcome)>>,
 }

@@ -33,9 +33,8 @@
 //! * [`fmt`] — table rendering.
 //!
 //! `cargo run -p wfasic-bench --release --bin report -- all` prints every
-//! regenerated table/figure; the plain-`main()` benches under `benches/`
-//! (run with `cargo bench`) track simulator performance per experiment on
-//! the in-repo [`timing`] harness.
+//! regenerated table/figure; `report host` times the host kernels on the
+//! in-repo [`timing`] harness.
 
 pub mod backends;
 pub mod baseline;

@@ -1,7 +1,6 @@
-//! Minimal wall-clock timing harness for the `benches/` entry points
-//! (`harness = false`). The offline build environment has no external bench
-//! framework, so each bench is a plain `main()` reporting per-iteration
-//! statistics via [`bench()`] / [`measure()`].
+//! Minimal wall-clock timing harness for the `report host` microbenches.
+//! The offline build environment has no external bench framework, so
+//! [`measure()`] times plain closures and reports per-iteration statistics.
 
 use std::time::Instant;
 
@@ -48,16 +47,6 @@ pub fn measure<T, F: FnMut() -> T>(iters: usize, mut f: F) -> TimingStats {
         p99_ms: percentile(&samples, 99.0),
         iters,
     }
-}
-
-/// Run `f` for `iters` timed iterations (after one warmup call) and print
-/// mean/best/p50/p99 wall-clock per iteration.
-pub fn bench<T, F: FnMut() -> T>(label: &str, iters: usize, f: F) {
-    let s = measure(iters, f);
-    println!(
-        "{label:<44} mean {:>9.3} ms  best {:>9.3} ms  p50 {:>9.3} ms  p99 {:>9.3} ms  ({} iters)",
-        s.mean_ms, s.best_ms, s.p50_ms, s.p99_ms, s.iters
-    );
 }
 
 #[cfg(test)]

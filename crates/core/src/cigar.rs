@@ -243,27 +243,6 @@ impl Cigar {
         }
         Ok(())
     }
-
-    /// Reconstruct `b` from `a` and the transcript (the editing view of an
-    /// alignment). Fails if the transcript is inconsistent with `a`'s length.
-    ///
-    /// Insertions need the inserted bases, which only `b` knows; this is used
-    /// by tests via [`Cigar::check`] + explicit reconstruction instead.
-    pub fn project_lengths(&self) -> (usize, usize) {
-        let mut i = 0usize;
-        let mut j = 0usize;
-        for &(len, op) in &self.runs {
-            match op {
-                Op::Match | Op::Mismatch => {
-                    i += len as usize;
-                    j += len as usize;
-                }
-                Op::Ins => j += len as usize,
-                Op::Del => i += len as usize,
-            }
-        }
-        (i, j)
-    }
 }
 
 impl std::fmt::Display for Cigar {
@@ -388,7 +367,6 @@ mod tests {
         let b = b"GCAT";
         let c = Cigar::from_str_ops("MIMM").unwrap();
         assert!(c.check(a, b).is_ok());
-        assert_eq!(c.project_lengths(), (3, 4));
     }
 
     #[test]

@@ -60,36 +60,11 @@ impl Penalties {
         }
     }
 
-    /// Paper Eq. 5: whether an alignment with the given number of mismatches,
-    /// gap openings and gap extensions fits within `score_budget`.
-    ///
-    /// `num_e` counts *all* gap bases (each gap of length `L` contributes one
-    /// opening and `L` extensions), matching the paper's accounting
-    /// `budget >= num_x*x + num_o*(o+e) ... ` — note the paper folds the
-    /// first extension of each gap into the `(6+2)` opening term, so here
-    /// `num_e` is the number of *additional* extensions beyond the first.
-    pub fn fits_budget(&self, num_x: u64, num_o: u64, num_e: u64, score_budget: u64) -> bool {
-        let cost = num_x * self.x as u64 + num_o * (self.o + self.e) as u64 + num_e * self.e as u64;
-        cost <= score_budget
-    }
-
     /// Paper Eq. 6: the maximum alignment score supported by a hardware design
     /// whose wavefront vectors are bounded to `k_max` diagonals per side:
     /// `score_max = 2*k_max + 4`.
     pub fn hardware_score_max(k_max: u32) -> u32 {
         2 * k_max + 4
-    }
-
-    /// Inverse of Eq. 6: the `k_max` needed to support `score_max`.
-    pub fn k_max_for_score(score_max: u32) -> u32 {
-        score_max.saturating_sub(4) / 2
-    }
-
-    /// Worst-case number of differences detectable within `score_budget`
-    /// (paper §4: "Assuming worst case scenario in which all differences
-    /// between sequences are gap-openings").
-    pub fn worst_case_differences(&self, score_budget: u64) -> u64 {
-        score_budget / (self.o + self.e) as u64
     }
 }
 
@@ -149,23 +124,7 @@ mod tests {
     }
 
     #[test]
-    fn eq5_budget_from_paper() {
-        // Paper: 8000 >= num_x*4 + num_o*(6+2) + num_e*2 with 1K worst-case
-        // gap-opening differences.
-        let p = Penalties::WFASIC_DEFAULT;
-        assert!(p.fits_budget(1000, 500, 0, 8000));
-        assert!(!p.fits_budget(2001, 0, 0, 8000));
-        assert_eq!(p.worst_case_differences(8000), 1000);
-    }
-
-    #[test]
     fn eq6_score_max() {
         assert_eq!(Penalties::hardware_score_max(3998), 8000);
-        assert_eq!(Penalties::k_max_for_score(8000), 3998);
-        // Round trip for odd budgets floors to the supported k.
-        assert_eq!(
-            Penalties::hardware_score_max(Penalties::k_max_for_score(8001)),
-            8000
-        );
     }
 }

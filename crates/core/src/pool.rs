@@ -1,8 +1,9 @@
-//! A deterministic host thread pool — `std::thread` + channels, no
-//! external dependencies.
+//! Host threads — `std::thread` + channels, no external dependencies —
+//! in two forms, one per kind of caller.
 //!
-//! Built for the bench/driver sweeps (it is re-exported as
-//! `wfasic_bench::pool`): the input slice is split into **fixed contiguous
+//! **Whole-job sweeps** ([`ThreadPool::map`], re-exported as
+//! `wfasic_bench::pool`) spawn *scoped* threads per call that may borrow
+//! the caller's data. The input slice is split into **fixed contiguous
 //! chunks** decided only by `(len, threads)`, each worker processes its
 //! chunk in order, and results are returned **in input order** regardless
 //! of which worker finishes first. A run with `threads = 1` executes inline
@@ -10,32 +11,22 @@
 //! is trivially bit-identical, and any per-item seeding derived from the
 //! item index is reproducible at every thread count.
 //!
-//! Worker panics propagate to the caller (via `std::thread::scope`'s join,
-//! or a resident helper's reply), so a failing property inside a parallel
-//! sweep still fails the test.
+//! **Per-job splits** ([`share`]) are the one source of host threads inside
+//! a job: the `cpu` backend's batch, the device model's phase 1 and the
+//! heterogeneous backend's CPU queue. They run on the process's *resident*
+//! helpers, spawned once, which work on owned (`Arc`'d) data, so a job
+//! pays a wake-up (~15 µs) rather than a spawn and join (36–43 µs). The
+//! work is a [`Cursor`]: a queue of the indices `0..len` that the caller
+//! and the helpers drain together, each claiming the next index in turn.
 //!
-//! [`ThreadPool::map_with`] adds per-worker state (scratch that outlives
-//! the call) and balances by claiming items from a shared cursor instead
-//! of fixed chunks; its results still come back in input order.
-//!
-//! That cursor is [`Cursor`]: a queue of the indices `0..len` that any
-//! number of threads drain together, each claiming the next index in
-//! turn. [`ThreadPool::map_with`] drains one with its workers, [`share`]
-//! with the resident helpers, and the heterogeneous backend drains one of
-//! CPU pairs with both its worker and, once its device batch is done, its
-//! lane thread.
-//!
-//! [`ThreadPool`] and [`join`] spawn *scoped* threads per call (tens of
-//! microseconds, noise next to a sweep or a multi-millisecond job) that
-//! may borrow the caller's data. [`share`] is for jobs too short to pay
-//! that: the process's *resident* helpers, spawned once, work on owned
-//! (`Arc`'d) data.
+//! Panics propagate to the caller (via `std::thread::scope`'s join, or a
+//! resident helper's reply), so a failing property inside a parallel sweep
+//! still fails the test.
 //!
 //! Nesting: every worker thread carries a thread-local marker
-//! ([`in_worker`]). [`ThreadPool::map_with`] and [`share`] run inline when
-//! called from inside a worker, so a parallel sweep whose items themselves
-//! fan out (a device job aligning its pairs on every core) does not
-//! oversubscribe the host.
+//! ([`in_worker`]). [`share`] runs inline when called from inside a worker,
+//! so a parallel sweep whose items themselves fan out (a device job
+//! aligning its pairs on every core) does not oversubscribe the host.
 
 use std::cell::Cell;
 use std::ops::Range;
@@ -61,10 +52,8 @@ thread_local! {
 }
 
 /// Is the current thread running pool work? True inside the spawned
-/// workers of [`ThreadPool::map`], on every thread of a parallel
-/// [`ThreadPool::map_with`] (the caller's included) while it runs, on
-/// both sides of [`join`], on the caller of [`share`] while it drains, and
-/// always on a resident helper.
+/// workers of [`ThreadPool::map`], on the caller of [`share`] while its
+/// `mine` runs, and always on a resident helper.
 pub fn in_worker() -> bool {
     IN_WORKER.with(Cell::get)
 }
@@ -83,31 +72,6 @@ impl Drop for WorkerMark {
     fn drop(&mut self) {
         IN_WORKER.with(|w| w.set(self.0));
     }
-}
-
-/// Run `a` on the caller's thread and `b` on a scoped worker thread at the
-/// same time, both marked as pool workers ([`in_worker`]) so that neither
-/// fans out further; returns both results. A panic in `b` propagates.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA,
-    B: FnOnce() -> RB + Send,
-    RB: Send,
-{
-    std::thread::scope(|scope| {
-        let worker = scope.spawn(|| {
-            let _mark = WorkerMark::enter();
-            b()
-        });
-        let ra = {
-            let _mark = WorkerMark::enter();
-            a()
-        };
-        match worker.join() {
-            Ok(rb) => (ra, rb),
-            Err(payload) => std::panic::resume_unwind(payload),
-        }
-    })
 }
 
 /// A work queue over the indices `0..len`, shared by any number of
@@ -208,13 +172,15 @@ fn helper_tasks() -> &'static mpsc::Sender<Task> {
 /// helpers; returns every index's result in input order, plus the report
 /// of each helper whose share the caller waited for.
 ///
-/// The caller drains with `mine`; up to `len - 1` helpers drain at the
-/// same time with the closure `helper()` builds, which must own its data,
-/// and each returns its claims and a report (its tallies, say). The caller
-/// waits only for helpers that claimed an index. A helper's panic is
-/// re-raised on the caller; the helper stays up. On one host thread, inside
-/// a pool worker ([`in_worker`]) or for fewer than two indices, `mine`
-/// drains everything inline and no thread is spawned.
+/// The caller drains with `mine`; up to `len` helpers (one per spare host
+/// thread) drain at the same time with the closure `helper()` builds, which
+/// must own its data, and each returns its claims and a report (its
+/// tallies, say). `mine` may do other work before it drains (a device
+/// batch, say): the helpers are already at the queue. The caller waits only
+/// for helpers that claimed an index. A helper's panic is re-raised on the
+/// caller; the helper stays up. On one host thread, inside a pool worker
+/// ([`in_worker`]) or for an empty queue, `mine` drains everything inline
+/// and no helper wakes.
 pub fn share<R, T, H>(
     len: usize,
     mine: impl FnOnce(&Cursor) -> Vec<(usize, R)>,
@@ -228,7 +194,7 @@ where
     let wake = if in_worker() {
         0
     } else {
-        (available_threads() - 1).min(len.saturating_sub(1))
+        (available_threads() - 1).min(len)
     };
     let cursor = Arc::new(Cursor::new(len));
     let (tx, rx) = mpsc::channel();
@@ -292,8 +258,7 @@ pub fn chunk_ranges(len: usize, chunks: usize) -> Vec<Range<usize>> {
 ///
 /// The pool holds no threads between calls; each [`ThreadPool::map`] spawns
 /// scoped workers and joins them before returning, so they may borrow the
-/// caller's data. (The resident helpers behind [`share`] are the one
-/// exception in this module.)
+/// caller's data.
 #[derive(Debug, Clone, Copy)]
 pub struct ThreadPool {
     threads: usize,
@@ -368,69 +333,6 @@ impl ThreadPool {
             .flat_map(|p| p.expect("every worker delivers exactly one chunk"))
             .collect()
     }
-
-    /// Apply `f(&mut state, index, &item)` to every item, returning results
-    /// in input order; each worker owns one of `states` for the whole call.
-    ///
-    /// The width is `threads` capped at `items.len()`, and 1 when called
-    /// from inside a pool worker ([`in_worker`]). `states` grows (with
-    /// `S::default()`) to that width and is never shrunk, so a caller that
-    /// keeps the vector keeps its per-worker state — scratch buffers, say —
-    /// across calls. At width 1 everything runs inline on the caller's
-    /// thread with `states[0]`, spawning nothing. Wider, the caller works
-    /// too (with `states[0]`), and the workers claim items one at a time
-    /// from a shared cursor, so a slow or descheduled worker simply takes
-    /// fewer. Which state serves an item therefore depends on timing; the
-    /// results do not, as long as `f`'s answer does not depend on the
-    /// state it is handed.
-    pub fn map_with<S, T, R, F>(&self, states: &mut Vec<S>, items: &[T], f: F) -> Vec<R>
-    where
-        S: Default + Send,
-        T: Sync,
-        R: Send,
-        F: Fn(&mut S, usize, &T) -> R + Sync,
-    {
-        let width = if in_worker() {
-            1
-        } else {
-            self.threads.min(items.len()).max(1)
-        };
-        if states.len() < width {
-            states.resize_with(width, S::default);
-        }
-        let Some((first, rest)) = states.split_first_mut() else {
-            return Vec::new();
-        };
-        if width == 1 {
-            return items
-                .iter()
-                .enumerate()
-                .map(|(i, t)| f(first, i, t))
-                .collect();
-        }
-        let cursor = Cursor::new(items.len());
-        let drain = |state: &mut S| -> Vec<(usize, R)> {
-            let _mark = WorkerMark::enter();
-            cursor.drain(|i| f(state, i, &items[i]))
-        };
-        let mut indexed = std::thread::scope(|scope| {
-            let drain = &drain;
-            let handles: Vec<_> = rest[..width - 1]
-                .iter_mut()
-                .map(|state| scope.spawn(move || drain(state)))
-                .collect();
-            let mut out = drain(first);
-            for handle in handles {
-                match handle.join() {
-                    Ok(part) => out.extend(part),
-                    Err(payload) => std::panic::resume_unwind(payload),
-                }
-            }
-            out
-        });
-        indexed.sort_unstable_by_key(|&(i, _)| i);
-        indexed.into_iter().map(|(_, r)| r).collect()
-    }
 }
 
 #[cfg(test)]
@@ -499,79 +401,6 @@ mod tests {
     }
 
     #[test]
-    fn map_with_preserves_input_order_at_every_width() {
-        let items: Vec<u64> = (0..97).collect();
-        let expect: Vec<(usize, u64)> = items.iter().map(|&x| (x as usize, x * 3)).collect();
-        for threads in [1, 2, 3, 8] {
-            let mut states: Vec<u64> = Vec::new();
-            let got = ThreadPool::new(threads).map_with(&mut states, &items, |seen, i, &x| {
-                *seen += 1;
-                (i, x * 3)
-            });
-            assert_eq!(got, expect, "threads={threads}");
-            assert_eq!(states.len(), threads, "one state per worker");
-            assert_eq!(states.iter().sum::<u64>(), 97, "every item ran once");
-        }
-    }
-
-    #[test]
-    fn map_with_reuses_each_workers_state_across_items_and_calls() {
-        // Each state records the indices it served. Every item is served
-        // once per call, each worker claims in ascending order, and the
-        // same vectors keep growing on the next call.
-        let items = [(); 10];
-        let mut states: Vec<Vec<usize>> = Vec::new();
-        let pool = ThreadPool::new(3);
-        for call in 1..=2 {
-            pool.map_with(&mut states, &items, |seen, i, _| seen.push(i));
-            assert_eq!(states.len(), 3);
-            let mut all: Vec<usize> = states.iter().flatten().copied().collect();
-            all.sort_unstable();
-            let expect: Vec<usize> = (0..10).flat_map(|i| std::iter::repeat_n(i, call)).collect();
-            assert_eq!(all, expect, "call {call}");
-        }
-        for seen in &states {
-            let mut calls = seen.windows(2).filter(|w| w[1] <= w[0]).count();
-            calls += usize::from(!seen.is_empty());
-            assert!(calls <= 2, "one ascending run per call: {seen:?}");
-        }
-        // At width 1 the caller's state serves every item, and a narrower
-        // call keeps the wider state vector.
-        let before = states[0].len();
-        pool.map_with(&mut states, &items[..1], |seen, i, _| seen.push(i));
-        assert_eq!(states.len(), 3);
-        assert_eq!(states[0].len(), before + 1);
-        let mut inline: Vec<u32> = Vec::new();
-        ThreadPool::new(1).map_with(&mut inline, &items, |n, _, _| *n += 1);
-        assert_eq!(inline, vec![10]);
-    }
-
-    #[test]
-    fn map_with_nested_inside_a_worker_runs_inline() {
-        assert!(!in_worker());
-        let outer = ThreadPool::new(2).map_with(&mut Vec::<()>::new(), &[0, 1], |_, _, _| {
-            let me = std::thread::current().id();
-            let mut inner_states: Vec<u8> = Vec::new();
-            let inner = ThreadPool::new(4).map_with(&mut inner_states, &[(); 6], |_, _, _| {
-                (std::thread::current().id(), in_worker())
-            });
-            (
-                inner.iter().all(|&(id, marked)| id == me && marked),
-                inner_states.len(),
-            )
-        });
-        assert_eq!(outer, vec![(true, 1), (true, 1)]);
-        // Plain `map` workers count as workers too.
-        let nested = ThreadPool::new(2).map(&[0, 1], |_, _| {
-            let mut states: Vec<u8> = Vec::new();
-            ThreadPool::new(4).map_with(&mut states, &[(); 6], |_, _, _| ());
-            states.len()
-        });
-        assert_eq!(nested, vec![1, 1]);
-        assert!(!in_worker(), "the marker is cleared on the caller");
-    }
-
-    #[test]
     fn cursor_hands_every_index_to_exactly_one_of_two_drainers() {
         // One slow item: its drainer stalls while the other keeps claiming,
         // and still no index is skipped or handed out twice.
@@ -582,7 +411,11 @@ mod tests {
             }
             i * 7
         };
-        let (a, b) = join(|| cursor.drain(work), || cursor.drain(work));
+        let (a, b) = std::thread::scope(|scope| {
+            let other = scope.spawn(|| cursor.drain(work));
+            let mine = cursor.drain(work);
+            (mine, other.join().expect("the other drainer finishes"))
+        });
         for part in [&a, &b] {
             assert!(part.windows(2).all(|w| w[0].0 < w[1].0), "claims ascend");
             assert!(part.iter().all(|&(i, r)| r == i * 7));
@@ -635,7 +468,7 @@ mod tests {
                     "len {len}"
                 );
                 assert!(claims.iter().all(|c| c.load(Ordering::SeqCst) == 1));
-                assert!(reports.len() < len.max(1), "at most len - 1 helpers wake");
+                assert!(reports.len() <= len, "at most len helpers wake");
                 assert!(reports.len() < available_threads());
             }
         }
@@ -737,14 +570,15 @@ mod tests {
             "no helper is built in a worker"
         );
         // A resident helper is a worker too: a share it starts runs inline.
-        // The caller holds back until the helper has claimed an index.
+        // The caller holds back until the helper has claimed the queue's
+        // one index, which a helper wakes for.
         if available_threads() < 2 {
             return;
         }
         let claimed = Arc::new(AtomicBool::new(false));
         let seen = Arc::clone(&claimed);
         let (from_helper, reports) = share(
-            2,
+            1,
             move |q| {
                 assert!(wait_for(&seen), "a helper claimed an index");
                 q.drain(|_| true)
@@ -760,43 +594,8 @@ mod tests {
                 }
             },
         );
-        assert_eq!(reports.len(), 1, "one helper wakes for two indices");
-        assert_eq!(from_helper, vec![true, true]);
-    }
-
-    #[test]
-    fn join_runs_both_sides_as_workers() {
-        let caller = std::thread::current().id();
-        let (a, b) = join(
-            || (std::thread::current().id(), in_worker()),
-            || (std::thread::current().id(), in_worker()),
-        );
-        assert_eq!(a, (caller, true));
-        assert!(b.0 != caller && b.1);
-        assert!(!in_worker());
-    }
-
-    #[test]
-    #[should_panic(expected = "stateful boom")]
-    fn map_with_worker_panic_propagates() {
-        let items: Vec<i32> = (0..16).collect();
-        ThreadPool::new(4).map_with(&mut Vec::<u8>::new(), &items, |_, _, &x| {
-            assert!(x != 13, "stateful boom");
-            x
-        });
-    }
-
-    #[test]
-    fn map_with_panic_leaves_the_caller_unmarked() {
-        let items: Vec<i32> = (0..8).collect();
-        let caught = std::panic::catch_unwind(|| {
-            ThreadPool::new(2).map_with(&mut Vec::<u8>::new(), &items, |_, _, &x| {
-                assert!(x != 0, "first item boom");
-                x
-            })
-        });
-        assert!(caught.is_err());
-        assert!(!in_worker());
+        assert_eq!(reports.len(), 1, "one helper wakes for one index");
+        assert_eq!(from_helper, vec![true]);
     }
 
     #[test]

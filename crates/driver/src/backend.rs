@@ -13,9 +13,9 @@
 //!   one software answer path: this backend's batches, the heterogeneous
 //!   CPU partition and its recoveries, the attempt loop's fallback in
 //!   [`crate::job`] and the scheduler's degraded jobs all call it, each on
-//!   an engine its caller owns. A batch of two or more pairs is one queue
-//!   that this engine drains together with the process's resident helper
-//!   threads ([`pool::share`]), each on an engine of its own.
+//!   an engine its caller owns. A batch is one queue that this engine
+//!   drains together with the process's resident helper threads
+//!   ([`pool::share`]), each on an engine of its own.
 //! * [`SwgBackend`] — the full-DP Smith-Waterman-Gotoh reference (Eq. 2).
 //! * [`crate::RiscvBackend`] — the paper's CPU baseline: the hand-written
 //!   WFA kernel on the RV64IM interpreter with Sargantana-like timing,
@@ -31,9 +31,9 @@
 //!   never inflate the batch's `MAX_READ_LEN` padding), and pairs the
 //!   hardware flags unsuccessful (score over `Score_max`, unknown bases,
 //!   fault damage) are recovered on the CPU afterwards. The CPU partition
-//!   is one queue: a scoped host thread drains it while the accelerator
-//!   simulates, and on a multi-core host the lane thread joins in once
-//!   its device batch is done.
+//!   is one queue, shared the way a `cpu` batch is: the resident helpers
+//!   drain it while the accelerator simulates, and the lane thread joins
+//!   in once its device batch is done.
 //!
 //! Scores are bit-identical across every backend (all six compute the
 //! exact gap-affine optimum). CIGARs are bit-identical across the three
@@ -571,6 +571,50 @@ impl CpuWfaBackend {
             recovered,
         }
     }
+
+    /// Answer every pair of `queue`, in queue order, sharing the queue with
+    /// the process's resident helper threads ([`pool::share`]). This
+    /// engine drains it once `first` has run on this thread (the helpers
+    /// start at once); each helper drains on an engine of its own that
+    /// takes this one's route and penalties, and its tallies merge into
+    /// this engine's. Returns `first`'s result and the answers.
+    fn align_shared<O>(
+        &mut self,
+        queue: &[&Pair],
+        backtrace: bool,
+        recovered: bool,
+        first: impl FnOnce() -> O,
+    ) -> (O, Vec<AlignmentResult>) {
+        thread_local! {
+            static HELPER_ENGINE: RefCell<CpuWfaBackend> =
+                RefCell::new(CpuWfaBackend::new(Penalties::default()));
+        }
+        let (route, penalties) = (self.route, self.penalties);
+        let mut first_out = None;
+        let (results, helper_tallies) = pool::share(
+            queue.len(),
+            |cursor| {
+                first_out = Some(first());
+                cursor.drain(|k| self.align(queue[k], backtrace, recovered))
+            },
+            || {
+                let pairs: Arc<Vec<Pair>> = Arc::new(queue.iter().map(|&p| p.clone()).collect());
+                move |cursor: &pool::Cursor| {
+                    HELPER_ENGINE.with_borrow_mut(|engine| {
+                        engine.route = route;
+                        engine.penalties = penalties;
+                        engine.counters = BackendCounters::default();
+                        let part = cursor.drain(|k| engine.align(&pairs[k], backtrace, recovered));
+                        (part, engine.counters)
+                    })
+                }
+            },
+        );
+        for tallies in &helper_tallies {
+            self.counters.merge_cpu_tallies(tallies);
+        }
+        (first_out.expect("share runs the caller's drain"), results)
+    }
 }
 
 impl AlignmentBackend for CpuWfaBackend {
@@ -585,30 +629,8 @@ impl AlignmentBackend for CpuWfaBackend {
     }
 
     fn align_batch(&mut self, job: &BatchJob) -> Result<BackendBatch, DriverError> {
-        thread_local! {
-            static HELPER_ENGINE: RefCell<CpuWfaBackend> =
-                RefCell::new(CpuWfaBackend::new(Penalties::default()));
-        }
-        let (route, penalties, backtrace) = (self.route, self.penalties, job.backtrace);
-        let (results, helper_tallies) = pool::share(
-            job.pairs.len(),
-            |queue| queue.drain(|i| self.align(&job.pairs[i], backtrace, false)),
-            || {
-                let pairs = Arc::new(job.pairs.clone());
-                move |queue: &pool::Cursor| {
-                    HELPER_ENGINE.with_borrow_mut(|engine| {
-                        engine.route = route;
-                        engine.penalties = penalties;
-                        engine.counters = BackendCounters::default();
-                        let part = queue.drain(|i| engine.align(&pairs[i], backtrace, false));
-                        (part, engine.counters)
-                    })
-                }
-            },
-        );
-        for tallies in &helper_tallies {
-            self.counters.merge_cpu_tallies(tallies);
-        }
+        let queue: Vec<&Pair> = job.pairs.iter().collect();
+        let ((), results) = self.align_shared(&queue, job.backtrace, false, || ());
         let batch = BackendBatch {
             results,
             sim_cycles: None,
@@ -862,7 +884,7 @@ pub struct HeterogeneousBackend {
     /// The accelerator side. Public for fault-plan installation in tests.
     pub accel: MultiLaneBackend,
     /// The CPU side (also the overflow-recovery worker). Its route and
-    /// penalties also govern the lane thread's share of the CPU queue.
+    /// penalties also govern the helpers' share of the CPU queue.
     pub cpu: CpuWfaBackend,
     counters: BackendCounters,
 }
@@ -908,48 +930,30 @@ impl AlignmentBackend for HeterogeneousBackend {
         };
 
         // The out-of-envelope partition is one queue, longest pair first
-        // (BiWFA's cost grows about with length squared). A host worker
-        // drains it on this backend's CPU engine while the accelerator
-        // simulates on this thread. On a multi-core host this thread then
-        // drains it too (on one core it would only time-slice against the
-        // worker), on the accelerator's own CPU engine, which never runs
-        // here otherwise (the device's `cpu_fallback` is forced off).
-        // That engine takes this one's route and penalties, so a pair's
-        // answer does not depend on which thread claimed it. The engine
-        // routes by strategy: realistic long reads (the usual reason a
-        // pair misses the envelope) take the linear-memory BiWFA engine
-        // under the default `Auto` policy. Both sides run as pool workers,
-        // so while the CPU side runs the device does not also spread its
-        // jobs over the host's threads.
+        // (BiWFA's cost grows about with length squared), that the resident
+        // helpers start on while the accelerator simulates on this thread;
+        // this thread joins them once its device batch is done (on one
+        // core it drains the queue alone, after the device batch). The
+        // engine routes by strategy: realistic long reads (the usual reason
+        // a pair misses the envelope) take the linear-memory BiWFA engine
+        // under the default `Auto` policy. The device batch then runs as
+        // pool work, so it does not also spread its jobs over the host's
+        // threads; with no CPU pair it runs outside the queue and keeps its
+        // split.
         cpu_idx.sort_unstable_by_key(|&i| {
             (
                 std::cmp::Reverse(job.pairs[i].a.len() + job.pairs[i].b.len()),
                 i,
             )
         });
-        let queue = pool::Cursor::new(cpu_idx.len());
-        let drain = |engine: &mut CpuWfaBackend| {
-            queue.drain(|k| engine.align(&job.pairs[cpu_idx[k]], job.backtrace, true))
-        };
-        let lane_drains = pool::available_threads() > 1;
-        let (accel, cpu) = (&mut self.accel, &mut self.cpu);
-        accel.sched.cpu.route = cpu.route;
-        accel.sched.cpu.penalties = cpu.penalties;
-        let mut lane = || {
-            let out = (!dev_job.pairs.is_empty()).then(|| accel.align_batch(&dev_job));
-            let drained = if lane_drains {
-                drain(&mut accel.sched.cpu)
-            } else {
-                Vec::new()
-            };
-            (out, drained)
-        };
-        let ((accel_out, mut cpu_out), worker_out) = if cpu_idx.is_empty() {
+        let queue: Vec<&Pair> = cpu_idx.iter().map(|&i| &job.pairs[i]).collect();
+        let accel = &mut self.accel;
+        let mut lane = || (!dev_job.pairs.is_empty()).then(|| accel.align_batch(&dev_job));
+        let (accel_out, cpu_out) = if queue.is_empty() {
             (lane(), Vec::new())
         } else {
-            pool::join(lane, || drain(cpu))
+            self.cpu.align_shared(&queue, job.backtrace, true, lane)
         };
-        cpu_out.extend(worker_out);
 
         // Fill the device partition back in, recovering overflowed pairs
         // (score over the envelope, unknown bases, fault damage) — and the
@@ -978,8 +982,8 @@ impl AlignmentBackend for HeterogeneousBackend {
                 }
             }
         }
-        for (k, res) in cpu_out {
-            slots[cpu_idx[k]] = Some(res);
+        for (&i, res) in cpu_idx.iter().zip(cpu_out) {
+            slots[i] = Some(res);
         }
 
         let batch = BackendBatch {
@@ -1005,8 +1009,8 @@ impl AlignmentBackend for HeterogeneousBackend {
 
     fn counters(&self) -> BackendCounters {
         // Surface the accelerator side's health ledger (faults, breaker
-        // transitions, refusals) and the strategy tallies of both CPU
-        // engines that drain the queue alongside this backend's own totals.
+        // transitions, refusals) and the CPU side's strategy tallies
+        // alongside this backend's own totals.
         let mut c = self.counters;
         let accel = self.accel.counters();
         c.faults = accel.faults;
@@ -1014,7 +1018,6 @@ impl AlignmentBackend for HeterogeneousBackend {
         c.readmissions = accel.readmissions;
         c.degraded_jobs = accel.degraded_jobs;
         c.deadline_refusals = accel.deadline_refusals;
-        c.merge_cpu_tallies(&accel);
         c.merge_cpu_tallies(&self.cpu.counters);
         c
     }

@@ -8,9 +8,9 @@
 //! FIFO", with the constraint that "read and write requests to a RAM are not
 //! triggered simultaneously".
 //!
-//! [`ShowAheadFifo`] is the functional FIFO; [`SinglePortFifo`] adds the
-//! one-access-per-cycle discipline and *checks* it, so any model that would
-//! have violated the ASIC constraint fails loudly in simulation.
+//! [`ShowAheadFifo`] is the functional FIFO; [`SinglePortFifo`] is the
+//! device's Input FIFO, modelled by when its show-ahead output is valid,
+//! which a stuck-FIFO fault can delay.
 
 use std::collections::VecDeque;
 
@@ -84,26 +84,13 @@ impl<T> ShowAheadFifo<T> {
     }
 }
 
-/// Why a single-port access was rejected.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum PortError {
-    /// A second access was attempted in the same cycle (the ASIC wrapper
-    /// must never do this).
-    PortConflict { cycle: Cycle },
-    /// Push on full.
-    Full,
-}
-
 /// A show-ahead FIFO backed by a single-port RAM macro: at most one access
-/// (push *or* pop) per cycle. The wrapper presents dual-port-like semantics
-/// to its users by alternating, exactly as the ASIC wrapper does; this model
-/// verifies the discipline instead of trusting it.
+/// (push *or* pop) per cycle, which the ASIC wrapper meets by alternating.
+/// The device model asks it when the show-ahead output is valid
+/// ([`SinglePortFifo::output_ready`]).
 #[derive(Debug, Clone)]
 pub struct SinglePortFifo<T> {
     inner: ShowAheadFifo<T>,
-    last_access: Option<Cycle>,
-    /// Total accesses that had to be retried due to the port being taken.
-    pub conflicts_avoided: u64,
     /// Optional fault injector consulted for stuck-output stalls.
     pub fault: Option<FaultInjector>,
     /// Perf trace sink: stuck-output stalls record [`Stage::FifoStall`]
@@ -117,8 +104,6 @@ impl<T> SinglePortFifo<T> {
     pub fn new(depth: usize) -> Self {
         SinglePortFifo {
             inner: ShowAheadFifo::new(depth),
-            last_access: None,
-            conflicts_avoided: 0,
             fault: None,
             perf: TraceSink::default(),
             stuck_until: 0,
@@ -142,39 +127,6 @@ impl<T> SinglePortFifo<T> {
         self.perf
             .record(Stage::FifoStall, track::FIFO, now, ready, 0);
         ready
-    }
-
-    fn claim_port(&mut self, cycle: Cycle) -> Result<(), PortError> {
-        if self.last_access == Some(cycle) {
-            self.conflicts_avoided += 1;
-            return Err(PortError::PortConflict { cycle });
-        }
-        self.last_access = Some(cycle);
-        Ok(())
-    }
-
-    /// Is the port free this cycle?
-    pub fn port_free(&self, cycle: Cycle) -> bool {
-        self.last_access != Some(cycle)
-    }
-
-    /// Push at `cycle`.
-    pub fn push_at(&mut self, cycle: Cycle, item: T) -> Result<(), PortError> {
-        if self.inner.is_full() {
-            return Err(PortError::Full);
-        }
-        self.claim_port(cycle)?;
-        self.inner.push(item).map_err(|_| PortError::Full)
-    }
-
-    /// Pop at `cycle`.
-    pub fn pop_at(&mut self, cycle: Cycle) -> Result<Option<T>, PortError> {
-        if self.inner.is_empty() {
-            // An empty pop doesn't touch the RAM.
-            return Ok(None);
-        }
-        self.claim_port(cycle)?;
-        Ok(self.inner.pop())
     }
 
     /// Show-ahead view (reads the output register, not the RAM).
@@ -223,36 +175,6 @@ mod tests {
         f.pop();
         f.push(3).unwrap();
         assert_eq!(f.high_water, 2);
-    }
-
-    #[test]
-    fn single_port_one_access_per_cycle() {
-        let mut f = SinglePortFifo::new(8);
-        f.push_at(0, 10).unwrap();
-        // Second access in cycle 0 is a port conflict.
-        assert_eq!(f.push_at(0, 11), Err(PortError::PortConflict { cycle: 0 }));
-        assert_eq!(f.pop_at(0), Err(PortError::PortConflict { cycle: 0 }));
-        // Next cycle is fine.
-        f.push_at(1, 11).unwrap();
-        assert_eq!(f.pop_at(2).unwrap(), Some(10));
-        assert_eq!(f.conflicts_avoided, 2);
-    }
-
-    #[test]
-    fn single_port_empty_pop_is_free() {
-        let mut f: SinglePortFifo<u8> = SinglePortFifo::new(2);
-        assert_eq!(f.pop_at(5).unwrap(), None);
-        // The empty pop didn't claim the port.
-        f.push_at(5, 1).unwrap();
-    }
-
-    #[test]
-    fn single_port_full_rejects_before_claiming() {
-        let mut f = SinglePortFifo::new(1);
-        f.push_at(0, 1).unwrap();
-        assert_eq!(f.push_at(1, 2), Err(PortError::Full));
-        // The failed push didn't burn cycle 1's port.
-        assert_eq!(f.pop_at(1).unwrap(), Some(1));
     }
 
     #[test]

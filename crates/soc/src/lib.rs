@@ -41,7 +41,7 @@ pub use cache::{Cache, MemHierarchy};
 pub use clock::{cycles_to_seconds, BusyUnit, Cycle, SARGANTANA_HZ, WFASIC_ASIC_HZ};
 pub use dma::{DmaEngine, DmaStats};
 pub use fault::{FaultCounters, FaultInjector, FaultPlan};
-pub use fifo::{FifoFull, PortError, ShowAheadFifo, SinglePortFifo};
+pub use fifo::{FifoFull, ShowAheadFifo, SinglePortFifo};
 pub use mem::MainMemory;
 pub use mmio::RegFile;
 pub use perf::{

@@ -113,32 +113,6 @@ impl MainMemory {
             None => Cow::Owned(self.read(addr, len)),
         })
     }
-
-    /// Read into a fixed 16-byte section.
-    pub fn read_section(&self, addr: u64) -> [u8; 16] {
-        let v = self.read(addr, 16);
-        v.try_into().unwrap()
-    }
-
-    /// Little-endian u32 accessors.
-    pub fn read_u32(&self, addr: u64) -> u32 {
-        u32::from_le_bytes(self.read(addr, 4).try_into().unwrap())
-    }
-
-    /// Write a little-endian u32.
-    pub fn write_u32(&mut self, addr: u64, value: u32) {
-        self.write(addr, &value.to_le_bytes());
-    }
-
-    /// Little-endian u64 accessors.
-    pub fn read_u64(&self, addr: u64) -> u64 {
-        u64::from_le_bytes(self.read(addr, 8).try_into().unwrap())
-    }
-
-    /// Write a little-endian u64.
-    pub fn write_u64(&mut self, addr: u64, value: u64) {
-        self.write(addr, &value.to_le_bytes());
-    }
 }
 
 #[cfg(test)]
@@ -158,22 +132,6 @@ mod tests {
         let m = MainMemory::new(1024);
         assert_eq!(m.read(512, 4), [0, 0, 0, 0]);
         assert!(m.is_empty());
-    }
-
-    #[test]
-    fn u32_u64_roundtrip() {
-        let mut m = MainMemory::new(1024);
-        m.write_u32(0, 0xDEADBEEF);
-        assert_eq!(m.read_u32(0), 0xDEADBEEF);
-        m.write_u64(8, 0x0123_4567_89AB_CDEF);
-        assert_eq!(m.read_u64(8), 0x0123_4567_89AB_CDEF);
-    }
-
-    #[test]
-    fn section_read() {
-        let mut m = MainMemory::new(1024);
-        m.write(16, &[7u8; 16]);
-        assert_eq!(m.read_section(16), [7u8; 16]);
     }
 
     #[test]

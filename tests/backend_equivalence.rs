@@ -476,7 +476,7 @@ fn device_fallback_routes_by_the_policy_and_tallies_its_pairs() {
 /// batches: two batches through one backend answer and tally exactly as
 /// two fresh backends do. Each batch mixes in-envelope pairs, some over
 /// `Score_max` (recovered after the device job), with pairs past the
-/// envelope (aligned on the worker thread).
+/// envelope (the shared CPU queue).
 #[test]
 fn hetero_reuses_its_cpu_engine_across_batches() {
     let mut cfg = AccelConfig::wfasic_chip();
@@ -541,8 +541,8 @@ fn queue_cfg_and_job(in_envelope: usize, seed: u64) -> (AccelConfig, BatchJob) {
     (cfg, BatchJob::with_backtrace(pairs))
 }
 
-/// The CPU pairs of a heterogeneous batch are one queue that the worker
-/// and the lane thread drain together, so which engine answers a pair
+/// The CPU pairs of a heterogeneous batch are one queue that the resident
+/// helpers and the lane thread drain together, so which engine answers a pair
 /// depends on timing. The answers and the tallies must not: twenty runs
 /// through one backend all answer every CPU-routed pair exactly as a lone
 /// `CpuWfaBackend` does, and the counters add up to that engine's tallies.
@@ -592,10 +592,64 @@ fn hetero_shared_cpu_queue_answers_and_tallies_deterministically() {
     }
 }
 
-/// A route set directly on `hetero.cpu` holds on both threads that drain
-/// the CPU queue: with a job of CPU pairs only, the lane thread starts
-/// claiming pairs at once, and every pair must still be tallied under the
-/// route's strategy, not the default one.
+/// A heterogeneous batch whose CPU queue holds one pair: a helper wakes
+/// for it while the device runs, or the lane thread takes it once its
+/// device batch is done, whichever claims it first. Either way, twenty
+/// runs answer that pair and tally it exactly as a lone `CpuWfaBackend`
+/// does, and every device pair keeps its exact score.
+#[test]
+fn hetero_with_one_cpu_pair_answers_and_tallies_as_a_lone_cpu_engine() {
+    let mut cfg = AccelConfig::wfasic_chip();
+    cfg.max_supported_len = 64;
+    let mut pairs = Vec::new();
+    for (k, length) in [56, 48, 150, 56, 40, 56].into_iter().enumerate() {
+        let spec = InputSetSpec {
+            length,
+            error_pct: 5,
+        };
+        let mut p = spec.generate(1, 0x0E08 ^ k as u64).pairs.remove(0);
+        p.id = k as u32;
+        pairs.push(p);
+    }
+    let job = BatchJob::with_backtrace(pairs);
+    let mut oracle = CpuWfaBackend::new(cfg.penalties);
+    let want = rendered(&oracle.align(&job.pairs[2], true, true));
+    let once = oracle.counters();
+    let mut hetero = HeterogeneousBackend::new(cfg, 1);
+    for run in 1..=20u64 {
+        let batch = hetero.align_batch(&job).unwrap();
+        for (res, pair) in batch.results.iter().zip(&job.pairs) {
+            if pair.id == 2 {
+                assert_eq!(rendered(res), want, "run {run}");
+                continue;
+            }
+            let swg = swg_score(&pair.a.bytes(), &pair.b.bytes(), &cfg.penalties);
+            assert_eq!(
+                (res.success, res.recovered, res.score as u64),
+                (true, false, swg),
+                "run {run} pair {}",
+                pair.id
+            );
+        }
+        let c = hetero.counters();
+        assert_eq!(
+            (c.exact_pairs, c.biwfa_pairs, c.adaptive_pairs),
+            (
+                run * once.exact_pairs,
+                run * once.biwfa_pairs,
+                run * once.adaptive_pairs
+            ),
+            "run {run}"
+        );
+        assert_eq!(c.recovered_pairs, run, "run {run}");
+        assert_eq!(c.peak_memory_bytes, once.peak_memory_bytes, "run {run}");
+    }
+}
+
+/// A route set directly on `hetero.cpu` holds on every thread that drains
+/// the CPU queue: with a job of CPU pairs only, the lane thread and the
+/// helpers start claiming pairs at once, and every pair must still be
+/// tallied under the route's strategy, not the default one.
 #[test]
 fn hetero_cpu_route_holds_on_both_drainers() {
     let (cfg, job) = queue_cfg_and_job(0, 0x0E06);
@@ -614,8 +668,8 @@ fn hetero_cpu_route_holds_on_both_drainers() {
     assert_eq!((c.exact_pairs, c.adaptive_pairs), (0, 0));
 }
 
-/// `reset_counters` clears the tallies of both CPU engines that drain the
-/// queue.
+/// `reset_counters` clears the CPU tallies, the helpers' share of the
+/// queue included.
 #[test]
 fn hetero_reset_clears_both_cpu_engines() {
     let (cfg, job) = queue_cfg_and_job(2, 0x0E07);
@@ -829,15 +883,40 @@ fn cpu_batches_on_four_threads_each_get_their_own_answers() {
 }
 
 /// The resident helpers number at most one per spare host thread, and on
-/// a one-thread host (`taskset -c 0`) a `cpu` batch runs inline and no
-/// helper thread exists. Helper threads are named `pool-helper-N`; the
-/// count reads `/proc/self/task`, so it is checked only where that exists.
+/// a one-thread host (`taskset -c 0`) a `cpu`, `device` or `hetero` batch
+/// runs inline and no helper thread exists. Helper threads are named
+/// `pool-helper-N`; the count reads `/proc/self/task`, so it is checked
+/// only where that exists.
 #[test]
 fn cpu_batches_spawn_no_helper_beyond_the_spare_threads() {
-    let mut backend = BackendKind::Cpu.create(AccelConfig::wfasic_chip(), 1);
     let mut pairs = cpu_mix(0xC0_0200);
     pairs.truncate(7);
-    backend.align_batch(&BatchJob::score_only(pairs)).unwrap();
+    let (hetero_cfg, hetero_job) = queue_cfg_and_job(3, 0x0E09);
+    let batches = [
+        (
+            BackendKind::Cpu,
+            AccelConfig::wfasic_chip(),
+            BatchJob::score_only(pairs),
+        ),
+        (
+            BackendKind::Device,
+            AccelConfig::wfasic_chip(),
+            BatchJob::with_backtrace(
+                InputSetSpec {
+                    length: 150,
+                    error_pct: 5,
+                }
+                .generate(8, 0xC0_0201)
+                .pairs,
+            ),
+        ),
+        (BackendKind::Heterogeneous, hetero_cfg, hetero_job),
+    ];
+    for (kind, cfg, job) in batches {
+        let mut backend = kind.create(cfg, 1);
+        let batch = backend.align_batch(&job).unwrap();
+        assert!(batch.results.iter().all(|r| r.success), "{}", kind.name());
+    }
     let Ok(tasks) = std::fs::read_dir("/proc/self/task") else {
         return;
     };
