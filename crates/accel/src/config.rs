@@ -21,7 +21,8 @@ pub struct AccelConfig {
     pub max_supported_len: usize,
     /// Gap-affine penalties baked into the datapath: (4, 6, 2).
     pub penalties: Penalties,
-    /// Input/output FIFO depth in 16-byte words (256 in the chip).
+    /// Input/output FIFO depth in 16-byte words (256 in the chip). Only
+    /// the area model reads it: the timeline models no FIFO occupancy.
     pub fifo_depth: usize,
     /// Shared AXI-Full port timing.
     pub bus: BusConfig,

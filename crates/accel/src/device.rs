@@ -36,9 +36,9 @@ use std::sync::Arc;
 use wfa_core::pool::{self, available_threads, in_worker};
 use wfasic_seqio::memimage::{pair_record_bytes, NbtRecord, SECTION};
 use wfasic_soc::arbiter::BusArbiter;
-use wfasic_soc::bus::{BusStats, MemoryBus};
+use wfasic_soc::bus::MemoryBus;
 use wfasic_soc::clock::Cycle;
-use wfasic_soc::dma::DmaEngine;
+use wfasic_soc::dma;
 use wfasic_soc::fault::{streams, FaultCounters, FaultInjector, FaultPlan};
 use wfasic_soc::fifo::SinglePortFifo;
 use wfasic_soc::mem::MainMemory;
@@ -89,12 +89,6 @@ pub struct RunReport {
     pub pairs: Vec<PairReport>,
     /// Result bytes written to memory.
     pub output_bytes: u64,
-    /// Shared-bus traffic.
-    pub bus: BusStats,
-    /// Bus utilization over the job.
-    pub bus_utilization: f64,
-    /// Per-Aligner busy cycles.
-    pub aligner_busy: Vec<Cycle>,
     /// Was an interrupt raised at completion?
     pub interrupt_raised: bool,
     /// The error latched by this job, if any (mirrors `ERROR_CODE`).
@@ -343,9 +337,6 @@ impl WfasicDevice {
             input_done: start,
             pairs: Vec::new(),
             output_bytes: 0,
-            bus: BusStats::default(),
-            bus_utilization: 0.0,
-            aligner_busy: vec![0; self.cfg.num_aligners],
             interrupt_raised: irq_enable,
             error: Some(DeviceError { code, info }),
             faults: FaultCounters::default(),
@@ -481,7 +472,7 @@ impl WfasicDevice {
         if let Some(arbiter) = &self.shared_bus {
             bus.attach_shared(arbiter.clone(), self.lane);
         }
-        let mut in_fifo: SinglePortFifo<()> = SinglePortFifo::new(self.cfg.fifo_depth.max(1));
+        let mut in_fifo = SinglePortFifo::default();
         in_fifo.perf.enabled = perf_on;
         if let Some(plan) = self.fault_plan {
             // Per-job, per-lane nonce: a retried job draws fresh fault
@@ -491,10 +482,8 @@ impl WfasicDevice {
             bus.fault = Some(FaultInjector::with_stream(plan, streams::BUS ^ nonce));
             in_fifo.fault = Some(FaultInjector::with_stream(plan, streams::FIFO ^ nonce));
         }
-        let mut dma = DmaEngine::new();
 
         let mut aligner_free: Vec<Cycle> = vec![compute_start; n_aligners];
-        let mut aligner_busy: Vec<Cycle> = vec![0; n_aligners];
         let mut completion: Vec<Cycle> = Vec::with_capacity(num_pairs);
         let mut pairs: Vec<PairReport> = Vec::with_capacity(num_pairs);
 
@@ -527,7 +516,7 @@ impl WfasicDevice {
                 0
             };
             let read_start = read_free.max(gate);
-            let (record, read_done) = dma.read(
+            let (record, read_done) = dma::read(
                 mem,
                 &mut bus,
                 read_start,
@@ -563,7 +552,6 @@ impl WfasicDevice {
                 dev_perf.spans.extend(outcome.phase_spans(t0, w));
             }
             let mut done = t0 + outcome.cycles;
-            aligner_busy[w] += outcome.cycles;
 
             if job.backtrace {
                 // Collector BT: stream the origin blocks out while the
@@ -586,7 +574,7 @@ impl WfasicDevice {
                     // Chunk becomes available proportionally through the
                     // alignment; the last chunk only after completion.
                     let avail = t0 + (outcome.cycles * (ci as Cycle + 1)) / n_chunks as Cycle;
-                    write_done = dma.write(mem, &mut bus, avail, out_cursor, chunk);
+                    write_done = dma::write(mem, &mut bus, avail, out_cursor, chunk);
                     out_cursor += chunk.len() as u64;
                     output_bytes += chunk.len() as u64;
                 }
@@ -602,7 +590,7 @@ impl WfasicDevice {
                         });
                         break 'job;
                     }
-                    let wd = dma.write(mem, &mut bus, avail, out_cursor, &bytes);
+                    let wd = dma::write(mem, &mut bus, avail, out_cursor, &bytes);
                     out_cursor += bytes.len() as u64;
                     output_bytes += bytes.len() as u64;
                     last_event = last_event.max(wd);
@@ -635,7 +623,7 @@ impl WfasicDevice {
                     info: out_cursor,
                 });
             } else {
-                let wd = dma.write(mem, &mut bus, avail, out_cursor, &bytes);
+                let wd = dma::write(mem, &mut bus, avail, out_cursor, &bytes);
                 output_bytes += bytes.len() as u64;
                 last_event = last_event.max(wd);
             }
@@ -690,9 +678,6 @@ impl WfasicDevice {
             input_done: read_free,
             pairs,
             output_bytes,
-            bus: bus.stats,
-            bus_utilization: bus.utilization((total_cycles - start).max(1)),
-            aligner_busy,
             interrupt_raised,
             error,
             faults: job_faults,

@@ -54,11 +54,6 @@ impl InputSeqRam {
         self.words.get(addr).copied().unwrap_or(0)
     }
 
-    /// Number of occupied words.
-    pub fn words_used(&self) -> usize {
-        self.words.len()
-    }
-
     /// View the bases as a [`PackedSeq`] (same 2-bit little-endian layout;
     /// two RAM words make one packed 64-bit word).
     pub fn to_packed(&self) -> PackedSeq {
@@ -85,7 +80,7 @@ mod tests {
         let ram = InputSeqRam::load(42, b"ACGTACGTACGTACGTA", 627).unwrap();
         assert_eq!(ram.id(), 42);
         assert_eq!(ram.len(), 17);
-        assert_eq!(ram.words_used(), 2 + 2);
+        assert_eq!(ram.words.len(), 2 + 2);
         // First word: ACGT repeated = codes 0,1,2,3 -> 0b11100100 per 4.
         assert_eq!(ram.word(2) & 0xFF, 0b11100100);
         assert_eq!(ram.word(3) & 3, 0, "17th base 'A'");

@@ -133,11 +133,6 @@ impl WavefrontSchedule {
         idx.map(|i| &self.steps[i as usize])
     }
 
-    /// Is this score in the schedule?
-    pub fn is_computed(&self, score: u32) -> bool {
-        self.step_of(score).is_some()
-    }
-
     /// Total origin blocks emitted for an alignment that terminates at
     /// `final_score` (inclusive).
     pub fn total_blocks_through(&self, final_score: u32) -> u64 {
@@ -246,7 +241,7 @@ mod tests {
     fn uncomputable_scores_absent() {
         let s = WavefrontSchedule::new(P, 100, 40, 64);
         for sc in [1, 2, 3, 5, 6, 7, 9] {
-            assert!(!s.is_computed(sc), "score {sc}");
+            assert!(s.step_of(sc).is_none(), "score {sc}");
         }
     }
 }

@@ -59,11 +59,6 @@ impl WavefrontArena {
         self.stats
     }
 
-    /// Buffers currently parked on the freelist.
-    pub fn pooled(&self) -> usize {
-        self.free.len()
-    }
-
     /// A wavefront covering `lo..=hi` with every cell NULL — identical to
     /// [`Wavefront::null_range`], but backed by a recycled buffer when one
     /// is available.
@@ -275,7 +270,7 @@ mod tests {
         }));
         spine.push(None);
         arena.recycle_spine(spine);
-        assert_eq!(arena.pooled(), 2);
+        assert_eq!(arena.free.len(), 2);
         let spine = arena.take_spine();
         assert!(spine.is_empty(), "recycled spine must come back cleared");
     }

@@ -84,14 +84,6 @@ impl Seq {
         self.bytes().into_owned()
     }
 
-    /// The ASCII byte of base `i`.
-    pub fn byte_at(&self, i: usize) -> u8 {
-        match self {
-            Seq::Packed(p) => decode_base(p.get(i)),
-            Seq::Raw(v) => v[i],
-        }
-    }
-
     /// Overwrite base `i` with an arbitrary byte. An ACGT byte edits the
     /// packed form in place; anything else demotes the sequence to
     /// [`Seq::Raw`] (this is how robustness tests inject 'N' bases into
@@ -160,7 +152,6 @@ mod tests {
         assert!(matches!(s, Seq::Packed(_)));
         assert_eq!(s.len(), 8);
         assert_eq!(&s.bytes()[..], b"ACGTACGT");
-        assert_eq!(s.byte_at(3), b'T');
     }
 
     #[test]

@@ -62,11 +62,15 @@ impl Default for MemLayout {
 }
 
 impl MemLayout {
+    /// Bytes of staging memory each lane owns (32 MiB): the 256 MiB default
+    /// memory holds the windows of 8 lanes.
+    pub const LANE_BYTES: u64 = 0x0200_0000;
+
     /// The layout of lane `lane` in a multi-lane SoC: each lane's windows
-    /// are the default layout shifted up by `lane * 32 MiB`, so lanes never
-    /// share a byte of staging memory.
+    /// are the default layout shifted up by `lane * LANE_BYTES`, so lanes
+    /// never share a byte of staging memory.
     pub fn for_lane(lane: usize) -> Self {
-        let stride = lane as u64 * 0x0200_0000;
+        let stride = lane as u64 * Self::LANE_BYTES;
         let base = MemLayout::default();
         MemLayout {
             in_addr: base.in_addr + stride,
@@ -96,7 +100,7 @@ pub struct AlignmentResult {
 pub struct JobResult {
     /// Per-alignment results, in submission order.
     pub results: Vec<AlignmentResult>,
-    /// The accelerator's run report (cycles, bus stats, per-pair details)
+    /// The accelerator's run report (cycles, per-pair details, faults)
     /// from the last attempt, on the lane's timeline: a retry starts after
     /// the failed attempt plus the backoff, so after a retry `start` is that
     /// cycle and `total_cycles` includes the failed attempts.

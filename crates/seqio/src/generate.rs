@@ -9,9 +9,11 @@
 //! random positions to produce `b`. The edit-type mix is configurable; the
 //! default follows the common ⅓ mismatch / ⅓ insertion / ⅓ deletion split.
 
-use crate::dna::BASES;
 use wfa_core::rng::SmallRng;
 use wfa_core::seq::Seq;
+
+/// The four canonical bases in 2-bit code order.
+const BASES: [u8; 4] = [b'A', b'C', b'G', b'T'];
 
 /// One input pair for alignment.
 ///

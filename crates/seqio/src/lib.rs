@@ -2,8 +2,6 @@
 //!
 //! Input-side substrate of the WFAsic reproduction:
 //!
-//! * [`dna`] — alphabet utilities ('N' detection drives the hardware's
-//!   unsupported-read path);
 //! * [`generate`] — the paper's synthetic pair generator (uniform random
 //!   mismatches/insertions/deletions at a nominal error rate, §5.3);
 //! * [`dataset`] — the six standard input sets of Table 1 / Figs. 9-11;
@@ -15,7 +13,6 @@
 //! * [`fasta`] — minimal FASTA I/O for the examples.
 
 pub mod dataset;
-pub mod dna;
 pub mod fasta;
 pub mod generate;
 pub mod memimage;

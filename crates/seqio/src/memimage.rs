@@ -333,15 +333,10 @@ impl CellOrigin {
     }
 }
 
-/// Pack 64 cell origins into a 40-byte backtrace block (little-endian bit
-/// order: cell `n` occupies bits `5n..5n+5`).
-pub fn pack_bt_block(cells: &[CellOrigin; 64]) -> [u8; BT_BLOCK_BYTES] {
-    pack_origins(cells).try_into().unwrap()
-}
-
-/// Pack any number of cell origins at 5 bits each (for designs with a
-/// different number of parallel sections, e.g. the 2×32PS configuration of
-/// Fig. 11 whose blocks are 160 bits).
+/// Pack cell origins at 5 bits each, little-endian (cell `n` occupies bits
+/// `5n..5n+5`): a 64-PS block is [`BT_BLOCK_BYTES`] bytes, and designs with
+/// a different number of parallel sections pack to their own width (e.g.
+/// the 2×32PS configuration of Fig. 11, whose blocks are 160 bits).
 pub fn pack_origins(cells: &[CellOrigin]) -> Vec<u8> {
     let mut out = vec![0u8; (cells.len() * 5).div_ceil(8)];
     for (n, cell) in cells.iter().enumerate() {
@@ -549,7 +544,8 @@ mod tests {
         for (n, c) in cells.iter_mut().enumerate() {
             *c = CellOrigin::from_code(((n * 7) % 30) as u8);
         }
-        let block = pack_bt_block(&cells);
+        let block = pack_origins(&cells);
+        assert_eq!(block.len(), BT_BLOCK_BYTES);
         for (n, c) in cells.iter().enumerate() {
             assert_eq!(unpack_bt_cell(&block, n), *c, "cell {n}");
         }

@@ -33,8 +33,6 @@ pub struct LaneArbStats {
     pub grants: u64,
     /// Cycles this lane's transfers waited for the port.
     pub wait_cycles: Cycle,
-    /// Cycles this lane occupied the port.
-    pub busy_cycles: Cycle,
 }
 
 /// Whole-port arbitration statistics.
@@ -53,11 +51,6 @@ impl ArbiterStats {
     /// Total arbitration-wait cycles across lanes.
     pub fn wait_cycles(&self) -> Cycle {
         self.lanes.iter().map(|l| l.wait_cycles).sum()
-    }
-
-    /// Total port-occupancy cycles across lanes.
-    pub fn busy_cycles(&self) -> Cycle {
-        self.lanes.iter().map(|l| l.busy_cycles).sum()
     }
 }
 
@@ -95,7 +88,6 @@ impl BusArbiter {
         let s = &mut self.stats.lanes[lane];
         s.grants += 1;
         s.wait_cycles += start - ready;
-        s.busy_cycles += dur;
         start
     }
 
@@ -106,12 +98,6 @@ impl BusArbiter {
     pub fn reset(&mut self) {
         self.busy.clear();
         self.stats.lanes.fill(LaneArbStats::default());
-    }
-
-    /// First cycle at which the port is free forever (end of the last busy
-    /// interval).
-    pub fn free_at(&self) -> Cycle {
-        self.busy.last().map_or(0, |&(_, end)| end)
     }
 
     /// Earliest `t >= ready` such that `[t, t + dur)` does not overlap any
@@ -164,7 +150,6 @@ mod tests {
         }
         assert_eq!(arb.stats.lanes[0].wait_cycles, 0);
         assert_eq!(arb.stats.lanes[0].grants, 4);
-        assert_eq!(arb.stats.lanes[0].busy_cycles, 43 + 28 + 71 + 43);
     }
 
     #[test]
@@ -196,7 +181,7 @@ mod tests {
         arb.grant(0, 0, 43);
         arb.grant(1, 10, 43);
         arb.reset();
-        assert_eq!(arb.free_at(), 0);
+        assert!(arb.busy.is_empty());
         assert_eq!(arb.stats, BusArbiter::new(2).stats);
         // A replay of the same traffic sees the same grants.
         assert_eq!(arb.grant(0, 0, 43), 0);
@@ -207,7 +192,7 @@ mod tests {
     fn zero_duration_grants_do_not_occupy() {
         let mut arb = BusArbiter::new(1);
         assert_eq!(arb.grant(0, 5, 0), 5);
-        assert_eq!(arb.free_at(), 0, "nothing occupied");
+        assert!(arb.busy.is_empty(), "nothing occupied");
     }
 
     #[test]
@@ -215,9 +200,8 @@ mod tests {
         let mut arb = BusArbiter::new(1);
         arb.grant(0, 0, 10);
         arb.grant(3, 10, 10); // lane 3 beyond the pre-sized stats
-        assert_eq!(arb.busy.len(), 1, "touching intervals merged");
-        assert_eq!(arb.free_at(), 20);
+        assert_eq!(arb.busy, [(0, 20)], "touching intervals merged");
         assert_eq!(arb.stats.lanes.len(), 4);
-        assert_eq!(arb.stats.lanes[3].busy_cycles, 10);
+        assert_eq!(arb.stats.lanes[3].grants, 1);
     }
 }

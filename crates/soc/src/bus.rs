@@ -13,7 +13,7 @@
 //!   (first-come-first-served, which approximates the round-robin arbiter).
 
 use crate::arbiter::BusArbiter;
-use crate::clock::{BusyUnit, Cycle};
+use crate::clock::Cycle;
 use crate::fault::FaultInjector;
 use crate::perf::{track, Stage, TraceSink};
 use std::cell::RefCell;
@@ -56,18 +56,6 @@ impl BusConfig {
         burst_latency: 27,
     };
 
-    /// Builder: override the per-burst controller latency.
-    pub fn with_burst_latency(mut self, cycles: Cycle) -> Self {
-        self.burst_latency = cycles;
-        self
-    }
-
-    /// Builder: override the beat width in bytes.
-    pub fn with_beat_bytes(mut self, bytes: usize) -> Self {
-        self.beat_bytes = bytes;
-        self
-    }
-
     /// Bytes per burst.
     pub fn burst_bytes(&self) -> usize {
         self.beat_bytes * self.burst_beats
@@ -89,29 +77,16 @@ impl BusConfig {
     }
 }
 
-/// Per-direction transfer statistics.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct BusStats {
-    /// Bytes read from memory.
-    pub bytes_read: u64,
-    /// Bytes written to memory.
-    pub bytes_written: u64,
-    /// Read transactions issued.
-    pub reads: u64,
-    /// Write transactions issued.
-    pub writes: u64,
-}
-
 /// The shared AXI-Full port to main memory.
 #[derive(Debug, Clone, Default)]
 pub struct MemoryBus {
     /// Timing parameters.
     pub config: BusConfig,
-    unit: BusyUnit,
-    /// Transfer statistics.
-    pub stats: BusStats,
+    /// First cycle at which the port is free.
+    free_at: Cycle,
     /// Optional fault injector: adds transfer stalls here, and is consulted
-    /// by [`crate::dma::DmaEngine`] for per-beat data corruption.
+    /// by [`crate::dma::read`]/[`crate::dma::write`] for per-beat data
+    /// corruption.
     pub fault: Option<FaultInjector>,
     /// Perf trace sink: when enabled, every transfer records a
     /// [`Stage::BusWait`] span for its queueing delay and a
@@ -136,8 +111,7 @@ impl MemoryBus {
     pub fn new(config: BusConfig) -> Self {
         MemoryBus {
             config,
-            unit: BusyUnit::default(),
-            stats: BusStats::default(),
+            free_at: 0,
             fault: None,
             perf: TraceSink::default(),
             shared: None,
@@ -156,17 +130,13 @@ impl MemoryBus {
     /// an arbiter with no competing traffic the grant lands exactly at the
     /// local ready cycle, so timing is identical to the unshared port.
     fn occupy(&mut self, now: Cycle, dur: Cycle) -> (Cycle, Cycle) {
-        match &self.shared {
-            Some(arbiter) => {
-                let ready = now.max(self.unit.free_at);
-                let start = arbiter.borrow_mut().grant(self.lane, ready, dur);
-                let done = start + dur;
-                self.unit.free_at = done;
-                self.unit.busy_cycles += dur;
-                (start, done)
-            }
-            None => self.unit.occupy(now, dur),
-        }
+        let ready = now.max(self.free_at);
+        let start = match &self.shared {
+            Some(arbiter) => arbiter.borrow_mut().grant(self.lane, ready, dur),
+            None => ready,
+        };
+        self.free_at = start + dur;
+        (start, self.free_at)
     }
 
     /// Extra stall cycles injected on a transfer issued at `now`, if a fault
@@ -180,8 +150,6 @@ impl MemoryBus {
     /// Issue a read of `bytes`, arriving at cycle `now`. Returns the cycle at
     /// which the data has fully arrived.
     pub fn read(&mut self, now: Cycle, bytes: usize) -> Cycle {
-        self.stats.bytes_read += bytes as u64;
-        self.stats.reads += 1;
         let dur = self.config.transfer_cycles(bytes) + self.injected_stall(now);
         let (start, done) = self.occupy(now, dur);
         self.perf.record(Stage::BusWait, track::BUS, now, start, 0);
@@ -191,23 +159,11 @@ impl MemoryBus {
 
     /// Issue a write of `bytes`, arriving at cycle `now`. Returns completion.
     pub fn write(&mut self, now: Cycle, bytes: usize) -> Cycle {
-        self.stats.bytes_written += bytes as u64;
-        self.stats.writes += 1;
         let dur = self.config.transfer_cycles(bytes) + self.injected_stall(now);
         let (start, done) = self.occupy(now, dur);
         self.perf.record(Stage::BusWait, track::BUS, now, start, 0);
         self.perf.record(Stage::DmaOut, track::BUS, start, done, 0);
         done
-    }
-
-    /// First cycle at which the bus is free.
-    pub fn free_at(&self) -> Cycle {
-        self.unit.free_at
-    }
-
-    /// Fraction of `elapsed` the bus was busy.
-    pub fn utilization(&self, elapsed: Cycle) -> f64 {
-        self.unit.utilization(elapsed)
     }
 }
 
@@ -269,8 +225,6 @@ mod tests {
         let d = BusConfig::WFASIC_DEFAULT;
         assert!(BusConfig::LOW_LATENCY.transfer_cycles(256) < d.transfer_cycles(256));
         assert!(BusConfig::WIDE.transfer_cycles(10_000) < d.transfer_cycles(10_000));
-        assert_eq!(d.with_burst_latency(5).burst_latency, 5);
-        assert_eq!(d.with_beat_bytes(32).burst_bytes(), 512);
     }
 
     #[test]
@@ -281,8 +235,6 @@ mod tests {
         // Second requester arrives during the first transfer.
         let d2 = bus.read(10, 256);
         assert_eq!(d2, 86);
-        assert_eq!(bus.stats.reads, 2);
-        assert_eq!(bus.stats.bytes_read, 512);
     }
 
     #[test]
@@ -291,14 +243,6 @@ mod tests {
         bus.read(0, 256);
         let w = bus.write(0, 16);
         assert_eq!(w, 43 + 28);
-        assert_eq!(bus.stats.bytes_written, 16);
-    }
-
-    #[test]
-    fn utilization_reflects_traffic() {
-        let mut bus = MemoryBus::new(BusConfig::WFASIC_DEFAULT);
-        bus.read(0, 256);
-        assert!(bus.utilization(86) > 0.49);
     }
 
     #[test]
@@ -333,7 +277,7 @@ mod tests {
             assert_eq!(shared.read(now, bytes), private.read(now, bytes));
             assert_eq!(shared.write(now, bytes), private.write(now, bytes));
         }
-        assert_eq!(shared.free_at(), private.free_at());
+        assert_eq!(shared.free_at, private.free_at);
         assert_eq!(arbiter.borrow().stats.wait_cycles(), 0);
     }
 

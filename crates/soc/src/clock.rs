@@ -19,67 +19,13 @@ pub const WFASIC_ASIC_HZ: f64 = 1.1e9;
 /// The Sargantana CPU frequency (paper §3): 1.26 GHz.
 pub const SARGANTANA_HZ: f64 = 1.26e9;
 
-/// A saturating busy-interval tracker: models a unit that serializes
-/// requests (each request occupies the unit for a duration and starts no
-/// earlier than both its arrival and the unit becoming free).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct BusyUnit {
-    /// First cycle at which the unit is free.
-    pub free_at: Cycle,
-    /// Total cycles the unit has been occupied.
-    pub busy_cycles: Cycle,
-}
-
-impl BusyUnit {
-    /// Occupy the unit for `duration` cycles starting no earlier than `now`.
-    /// Returns `(start, completion)`.
-    pub fn occupy(&mut self, now: Cycle, duration: Cycle) -> (Cycle, Cycle) {
-        let start = now.max(self.free_at);
-        let done = start + duration;
-        self.free_at = done;
-        self.busy_cycles += duration;
-        (start, done)
-    }
-
-    /// Utilization over an elapsed window.
-    pub fn utilization(&self, elapsed: Cycle) -> f64 {
-        if elapsed == 0 {
-            0.0
-        } else {
-            self.busy_cycles as f64 / elapsed as f64
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn busy_unit_serializes() {
-        let mut u = BusyUnit::default();
-        let (s1, d1) = u.occupy(0, 10);
-        assert_eq!((s1, d1), (0, 10));
-        // Arrives at 5, must wait until 10.
-        let (s2, d2) = u.occupy(5, 4);
-        assert_eq!((s2, d2), (10, 14));
-        // Arrives after the unit is free: starts immediately.
-        let (s3, d3) = u.occupy(100, 1);
-        assert_eq!((s3, d3), (100, 101));
-        assert_eq!(u.busy_cycles, 15);
-    }
-
-    #[test]
     fn frequency_conversion() {
         let t = cycles_to_seconds(1_100_000_000, WFASIC_ASIC_HZ);
         assert!((t - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn utilization_bounds() {
-        let mut u = BusyUnit::default();
-        u.occupy(0, 50);
-        assert!((u.utilization(100) - 0.5).abs() < 1e-12);
-        assert_eq!(u.utilization(0), 0.0);
     }
 }

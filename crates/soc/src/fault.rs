@@ -13,9 +13,9 @@
 //!
 //! * [`crate::bus::MemoryBus`] — transfer stalls (a wedged memory
 //!   controller);
-//! * [`crate::dma::DmaEngine`] — per-beat data corruption: single-event
-//!   bit flips, dropped beats (read as zeros), duplicated beats (the
-//!   previous beat's data replayed);
+//! * [`crate::dma::read`]/[`crate::dma::write`] — per-beat data corruption:
+//!   single-event bit flips, dropped beats (read as zeros), duplicated
+//!   beats (the previous beat's data replayed);
 //! * [`crate::fifo::SinglePortFifo`] — stuck-FIFO output stalls;
 //! * the accelerator's MMIO path — configuration-write corruption.
 //!

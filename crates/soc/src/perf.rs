@@ -294,11 +294,6 @@ pub struct JobPerf {
 }
 
 impl JobPerf {
-    /// Build from merged spans: runs the timeline attribution.
-    pub fn from_spans(spans: Vec<Span>, total: Cycle) -> Self {
-        Self::from_spans_window(spans, 0, total)
-    }
-
     /// Build from merged spans for a job whose timeline is `[from, to)`
     /// (a lane of a batch run that starts mid-batch): counters cover
     /// exactly that window, so `total == to - from`, while the spans keep
@@ -431,7 +426,7 @@ mod tests {
 
     #[test]
     fn chrome_trace_shape() {
-        let perf = JobPerf::from_spans(
+        let perf = JobPerf::from_spans_window(
             vec![
                 Span {
                     stage: Stage::DmaIn,
@@ -448,6 +443,7 @@ mod tests {
                     id: 7,
                 },
             ],
+            0,
             30,
         );
         let json = perf.chrome_trace_json();

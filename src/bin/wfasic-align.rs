@@ -13,6 +13,10 @@
 //! configuration). Output is one line per pair: id, status, score, and CIGAR
 //! (when backtrace is enabled), plus an optional cycle summary.
 //!
+//! `--lanes` (for `multilane`/`hetero`, default 4) takes 1–8: each lane
+//! stages its jobs in its own 32 MiB window of the SoC's 256 MiB memory.
+//! `--aligners` takes 1–61: each Aligner records on its own perf track.
+//!
 //! `--strategy` picks the engine for CPU-routed pairs: `auto` (default)
 //! routes reads at or past `--long-read-threshold` (10 kb) to the
 //! linear-memory BiWFA engine and everything shorter to the exact
@@ -29,10 +33,12 @@ use std::fs::File;
 use std::io::BufReader;
 use wfasic::accel::AccelConfig;
 use wfasic::driver::batch::BatchJob;
-use wfasic::driver::{AlignPolicy, BackendKind, StrategySelect};
+use wfasic::driver::{AlignPolicy, BackendKind, MemLayout, StrategySelect};
 use wfasic::seqio::fasta::read_fasta;
 use wfasic::seqio::Pair;
 use wfasic::service::{AlignmentService, ServiceConfig, ServiceError};
+use wfasic::soc::perf::track;
+use wfasic::soc::MainMemory;
 use wfasic::wfa::AdaptiveParams;
 
 const EXIT_IO: i32 = 1;
@@ -62,6 +68,11 @@ fn main() {
     let mut strategy: Option<StrategySelect> = None;
     let mut adaptive: Option<AdaptiveParams> = None;
     let mut long_read_threshold = AlignPolicy::DEFAULT_LONG_READ_THRESHOLD;
+    // Each lane stages its jobs in its own window of the SoC's memory, and
+    // each Aligner records on its own perf track below the lane stride.
+    let max_lanes = MainMemory::with_default_cap().cap() as u64 / MemLayout::LANE_BYTES;
+    let max_aligners = u64::from(track::LANE_STRIDE - track::ALIGNER0);
+    let in_range = |max: u64| move |&n: &usize| (1..=max).contains(&(n as u64));
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
@@ -115,7 +126,7 @@ fn main() {
                 lanes = args
                     .get(i)
                     .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
+                    .filter(in_range(max_lanes))
                     .unwrap_or_else(|| usage());
             }
             "--aligners" => {
@@ -123,7 +134,7 @@ fn main() {
                 aligners = args
                     .get(i)
                     .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
+                    .filter(in_range(max_aligners))
                     .unwrap_or_else(|| usage());
             }
             "--help" | "-h" => usage(),

@@ -1,5 +1,6 @@
-//! End-to-end checks of the `wfasic-align` binary: a bad argument exits
-//! with the usage code instead of aborting, the `device` backend prints
+//! End-to-end checks of the `wfasic-align` binary: a bad argument, or an
+//! Aligner or lane count too large for the model, exits with the usage code
+//! instead of aborting, the `device` backend prints
 //! exactly what a one-lane `multilane` backend prints, and lowercase bases
 //! mean the same to the device as to the software engines.
 
@@ -50,12 +51,31 @@ fn align(dir: &Path, args: &[&str]) -> Output {
         .expect("wfasic-align runs")
 }
 
+/// An Aligner or lane count the model has no room for is a usage error,
+/// not an abort: lanes past the 8 staging windows of the SoC's memory,
+/// Aligners past the 61 perf tracks of a lane. The largest counts that fit
+/// still run.
 #[test]
 fn zero_aligners_is_a_usage_error() {
     let dir = write_fasta_pair("zero", 2);
-    let out = align(&dir, &["--aligners", "0"]);
+    let cases = [
+        ("device", "--aligners", "0", 2),
+        ("device", "--aligners", "62", 2),
+        ("device", "--aligners", "18446744073709551615", 2),
+        ("device", "--aligners", "61", 0),
+        ("multilane", "--lanes", "0", 2),
+        ("multilane", "--lanes", "9", 2),
+        ("multilane", "--lanes", "18446744073709551615", 2),
+        ("multilane", "--lanes", "8", 0),
+    ];
+    let outs: Vec<Output> = cases
+        .iter()
+        .map(|&(backend, flag, n, _)| align(&dir, &["--backend", backend, flag, n]))
+        .collect();
     std::fs::remove_dir_all(&dir).unwrap();
-    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    for (case, out) in cases.iter().zip(&outs) {
+        assert_eq!(out.status.code(), Some(case.3), "{case:?}: {out:?}");
+    }
 }
 
 #[test]

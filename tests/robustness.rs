@@ -278,3 +278,119 @@ fn fuzz_corrupted_fasta_never_panics() {
         }
     });
 }
+
+/// Boundary fuzz: the driver's backtrace-stream parsers on a damaged
+/// result region. A clean multi-pair BT region (and its NBT twin) is
+/// mutated per case — bit flips, a cut at any byte, random byte
+/// overwrites, a corrupted score record in a Last transaction — and both
+/// stream parsers, the origin walk behind them, and the NBT parser must
+/// return `Ok` or a `BtError`, never panic.
+#[test]
+fn fuzz_corrupted_bt_stream_never_panics() {
+    use wfasic::accel::aligner::align_packed;
+    use wfasic::accel::collector::{
+        collect_bt_bytes, nbt_record, pack_nbt_records, parse_nbt_records,
+    };
+    use wfasic::accel::schedule::WavefrontSchedule;
+    use wfasic::driver::backtrace::{
+        backtrace_alignment_packed, separate_stream, split_consecutive_stream,
+    };
+    use wfasic::seqio::memimage::SECTION;
+    use wfasic::wfa::prop::cases;
+
+    let cfg = AccelConfig::wfasic_chip();
+    let schedule = WavefrontSchedule::for_config(&cfg);
+    let pairs: Vec<Pair> = [(60, 5), (150, 10), (300, 10), (90, 2)]
+        .iter()
+        .enumerate()
+        .flat_map(|(i, &(length, error_pct))| {
+            InputSetSpec { length, error_pct }
+                .generate(1, 0xB7_0000 + i as u64)
+                .pairs
+        })
+        .collect();
+    let packed: Vec<_> = pairs
+        .iter()
+        .map(|p| {
+            (
+                p.a.as_packed().unwrap().clone(),
+                p.b.as_packed().unwrap().clone(),
+            )
+        })
+        .collect();
+    let outcomes: Vec<_> = packed
+        .iter()
+        .enumerate()
+        .map(|(id, (a, b))| align_packed(&cfg, &schedule, id as u32, a, b, true))
+        .collect();
+    let clean_bt: Vec<u8> = outcomes.iter().flat_map(collect_bt_bytes).collect();
+    let records: Vec<_> = outcomes.iter().map(nbt_record).collect();
+    let clean_nbt = pack_nbt_records(&records);
+    let walk = |bytes: &[u8]| {
+        for parsed in [split_consecutive_stream(bytes), separate_stream(bytes)] {
+            let Ok(alignments) = parsed else { continue };
+            for bt in &alignments {
+                let (a, b) = &packed[bt.id as usize % packed.len()];
+                let _ = backtrace_alignment_packed(
+                    &schedule,
+                    bt,
+                    a,
+                    b,
+                    &cfg.penalties,
+                    cfg.parallel_sections,
+                );
+            }
+        }
+    };
+
+    // The fixture itself: the clean region walks to every pair's CIGAR.
+    let alignments = split_consecutive_stream(&clean_bt).unwrap();
+    assert_eq!(alignments.len(), pairs.len());
+    for (bt, pair) in alignments.iter().zip(&pairs) {
+        let (a, b) = &packed[bt.id as usize];
+        backtrace_alignment_packed(&schedule, bt, a, b, &cfg.penalties, cfg.parallel_sections)
+            .unwrap()
+            .check(&pair.a.bytes(), &pair.b.bytes())
+            .unwrap();
+    }
+    assert_eq!(parse_nbt_records(&clean_nbt, records.len()), records);
+
+    let lasts: Vec<usize> = (0..clean_bt.len() / SECTION)
+        .filter(|t| clean_bt[t * SECTION + 15] >> 7 == 1)
+        .collect();
+    cases(500, 0xB7_5EED, |rng, _| {
+        let mut bt = clean_bt.clone();
+        let mut nbt = clean_nbt.clone();
+        for _ in 0..rng.gen_range(1, 4) {
+            let kind = rng.gen_range(0, 4);
+            if kind == 3 {
+                // The score record (success, k LE16, score LE16) of a Last
+                // transaction, unless a cut already removed it: nudge k or
+                // the score, so the walk asks for blocks the payload does
+                // not hold, or overwrite the record outright.
+                let t = *rng.pick(&lasts) * SECTION;
+                if let Some(record) = bt.get_mut(t..t + 5) {
+                    let nudge = rng.gen_range(1, 16) as u8;
+                    match rng.gen_range(0, 3) {
+                        0 => record[1] = record[1].wrapping_add(nudge),
+                        1 => record[3] = record[3].wrapping_add(nudge),
+                        _ => rng.fill_bytes(record),
+                    }
+                }
+                continue;
+            }
+            let region = if rng.gen_bool(0.8) { &mut bt } else { &mut nbt };
+            if region.is_empty() {
+                continue;
+            }
+            let at = rng.gen_range(0, region.len());
+            match kind {
+                0 => region[at] ^= 1 << rng.gen_range(0, 8),
+                1 => region.truncate(at),
+                _ => region[at] = rng.next_u32() as u8,
+            }
+        }
+        walk(&bt);
+        assert!(parse_nbt_records(&nbt, records.len()).len() <= records.len());
+    });
+}
