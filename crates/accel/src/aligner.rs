@@ -374,10 +374,10 @@ fn align_with(
         out.compute_cycles += batches as Cycle * cfg.compute_batch_cycles;
 
         // Output stores are unconditional: an invalid component is exactly
-        // OFFSET_NULL (see `compute_cell_bare`), identical to the untouched
+        // OFFSET_NULL (see `kernel::compute_row`), identical to the untouched
         // arena fill, so skipping the validity branches changes nothing.
         // The whole frame column runs through the batched SIMD kernel either
-        // way. Values are bit-identical to `compute_cell_bare` per cell, and
+        // way. Values are bit-identical to `compute_row_scalar` per cell, and
         // the batch/cycle accounting above depends only on the row range —
         // host vector width never reaches the simulated cycle counts.
         let wm_offs = &mut wm.offsets[..];
@@ -390,7 +390,7 @@ fn align_with(
         fill_row(&mut scratch.dext_row, lo, hi, set_ext.map(|t| &t.d));
         if bt {
             // Backtrace on: the kernel also emits each cell's 5-bit origin
-            // code (identical to `compute_cell().origin.code()`), which the
+            // code (identical to `compute_row_with_origins_scalar`), which the
             // P-lane batches below pack into the hardware block layout.
             let code_row = &mut scratch.code_row;
             code_row.clear();

@@ -13,8 +13,9 @@
 //!   banks and conflict-free batch access plans (Fig. 6);
 //! * [`schedule`] — the deterministic wavefront schedule shared with the
 //!   CPU backtrace;
-//! * [`extend`] / [`compute`] — the per-section sub-modules (16 bases/cycle
-//!   comparison; Eq. 3 with 5-bit origin tracking);
+//! * [`extend`] — the per-section Extend sub-module (16 bases/cycle
+//!   comparison); the Compute sub-module (Eq. 3 with 5-bit origin
+//!   tracking) is `wfa_core::kernel::compute_row_with_origins`;
 //! * [`aligner`] — the per-score iteration with cycle accounting;
 //! * [`collector`] — BT/NBT output packaging;
 //! * [`device`] — the top level: DMA, dispatch, shared-bus contention,
@@ -27,7 +28,6 @@
 pub mod aligner;
 pub mod area;
 pub mod collector;
-pub mod compute;
 pub mod config;
 pub mod device;
 pub mod extend;

@@ -11,14 +11,14 @@
 //! the bottom of this file and in the integration suite.
 
 use crate::aligner::{AlignerOutcome, AlignerStats};
-use crate::compute::{compute_cell, CellSources};
 use crate::config::AccelConfig;
 use crate::extend::{extend_cell, section_run_cycles};
 use crate::schedule::WavefrontSchedule;
 use crate::wavefront_ram::BankedWindow;
 use wfa_core::bitpack::PackedSeq;
+use wfa_core::kernel::compute_row_with_origins_scalar;
 use wfa_core::wavefront::{offset_is_valid, OFFSET_NULL};
-use wfasic_seqio::memimage::{pack_origins, CellOrigin};
+use wfasic_seqio::memimage::pack_origin_codes;
 use wfasic_soc::clock::Cycle;
 
 /// One banked, multi-column wavefront store: `banks × rows_per_bank × cols`
@@ -231,7 +231,6 @@ pub fn align_structural(
             d_store.write(row, idcol, OFFSET_NULL);
         }
 
-        let mut batch_origins: Vec<CellOrigin> = Vec::with_capacity(p);
         // Batches start at P-aligned row groups (so the Fig. 6 duplicate
         // trick covers the gap reads — asserted below).
         for group in first_group..=last_group {
@@ -267,44 +266,52 @@ pub fn align_structural(
                 }
             }
 
-            batch_origins.clear();
+            // The batch's Eq. 3 sources as halo rows over rows
+            // `gstart - 1 ..= gstart + P` (lane `l` is row `gstart + l`).
+            let halo = |read: &dyn Fn(isize) -> i32| -> Vec<i32> {
+                (0..p as isize + 2)
+                    .map(|l| read(gstart as isize + l - 1))
+                    .collect()
+            };
+            let sub = halo(&|r| read_m(&m_store, s - px as i64, r, t));
+            let open = halo(&|r| read_m(&m_store, s - poe as i64, r, t));
+            let iext = halo(&|r| read_id(&i_store, s - pe as i64, r, t));
+            let dext = halo(&|r| read_id(&d_store, s - pe as i64, r, t));
+            let (mut iv, mut dv, mut mv) = (vec![0; p], vec![0; p], vec![0; p]);
+            let mut codes = vec![0u8; p];
+            compute_row_with_origins_scalar(
+                &sub,
+                &open,
+                &iext,
+                &dext,
+                gstart as i32 - center as i32,
+                n,
+                m,
+                &mut iv,
+                &mut dv,
+                &mut mv,
+                &mut codes,
+            );
             for lane in 0..p {
                 let row = gstart + lane;
                 if row < row_lo || row > row_hi {
                     // Lanes outside the valid range are masked; they still
                     // occupy their block slot with a null origin.
-                    if bt {
-                        batch_origins.push(CellOrigin::NONE);
-                    }
+                    codes[lane] = 0;
                     continue;
                 }
-                let k = row as i32 - center as i32;
-                let rowi = row as isize;
-                let src = CellSources {
-                    m_sub: read_m(&m_store, s - px as i64, rowi, t),
-                    m_open_ins: read_m(&m_store, s - poe as i64, rowi - 1, t),
-                    m_open_del: read_m(&m_store, s - poe as i64, rowi + 1, t),
-                    i_ext: read_id(&i_store, s - pe as i64, rowi - 1, t),
-                    d_ext: read_id(&d_store, s - pe as i64, rowi + 1, t),
-                };
-                let cell = compute_cell(&src, k, n, m);
-                if offset_is_valid(cell.i) {
-                    i_store.write(row, idcol, cell.i);
+                if offset_is_valid(iv[lane]) {
+                    i_store.write(row, idcol, iv[lane]);
                 }
-                if offset_is_valid(cell.d) {
-                    d_store.write(row, idcol, cell.d);
+                if offset_is_valid(dv[lane]) {
+                    d_store.write(row, idcol, dv[lane]);
                 }
-                if offset_is_valid(cell.m) {
-                    m_store.write(row, mcol, cell.m);
-                }
-                if bt {
-                    batch_origins.push(cell.origin);
+                if offset_is_valid(mv[lane]) {
+                    m_store.write(row, mcol, mv[lane]);
                 }
             }
             if bt {
-                debug_assert_eq!(batch_origins.len(), p);
-                out.bt_blocks
-                    .extend_from_slice(&pack_origins(&batch_origins));
+                out.bt_blocks.extend_from_slice(&pack_origin_codes(&codes));
             }
         }
 

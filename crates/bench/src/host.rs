@@ -31,7 +31,7 @@ use crate::gate::RunOptions;
 use crate::timing::measure;
 use std::sync::Barrier;
 use std::time::Instant;
-use wfa_core::kernel::{self, KernelDispatch};
+use wfa_core::kernel;
 use wfa_core::pool::{available_threads, chunk_ranges, ThreadPool};
 use wfa_core::rng::SmallRng;
 use wfa_core::{PackedSeq, Penalties};
@@ -79,7 +79,7 @@ pub struct HostOutcome {
     pub peak_word_gbps: f64,
     /// Layer 1 peak: SIMD tier on long identical runs, Gbases/s.
     pub peak_simd_gbps: f64,
-    /// Which tier [`KernelDispatch::Auto`] resolved to on this host.
+    /// The kernel path this host's CPU takes ([`kernel::kernel_dispatch`]).
     pub simd_tier: &'static str,
     /// Layer 2: oracle with a fresh arena per pair, aligns/s.
     pub fresh_aps: f64,
@@ -183,7 +183,7 @@ pub fn run(opts: &RunOptions) -> HostOutcome {
         PackedSeq::from_ascii(&ka).expect("ACGT only"),
         PackedSeq::from_ascii(&kb).expect("ACGT only"),
     );
-    let simd_tier = KernelDispatch::Auto.resolve();
+    let simd_tier = kernel::kernel_dispatch();
 
     let bases_scalar = lcp_sweep(
         |i, j| kernel::lcp_bytes_scalar(&ka, &kb, i, j),

@@ -27,14 +27,6 @@ pub struct ArenaStats {
     /// Most buffers ever parked on the freelist at once (the pool's
     /// high-water mark; the pool never shrinks below it).
     pub peak_pooled: usize,
-    /// Bytes of wavefront storage currently checked out of the arena
-    /// (heap capacity of outstanding offset buffers).
-    pub live_bytes: u64,
-    /// High-water mark of [`ArenaStats::live_bytes`] — the measured peak
-    /// wavefront memory of everything run through this arena. This is the
-    /// arena-side complement of `WfaStats::peak_memory_bytes`: the model
-    /// counts retained *length*, this counts handed-out *capacity*.
-    pub peak_live_bytes: u64,
 }
 
 /// A freelist pool of wavefront offset buffers (plus the `fronts` spines
@@ -77,7 +69,6 @@ impl WavefrontArena {
                 vec![OFFSET_NULL; len]
             }
         };
-        self.check_out(offsets.capacity());
         Wavefront { lo, hi, offsets }
     }
 
@@ -102,24 +93,7 @@ impl WavefrontArena {
                 vec![OFFSET_NULL; len]
             }
         };
-        self.check_out(offsets.capacity());
         Wavefront { lo, hi, offsets }
-    }
-
-    /// Record a buffer leaving the arena. Accounting is capacity-based so
-    /// the check-out and check-in amounts always agree: the adaptive
-    /// heuristic shrinks a wavefront's *length* while it is out
-    /// (`drain`/`truncate`), but never its heap capacity.
-    fn check_out(&mut self, capacity_cells: usize) {
-        self.stats.live_bytes += (std::mem::size_of::<i32>() * capacity_cells) as u64;
-        self.stats.peak_live_bytes = self.stats.peak_live_bytes.max(self.stats.live_bytes);
-    }
-
-    /// Record a buffer returning to the arena (the inverse of
-    /// [`Self::check_out`]).
-    fn check_in(&mut self, capacity_cells: usize) {
-        let bytes = (std::mem::size_of::<i32>() * capacity_cells) as u64;
-        self.stats.live_bytes = self.stats.live_bytes.saturating_sub(bytes);
     }
 
     /// The initial wavefront `M(0, 0) = 0` (arena-backed
@@ -132,7 +106,6 @@ impl WavefrontArena {
 
     /// Return a wavefront's buffer to the pool.
     pub fn recycle(&mut self, w: Wavefront) {
-        self.check_in(w.offsets.capacity());
         self.free.push(w.offsets);
         self.stats.peak_pooled = self.stats.peak_pooled.max(self.free.len());
     }
@@ -222,41 +195,6 @@ mod tests {
         assert_eq!(arena.stats().fresh_allocs, 16);
         assert_eq!(arena.stats().reuses, 64);
         assert_eq!(arena.stats().peak_pooled, 16);
-    }
-
-    #[test]
-    fn live_bytes_tracks_checkouts_and_returns() {
-        let mut arena = WavefrontArena::new();
-        let w1 = arena.wavefront(-4, 3); // 8 cells = 32 bytes
-        assert_eq!(arena.stats().live_bytes, 32);
-        let w2 = arena.wavefront(0, 1); // 2 cells = 8 bytes
-        assert_eq!(arena.stats().live_bytes, 40);
-        assert_eq!(arena.stats().peak_live_bytes, 40);
-        arena.recycle(w2);
-        arena.recycle(w1);
-        assert_eq!(arena.stats().live_bytes, 0);
-        assert_eq!(arena.stats().peak_live_bytes, 40);
-        // A recycled buffer keeps its capacity: checking the 8-cell buffer
-        // back out as a 2-cell wavefront still accounts 32 bytes.
-        let w3 = arena.wavefront(0, 1);
-        assert_eq!(arena.stats().live_bytes, 32);
-        arena.recycle(w3);
-        assert_eq!(arena.stats().live_bytes, 0);
-        assert_eq!(arena.stats().peak_live_bytes, 40);
-    }
-
-    #[test]
-    fn shrunk_wavefront_checks_in_its_full_capacity() {
-        let mut arena = WavefrontArena::new();
-        let mut w = arena.wavefront(-10, 10);
-        w.set(0, 5);
-        w.shrink_to_valid();
-        assert_eq!(w.len(), 1);
-        arena.recycle(w);
-        // Capacity-based accounting returns to zero even though the
-        // wavefront's length shrank while it was out.
-        assert_eq!(arena.stats().live_bytes, 0);
-        assert_eq!(arena.stats().peak_live_bytes, 84);
     }
 
     #[test]

@@ -1,47 +1,45 @@
 //! The shared host kernels used by every aligner in the workspace: the LCP
-//! ("extend") comparison and the batched Eq. 3 compute row, each with a
-//! runtime-dispatched SIMD ladder.
+//! ("extend") comparison and the batched Eq. 3 compute row, each with one
+//! fast path per CPU and one scalar reference.
 //!
 //! WFA's `extend()` operator is a longest-common-prefix computation:
 //! starting from `(i, j)`, count how many bases of `a[i..]` and `b[j..]`
 //! match. The hardware compares 16 bases per cycle (paper §4.3.2); the host
-//! analogue climbs a dispatch ladder resolved once at runtime:
+//! analogue takes the widest path the CPU has:
 //!
-//! * **Scalar** — one base per iteration. The property-test oracle.
+//! * **Avx2** — `std::arch::x86_64` kernels comparing 32 ASCII bases or
+//!   128 packed bases per iteration ([`lcp_packed_simd`]), taken whenever
+//!   `is_x86_feature_detected!("avx2")` reports the feature.
 //! * **Word** — one `u64` per iteration: 8 ASCII bases ([`lcp_bytes_word`])
 //!   or 32 packed bases ([`lcp_packed_word`]) via XOR + `trailing_zeros`.
-//!   The portable fast path and the fallback on non-x86_64 hosts.
-//! * **Avx2** — `std::arch::x86_64` kernels comparing 32 ASCII bases or
-//!   128 packed bases per iteration ([`lcp_packed_simd`]), selected with
-//!   `is_x86_feature_detected!`.
+//!   The portable path on every other CPU.
+//!
+//! Nothing overrides the CPU's choice; [`kernel_dispatch`] only reports it.
+//! Each operator keeps a scalar reference ([`lcp_bytes_scalar`],
+//! [`lcp_packed_scalar`], [`compute_row_scalar`],
+//! [`compute_row_with_origins_scalar`]) that the tests in this module
+//! compare every path against directly, across unaligned starts,
+//! word/vector-boundary mismatches, empty sequences and length-limited
+//! tails.
 //!
 //! [`extend_row`] extends a whole wavefront row of packed cells in one
 //! pass (gathering four diagonals' windows at a time on AVX2); it is the
 //! Extend phase of both the accelerator model and the software WFA.
-//!
-//! The active tier comes from [`kernel_dispatch`]: `Auto` (the default)
-//! picks the widest tier the CPU supports; the `WFASIC_KERNEL` environment
-//! variable or [`set_kernel_dispatch`] pins any tier (CI runs the test
-//! suite once per tier). A pinned tier the CPU lacks falls back down the
-//! ladder rather than faulting.
-//!
-//! Every tier computes the exact same value on every input — the property
-//! tests in this module (and `crates/core/tests/proptest_wfa.rs`) pin that
-//! across unaligned starts, word/vector-boundary mismatches, empty
-//! sequences and length-limited tails. Simulated accelerator cycles are
-//! derived from the modeled 16-base blocks ([`crate::bitpack::hw_extend_blocks`]),
-//! never from host word width, so the dispatch tier cannot leak into cycle
-//! counts.
+//! Simulated accelerator cycles are derived from the modeled 16-base
+//! blocks ([`crate::bitpack::hw_extend_blocks`]), never from host word
+//! width, so the kernel path cannot leak into cycle counts.
 //!
 //! [`compute_row`] is the batched form of Eq. 3 (paper §2.3): it computes a
-//! whole run of adjacent diagonals' I/D/M offsets from padded source rows,
-//! with the same dispatch ladder (`_mm256_max_epi32` candidate reduction on
-//! AVX2). [`compute_row_scalar`] delegates to the per-cell
-//! [`crate::wfa::compute_cell_i`]/`_d`/`_m` functions and is the oracle.
+//! whole run of adjacent diagonals' I/D/M offsets from padded source rows
+//! (`_mm256_max_epi32` candidate reduction on AVX2).
+//! [`compute_row_scalar`] delegates to the per-cell
+//! [`crate::wfa::compute_cell_i`]/`_d`/`_m` functions and is the reference.
+//! [`compute_row_with_origins_scalar`] is the reference for the Compute
+//! sub-module's 5-bit origin bundle (paper §4.3.3), which the structural
+//! Aligner model also runs.
 
 use crate::bitpack::PackedSeq;
 use crate::wavefront::OFFSET_NULL;
-use std::sync::atomic::{AtomicU8, Ordering};
 
 /// Bytes (= bases) compared per machine word by [`lcp_bytes_word`].
 pub const BYTES_PER_WORD: usize = 8;
@@ -50,154 +48,58 @@ pub const BYTES_PER_WORD: usize = 8;
 // Dispatch
 // ---------------------------------------------------------------------------
 
-/// Host kernel tier selection.
-///
-/// `Auto` resolves to the widest tier the running CPU supports; the other
-/// variants pin a tier (falling back down the ladder when the CPU lacks
-/// the instruction set). Controlled per-process by the `WFASIC_KERNEL`
-/// environment variable (`auto`/`scalar`/`word`/`avx2`) or
-/// programmatically via [`set_kernel_dispatch`].
+/// The host kernel path the running CPU takes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum KernelDispatch {
-    /// Pick the best available tier at runtime (the default).
-    Auto,
-    /// One base per iteration (the property-test oracle).
-    Scalar,
-    /// One `u64` per iteration (portable fast path).
+    /// One `u64` per iteration (the portable path).
     Word,
     /// 256-bit `std::arch::x86_64` kernels.
     Avx2,
 }
 
 impl KernelDispatch {
-    /// Parse an override string (the `WFASIC_KERNEL` format).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s.trim().to_ascii_lowercase().as_str() {
-            "auto" => Some(KernelDispatch::Auto),
-            "scalar" => Some(KernelDispatch::Scalar),
-            "word" => Some(KernelDispatch::Word),
-            "avx2" => Some(KernelDispatch::Avx2),
-            _ => None,
-        }
-    }
-
-    /// Stable lowercase name (round-trips through [`KernelDispatch::parse`]).
+    /// Stable lowercase name.
     pub fn name(self) -> &'static str {
         match self {
-            KernelDispatch::Auto => "auto",
-            KernelDispatch::Scalar => "scalar",
             KernelDispatch::Word => "word",
             KernelDispatch::Avx2 => "avx2",
         }
     }
-
-    /// Can the running CPU execute this tier?
-    pub fn available(self) -> bool {
-        match self {
-            KernelDispatch::Auto | KernelDispatch::Scalar | KernelDispatch::Word => true,
-            #[cfg(target_arch = "x86_64")]
-            KernelDispatch::Avx2 => is_x86_feature_detected!("avx2"),
-            #[cfg(not(target_arch = "x86_64"))]
-            KernelDispatch::Avx2 => false,
-        }
-    }
-
-    /// Resolve to a concrete, available tier (never `Auto`): a requested
-    /// tier the CPU lacks falls back down the ladder (`Avx2 → Word`).
-    pub fn resolve(self) -> Self {
-        let want = match self {
-            KernelDispatch::Auto => KernelDispatch::Avx2,
-            other => other,
-        };
-        let ladder = [
-            KernelDispatch::Avx2,
-            KernelDispatch::Word,
-            KernelDispatch::Scalar,
-        ];
-        let start = ladder.iter().position(|&t| t == want).unwrap_or(0);
-        for &tier in &ladder[start..] {
-            if tier.available() {
-                return tier;
-            }
-        }
-        KernelDispatch::Scalar
-    }
-
-    fn to_code(self) -> u8 {
-        match self {
-            KernelDispatch::Auto => 0,
-            KernelDispatch::Scalar => 1,
-            KernelDispatch::Word => 2,
-            KernelDispatch::Avx2 => 3,
-        }
-    }
-
-    fn from_code(code: u8) -> Self {
-        match code {
-            1 => KernelDispatch::Scalar,
-            2 => KernelDispatch::Word,
-            3 => KernelDispatch::Avx2,
-            _ => KernelDispatch::Auto,
-        }
-    }
 }
 
-/// 0 = unresolved; otherwise a resolved `KernelDispatch::to_code` value.
-static ACTIVE_TIER: AtomicU8 = AtomicU8::new(0);
-
-fn resolve_from_env() -> KernelDispatch {
-    let requested = std::env::var("WFASIC_KERNEL")
-        .ok()
-        .and_then(|s| KernelDispatch::parse(&s))
-        .unwrap_or(KernelDispatch::Auto);
-    requested.resolve()
-}
-
-/// The active, resolved kernel tier (never `Auto`). Resolved once per
-/// process from `WFASIC_KERNEL` / CPU features; [`set_kernel_dispatch`]
-/// overrides it.
+/// The path the running CPU takes: AVX2 when it reports the feature, the
+/// portable word path otherwise.
 #[inline]
 pub fn kernel_dispatch() -> KernelDispatch {
-    let code = ACTIVE_TIER.load(Ordering::Relaxed);
-    if code != 0 {
-        return KernelDispatch::from_code(code);
+    #[cfg(target_arch = "x86_64")]
+    if is_x86_feature_detected!("avx2") {
+        return KernelDispatch::Avx2;
     }
-    let resolved = resolve_from_env();
-    ACTIVE_TIER.store(resolved.to_code(), Ordering::Relaxed);
-    resolved
-}
-
-/// Pin the kernel tier for this process (resolving `Auto` / unavailable
-/// tiers down the ladder). Every tier computes identical values, so
-/// changing the tier mid-run is always safe — only throughput changes.
-pub fn set_kernel_dispatch(d: KernelDispatch) {
-    ACTIVE_TIER.store(d.resolve().to_code(), Ordering::Relaxed);
+    KernelDispatch::Word
 }
 
 // ---------------------------------------------------------------------------
 // LCP over ASCII bytes
 // ---------------------------------------------------------------------------
 
-/// Count matching bases of `a[i..]` vs `b[j..]` through the active
-/// dispatch tier. The hot entry point used by the software WFA oracle
+/// Count matching bases of `a[i..]` vs `b[j..]` on the CPU's path. The
+/// hot entry point used by the software WFA oracle
 /// ([`crate::wfa::wfa_align`]), which must accept arbitrary bytes
 /// (including non-ACGT) and therefore cannot pack.
 #[inline]
 pub fn lcp_bytes(a: &[u8], b: &[u8], i: usize, j: usize) -> usize {
-    match kernel_dispatch() {
-        KernelDispatch::Scalar => lcp_bytes_scalar(a, b, i, j),
-        // SAFETY: the Avx2 tier is only ever resolved when the CPU reports
-        // the feature.
-        #[cfg(target_arch = "x86_64")]
-        KernelDispatch::Avx2 => unsafe { lcp_bytes_avx2(a, b, i, j) },
-        _ => lcp_bytes_word(a, b, i, j),
+    #[cfg(target_arch = "x86_64")]
+    if kernel_dispatch() == KernelDispatch::Avx2 {
+        // SAFETY: `kernel_dispatch` reports AVX2 only when the CPU has it.
+        return unsafe { lcp_bytes_avx2(a, b, i, j) };
     }
+    lcp_bytes_word(a, b, i, j)
 }
 
 /// Count matching bases of `a[i..]` vs `b[j..]`, one byte at a time.
 ///
-/// The scalar reference implementation; every other tier must match it
-/// exactly on every input.
+/// The scalar reference; every fast path must match it exactly on every
+/// input.
 #[inline]
 pub fn lcp_bytes_scalar(a: &[u8], b: &[u8], i: usize, j: usize) -> usize {
     let (sa, sb) = (&a[i..], &b[j..]);
@@ -261,13 +163,13 @@ unsafe fn lcp_bytes_avx2(a: &[u8], b: &[u8], i: usize, j: usize) -> usize {
 // ---------------------------------------------------------------------------
 
 /// Count matching bases of `a[i..]` vs `b[j..]` on 2-bit-packed sequences
-/// through the active dispatch tier. The hot entry point used by the
-/// accelerator model's Extend sub-module and the packed CPU backend.
+/// on the CPU's path. The hot entry point used by the accelerator model's
+/// Extend sub-module and the packed CPU backend.
 #[inline]
 pub fn lcp_packed(a: &PackedSeq, b: &PackedSeq, i: usize, j: usize) -> usize {
     // One 32-base window resolves the vast majority of WFA extends (at
     // realistic error rates the mean run is a couple of bases); only runs
-    // that clear the whole window enter a tier loop. Values are unchanged —
+    // that clear the whole window enter a long-run loop. Values are unchanged —
     // this is the first iteration of the word kernel, hoisted.
     let limit = (a.len() - i).min(b.len() - j);
     if limit == 0 {
@@ -280,16 +182,13 @@ pub fn lcp_packed(a: &PackedSeq, b: &PackedSeq, i: usize, j: usize) -> usize {
     if limit <= crate::bitpack::BASES_PER_WORD {
         return limit;
     }
-    match kernel_dispatch() {
-        KernelDispatch::Scalar => lcp_packed_scalar(a, b, i, j),
-        #[cfg(target_arch = "x86_64")]
-        KernelDispatch::Avx2 => lcp_packed_simd(a, b, i, j),
-        _ => lcp_packed_word(a, b, i, j),
-    }
+    #[cfg(target_arch = "x86_64")]
+    return lcp_packed_simd(a, b, i, j);
+    #[cfg(not(target_arch = "x86_64"))]
+    lcp_packed_word(a, b, i, j)
 }
 
-/// One-base-at-a-time reference for the packed kernels (property-test
-/// oracle).
+/// One-base-at-a-time reference for the packed kernels.
 #[inline]
 pub fn lcp_packed_scalar(a: &PackedSeq, b: &PackedSeq, i: usize, j: usize) -> usize {
     let limit = (a.len() - i).min(b.len() - j);
@@ -398,11 +297,11 @@ unsafe fn lcp_packed_avx2(a: &PackedSeq, b: &PackedSeq, i: usize, j: usize) -> u
 /// `matches < limit` means the run stopped on a mismatch inside both
 /// sequences.
 ///
-/// The AVX2 tier takes four offsets per step straight from the row, one
+/// The AVX2 path takes four offsets per step straight from the row, one
 /// masked 64-bit gather per sequence fetches each lane's window, and a
 /// per-lane trailing-zeros count resolves it; a run past the window
-/// escalates to the long-run kernel. Other tiers loop over [`lcp_packed`],
-/// so offsets and callbacks are identical on every tier.
+/// escalates to the long-run kernel. The word path loops over
+/// [`lcp_packed`], so offsets and callbacks are identical on both.
 pub fn extend_row<F: FnMut(usize, usize, usize)>(
     a: &PackedSeq,
     b: &PackedSeq,
@@ -412,16 +311,15 @@ pub fn extend_row<F: FnMut(usize, usize, usize)>(
 ) {
     #[cfg(target_arch = "x86_64")]
     if kernel_dispatch() == KernelDispatch::Avx2 {
-        // SAFETY: the Avx2 tier is only ever resolved when the CPU reports
-        // the feature.
+        // SAFETY: `kernel_dispatch` reports AVX2 only when the CPU has it.
         unsafe { extend_row_avx2(a, b, offs, k_lo, &mut on_cell) };
         return;
     }
     extend_cells(a, b, offs, k_lo, 0, &mut on_cell);
 }
 
-/// [`extend_row`] one cell at a time over `offs[start..]`: the non-AVX2
-/// tiers and the AVX2 tail.
+/// [`extend_row`] one cell at a time over `offs[start..]`: the word path
+/// and the AVX2 tail.
 fn extend_cells<F: FnMut(usize, usize, usize)>(
     a: &PackedSeq,
     b: &PackedSeq,
@@ -446,7 +344,7 @@ fn extend_cells<F: FnMut(usize, usize, usize)>(
     }
 }
 
-/// [`extend_row`] on the AVX2 tier.
+/// [`extend_row`] on the AVX2 path.
 ///
 /// # Safety
 ///
@@ -544,7 +442,7 @@ unsafe fn extend_row_avx2<F: FnMut(usize, usize, usize)>(
             } else {
                 // The whole first window matched and the run continues past
                 // it — rare at realistic error rates; resolve with the
-                // long-run kernel (identical to `lcp_packed`'s tier call).
+                // long-run kernel (identical to `lcp_packed`'s long-run call).
                 lcp_packed_avx2(a, b, (off - (k_lo + idx as i32)) as usize, off as usize)
             };
             offs[idx] = off + matches as i32;
@@ -594,15 +492,12 @@ pub fn compute_row(
     assert_eq!(open.len(), len + 2);
     assert_eq!(iext.len(), len + 2);
     assert_eq!(dext.len(), len + 2);
-    match kernel_dispatch() {
-        #[cfg(target_arch = "x86_64")]
-        KernelDispatch::Avx2 => {
-            // SAFETY: the Avx2 tier is only ever resolved when the CPU
-            // reports the feature.
-            unsafe { compute_row_avx2(sub, open, iext, dext, k_lo, n, m, out_i, out_d, out_m) }
-        }
-        _ => compute_row_scalar(sub, open, iext, dext, k_lo, n, m, out_i, out_d, out_m),
+    #[cfg(target_arch = "x86_64")]
+    if kernel_dispatch() == KernelDispatch::Avx2 {
+        // SAFETY: `kernel_dispatch` reports AVX2 only when the CPU has it.
+        return unsafe { compute_row_avx2(sub, open, iext, dext, k_lo, n, m, out_i, out_d, out_m) };
     }
+    compute_row_scalar(sub, open, iext, dext, k_lo, n, m, out_i, out_d, out_m)
 }
 
 /// Per-cell reference for [`compute_row`]: delegates every cell to the
@@ -665,21 +560,18 @@ pub fn compute_row_with_origins(
     assert_eq!(open.len(), len + 2);
     assert_eq!(iext.len(), len + 2);
     assert_eq!(dext.len(), len + 2);
-    match kernel_dispatch() {
-        #[cfg(target_arch = "x86_64")]
-        KernelDispatch::Avx2 => {
-            // SAFETY: the Avx2 tier is only ever resolved when the CPU
-            // reports the feature.
-            unsafe {
-                compute_row_with_origins_avx2(
-                    sub, open, iext, dext, k_lo, n, m, out_i, out_d, out_m, out_code,
-                )
-            }
-        }
-        _ => compute_row_with_origins_scalar(
-            sub, open, iext, dext, k_lo, n, m, out_i, out_d, out_m, out_code,
-        ),
+    #[cfg(target_arch = "x86_64")]
+    if kernel_dispatch() == KernelDispatch::Avx2 {
+        // SAFETY: `kernel_dispatch` reports AVX2 only when the CPU has it.
+        return unsafe {
+            compute_row_with_origins_avx2(
+                sub, open, iext, dext, k_lo, n, m, out_i, out_d, out_m, out_code,
+            )
+        };
     }
+    compute_row_with_origins_scalar(
+        sub, open, iext, dext, k_lo, n, m, out_i, out_d, out_m, out_code,
+    )
 }
 
 /// Per-cell reference for [`compute_row_with_origins`]: the Eq. 3
@@ -956,50 +848,23 @@ mod tests {
     type ByteLcpFn = fn(&[u8], &[u8], usize, usize) -> usize;
     type PackedLcpFn = fn(&PackedSeq, &PackedSeq, usize, usize) -> usize;
 
-    /// Every compiled byte-LCP tier, by name.
+    /// Every compiled byte-LCP fast path the CPU can run, by name.
     fn byte_tiers() -> Vec<(&'static str, ByteLcpFn)> {
         let mut tiers: Vec<(&'static str, ByteLcpFn)> = vec![("word", lcp_bytes_word)];
         #[cfg(target_arch = "x86_64")]
-        if KernelDispatch::Avx2.available() {
+        if is_x86_feature_detected!("avx2") {
             // SAFETY: the CPU reports AVX2.
             tiers.push(("avx2", |a, b, i, j| unsafe { lcp_bytes_avx2(a, b, i, j) }));
         }
         tiers
     }
 
-    /// Every compiled packed-LCP tier, by name.
+    /// Every compiled packed-LCP fast path, by name.
     fn packed_tiers() -> Vec<(&'static str, PackedLcpFn)> {
         let mut tiers: Vec<(&'static str, PackedLcpFn)> = vec![("word", lcp_packed_word)];
         #[cfg(target_arch = "x86_64")]
         tiers.push(("simd", lcp_packed_simd));
         tiers
-    }
-
-    #[test]
-    fn dispatch_parses_and_resolves() {
-        for d in [
-            KernelDispatch::Auto,
-            KernelDispatch::Scalar,
-            KernelDispatch::Word,
-            KernelDispatch::Avx2,
-        ] {
-            assert_eq!(KernelDispatch::parse(d.name()), Some(d));
-            let r = d.resolve();
-            assert_ne!(r, KernelDispatch::Auto, "resolve() never returns Auto");
-            assert!(r.available(), "resolved tier must be runnable");
-        }
-        assert_eq!(KernelDispatch::parse("AVX2"), Some(KernelDispatch::Avx2));
-        assert_eq!(KernelDispatch::parse("mmx"), None);
-        // Scalar and Word pins always hold exactly.
-        assert_eq!(KernelDispatch::Scalar.resolve(), KernelDispatch::Scalar);
-        assert_eq!(KernelDispatch::Word.resolve(), KernelDispatch::Word);
-    }
-
-    #[test]
-    fn active_dispatch_is_resolved_and_available() {
-        let d = kernel_dispatch();
-        assert_ne!(d, KernelDispatch::Auto);
-        assert!(d.available());
     }
 
     #[test]
@@ -1067,7 +932,7 @@ mod tests {
     type ExtendRowFn = fn(&PackedSeq, &PackedSeq, &mut [i32], i32, &mut RowTrace);
 
     /// Every compiled [`extend_row`] path, by name: the dispatched entry,
-    /// the per-cell loop of the non-AVX2 tiers, and the AVX2 body.
+    /// the per-cell loop of the word path, and the AVX2 body.
     fn extend_row_paths() -> Vec<(&'static str, ExtendRowFn)> {
         let mut paths: Vec<(&'static str, ExtendRowFn)> = vec![
             ("dispatched", |a, b, offs, k_lo, tr| {
@@ -1078,7 +943,7 @@ mod tests {
             }),
         ];
         #[cfg(target_arch = "x86_64")]
-        if KernelDispatch::Avx2.available() {
+        if is_x86_feature_detected!("avx2") {
             // SAFETY: the CPU reports AVX2.
             paths.push(("avx2", |a, b, offs, k_lo, tr| unsafe {
                 extend_row_avx2(a, b, offs, k_lo, &mut |t, mt, l| tr.push((t, mt, l)))
@@ -1241,7 +1106,7 @@ mod tests {
     #[test]
     fn non_acgt_bytes_flow_through_the_byte_kernels() {
         // The oracle must handle arbitrary bytes ('N' reads reach the CPU
-        // fallback path); every byte tier compares them literally.
+        // fallback path); every byte path compares them literally.
         let a = b"ACGNNNGT";
         let b = b"ACGNNNGA";
         assert_eq!(lcp_bytes_scalar(a, b, 0, 0), 7);
@@ -1255,30 +1120,6 @@ mod tests {
         for (name, f) in byte_tiers() {
             assert_eq!(f(&long_a, &long_b, 0, 0), 37, "{name}");
         }
-    }
-
-    #[test]
-    fn dispatched_entry_points_follow_the_pin() {
-        // Whatever tier is pinned, the dispatched entry points must agree
-        // with the scalar oracle (the values are tier-invariant).
-        let (a, b) = (b"GATTACAGATTACA", b"GATTACAGATCACA");
-        let pa = PackedSeq::from_ascii(a).unwrap();
-        let pb = PackedSeq::from_ascii(b).unwrap();
-        let before = kernel_dispatch();
-        for d in [
-            KernelDispatch::Scalar,
-            KernelDispatch::Word,
-            KernelDispatch::Avx2,
-            KernelDispatch::Auto,
-        ] {
-            set_kernel_dispatch(d);
-            assert_eq!(lcp_bytes(a, b, 0, 0), lcp_bytes_scalar(a, b, 0, 0));
-            assert_eq!(
-                lcp_packed(&pa, &pb, 0, 0),
-                lcp_packed_scalar(&pa, &pb, 0, 0)
-            );
-        }
-        set_kernel_dispatch(before);
     }
 
     // --- compute_row ---
@@ -1343,7 +1184,7 @@ mod tests {
             assert_eq!(got, want, "len={len} k_lo={k_lo} n={n} m={m}");
             #[cfg(target_arch = "x86_64")]
             {
-                if KernelDispatch::Avx2.available() {
+                if is_x86_feature_detected!("avx2") {
                     let got = run_row(
                         &|s, o, ie, de, k, n, m, oi, od, om| unsafe {
                             compute_row_avx2(s, o, ie, de, k, n, m, oi, od, om)
@@ -1413,7 +1254,7 @@ mod tests {
             assert_eq!(got, want, "len={len} k_lo={k_lo} n={n} m={m}");
             #[cfg(target_arch = "x86_64")]
             {
-                if KernelDispatch::Avx2.available() {
+                if is_x86_feature_detected!("avx2") {
                     let got = run(
                         &|s, o, ie, de, k, n, m, oi, od, om, oc| unsafe {
                             compute_row_with_origins_avx2(s, o, ie, de, k, n, m, oi, od, om, oc)
@@ -1469,6 +1310,88 @@ mod tests {
                 assert_eq!(mv, OFFSET_NULL, "k={k}");
             }
             assert!(offset_is_valid(mv) == (1..=3).contains(&k));
+        }
+    }
+
+    /// One diagonal's Eq. 3 sources, in the Compute sub-module's order:
+    /// `M[s-x][k]`, `M[s-o-e][k-1]`, `M[s-o-e][k+1]`, `I[s-e][k-1]`,
+    /// `D[s-e][k+1]`.
+    type Sources = [i32; 5];
+
+    /// Those sources as the four halo rows of a one-wide compute row.
+    fn one_wide_rows([sub, ins_open, del_open, iext, dext]: Sources) -> [[i32; 3]; 4] {
+        const N: i32 = OFFSET_NULL;
+        [
+            [N, sub, N],
+            [ins_open, N, del_open],
+            [iext, N, N],
+            [N, N, dext],
+        ]
+    }
+
+    /// `(i, d, m, origin code)` of one cell through
+    /// [`compute_row_with_origins_scalar`], whose `(i, d, m)` must equal
+    /// [`compute_row_scalar`]'s.
+    fn origin_cell(src: Sources, k: i32, n: i32, m: i32) -> (i32, i32, i32, u8) {
+        let [sub, open, iext, dext] = one_wide_rows(src);
+        let (mut oi, mut od, mut om, mut oc) = ([0], [0], [0], [0]);
+        compute_row_with_origins_scalar(
+            &sub, &open, &iext, &dext, k, n, m, &mut oi, &mut od, &mut om, &mut oc,
+        );
+        let (mut pi, mut pd, mut pm) = ([0], [0], [0]);
+        compute_row_scalar(
+            &sub, &open, &iext, &dext, k, n, m, &mut pi, &mut pd, &mut pm,
+        );
+        let cell = (oi[0], od[0], om[0]);
+        assert_eq!(cell, (pi[0], pd[0], pm[0]), "{src:?} k={k} n={n} m={m}");
+        (cell.0, cell.1, cell.2, oc[0])
+    }
+
+    #[test]
+    fn scalar_origins_row_hand_checked_cells() {
+        const N: i32 = OFFSET_NULL;
+        // Origin codes: M source in bits 0..2 (1 substitution, 2/3
+        // insertion open/extend, 4/5 deletion open/extend), I from
+        // extension in bit 3, D from extension in bit 4.
+        // Substitution wins, also on an M tie with an insertion.
+        assert_eq!(origin_cell([5, 3, 3, N, N], 0, 100, 100), (4, 3, 6, 1));
+        assert_eq!(origin_cell([5, 5, N, N, N], 0, 100, 100), (6, N, 6, 1));
+        // Insertion: the open source alone, a longer extension, and an
+        // extension that ties the open source (extension wins the tie).
+        assert_eq!(origin_cell([N, 7, N, N, N], 0, 100, 100), (8, N, 8, 2));
+        assert_eq!(
+            origin_cell([N, 7, N, 9, N], 0, 100, 100),
+            (10, N, 10, 3 | 8)
+        );
+        assert_eq!(origin_cell([N, 7, N, 7, N], 0, 100, 100), (8, N, 8, 3 | 8));
+        // A deletion keeps its offset, opened or extended.
+        assert_eq!(origin_cell([N, N, 4, N, N], 0, 100, 100), (N, 4, 4, 4));
+        assert_eq!(origin_cell([N, N, 4, N, 6], 0, 100, 100), (N, 6, 6, 5 | 16));
+        // Bounds give NULL: past the end of b (m = 5), then past the end
+        // of a (n = 3).
+        assert_eq!(origin_cell([5, N, N, N, N], 0, 100, 5), (N, N, N, 0));
+        assert_eq!(origin_cell([5, N, N, N, N], 2, 3, 100), (N, N, N, 0));
+        // All-NULL sources give a NULL cell with code 0.
+        assert_eq!(origin_cell([N; 5], 0, 100, 100), (N, N, N, 0));
+    }
+
+    #[test]
+    fn scalar_origins_row_values_equal_compute_row_scalar() {
+        const N: i32 = OFFSET_NULL;
+        let cases = [
+            [5, 3, 2, 4, 1],
+            [N, 3, N, 4, N],
+            [7, N, 2, N, 9],
+            [N; 5],
+            [0; 5],
+            [5, N, N, N, N],
+        ];
+        for src in cases {
+            for k in [-2, 0, 2, 3] {
+                for (n, m) in [(100, 100), (5, 100), (3, 3), (50, 60)] {
+                    origin_cell(src, k, n, m);
+                }
+            }
         }
     }
 }

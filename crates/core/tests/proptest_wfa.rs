@@ -150,111 +150,86 @@ fn score_bounded_by_all_gaps() {
     });
 }
 
-/// The whole exactness sweep holds at every kernel dispatch tier: forcing
-/// scalar, word or AVX2 through the same alignments must not change
-/// a score, a CIGAR, or an extend count. Tiers the host CPU lacks are
-/// skipped (the CI matrix still forces each one where available).
+/// The exactness sweep on the kernel path the CPU takes (AVX2 or word):
+/// scores and CIGARs are optimal, and single-cell and row extends agree
+/// with the byte kernel. Each fast path is compared with its scalar
+/// reference directly in `wfa_core::kernel`'s own tests.
 #[test]
-fn wfa_exactness_holds_at_every_dispatch_tier() {
-    use wfa_core::kernel::{extend_row, kernel_dispatch, set_kernel_dispatch, KernelDispatch};
+fn wfa_exactness_holds_on_the_cpus_kernel_path() {
+    use wfa_core::kernel::extend_row;
     use wfa_core::wavefront::{offset_is_valid, OFFSET_NULL};
-    for tier in [
-        KernelDispatch::Scalar,
-        KernelDispatch::Word,
-        KernelDispatch::Avx2,
-    ] {
-        if !tier.available() {
-            continue;
-        }
-        set_kernel_dispatch(tier);
-        assert_eq!(kernel_dispatch(), tier);
-        cases(64, 0x57FA_0010 ^ tier as u64, |rng, _| {
-            let (a, b) = dna_pair(rng, 96);
-            let p = Penalties::WFASIC_DEFAULT;
-            let wfa = align(&a, &b, p).unwrap();
-            let cigar = wfa.cigar.unwrap();
-            cigar.check(&a, &b).unwrap();
-            assert_eq!(cigar.score(&p), wfa.score as u64);
-            assert_eq!(wfa.score as u64, swg_score(&a, &b, &p));
+    cases(64, 0x57FA_0010, |rng, _| {
+        let (a, b) = dna_pair(rng, 96);
+        let p = Penalties::WFASIC_DEFAULT;
+        let wfa = align(&a, &b, p).unwrap();
+        let cigar = wfa.cigar.unwrap();
+        cigar.check(&a, &b).unwrap();
+        assert_eq!(cigar.score(&p), wfa.score as u64);
+        assert_eq!(wfa.score as u64, swg_score(&a, &b, &p));
 
-            // Single-cell and row extends agree with the byte oracle at
-            // this tier too.
-            let pa = PackedSeq::from_ascii(&a).unwrap();
-            let pb = PackedSeq::from_ascii(&b).unwrap();
-            let i = rng.gen_range(0, a.len() + 1);
-            let j = rng.gen_range(0, b.len() + 1);
-            assert_eq!(lcp_packed(&pa, &pb, i, j), lcp_bytes(&a, &b, i, j));
-            // A row of 0..=10 cells (tails of every length) from a k_lo
-            // that is often negative: NULLs stay, the rest extend.
-            let (n, m) = (a.len() as i32, b.len() as i32);
-            let k_lo = rng.gen_range(0, (n + m + 1) as usize) as i32 - n;
-            let row: Vec<i32> = (0..rng.gen_range(0, 11) as i32)
-                .map(|t| {
-                    let k = k_lo + t;
-                    let (lo, hi) = (k.max(0), m.min(n + k));
-                    if lo > hi || rng.gen_bool(0.2) {
-                        OFFSET_NULL
-                    } else {
-                        lo + rng.gen_range(0, (hi - lo + 1) as usize) as i32
-                    }
-                })
-                .collect();
-            let mut got = row.clone();
-            let mut cells = Vec::new();
-            extend_row(&pa, &pb, &mut got, k_lo, |t, matches, limit| {
-                cells.push((t, matches, limit))
-            });
-            let (mut want_row, mut want) = (row.clone(), Vec::new());
-            for (t, off) in want_row.iter_mut().enumerate() {
-                if !offset_is_valid(*off) {
-                    continue;
+        // Single-cell and row extends agree with the byte kernel.
+        let pa = PackedSeq::from_ascii(&a).unwrap();
+        let pb = PackedSeq::from_ascii(&b).unwrap();
+        let i = rng.gen_range(0, a.len() + 1);
+        let j = rng.gen_range(0, b.len() + 1);
+        assert_eq!(lcp_packed(&pa, &pb, i, j), lcp_bytes(&a, &b, i, j));
+        // A row of 0..=10 cells (tails of every length) from a k_lo
+        // that is often negative: NULLs stay, the rest extend.
+        let (n, m) = (a.len() as i32, b.len() as i32);
+        let k_lo = rng.gen_range(0, (n + m + 1) as usize) as i32 - n;
+        let row: Vec<i32> = (0..rng.gen_range(0, 11) as i32)
+            .map(|t| {
+                let k = k_lo + t;
+                let (lo, hi) = (k.max(0), m.min(n + k));
+                if lo > hi || rng.gen_bool(0.2) {
+                    OFFSET_NULL
+                } else {
+                    lo + rng.gen_range(0, (hi - lo + 1) as usize) as i32
                 }
-                let (i, j) = ((*off - k_lo - t as i32) as usize, *off as usize);
-                let matches = lcp_bytes(&a, &b, i, j);
-                *off += matches as i32;
-                want.push((t, matches, (a.len() - i).min(b.len() - j)));
-            }
-            assert_eq!(
-                got, want_row,
-                "tier {tier:?} k_lo={k_lo}: NULL cells stay, the rest extend"
-            );
-            assert_eq!(cells, want, "tier {tier:?} k_lo={k_lo}");
+            })
+            .collect();
+        let mut got = row.clone();
+        let mut cells = Vec::new();
+        extend_row(&pa, &pb, &mut got, k_lo, |t, matches, limit| {
+            cells.push((t, matches, limit))
         });
-    }
-    set_kernel_dispatch(KernelDispatch::Auto);
+        let (mut want_row, mut want) = (row.clone(), Vec::new());
+        for (t, off) in want_row.iter_mut().enumerate() {
+            if !offset_is_valid(*off) {
+                continue;
+            }
+            let (i, j) = ((*off - k_lo - t as i32) as usize, *off as usize);
+            let matches = lcp_bytes(&a, &b, i, j);
+            *off += matches as i32;
+            want.push((t, matches, (a.len() - i).min(b.len() - j)));
+        }
+        assert_eq!(
+            got, want_row,
+            "k_lo={k_lo}: NULL cells stay, the rest extend"
+        );
+        assert_eq!(cells, want, "k_lo={k_lo}");
+    });
 }
 
 /// BiWFA is score-identical to the exact engine and its CIGAR replays to
-/// exactly the optimal score — at every kernel dispatch tier, so the
-/// packed extend ladder under the bidirectional machines is covered the
-/// same way the exact engine's is.
+/// exactly the optimal score on the kernel path the CPU takes, so the
+/// packed extend under the bidirectional machines is covered the same way
+/// the exact engine's is.
 #[test]
-fn biwfa_matches_exact_at_every_dispatch_tier() {
-    use wfa_core::kernel::{set_kernel_dispatch, KernelDispatch};
+fn biwfa_matches_exact_on_the_cpus_kernel_path() {
     use wfa_core::AlignStrategy;
-    for tier in [
-        KernelDispatch::Scalar,
-        KernelDispatch::Word,
-        KernelDispatch::Avx2,
-    ] {
-        if !tier.available() {
-            continue;
-        }
-        set_kernel_dispatch(tier);
-        cases(48, 0x57FA_0020 ^ tier as u64, |rng, _| {
-            let (a, b) = dna_pair(rng, 96);
-            let p = Penalties::WFASIC_DEFAULT;
-            let exact = align(&a, &b, p).unwrap();
-            let opts = WfaOptions::biwfa(p);
-            assert_eq!(opts.strategy, AlignStrategy::BiWfa);
-            let bi = wfa_align(&a, &b, &opts).unwrap();
-            assert_eq!(bi.score, exact.score, "tier {tier:?}");
-            let cigar = bi.cigar.unwrap();
-            cigar.check(&a, &b).unwrap();
-            assert_eq!(cigar.score(&p), bi.score as u64, "tier {tier:?}");
-        });
-    }
-    set_kernel_dispatch(KernelDispatch::Auto);
+    cases(48, 0x57FA_0020, |rng, _| {
+        let (a, b) = dna_pair(rng, 96);
+        let p = Penalties::WFASIC_DEFAULT;
+        let exact = align(&a, &b, p).unwrap();
+        let opts = WfaOptions::biwfa(p);
+        assert_eq!(opts.strategy, AlignStrategy::BiWfa);
+        let bi = wfa_align(&a, &b, &opts).unwrap();
+        assert_eq!(bi.score, exact.score);
+        let cigar = bi.cigar.unwrap();
+        cigar.check(&a, &b).unwrap();
+        assert_eq!(cigar.score(&p), bi.score as u64);
+    });
 }
 
 /// The packed and byte representations run the same engine: on ACGT pairs

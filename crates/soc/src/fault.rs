@@ -54,13 +54,6 @@ impl Storm {
         }
     }
 
-    /// Shift the storm windows by `offset` cycles (per-lane schedules:
-    /// stagger the same storm across lanes so they never rage in unison).
-    pub fn with_offset(mut self, offset: Cycle) -> Self {
-        self.offset = offset;
-        self
-    }
-
     /// A storm that never lets up.
     pub fn permanent() -> Self {
         Storm {
@@ -144,12 +137,6 @@ impl FaultPlan {
             window: None,
             storm: None,
         }
-    }
-
-    /// Restrict data/timing faults to the cycle window `[start, end)`.
-    pub fn with_window(mut self, start: Cycle, end: Cycle) -> Self {
-        self.window = Some((start, end));
-        self
     }
 
     /// Gate data/timing faults behind a recurring [`Storm`] schedule.
@@ -435,7 +422,8 @@ mod tests {
 
     #[test]
     fn window_gates_data_faults() {
-        let mut plan = FaultPlan::uniform(7, 1.0).with_window(100, 200);
+        let mut plan = FaultPlan::uniform(7, 1.0);
+        plan.window = Some((100, 200));
         plan.drop_beat = 1.0;
         let mut inj = FaultInjector::new(plan);
         let mut data = vec![0xFFu8; 16];
@@ -473,7 +461,10 @@ mod tests {
 
     #[test]
     fn storm_schedule_gates_faults_periodically() {
-        let storm = Storm::periodic(100, 30).with_offset(10);
+        let storm = Storm {
+            offset: 10,
+            ..Storm::periodic(100, 30)
+        };
         assert!(!storm.raging_at(0), "before the first window");
         assert!(storm.raging_at(10));
         assert!(storm.raging_at(39));
@@ -503,9 +494,8 @@ mod tests {
 
     #[test]
     fn storm_composes_with_the_one_shot_window() {
-        let mut plan = FaultPlan::none()
-            .with_window(100, 200)
-            .with_storm(Storm::periodic(50, 10));
+        let mut plan = FaultPlan::none().with_storm(Storm::periodic(50, 10));
+        plan.window = Some((100, 200));
         plan.bus_stall = 1.0;
         let mut inj = FaultInjector::new(plan);
         assert_eq!(inj.transfer_stall(115), 0, "window open, storm quiet");
