@@ -26,7 +26,7 @@ use wfasic_soc::clock::Cycle;
 ///
 /// Purely a wall-clock optimization — reusing scratch across pairs changes
 /// no outcome field and no cycle count (the `ci-check` gate and the
-/// differential sweep pin this). One scratch per device/lane; it reaches
+/// oracle matrix pin this). One scratch per device/lane; it reaches
 /// the workload's high-water mark on the first pair and stops allocating.
 #[derive(Debug, Default)]
 pub struct AlignerScratch {

@@ -9,8 +9,8 @@
 //! * the software WFA oracle ([`CpuWfaBackend`] — the workspace's single
 //!   software answer path) — aligns/sec with fresh allocations vs the
 //!   reused [`wfa_core::WavefrontArena`];
-//! * the end-to-end device path — a queue of 28-pair backtrace jobs run
-//!   through [`BatchScheduler::run_parallel`] on warm drivers, at width 1
+//! * the end-to-end device path — a queue of 28-pair backtrace jobs
+//!   submitted to warm [`WfasicDriver`]s, one per pool worker, at width 1
 //!   and at the requested width, reporting alignments/sec and
 //!   DP-equivalent cells/sec (`|a|*|b|` per pair, the paper's §5.5 CUPS
 //!   convention). What the width-N/width-1 ratio compares is spelled out
@@ -23,8 +23,9 @@
 //! generous one-sided floor: a ratio may grow freely but must not collapse
 //! below [`RATIO_FLOOR`] of its blessed value. Thread counts change wall
 //! clock only — every simulated result and cycle count is bit-identical at
-//! any width, which the differential sweep and the `run_parallel`
-//! bit-identity tests enforce.
+//! any width: a reused driver answers as a fresh one (the driver's own
+//! reuse test), and a job split across host threads matches the inline
+//! path bit for bit (`tests/device_two_phase.rs`).
 
 use crate::baseline::Metric;
 use crate::gate::RunOptions;
@@ -36,7 +37,7 @@ use wfa_core::pool::{available_threads, chunk_ranges, ThreadPool};
 use wfa_core::rng::SmallRng;
 use wfa_core::{PackedSeq, Penalties};
 use wfasic_accel::AccelConfig;
-use wfasic_driver::{BatchJob, BatchScheduler, CpuWfaBackend};
+use wfasic_driver::{BatchJob, CpuWfaBackend, WaitMode, WfasicDriver};
 use wfasic_seqio::InputSetSpec;
 
 /// Schema tag stamped into the JSON record (bump on layout changes).
@@ -114,11 +115,10 @@ impl HostOutcome {
     /// Device-path speedup of width N over width 1, when width N was
     /// measured.
     ///
-    /// Both sides run the same queue of jobs through
-    /// [`BatchScheduler::run_parallel`], timed from the moment every
-    /// worker's driver is warm to the moment the last job completes, so
-    /// thread spawns, driver construction and first-touch memory stay off
-    /// both clocks:
+    /// Both sides submit the same queue of jobs to [`WfasicDriver`]s, timed
+    /// from the moment every worker's driver is warm to the moment the last
+    /// job completes, so thread spawns, driver construction and first-touch
+    /// memory stay off both clocks:
     ///
     /// * width 1: the whole queue on one driver on the caller's thread.
     ///   Its device splits each job, aligning the pairs on every host
@@ -417,18 +417,20 @@ pub fn run(opts: &RunOptions) -> HostOutcome {
 }
 
 /// Wall-clock seconds to drain `jobs` cut into `width` contiguous queues,
-/// one per pool worker. Each worker first warms its own driver (the one
-/// [`BatchScheduler::run_parallel`] keeps per thread) on its queue's first
-/// job, untimed; the clock starts once every worker is warm and stops when
-/// the last queue is drained.
+/// one per pool worker. Each worker submits its queue to its own
+/// [`WfasicDriver`], first warming it on the queue's first job, untimed;
+/// the clock starts once every worker is warm and stops when the last
+/// queue is drained.
 fn queue_seconds(jobs: &[BatchJob], width: usize) -> f64 {
     let queues = chunk_ranges(jobs.len(), width);
     let warm = Barrier::new(queues.len());
     let spans = ThreadPool::new(width).map(&queues, |_, queue| {
-        let sched = BatchScheduler::new(AccelConfig::wfasic_chip(), 1);
-        let run = |jobs: &[BatchJob]| {
-            let results = sched.run_parallel(jobs, 1);
-            assert!(results.iter().all(|r| r.is_ok()), "device jobs must pass");
+        let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
+        let mut run = |jobs: &[BatchJob]| {
+            for job in jobs {
+                let out = drv.submit(&job.pairs, job.backtrace, WaitMode::PollIdle);
+                assert!(out.is_ok(), "device jobs must pass");
+            }
         };
         run(&jobs[queue.start..queue.start + 1]);
         warm.wait();
@@ -614,12 +616,5 @@ mod tests {
         // Missing metric → fail.
         let (_, f) = drift_report(&base, &base[..1], FLOOR);
         assert_eq!(f, 1);
-    }
-
-    #[test]
-    fn pool_helper_is_reexported() {
-        // `wfasic_bench::pool` must expose the shared pool (ISSUE contract).
-        let p = crate::pool::ThreadPool::new(3);
-        assert_eq!(p.threads(), 3);
     }
 }

@@ -28,8 +28,6 @@
 //!   `report -- longread`: technology-shaped read sets through the
 //!   heterogeneous router, CI-gated strategy tallies and the measured
 //!   BiWFA memory reduction;
-//! * [`pool`] — the deterministic host thread pool (re-export of
-//!   [`wfa_core::pool`]);
 //! * [`fmt`] — table rendering.
 //!
 //! `cargo run -p wfasic-bench --release --bin report -- all` prints every
@@ -47,6 +45,5 @@ pub mod gate;
 pub mod host;
 pub mod longread;
 pub mod paper;
-pub mod pool;
 pub mod report;
 pub mod timing;

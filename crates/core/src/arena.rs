@@ -13,21 +13,9 @@
 //! cell [`OFFSET_NULL`]), and [`WavefrontSet::memory_bytes`] is length-based
 //! rather than capacity-based, so the simulated cycle counts and the
 //! `peak_memory_bytes` statistic that feeds the CPU cycle model are
-//! unchanged. The `ci-check` gate and the differential sweep enforce that.
+//! unchanged. The `ci-check` gate and the oracle matrix enforce that.
 
 use crate::wavefront::{Wavefront, WavefrontSet, OFFSET_NULL};
-
-/// Allocation-reuse counters (observability for tests and the host bench).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ArenaStats {
-    /// Buffers created because the freelist was empty.
-    pub fresh_allocs: u64,
-    /// Buffers served from the freelist.
-    pub reuses: u64,
-    /// Most buffers ever parked on the freelist at once (the pool's
-    /// high-water mark; the pool never shrinks below it).
-    pub peak_pooled: usize,
-}
 
 /// A freelist pool of wavefront offset buffers (plus the `fronts` spines
 /// used by the full-history oracle).
@@ -36,7 +24,6 @@ pub struct WavefrontArena {
     free: Vec<Vec<i32>>,
     rows: Vec<Vec<i32>>,
     spines: Vec<Vec<Option<WavefrontSet>>>,
-    stats: ArenaStats,
 }
 
 impl WavefrontArena {
@@ -44,11 +31,6 @@ impl WavefrontArena {
     /// use and serves every later allocation from the pool.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Reuse/allocation counters.
-    pub fn stats(&self) -> ArenaStats {
-        self.stats
     }
 
     /// A wavefront covering `lo..=hi` with every cell NULL — identical to
@@ -59,15 +41,11 @@ impl WavefrontArena {
         let len = (hi - lo + 1) as usize;
         let offsets = match self.free.pop() {
             Some(mut buf) => {
-                self.stats.reuses += 1;
                 buf.clear();
                 buf.resize(len, OFFSET_NULL);
                 buf
             }
-            None => {
-                self.stats.fresh_allocs += 1;
-                vec![OFFSET_NULL; len]
-            }
+            None => vec![OFFSET_NULL; len],
         };
         Wavefront { lo, hi, offsets }
     }
@@ -82,16 +60,12 @@ impl WavefrontArena {
         let len = (hi - lo + 1) as usize;
         let offsets = match self.free.pop() {
             Some(mut buf) => {
-                self.stats.reuses += 1;
                 // resize only fills growth; surviving slots keep stale data.
                 buf.resize(len, OFFSET_NULL);
                 buf.truncate(len);
                 buf
             }
-            None => {
-                self.stats.fresh_allocs += 1;
-                vec![OFFSET_NULL; len]
-            }
+            None => vec![OFFSET_NULL; len],
         };
         Wavefront { lo, hi, offsets }
     }
@@ -107,7 +81,6 @@ impl WavefrontArena {
     /// Return a wavefront's buffer to the pool.
     pub fn recycle(&mut self, w: Wavefront) {
         self.free.push(w.offsets);
-        self.stats.peak_pooled = self.stats.peak_pooled.max(self.free.len());
     }
 
     /// Return all of a set's component buffers to the pool.
@@ -122,9 +95,8 @@ impl WavefrontArena {
     }
 
     /// An empty scratch row for the batched compute kernel's gathered
-    /// source vectors (callers fill it). Kept on a separate freelist from
-    /// the wavefront buffers so [`ArenaStats`] still counts wavefront
-    /// traffic only.
+    /// source vectors (callers fill it), from its own freelist: a row
+    /// never takes a wavefront buffer.
     pub fn take_row(&mut self) -> Vec<i32> {
         self.rows.pop().map_or_else(Vec::new, |mut r| {
             r.clear();
@@ -161,10 +133,11 @@ mod tests {
         let mut w = arena.wavefront(-3, 5);
         w.set(2, 17);
         w.set(-3, 4);
+        let buffer = w.offsets.as_ptr();
         arena.recycle(w);
         let recycled = arena.wavefront(-2, 2);
         assert_eq!(recycled, Wavefront::null_range(-2, 2));
-        assert_eq!(arena.stats().reuses, 1);
+        assert_eq!(recycled.offsets.as_ptr(), buffer, "served from the pool");
     }
 
     #[test]
@@ -173,10 +146,15 @@ mod tests {
         assert_eq!(arena.initial(), Wavefront::initial());
     }
 
+    /// Round 0 allocates 16 buffers. The pool hands them out last in,
+    /// first out, so in round 1 the small ones serve the large wavefronts
+    /// and grow once. From round 2 on, every buffer handed out is one of
+    /// the 16 that round 1 left in the pool.
     #[test]
     fn pool_reaches_high_water_then_stops_allocating() {
         let mut arena = WavefrontArena::new();
-        for round in 0..5 {
+        let mut pooled = Vec::new();
+        for round in 0..6 {
             let sets: Vec<WavefrontSet> = (0..8)
                 .map(|i| WavefrontSet {
                     m: arena.wavefront(-i, i),
@@ -184,17 +162,23 @@ mod tests {
                     d: None,
                 })
                 .collect();
+            let mut buffers: Vec<*const i32> = sets
+                .iter()
+                .flat_map(|s| [&s.m, s.i.as_ref().unwrap()])
+                .map(|w| w.offsets.as_ptr())
+                .collect();
+            buffers.sort();
+            buffers.dedup();
+            assert_eq!(buffers.len(), 16, "round {round}");
+            if round >= 2 {
+                assert_eq!(buffers, pooled, "round {round} allocated");
+            }
+            pooled = buffers;
             for s in sets {
                 arena.recycle_set(s);
             }
-            if round == 0 {
-                assert_eq!(arena.stats().fresh_allocs, 16);
-            }
         }
-        // Rounds 1..4 are served entirely from the pool.
-        assert_eq!(arena.stats().fresh_allocs, 16);
-        assert_eq!(arena.stats().reuses, 64);
-        assert_eq!(arena.stats().peak_pooled, 16);
+        assert_eq!(arena.free.len(), 16);
     }
 
     #[test]

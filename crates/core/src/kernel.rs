@@ -182,10 +182,7 @@ pub fn lcp_packed(a: &PackedSeq, b: &PackedSeq, i: usize, j: usize) -> usize {
     if limit <= crate::bitpack::BASES_PER_WORD {
         return limit;
     }
-    #[cfg(target_arch = "x86_64")]
-    return lcp_packed_simd(a, b, i, j);
-    #[cfg(not(target_arch = "x86_64"))]
-    lcp_packed_word(a, b, i, j)
+    lcp_packed_simd(a, b, i, j)
 }
 
 /// One-base-at-a-time reference for the packed kernels.
@@ -226,21 +223,21 @@ pub fn lcp_packed_word(a: &PackedSeq, b: &PackedSeq, i: usize, j: usize) -> usiz
 }
 
 /// AVX2 packed LCP (128 bases per compare) when the CPU supports it, the
-/// word kernel otherwise. Callers normally go through [`lcp_packed`].
+/// word kernel otherwise, and on every target but x86_64. Callers normally
+/// go through [`lcp_packed`].
 ///
 /// Both packed streams are bit-aligned in registers with a per-lane
 /// `srl/sll` pair — the vector form of the word path's cross-word window
 /// shift. The bits the two shifted loads contribute at overlapping lane
 /// positions are the *same stream bits*, so OR-combining them is exact.
-#[cfg(target_arch = "x86_64")]
 #[inline]
 pub fn lcp_packed_simd(a: &PackedSeq, b: &PackedSeq, i: usize, j: usize) -> usize {
+    #[cfg(target_arch = "x86_64")]
     if is_x86_feature_detected!("avx2") {
         // SAFETY: feature checked above.
-        unsafe { lcp_packed_avx2(a, b, i, j) }
-    } else {
-        lcp_packed_word(a, b, i, j)
+        return unsafe { lcp_packed_avx2(a, b, i, j) };
     }
+    lcp_packed_word(a, b, i, j)
 }
 
 #[cfg(target_arch = "x86_64")]
@@ -861,10 +858,7 @@ mod tests {
 
     /// Every compiled packed-LCP fast path, by name.
     fn packed_tiers() -> Vec<(&'static str, PackedLcpFn)> {
-        let mut tiers: Vec<(&'static str, PackedLcpFn)> = vec![("word", lcp_packed_word)];
-        #[cfg(target_arch = "x86_64")]
-        tiers.push(("simd", lcp_packed_simd));
-        tiers
+        vec![("word", lcp_packed_word), ("simd", lcp_packed_simd)]
     }
 
     #[test]

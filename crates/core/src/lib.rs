@@ -48,7 +48,7 @@ pub mod wavefront;
 pub mod wfa;
 
 pub use adaptive::AdaptiveParams;
-pub use arena::{ArenaStats, WavefrontArena};
+pub use arena::WavefrontArena;
 pub use bitpack::PackedSeq;
 pub use cigar::{Cigar, CigarError, EditStats, Op};
 pub use penalties::{Penalties, PenaltyError};

@@ -1,9 +1,8 @@
 //! Host threads — `std::thread` + channels, no external dependencies —
 //! in two forms, one per kind of caller.
 //!
-//! **Whole-job sweeps** ([`ThreadPool::map`], re-exported as
-//! `wfasic_bench::pool`) spawn *scoped* threads per call that may borrow
-//! the caller's data. The input slice is split into **fixed contiguous
+//! **Whole-job sweeps** ([`ThreadPool::map`]) spawn *scoped* threads per
+//! call that may borrow the caller's data. The input slice is split into **fixed contiguous
 //! chunks** decided only by `(len, threads)`, each worker processes its
 //! chunk in order, and results are returned **in input order** regardless
 //! of which worker finishes first. A run with `threads = 1` executes inline

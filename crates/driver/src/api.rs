@@ -259,10 +259,8 @@ pub struct WfasicDriver {
     pub policy: JobPolicy,
     /// Where jobs are staged in main memory.
     pub layout: MemLayout,
-    /// The CPU engine the fallback runs on (default route; a
-    /// [`crate::BatchScheduler::run_parallel`] worker takes its
-    /// scheduler's).
-    pub(crate) cpu: CpuWfaBackend,
+    /// The CPU engine the fallback runs on, on the default route.
+    cpu: CpuWfaBackend,
     schedule: WavefrontSchedule,
 }
 
@@ -619,6 +617,29 @@ mod tests {
             assert_eq!((a.id, a.score, a.success), (b.id, b.score, b.success));
             assert_eq!(a.cigar, b.cigar);
         }
+    }
+
+    /// A driver is reusable: `submit` restages memory, reprograms every
+    /// register and restarts the timeline at cycle 0, so after a different
+    /// job (another size, backtrace off) it answers exactly as a fresh
+    /// driver, perf counters included.
+    #[test]
+    fn a_reused_driver_answers_as_a_fresh_one() {
+        let spec = InputSetSpec {
+            length: 60,
+            error_pct: 10,
+        };
+        let (pairs, other) = (spec.generate(3, 17).pairs, spec.generate(5, 18).pairs);
+        let run = |drv: &mut WfasicDriver, pairs: &[Pair], bt| {
+            drv.policy.collect_perf = true;
+            format!("{:?}", drv.submit(pairs, bt, WaitMode::PollIdle).unwrap())
+        };
+        let cfg = AccelConfig::wfasic_chip();
+        let (mut fresh, mut reused) = (WfasicDriver::new(cfg), WfasicDriver::new(cfg));
+        let want = run(&mut fresh, &pairs, true);
+        run(&mut reused, &other, false);
+        assert_eq!(run(&mut reused, &pairs, true), want);
+        assert_eq!(run(&mut reused, &pairs, true), want);
     }
 
     #[test]

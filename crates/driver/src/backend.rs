@@ -729,7 +729,7 @@ impl AlignmentBackend for SwgBackend {
 // ---------------------------------------------------------------------------
 
 /// Pairs per sub-job when a backend batch is spread across the lanes of a
-/// [`MultiLaneBackend`] (the differential sweep's chunk size).
+/// [`MultiLaneBackend`] (the oracle matrix's differential job size).
 pub const DEFAULT_LANE_CHUNK: usize = 28;
 
 /// An N-lane WFAsic SoC behind the [`BatchScheduler`]: one backend batch is

@@ -28,11 +28,10 @@
 //! [`crate::WfasicDriver::submit`]: same loop, same memory layout, same
 //! uncontended bus timing. The backend-equivalence suite pins this.
 
-use crate::api::{DriverError, JobResult, MemLayout, WaitMode, WfasicDriver};
+use crate::api::{DriverError, JobResult, MemLayout, WaitMode};
 use crate::backend::CpuWfaBackend;
 use crate::cpu_model::BacktraceCosts;
 use crate::job::{self, JobPolicy, Lane, LaneTimeline};
-use wfa_core::pool::ThreadPool;
 use wfasic_accel::device::RunReport;
 use wfasic_accel::multilane::MultiLaneSoc;
 use wfasic_accel::schedule::WavefrontSchedule;
@@ -284,66 +283,6 @@ impl BatchScheduler {
             total.merge(&self.soc.lane(lane).fault_counters());
         }
         total
-    }
-
-    /// Run a queue of **independent single-lane jobs** across host threads.
-    ///
-    /// Each job runs on a private one-lane [`WfasicDriver`] carrying this
-    /// scheduler's [`JobPolicy`] (the job's own deadline overriding the
-    /// policy's), so jobs share no simulated state: every job's device
-    /// starts at cycle 0 with a private port. Host
-    /// threads only change wall-clock — results come back in submission
-    /// order and each [`JobResult`] (cycles, perf counters, everything) is
-    /// bit-identical to a sequential `WfasicDriver::submit` of the same
-    /// pairs, at any `threads` value.
-    ///
-    /// Each worker thread keeps one warm driver and reuses it across its
-    /// queue (fresh drivers pay milliseconds of host-side allocation —
-    /// arena, scratch, memory image — per job). Reuse is safe because
-    /// [`WfasicDriver::submit`] restages memory, reprograms every register
-    /// and restarts the simulated timeline at cycle 0 on every call, and
-    /// these drivers never carry fault plans; the parallel differential
-    /// suite pins reuse against fresh-driver submits bit for bit.
-    ///
-    /// This is the throughput path for embarrassingly-parallel work. It is
-    /// deliberately distinct from [`BatchScheduler::submit_batch`]: the
-    /// shared-bus multi-lane timeline is inherently serial (the arbiter
-    /// allocates one port's cycles across lanes), so that path stays
-    /// sequential. Per-lane fault plans belong to the shared SoC and do not
-    /// apply here — the private drivers are fault-free.
-    pub fn run_parallel(
-        &self,
-        jobs: &[BatchJob],
-        threads: usize,
-    ) -> Vec<Result<JobResult, DriverError>> {
-        thread_local! {
-            static WORKER_DRIVER: std::cell::RefCell<Option<WfasicDriver>> =
-                const { std::cell::RefCell::new(None) };
-        }
-        // Copy the policy out of `self`: the worker closure must not
-        // capture the scheduler itself (the shared SoC is single-threaded
-        // state and is not touched by this path).
-        let cfg = self.soc.lane(0).cfg;
-        let (axi_lite, bt_costs, policy) = (self.axi_lite, self.bt_costs, self.policy);
-        let route = self.cpu.route;
-        ThreadPool::new(threads).map(jobs, move |_, job| {
-            WORKER_DRIVER.with(|slot| {
-                let mut slot = slot.borrow_mut();
-                // The cached driver survives across `run_parallel` calls on
-                // a long-lived thread (e.g. `threads == 1` runs on the
-                // caller); rebuild it whenever the device shape changed.
-                let drv = match slot.as_mut() {
-                    Some(d) if d.device.cfg == cfg => d,
-                    _ => slot.insert(WfasicDriver::new(cfg)),
-                };
-                drv.axi_lite = axi_lite;
-                drv.bt_costs = bt_costs;
-                drv.policy = policy.with_deadline(job.deadline);
-                drv.cpu.route = route;
-                drv.layout = MemLayout::default();
-                drv.submit(&job.pairs, job.backtrace, WaitMode::PollIdle)
-            })
-        })
     }
 
     /// Submit a queue of jobs and run the whole batch to completion.

@@ -5,10 +5,7 @@
 
 use wfa_core::prop;
 use wfasic_accel::AccelConfig;
-use wfasic_driver::{
-    AlignmentBackend, BatchJob, BatchScheduler, DriverError, MultiLaneBackend, WaitMode,
-    WfasicDriver,
-};
+use wfasic_driver::{AlignmentBackend, BatchJob, BatchScheduler, DriverError, MultiLaneBackend};
 use wfasic_seqio::dataset::InputSetSpec;
 use wfasic_seqio::generate::{ErrorProfile, Pair, PairGenerator};
 use wfasic_soc::fault::FaultPlan;
@@ -245,100 +242,6 @@ fn batches_never_drop_duplicate_or_reorder_jobs() {
         let total: usize = submitted.iter().map(|v| v.len()).sum();
         assert_eq!(seen.len(), total, "some pair was dropped");
     });
-}
-
-#[test]
-fn run_parallel_matches_per_job_driver_submissions_bit_exactly() {
-    // Each parallel job must be indistinguishable from handing its pairs to
-    // a fresh one-lane driver — results, cycle reports AND perf counters.
-    let cfg = AccelConfig::wfasic_chip();
-    let mut jobs: Vec<BatchJob> = (0..6)
-        .map(|i| BatchJob::with_backtrace(pairs(4, 100, 0x9A11 + i)))
-        .collect();
-    assign_unique_ids(&mut jobs);
-
-    let mut sched = BatchScheduler::new(cfg, 2);
-    sched.policy.collect_perf = true;
-    let par = sched.run_parallel(&jobs, 4);
-    assert_eq!(par.len(), jobs.len());
-
-    for (job, got) in jobs.iter().zip(&par) {
-        let got = got.as_ref().expect("clean jobs must pass");
-        let mut drv = WfasicDriver::new(cfg);
-        drv.policy.collect_perf = true;
-        let want = drv
-            .submit(&job.pairs, job.backtrace, WaitMode::PollIdle)
-            .unwrap();
-        assert_eq!(got.report.total_cycles, want.report.total_cycles);
-        assert_eq!(got.report.output_bytes, want.report.output_bytes);
-        assert_eq!(got.config_cycles, want.config_cycles);
-        assert_eq!(got.cpu_backtrace_cycles, want.cpu_backtrace_cycles);
-        assert_eq!((got.separated, got.retries), (want.separated, want.retries));
-        for (a, b) in got.results.iter().zip(&want.results) {
-            assert_eq!((a.id, a.success, a.score), (b.id, b.success, b.score));
-            assert_eq!(a.cigar, b.cigar);
-        }
-        assert_eq!(
-            got.perf_breakdown().unwrap(),
-            want.perf_breakdown().unwrap(),
-            "per-stage perf attribution must survive the parallel path"
-        );
-    }
-}
-
-#[test]
-fn run_parallel_thread_width_never_changes_anything() {
-    // 1 thread (inline, no workers spawned) is the reference; every wider
-    // pool must reproduce it bit-for-bit, perf counters included. The
-    // Debug rendering covers every field of every job result.
-    let cfg = AccelConfig::wfasic_chip();
-    let mut jobs: Vec<BatchJob> = (0..5)
-        .map(|i| BatchJob::with_backtrace(pairs(3, 80, 0x71D0 + i)))
-        .collect();
-    assign_unique_ids(&mut jobs);
-
-    let mut sched = BatchScheduler::new(cfg, 1);
-    sched.policy.collect_perf = true;
-    let reference = format!("{:?}", sched.run_parallel(&jobs, 1));
-    for width in [2, 3, 8] {
-        let wide = format!("{:?}", sched.run_parallel(&jobs, width));
-        assert_eq!(reference, wide, "thread width {width} changed a result");
-    }
-}
-
-#[test]
-fn run_parallel_worker_driver_cache_survives_a_config_change() {
-    // `run_parallel` keeps one warm driver per worker thread; with
-    // `threads == 1` the cache lives on the calling thread and survives
-    // across schedulers. Interleaving two device shapes from the same
-    // thread must rebuild the cached driver, not run the wrong config.
-    let cfg_a = AccelConfig::wfasic_chip();
-    let cfg_b = AccelConfig::wfasic_chip().with_aligners(2);
-    assert_ne!(cfg_a, cfg_b);
-    let mut jobs: Vec<BatchJob> = (0..2)
-        .map(|i| BatchJob::with_backtrace(pairs(3, 90, 0xCAFE + i)))
-        .collect();
-    assign_unique_ids(&mut jobs);
-
-    let sched_a = BatchScheduler::new(cfg_a, 1);
-    let sched_b = BatchScheduler::new(cfg_b, 1);
-    for _ in 0..2 {
-        for (cfg, sched) in [(cfg_a, &sched_a), (cfg_b, &sched_b)] {
-            for (job, got) in jobs.iter().zip(sched.run_parallel(&jobs, 1)) {
-                let got = got.expect("clean jobs must pass");
-                let mut drv = WfasicDriver::new(cfg);
-                let want = drv
-                    .submit(&job.pairs, job.backtrace, WaitMode::PollIdle)
-                    .unwrap();
-                assert_eq!(got.report.total_cycles, want.report.total_cycles);
-                assert_eq!(got.separated, want.separated);
-                for (a, b) in got.results.iter().zip(&want.results) {
-                    assert_eq!((a.id, a.success, a.score), (b.id, b.success, b.score));
-                    assert_eq!(a.cigar, b.cigar);
-                }
-            }
-        }
-    }
 }
 
 #[test]

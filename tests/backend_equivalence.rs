@@ -1,27 +1,10 @@
-//! Backend-equivalence suite: every execution backend is interchangeable.
+//! Backend-equivalence suite: the behaviours that make the backends
+//! interchangeable beyond a per-pair answer. (Score, CIGAR and transcript
+//! agreement of every engine over one seeded grid is the oracle matrix,
+//! `tests/matrix/mod.rs`.)
 //!
-//! The same fixed-seed pair sets (the differential sweep's generator) run
-//! through all six [`AlignmentBackend`]s and must agree:
-//!
-//! * **Scores are bit-identical across every backend.** All six engines
-//!   (including `riscv`, whose in-envelope scores come out of the RV64IM
-//!   interpreter running the hand-written WFA kernel) compute the exact
-//!   gap-affine optimum, so a score mismatch anywhere is a real defect.
-//! * **CIGARs are bit-identical across the device-backed backends**
-//!   (`device`, `multilane`, `hetero`): they share the hardware backtrace
-//!   stream and the CPU origin-walk, and lane count / chunking / bus
-//!   contention must never change an answer.
-//! * **Every CIGAR is optimal**: it replays cleanly against its sequences
-//!   and costs exactly the optimal score. The software engines may emit a
-//!   *different but equally-optimal* transcript than the hardware — optimal
-//!   gap-affine alignments are not unique, and the WFA and SWG tie-break
-//!   differently — so transcript identity across engine families is
-//!   deliberately NOT asserted (measured on this generator: the software
-//!   WFA picks a different optimal transcript than the device on ~20% of
-//!   pairs). Optimal-cost replay is the property that matters.
-//!
-//! Plus: one job on one lane — through the raw driver, the batch scheduler
-//! or the backend layer — is bit-identical on every failure path, perf
+//! One job on one lane — through the raw driver, the batch scheduler or
+//! the backend layer — is bit-identical on every failure path, perf
 //! counters included; a pair the device cannot finish gets the same
 //! software answer, on the service policy's route, whichever backend
 //! recovers it; the heterogeneous backend never drops, duplicates, or
@@ -40,147 +23,6 @@ use wfasic::seqio::{InputSetSpec, Pair, Seq};
 use wfasic::soc::fault::{FaultCounters, FaultPlan};
 use wfasic::soc::perf::PerfCounters;
 use wfasic::wfa::{prop, swg_score, Penalties};
-
-/// The differential sweep's shapes, shortened in debug builds the same way.
-fn shapes() -> [InputSetSpec; 3] {
-    let lengths: [usize; 3] = if cfg!(debug_assertions) {
-        [48, 100, 150]
-    } else {
-        [100, 250, 400]
-    };
-    [
-        InputSetSpec {
-            length: lengths[0],
-            error_pct: 2,
-        },
-        InputSetSpec {
-            length: lengths[1],
-            error_pct: 5,
-        },
-        InputSetSpec {
-            length: lengths[2],
-            error_pct: 10,
-        },
-    ]
-}
-
-fn fixed_seed_pairs() -> Vec<Pair> {
-    let per_shape = if cfg!(debug_assertions) { 12 } else { 24 };
-    let mut all = Vec::new();
-    for (si, spec) in shapes().iter().enumerate() {
-        let mut pairs = spec
-            .generate(per_shape, 0xE0_0001 ^ ((si as u64) << 8))
-            .pairs;
-        for p in &mut pairs {
-            p.id += all.len() as u32;
-        }
-        all.extend(pairs);
-    }
-    all
-}
-
-#[derive(Debug, PartialEq, Eq)]
-struct Answer {
-    id: u32,
-    success: bool,
-    score: u32,
-    cigar: Option<String>,
-}
-
-fn run_backend(kind: BackendKind, pairs: &[Pair]) -> Vec<Answer> {
-    let mut backend = kind.create(AccelConfig::wfasic_chip(), 2);
-    let batch = backend
-        .align_batch(&BatchJob::with_backtrace(pairs.to_vec()))
-        .unwrap_or_else(|e| panic!("{}: batch failed: {e}", kind.name()));
-    assert_eq!(batch.results.len(), pairs.len(), "{}", kind.name());
-    batch
-        .results
-        .iter()
-        .map(|r| Answer {
-            id: r.id,
-            success: r.success,
-            score: r.score,
-            cigar: r.cigar.as_ref().map(|c| c.to_rle_string()),
-        })
-        .collect()
-}
-
-#[test]
-fn all_backends_agree_on_the_fixed_seed_sweep() {
-    let pairs = fixed_seed_pairs();
-    let penalties = Penalties::WFASIC_DEFAULT;
-
-    let answers: Vec<(BackendKind, Vec<Answer>)> = BackendKind::ALL
-        .iter()
-        .map(|&kind| (kind, run_backend(kind, &pairs)))
-        .collect();
-
-    // Scores: bit-identical everywhere, and equal to the SWG oracle.
-    let reference = &answers[0].1;
-    for (kind, got) in &answers {
-        for (a, pair) in got.iter().zip(&pairs) {
-            assert!(a.success, "{}: pair {} failed", kind.name(), pair.id);
-            assert_eq!(a.id, pair.id, "{}: ID mismatch", kind.name());
-            let oracle = swg_score(&pair.a.bytes(), &pair.b.bytes(), &penalties);
-            assert_eq!(
-                a.score as u64,
-                oracle,
-                "{}: pair {} score diverges from the SWG oracle",
-                kind.name(),
-                pair.id
-            );
-        }
-        let scores: Vec<u32> = got.iter().map(|a| a.score).collect();
-        let want: Vec<u32> = reference.iter().map(|a| a.score).collect();
-        assert_eq!(scores, want, "{}: scores diverge", kind.name());
-    }
-
-    // CIGARs: every one replays to the optimal cost (re-run each backend to
-    // get the structured Cigar rather than the rendered string)...
-    for (kind, _) in &answers {
-        let mut backend = kind.create(AccelConfig::wfasic_chip(), 2);
-        let batch = backend
-            .align_batch(&BatchJob::with_backtrace(pairs.clone()))
-            .unwrap();
-        for (res, pair) in batch.results.iter().zip(&pairs) {
-            let cigar = res
-                .cigar
-                .as_ref()
-                .unwrap_or_else(|| panic!("{}: pair {} missing CIGAR", kind.name(), pair.id));
-            cigar
-                .check(&pair.a.bytes(), &pair.b.bytes())
-                .unwrap_or_else(|e| {
-                    panic!("{}: pair {} CIGAR invalid: {e:?}", kind.name(), pair.id)
-                });
-            assert_eq!(
-                cigar.score(&penalties),
-                res.score as u64,
-                "{}: pair {} CIGAR is not optimal",
-                kind.name(),
-                pair.id
-            );
-        }
-    }
-
-    // ...and the three device-backed backends emit the *same* transcript.
-    let device_families: Vec<&Vec<Answer>> = answers
-        .iter()
-        .filter(|(k, _)| {
-            matches!(
-                k,
-                BackendKind::Device | BackendKind::MultiLane | BackendKind::Heterogeneous
-            )
-        })
-        .map(|(_, a)| a)
-        .collect();
-    assert_eq!(device_families.len(), 3);
-    for fam in &device_families[1..] {
-        assert_eq!(
-            *fam, device_families[0],
-            "device-backed backends disagree on a transcript"
-        );
-    }
-}
 
 /// One job as a one-lane engine saw it: the answers and the full run
 /// report (rendered, since reports hold floats) or the error, and what the

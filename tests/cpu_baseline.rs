@@ -54,23 +54,6 @@ fn analytic_model_stays_inside_the_calibrated_cosim_bands() {
 }
 
 #[test]
-fn isa_kernel_score_agrees_with_software_on_standard_shape() {
-    // A miniature version of the 100bp standard sets through both paths.
-    let mut g = PairGenerator::new(100, 0.05, 42);
-    for _ in 0..5 {
-        let p = g.pair();
-        let sw = wfa_align_seqs(
-            &p.a,
-            &p.b,
-            &WfaOptions::score_only(Penalties::WFASIC_DEFAULT),
-        )
-        .unwrap();
-        let isa = run_wfa_scalar(&p.a.bytes(), &p.b.bytes());
-        assert_eq!(isa.score, Some(sw.score));
-    }
-}
-
-#[test]
 fn vector_model_strictly_faster_on_real_workloads() {
     let scalar = CpuCosts::sargantana_scalar();
     let vector = CpuCosts::sargantana_vector();

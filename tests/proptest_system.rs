@@ -1,99 +1,17 @@
-//! System-level property tests: the whole co-design (device + driver + CPU
-//! backtrace) must agree with the software oracles for arbitrary inputs.
+//! System-level property test: the whole co-design (device, driver and CPU
+//! backtrace) agrees with the SWG oracle on arbitrary one-pair jobs.
 //!
-//! Runs on the in-repo harness (`wfa_core::prop`) — the build environment is
-//! offline, so `proptest` is not available.
+//! This is the oracle matrix's `device` row on its random one-pair slice
+//! (`matrix/mod.rs`): 40 jobs of one pair of 0–120 bp with 0–9 edits,
+//! empty sides included, backtrace on.
 
-use wfasic::accel::AccelConfig;
-use wfasic::driver::{WaitMode, WfasicDriver};
-use wfasic::seqio::Pair;
-use wfasic::wfa::prop::cases;
-use wfasic::wfa::rng::SmallRng;
-use wfasic::wfa::{swg_score, Penalties};
+mod matrix;
 
-const BASES: &[u8] = b"ACGT";
-
-fn dna(rng: &mut SmallRng, max: usize) -> Vec<u8> {
-    let len = rng.gen_range(0, max + 1);
-    (0..len).map(|_| *rng.pick(BASES)).collect()
-}
-
-/// Mutated pair: realistic similarity plus arbitrary edits.
-fn pair(rng: &mut SmallRng, max: usize) -> (Vec<u8>, Vec<u8>) {
-    let a = dna(rng, max);
-    let mut b = a.clone();
-    let n_edits = rng.gen_range(0, 10);
-    for _ in 0..n_edits {
-        if b.is_empty() {
-            b.push(*rng.pick(BASES));
-            continue;
-        }
-        let p = rng.gen_range(0, b.len());
-        match rng.gen_range(0, 3) {
-            0 => b[p] = *rng.pick(BASES),
-            1 => b.insert(p, *rng.pick(BASES)),
-            _ => {
-                b.remove(p);
-            }
-        }
-    }
-    (a, b)
-}
+use matrix::{check, Kind};
 
 /// Device scores equal the SWG oracle; backtrace CIGARs are valid and cost
 /// exactly the score.
 #[test]
 fn codesign_matches_oracle() {
-    cases(40, 0x5151_0001, |rng, _| {
-        let (a, b) = pair(rng, 120);
-        let p = Penalties::WFASIC_DEFAULT;
-        let pairs = vec![Pair::new(0, a.clone(), b.clone())];
-        let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-        let job = drv.submit(&pairs, true, WaitMode::PollIdle).unwrap();
-        let res = &job.results[0];
-        assert!(res.success);
-        assert_eq!(res.score as u64, swg_score(&a, &b, &p));
-        let cigar = res.cigar.as_ref().unwrap();
-        cigar.check(&a, &b).unwrap();
-        assert_eq!(cigar.score(&p), res.score as u64);
-    });
-}
-
-/// Multi-aligner jobs return the same scores as single-aligner jobs, for
-/// batches of arbitrary pairs.
-#[test]
-fn aligner_count_never_changes_results() {
-    cases(40, 0x5151_0002, |rng, _| {
-        let n_pairs = rng.gen_range(2, 6);
-        let pairs: Vec<Pair> = (0..n_pairs)
-            .map(|i| {
-                let (a, b) = pair(rng, 60);
-                Pair::new(i as u32, a, b)
-            })
-            .collect();
-        let n_aligners = rng.gen_range(2, 5);
-        let mut d1 = WfasicDriver::new(AccelConfig::wfasic_chip());
-        let j1 = d1.submit(&pairs, false, WaitMode::PollIdle).unwrap();
-        let mut dn = WfasicDriver::new(AccelConfig::wfasic_chip().with_aligners(n_aligners));
-        let jn = dn.submit(&pairs, false, WaitMode::PollIdle).unwrap();
-        let s1: Vec<u32> = j1.results.iter().map(|r| r.score).collect();
-        let sn: Vec<u32> = jn.results.iter().map(|r| r.score).collect();
-        assert_eq!(s1, sn);
-    });
-}
-
-/// Parallel-section count never changes results (only cycles).
-#[test]
-fn parallel_sections_never_change_results() {
-    cases(40, 0x5151_0003, |rng, _| {
-        let (a, b) = pair(rng, 80);
-        let ps = rng.gen_range(1, 9) * 8;
-        let pairs = vec![Pair::new(0, a, b)];
-        let mut d64 = WfasicDriver::new(AccelConfig::wfasic_chip());
-        let mut dp = WfasicDriver::new(AccelConfig::wfasic_chip().with_parallel_sections(ps));
-        let r64 = d64.submit(&pairs, true, WaitMode::PollIdle).unwrap();
-        let rp = dp.submit(&pairs, true, WaitMode::PollIdle).unwrap();
-        assert_eq!(r64.results[0].score, rp.results[0].score);
-        assert_eq!(&r64.results[0].cigar, &rp.results[0].cigar);
-    });
+    assert_eq!(check(&["device"], |s| s.kind == Kind::RandomOne), [40]);
 }

@@ -1,136 +1,24 @@
-//! The paper's §5.1 verification flow, reproduced: run all six input-set
-//! shapes through the device with backtrace enabled and disabled, with a
-//! self-checking mechanism for alignment scores (against the software WFA
-//! and the SWG oracle), across multiple hardware configurations.
+//! The paper's §5.1 verification flow on the chip configuration: its six
+//! input-set shapes (100/250/600 bp at 5 and 10% error, 4 pairs each)
+//! through the device with backtrace off and on, every score checked
+//! against the SWG oracle and every CIGAR replayed to its score.
+//!
+//! These are the oracle matrix's `device` row on its paper slices
+//! (`matrix/mod.rs`); the other hardware configurations are rows of
+//! `oracle_matrix.rs`.
 
-use wfasic::accel::AccelConfig;
-use wfasic::driver::{WaitMode, WfasicDriver};
-use wfasic::seqio::InputSetSpec;
-use wfasic::wfa::{swg_score, Penalties};
+mod matrix;
 
-/// Scaled-down versions of the paper's six input sets (same shapes, fewer
-/// and shorter pairs so the suite stays fast: lengths 100/250/600).
-fn test_sets() -> Vec<InputSetSpec> {
-    vec![
-        InputSetSpec {
-            length: 100,
-            error_pct: 5,
-        },
-        InputSetSpec {
-            length: 100,
-            error_pct: 10,
-        },
-        InputSetSpec {
-            length: 250,
-            error_pct: 5,
-        },
-        InputSetSpec {
-            length: 250,
-            error_pct: 10,
-        },
-        InputSetSpec {
-            length: 600,
-            error_pct: 5,
-        },
-        InputSetSpec {
-            length: 600,
-            error_pct: 10,
-        },
-    ]
-}
-
-fn verify_config(cfg: AccelConfig, backtrace: bool, pairs_per_set: usize, seed: u64) {
-    let p = Penalties::WFASIC_DEFAULT;
-    for spec in test_sets() {
-        let pairs = spec.generate(pairs_per_set, seed).pairs;
-        let mut drv = WfasicDriver::new(cfg);
-        let job = drv.submit(&pairs, backtrace, WaitMode::PollIdle).unwrap();
-        assert_eq!(job.results.len(), pairs.len(), "{}", spec.name());
-        let mut failed = 0;
-        for (res, pair) in job.results.iter().zip(&pairs) {
-            let expected = swg_score(&pair.a.bytes(), &pair.b.bytes(), &p);
-            if !res.success || res.score as u64 != expected {
-                failed += 1;
-                continue;
-            }
-            if backtrace {
-                let cigar = res.cigar.as_ref().expect("bt mode yields cigars");
-                cigar.check(&pair.a.bytes(), &pair.b.bytes()).unwrap();
-                assert_eq!(cigar.score(&p), expected);
-            }
-        }
-        assert_eq!(
-            failed,
-            0,
-            "{}: {} of {} alignments failed self-check (cfg {}A x {}PS, bt={})",
-            spec.name(),
-            failed,
-            pairs.len(),
-            cfg.num_aligners,
-            cfg.parallel_sections,
-            backtrace
-        );
-    }
-}
+use matrix::{check, Kind};
 
 #[test]
 fn chip_config_no_backtrace() {
-    verify_config(AccelConfig::wfasic_chip(), false, 4, 1);
+    let pairs = check(&["device"], |s| s.kind == Kind::Paper && !s.backtrace);
+    assert_eq!(pairs, [6 * 4]);
 }
 
 #[test]
 fn chip_config_with_backtrace() {
-    verify_config(AccelConfig::wfasic_chip(), true, 4, 2);
-}
-
-#[test]
-fn fpga_style_multi_aligner_configs() {
-    // "although the WFAsic is configured with one Aligner and 64 parallel
-    // sections, we test the WFAsic with other configurations and with more
-    // Aligners, as the FPGA has more available resources."
-    for (aligners, ps) in [(2, 32), (3, 64), (4, 16), (2, 8)] {
-        let cfg = AccelConfig::wfasic_chip()
-            .with_aligners(aligners)
-            .with_parallel_sections(ps);
-        verify_config(cfg, false, 3, 3);
-        verify_config(cfg, true, 3, 4);
-    }
-}
-
-#[test]
-fn one_parallel_section_still_exact() {
-    let cfg = AccelConfig::wfasic_chip().with_parallel_sections(1);
-    verify_config(cfg, true, 2, 5);
-}
-
-#[test]
-fn small_k_max_flags_failures_honestly() {
-    // A tiny wavefront budget: alignments that exceed it must come back
-    // Success=0, and alignments that fit must still be exact.
-    let mut cfg = AccelConfig::wfasic_chip();
-    cfg.k_max = 12; // Score_max = 28
-    let p = Penalties::WFASIC_DEFAULT;
-    let pairs = InputSetSpec {
-        length: 100,
-        error_pct: 10,
-    }
-    .generate(8, 6)
-    .pairs;
-    let mut drv = WfasicDriver::new(cfg);
-    let job = drv.submit(&pairs, false, WaitMode::PollIdle).unwrap();
-    let mut seen_fail = false;
-    for (res, pair) in job.results.iter().zip(&pairs) {
-        let expected = swg_score(&pair.a.bytes(), &pair.b.bytes(), &p);
-        if expected <= 28 {
-            assert!(res.success, "in-budget alignment must succeed");
-            assert_eq!(res.score as u64, expected);
-        } else {
-            assert!(!res.success, "over-budget alignment must fail");
-            seen_fail = true;
-        }
-    }
-    assert!(
-        seen_fail,
-        "10% error over 100bp should exceed score 28 somewhere"
-    );
+    let pairs = check(&["device"], |s| s.kind == Kind::Paper && s.backtrace);
+    assert_eq!(pairs, [6 * 4]);
 }
