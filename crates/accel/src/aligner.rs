@@ -189,7 +189,7 @@ pub fn align_extracted_in(
     bt: bool,
     scratch: &mut AlignerScratch,
 ) -> AlignerOutcome {
-    let Some((ram_a, ram_b)) = &ex.rams else {
+    let Some((a, b)) = &ex.seqs else {
         // Unsupported read: Success = 0, no processing beyond a couple of
         // control cycles.
         return AlignerOutcome {
@@ -204,9 +204,7 @@ pub fn align_extracted_in(
             stats: AlignerStats::default(),
         };
     };
-    let a = ram_a.to_packed();
-    let b = ram_b.to_packed();
-    align_packed_in(cfg, schedule, ex.id, &a, &b, bt, scratch)
+    align_packed_in(cfg, schedule, ex.id, a, b, bt, scratch)
 }
 
 /// Align two packed sequences (the Aligner datapath proper).
@@ -731,7 +729,7 @@ mod tests {
         let schedule = WavefrontSchedule::for_config(&c);
         let ex = ExtractedPair {
             id: 5,
-            rams: None,
+            seqs: None,
             reject: Some(crate::extractor::RejectReason::UnknownBase),
             decode_cycles: 5,
         };

@@ -11,74 +11,26 @@
 
 use crate::aligner::AlignerOutcome;
 use wfasic_seqio::memimage::{
-    BtScoreRecord, BtTxn, NbtRecord, BT_PAYLOAD_BYTES, NBT_RECORDS_PER_TXN, SECTION,
+    write_bt_info, BtScoreRecord, NbtRecord, BT_PAYLOAD_BYTES, NBT_RECORDS_PER_TXN, SECTION,
 };
 
-/// Serialize one alignment's backtrace stream: origin-block transactions
-/// followed by the Last score-record transaction.
-pub fn collect_bt(outcome: &AlignerOutcome) -> Vec<BtTxn> {
+/// Serialize one alignment's backtrace stream to its 16-byte transactions:
+/// origin-block transactions followed by the Last score-record
+/// transaction, encoded in one pass without a per-transaction struct.
+pub fn collect_bt_bytes(outcome: &AlignerOutcome) -> Vec<u8> {
     let id = outcome.id & 0x7F_FFFF;
-    let mut txns = Vec::new();
-    let mut counter: u32 = 0;
+    let txns = outcome.bt_blocks.len().div_ceil(BT_PAYLOAD_BYTES) + 1;
+    assert!(txns <= (1 << 24), "BT counter exceeds 24 bits");
+    let mut out = vec![0u8; txns * SECTION];
     // Blocks are streamed contiguously so the CPU can index block `i` at
     // byte `i * block_bytes` of the reassembled payload; only the final
     // partial payload is padded. (For the 64-PS chip a block is exactly
     // four 10-byte payloads, so the chunking is invisible.)
-    for chunk in outcome.bt_blocks.chunks(BT_PAYLOAD_BYTES) {
-        let mut payload = [0u8; BT_PAYLOAD_BYTES];
-        payload[..chunk.len()].copy_from_slice(chunk);
-        txns.push(BtTxn {
-            payload,
-            counter,
-            last: false,
-            id,
-        });
-        counter += 1;
-    }
-    let score_rec = BtScoreRecord {
-        success: outcome.success,
-        k: outcome.k_end as i16,
-        score: outcome.score.min(u16::MAX as u32) as u16,
-    };
-    txns.push(BtTxn {
-        payload: score_rec.encode(),
-        counter,
-        last: true,
-        id,
-    });
-    txns
-}
-
-/// Encode BT transactions to raw output bytes (16 bytes each).
-pub fn bt_txns_to_bytes(txns: &[BtTxn]) -> Vec<u8> {
-    let mut out = Vec::with_capacity(txns.len() * SECTION);
-    for t in txns {
-        out.extend_from_slice(&t.encode());
-    }
-    out
-}
-
-/// [`collect_bt`] fused with [`bt_txns_to_bytes`]: encode the stream's
-/// 16-byte transactions in one pass, without materializing the transaction
-/// structs. Byte-identical to `bt_txns_to_bytes(&collect_bt(outcome))`.
-pub fn collect_bt_bytes(outcome: &AlignerOutcome) -> Vec<u8> {
-    let id = outcome.id & 0x7F_FFFF;
-    assert!(id < (1 << 23), "BT id exceeds 23 bits");
-    let txns = outcome.bt_blocks.len().div_ceil(BT_PAYLOAD_BYTES) + 1;
-    assert!(txns <= (1 << 24), "BT counter exceeds 24 bits");
-    let mut out = vec![0u8; txns * SECTION];
-    // Origin transactions: 10 payload bytes straight from the flat block
-    // stream, then {counter LE24, (Last=0 | id) LE24} — the exact layout of
-    // `BtTxn::encode` without building the struct.
-    for (counter, chunk) in outcome.bt_blocks.chunks(BT_PAYLOAD_BYTES).enumerate() {
-        let t = &mut out[counter * SECTION..(counter + 1) * SECTION];
+    let chunks = outcome.bt_blocks.chunks(BT_PAYLOAD_BYTES);
+    for (counter, (t, chunk)) in out.chunks_exact_mut(SECTION).zip(chunks).enumerate() {
+        let t: &mut [u8; SECTION] = t.try_into().expect("16-byte transaction");
         t[..chunk.len()].copy_from_slice(chunk);
-        t[10] = counter as u8;
-        t[11] = (counter >> 8) as u8;
-        t[12] = (counter >> 16) as u8;
-        t[13] = id as u8;
-        t[14] = (id >> 8) as u8;
-        t[15] = (id >> 16) as u8;
+        write_bt_info(t, counter as u32, false, id);
     }
     // Final transaction: the score record with Last = 1.
     let score_rec = BtScoreRecord {
@@ -87,15 +39,11 @@ pub fn collect_bt_bytes(outcome: &AlignerOutcome) -> Vec<u8> {
         score: outcome.score.min(u16::MAX as u32) as u16,
     };
     let counter = txns - 1;
-    let t = &mut out[counter * SECTION..];
+    let t: &mut [u8; SECTION] = (&mut out[counter * SECTION..])
+        .try_into()
+        .expect("16-byte transaction");
     t[..BT_PAYLOAD_BYTES].copy_from_slice(&score_rec.encode());
-    t[10] = counter as u8;
-    t[11] = (counter >> 8) as u8;
-    t[12] = (counter >> 16) as u8;
-    let tail = (1u32 << 23) | id;
-    t[13] = tail as u8;
-    t[14] = (tail >> 8) as u8;
-    t[15] = (tail >> 16) as u8;
+    write_bt_info(t, counter as u32, true, id);
     out
 }
 
@@ -151,6 +99,7 @@ pub fn parse_nbt_records(bytes: &[u8], expected: usize) -> Vec<NbtRecord> {
 mod tests {
     use super::*;
     use crate::aligner::AlignerStats;
+    use wfasic_seqio::memimage::BtTxn;
 
     fn outcome(id: u32, success: bool, score: u32, blocks: usize) -> AlignerOutcome {
         AlignerOutcome {
@@ -166,10 +115,17 @@ mod tests {
         }
     }
 
+    /// The stream as the CPU decodes it, one transaction per 16 bytes.
+    fn txns(o: &AlignerOutcome) -> Vec<BtTxn> {
+        let bytes = collect_bt_bytes(o);
+        assert_eq!(bytes.len() % SECTION, 0);
+        bytes.chunks(SECTION).map(BtTxn::decode).collect()
+    }
+
     #[test]
     fn bt_stream_structure() {
         let o = outcome(12, true, 44, 3);
-        let txns = collect_bt(&o);
+        let txns = txns(&o);
         // 3 blocks × 4 txns + 1 score txn.
         assert_eq!(txns.len(), 13);
         assert!(txns[..12].iter().all(|t| !t.last));
@@ -186,35 +142,32 @@ mod tests {
     }
 
     #[test]
-    fn bt_bytes_are_16_per_txn() {
-        let o = outcome(1, true, 0, 2);
-        let txns = collect_bt(&o);
-        let bytes = bt_txns_to_bytes(&txns);
-        assert_eq!(bytes.len(), txns.len() * 16);
-        // Round-trip the first transaction.
-        assert_eq!(BtTxn::decode(&bytes[..16]), txns[0]);
-    }
-
-    #[test]
-    fn fused_byte_stream_matches_two_pass_encoding() {
-        for blocks in [0, 1, 3, 7] {
-            let o = outcome(0x7_1234, blocks != 1, 44 + blocks as u32, blocks);
+    fn bt_payloads_reassemble_the_block_stream() {
+        // Whole 40-byte blocks, and 20-byte blocks (32-PS style) whose
+        // final payload is padded.
+        let mut partial = outcome(9, true, 4, 0);
+        partial.bt_blocks = vec![0xAB; 20];
+        let cases = [0, 1, 3, 7].map(|blocks| outcome(0x7_1234, blocks != 1, 44, blocks));
+        for o in cases.iter().chain([&partial]) {
+            let txns = txns(o);
+            let origins = &txns[..txns.len() - 1];
+            assert_eq!(origins.len(), o.bt_blocks.len().div_ceil(BT_PAYLOAD_BYTES));
+            let mut payload: Vec<u8> = origins.iter().flat_map(|t| t.payload).collect();
+            assert!(payload[o.bt_blocks.len()..].iter().all(|&b| b == 0));
+            payload.truncate(o.bt_blocks.len());
+            assert_eq!(payload, o.bt_blocks);
+            assert!(txns.iter().all(|t| t.id == o.id & 0x7F_FFFF));
             assert_eq!(
-                collect_bt_bytes(&o),
-                bt_txns_to_bytes(&collect_bt(&o)),
-                "{blocks} blocks"
+                BtScoreRecord::decode(&txns[origins.len()].payload).success,
+                o.success
             );
         }
-        // Partial final payload (20-byte blocks, 32-PS style).
-        let mut o = outcome(9, true, 4, 0);
-        o.bt_blocks = vec![0xAB; 20];
-        assert_eq!(collect_bt_bytes(&o), bt_txns_to_bytes(&collect_bt(&o)));
     }
 
     #[test]
     fn bt_failed_alignment_still_reports() {
         let o = outcome(5, false, 0, 0);
-        let txns = collect_bt(&o);
+        let txns = txns(&o);
         assert_eq!(txns.len(), 1);
         assert!(txns[0].last);
         assert!(!BtScoreRecord::decode(&txns[0].payload).success);
@@ -241,8 +194,7 @@ mod tests {
         // 20-byte origin blocks (32 parallel sections) -> 2 payload chunks.
         let mut o = outcome(1, true, 4, 0);
         o.bt_blocks = vec![0xAB; 20];
-        let txns = collect_bt(&o);
-        assert_eq!(txns.len(), 2 + 1);
+        assert_eq!(txns(&o).len(), 2 + 1);
     }
 
     #[test]

@@ -5,21 +5,31 @@
 //! bits, broadcasts the packed words into an idle Aligner's Input_Seq RAMs,
 //! and detects the two kinds of unsupported reads: longer than MAX_READ_LEN
 //! and containing 'N' bases.
+//!
+//! Each Aligner replicates both sequences into one Input_Seq RAM pair per
+//! parallel section (§4.2/§4.3) so the Extend sub-modules read in parallel.
+//! A RAM is 4 bytes wide: address 0 holds the alignment ID, address 1 the
+//! sequence length, and addresses 2+ the bases at 2 bits each, 16 per word,
+//! little-endian — [`AccelConfig::input_ram_words`] deep, which the area
+//! model sizes. The model keeps the ID in [`ExtractedPair`] and each read's
+//! length and bases as one [`PackedSeq`], the same 2-bit little-endian
+//! layout with two RAM words to a packed 64-bit word.
 
 use crate::config::AccelConfig;
-use crate::input_ram::InputSeqRam;
+use wfa_core::bitpack::PackedSeq;
 use wfasic_seqio::memimage::{pair_record_bytes, HEADER_SECTIONS, SECTION};
 use wfasic_soc::clock::Cycle;
 
-/// A pair decoded and loaded into Input_Seq RAM images, or flagged
+/// A pair decoded and packed as the Input_Seq RAMs hold it, or flagged
 /// unsupported.
 #[derive(Debug, Clone)]
 pub struct ExtractedPair {
     /// Alignment ID from the record.
     pub id: u32,
-    /// Loaded RAM images, or `None` for unsupported reads ("the Aligner does
-    /// not process the alignment and sets the Success flag ... to zero").
-    pub rams: Option<(InputSeqRam, InputSeqRam)>,
+    /// The two reads' packed bases, or `None` for unsupported reads ("the
+    /// Aligner does not process the alignment and sets the Success flag ...
+    /// to zero").
+    pub seqs: Option<(PackedSeq, PackedSeq)>,
     /// Why the pair was rejected, if it was.
     pub reject: Option<RejectReason>,
     /// Extractor decode cycles (16 input bytes per cycle).
@@ -52,7 +62,7 @@ pub fn extract_pair(cfg: &AccelConfig, record: &[u8], max_read_len: usize) -> Ex
     if record.len() != expected {
         return ExtractedPair {
             id: 0,
-            rams: None,
+            seqs: None,
             reject: Some(RejectReason::Malformed {
                 len: record.len(),
                 expected,
@@ -84,7 +94,7 @@ pub fn extract_pair(cfg: &AccelConfig, record: &[u8], max_read_len: usize) -> Ex
     if let Some(reject) = reject_len(len_a).or_else(|| reject_len(len_b)) {
         return ExtractedPair {
             id,
-            rams: None,
+            seqs: None,
             reject: Some(reject),
             decode_cycles,
         };
@@ -95,19 +105,20 @@ pub fn extract_pair(cfg: &AccelConfig, record: &[u8], max_read_len: usize) -> Ex
     let b_off = a_off + max_read_len;
     let b_bytes = &record[b_off..b_off + len_b];
 
-    let cap = cfg.input_ram_words().max(2 + max_read_len.div_ceil(16));
-    let ram_a = InputSeqRam::load(id, a_bytes, cap);
-    let ram_b = InputSeqRam::load(id, b_bytes, cap);
-    match (ram_a, ram_b) {
+    // Any byte outside uppercase ACGT (lowercase included) rejects the read.
+    match (
+        PackedSeq::from_ascii(a_bytes),
+        PackedSeq::from_ascii(b_bytes),
+    ) {
         (Some(a), Some(b)) => ExtractedPair {
             id,
-            rams: Some((a, b)),
+            seqs: Some((a, b)),
             reject: None,
             decode_cycles,
         },
         _ => ExtractedPair {
             id,
-            rams: None,
+            seqs: None,
             reject: Some(RejectReason::UnknownBase),
             decode_cycles,
         },
@@ -135,9 +146,9 @@ mod tests {
         let ex = extract_pair(&cfg(), &rec, 16);
         assert_eq!(ex.id, 99);
         assert!(ex.reject.is_none());
-        let (a, b) = ex.rams.unwrap();
-        assert_eq!(a.to_packed().to_ascii(), pair.a.to_bytes());
-        assert_eq!(b.to_packed().to_ascii(), pair.b.to_bytes());
+        let (a, b) = ex.seqs.unwrap();
+        assert_eq!(a.to_ascii(), pair.a.to_bytes());
+        assert_eq!(b.to_ascii(), pair.b.to_bytes());
         // 3 header sections + 2 sequence sections of 16 bytes each.
         assert_eq!(ex.decode_cycles, 5);
     }
@@ -151,7 +162,7 @@ mod tests {
             ex.reject,
             Some(RejectReason::OverMaxReadLen { len: 20, max: 16 })
         ));
-        assert!(ex.rams.is_none());
+        assert!(ex.seqs.is_none());
     }
 
     #[test]
@@ -187,7 +198,7 @@ mod tests {
                 expected: 80
             })
         ));
-        assert!(ex.rams.is_none());
+        assert!(ex.seqs.is_none());
         let ex = extract_pair(&cfg(), &[], 16);
         assert!(matches!(ex.reject, Some(RejectReason::Malformed { .. })));
     }
@@ -200,7 +211,7 @@ mod tests {
         let rec = record_for(&pair, 32);
         let ex = extract_pair(&cfg(), &rec, 32);
         assert!(ex.reject.is_none());
-        let (a, _) = ex.rams.unwrap();
+        let (a, _) = ex.seqs.unwrap();
         assert_eq!(a.len(), 3);
     }
 }

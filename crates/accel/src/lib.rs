@@ -6,9 +6,9 @@
 //! * [`config`] — structural/timing parameters (1 Aligner × 64 parallel
 //!   sections, k_max 3998, 10K reads in the taped-out chip);
 //! * [`regs`] — the AXI-Lite register map (Start/Idle/config/DMA);
-//! * [`extractor`] — 16 B/cycle record decode, 2-bit packing, unsupported
-//!   read detection ('N' bases, over-length);
-//! * [`input_ram`] — Input_Seq RAM images (ID @0, length @1, bases @2+);
+//! * [`extractor`] — 16 B/cycle record decode, 2-bit packing into the
+//!   Input_Seq RAM layout (ID @0, length @1, bases @2+), unsupported read
+//!   detection ('N' bases, over-length);
 //! * [`wavefront_ram`] — the banked wavefront window with duplicated edge
 //!   banks and conflict-free batch access plans (Fig. 6);
 //! * [`schedule`] — the deterministic wavefront schedule shared with the
@@ -32,7 +32,6 @@ pub mod config;
 pub mod device;
 pub mod extend;
 pub mod extractor;
-pub mod input_ram;
 pub mod multilane;
 pub mod regs;
 pub mod schedule;

@@ -1,12 +1,19 @@
-//! Reusable wavefront storage: a high-water-mark allocation pool.
+//! Reusable wavefront storage: a freelist of retired offset buffers.
 //!
 //! WFA allocates three offset vectors (M/I/D) per score step; at ~1 score
 //! per error the per-pair allocation count is small, but a sweep over
 //! thousands of pairs turns it into an allocation storm that dominates host
 //! wall-clock. [`WavefrontArena`] keeps every retired offset buffer on a
 //! freelist and hands it back out (cleared and NULL-filled) for the next
-//! wavefront, so a long-running aligner reaches its high-water mark once and
-//! then stops calling the allocator entirely.
+//! wavefront. The freelist is last in, first out and does not match sizes:
+//! a recycled buffer shorter than the requested wavefront grows, which
+//! calls the allocator. A buffer keeps the largest capacity it has held,
+//! so a workload that repeats its wavefront widths stops allocating once
+//! each buffer has grown to the width it is handed next — not after the
+//! first pass. `pool_reaches_high_water_then_stops_allocating` pins this:
+//! over rounds of 8 sets of widths 1..15, the second round still
+//! reallocates 8 of the 16 pooled buffers, and from the third round on
+//! every round reuses the same 16.
 //!
 //! The arena is purely a host-side optimization: a recycled wavefront is
 //! bit-identical to a freshly allocated one (same `lo..=hi` range, every
@@ -27,8 +34,8 @@ pub struct WavefrontArena {
 }
 
 impl WavefrontArena {
-    /// An empty arena. It grows to the workload's high-water mark on first
-    /// use and serves every later allocation from the pool.
+    /// An empty arena. It grows with the workload; the module docs say when
+    /// it stops calling the allocator.
     pub fn new() -> Self {
         Self::default()
     }

@@ -10,27 +10,25 @@
 //! [`crate::BatchScheduler`] runs.
 //!
 //! Robustness (paper §5.1, made a driver contract): `submit` returns a
-//! [`Result`] instead of asserting. Under the driver's [`JobPolicy`] a
+//! [`Result`] instead of asserting. Under the driver's [`AlignPolicy`] a
 //! watchdog bounds how long it waits on a job; device-refused jobs,
 //! watchdog timeouts and unparseable result streams are retried (injected
 //! faults are transients, so a resubmission can succeed). With CPU
 //! fallback on, pairs the hardware could not complete — and whole jobs
 //! that exhaust their retries — are re-run through the software WFA and
 //! marked [`AlignmentResult::recovered`], so the application always gets
-//! answers.
+//! answers, on the CPU route the same policy names.
 
-use crate::backend::CpuWfaBackend;
+use crate::backend::{AlignPolicy, CpuRoute, CpuWfaBackend};
 use crate::backtrace::BtError;
-use crate::cpu_model::BacktraceCosts;
 use crate::faults::{FaultClass, FaultLayer, Provenance};
-use crate::job::{self, JobPolicy, Lane, LaneTimeline};
+use crate::job::{self, Lane, LaneTimeline};
 use wfa_core::cigar::Cigar;
 use wfasic_accel::device::{RunReport, WfasicDevice};
 use wfasic_accel::regs::DeviceError;
 use wfasic_accel::schedule::WavefrontSchedule;
 use wfasic_accel::AccelConfig;
 use wfasic_seqio::generate::Pair;
-use wfasic_soc::bus::AxiLite;
 use wfasic_soc::clock::Cycle;
 use wfasic_soc::mem::MainMemory;
 use wfasic_soc::perf::{JobPerf, PerfCounters};
@@ -122,7 +120,7 @@ impl JobResult {
     }
 
     /// Per-stage cycle attribution for the last attempt, when the driver was
-    /// configured with [`JobPolicy::collect_perf`]. The counters sum
+    /// configured with [`AlignPolicy::collect_perf`]. The counters sum
     /// exactly to `report.total_cycles`.
     pub fn perf_breakdown(&self) -> Option<&PerfCounters> {
         self.report.perf.as_ref().map(|p| &p.counters)
@@ -250,16 +248,14 @@ pub struct WfasicDriver {
     pub device: WfasicDevice,
     /// Main memory shared between CPU and accelerator.
     pub mem: MainMemory,
-    /// AXI-Lite timing for register traffic.
-    pub axi_lite: AxiLite,
-    /// CPU backtrace cost model.
-    pub bt_costs: BacktraceCosts,
-    /// Watchdog, retry, deadline, fallback and programming policy for
-    /// every job.
-    pub policy: JobPolicy,
+    /// Every job's watchdog, retry, deadline, fallback and programming
+    /// rules, and the fallback's CPU route. A lone driver has no lane to
+    /// quarantine, so the three circuit-breaker fields go unread.
+    pub policy: AlignPolicy,
     /// Where jobs are staged in main memory.
     pub layout: MemLayout,
-    /// The CPU engine the fallback runs on, on the default route.
+    /// The CPU engine the fallback runs on; it takes [`Self::policy`]'s
+    /// route at every submit.
     cpu: CpuWfaBackend,
     schedule: WavefrontSchedule,
 }
@@ -271,9 +267,7 @@ impl WfasicDriver {
         WfasicDriver {
             device: WfasicDevice::new(cfg),
             mem: MainMemory::with_default_cap(),
-            axi_lite: AxiLite::default(),
-            bt_costs: BacktraceCosts::default(),
-            policy: JobPolicy::default(),
+            policy: AlignPolicy::default(),
             layout: MemLayout::default(),
             cpu: CpuWfaBackend::new(cfg.penalties),
             schedule,
@@ -284,26 +278,25 @@ impl WfasicDriver {
     /// driver's device, starting at cycle 0, under [`Self::policy`].
     ///
     /// Failures (device refusal, watchdog timeout, unparseable results) are
-    /// retried up to [`JobPolicy::max_retries`] times; if every attempt
+    /// retried up to [`AlignPolicy::max_retries`] times; if every attempt
     /// fails the job is either recovered entirely on the CPU (when
-    /// [`JobPolicy::cpu_fallback`] is set) or reported as an error.
+    /// [`AlignPolicy::cpu_fallback`] is set) or reported as an error.
     pub fn submit(
         &mut self,
         pairs: &[Pair],
         backtrace: bool,
         wait: WaitMode,
     ) -> Result<JobResult, DriverError> {
+        self.cpu.route = CpuRoute::from_policy(&self.policy);
         let lane = Lane {
             device: &mut self.device,
             cpu: &mut self.cpu,
             mem: &mut self.mem,
             layout: self.layout,
-            axi_lite: self.axi_lite,
-            bt_costs: &self.bt_costs,
             schedule: &self.schedule,
             timeline: &mut LaneTimeline::default(),
         };
-        job::run_job(lane, &self.policy, pairs, backtrace, wait).result
+        job::run_job(lane, &self.policy, None, pairs, backtrace, wait).result
     }
 }
 

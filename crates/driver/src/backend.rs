@@ -35,6 +35,12 @@
 //!   drain it while the accelerator simulates, and the lane thread joins
 //!   in once its device batch is done.
 //!
+//! One [`AlignPolicy`] governs them all: [`AlignmentBackend::apply_policy`]
+//! installs the service's value whole — as the scheduler's policy on the
+//! device-backed engines (the heterogeneous backend turning device-side
+//! fallback off, since it recovers itself) and as the route of every CPU
+//! engine — so no backend keeps a copy of a policy field.
+//!
 //! Scores are bit-identical across every backend (all six compute the
 //! exact gap-affine optimum). CIGARs are bit-identical across the three
 //! device-backed backends; the software engines may pick a different but
@@ -43,7 +49,6 @@
 
 use crate::api::{AlignmentResult, DriverError};
 use crate::batch::{BatchJob, BatchScheduler};
-use crate::job::JobPolicy;
 use std::cell::RefCell;
 use std::sync::Arc;
 use wfa_core::pool;
@@ -294,33 +299,56 @@ impl BackendCounters {
     }
 }
 
-/// Watchdog / retry / fallback / perf policy, applied in **one** place (the
-/// service layer) instead of being re-plumbed at every call site. Its
-/// per-job fields map onto a [`JobPolicy`] in [`AlignPolicy::job_policy`].
+/// How every job is programmed, bounded, retried and rescued, and how the
+/// CPU routes its pairs: the one policy value, set in **one** place (the
+/// service layer) and read unchanged by the backend, the batch scheduler,
+/// a lone [`crate::WfasicDriver`] and the attempt loop in [`crate::job`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AlignPolicy {
-    /// [`JobPolicy::watchdog_cycles`].
+    /// Fail an attempt whose duration exceeds this bound (the driver's
+    /// watchdog timer against a wedged device).
     pub watchdog_cycles: Cycle,
-    /// [`JobPolicy::max_retries`].
+    /// Resubmit a failed job this many times before giving up (injected
+    /// faults are transient, so retries genuinely help).
     pub max_retries: u32,
-    /// [`JobPolicy::retry_backoff_cycles`].
+    /// Simulated cycles of deterministic backoff before each retry (a real
+    /// driver sleeps between resubmissions instead of hammering a faulting
+    /// device). Delays the retry's DMA and counts against the deadline.
     pub retry_backoff_cycles: Cycle,
-    /// [`JobPolicy::deadline_cycles`]; a job's own [`BatchJob::deadline`]
-    /// overrides it.
+    /// Optional cycle budget for the whole job (all attempts + backoff).
+    /// When the budget runs out the job is refused with
+    /// [`DriverError::DeadlineExceeded`] instead of waiting or retrying
+    /// further — CPU fallback does **not** rescue a blown deadline; the
+    /// refusal is the contract. A job's own [`BatchJob::deadline`]
+    /// overrides it. `None` = no deadline (the watchdog is then the only
+    /// bound).
     pub deadline_cycles: Option<Cycle>,
     /// Quarantine a device lane after this many consecutive job failures
-    /// (0 = circuit breaker off). Every device-backed engine has a breaker,
-    /// the one-lane `device` backend included.
+    /// (0 = circuit breaker off). Every scheduler-backed engine has a
+    /// breaker, the one-lane `device` backend included; a lone
+    /// [`crate::WfasicDriver`] has no lane to quarantine and ignores the
+    /// three breaker fields.
     pub quarantine_threshold: u32,
-    /// Cycles a quarantined lane sits out before probation re-admission.
+    /// Cycles a quarantined lane sits out before probation re-admission
+    /// (scheduler only).
     pub quarantine_cooldown: Cycle,
-    /// Retire a lane permanently after this many quarantines (0 = never).
+    /// Retire a lane permanently after this many quarantines (0 = never;
+    /// scheduler only).
     pub retire_after: u32,
-    /// [`JobPolicy::cpu_fallback`]. [`HeterogeneousBackend`] recovers on
-    /// the CPU regardless — that is its contract.
+    /// Re-run failed pairs (and fully-failed jobs) through the software WFA
+    /// so the application always gets answers. [`HeterogeneousBackend`]
+    /// recovers on the CPU regardless — that is its contract.
     pub cpu_fallback: bool,
-    /// [`JobPolicy::collect_perf`].
+    /// Program `PERF_CTRL` so every job collects per-stage cycle
+    /// attribution, readable via [`crate::JobResult::perf_breakdown`].
+    /// Attribution is observational: it never changes cycle results.
     pub collect_perf: bool,
+    /// Force the data-separation backtrace method even with one Aligner
+    /// (Fig. 11's `[Sep]` configurations). Multi-Aligner jobs always
+    /// separate.
+    pub force_separation: bool,
+    /// Output-buffer size programmed into `OUT_SIZE` (0 = unbounded).
+    pub out_size: u64,
     /// Which engine CPU-routed pairs run on ([`StrategySelect::Auto`]
     /// routes by length; the device lanes are unaffected).
     pub strategy: StrategySelect,
@@ -334,17 +362,18 @@ pub struct AlignPolicy {
 
 impl Default for AlignPolicy {
     fn default() -> Self {
-        let job = JobPolicy::default();
         AlignPolicy {
-            watchdog_cycles: job.watchdog_cycles,
-            max_retries: job.max_retries,
-            retry_backoff_cycles: job.retry_backoff_cycles,
-            deadline_cycles: job.deadline_cycles,
+            watchdog_cycles: 1 << 40,
+            max_retries: 1,
+            retry_backoff_cycles: 0,
+            deadline_cycles: None,
             quarantine_threshold: 0,
             quarantine_cooldown: 0,
             retire_after: 0,
-            cpu_fallback: job.cpu_fallback,
-            collect_perf: job.collect_perf,
+            cpu_fallback: false,
+            collect_perf: false,
+            force_separation: false,
+            out_size: 0,
             strategy: StrategySelect::Auto,
             long_read_threshold: AlignPolicy::DEFAULT_LONG_READ_THRESHOLD,
             adaptive: None,
@@ -353,20 +382,6 @@ impl Default for AlignPolicy {
 }
 
 impl AlignPolicy {
-    /// This policy's per-job fields over `base`, which keeps the two fields
-    /// a service policy does not set (`force_separation`, `out_size`).
-    pub fn job_policy(&self, base: JobPolicy) -> JobPolicy {
-        JobPolicy {
-            watchdog_cycles: self.watchdog_cycles,
-            max_retries: self.max_retries,
-            retry_backoff_cycles: self.retry_backoff_cycles,
-            deadline_cycles: self.deadline_cycles,
-            cpu_fallback: self.cpu_fallback,
-            collect_perf: self.collect_perf,
-            ..base
-        }
-    }
-
     /// Default `Auto` cutover to BiWFA: at 10 kb the exact engine's
     /// full-history footprint crosses into hundreds of megabytes at
     /// realistic long-read error rates.
@@ -427,8 +442,8 @@ pub trait AlignmentBackend {
     /// Reset the lifetime counters.
     fn reset_counters(&mut self);
 
-    /// Install the service-level watchdog/retry/fallback/perf policy.
-    /// Pure-software engines have nothing to configure.
+    /// Install the service-level policy. The SWG and RISC-V engines have
+    /// nothing to configure.
     fn apply_policy(&mut self, policy: &AlignPolicy) {
         let _ = policy;
     }
@@ -738,7 +753,7 @@ pub const DEFAULT_LANE_CHUNK: usize = 28;
 #[derive(Debug)]
 pub struct MultiLaneBackend {
     /// The scheduler (SoC + memory + policy). Public so tests can install
-    /// per-lane fault plans or change the job policy.
+    /// per-lane fault plans or change the policy.
     pub sched: BatchScheduler,
     /// Pairs per sub-job ([`DEFAULT_LANE_CHUNK`] by default). A batch that
     /// fits one chunk runs as one job, passed through uncopied; an empty
@@ -862,12 +877,7 @@ impl AlignmentBackend for MultiLaneBackend {
     }
 
     fn apply_policy(&mut self, policy: &AlignPolicy) {
-        let sched = &mut self.sched;
-        sched.policy = policy.job_policy(sched.policy);
-        sched.cpu.apply_policy(policy);
-        sched.quarantine_threshold = policy.quarantine_threshold;
-        sched.quarantine_cooldown = policy.quarantine_cooldown;
-        sched.retire_after = policy.retire_after;
+        self.sched.policy = *policy;
     }
 }
 
@@ -1246,30 +1256,24 @@ mod tests {
             retire_after: 2,
             cpu_fallback: true,
             collect_perf: true,
-            strategy: StrategySelect::Auto,
-            long_read_threshold: AlignPolicy::DEFAULT_LONG_READ_THRESHOLD,
+            force_separation: true,
+            out_size: 4_096,
+            strategy: StrategySelect::BiWfa,
+            long_read_threshold: 77,
             adaptive: None,
         };
         let mut dev = MultiLaneBackend::device(AccelConfig::wfasic_chip());
         dev.apply_policy(&policy);
-        assert_eq!(dev.sched.policy.watchdog_cycles, 123);
-        assert_eq!(dev.sched.policy.max_retries, 7);
-        assert_eq!(dev.sched.policy.retry_backoff_cycles, 55);
-        assert_eq!(dev.sched.policy.deadline_cycles, Some(9_999));
-        assert!(dev.sched.policy.cpu_fallback);
-        assert!(dev.sched.policy.collect_perf);
+        assert_eq!(dev.sched.policy, policy);
 
+        // The heterogeneous backend owns recovery itself.
         let mut hetero = HeterogeneousBackend::new(AccelConfig::wfasic_chip(), 2);
         hetero.apply_policy(&policy);
-        assert_eq!(hetero.accel.sched.policy.watchdog_cycles, 123);
-        assert_eq!(hetero.accel.sched.policy.retry_backoff_cycles, 55);
-        assert_eq!(hetero.accel.sched.policy.deadline_cycles, Some(9_999));
-        assert_eq!(hetero.accel.sched.quarantine_threshold, 4);
-        assert_eq!(hetero.accel.sched.quarantine_cooldown, 1_000);
-        assert_eq!(hetero.accel.sched.retire_after, 2);
-        assert!(
-            !hetero.accel.sched.policy.cpu_fallback,
-            "hetero owns recovery itself"
-        );
+        let device_policy = AlignPolicy {
+            cpu_fallback: false,
+            ..policy
+        };
+        assert_eq!(hetero.accel.sched.policy, device_policy);
+        assert_eq!(hetero.cpu.route, CpuRoute::from_policy(&policy));
     }
 }

@@ -398,7 +398,7 @@ mod tests {
     use super::*;
     use wfa_core::bitpack::PackedSeq;
     use wfasic_accel::aligner::align_packed;
-    use wfasic_accel::collector::{bt_txns_to_bytes, collect_bt};
+    use wfasic_accel::collector::collect_bt_bytes;
     use wfasic_accel::AccelConfig;
 
     fn hw_backtrace(a: &[u8], b: &[u8]) -> (u32, Cigar) {
@@ -408,7 +408,7 @@ mod tests {
         let pb = PackedSeq::from_ascii(b).unwrap();
         let outcome = align_packed(&cfg, &schedule, 3, &pa, &pb, true);
         assert!(outcome.success);
-        let bytes = bt_txns_to_bytes(&collect_bt(&outcome));
+        let bytes = collect_bt_bytes(&outcome);
         let alignments = split_consecutive_stream(&bytes).unwrap();
         assert_eq!(alignments.len(), 1);
         let cigar = backtrace_alignment_packed(
@@ -488,7 +488,7 @@ mod tests {
         let a = PackedSeq::from_ascii(b"GATTACAGATTACA").unwrap();
         let b = PackedSeq::from_ascii(b"GATCACAGATAACA").unwrap();
         let outcome = align_packed(&cfg, &schedule, 77, &a, &b, true);
-        let bytes = bt_txns_to_bytes(&collect_bt(&outcome));
+        let bytes = collect_bt_bytes(&outcome);
         let sep = separate_stream(&bytes).unwrap();
         let nosep = split_consecutive_stream(&bytes).unwrap();
         assert_eq!(sep.len(), 1);
@@ -504,7 +504,7 @@ mod tests {
         let a = PackedSeq::from_ascii(b"GATTACA").unwrap();
         let b = PackedSeq::from_ascii(b"GACTACA").unwrap();
         let outcome = align_packed(&cfg, &schedule, 1, &a, &b, true);
-        let bytes = bt_txns_to_bytes(&collect_bt(&outcome));
+        let bytes = collect_bt_bytes(&outcome);
         // Drop the Last transaction.
         let err = split_consecutive_stream(&bytes[..bytes.len() - 16]).unwrap_err();
         assert_eq!(err, BtError::TruncatedStream);
@@ -523,19 +523,16 @@ mod tests {
         };
         let (a1, b1) = packed(b"GATTACAGATTACA", b"GATCACAGATAACA");
         let (a2, b2) = packed(b"CCCCAAAATTTT", b"CCCCTTTT");
-        let t1 = collect_bt(&align_packed(&cfg, &schedule, 1, &a1, &b1, true));
-        let t2 = collect_bt(&align_packed(&cfg, &schedule, 2, &a2, &b2, true));
+        let s1 = collect_bt_bytes(&align_packed(&cfg, &schedule, 1, &a1, &b1, true));
+        let s2 = collect_bt_bytes(&align_packed(&cfg, &schedule, 2, &a2, &b2, true));
+        let (mut t1, mut t2) = (s1.chunks(SECTION), s2.chunks(SECTION));
         let mut bytes = Vec::new();
-        let (mut i1, mut i2) = (0, 0);
-        while i1 < t1.len() || i2 < t2.len() {
-            if i1 < t1.len() {
-                bytes.extend_from_slice(&t1[i1].encode());
-                i1 += 1;
+        loop {
+            let (x, y) = (t1.next(), t2.next());
+            if x.is_none() && y.is_none() {
+                break;
             }
-            if i2 < t2.len() {
-                bytes.extend_from_slice(&t2[i2].encode());
-                i2 += 1;
-            }
+            bytes.extend(x.into_iter().chain(y).flatten());
         }
         let alignments = separate_stream(&bytes).unwrap();
         assert_eq!(alignments.len(), 2);

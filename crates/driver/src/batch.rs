@@ -12,33 +12,32 @@
 //! Cycle accounting stays honest end to end: every lane's transfers are
 //! granted slots by the shared memory-controller arbiter (contention is
 //! visible in [`BatchResult::arbiter`]), each job's `JOB_CYCLES` is a true
-//! duration, and with [`JobPolicy::collect_perf`] set the per-lane
+//! duration, and with [`AlignPolicy::collect_perf`] set the per-lane
 //! counters each attribute *every* cycle of the batch window — so each
 //! lane's breakdown sums exactly to [`BatchResult::total_cycles`].
 //!
 //! Every job runs through the one attempt loop in [`crate::job`], the loop
 //! [`crate::WfasicDriver::submit`] also calls, under the scheduler's
-//! [`JobPolicy`]: retries (with fresh per-lane fault streams) on the lane's
-//! own timeline, a watchdog bound, and optional CPU fallback — so one
-//! faulting lane degrades to software answers without stalling the rest of
-//! the batch. This module keeps only dispatch, the lanes' timelines and
-//! spans, and the per-lane circuit breaker.
+//! [`AlignPolicy`]: retries (with fresh per-lane fault streams) on the
+//! lane's own timeline, a watchdog bound, and optional CPU fallback — so
+//! one faulting lane degrades to software answers without stalling the rest
+//! of the batch. This module keeps only dispatch, the lanes' timelines and
+//! spans, and the per-lane circuit breaker, which reads its threshold,
+//! cooldown and retirement count from that same policy.
 //!
 //! A 1-lane batch of one job is bit-identical to
 //! [`crate::WfasicDriver::submit`]: same loop, same memory layout, same
 //! uncontended bus timing. The backend-equivalence suite pins this.
 
 use crate::api::{DriverError, JobResult, MemLayout, WaitMode};
-use crate::backend::CpuWfaBackend;
-use crate::cpu_model::BacktraceCosts;
-use crate::job::{self, JobPolicy, Lane, LaneTimeline};
+use crate::backend::{AlignPolicy, CpuRoute, CpuWfaBackend};
+use crate::job::{self, Lane, LaneTimeline};
 use wfasic_accel::device::RunReport;
 use wfasic_accel::multilane::MultiLaneSoc;
 use wfasic_accel::schedule::WavefrontSchedule;
 use wfasic_accel::AccelConfig;
 use wfasic_seqio::generate::Pair;
 use wfasic_soc::arbiter::ArbiterStats;
-use wfasic_soc::bus::AxiLite;
 use wfasic_soc::clock::Cycle;
 use wfasic_soc::fault::{FaultCounters, FaultPlan};
 use wfasic_soc::mem::MainMemory;
@@ -52,7 +51,7 @@ pub struct BatchJob {
     /// Generate backtrace data (CIGARs) for this job?
     pub backtrace: bool,
     /// Optional cycle budget for this job (all attempts + retry backoff).
-    /// Overrides the policy's [`JobPolicy::deadline_cycles`];
+    /// Overrides the policy's [`AlignPolicy::deadline_cycles`];
     /// when the budget runs out the job gets a typed
     /// [`DriverError::DeadlineExceeded`] refusal instead of waiting longer.
     pub deadline: Option<Cycle>,
@@ -100,7 +99,7 @@ pub enum LaneState {
     /// re-opens the circuit immediately (no K-strike grace) and one
     /// hardware success restores [`LaneState::Healthy`].
     Probation,
-    /// Permanently out of rotation ([`BatchScheduler::retire_after`]
+    /// Permanently out of rotation ([`AlignPolicy::retire_after`]
     /// quarantines exhausted). Never re-admitted.
     Retired,
 }
@@ -187,23 +186,13 @@ pub struct BatchScheduler {
     pub soc: MultiLaneSoc,
     /// Main memory shared by the CPU and every lane.
     pub mem: MainMemory,
-    /// AXI-Lite timing for register traffic.
-    pub axi_lite: AxiLite,
-    /// CPU backtrace cost model.
-    pub bt_costs: BacktraceCosts,
-    /// Watchdog, retry, deadline, fallback and programming policy for
-    /// every job.
-    pub policy: JobPolicy,
-    /// Quarantine a lane after this many consecutive job failures
-    /// (0 = circuit breaker disabled; health counters still accumulate).
-    pub quarantine_threshold: u32,
-    /// Epoch cycles a quarantined lane sits out before probation.
-    pub quarantine_cooldown: Cycle,
-    /// Retire a lane permanently after this many quarantines (0 = never).
-    pub retire_after: u32,
+    /// Every job's watchdog, retry, deadline, fallback and programming
+    /// rules, the CPU route, and the lanes' circuit breaker (a
+    /// `quarantine_threshold` of 0 disables it; health counters still
+    /// accumulate). Cooldowns run on the epoch clock.
+    pub policy: AlignPolicy,
     /// The CPU engine every lane's fallback and every degraded job runs
-    /// on; [`crate::MultiLaneBackend`] sets its route from the service
-    /// policy.
+    /// on; it takes [`Self::policy`]'s route at every batch.
     pub(crate) cpu: CpuWfaBackend,
     schedule: WavefrontSchedule,
     health: Vec<LaneHealth>,
@@ -225,12 +214,7 @@ impl BatchScheduler {
         BatchScheduler {
             soc: MultiLaneSoc::new(cfg, lanes),
             mem: MainMemory::with_default_cap(),
-            axi_lite: AxiLite::default(),
-            bt_costs: BacktraceCosts::default(),
-            policy: JobPolicy::default(),
-            quarantine_threshold: 0,
-            quarantine_cooldown: 0,
-            retire_after: 0,
+            policy: AlignPolicy::default(),
             cpu: CpuWfaBackend::new(cfg.penalties),
             schedule,
             health: vec![LaneHealth::default(); lanes],
@@ -301,6 +285,7 @@ impl BatchScheduler {
         // Every batch's lane timelines start at cycle 0, so the shared port
         // must too: `BatchResult::arbiter` then describes this batch alone.
         self.soc.reset_arbiter();
+        self.cpu.route = CpuRoute::from_policy(&self.policy);
         self.readmit_due_lanes();
         let avail: Vec<usize> = (0..n).filter(|&l| self.health[l].available()).collect();
         let mut results: Vec<Option<Result<JobResult, DriverError>>> =
@@ -410,23 +395,24 @@ impl BatchScheduler {
         let h = &mut self.health[lane];
         h.consecutive_failures += 1;
         h.failed_jobs += 1;
-        if self.quarantine_threshold == 0 {
+        let policy = &self.policy;
+        if policy.quarantine_threshold == 0 {
             return;
         }
         let trips = match h.state {
             // One strike on probation.
             LaneState::Probation => true,
-            LaneState::Healthy => h.consecutive_failures >= self.quarantine_threshold,
+            LaneState::Healthy => h.consecutive_failures >= policy.quarantine_threshold,
             LaneState::Quarantined { .. } | LaneState::Retired => false,
         };
         if trips {
             h.quarantines += 1;
-            if self.retire_after > 0 && h.quarantines >= self.retire_after {
+            if policy.retire_after > 0 && h.quarantines >= policy.retire_after {
                 h.state = LaneState::Retired;
             } else {
                 h.quarantined_at = now;
                 h.state = LaneState::Quarantined {
-                    until: now + self.quarantine_cooldown,
+                    until: now + policy.quarantine_cooldown,
                 };
             }
         }
@@ -477,13 +463,17 @@ impl BatchScheduler {
             cpu: &mut self.cpu,
             mem: &mut self.mem,
             layout: MemLayout::for_lane(lane),
-            axi_lite: self.axi_lite,
-            bt_costs: &self.bt_costs,
             schedule: &self.schedule,
             timeline,
         };
-        let policy = self.policy.with_deadline(job.deadline);
-        let out = job::run_job(run, &policy, &job.pairs, job.backtrace, WaitMode::PollIdle);
+        let out = job::run_job(
+            run,
+            &self.policy,
+            job.deadline,
+            &job.pairs,
+            job.backtrace,
+            WaitMode::PollIdle,
+        );
         self.health[lane].failed_attempts += out.failed_attempts;
         if out.exhausted {
             // The lane burned every retry, which is what the circuit

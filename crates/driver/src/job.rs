@@ -4,8 +4,8 @@
 //! [`crate::WfasicDriver::submit`] calls it once on its lone device with a
 //! fresh timeline; [`crate::BatchScheduler`] calls it once per queued job
 //! on the job's lane, carrying that lane's timeline from job to job. Both
-//! hold one [`JobPolicy`], so watchdog, retry, deadline and fallback rules
-//! are written once:
+//! hold one [`AlignPolicy`], the service's, so watchdog, retry, deadline
+//! and fallback rules are written once:
 //!
 //! * each attempt restages the image, programs all nine registers, runs the
 //!   device and acknowledges any pending interrupt;
@@ -20,7 +20,7 @@
 //!   last failure is returned.
 
 use crate::api::{AlignmentResult, DriverError, JobResult, MemLayout, WaitMode};
-use crate::backend::CpuWfaBackend;
+use crate::backend::{AlignPolicy, CpuWfaBackend};
 use crate::backtrace::{
     backtrace_alignment_packed, separate_stream, split_consecutive_stream, BtAlignment, BtError,
 };
@@ -31,71 +31,10 @@ use wfasic_accel::schedule::WavefrontSchedule;
 use wfasic_seqio::dataset::round_up_16;
 use wfasic_seqio::generate::Pair;
 use wfasic_seqio::memimage::InputImage;
-use wfasic_soc::bus::AxiLite;
+use wfasic_soc::bus::AXI_LITE_ACCESS_CYCLES;
 use wfasic_soc::clock::Cycle;
 use wfasic_soc::mem::MainMemory;
 use wfasic_soc::perf::Span;
-
-/// How one job is programmed, bounded, retried and rescued.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JobPolicy {
-    /// Fail an attempt whose duration exceeds this bound (the driver's
-    /// watchdog timer against a wedged device).
-    pub watchdog_cycles: Cycle,
-    /// Resubmit a failed job this many times before giving up (injected
-    /// faults are transient, so retries genuinely help).
-    pub max_retries: u32,
-    /// Simulated cycles of deterministic backoff before each retry (a real
-    /// driver sleeps between resubmissions instead of hammering a faulting
-    /// device). Delays the retry's DMA and counts against the deadline.
-    pub retry_backoff_cycles: Cycle,
-    /// Optional cycle budget for the whole job (all attempts + backoff).
-    /// When the budget runs out the job is refused with
-    /// [`DriverError::DeadlineExceeded`] instead of waiting or retrying
-    /// further — CPU fallback does **not** rescue a blown deadline; the
-    /// refusal is the contract. A [`crate::BatchJob::deadline`] overrides
-    /// it. `None` = no deadline (the watchdog is then the only bound).
-    pub deadline_cycles: Option<Cycle>,
-    /// Re-run failed pairs (and fully-failed jobs) through the software WFA
-    /// so the application always gets answers.
-    pub cpu_fallback: bool,
-    /// Program `PERF_CTRL` so every job collects per-stage cycle
-    /// attribution, readable via [`JobResult::perf_breakdown`]. Attribution
-    /// is observational: it never changes cycle results.
-    pub collect_perf: bool,
-    /// Force the data-separation backtrace method even with one Aligner
-    /// (Fig. 11's `[Sep]` configurations). Multi-Aligner jobs always
-    /// separate.
-    pub force_separation: bool,
-    /// Output-buffer size programmed into `OUT_SIZE` (0 = unbounded).
-    pub out_size: u64,
-}
-
-impl Default for JobPolicy {
-    fn default() -> Self {
-        JobPolicy {
-            watchdog_cycles: 1 << 40,
-            max_retries: 1,
-            retry_backoff_cycles: 0,
-            deadline_cycles: None,
-            cpu_fallback: false,
-            collect_perf: false,
-            force_separation: false,
-            out_size: 0,
-        }
-    }
-}
-
-impl JobPolicy {
-    /// This policy for a job carrying its own `deadline`, which overrides
-    /// [`JobPolicy::deadline_cycles`].
-    pub fn with_deadline(self, deadline: Option<Cycle>) -> Self {
-        JobPolicy {
-            deadline_cycles: deadline.or(self.deadline_cycles),
-            ..self
-        }
-    }
-}
 
 /// One lane's timeline: when its input port and its Aligners are next
 /// free, and the hardware spans its jobs have placed on it.
@@ -115,16 +54,14 @@ impl LaneTimeline {
 }
 
 /// Where a job runs: one device (a lone driver's, or one lane of a
-/// multi-lane SoC), the memory it shares with the CPU, the CPU-side models
-/// the loop charges, and the CPU engine its caller owns, which answers the
-/// pairs the fallback takes.
+/// multi-lane SoC), the memory it shares with the CPU, the schedule the
+/// CPU backtrace walks, and the CPU engine its caller owns, which answers
+/// the pairs the fallback takes.
 pub(crate) struct Lane<'a> {
     pub device: &'a mut WfasicDevice,
     pub cpu: &'a mut CpuWfaBackend,
     pub mem: &'a mut MainMemory,
     pub layout: MemLayout,
-    pub axi_lite: AxiLite,
-    pub bt_costs: &'a BacktraceCosts,
     pub schedule: &'a WavefrontSchedule,
     pub timeline: &'a mut LaneTimeline,
 }
@@ -150,10 +87,12 @@ impl Outcome {
 
 /// Run `pairs` on `lane` under `policy`, starting its DMA at the lane's
 /// `dma_free` and its Aligners at `compute_free`, and advance the timeline
-/// past the job. See the module docs for the rules.
+/// past the job. The job's own `deadline` overrides
+/// [`AlignPolicy::deadline_cycles`]. See the module docs for the rules.
 pub(crate) fn run_job(
     lane: Lane<'_>,
-    policy: &JobPolicy,
+    policy: &AlignPolicy,
+    deadline: Option<Cycle>,
     pairs: &[Pair],
     backtrace: bool,
     wait: WaitMode,
@@ -200,6 +139,7 @@ pub(crate) fn run_job(
     let mut compute_start = lane.timeline.compute_free;
     // Every attempt's duration and every retry backoff count against the
     // deadline.
+    let deadline = deadline.or(policy.deadline_cycles);
     let mut spent: Cycle = 0;
 
     for attempt in 0..=policy.max_retries {
@@ -215,7 +155,7 @@ pub(crate) fn run_job(
         for (off, value) in registers {
             lane.device.mmio_write(off, value);
         }
-        config_cycles += lane.axi_lite.cycles_for(registers.len() as u64);
+        config_cycles += AXI_LITE_ACCESS_CYCLES * registers.len() as Cycle;
 
         let report = lane.device.run_at(lane.mem, dma_start, compute_start);
         // Completion: take the interrupt, falling back to polling Idle if
@@ -233,7 +173,7 @@ pub(crate) fn run_job(
 
         let waited = report.duration();
         spent += waited;
-        if let Some(budget) = policy.deadline_cycles {
+        if let Some(budget) = deadline {
             // The caller stopped waiting the moment the budget ran out:
             // refuse instead of parsing, retrying or falling back — a late
             // answer is still a missed deadline. The refusal is a policy
@@ -369,6 +309,7 @@ fn parse_results(
 
     let cfg = &lane.device.cfg;
     let (p, ps) = (cfg.penalties, cfg.parallel_sections);
+    let costs = BacktraceCosts::default();
     let mut cycles: Cycle = 0;
     let mut results = Vec::with_capacity(pairs.len());
     for pair in pairs {
@@ -385,7 +326,7 @@ fn parse_results(
             continue;
         };
         let cigar = backtrace_alignment_packed(lane.schedule, bt, pa, pb, &p, ps)?;
-        cycles += lane.bt_costs.cycles(
+        cycles += costs.cycles(
             (bt.txns * 16) as u64,
             cigar.stats().edits(),
             (pair.a.len() + pair.b.len()) as u64,

@@ -5,8 +5,8 @@
 //! * [`api`] — the Linux-driver-style interface: [`WfasicDriver`], one
 //!   device and its memory, whose `submit` is a one-lane call into [`job`];
 //! * [`job`] — the one attempt loop every device job runs (stage, program
-//!   the registers over AXI-Lite, start, wait, acknowledge, parse) and the
-//!   [`JobPolicy`] that bounds, retries and rescues it;
+//!   the registers over AXI-Lite, start, wait, acknowledge, parse) under
+//!   the one [`AlignPolicy`] that bounds, retries and rescues it;
 //! * [`backend`] — the unified execution layer: every engine (software WFA,
 //!   SWG reference, single-lane device, multi-lane SoC, heterogeneous
 //!   CPU+accel) behind one [`AlignmentBackend`] trait;
@@ -43,5 +43,4 @@ pub use batch::{BatchJob, BatchResult, BatchScheduler, LaneHealth, LaneState};
 pub use codesign::{run_experiment, ExperimentResult};
 pub use cpu_model::{software_backtrace_cycles, BacktraceCosts, CpuCosts};
 pub use faults::{FaultClass, FaultLayer, Provenance};
-pub use job::JobPolicy;
 pub use riscv_backend::RiscvBackend;

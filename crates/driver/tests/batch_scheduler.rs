@@ -260,7 +260,7 @@ fn an_empty_batch_reports_zero_throughput() {
 fn a_tight_deadline_is_refused_with_a_typed_error_and_never_feeds_the_breaker() {
     let cfg = AccelConfig::wfasic_chip();
     let mut sched = BatchScheduler::new(cfg, 2);
-    sched.quarantine_threshold = 1; // hair-trigger: any counted failure trips
+    sched.policy.quarantine_threshold = 1; // hair-trigger: any counted failure trips
     let jobs = vec![
         BatchJob::score_only(pairs(3, 100, 0xD0D1)),
         // One cycle of budget cannot cover even the DMA of the input image.

@@ -191,13 +191,7 @@ impl BtTxn {
         assert!(self.id < (1 << 23), "BT id exceeds 23 bits");
         let mut out = [0u8; SECTION];
         out[..BT_PAYLOAD_BYTES].copy_from_slice(&self.payload);
-        out[10] = (self.counter & 0xFF) as u8;
-        out[11] = ((self.counter >> 8) & 0xFF) as u8;
-        out[12] = ((self.counter >> 16) & 0xFF) as u8;
-        let tail = ((self.last as u32) << 23) | self.id;
-        out[13] = (tail & 0xFF) as u8;
-        out[14] = ((tail >> 8) & 0xFF) as u8;
-        out[15] = ((tail >> 16) & 0xFF) as u8;
+        write_bt_info(&mut out, self.counter, self.last, self.id);
         out
     }
 
@@ -215,6 +209,17 @@ impl BtTxn {
             id: tail & 0x7F_FFFF,
         }
     }
+}
+
+/// Write a BT transaction's 6 info bytes after its payload: the counter
+/// LE24, then a 24-bit field of {Last:1, ID:23}. The one encoder of the
+/// layout [`BtTxn::decode`] reads; callers check that `counter` fits 24
+/// bits and `id` 23.
+#[inline]
+pub fn write_bt_info(txn: &mut [u8; SECTION], counter: u32, last: bool, id: u32) {
+    let tail = ((last as u32) << 23) | id;
+    txn[BT_PAYLOAD_BYTES..13].copy_from_slice(&counter.to_le_bytes()[..3]);
+    txn[13..].copy_from_slice(&tail.to_le_bytes()[..3]);
 }
 
 /// The final score record carried in the payload of the Last transaction

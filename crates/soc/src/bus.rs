@@ -167,25 +167,9 @@ impl MemoryBus {
     }
 }
 
-/// AXI-Lite configuration path: single-word accesses with a fixed cost.
-#[derive(Debug, Clone, Copy)]
-pub struct AxiLite {
-    /// Cycles per register access.
-    pub access_cycles: Cycle,
-}
-
-impl Default for AxiLite {
-    fn default() -> Self {
-        AxiLite { access_cycles: 8 }
-    }
-}
-
-impl AxiLite {
-    /// Cycles for `n` register accesses.
-    pub fn cycles_for(&self, n: u64) -> Cycle {
-        self.access_cycles * n
-    }
-}
+/// Cycles per AXI-Lite register access: the configuration path moves one
+/// word per access at a fixed cost.
+pub const AXI_LITE_ACCESS_CYCLES: Cycle = 8;
 
 #[cfg(test)]
 mod tests {

@@ -37,7 +37,7 @@ pub mod mmio;
 pub mod perf;
 
 pub use arbiter::{ArbiterStats, BusArbiter, LaneArbStats};
-pub use bus::{AxiLite, BusConfig, MemoryBus};
+pub use bus::{BusConfig, MemoryBus};
 pub use cache::{Cache, MemHierarchy};
 pub use clock::{cycles_to_seconds, Cycle, SARGANTANA_HZ, WFASIC_ASIC_HZ};
 pub use fault::{FaultCounters, FaultInjector, FaultPlan};

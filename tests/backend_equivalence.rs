@@ -7,22 +7,25 @@
 //! the backend layer — is bit-identical on every failure path, perf
 //! counters included; a pair the device cannot finish gets the same
 //! software answer, on the service policy's route, whichever backend
-//! recovers it; the heterogeneous backend never drops, duplicates, or
-//! reorders a pair under random envelope violations and fault plans; and a
-//! `cpu` batch, shared with the process's resident helper threads, answers
-//! and tallies exactly as a serial `CpuWfaBackend::align` loop.
+//! recovers it; the service's policy drives the scheduler's lane breaker;
+//! the heterogeneous backend never drops, duplicates, or reorders a pair
+//! under random envelope violations and fault plans; and a `cpu` batch,
+//! shared with the process's resident helper threads, answers and tallies
+//! exactly as a serial `CpuWfaBackend::align` loop.
 
 use wfasic::accel::{offsets, AccelConfig};
+use wfasic::driver::backend::DEFAULT_LANE_CHUNK;
 use wfasic::driver::batch::BatchJob;
 use wfasic::driver::{
     AlignPolicy, AlignmentBackend, AlignmentResult, BackendCounters, BackendKind, BatchScheduler,
-    CpuRoute, CpuWfaBackend, DriverError, HeterogeneousBackend, JobResult, MultiLaneBackend,
-    StrategySelect, WaitMode, WfasicDriver,
+    CpuRoute, CpuWfaBackend, DriverError, HeterogeneousBackend, JobResult, LaneState,
+    MultiLaneBackend, StrategySelect, WaitMode, WfasicDriver,
 };
 use wfasic::seqio::{InputSetSpec, Pair, Seq};
+use wfasic::service::{AlignmentService, ServiceConfig};
 use wfasic::soc::fault::{FaultCounters, FaultPlan};
 use wfasic::soc::perf::PerfCounters;
-use wfasic::wfa::{prop, swg_score, Penalties};
+use wfasic::wfa::{prop, swg_score, AdaptiveParams, Penalties};
 
 /// One job as a one-lane engine saw it: the answers and the full run
 /// report (rendered, since reports hold floats) or the error, and what the
@@ -197,7 +200,7 @@ fn one_lane_one_job_keeps_raw_driver_perf_counters() {
         };
 
         let mut drv = WfasicDriver::new(cfg);
-        drv.policy = sc.policy.job_policy(drv.policy);
+        drv.policy = sc.policy;
         if let Some(plan) = sc.plan {
             drv.device.set_fault_plan(plan);
         }
@@ -212,7 +215,7 @@ fn one_lane_one_job_keeps_raw_driver_perf_counters() {
         assert_eq!(want.irq_pending, 0, "{}: interrupt left pending", sc.name);
 
         let mut sched = BatchScheduler::new(cfg, 1);
-        sched.policy = sc.policy.job_policy(sched.policy);
+        sched.policy = sc.policy;
         if let Some(plan) = sc.plan {
             sched.set_lane_fault_plan(0, plan);
         }
@@ -272,7 +275,8 @@ fn rendered(r: &AlignmentResult) -> (u32, bool, u32, Option<String>, bool) {
 /// The device backends' CPU fallback runs on the service policy's route:
 /// with `strategy: Adaptive`, every pair a `k_max = 12` device cannot
 /// finish comes back exactly as a CPU engine on that route answers it, and
-/// the backend's counters tally each recovery once, as an adaptive pair.
+/// the backend's counters tally each recovery once, as an adaptive pair. A
+/// lone driver's fallback runs on its policy's route the same way.
 #[test]
 fn device_fallback_routes_by_the_policy_and_tallies_its_pairs() {
     let mut cfg = AccelConfig::wfasic_chip();
@@ -311,6 +315,75 @@ fn device_fallback_routes_by_the_policy_and_tallies_its_pairs() {
         assert_eq!((c.exact_pairs, c.biwfa_pairs), (0, 0), "{}", kind.name());
         assert_eq!(c.recovered_pairs, recovered, "{}", kind.name());
         assert!(c.peak_memory_bytes > 0, "{}", kind.name());
+    }
+    // A lone driver's fallback takes its route from its policy too: under a
+    // band too tight to stay exact, its recoveries match a CPU engine on
+    // that route, and some score above the optimum.
+    let tight = AlignPolicy {
+        adaptive: Some(AdaptiveParams {
+            min_wavefront_length: 1,
+            max_distance_threshold: 1,
+        }),
+        ..policy
+    };
+    cpu.apply_policy(&tight);
+    let mut drv = WfasicDriver::new(cfg);
+    drv.policy = tight;
+    let job = drv.submit(&pairs, true, WaitMode::PollIdle).unwrap();
+    let mut above_optimum = 0;
+    for (res, pair) in job.results.iter().zip(&pairs) {
+        if res.recovered {
+            assert_eq!(rendered(res), rendered(&cpu.align(pair, true, true)));
+            let optimum = swg_score(&pair.a.bytes(), &pair.b.bytes(), &cfg.penalties);
+            above_optimum += usize::from(res.score as u64 > optimum);
+        }
+    }
+    assert!(above_optimum > 0, "the driver's fallback ignored its route");
+}
+
+/// The service's policy drives the scheduler's lane circuit breaker. Over
+/// a two-lane `multilane` service whose watchdog fails every attempt, one
+/// three-chunk batch with a one-strike breaker quarantines both lanes (the
+/// third chunk, shifted off the first lane, finds no lane left and degrades
+/// to the CPU); with the breaker off the same batch quarantines nothing.
+/// Either way the CPU fallback answers every pair with the SWG optimum.
+#[test]
+fn service_policy_drives_the_lane_breaker() {
+    let cfg = AccelConfig::wfasic_chip();
+    let pairs = InputSetSpec {
+        length: 100,
+        error_pct: 5,
+    }
+    .generate(2 * DEFAULT_LANE_CHUNK + 1, 0xB2EA)
+    .pairs;
+    for (threshold, quarantines) in [(1, 2), (0, 0)] {
+        let policy = AlignPolicy {
+            watchdog_cycles: 1,
+            max_retries: 0,
+            quarantine_threshold: threshold,
+            cpu_fallback: true,
+            ..AlignPolicy::default()
+        };
+        let svc_cfg = ServiceConfig {
+            policy,
+            ..ServiceConfig::default()
+        };
+        let mut svc = AlignmentService::with_backend(BackendKind::MultiLane, cfg, 2, svc_cfg);
+        let done = svc.stream([BatchJob::score_only(pairs.clone())]);
+        let batch = done[0].outcome.as_ref().expect("the fallback answers");
+        assert_eq!(batch.results.len(), pairs.len());
+        for (res, pair) in batch.results.iter().zip(&pairs) {
+            assert!(res.success && res.recovered, "threshold {threshold}");
+            let want = swg_score(&pair.a.bytes(), &pair.b.bytes(), &cfg.penalties);
+            assert_eq!(res.score as u64, want, "threshold {threshold}");
+        }
+        assert_eq!(svc.backend_counters().quarantine_events, quarantines);
+        let quarantined = svc
+            .lane_health()
+            .iter()
+            .filter(|h| matches!(h.state, LaneState::Quarantined { .. }))
+            .count();
+        assert_eq!(quarantined as u64, quarantines, "threshold {threshold}");
     }
 }
 
