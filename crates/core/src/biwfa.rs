@@ -6,37 +6,55 @@
 //! This module produces the *same optimal score and a valid optimal CIGAR*
 //! in `O(s)` retained wavefront memory, BiWFA-style (Marco-Sola et al.):
 //!
-//! 1. **Score phase** — one unidirectional *score-only* pass (already
-//!    windowed to the penalty lookback, hence linear memory) establishes
-//!    the exact optimal score `s*` up front. Every later phase is checked
-//!    against this ground truth, so no heuristic below can silently cost
-//!    optimality.
-//! 2. **Meet phase** — a forward machine over `(a, b)` and a reverse
+//! 1. **Meet phase** — a forward machine over `(a, b)` and a reverse
 //!    machine over the reversed sequences advance in lock-step (always the
 //!    lower-score side), each keeping only a short window of recent
 //!    wavefronts. When the two frontiers touch on a diagonal, the touch is
 //!    recorded as a *split candidate*: an M–M touch of front costs
 //!    `(c1, c2)` witnesses an alignment of cost `c1 + c2` through that
 //!    cell; an I–I or D–D touch witnesses `c1 + c2 - o` (a split inside a
-//!    gap run pays the open on both sides).
-//! 3. **Recurse + verify** — the best candidates are tried in balance
+//!    gap run pays the open on both sides). The top-level meet has no
+//!    score hint: it stops once its lowest touch value `v` is proved a
+//!    lower bound on the optimum (below).
+//! 2. **Recurse + verify** — the value-`v` candidates are tried in balance
 //!    order: the pair is split at the candidate cell, both halves are
 //!    aligned recursively, and the spliced CIGAR is *re-scored as a
 //!    whole*. The top level accepts a splice only if it re-scores to
-//!    exactly `s*`; interior nodes accept a splice that re-scores no worse
-//!    than its candidate claimed. Candidates that fail are discarded and
-//!    the next is tried; a node that runs out of candidates falls back to
-//!    the exact full-history engine (correct, just not linear-memory for
-//!    that — empirically rare — subtree).
+//!    exactly `v`. Below the top, a child's meet is sized by the hint its
+//!    parent's candidate claimed, and a splice that re-scores no worse
+//!    than its candidate is accepted. Candidates that fail are discarded
+//!    and the next is tried; an interior node that runs out of candidates
+//!    falls back to the exact full-history engine (correct, just not
+//!    linear-memory for that — empirically rare — subtree).
+//! 3. **Fallback** — when the top level has no proof (no value-`v` splice
+//!    re-scores to `v`, the meet ran into the end cell or the score cap,
+//!    or the request sets a score limit), a unidirectional *score-only*
+//!    pass (windowed to the penalty lookback, hence linear memory)
+//!    establishes the exact optimal score `s*`, and the recursion reruns
+//!    trusting it: only splices that re-score to exactly `s*` are
+//!    accepted, with the exact engine as the last resort.
 //!
-//! Because a spliced CIGAR is a real alignment of the full pair, its cost
-//! can never be below `s*`; the top level returns it only when it equals
-//! `s*`, so the result is optimal by construction, with the exact engine
-//! as the universal fallback.
+//! **Why the meet's stop proves the optimum.** Walk an optimal path and
+//! split it between two operations (an M–M split, prefix cost `c1`,
+//! suffix cost `c2`, `c1 + c2 = s*`) or inside a gap run (I–I / D–D,
+//! `c1 + c2 - o = s*`). From one split to the next, the balance `c1 − c2`
+//! moves by at most `2·max(x, o+e)`, and it runs from `−s*` to `s*`, so
+//! some split has `|c1 − c2| ≤ lookback = max(x, o+e)`. Its two fronts
+//! cost at most `(s* + o + lookback) / 2`, they reach its cell from either
+//! end, and whichever is computed second finds the other still inside the
+//! retention window. So once both sides pass
+//! `horizon(s*) = ((s* + o + window) / 2 + 2).max(window)`, a touch of
+//! value `s*` has been recorded. The top-level meet stops when
+//! `min(fwd.s, rev.s) ≥ horizon(v)` for the lowest recorded value `v`
+//! (or at once when `v = 0`). Then `v ≤ s*`: were `s*` below `v`,
+//! `horizon(s*) ≤ horizon(v)` and its touch would already hold the
+//! minimum. A value-`v` candidate whose splice re-scores to exactly `v`
+//! is a real alignment, so `v ≥ s*` as well: it is optimal.
 //!
-//! Small subproblems (`n + m ≤ 1 kb` or expected score within a few
-//! penalty lookbacks) drop straight to the exact engine: at that size full
-//! history *is* linear memory, and it terminates the recursion.
+//! Small subproblems (`n + m ≤ 1 kb`, or at an interior node an expected
+//! score within a few penalty lookbacks) drop straight to the exact
+//! engine: at that size full history *is* linear memory, it is optimal by
+//! construction, and it terminates the recursion.
 
 use crate::arena::WavefrontArena;
 use crate::cigar::{Cigar, Op};
@@ -119,6 +137,19 @@ fn absorb_stats(lhs: &mut WfaStats, rhs: &WfaStats) {
     lhs.peak_memory_bytes = lhs.peak_memory_bytes.max(rhs.peak_memory_bytes);
 }
 
+/// Which path answered a top-level [`biwfa_top`] call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Answer {
+    /// Optimal by construction: a forced all-gap transcript, or the exact
+    /// engine at or below [`EXACT_CUTOFF_LEN`].
+    Exact,
+    /// The hint-free meet proved its lowest touch value optimal, and a
+    /// candidate's splice re-scored to it.
+    Proven,
+    /// The score pass, the trusted recursion and the exact fallback.
+    Scored,
+}
+
 /// Entry point for the `BiWfa` strategy (called by
 /// `wfa_align_seqs_ref` when a CIGAR is requested).
 pub(crate) fn biwfa_align(
@@ -126,16 +157,19 @@ pub(crate) fn biwfa_align(
     opts: &WfaOptions,
     arena: &mut WavefrontArena,
 ) -> Result<WfaAlignment, WfaError> {
+    biwfa_top(seqs, opts, arena).map(|(aln, _)| aln)
+}
+
+/// [`biwfa_align`], reporting which path answered.
+fn biwfa_top(
+    seqs: SeqsRef<'_>,
+    opts: &WfaOptions,
+    arena: &mut WavefrontArena,
+) -> Result<(WfaAlignment, Answer), WfaError> {
     opts.penalties.validate().map_err(WfaError::BadPenalties)?;
     let p = opts.penalties;
 
-    // Phase 1: the exact optimal score, from a strictly-windowed
-    // score-only pass. Runs on the caller's representation (packed stays
-    // packed) and honors the caller's score limit.
-    let (target, mut stats) = exact_score(seqs, &p, opts.score_limit, arena)?;
-    let target = target as u64;
-
-    // Phases 2 and 3 run on plain bytes: the recursion needs arbitrary
+    // The meet and the recursion run on plain bytes: they need arbitrary
     // sub-slices and reversed copies, which the packed representation
     // cannot lend.
     let (a_buf, b_buf);
@@ -147,6 +181,46 @@ pub(crate) fn biwfa_align(
             (&a_buf, &b_buf)
         }
     };
+    let done = |score: u64, cigar: Cigar, stats: WfaStats| WfaAlignment {
+        score: score as u32,
+        cigar: Some(cigar),
+        stats,
+    };
+
+    let mut stats = WfaStats::default();
+    // Only the score pass enforces a score limit.
+    if opts.score_limit.is_none() {
+        if a.is_empty() || b.is_empty() || a.len() + b.len() <= EXACT_CUTOFF_LEN {
+            let mut cigar = Cigar::new();
+            let score = leaf(a, b, &p, arena, &mut cigar, &mut stats)?;
+            return Ok((done(score, cigar, stats), Answer::Exact));
+        }
+        let (cands, proven) = meet_phase(a, b, None, &p, arena, &mut stats)?;
+        if proven {
+            // The meet proved `v ≤ s*`, so a splice that re-scores to `v`
+            // is optimal (module doc).
+            let v = cands[0].value;
+            for cand in cands
+                .iter()
+                .take_while(|c| c.value == v)
+                .take(MAX_SPLIT_TRIES)
+            {
+                let mut cigar = Cigar::new();
+                let mut try_stats = stats;
+                if try_split(a, b, cand, &p, arena, &mut cigar, &mut try_stats)? == v {
+                    debug_assert!(cigar.check(a, b).is_ok(), "BiWFA produced an invalid CIGAR");
+                    return Ok((done(v, cigar, try_stats), Answer::Proven));
+                }
+            }
+        }
+    }
+
+    // Fallback: the exact optimal score from a strictly-windowed
+    // score-only pass, on the caller's representation (packed stays
+    // packed), honoring the caller's score limit.
+    let (target, score_stats) = exact_score(seqs, &p, opts.score_limit, arena)?;
+    absorb_stats(&mut stats, &score_stats);
+    let target = target as u64;
 
     let mut cigar = Cigar::new();
     let achieved = biwfa_rec(a, b, target, true, &p, arena, &mut cigar, &mut stats)?;
@@ -157,16 +231,12 @@ pub(crate) fn biwfa_align(
         // ground-truth optimum, and the exact fallback is optimal by
         // definition — so this is unreachable; keep a guarded fallback
         // rather than a panic in release builds.
-        debug_assert_eq!(achieved, target, "BiWFA diverged from the score phase");
+        debug_assert_eq!(achieved, target, "BiWFA diverged from the score pass");
         let (exact, _) = exact_node(a, b, &p, arena, &mut stats)?;
         cigar = exact;
     }
 
-    Ok(WfaAlignment {
-        score: target as u32,
-        cigar: Some(cigar),
-        stats,
-    })
+    Ok((done(target, cigar, stats), Answer::Scored))
 }
 
 /// The exact optimal score in strictly-bounded memory: a unidirectional
@@ -209,14 +279,40 @@ fn exact_node(
     ))
 }
 
+/// A recursion leaf, optimal by construction: the forced all-gap
+/// transcript when one side is empty, else the exact engine. Appends to
+/// `out` and returns the transcript's cost.
+fn leaf(
+    a: &[u8],
+    b: &[u8],
+    p: &Penalties,
+    arena: &mut WavefrontArena,
+    out: &mut Cigar,
+    stats: &mut WfaStats,
+) -> Result<u64, WfaError> {
+    let (n, m) = (a.len(), b.len());
+    if n == 0 || m == 0 {
+        if m > 0 {
+            out.push_run(Op::Ins, m as u32);
+        }
+        if n > 0 {
+            out.push_run(Op::Del, n as u32);
+        }
+        return Ok(p.gap_cost(n.max(m) as u32) as u64);
+    }
+    let (cigar, cost) = exact_node(a, b, p, arena, stats)?;
+    splice(out, &cigar);
+    Ok(cost)
+}
+
 /// Recursively align `a` vs `b`, appending the transcript to `out`.
 ///
 /// `expected` is the believed optimal cost of this subproblem. At the top
-/// level it comes from the score phase and is `trusted`: only splices that
-/// re-score to exactly `expected` are accepted. Below the top it is
-/// inherited from the parent's candidate — a hint that sizes the meet
-/// phase, not a trusted fact. Returns the actual re-scored cost of the
-/// appended transcript.
+/// of the fallback it comes from the score pass and is `trusted`: only
+/// splices that re-score to exactly `expected` are accepted. Below the top
+/// it is inherited from the parent's candidate — a hint that sizes the
+/// meet phase, not a trusted fact. Returns the actual re-scored cost of
+/// the appended transcript.
 #[allow(clippy::too_many_arguments)]
 fn biwfa_rec(
     a: &[u8],
@@ -228,32 +324,17 @@ fn biwfa_rec(
     out: &mut Cigar,
     stats: &mut WfaStats,
 ) -> Result<u64, WfaError> {
-    let n = a.len();
-    let m = b.len();
-
-    // Degenerate bases: one side empty — the transcript is forced.
-    if n == 0 || m == 0 {
-        if m > 0 {
-            out.push_run(Op::Ins, m as u32);
-        }
-        if n > 0 {
-            out.push_run(Op::Del, n as u32);
-        }
-        return Ok(p.gap_cost(n.max(m) as u32) as u64);
-    }
-
+    let (n, m) = (a.len(), b.len());
     let lookback = p.x.max(p.o + p.e) as u64;
     // Small or nearly-converged subproblems: full history is already
     // linear-memory at this scale, and this terminates the recursion.
-    if n + m <= EXACT_CUTOFF_LEN || expected <= 8 * lookback {
-        let (cigar, cost) = exact_node(a, b, p, arena, stats)?;
-        splice(out, &cigar);
-        return Ok(cost);
+    if n == 0 || m == 0 || n + m <= EXACT_CUTOFF_LEN || expected <= 8 * lookback {
+        return leaf(a, b, p, arena, out, stats);
     }
 
-    let mut candidates = meet_phase(a, b, expected, p, arena, stats)?;
+    let (mut candidates, _) = meet_phase(a, b, Some(expected), p, arena, stats)?;
     if trusted {
-        // The score phase already told us the optimum: a touch claiming
+        // The score pass already told us the optimum: a touch claiming
         // less is provably spurious, one claiming more is provably
         // suboptimal. Only exact-value splits are worth recursing on.
         candidates.retain(|c| c.value == expected);
@@ -431,14 +512,20 @@ impl<'s> Side<'s> {
 /// Drive a forward and a reverse [`WfaMachine`] toward each other and
 /// collect frontier-touch candidates, best (lowest value, then most
 /// balanced) first.
+///
+/// `expected` is the hint that sizes an interior node's meet; with none,
+/// the meet runs until it proves its lowest touch value a lower bound on
+/// the optimum (module doc). The flag is true when the meet stopped at its
+/// horizon — for a hint-free meet, exactly when that proof holds — and
+/// false when it stopped at the end cell, the score cap or a starved hint.
 fn meet_phase(
     a: &[u8],
     b: &[u8],
-    expected: u64,
+    expected: Option<u64>,
     p: &Penalties,
     arena: &mut WavefrontArena,
     stats: &mut WfaStats,
-) -> Result<Vec<Candidate>, WfaError> {
+) -> Result<(Vec<Candidate>, bool), WfaError> {
     meet_phase_with(a, b, expected, p, arena, stats, scan_touches)
 }
 
@@ -448,25 +535,37 @@ fn meet_phase(
 fn meet_phase_with<S>(
     a: &[u8],
     b: &[u8],
-    expected: u64,
+    expected: Option<u64>,
     p: &Penalties,
     arena: &mut WavefrontArena,
     stats: &mut WfaStats,
     mut scan: S,
-) -> Result<Vec<Candidate>, WfaError>
+) -> Result<(Vec<Candidate>, bool), WfaError>
 where
     S: FnMut(&Side<'_>, &Side<'_>, &Meet, bool, &mut Vec<Candidate>),
 {
     let lookback = p.x.max(p.o + p.e) as usize;
     // Retention window: a touch pairs the newest front on one side with a
     // front up to `window` scores old on the other. Optimal splits have a
-    // representative within `lookback + o` of perfect balance (consecutive
-    // split cells along a path differ by at most `max(x, o+e)` in cost,
-    // plus `o` once inside gap runs), so this window never ages one out.
+    // representative within `lookback` of perfect balance (module doc), so
+    // this window never ages one out.
     let window = lookback + p.o as usize + 4;
-    // Advance both sides to `horizon`: past the balanced representative of
-    // any optimal split, with slack for an imperfect `expected` hint.
-    let horizon = ((expected as usize + p.o as usize + window) / 2 + 2).max(window);
+    // The depth both sides must pass to hold every split of value `v`'s
+    // balanced representative, with slack for an imperfect hint.
+    let horizon = |v: u64| ((v as usize + p.o as usize + window) / 2 + 2).max(window);
+    // A hinted meet stops at its hint's horizon once anything touched. A
+    // hint-free one stops at the horizon of its lowest touch value, which
+    // proves that value a lower bound on the optimum; no alignment costs
+    // less than 0, so a touch of value 0 needs no steps at all.
+    let at_horizon = |cands: &[Candidate], depth: usize| {
+        let Some(v) = cands.iter().map(|c| c.value).min() else {
+            return false;
+        };
+        match expected {
+            Some(hint) => depth >= horizon(hint),
+            None => v == 0 || depth >= horizon(v),
+        }
+    };
     let meet = Meet {
         n: a.len(),
         m: b.len(),
@@ -489,8 +588,9 @@ where
     fwd.extend();
     rev.extend();
     scan(&fwd, &rev, &meet, true, &mut cands);
+    let mut stopped = at_horizon(&cands, 0);
 
-    loop {
+    while !stopped {
         phase_peak = phase_peak.max(fwd.mach.live_memory() + rev.mach.live_memory());
         let fwd_turn = fwd.mach.s <= rev.mach.s;
         let (mover, fixed) = if fwd_turn {
@@ -511,12 +611,10 @@ where
             scan(mover, fixed, &meet, fwd_turn, &mut cands);
         }
         let depth = fwd.mach.s.min(rev.mach.s);
-        if met_end || (depth >= horizon && !cands.is_empty()) {
-            break;
-        }
-        if depth >= 2 * horizon + 8 {
-            // Hint was badly low and nothing ever touched — bail to the
-            // exact fallback rather than crawl to the score cap.
+        stopped = at_horizon(&cands, depth);
+        if met_end || expected.is_some_and(|hint| depth >= 2 * horizon(hint) + 8) {
+            // The end cell, or a hint so low that nothing ever touched:
+            // bail to the caller's fallback rather than crawl to the cap.
             break;
         }
     }
@@ -530,7 +628,7 @@ where
     stats.peak_memory_bytes = stats.peak_memory_bytes.max(phase_peak);
 
     cands.sort_by_key(|c| (c.value, c.balance(), c.touch != Touch::Mm));
-    Ok(cands)
+    Ok((cands, stopped))
 }
 
 /// Scan `mover`'s newest (just-extended) front against every front still
@@ -790,20 +888,22 @@ mod tests {
         }
     }
 
-    /// Run the top-level meet of `a` vs `b` with the gated, blocked scan,
+    /// Run a top-level meet of `a` vs `b` with the gated, blocked scan,
     /// and after every scan check that the reference scan, fed the same
     /// machines, holds the identical candidate list (element for element,
-    /// in order). Returns the meet's sorted candidates.
-    fn meet_against_reference(a: &[u8], b: &[u8], p: &Penalties) -> Vec<Candidate> {
+    /// in order). The meet is hint-free, or `hinted` by the exact score as
+    /// the fallback's trusted meet is. Returns the meet's sorted
+    /// candidates.
+    fn meet_against_reference(a: &[u8], b: &[u8], p: &Penalties, hinted: bool) -> Vec<Candidate> {
         let mut arena = WavefrontArena::new();
         let mut stats = WfaStats::default();
-        let (expected, _) = exact_score(SeqsRef::Bytes(a, b), p, None, &mut arena).unwrap();
+        let (score, _) = exact_score(SeqsRef::Bytes(a, b), p, None, &mut arena).unwrap();
         let mut reference = Vec::new();
         let mut scans = 0usize;
-        let cands = meet_phase_with(
+        let (cands, _) = meet_phase_with(
             a,
             b,
-            expected as u64,
+            hinted.then_some(score as u64),
             p,
             &mut arena,
             &mut stats,
@@ -842,9 +942,11 @@ mod tests {
         for &(len, err, mix, p) in cases {
             let a = random_seq(len, &mut rng);
             let b = mutate_mix(&a, err, mix, &mut rng);
-            let cands = meet_against_reference(&a, &b, &p);
-            assert!(!cands.is_empty(), "len={len} err={err}% found no touch");
-            gap_touches += cands.iter().filter(|c| c.touch != Touch::Mm).count();
+            for hinted in [false, true] {
+                let cands = meet_against_reference(&a, &b, &p, hinted);
+                assert!(!cands.is_empty(), "len={len} err={err}% found no touch");
+                gap_touches += cands.iter().filter(|c| c.touch != Touch::Mm).count();
+            }
         }
         assert!(gap_touches > 0, "no I–I / D–D touch exercised");
     }
@@ -976,6 +1078,74 @@ mod tests {
         );
     }
 
+    /// The top level on `a` vs `b`: its answer, checked optimal against
+    /// the score-only pass, and which path gave it.
+    fn top(a: &[u8], b: &[u8], opts: &WfaOptions) -> (WfaAlignment, Answer) {
+        let mut arena = WavefrontArena::new();
+        let p = opts.penalties;
+        let (score, _) = exact_score(SeqsRef::Bytes(a, b), &p, None, &mut arena).unwrap();
+        let (aln, answer) = biwfa_top(SeqsRef::Bytes(a, b), opts, &mut arena).unwrap();
+        assert_eq!(aln.score, score, "{answer:?}");
+        let cigar = aln.cigar.as_ref().unwrap();
+        cigar.check(a, b).unwrap();
+        assert_eq!(cigar.score(&p), score as u64, "{answer:?}");
+        (aln, answer)
+    }
+
+    #[test]
+    fn the_meet_proves_a_hifi_pair_without_the_score_pass() {
+        let mut rng = SmallRng::seed_from_u64(0xB1F4_0028);
+        let a = random_seq(3000, &mut rng);
+        let b = mutate_mix(&a, 1, [95, 3, 2], &mut rng);
+        let (proven, answer) = top(&a, &b, &biwfa_opts());
+        assert_eq!(answer, Answer::Proven);
+        // A score limit forces the fallback: the score pass, then the same
+        // meet trusting its score. The proof skips that pass's cells and
+        // retains no more.
+        let limited = WfaOptions {
+            score_limit: Some(u32::MAX),
+            ..biwfa_opts()
+        };
+        let (scored, answer) = top(&a, &b, &limited);
+        assert_eq!(answer, Answer::Scored);
+        assert!(
+            proven.stats.cells_computed * 4 < scored.stats.cells_computed * 3,
+            "proven {} cells vs scored {}",
+            proven.stats.cells_computed,
+            scored.stats.cells_computed
+        );
+        assert_eq!(
+            proven.stats.peak_memory_bytes,
+            scored.stats.peak_memory_bytes
+        );
+    }
+
+    #[test]
+    fn a_meet_that_reaches_the_end_first_falls_back_and_stays_optimal() {
+        // Two mismatches: the forward side reaches the end cell at score 8,
+        // short of `horizon(8)`, so the meet proves nothing.
+        let mut rng = SmallRng::seed_from_u64(0xB1F4_0029);
+        let a = random_seq(1500, &mut rng);
+        let mut b = a.clone();
+        for pos in [400, 1100] {
+            b[pos] = if a[pos] == b'A' { b'C' } else { b'A' };
+        }
+        let (aln, answer) = top(&a, &b, &biwfa_opts());
+        assert_eq!(answer, Answer::Scored);
+        assert_eq!(aln.score, 2 * P.x);
+    }
+
+    #[test]
+    fn an_identical_pair_is_proven_at_score_zero() {
+        let mut rng = SmallRng::seed_from_u64(0xB1F4_002A);
+        let a = random_seq(1500, &mut rng);
+        let (aln, answer) = top(&a, &a, &biwfa_opts());
+        assert_eq!(answer, Answer::Proven);
+        assert_eq!(aln.cigar.unwrap().runs(), [(1500, Op::Match)]);
+        // The score-0 touch is proved at once: no machine steps.
+        assert_eq!(aln.stats.cells_computed, 0);
+    }
+
     #[test]
     fn score_only_biwfa_requests_use_the_windowed_engine() {
         let opts = WfaOptions {
@@ -1015,6 +1185,13 @@ mod tests {
             wfa_align(&a, &b, &opts),
             Err(WfaError::ScoreLimitExceeded { limit: 10 })
         ));
+        // Under a limit the top level runs the score pass first.
+        let b = mutate(&a, 1, &mut rng);
+        let limited = WfaOptions {
+            score_limit: Some(1_000),
+            ..biwfa_opts()
+        };
+        assert_eq!(top(&a, &b, &limited).1, Answer::Scored);
     }
 
     #[test]

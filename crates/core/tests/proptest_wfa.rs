@@ -280,28 +280,46 @@ fn biwfa_matches_exact_on_other_penalties() {
     });
 }
 
+/// `a` with `error_pct`% of its bases edited, the edit kind drawn by the
+/// `[substitute, insert, delete]` weights.
+fn edit(rng: &mut SmallRng, a: &[u8], error_pct: usize, mix: [usize; 3]) -> Vec<u8> {
+    let mut b = Vec::with_capacity(a.len() + a.len() / 4);
+    for &ch in a {
+        if rng.gen_range(0, 100) >= error_pct {
+            b.push(ch);
+            continue;
+        }
+        let pick = rng.gen_range(0, mix.iter().sum());
+        if pick < mix[0] {
+            b.push(*rng.pick(BASES));
+        } else if pick < mix[0] + mix[1] {
+            b.extend([*rng.pick(BASES), ch]);
+        }
+    }
+    b
+}
+
 /// BiWFA stays exact past the exact cutoff (`n + m` > 1,024), where the
-/// meet phase and its touch scan actually run: pairs of 1,100–3,000 total
-/// bases at 1–10% error, `a` longer than `b` on even cases and shorter on
-/// odd ones, under random penalties (a free gap open on every fourth case,
-/// odd costs throughout) so I–I and D–D touches occur.
+/// meet phase and its touch scan actually run and the top level must
+/// prove its answer: pairs of 1,100–3,600 total bases at 1–30% error,
+/// gap-only edits on every third case, one side cut to two thirds of its
+/// length on every fifth, `a` longer than `b` on even cases and shorter
+/// on odd ones, under random penalties (a free gap open on every fourth
+/// case, odd costs throughout) so I–I and D–D touches occur.
 #[test]
 fn biwfa_matches_exact_past_the_exact_cutoff() {
-    cases(24, 0x57FA_0023, |rng, case| {
-        let len = rng.gen_range(580, 1481);
+    cases(30, 0x57FA_0023, |rng, case| {
+        let len = rng.gen_range(700, 1481);
         let mut a: Vec<u8> = (0..len).map(|_| *rng.pick(BASES)).collect();
-        let error_pct = rng.gen_range(1, 11);
-        let mut b = Vec::with_capacity(len + len / 8);
-        for &ch in &a {
-            if rng.gen_range(0, 100) >= error_pct {
-                b.push(ch);
-                continue;
-            }
-            match rng.gen_range(0, 3) {
-                0 => b.push(*rng.pick(BASES)),
-                1 => b.extend([*rng.pick(BASES), ch]),
-                _ => {}
-            }
+        let error_pct = if case % 2 == 0 {
+            rng.gen_range(1, 11)
+        } else {
+            rng.gen_range(10, 31)
+        };
+        let gap_only = case % 3 == 0;
+        let mut b = edit(rng, &a, error_pct, [!gap_only as usize, 1, 1]);
+        if case % 5 == 0 {
+            b.truncate(b.len() * 2 / 3);
         }
         if a.len() == b.len() {
             b.push(*rng.pick(BASES));
@@ -309,7 +327,7 @@ fn biwfa_matches_exact_past_the_exact_cutoff() {
         if (a.len() > b.len()) != (case % 2 == 0) {
             std::mem::swap(&mut a, &mut b);
         }
-        assert!((1_100..=3_000).contains(&(a.len() + b.len())));
+        assert!((1_100..=3_600).contains(&(a.len() + b.len())));
 
         let x = rng.gen_range(1, 8) as u32;
         let o = if case % 4 == 0 {
@@ -324,13 +342,63 @@ fn biwfa_matches_exact_past_the_exact_cutoff() {
         assert_eq!(
             bi.score,
             exact.score,
-            "{p:?} |a|={} |b|={}",
+            "{p:?} |a|={} |b|={} {error_pct}%",
             a.len(),
             b.len()
         );
         let cigar = bi.cigar.unwrap();
         cigar.check(&a, &b).unwrap();
         assert_eq!(cigar.score(&p), exact.score as u64, "{p:?}");
+    });
+}
+
+/// BiWFA's optimality over a wide grid: 1,000 pairs of 0.5–3 kb across
+/// ten penalty sets (three with a free gap open), five edit profiles
+/// (balanced, substitution-, insertion- and deletion-heavy, gap-only),
+/// 1–30% error, and skewed lengths (`b` cut to two thirds of its length
+/// on every fourth pair). Each answer's score equals the score-only exact
+/// WFA, and its CIGAR is a valid transcript that rescores to it.
+///
+/// Ignored by default: it takes ~20 s in release and minutes in a debug
+/// build, so CI runs it in release with `--ignored`.
+#[test]
+#[ignore]
+fn biwfa_stress_grid() {
+    const SETS: [(u32, u32, u32); 10] = [
+        (4, 6, 2),
+        (1, 0, 1),
+        (3, 0, 1),
+        (5, 7, 3),
+        (2, 3, 1),
+        (4, 4, 2),
+        (6, 5, 3),
+        (1, 1, 1),
+        (7, 9, 4),
+        (2, 0, 2),
+    ];
+    // [substitute, insert, delete] weights.
+    const MIXES: [[usize; 3]; 5] = [[1, 1, 1], [90, 5, 5], [10, 80, 10], [10, 10, 80], [0, 1, 1]];
+    cases(1_000, 0x57FA_0028, |rng, case| {
+        let (x, o, e) = SETS[case % SETS.len()];
+        let p = Penalties::new(x, o, e).unwrap();
+        let mix = MIXES[(case / SETS.len()) % MIXES.len()];
+        let error_pct = *rng.pick(&[1, 2, 3, 5, 10, 15, 20, 30]);
+        let len = rng.gen_range(500, 3_001);
+        let a: Vec<u8> = (0..len).map(|_| *rng.pick(BASES)).collect();
+        let mut b = edit(rng, &a, error_pct, mix);
+        if case % 4 == 3 {
+            b.truncate(b.len() * 2 / 3);
+        }
+        let want = wfa_align(&a, &b, &WfaOptions::score_only(p)).unwrap().score;
+        let bi = wfa_align(&a, &b, &WfaOptions::biwfa(p)).unwrap();
+        let why = format!(
+            "case {case} {p:?} mix={mix:?} {error_pct}% |a|={len} |b|={}",
+            b.len()
+        );
+        assert_eq!(bi.score, want, "{why}");
+        let cigar = bi.cigar.unwrap();
+        cigar.check(&a, &b).unwrap();
+        assert_eq!(cigar.score(&p), want as u64, "{why}");
     });
 }
 

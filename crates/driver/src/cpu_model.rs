@@ -87,65 +87,48 @@ impl CpuCosts {
     }
 }
 
-/// CPU-side backtrace cost model (paper §4.5 and Fig. 11).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BacktraceCosts {
-    /// Fixed cycles per alignment: driver result handling, locating the
-    /// alignment's stream, setting up the walk (dominates short reads —
-    /// the paper's 2.8x BT speedup at 100-5% implies the CPU side dwarfs
-    /// the 214-cycle accelerator alignment).
-    pub per_alignment: f64,
-    /// Additional fixed cycles per alignment when the data-separation
-    /// method runs (per-alignment region allocation and bookkeeping; the
-    /// paper's Fig. 11 shows ~6.7x no-separation advantage even for 100bp
-    /// pairs whose streams are a few hundred bytes, implying a large fixed
-    /// separation cost).
-    pub separation_per_alignment: f64,
-    /// Data-separation throughput: cycles per byte moved (read + bucket
-    /// write on a single in-order core, mostly DRAM-bound).
-    pub separation_cycles_per_byte: f64,
-    /// Cycles per transaction for boundary identification in the
-    /// no-separation method (header decode only).
-    pub boundary_cycles_per_txn: f64,
-    /// Cycles per origin-walk step (block locate + bit extract; random
-    /// access, frequently missing the caches).
-    pub walk_cycles_per_edit: f64,
-    /// Cycles per base during match insertion (sequential compare).
-    pub insert_cycles_per_base: f64,
-}
+// CPU-side backtrace cost model (paper §4.5 and Fig. 11), in cycles.
 
-impl Default for BacktraceCosts {
-    fn default() -> Self {
-        BacktraceCosts {
-            per_alignment: 9_000.0,
-            separation_per_alignment: 60_000.0,
-            separation_cycles_per_byte: 25.0,
-            boundary_cycles_per_txn: 3.0,
-            walk_cycles_per_edit: 120.0,
-            insert_cycles_per_base: 3.0,
-        }
-    }
-}
+/// Fixed cycles per alignment: driver result handling, locating the
+/// alignment's stream, setting up the walk (dominates short reads — the
+/// paper's 2.8x BT speedup at 100-5% implies the CPU side dwarfs the
+/// 214-cycle accelerator alignment).
+const BT_PER_ALIGNMENT: f64 = 9_000.0;
+/// Additional fixed cycles per alignment when the data-separation method
+/// runs (per-alignment region allocation and bookkeeping; the paper's
+/// Fig. 11 shows ~6.7x no-separation advantage even for 100bp pairs whose
+/// streams are a few hundred bytes, implying a large fixed separation
+/// cost).
+const BT_SEPARATION_PER_ALIGNMENT: f64 = 60_000.0;
+/// Data-separation throughput: cycles per byte moved (read + bucket write
+/// on a single in-order core, mostly DRAM-bound).
+const BT_SEPARATION_CYCLES_PER_BYTE: f64 = 25.0;
+/// Cycles per transaction for boundary identification in the
+/// no-separation method (header decode only).
+const BT_BOUNDARY_CYCLES_PER_TXN: f64 = 3.0;
+/// Cycles per origin-walk step (block locate + bit extract; random access,
+/// frequently missing the caches).
+const BT_WALK_CYCLES_PER_EDIT: f64 = 120.0;
+/// Cycles per base during match insertion (sequential compare).
+const BT_INSERT_CYCLES_PER_BASE: f64 = 3.0;
 
-impl BacktraceCosts {
-    /// Cycles to backtrace one alignment on the CPU.
-    ///
-    /// * `bt_bytes` — this alignment's share of the backtrace stream;
-    /// * `edits` — mismatches + gap bases (origin-walk steps);
-    /// * `seq_bases` — `|a| + |b|` (match insertion);
-    /// * `separate` — multi-Aligner data separation needed?
-    pub fn cycles(&self, bt_bytes: u64, edits: u64, seq_bases: u64, separate: bool) -> Cycle {
-        let txns = bt_bytes / 16;
-        let locate = if separate {
-            // Read everything, copy into per-alignment regions.
-            self.separation_per_alignment + bt_bytes as f64 * self.separation_cycles_per_byte
-        } else {
-            txns as f64 * self.boundary_cycles_per_txn
-        };
-        let walk = edits as f64 * self.walk_cycles_per_edit;
-        let insert = seq_bases as f64 * self.insert_cycles_per_base;
-        (self.per_alignment + locate + walk + insert) as Cycle
-    }
+/// Cycles to backtrace one device alignment on the CPU.
+///
+/// * `bt_bytes` — this alignment's share of the backtrace stream;
+/// * `edits` — mismatches + gap bases (origin-walk steps);
+/// * `seq_bases` — `|a| + |b|` (match insertion);
+/// * `separate` — multi-Aligner data separation needed?
+pub fn backtrace_cycles(bt_bytes: u64, edits: u64, seq_bases: u64, separate: bool) -> Cycle {
+    let txns = bt_bytes / 16;
+    let locate = if separate {
+        // Read everything, copy into per-alignment regions.
+        BT_SEPARATION_PER_ALIGNMENT + bt_bytes as f64 * BT_SEPARATION_CYCLES_PER_BYTE
+    } else {
+        txns as f64 * BT_BOUNDARY_CYCLES_PER_TXN
+    };
+    let walk = edits as f64 * BT_WALK_CYCLES_PER_EDIT;
+    let insert = seq_bases as f64 * BT_INSERT_CYCLES_PER_BASE;
+    (BT_PER_ALIGNMENT + locate + walk + insert) as Cycle
 }
 
 /// Cycles for a pure-software backtrace following a software WFA run (the
@@ -229,10 +212,9 @@ mod tests {
 
     #[test]
     fn separation_dominates_for_big_streams() {
-        let b = BacktraceCosts::default();
         let big = 8 << 20; // ~8 MB of BT data (10K-10% pair)
-        let sep = b.cycles(big, 6_000, 20_000, true);
-        let nosep = b.cycles(big, 6_000, 20_000, false);
+        let sep = backtrace_cycles(big, 6_000, 20_000, true);
+        let nosep = backtrace_cycles(big, 6_000, 20_000, false);
         assert!(
             sep as f64 / nosep as f64 > 10.0,
             "separation must dwarf the no-separation method: {sep} vs {nosep}"
@@ -243,9 +225,8 @@ mod tests {
     fn small_streams_pay_the_fixed_separation_cost() {
         // Fig. 11: even 100bp streams see a ~6.7x no-separation advantage,
         // so separation must carry a large fixed per-alignment cost.
-        let b = BacktraceCosts::default();
-        let sep = b.cycles(2_000, 10, 200, true);
-        let nosep = b.cycles(2_000, 10, 200, false);
+        let sep = backtrace_cycles(2_000, 10, 200, true);
+        let nosep = backtrace_cycles(2_000, 10, 200, false);
         assert!(sep > nosep * 3, "sep {sep} vs nosep {nosep}");
         assert!(sep < nosep * 20, "but bounded for tiny streams");
     }

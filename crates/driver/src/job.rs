@@ -24,7 +24,7 @@ use crate::backend::{AlignPolicy, CpuWfaBackend};
 use crate::backtrace::{
     backtrace_alignment_packed, separate_stream, split_consecutive_stream, BtAlignment, BtError,
 };
-use crate::cpu_model::BacktraceCosts;
+use crate::cpu_model::backtrace_cycles;
 use wfasic_accel::device::{RunReport, WfasicDevice};
 use wfasic_accel::regs::offsets;
 use wfasic_accel::schedule::WavefrontSchedule;
@@ -309,7 +309,6 @@ fn parse_results(
 
     let cfg = &lane.device.cfg;
     let (p, ps) = (cfg.penalties, cfg.parallel_sections);
-    let costs = BacktraceCosts::default();
     let mut cycles: Cycle = 0;
     let mut results = Vec::with_capacity(pairs.len());
     for pair in pairs {
@@ -326,7 +325,7 @@ fn parse_results(
             continue;
         };
         let cigar = backtrace_alignment_packed(lane.schedule, bt, pa, pb, &p, ps)?;
-        cycles += costs.cycles(
+        cycles += backtrace_cycles(
             (bt.txns * 16) as u64,
             cigar.stats().edits(),
             (pair.a.len() + pair.b.len()) as u64,

@@ -41,6 +41,6 @@ pub use backend::{
 pub use backtrace::{backtrace_alignment_packed, BtAlignment, BtError, Edit};
 pub use batch::{BatchJob, BatchResult, BatchScheduler, LaneHealth, LaneState};
 pub use codesign::{run_experiment, ExperimentResult};
-pub use cpu_model::{software_backtrace_cycles, BacktraceCosts, CpuCosts};
+pub use cpu_model::{backtrace_cycles, software_backtrace_cycles, CpuCosts};
 pub use faults::{FaultClass, FaultLayer, Provenance};
 pub use riscv_backend::RiscvBackend;

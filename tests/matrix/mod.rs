@@ -10,8 +10,8 @@
 //!   three penalty sets over the differential shapes (224 pairs per shape,
 //!   jobs of 28), the paper's six input-set shapes with backtrace on and
 //!   off, random mutated pairs of 0–120 bp (empty sides included) in jobs
-//!   of one and of two to five pairs, and one PacBio HiFi pair past
-//!   BiWFA's exact cutoff. A slice's SWG scores are computed once, on
+//!   of one and of two to five pairs, and one PacBio HiFi and one
+//!   Nanopore pair past BiWFA's exact cutoff. A slice's SWG scores are computed once, on
 //!   first use.
 //! * Each **row** is an engine behind the streaming service, built once
 //!   per penalty set and reused for every slice it admits. It declares its
@@ -57,7 +57,8 @@ pub enum Kind {
     RandomOne,
     /// Random mutated pairs, 2–5 pairs per job.
     RandomFew,
-    /// One 2–6 kb HiFi pair, past BiWFA's 1,024-base exact cutoff.
+    /// One 2–6 kb HiFi pair and one 2.5 kb Nanopore pair, past BiWFA's
+    /// 1,024-base exact cutoff.
     HiFi,
 }
 
@@ -479,11 +480,16 @@ fn grid() -> &'static [Slice] {
             let jobs = random_jobs(seed, sizes);
             grid.push(slice(kind, name, seed, default, 0, backtrace, jobs));
         }
+        // Long reads past BiWFA's exact cutoff: a HiFi pair, and a 2.5 kb
+        // gap-heavy Nanopore pair whose top-level meet proves its optimum
+        // on a D–D touch.
         let seed = 0xB1F4;
         let hifi = Technology::PacBioHifi.pairs_with_nominal(1, seed, 4_000);
-        assert!(hifi[0].a.len().min(hifi[0].b.len()) > 1_024);
-        let name = "hifi 2-6kb".to_string();
-        grid.push(slice(HiFi, name, seed, default, 4_000, true, vec![hifi]));
+        let ont = Technology::Nanopore.pairs_with_nominal(1, 0x0A87, 2_000);
+        let jobs = vec![hifi, ont];
+        assert!(jobs.iter().all(|j| j[0].a.len().min(j[0].b.len()) > 1_024));
+        let name = "hifi 2-6kb + nanopore 2.5kb (seed 0xa87)".to_string();
+        grid.push(slice(HiFi, name, seed, default, 4_000, true, jobs));
         grid
     })
 }
