@@ -108,8 +108,8 @@ mod tests {
         let b = b"GATCACAGATTACAGAATTACAGATTCA";
         let exact = swg_score(a, b, &P);
         let opts = WfaOptions {
-            adaptive: Some(AdaptiveParams::default()),
-            ..WfaOptions::score_only(P)
+            compute_cigar: false,
+            ..WfaOptions::adaptive(P, AdaptiveParams::default())
         };
         let adaptive = wfa_align(a, b, &opts).unwrap();
         assert!(adaptive.score as u64 >= exact);
@@ -126,12 +126,13 @@ mod tests {
         let insert: Vec<u8> = (0..60).map(|i| b"TTGG"[i % 4]).collect();
         b.splice(120..120, insert);
         let exact = wfa_align(&a, &b, &WfaOptions::score_only(P)).unwrap();
+        let params = AdaptiveParams {
+            min_wavefront_length: 4,
+            max_distance_threshold: 8,
+        };
         let opts = WfaOptions {
-            adaptive: Some(AdaptiveParams {
-                min_wavefront_length: 4,
-                max_distance_threshold: 8,
-            }),
-            ..WfaOptions::score_only(P)
+            compute_cigar: false,
+            ..WfaOptions::adaptive(P, params)
         };
         let pruned = wfa_align(&a, &b, &opts).unwrap();
         assert!(pruned.score >= exact.score);
@@ -149,12 +150,13 @@ mod tests {
         let mut b = a.clone();
         b[50] = b'A';
         b[51] = b'A';
+        let params = AdaptiveParams {
+            min_wavefront_length: 2,
+            max_distance_threshold: 10,
+        };
         let opts = WfaOptions {
-            adaptive: Some(AdaptiveParams {
-                min_wavefront_length: 2,
-                max_distance_threshold: 10,
-            }),
-            ..WfaOptions::score_only(P)
+            compute_cigar: false,
+            ..WfaOptions::adaptive(P, params)
         };
         let r = wfa_align(&a, &b, &opts).unwrap();
         assert!(r.score as u64 >= swg_score(&a, &b, &P));

@@ -19,20 +19,22 @@
 //! 2. **Recurse + verify** — the value-`v` candidates are tried in balance
 //!    order: the pair is split at the candidate cell, both halves are
 //!    aligned recursively, and the spliced CIGAR is *re-scored as a
-//!    whole*. The top level accepts a splice only if it re-scores to
-//!    exactly `v`. Below the top, a child's meet is sized by the hint its
-//!    parent's candidate claimed, and a splice that re-scores no worse
-//!    than its candidate is accepted. Candidates that fail are discarded
-//!    and the next is tried; an interior node that runs out of candidates
-//!    falls back to the exact full-history engine (correct, just not
-//!    linear-memory for that — empirically rare — subtree).
-//! 3. **Fallback** — when the top level has no proof (no value-`v` splice
-//!    re-scores to `v`, the meet ran into the end cell or the score cap,
-//!    or the request sets a score limit), a unidirectional *score-only*
-//!    pass (windowed to the penalty lookback, hence linear memory)
-//!    establishes the exact optimal score `s*`, and the recursion reruns
-//!    trusting it: only splices that re-score to exactly `s*` are
-//!    accepted, with the exact engine as the last resort.
+//!    whole*. A splice is accepted only if it re-scores no worse than its
+//!    candidate, which at the top level means exactly `v`. Below the top,
+//!    a child's meet is sized by the hint its parent's candidate claimed.
+//!    Candidates that fail are discarded and the next is tried; a node
+//!    that runs out of candidates, the top level included, falls back to
+//!    the exact full-history engine (correct, just not linear-memory for
+//!    that — empirically rare — subtree).
+//!
+//! The top level ends in one of three ways. Its meet proves `v` as above.
+//! Or its mover reaches the end cell before the proof: that score is the
+//! optimum, small enough to lie below its own horizon, and the whole pair
+//! goes to the exact engine. Or, under a score limit, both sides pass
+//! `horizon(limit)` with no touch at or below the limit, which proves
+//! `s* > limit` (below), and the call fails with
+//! [`WfaError::ScoreLimitExceeded`], as does a proven or end-cell score
+//! above the limit.
 //!
 //! **Why the meet's stop proves the optimum.** Walk an optimal path and
 //! split it between two operations (an M–M split, prefix cost `c1`,
@@ -49,7 +51,10 @@
 //! (or at once when `v = 0`). Then `v ≤ s*`: were `s*` below `v`,
 //! `horizon(s*) ≤ horizon(v)` and its touch would already hold the
 //! minimum. A value-`v` candidate whose splice re-scores to exactly `v`
-//! is a real alignment, so `v ≥ s*` as well: it is optimal.
+//! is a real alignment, so `v ≥ s*` as well: it is optimal. A score limit
+//! reads the same argument backwards: were `s* ≤ limit`, a touch of value
+//! `s*` would be recorded by `horizon(limit)`, so a meet past that depth
+//! with no touch at or below the limit shows `s* > limit`.
 //!
 //! Small subproblems (`n + m ≤ 1 kb`, or at an interior node an expected
 //! score within a few penalty lookbacks) drop straight to the exact
@@ -140,14 +145,13 @@ fn absorb_stats(lhs: &mut WfaStats, rhs: &WfaStats) {
 /// Which path answered a top-level [`biwfa_top`] call.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Answer {
-    /// Optimal by construction: a forced all-gap transcript, or the exact
-    /// engine at or below [`EXACT_CUTOFF_LEN`].
+    /// A [`leaf`] on the whole pair, optimal by construction: at or below
+    /// [`EXACT_CUTOFF_LEN`], a meet that reached the end cell before its
+    /// proof, or a proof no splice verified.
     Exact,
     /// The hint-free meet proved its lowest touch value optimal, and a
     /// candidate's splice re-scored to it.
     Proven,
-    /// The score pass, the trusted recursion and the exact fallback.
-    Scored,
 }
 
 /// Entry point for the `BiWfa` strategy (called by
@@ -157,15 +161,23 @@ pub(crate) fn biwfa_align(
     opts: &WfaOptions,
     arena: &mut WavefrontArena,
 ) -> Result<WfaAlignment, WfaError> {
-    biwfa_top(seqs, opts, arena).map(|(aln, _)| aln)
+    let mut stats = WfaStats::default();
+    let (score, cigar, _) = biwfa_top(seqs, opts, arena, &mut stats)?;
+    Ok(WfaAlignment {
+        score: score as u32,
+        cigar: Some(cigar),
+        stats,
+    })
 }
 
-/// [`biwfa_align`], reporting which path answered.
+/// [`biwfa_align`], reporting which path answered. Work stats accumulate
+/// in `stats`, also when the score limit is exceeded.
 fn biwfa_top(
     seqs: SeqsRef<'_>,
     opts: &WfaOptions,
     arena: &mut WavefrontArena,
-) -> Result<(WfaAlignment, Answer), WfaError> {
+    stats: &mut WfaStats,
+) -> Result<(u64, Cigar, Answer), WfaError> {
     opts.penalties.validate().map_err(WfaError::BadPenalties)?;
     let p = opts.penalties;
 
@@ -181,107 +193,43 @@ fn biwfa_top(
             (&a_buf, &b_buf)
         }
     };
-    let done = |score: u64, cigar: Cigar, stats: WfaStats| WfaAlignment {
-        score: score as u32,
-        cigar: Some(cigar),
-        stats,
+    let over = |score: u64| match opts.score_limit {
+        Some(limit) if score > u64::from(limit) => Err(WfaError::ScoreLimitExceeded { limit }),
+        _ => Ok(()),
     };
 
-    let mut stats = WfaStats::default();
-    // Only the score pass enforces a score limit.
-    if opts.score_limit.is_none() {
-        if a.is_empty() || b.is_empty() || a.len() + b.len() <= EXACT_CUTOFF_LEN {
-            let mut cigar = Cigar::new();
-            let score = leaf(a, b, &p, arena, &mut cigar, &mut stats)?;
-            return Ok((done(score, cigar, stats), Answer::Exact));
-        }
-        let (cands, proven) = meet_phase(a, b, None, &p, arena, &mut stats)?;
-        if proven {
+    let mut cigar = Cigar::new();
+    let mut proven = None;
+    if !a.is_empty() && !b.is_empty() && a.len() + b.len() > EXACT_CUTOFF_LEN {
+        let (cands, stop) = meet_phase(a, b, Goal::Prove(opts.score_limit), &p, arena, stats)?;
+        match stop {
+            Stop::OverLimit(limit) => return Err(WfaError::ScoreLimitExceeded { limit }),
+            // The end cell's score is the optimum, below the horizon.
+            Stop::End(score) => over(score)?,
             // The meet proved `v ≤ s*`, so a splice that re-scores to `v`
             // is optimal (module doc).
-            let v = cands[0].value;
-            for cand in cands
-                .iter()
-                .take_while(|c| c.value == v)
-                .take(MAX_SPLIT_TRIES)
-            {
-                let mut cigar = Cigar::new();
-                let mut try_stats = stats;
-                if try_split(a, b, cand, &p, arena, &mut cigar, &mut try_stats)? == v {
-                    debug_assert!(cigar.check(a, b).is_ok(), "BiWFA produced an invalid CIGAR");
-                    return Ok((done(v, cigar, try_stats), Answer::Proven));
-                }
+            Stop::Horizon => {
+                let v = cands[0].value;
+                let tier = cands.iter().take_while(|c| c.value == v).count();
+                proven = try_splits(a, b, &cands[..tier], &p, arena, &mut cigar, stats)?;
             }
+            // Only a hinted meet starves; the leaf answers regardless.
+            Stop::Starved => {}
         }
     }
-
-    // Fallback: the exact optimal score from a strictly-windowed
-    // score-only pass, on the caller's representation (packed stays
-    // packed), honoring the caller's score limit.
-    let (target, score_stats) = exact_score(seqs, &p, opts.score_limit, arena)?;
-    absorb_stats(&mut stats, &score_stats);
-    let target = target as u64;
-
-    let mut cigar = Cigar::new();
-    let achieved = biwfa_rec(a, b, target, true, &p, arena, &mut cigar, &mut stats)?;
+    let (score, answer) = match proven {
+        Some(score) => (score, Answer::Proven),
+        None => (leaf(a, b, &p, arena, &mut cigar, stats)?, Answer::Exact),
+    };
+    over(score)?;
     debug_assert!(cigar.check(a, b).is_ok(), "BiWFA produced an invalid CIGAR");
-
-    if achieved != target {
-        // Every splice the recursion could have accepted re-scores to the
-        // ground-truth optimum, and the exact fallback is optimal by
-        // definition — so this is unreachable; keep a guarded fallback
-        // rather than a panic in release builds.
-        debug_assert_eq!(achieved, target, "BiWFA diverged from the score pass");
-        let (exact, _) = exact_node(a, b, &p, arena, &mut stats)?;
-        cigar = exact;
-    }
-
-    Ok((done(target, cigar, stats), Answer::Scored))
-}
-
-/// The exact optimal score in strictly-bounded memory: a unidirectional
-/// score-only machine that retains only the penalty-lookback window.
-fn exact_score(
-    seqs: SeqsRef<'_>,
-    p: &Penalties,
-    score_limit: Option<u32>,
-    arena: &mut WavefrontArena,
-) -> Result<(u32, WfaStats), WfaError> {
-    let lookback = p.x.max(p.o + p.e) as usize;
-    let mut mach = WfaMachine::new(seqs, *p, None, score_limit, arena);
-    loop {
-        if mach.extend_current() && mach.reached_end() {
-            let (score, stats) = (mach.s as u32, mach.stats);
-            mach.finish(arena);
-            return Ok((score, stats));
-        }
-        if let Err(e) = mach.step(arena, Retention::Strict(lookback)) {
-            mach.finish(arena);
-            return Err(e);
-        }
-    }
-}
-
-/// Align `a` vs `b` exactly (full-history engine), absorbing its work
-/// stats. Returns the CIGAR and its exact cost.
-fn exact_node(
-    a: &[u8],
-    b: &[u8],
-    p: &Penalties,
-    arena: &mut WavefrontArena,
-    stats: &mut WfaStats,
-) -> Result<(Cigar, u64), WfaError> {
-    let r = wfa_align_seqs_ref(SeqsRef::Bytes(a, b), &WfaOptions::exact(*p), arena)?;
-    absorb_stats(stats, &r.stats);
-    Ok((
-        r.cigar.expect("exact mode produces a CIGAR"),
-        r.score as u64,
-    ))
+    Ok((score, cigar, answer))
 }
 
 /// A recursion leaf, optimal by construction: the forced all-gap
-/// transcript when one side is empty, else the exact engine. Appends to
-/// `out` and returns the transcript's cost.
+/// transcript when one side is empty, else the exact full-history engine,
+/// whose work stats it absorbs. Appends to `out` and returns the
+/// transcript's cost.
 fn leaf(
     a: &[u8],
     b: &[u8],
@@ -300,25 +248,21 @@ fn leaf(
         }
         return Ok(p.gap_cost(n.max(m) as u32) as u64);
     }
-    let (cigar, cost) = exact_node(a, b, p, arena, stats)?;
-    splice(out, &cigar);
-    Ok(cost)
+    let r = wfa_align_seqs_ref(SeqsRef::Bytes(a, b), &WfaOptions::exact(*p), arena)?;
+    absorb_stats(stats, &r.stats);
+    splice(out, r.cigar.as_ref().expect("exact mode produces a CIGAR"));
+    Ok(r.score as u64)
 }
 
 /// Recursively align `a` vs `b`, appending the transcript to `out`.
 ///
-/// `expected` is the believed optimal cost of this subproblem. At the top
-/// of the fallback it comes from the score pass and is `trusted`: only
-/// splices that re-score to exactly `expected` are accepted. Below the top
-/// it is inherited from the parent's candidate — a hint that sizes the
-/// meet phase, not a trusted fact. Returns the actual re-scored cost of
-/// the appended transcript.
-#[allow(clippy::too_many_arguments)]
+/// `expected` is the cost the parent's candidate claimed for this
+/// subproblem: a hint that sizes the meet phase, not a trusted fact.
+/// Returns the actual re-scored cost of the appended transcript.
 fn biwfa_rec(
     a: &[u8],
     b: &[u8],
     expected: u64,
-    trusted: bool,
     p: &Penalties,
     arena: &mut WavefrontArena,
     out: &mut Cigar,
@@ -331,42 +275,45 @@ fn biwfa_rec(
     if n == 0 || m == 0 || n + m <= EXACT_CUTOFF_LEN || expected <= 8 * lookback {
         return leaf(a, b, p, arena, out, stats);
     }
-
-    let (mut candidates, _) = meet_phase(a, b, Some(expected), p, arena, stats)?;
-    if trusted {
-        // The score pass already told us the optimum: a touch claiming
-        // less is provably spurious, one claiming more is provably
-        // suboptimal. Only exact-value splits are worth recursing on.
-        candidates.retain(|c| c.value == expected);
+    let (cands, _) = meet_phase(a, b, Goal::Hint(expected), p, arena, stats)?;
+    match try_splits(a, b, &cands, p, arena, out, stats)? {
+        Some(cost) => Ok(cost),
+        // No candidate verified (or none found): exact fallback.
+        // Correctness is unaffected; only this subtree loses the memory
+        // bound.
+        None => leaf(a, b, p, arena, out, stats),
     }
+}
 
-    // Try the most balanced candidates first: balanced splits halve the
+/// Try up to [`MAX_SPLIT_TRIES`] of `cands`, in order, and accept the
+/// first splice that re-scores no worse than its candidate's value,
+/// appending it to `out` and returning its cost. A splice is a real
+/// alignment of the pair, so it can never cost less than the optimum:
+/// accepting `got ≤ value` keeps only genuine witnesses. Tries that fail
+/// leave `out` and `stats` untouched.
+fn try_splits(
+    a: &[u8],
+    b: &[u8],
+    cands: &[Candidate],
+    p: &Penalties,
+    arena: &mut WavefrontArena,
+    out: &mut Cigar,
+    stats: &mut WfaStats,
+) -> Result<Option<u64>, WfaError> {
+    // Balanced splits come first (the meet's sort): they halve the
     // problem, and their touch cells sit where the two frontiers met —
     // overwhelmingly a cell of an optimal path.
-    for cand in candidates.iter().take(MAX_SPLIT_TRIES) {
+    for cand in cands.iter().take(MAX_SPLIT_TRIES) {
         let mut spliced = Cigar::new();
         let mut try_stats = *stats;
         let got = try_split(a, b, cand, p, arena, &mut spliced, &mut try_stats)?;
-        // A splice is a real alignment of the full pair, so `got` can
-        // never be below this subproblem's true optimum: accepting
-        // `got <= cand.value` keeps only genuine witnesses.
-        let accept = if trusted {
-            got == expected
-        } else {
-            got <= cand.value
-        };
-        if accept {
+        if got <= cand.value {
             *stats = try_stats;
             splice(out, &spliced);
-            return Ok(got);
+            return Ok(Some(got));
         }
     }
-
-    // No candidate verified (or none found): exact fallback. Correctness
-    // is unaffected; only this subtree loses the memory bound.
-    let (cigar, cost) = exact_node(a, b, p, arena, stats)?;
-    splice(out, &cigar);
-    Ok(cost)
+    Ok(None)
 }
 
 /// Split at `cand` and align both halves recursively; appends to `out`
@@ -383,42 +330,24 @@ fn try_split(
     let (i, j) = (cand.i, cand.j);
     match cand.touch {
         Touch::Mm => {
-            biwfa_rec(
-                &a[..i],
-                &b[..j],
-                cand.c_fwd as u64,
-                false,
-                p,
-                arena,
-                out,
-                stats,
-            )?;
-            biwfa_rec(
-                &a[i..],
-                &b[j..],
-                cand.c_rev as u64,
-                false,
-                p,
-                arena,
-                out,
-                stats,
-            )?;
+            biwfa_rec(&a[..i], &b[..j], cand.c_fwd as u64, p, arena, out, stats)?;
+            biwfa_rec(&a[i..], &b[j..], cand.c_rev as u64, p, arena, out, stats)?;
         }
         Touch::Ii => {
             // The split lies inside an insertion run: peel one explicit
             // `I` so the halves splice back into a single gap run.
             let hint = (cand.c_fwd as u64).saturating_sub(p.e as u64);
-            biwfa_rec(&a[..i], &b[..j - 1], hint, false, p, arena, out, stats)?;
+            biwfa_rec(&a[..i], &b[..j - 1], hint, p, arena, out, stats)?;
             out.push_run(Op::Ins, 1);
             let hint = (cand.c_rev as u64).saturating_sub(p.e as u64);
-            biwfa_rec(&a[i..], &b[j..], hint, false, p, arena, out, stats)?;
+            biwfa_rec(&a[i..], &b[j..], hint, p, arena, out, stats)?;
         }
         Touch::Dd => {
             let hint = (cand.c_fwd as u64).saturating_sub(p.e as u64);
-            biwfa_rec(&a[..i - 1], &b[..j], hint, false, p, arena, out, stats)?;
+            biwfa_rec(&a[..i - 1], &b[..j], hint, p, arena, out, stats)?;
             out.push_run(Op::Del, 1);
             let hint = (cand.c_rev as u64).saturating_sub(p.e as u64);
-            biwfa_rec(&a[i..], &b[j..], hint, false, p, arena, out, stats)?;
+            biwfa_rec(&a[i..], &b[j..], hint, p, arena, out, stats)?;
         }
     }
     // Re-score the spliced transcript as a whole: `Cigar::score` sees the
@@ -509,24 +438,46 @@ impl<'s> Side<'s> {
     }
 }
 
+/// What a meet phase runs to establish.
+#[derive(Debug, Clone, Copy)]
+enum Goal {
+    /// An interior node's meet, sized by the cost its parent's candidate
+    /// claimed.
+    Hint(u64),
+    /// The top level's hint-free meet: prove the lowest touch value a
+    /// lower bound on the optimum or, under a score limit, the optimum
+    /// above the limit (module doc).
+    Prove(Option<u32>),
+}
+
+/// Why a meet phase stopped.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Stop {
+    /// Both sides passed the horizon. Under [`Goal::Prove`] that proves
+    /// the lowest touch value `v ≤ s*`.
+    Horizon,
+    /// The mover reached the end cell first, at this score: the optimum.
+    End(u64),
+    /// Both sides passed `horizon(limit)` with no touch at or below this
+    /// limit, which proves `s* > limit`.
+    OverLimit(u32),
+    /// A hinted meet gave up: the score cap, or a hint so low that nothing
+    /// touched.
+    Starved,
+}
+
 /// Drive a forward and a reverse [`WfaMachine`] toward each other and
 /// collect frontier-touch candidates, best (lowest value, then most
-/// balanced) first.
-///
-/// `expected` is the hint that sizes an interior node's meet; with none,
-/// the meet runs until it proves its lowest touch value a lower bound on
-/// the optimum (module doc). The flag is true when the meet stopped at its
-/// horizon — for a hint-free meet, exactly when that proof holds — and
-/// false when it stopped at the end cell, the score cap or a starved hint.
+/// balanced) first, until the [`Goal`]'s stop rule fires.
 fn meet_phase(
     a: &[u8],
     b: &[u8],
-    expected: Option<u64>,
+    goal: Goal,
     p: &Penalties,
     arena: &mut WavefrontArena,
     stats: &mut WfaStats,
-) -> Result<(Vec<Candidate>, bool), WfaError> {
-    meet_phase_with(a, b, expected, p, arena, stats, scan_touches)
+) -> Result<(Vec<Candidate>, Stop), WfaError> {
+    meet_phase_with(a, b, goal, p, arena, stats, scan_touches)
 }
 
 /// [`meet_phase`] with its touch scan passed in, so a test can run a
@@ -535,12 +486,12 @@ fn meet_phase(
 fn meet_phase_with<S>(
     a: &[u8],
     b: &[u8],
-    expected: Option<u64>,
+    goal: Goal,
     p: &Penalties,
     arena: &mut WavefrontArena,
     stats: &mut WfaStats,
     mut scan: S,
-) -> Result<(Vec<Candidate>, bool), WfaError>
+) -> Result<(Vec<Candidate>, Stop), WfaError>
 where
     S: FnMut(&Side<'_>, &Side<'_>, &Meet, bool, &mut Vec<Candidate>),
 {
@@ -556,14 +507,22 @@ where
     // A hinted meet stops at its hint's horizon once anything touched. A
     // hint-free one stops at the horizon of its lowest touch value, which
     // proves that value a lower bound on the optimum; no alignment costs
-    // less than 0, so a touch of value 0 needs no steps at all.
-    let at_horizon = |cands: &[Candidate], depth: usize| {
-        let Some(v) = cands.iter().map(|c| c.value).min() else {
-            return false;
-        };
-        match expected {
-            Some(hint) => depth >= horizon(hint),
-            None => v == 0 || depth >= horizon(v),
+    // less than 0, so a touch of value 0 needs no steps at all. Under a
+    // score limit it stops as soon as no touch at or below the limit has
+    // shown up by the limit's horizon.
+    let stop_rule = |cands: &[Candidate], depth: usize| {
+        let v = cands.iter().map(|c| c.value).min();
+        match goal {
+            Goal::Hint(hint) => (v.is_some() && depth >= horizon(hint)).then_some(Stop::Horizon),
+            Goal::Prove(Some(limit))
+                if v.is_none_or(|v| v > u64::from(limit)) && depth >= horizon(limit.into()) =>
+            {
+                Some(Stop::OverLimit(limit))
+            }
+            Goal::Prove(_) => {
+                let v = v?;
+                (v == 0 || depth >= horizon(v)).then_some(Stop::Horizon)
+            }
         }
     };
     let meet = Meet {
@@ -588,9 +547,9 @@ where
     fwd.extend();
     rev.extend();
     scan(&fwd, &rev, &meet, true, &mut cands);
-    let mut stopped = at_horizon(&cands, 0);
+    let mut stop = stop_rule(&cands, 0);
 
-    while !stopped {
+    while stop.is_none() {
         phase_peak = phase_peak.max(fwd.mach.live_memory() + rev.mach.live_memory());
         let fwd_turn = fwd.mach.s <= rev.mach.s;
         let (mover, fixed) = if fwd_turn {
@@ -605,18 +564,22 @@ where
             break;
         }
         mover.mach.step(arena, Retention::Strict(window))?;
-        let mut met_end = false;
+        let mut end = None;
         if mover.extend() {
-            met_end = mover.mach.reached_end();
+            end = mover
+                .mach
+                .reached_end()
+                .then_some(Stop::End(mover.mach.s as u64));
             scan(mover, fixed, &meet, fwd_turn, &mut cands);
         }
         let depth = fwd.mach.s.min(rev.mach.s);
-        stopped = at_horizon(&cands, depth);
-        if met_end || expected.is_some_and(|hint| depth >= 2 * horizon(hint) + 8) {
-            // The end cell, or a hint so low that nothing ever touched:
-            // bail to the caller's fallback rather than crawl to the cap.
-            break;
-        }
+        // The end cell, or a hint so low that nothing ever touched: stop
+        // rather than crawl to the cap.
+        let starved = match goal {
+            Goal::Hint(hint) if depth >= 2 * horizon(hint) + 8 => Some(Stop::Starved),
+            _ => None,
+        };
+        stop = stop_rule(&cands, depth).or(end).or(starved);
     }
 
     let fwd_stats = fwd.mach.stats;
@@ -628,7 +591,7 @@ where
     stats.peak_memory_bytes = stats.peak_memory_bytes.max(phase_peak);
 
     cands.sort_by_key(|c| (c.value, c.balance(), c.touch != Touch::Mm));
-    Ok((cands, stopped))
+    Ok((cands, stop.unwrap_or(Stop::Starved)))
 }
 
 /// Scan `mover`'s newest (just-extended) front against every front still
@@ -822,7 +785,7 @@ fn push_candidate(cands: &mut Vec<Candidate>, cand: Candidate) {
 mod tests {
     use super::*;
     use crate::rng::SmallRng;
-    use crate::wfa::{wfa_align, AlignStrategy};
+    use crate::wfa::wfa_align;
 
     const P: Penalties = Penalties::WFASIC_DEFAULT;
 
@@ -888,22 +851,26 @@ mod tests {
         }
     }
 
-    /// Run a top-level meet of `a` vs `b` with the gated, blocked scan,
-    /// and after every scan check that the reference scan, fed the same
-    /// machines, holds the identical candidate list (element for element,
-    /// in order). The meet is hint-free, or `hinted` by the exact score as
-    /// the fallback's trusted meet is. Returns the meet's sorted
-    /// candidates.
+    /// Run a meet of `a` vs `b` with the gated, blocked scan, and after
+    /// every scan check that the reference scan, fed the same machines,
+    /// holds the identical candidate list (element for element, in order).
+    /// The meet is the top level's hint-free one, or `hinted` by the exact
+    /// score as an interior node's is by its parent's candidate. Returns
+    /// the meet's sorted candidates.
     fn meet_against_reference(a: &[u8], b: &[u8], p: &Penalties, hinted: bool) -> Vec<Candidate> {
         let mut arena = WavefrontArena::new();
         let mut stats = WfaStats::default();
-        let (score, _) = exact_score(SeqsRef::Bytes(a, b), p, None, &mut arena).unwrap();
+        let score = wfa_align(a, b, &WfaOptions::score_only(*p)).unwrap().score;
+        let goal = match hinted {
+            true => Goal::Hint(score as u64),
+            false => Goal::Prove(None),
+        };
         let mut reference = Vec::new();
         let mut scans = 0usize;
         let (cands, _) = meet_phase_with(
             a,
             b,
-            hinted.then_some(score as u64),
+            goal,
             p,
             &mut arena,
             &mut stats,
@@ -1079,49 +1046,43 @@ mod tests {
     }
 
     /// The top level on `a` vs `b`: its answer, checked optimal against
-    /// the score-only pass, and which path gave it.
+    /// the score-only exact engine, and which path gave it.
     fn top(a: &[u8], b: &[u8], opts: &WfaOptions) -> (WfaAlignment, Answer) {
-        let mut arena = WavefrontArena::new();
         let p = opts.penalties;
-        let (score, _) = exact_score(SeqsRef::Bytes(a, b), &p, None, &mut arena).unwrap();
-        let (aln, answer) = biwfa_top(SeqsRef::Bytes(a, b), opts, &mut arena).unwrap();
-        assert_eq!(aln.score, score, "{answer:?}");
-        let cigar = aln.cigar.as_ref().unwrap();
+        let want = wfa_align(a, b, &WfaOptions::score_only(p)).unwrap().score as u64;
+        let mut stats = WfaStats::default();
+        let seqs = SeqsRef::Bytes(a, b);
+        let (score, cigar, answer) =
+            biwfa_top(seqs, opts, &mut WavefrontArena::new(), &mut stats).unwrap();
+        assert_eq!(score, want, "{answer:?}");
         cigar.check(a, b).unwrap();
-        assert_eq!(cigar.score(&p), score as u64, "{answer:?}");
+        assert_eq!(cigar.score(&p), want, "{answer:?}");
+        let aln = WfaAlignment {
+            score: score as u32,
+            cigar: Some(cigar),
+            stats,
+        };
         (aln, answer)
     }
 
-    #[test]
-    fn the_meet_proves_a_hifi_pair_without_the_score_pass() {
-        let mut rng = SmallRng::seed_from_u64(0xB1F4_0028);
-        let a = random_seq(3000, &mut rng);
-        let b = mutate_mix(&a, 1, [95, 3, 2], &mut rng);
-        let (proven, answer) = top(&a, &b, &biwfa_opts());
-        assert_eq!(answer, Answer::Proven);
-        // A score limit forces the fallback: the score pass, then the same
-        // meet trusting its score. The proof skips that pass's cells and
-        // retains no more.
-        let limited = WfaOptions {
-            score_limit: Some(u32::MAX),
+    /// `biwfa_opts` under a score limit.
+    fn limited(limit: u32) -> WfaOptions {
+        WfaOptions {
+            score_limit: Some(limit),
             ..biwfa_opts()
-        };
-        let (scored, answer) = top(&a, &b, &limited);
-        assert_eq!(answer, Answer::Scored);
-        assert!(
-            proven.stats.cells_computed * 4 < scored.stats.cells_computed * 3,
-            "proven {} cells vs scored {}",
-            proven.stats.cells_computed,
-            scored.stats.cells_computed
-        );
-        assert_eq!(
-            proven.stats.peak_memory_bytes,
-            scored.stats.peak_memory_bytes
-        );
+        }
     }
 
     #[test]
-    fn a_meet_that_reaches_the_end_first_falls_back_and_stays_optimal() {
+    fn the_meet_proves_a_hifi_pair() {
+        let mut rng = SmallRng::seed_from_u64(0xB1F4_0028);
+        let a = random_seq(3000, &mut rng);
+        let b = mutate_mix(&a, 1, [95, 3, 2], &mut rng);
+        assert_eq!(top(&a, &b, &biwfa_opts()).1, Answer::Proven);
+    }
+
+    #[test]
+    fn a_meet_that_reaches_the_end_first_goes_to_the_exact_engine() {
         // Two mismatches: the forward side reaches the end cell at score 8,
         // short of `horizon(8)`, so the meet proves nothing.
         let mut rng = SmallRng::seed_from_u64(0xB1F4_0029);
@@ -1130,8 +1091,12 @@ mod tests {
         for pos in [400, 1100] {
             b[pos] = if a[pos] == b'A' { b'C' } else { b'A' };
         }
+        let mut stats = WfaStats::default();
+        let mut arena = WavefrontArena::new();
+        let (_, stop) = meet_phase(&a, &b, Goal::Prove(None), &P, &mut arena, &mut stats).unwrap();
+        assert_eq!(stop, Stop::End(2 * P.x as u64));
         let (aln, answer) = top(&a, &b, &biwfa_opts());
-        assert_eq!(answer, Answer::Scored);
+        assert_eq!(answer, Answer::Exact);
         assert_eq!(aln.score, 2 * P.x);
     }
 
@@ -1177,21 +1142,58 @@ mod tests {
         let mut rng = SmallRng::seed_from_u64(7);
         let a = random_seq(2000, &mut rng);
         let b = random_seq(2000, &mut rng);
-        let opts = WfaOptions {
-            score_limit: Some(10),
-            ..biwfa_opts()
-        };
         assert!(matches!(
-            wfa_align(&a, &b, &opts),
+            wfa_align(&a, &b, &limited(10)),
             Err(WfaError::ScoreLimitExceeded { limit: 10 })
         ));
-        // Under a limit the top level runs the score pass first.
-        let b = mutate(&a, 1, &mut rng);
-        let limited = WfaOptions {
-            score_limit: Some(1_000),
-            ..biwfa_opts()
+        // At or below the cutoff the limit checks the exact engine's score.
+        assert_eq!(
+            wfa_align(b"GATTACA", b"GACTATA", &limited(7)).unwrap_err(),
+            WfaError::ScoreLimitExceeded { limit: 7 }
+        );
+        assert_eq!(
+            wfa_align(b"GATTACA", b"GACTATA", &limited(8))
+                .unwrap()
+                .score,
+            8
+        );
+    }
+
+    #[test]
+    fn a_score_limit_past_the_cutoff_stops_the_meet_early() {
+        let mut rng = SmallRng::seed_from_u64(0xB1F4_002B);
+        let a = random_seq(2000, &mut rng);
+        let b = mutate(&a, 5, &mut rng);
+        let (unlimited, answer) = top(&a, &b, &biwfa_opts());
+        assert_eq!(answer, Answer::Proven);
+        let score = unlimited.score;
+        // A limit at the optimum admits the pair, with the same answer.
+        let (at, answer) = top(&a, &b, &limited(score));
+        assert_eq!(answer, Answer::Proven);
+        assert_eq!(at.cigar, unlimited.cigar);
+        // Below it, the meet shows `s* > limit` once both sides pass the
+        // limit's horizon, before any split is aligned: the lower the
+        // limit, the sooner.
+        let cells_under = |limit: u32| {
+            let mut stats = WfaStats::default();
+            let seqs = SeqsRef::Bytes(&a, &b);
+            let got = biwfa_top(
+                seqs,
+                &limited(limit),
+                &mut WavefrontArena::new(),
+                &mut stats,
+            );
+            assert_eq!(got.unwrap_err(), WfaError::ScoreLimitExceeded { limit });
+            stats.cells_computed
         };
-        assert_eq!(top(&a, &b, &limited).1, Answer::Scored);
+        let (just_under, half) = (cells_under(score - 1), cells_under(score / 2));
+        assert!(
+            half < just_under && just_under < unlimited.stats.cells_computed,
+            "cells: limit {} {half}, limit {} {just_under}, unlimited {}",
+            score / 2,
+            score - 1,
+            unlimited.stats.cells_computed
+        );
     }
 
     #[test]
@@ -1207,14 +1209,5 @@ mod tests {
         let bi = crate::wfa::wfa_align_seqs(&pa, &pb, &biwfa_opts()).unwrap();
         assert_eq!(bi.score, exact.score);
         bi.cigar.unwrap().check(&a, &b).unwrap();
-    }
-
-    #[test]
-    fn strategy_parsing_round_trips() {
-        for s in AlignStrategy::ALL {
-            assert_eq!(AlignStrategy::parse(s.name()), Some(s));
-            assert_eq!(s.name().parse::<AlignStrategy>().unwrap(), s);
-        }
-        assert!("bogus".parse::<AlignStrategy>().is_err());
     }
 }

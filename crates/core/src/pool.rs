@@ -2,13 +2,14 @@
 //! in two forms, one per kind of caller.
 //!
 //! **Whole-job sweeps** ([`ThreadPool::map`]) spawn *scoped* threads per
-//! call that may borrow the caller's data. The input slice is split into **fixed contiguous
-//! chunks** decided only by `(len, threads)`, each worker processes its
-//! chunk in order, and results are returned **in input order** regardless
-//! of which worker finishes first. A run with `threads = 1` executes inline
-//! on the caller's thread — no spawn, no channel — so the sequential path
-//! is trivially bit-identical, and any per-item seeding derived from the
-//! item index is reproducible at every thread count.
+//! call that may borrow the caller's data. The input slice is split into
+//! **fixed contiguous chunks** decided only by `(len, threads)`, each worker
+//! processes its chunk in order, and the caller joins the workers in chunk
+//! order, so results come back **in input order** regardless of which
+//! worker finishes first. A run with `threads = 1` executes inline on the
+//! caller's thread — no spawn — so the sequential path is trivially
+//! bit-identical, and any per-item seeding derived from the item index is
+//! reproducible at every thread count.
 //!
 //! **Per-job splits** ([`share`]) are the one source of host threads inside
 //! a job: the `cpu` backend's batch, the device model's phase 1 and the
@@ -18,7 +19,7 @@
 //! work is a [`Cursor`]: a queue of the indices `0..len` that the caller
 //! and the helpers drain together, each claiming the next index in turn.
 //!
-//! Panics propagate to the caller (via `std::thread::scope`'s join, or a
+//! Panics propagate to the caller (via the scoped worker's join, or a
 //! resident helper's reply), so a failing property inside a parallel sweep
 //! still fails the test.
 //!
@@ -294,43 +295,27 @@ impl ThreadPool {
             return items.iter().enumerate().map(|(i, t)| f(i, t)).collect();
         }
         let ranges = chunk_ranges(items.len(), self.threads);
-        let mut parts: Vec<Option<Vec<R>>> = Vec::new();
         std::thread::scope(|scope| {
-            let (tx, rx) = mpsc::channel();
-            let mut handles = Vec::with_capacity(ranges.len());
-            for (ci, range) in ranges.iter().enumerate() {
-                let tx = tx.clone();
-                let f = &f;
-                let start = range.start;
-                let slice = &items[range.clone()];
-                handles.push(scope.spawn(move || {
-                    let _mark = WorkerMark::enter();
-                    let out: Vec<R> = slice
-                        .iter()
-                        .enumerate()
-                        .map(|(off, t)| f(start + off, t))
-                        .collect();
-                    // The receiver outlives every sender; a send can only
-                    // fail if a sibling worker panicked and the collector
-                    // bailed, in which case the panic is re-raised below.
-                    let _ = tx.send((ci, out));
-                }));
-            }
-            drop(tx);
-            parts = (0..ranges.len()).map(|_| None).collect();
-            for (ci, out) in rx {
-                parts[ci] = Some(out);
-            }
-            for handle in handles {
-                if let Err(payload) = handle.join() {
-                    std::panic::resume_unwind(payload);
-                }
-            }
-        });
-        parts
-            .into_iter()
-            .flat_map(|p| p.expect("every worker delivers exactly one chunk"))
-            .collect()
+            let f = &f;
+            let handles: Vec<_> = ranges
+                .into_iter()
+                .map(|range| {
+                    let start = range.start;
+                    let slice = &items[range];
+                    scope.spawn(move || {
+                        let _mark = WorkerMark::enter();
+                        let out = slice.iter().enumerate();
+                        out.map(|(off, t)| f(start + off, t)).collect::<Vec<R>>()
+                    })
+                })
+                .collect();
+            // Join in chunk order, which is input order; a worker's panic
+            // re-raises here, on the caller, with its own payload.
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        })
     }
 }
 
@@ -598,11 +583,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "worker boom")]
-    fn worker_panic_propagates() {
-        ThreadPool::new(4).map(&(0..16).collect::<Vec<_>>(), |_, &x: &i32| {
-            assert!(x != 11, "worker boom");
-            x
-        });
+    fn a_panicking_item_re_raises_on_the_caller() {
+        for threads in [1, 4] {
+            let got = catch_unwind(|| {
+                ThreadPool::new(threads).map(&(0..16).collect::<Vec<_>>(), |_, &x: &i32| {
+                    assert!(x != 11, "item {x} failed");
+                    x
+                })
+            });
+            let payload = got.expect_err("the panic reaches the caller");
+            let msg = payload.downcast_ref::<String>().map(String::as_str);
+            assert_eq!(msg, Some("item 11 failed"), "threads={threads}");
+            assert!(!in_worker(), "the caller is not left marked as a worker");
+        }
     }
 }

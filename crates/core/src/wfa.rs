@@ -48,49 +48,6 @@ pub enum AlignStrategy {
     AdaptiveBand,
 }
 
-impl AlignStrategy {
-    /// Every strategy, in CLI presentation order.
-    pub const ALL: [AlignStrategy; 3] = [
-        AlignStrategy::Exact,
-        AlignStrategy::BiWfa,
-        AlignStrategy::AdaptiveBand,
-    ];
-
-    /// The stable CLI name.
-    pub fn name(self) -> &'static str {
-        match self {
-            AlignStrategy::Exact => "exact",
-            AlignStrategy::BiWfa => "biwfa",
-            AlignStrategy::AdaptiveBand => "adaptive",
-        }
-    }
-
-    /// Parse a CLI name.
-    pub fn parse(name: &str) -> Option<Self> {
-        AlignStrategy::ALL
-            .iter()
-            .copied()
-            .find(|s| s.name() == name)
-    }
-}
-
-impl std::fmt::Display for AlignStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.name())
-    }
-}
-
-impl std::str::FromStr for AlignStrategy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        AlignStrategy::parse(s).ok_or_else(|| {
-            let names: Vec<&str> = AlignStrategy::ALL.iter().map(|s| s.name()).collect();
-            format!("unknown strategy '{s}' (one of: {})", names.join(", "))
-        })
-    }
-}
-
 /// Options controlling a WFA run.
 #[derive(Debug, Clone, Copy)]
 pub struct WfaOptions {
@@ -109,10 +66,8 @@ pub struct WfaOptions {
     /// [`AlignStrategy::BiWfa`] CIGAR path, whose memory bound comes from
     /// the bidirectional window instead.
     pub band: Option<i32>,
-    /// Parameters of the heuristic wavefront reduction. Setting this on an
-    /// otherwise-[`AlignStrategy::Exact`] run implies
-    /// [`AlignStrategy::AdaptiveBand`] (the pre-strategy configuration
-    /// surface, kept for compatibility); `None` under `AdaptiveBand` uses
+    /// Parameters of the heuristic wavefront reduction, read only under
+    /// [`AlignStrategy::AdaptiveBand`]; `None` there uses
     /// [`AdaptiveParams::default`].
     pub adaptive: Option<AdaptiveParams>,
 }
@@ -168,24 +123,6 @@ impl WfaOptions {
             score_limit: Some(Penalties::hardware_score_max(k_max)),
             band: Some(k_max as i32),
             adaptive: None,
-        }
-    }
-
-    /// The strategy that will actually run: `adaptive` params on an
-    /// `Exact` run promote it to [`AlignStrategy::AdaptiveBand`].
-    pub fn effective_strategy(&self) -> AlignStrategy {
-        match self.strategy {
-            AlignStrategy::Exact if self.adaptive.is_some() => AlignStrategy::AdaptiveBand,
-            s => s,
-        }
-    }
-
-    /// The adaptive-reduction parameters in effect (None unless the
-    /// effective strategy is [`AlignStrategy::AdaptiveBand`]).
-    pub fn effective_adaptive(&self) -> Option<AdaptiveParams> {
-        match self.effective_strategy() {
-            AlignStrategy::AdaptiveBand => Some(self.adaptive.unwrap_or_default()),
-            _ => None,
         }
     }
 }
@@ -399,7 +336,7 @@ pub(crate) fn wfa_align_seqs_ref(
     opts: &WfaOptions,
     arena: &mut WavefrontArena,
 ) -> Result<WfaAlignment, WfaError> {
-    match opts.effective_strategy() {
+    match opts.strategy {
         // Bidirectional CIGAR path: the linear-memory engine. Score-only
         // BiWfa requests fall through to the unidirectional loop below,
         // which is already O(s) memory in score-only mode and computes the
@@ -801,7 +738,8 @@ pub(crate) fn wfa_align_inner(
     } else {
         Retention::Legacy(lookback)
     };
-    let adaptive = opts.effective_adaptive();
+    let adaptive =
+        (opts.strategy == AlignStrategy::AdaptiveBand).then(|| opts.adaptive.unwrap_or_default());
 
     let mut mach = WfaMachine::new(seqs, p, opts.band, opts.score_limit, arena);
     loop {

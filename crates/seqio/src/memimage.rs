@@ -184,17 +184,6 @@ pub struct BtTxn {
 }
 
 impl BtTxn {
-    /// Pack into the 16-byte wire format: payload first, then the 6 info
-    /// bytes (counter LE24, then a 24-bit field of {Last:1, ID:23}).
-    pub fn encode(&self) -> [u8; SECTION] {
-        assert!(self.counter < (1 << 24), "BT counter exceeds 24 bits");
-        assert!(self.id < (1 << 23), "BT id exceeds 23 bits");
-        let mut out = [0u8; SECTION];
-        out[..BT_PAYLOAD_BYTES].copy_from_slice(&self.payload);
-        write_bt_info(&mut out, self.counter, self.last, self.id);
-        out
-    }
-
     /// Unpack from the 16-byte wire format.
     pub fn decode(bytes: &[u8]) -> BtTxn {
         assert_eq!(bytes.len(), SECTION);
@@ -211,10 +200,10 @@ impl BtTxn {
     }
 }
 
-/// Write a BT transaction's 6 info bytes after its payload: the counter
-/// LE24, then a 24-bit field of {Last:1, ID:23}. The one encoder of the
-/// layout [`BtTxn::decode`] reads; callers check that `counter` fits 24
-/// bits and `id` 23.
+/// Write a BT transaction's 6 info bytes after its payload (16-byte wire
+/// format: the payload first, then the counter LE24, then a 24-bit field of
+/// {Last:1, ID:23}). The one encoder of the layout [`BtTxn::decode`] reads;
+/// callers check that `counter` fits 24 bits and `id` 23.
 #[inline]
 pub fn write_bt_info(txn: &mut [u8; SECTION], counter: u32, last: bool, id: u32) {
     let tail = ((last as u32) << 23) | id;
@@ -502,15 +491,20 @@ mod tests {
             last: true,
             id: 0x7F_FFFF,
         };
-        let enc = t.encode();
-        assert_eq!(BtTxn::decode(&enc), t);
+        let wire = |t: &BtTxn| {
+            let mut w = [0u8; SECTION];
+            w[..BT_PAYLOAD_BYTES].copy_from_slice(&t.payload);
+            write_bt_info(&mut w, t.counter, t.last, t.id);
+            w
+        };
+        assert_eq!(BtTxn::decode(&wire(&t)), t);
         let t2 = BtTxn {
             last: false,
             id: 0,
             counter: 0,
             ..t
         };
-        assert_eq!(BtTxn::decode(&t2.encode()), t2);
+        assert_eq!(BtTxn::decode(&wire(&t2)), t2);
     }
 
     #[test]

@@ -8,8 +8,8 @@ use wfa_core::prop::cases;
 use wfa_core::rng::SmallRng;
 use wfasic_seqio::generate::Pair;
 use wfasic_seqio::memimage::{
-    bt_block_bytes, pack_origins, unpack_bt_cell, BtScoreRecord, BtTxn, CellOrigin, InputImage,
-    MOrigin, NbtRecord,
+    bt_block_bytes, pack_origins, unpack_bt_cell, write_bt_info, BtScoreRecord, BtTxn, CellOrigin,
+    InputImage, MOrigin, NbtRecord, BT_PAYLOAD_BYTES, SECTION,
 };
 
 const CASES: usize = 200;
@@ -71,7 +71,7 @@ fn nbt_roundtrip() {
 #[test]
 fn bt_txn_roundtrip() {
     cases(CASES, 0x5E10_0003, |rng, _| {
-        let mut payload = [0u8; 10];
+        let mut payload = [0u8; BT_PAYLOAD_BYTES];
         rng.fill_bytes(&mut payload);
         let t = BtTxn {
             payload,
@@ -79,7 +79,10 @@ fn bt_txn_roundtrip() {
             last: rng.gen_bool(0.5),
             id: rng.gen_range_u64(0, 1 << 23) as u32,
         };
-        assert_eq!(BtTxn::decode(&t.encode()), t);
+        let mut wire = [0u8; SECTION];
+        wire[..BT_PAYLOAD_BYTES].copy_from_slice(&t.payload);
+        write_bt_info(&mut wire, t.counter, t.last, t.id);
+        assert_eq!(BtTxn::decode(&wire), t);
     });
 }
 

@@ -74,8 +74,8 @@ fn main() {
             &p.a,
             &p.b,
             &WfaOptions {
-                adaptive: Some(tight),
-                ..WfaOptions::score_only(penalties)
+                compute_cigar: false,
+                ..WfaOptions::adaptive(penalties, tight)
             },
         )
         .unwrap();

@@ -10,9 +10,9 @@
 //!   three penalty sets over the differential shapes (224 pairs per shape,
 //!   jobs of 28), the paper's six input-set shapes with backtrace on and
 //!   off, random mutated pairs of 0–120 bp (empty sides included) in jobs
-//!   of one and of two to five pairs, and one PacBio HiFi and one
-//!   Nanopore pair past BiWFA's exact cutoff. A slice's SWG scores are computed once, on
-//!   first use.
+//!   of one and of two to five pairs, and long pairs past BiWFA's exact
+//!   cutoff (one PacBio HiFi, one Nanopore, and four gap-only pairs at 20%
+//!   error). A slice's SWG scores are computed once, on first use.
 //! * Each **row** is an engine behind the streaming service, built once
 //!   per penalty set and reused for every slice it admits. It declares its
 //!   [`Contract`]s and which slices it admits. The rows are the `rows!`
@@ -30,7 +30,7 @@ use wfasic::accel::AccelConfig;
 use wfasic::driver::{
     AlignPolicy, AlignmentResult, BackendCounters, BackendKind, BatchJob, StrategySelect,
 };
-use wfasic::seqio::{InputSetSpec, Pair, Technology};
+use wfasic::seqio::{ErrorProfile, InputSetSpec, Pair, PairGenerator, Technology};
 use wfasic::service::{AlignmentService, ServiceConfig};
 use wfasic::wfa::pool::ThreadPool;
 use wfasic::wfa::rng::SmallRng;
@@ -57,9 +57,10 @@ pub enum Kind {
     RandomOne,
     /// Random mutated pairs, 2–5 pairs per job.
     RandomFew,
-    /// One 2–6 kb HiFi pair and one 2.5 kb Nanopore pair, past BiWFA's
-    /// 1,024-base exact cutoff.
-    HiFi,
+    /// Pairs past BiWFA's 1,024-base exact cutoff: one 2–6 kb HiFi pair
+    /// and one 2.5 kb Nanopore pair, and four 1.5 kb gap-only pairs at 20%
+    /// error.
+    Long,
 }
 
 /// One seeded slice of the grid: jobs of pairs under one penalty set.
@@ -186,9 +187,9 @@ macro_rules! rows {
 }
 
 rows! {
-    device: |p| on(Device, chip(p), 1, Auto), |s| s.kind != HiFi, &[Score, Cigar];
+    device: |p| on(Device, chip(p), 1, Auto), |s| s.kind != Long, &[Score, Cigar];
     swg: |p| on(Swg, chip(p), 1, Auto),
-        |s| s.kind != HiFi && s.penalties == Penalties::WFASIC_DEFAULT, &[Score, Cigar];
+        |s| s.kind != Long && s.penalties == Penalties::WFASIC_DEFAULT, &[Score, Cigar];
     exact: |p| on(Cpu, chip(p), 1, Exact), |_| true, &[Score, Cigar];
     biwfa: |p| on(Cpu, chip(p), 1, BiWfa), |_| true, &[Score, Cigar, BiwfaTally];
     adaptive: |p| on(Cpu, chip(p), 1, Adaptive), |_| true, &[UpperBound, Cigar];
@@ -489,7 +490,21 @@ fn grid() -> &'static [Slice] {
         let jobs = vec![hifi, ont];
         assert!(jobs.iter().all(|j| j[0].a.len().min(j[0].b.len()) > 1_024));
         let name = "hifi 2-6kb + nanopore 2.5kb (seed 0xa87)".to_string();
-        grid.push(slice(HiFi, name, seed, default, 4_000, true, jobs));
+        grid.push(slice(Long, name, seed, default, 4_000, true, jobs));
+        // Four gap-only 1.5 kb pairs at 20% error under a gap-heavy penalty
+        // set. They guard BiWFA's stop rule: a top-level meet that stopped
+        // at its first touch, or at half its horizon, answers two of them
+        // one above the optimum.
+        let (seed, gap_heavy) = (7, Penalties::new(2, 3, 1).unwrap());
+        let gaps = ErrorProfile {
+            mismatch: 0.0,
+            ..ErrorProfile::default()
+        };
+        let jobs = vec![PairGenerator::new(1_500, 0.2, seed)
+            .with_profile(gaps)
+            .pairs(4)];
+        let name = "gap-only 1.5kb 20% (2,3,1)".to_string();
+        grid.push(slice(Long, name, seed, gap_heavy, 1_500, true, jobs));
         grid
     })
 }
