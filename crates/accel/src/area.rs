@@ -144,8 +144,8 @@ pub fn area_report(cfg: &AccelConfig) -> AreaReport {
 }
 
 /// Whole-SoC report for `lanes` identical WFAsic instances behind one
-/// shared memory controller (the [`crate::multilane::MultiLaneSoc`]
-/// topology): memories, area and power replicate per lane. The arbiter and
+/// shared memory controller (the topology of `wfasic-driver`'s
+/// `MultiLaneBackend`): memories, area and power replicate per lane. The arbiter and
 /// interconnect are below this model's resolution, matching the paper's
 /// treatment of the SoC glue.
 pub fn soc_area_report(cfg: &AccelConfig, lanes: usize) -> AreaReport {

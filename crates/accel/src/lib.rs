@@ -20,8 +20,6 @@
 //! * [`collector`] — BT/NBT output packaging;
 //! * [`device`] — the top level: DMA, dispatch, shared-bus contention,
 //!   Start/Idle/interrupt protocol;
-//! * [`multilane`] — N device instances (lanes) behind a shared memory
-//!   controller with per-lane MMIO windows;
 //! * [`area`] — the GF22FDX area/frequency/power budget model (Fig. 8,
 //!   Table 2).
 
@@ -32,7 +30,6 @@ pub mod config;
 pub mod device;
 pub mod extend;
 pub mod extractor;
-pub mod multilane;
 pub mod regs;
 pub mod schedule;
 pub mod structural;
@@ -42,7 +39,6 @@ pub use aligner::{align_packed, align_packed_in, AlignerOutcome, AlignerScratch,
 pub use area::{area_report, AreaReport};
 pub use config::AccelConfig;
 pub use device::{PairReport, RunReport, WfasicDevice};
-pub use multilane::MultiLaneSoc;
 pub use regs::{offsets, JobConfig};
 pub use schedule::WavefrontSchedule;
 pub use structural::align_structural;

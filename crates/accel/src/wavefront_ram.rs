@@ -10,8 +10,9 @@
 //! (RAM 1' and RAM 4' in Fig. 6); the I/D windows need only one read per
 //! frame cell and are not duplicated.
 //!
-//! This module is the structural model: bank mapping, frame-column rotation,
-//! and a checker proving every batch's access pattern is conflict-free. The
+//! This module is the structural model: bank mapping and a checker proving
+//! every batch's access pattern is conflict-free (the frame column's
+//! rotation is the structural Aligner's step-indexed column choice). The
 //! Aligner's cycle model encodes the resulting access counts (two sequential
 //! M reads + one parallel I/D read per batch).
 
@@ -26,8 +27,6 @@ pub struct BankedWindow {
     pub columns: usize,
     /// Does this window have duplicated first/last banks (M only)?
     pub duplicated_edges: bool,
-    /// Current frame column (rotates instead of moving data, §4.3.1).
-    pub frame: usize,
 }
 
 /// Identifies a physical bank: primary `Bank(i)`, or one of the duplicates.
@@ -58,7 +57,6 @@ impl BankedWindow {
             rows: 2 * k_max as usize + 1,
             columns: m_columns + 1, // previous columns + the frame column
             duplicated_edges: true,
-            frame: 0,
         }
     }
 
@@ -69,20 +67,12 @@ impl BankedWindow {
             rows: 2 * k_max as usize + 1,
             columns: 2,
             duplicated_edges: false,
-            frame: 0,
         }
     }
 
     /// The primary bank holding `row`.
     pub fn bank_of(&self, row: usize) -> usize {
         row % self.banks
-    }
-
-    /// Advance the frame column (after a score step): "instead of moving all
-    /// data, we just move the frame column to the right ... If the frame
-    /// column is on the right-most column, we move it to column 0".
-    pub fn rotate_frame(&mut self) {
-        self.frame = (self.frame + 1) % self.columns;
     }
 
     /// Plan parallel reads of rows `first..first+count` (one per section,
@@ -221,15 +211,5 @@ mod tests {
         let plan = w.plan_parallel_reads(-1, 6).unwrap();
         assert!(plan.iter().all(|p| p.row < w.rows));
         assert_eq!(plan.len(), 5);
-    }
-
-    #[test]
-    fn frame_rotation_wraps() {
-        let mut w = BankedWindow::m_window(4, 5, 4);
-        assert_eq!(w.columns, 5);
-        for expect in [1, 2, 3, 4, 0, 1] {
-            w.rotate_frame();
-            assert_eq!(w.frame, expect);
-        }
     }
 }

@@ -128,23 +128,15 @@ impl PhaseOutcome {
     }
 }
 
-/// Harness-time storm schedule for one lane, measured in job indices: the
-/// lane is under its heavy plan while `(j - offset) % period < on` (and
-/// `j >= offset`) — the soak-scale analogue of [`Storm`], which gates in
-/// device time *within* a batch.
+/// Harness-time storm schedule for one lane: the lane is under its heavy
+/// plan while `storm` rages, read on job indices rather than cycles — the
+/// soak-scale analogue of a plan's own [`Storm`], which gates in device
+/// time *within* a batch.
 #[derive(Debug, Clone, Copy)]
 struct JobStorm {
     lane: usize,
-    period: u64,
-    on: u64,
-    offset: u64,
+    storm: Storm,
     plan: FaultPlan,
-}
-
-impl JobStorm {
-    fn raging_at(&self, job: u64) -> bool {
-        job >= self.offset && (job - self.offset) % self.period < self.on
-    }
 }
 
 const LANES: usize = 4;
@@ -182,18 +174,22 @@ fn storm_schedule(seed: u64, quick: bool) -> Vec<JobStorm> {
         // Lane 0: hard storm — every fault kind at 50% per opportunity.
         JobStorm {
             lane: 0,
-            period,
-            on,
-            offset: period / 6,
+            storm: Storm {
+                period,
+                on,
+                offset: period / 6,
+            },
             plan: FaultPlan::uniform(seed ^ 0x11, 0.5),
         },
         // Lane 1: the same severity, phase-shifted, additionally gusting on
         // a device-time storm within each batch.
         JobStorm {
             lane: 1,
-            period,
-            on,
-            offset: period / 2,
+            storm: Storm {
+                period,
+                on,
+                offset: period / 2,
+            },
             plan: FaultPlan::uniform(seed ^ 0x22, 0.5).with_storm(Storm::periodic(40_000, 30_000)),
         },
     ]
@@ -283,7 +279,7 @@ fn soak(
         // Harness-time storm transitions: flip lane plans through the
         // service-boxed backend.
         for (s, storm) in storms.iter().enumerate() {
-            let now = storm.raging_at(j);
+            let now = storm.storm.raging_at(j);
             if now != raging[s] {
                 raging[s] = now;
                 let plan = if now { storm.plan } else { FaultPlan::none() };
@@ -570,18 +566,16 @@ fn verify_completion(
     }
 }
 
-/// The blackout scenario: *every* lane under a permanent storm, cooldown
-/// set beyond the horizon. Once all breakers open, the scheduler has no
-/// silicon left — graceful degradation must answer every job on the CPU
-/// cost model ([`BatchScheduler::degrade_job`]'s path), never hang or drop.
+/// The blackout scenario: *every* lane under a heavy plan that never lets
+/// up, cooldown set beyond the horizon. Once all breakers open, the engine
+/// has no silicon left — graceful degradation must answer every job on the
+/// CPU cost model (`MultiLaneBackend`'s degraded-job path), never hang or
+/// drop.
 fn blackout_scenario(quick: bool, seed: u64, violations: &mut Vec<String>) -> (u64, u64) {
     let mut backend = MultiLaneBackend::new(chaos_config(), 2);
     backend.chunk = LANE_CHUNK;
     for lane in 0..2 {
-        backend.set_lane_fault_plan(
-            lane,
-            FaultPlan::uniform(seed ^ (0x88 + lane as u64), 0.5).with_storm(Storm::permanent()),
-        );
+        backend.set_lane_fault_plan(lane, FaultPlan::uniform(seed ^ (0x88 + lane as u64), 0.5));
     }
     let mut svc = AlignmentService::new(
         Box::new(backend),
@@ -635,10 +629,7 @@ fn blackout_scenario(quick: bool, seed: u64, violations: &mut Vec<String>) -> (u
 fn retire_scenario(quick: bool, seed: u64, violations: &mut Vec<String>) -> (u64, u32, usize) {
     let mut backend = MultiLaneBackend::new(chaos_config(), 3);
     backend.chunk = LANE_CHUNK;
-    backend.set_lane_fault_plan(
-        0,
-        FaultPlan::uniform(seed ^ 0x77, 0.5).with_storm(Storm::permanent()),
-    );
+    backend.set_lane_fault_plan(0, FaultPlan::uniform(seed ^ 0x77, 0.5));
     let mut svc = AlignmentService::new(
         Box::new(backend),
         ServiceConfig {

@@ -3,7 +3,7 @@
 //! seeded, thread-pool-parallel sweep with a CI-gated Pareto frontier.
 //!
 //! Every grid point runs one fixed, seeded workload through the simulated
-//! multi-lane SoC ([`BatchScheduler`] over `MultiLaneSoc`), joins the cycle
+//! multi-lane SoC ([`MultiLaneBackend::submit_batch`]), joins the cycle
 //! results with the analytical area/power model
 //! ([`wfasic_accel::area::soc_area_report`]), and scores three objectives:
 //!
@@ -34,7 +34,7 @@ use crate::gate::RunOptions;
 use wfa_core::pool::ThreadPool;
 use wfasic_accel::area::soc_area_report;
 use wfasic_accel::AccelConfig;
-use wfasic_driver::{BatchJob, BatchScheduler};
+use wfasic_driver::{BatchJob, MultiLaneBackend};
 use wfasic_seqio::InputSetSpec;
 use wfasic_soc::bus::BusConfig;
 
@@ -281,8 +281,7 @@ pub fn sweep(opts: &RunOptions) -> DseOutcome {
 
     // (total_cycles, arb_wait, alignments) per sim point, in grid order.
     let sims = ThreadPool::new(opts.threads()).map(&grid, |_, point| {
-        let mut sched = BatchScheduler::new(point.config(), point.lanes);
-        let batch = sched.submit_batch(&jobs);
+        let batch = MultiLaneBackend::new(point.config(), point.lanes).submit_batch(&jobs);
         assert!(
             batch.jobs.iter().all(|j| j.is_ok()),
             "the fault-free sweep workload must pass at {point:?}"

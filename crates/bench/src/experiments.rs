@@ -651,13 +651,12 @@ fn batch_queue(sizes: &Sizes) -> Vec<wfasic_driver::BatchJob> {
 /// isolates what the extra lanes buy (and what shared-port arbitration
 /// costs).
 pub fn batch_scaling(sizes: &Sizes) -> Vec<BatchScaleRow> {
-    use wfasic_driver::BatchScheduler;
+    use wfasic_driver::MultiLaneBackend;
 
     let jobs = batch_queue(sizes);
     let mut rows: Vec<BatchScaleRow> = Vec::new();
     for lanes in [1usize, 2, 4, 8] {
-        let mut sched = BatchScheduler::new(AccelConfig::wfasic_chip(), lanes);
-        let batch = sched.submit_batch(&jobs);
+        let batch = MultiLaneBackend::new(AccelConfig::wfasic_chip(), lanes).submit_batch(&jobs);
         let alignments = batch.alignments();
         let tput = batch.throughput();
         let speedup = match rows.first() {

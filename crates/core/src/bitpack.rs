@@ -169,13 +169,6 @@ impl PackedSeq {
     }
 }
 
-/// Number of 16-base hardware comparison blocks needed to discover
-/// `matches` matching bases (the Extend sub-module compares 16 bases/cycle;
-/// even an immediate mismatch consumes one block).
-pub fn hw_extend_blocks(matches: usize) -> u64 {
-    (matches / 16) as u64 + 1
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -238,13 +231,5 @@ mod tests {
         let pa = PackedSeq::from_ascii(b"AAAA").unwrap();
         let pb = PackedSeq::from_ascii(b"TAAA").unwrap();
         assert_eq!(lcp_packed(&pa, &pb, 0, 0), 0);
-    }
-
-    #[test]
-    fn hw_block_counts() {
-        assert_eq!(hw_extend_blocks(0), 1);
-        assert_eq!(hw_extend_blocks(15), 1);
-        assert_eq!(hw_extend_blocks(16), 2);
-        assert_eq!(hw_extend_blocks(33), 3);
     }
 }

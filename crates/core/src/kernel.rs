@@ -25,8 +25,8 @@
 //! [`extend_row`] extends a whole wavefront row of packed cells in one
 //! pass (gathering four diagonals' windows at a time on AVX2); it is the
 //! Extend phase of both the accelerator model and the software WFA.
-//! Simulated accelerator cycles are derived from the modeled 16-base
-//! blocks ([`crate::bitpack::hw_extend_blocks`]), never from host word
+//! Simulated accelerator cycles are derived from the modeled comparison
+//! blocks (`wfasic_accel::extend::compare_cycles`), never from host word
 //! width, so the kernel path cannot leak into cycle counts.
 //!
 //! [`compute_row`] is the batched form of Eq. 3 (paper §2.3): it computes a

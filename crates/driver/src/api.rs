@@ -7,7 +7,7 @@
 //! or taking the interrupt), then parse results — including the CPU-side
 //! backtrace when enabled. [`WfasicDriver::submit`] is a one-lane call into
 //! the attempt loop in [`crate::job`], the same loop every lane of a
-//! [`crate::BatchScheduler`] runs.
+//! [`crate::MultiLaneBackend`] runs.
 //!
 //! Robustness (paper §5.1, made a driver contract): `submit` returns a
 //! [`Result`] instead of asserting. Under the driver's [`AlignPolicy`] a

@@ -12,7 +12,7 @@
 //!   strategy in one reused arena. Its [`CpuWfaBackend::align`] is **the**
 //!   one software answer path: this backend's batches, the heterogeneous
 //!   CPU partition and its recoveries, the attempt loop's fallback in
-//!   [`crate::job`] and the scheduler's degraded jobs all call it, each on
+//!   [`crate::job`] and the lanes' degraded jobs all call it, each on
 //!   an engine its caller owns. A batch is one queue that this engine
 //!   drains together with the process's resident helper threads
 //!   ([`pool::share`]), each on an engine of its own.
@@ -21,10 +21,11 @@
 //!   WFA kernel on the RV64IM interpreter with Sargantana-like timing,
 //!   cross-checked per pair against `wfa_align` and the analytic cost
 //!   model (see `crate::riscv_backend`).
-//! * [`MultiLaneBackend`] — a [`BatchScheduler`] over an N-lane SoC with a
-//!   shared-port arbiter. [`BackendKind::Device`], the paper's taped-out
-//!   configuration, is its one-lane form ([`MultiLaneBackend::device`]):
-//!   each backend batch runs whole, as one job.
+//! * [`MultiLaneBackend`] — an N-lane SoC with a shared-port arbiter, and
+//!   the batch scheduler that deals jobs over its lanes (`crate::batch`).
+//!   [`BackendKind::Device`], the paper's taped-out configuration, is its
+//!   one-lane form ([`MultiLaneBackend::device`]): each backend batch runs
+//!   whole, as one job.
 //! * [`HeterogeneousBackend`] — accelerator lanes plus CPU workers:
 //!   out-of-envelope pairs (Eq. 5/6 — too long for the device, see
 //!   [`Capabilities`]) are routed to the CPU *before* submission (so they
@@ -36,7 +37,7 @@
 //!   in once its device batch is done.
 //!
 //! One [`AlignPolicy`] governs them all: [`AlignmentBackend::apply_policy`]
-//! installs the service's value whole — as the scheduler's policy on the
+//! installs the service's value whole — as the lanes' policy on the
 //! device-backed engines (the heterogeneous backend turning device-side
 //! fallback off, since it recovers itself) and as the route of every CPU
 //! engine — so no backend keeps a copy of a policy field.
@@ -48,7 +49,7 @@
 //! the backend-equivalence suite pins down precisely.
 
 use crate::api::{AlignmentResult, DriverError};
-use crate::batch::{BatchJob, BatchScheduler};
+use crate::batch::{BatchJob, LaneHealth, MultiLaneBackend};
 use std::cell::RefCell;
 use std::sync::Arc;
 use wfa_core::pool;
@@ -78,9 +79,6 @@ pub struct Capabilities {
     pub score_max: Option<u32>,
     /// Device lanes behind the backend (0 for pure software).
     pub lanes: usize,
-    /// Does the backend report simulated device cycles in
-    /// [`BackendBatch::sim_cycles`]?
-    pub simulated: bool,
 }
 
 impl Capabilities {
@@ -291,7 +289,7 @@ impl BackendCounters {
     /// recoveries come from [`Self::absorb`]. Sums and a max, so engines
     /// that split one queue between them merge to the same totals however
     /// the pairs fell.
-    fn merge_cpu_tallies(&mut self, cpu: &BackendCounters) {
+    pub(crate) fn merge_cpu_tallies(&mut self, cpu: &BackendCounters) {
         self.exact_pairs += cpu.exact_pairs;
         self.biwfa_pairs += cpu.biwfa_pairs;
         self.adaptive_pairs += cpu.adaptive_pairs;
@@ -301,7 +299,7 @@ impl BackendCounters {
 
 /// How every job is programmed, bounded, retried and rescued, and how the
 /// CPU routes its pairs: the one policy value, set in **one** place (the
-/// service layer) and read unchanged by the backend, the batch scheduler,
+/// service layer) and read unchanged by the backend, the device lanes,
 /// a lone [`crate::WfasicDriver`] and the attempt loop in [`crate::job`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct AlignPolicy {
@@ -324,16 +322,16 @@ pub struct AlignPolicy {
     /// bound).
     pub deadline_cycles: Option<Cycle>,
     /// Quarantine a device lane after this many consecutive job failures
-    /// (0 = circuit breaker off). Every scheduler-backed engine has a
+    /// (0 = circuit breaker off). Every [`MultiLaneBackend`] has a
     /// breaker, the one-lane `device` backend included; a lone
     /// [`crate::WfasicDriver`] has no lane to quarantine and ignores the
     /// three breaker fields.
     pub quarantine_threshold: u32,
     /// Cycles a quarantined lane sits out before probation re-admission
-    /// (scheduler only).
+    /// (lanes only).
     pub quarantine_cooldown: Cycle,
     /// Retire a lane permanently after this many quarantines (0 = never;
-    /// scheduler only).
+    /// lanes only).
     pub retire_after: u32,
     /// Re-run failed pairs (and fully-failed jobs) through the software WFA
     /// so the application always gets answers. [`HeterogeneousBackend`]
@@ -427,14 +425,14 @@ pub trait AlignmentBackend {
 
     /// Per-lane circuit-breaker health, for engines with device lanes
     /// (empty for pure software engines).
-    fn lane_health(&self) -> Vec<crate::batch::LaneHealth> {
+    fn lane_health(&self) -> Vec<LaneHealth> {
         Vec::new()
     }
 
     /// Install (or replace) a fault-injection plan on one device lane.
     /// This is the chaos-choreography surface: a harness can storm a boxed
     /// backend *through* the service layer, mid-soak, without reaching into
-    /// the scheduler. No-op for engines without device lanes.
+    /// the lanes. No-op for engines without device lanes.
     fn set_lane_fault_plan(&mut self, lane: usize, plan: FaultPlan) {
         let _ = (lane, plan);
     }
@@ -639,7 +637,6 @@ impl AlignmentBackend for CpuWfaBackend {
             max_len: usize::MAX,
             score_max: None,
             lanes: 0,
-            simulated: false,
         }
     }
 
@@ -700,7 +697,6 @@ impl AlignmentBackend for SwgBackend {
             max_len: usize::MAX,
             score_max: None,
             lanes: 0,
-            simulated: false,
         }
     }
 
@@ -740,148 +736,6 @@ impl AlignmentBackend for SwgBackend {
 }
 
 // ---------------------------------------------------------------------------
-// MultiLaneBackend
-// ---------------------------------------------------------------------------
-
-/// Pairs per sub-job when a backend batch is spread across the lanes of a
-/// [`MultiLaneBackend`] (the oracle matrix's differential job size).
-pub const DEFAULT_LANE_CHUNK: usize = 28;
-
-/// An N-lane WFAsic SoC behind the [`BatchScheduler`]: one backend batch is
-/// chunked into per-lane jobs, dispatched with DMA/compute overlap over the
-/// shared-port arbiter, and reassembled in submission order.
-#[derive(Debug)]
-pub struct MultiLaneBackend {
-    /// The scheduler (SoC + memory + policy). Public so tests can install
-    /// per-lane fault plans or change the policy.
-    pub sched: BatchScheduler,
-    /// Pairs per sub-job ([`DEFAULT_LANE_CHUNK`] by default). A batch that
-    /// fits one chunk runs as one job, passed through uncopied; an empty
-    /// batch runs no job, except on `device` (`usize::MAX`), which runs
-    /// every batch whole as the lone driver does.
-    pub chunk: usize,
-    name: &'static str,
-    counters: BackendCounters,
-}
-
-impl MultiLaneBackend {
-    /// A backend over `lanes` identically-configured lanes.
-    pub fn new(cfg: AccelConfig, lanes: usize) -> Self {
-        MultiLaneBackend {
-            sched: BatchScheduler::new(cfg, lanes),
-            chunk: DEFAULT_LANE_CHUNK,
-            name: "multilane",
-            counters: BackendCounters::default(),
-        }
-    }
-
-    /// The paper's taped-out configuration, named `device`: one lane that
-    /// runs every backend batch whole, as one job, so a batch of any size
-    /// takes the cycles of one driver submit.
-    pub fn device(cfg: AccelConfig) -> Self {
-        MultiLaneBackend {
-            chunk: usize::MAX,
-            name: "device",
-            ..Self::new(cfg, 1)
-        }
-    }
-}
-
-impl AlignmentBackend for MultiLaneBackend {
-    fn capabilities(&self) -> Capabilities {
-        let cfg = self.sched.soc.lane(0).cfg;
-        Capabilities {
-            name: self.name,
-            max_len: cfg.max_supported_len,
-            score_max: Some(cfg.score_max()),
-            lanes: self.sched.num_lanes(),
-            simulated: true,
-        }
-    }
-
-    fn align_batch(&mut self, job: &BatchJob) -> Result<BackendBatch, DriverError> {
-        let chunk = self.chunk.max(1);
-        let chunked: Vec<BatchJob>;
-        let whole = self.chunk == usize::MAX || (1..=chunk).contains(&job.pairs.len());
-        let jobs = if whole {
-            std::slice::from_ref(job)
-        } else {
-            chunked = job
-                .pairs
-                .chunks(chunk)
-                .map(|pairs| BatchJob {
-                    pairs: pairs.to_vec(),
-                    backtrace: job.backtrace,
-                    deadline: job.deadline,
-                })
-                .collect();
-            &chunked
-        };
-        let batch = self.sched.submit_batch(jobs);
-        let mut results = Vec::with_capacity(job.pairs.len());
-        let mut perf: Option<JobPerf> = None;
-        let mut reports = Vec::with_capacity(batch.jobs.len());
-        for outcome in batch.jobs {
-            match outcome {
-                Ok(j) => {
-                    if perf.is_none() {
-                        perf = j.report.perf.clone();
-                    }
-                    results.extend(j.results);
-                    reports.push(j.report);
-                }
-                Err(e) => {
-                    // One lost sub-job fails the whole backend batch; with
-                    // the service's `cpu_fallback` policy (or the hetero
-                    // backend above this one) this path is unreachable.
-                    self.counters.errors += 1;
-                    return Err(e);
-                }
-            }
-        }
-        let batch = BackendBatch {
-            results,
-            sim_cycles: Some(batch.total_cycles),
-            perf,
-            reports,
-        };
-        self.counters.absorb(&batch);
-        Ok(batch)
-    }
-
-    fn lane_health(&self) -> Vec<crate::batch::LaneHealth> {
-        self.sched.lane_health().to_vec()
-    }
-
-    fn set_lane_fault_plan(&mut self, lane: usize, plan: FaultPlan) {
-        self.sched.set_lane_fault_plan(lane, plan);
-    }
-
-    fn counters(&self) -> BackendCounters {
-        // Merge the scheduler's health ledger in: fault counters from every
-        // lane's device, breaker transitions, degradations, refusals, and
-        // its CPU engine's strategy tallies.
-        let mut c = self.counters;
-        c.faults = self.sched.fault_counters();
-        c.quarantine_events = self.sched.quarantine_events();
-        c.readmissions = self.sched.readmissions();
-        c.degraded_jobs = self.sched.degraded_jobs();
-        c.deadline_refusals = self.sched.deadline_refusals();
-        c.merge_cpu_tallies(&self.sched.cpu.counters);
-        c
-    }
-
-    fn reset_counters(&mut self) {
-        self.counters = BackendCounters::default();
-        self.sched.cpu.reset_counters();
-    }
-
-    fn apply_policy(&mut self, policy: &AlignPolicy) {
-        self.sched.policy = *policy;
-    }
-}
-
-// ---------------------------------------------------------------------------
 // HeterogeneousBackend
 // ---------------------------------------------------------------------------
 
@@ -917,8 +771,7 @@ impl AlignmentBackend for HeterogeneousBackend {
             // The CPU side removes the device's length/score envelope.
             max_len: usize::MAX,
             score_max: None,
-            lanes: self.accel.sched.num_lanes(),
-            simulated: true,
+            lanes: self.accel.capabilities().lanes,
         }
     }
 
@@ -1009,7 +862,7 @@ impl AlignmentBackend for HeterogeneousBackend {
         Ok(batch)
     }
 
-    fn lane_health(&self) -> Vec<crate::batch::LaneHealth> {
+    fn lane_health(&self) -> Vec<LaneHealth> {
         self.accel.lane_health()
     }
 
@@ -1264,7 +1117,7 @@ mod tests {
         };
         let mut dev = MultiLaneBackend::device(AccelConfig::wfasic_chip());
         dev.apply_policy(&policy);
-        assert_eq!(dev.sched.policy, policy);
+        assert_eq!(dev.policy, policy);
 
         // The heterogeneous backend owns recovery itself.
         let mut hetero = HeterogeneousBackend::new(AccelConfig::wfasic_chip(), 2);
@@ -1273,7 +1126,7 @@ mod tests {
             cpu_fallback: false,
             ..policy
         };
-        assert_eq!(hetero.accel.sched.policy, device_policy);
+        assert_eq!(hetero.accel.policy, device_policy);
         assert_eq!(hetero.cpu.route, CpuRoute::from_policy(&policy));
     }
 }

@@ -1,13 +1,22 @@
-//! The batch scheduler: a queue of alignment jobs dispatched across the
-//! lanes of a [`MultiLaneSoc`].
+//! The multi-lane engine: [`MultiLaneBackend`], N WFAsic lanes behind one
+//! shared memory controller, and the queue of [`BatchJob`]s it dispatches
+//! over them.
 //!
-//! The paper's co-design drives one WFAsic instance one job at a time; a
-//! production SoC serves many alignment requests concurrently. The
-//! [`BatchScheduler`] is the driver-side answer: it accepts a queue of
-//! [`BatchJob`]s, deals them round-robin over the available lanes, and on
-//! each lane overlaps the DMA-in of job *k+1* with the compute of job *k*
-//! (the lane's input port is free once the last record has arrived —
-//! [`RunReport::input_done`] — long before the Aligners drain).
+//! The paper tapes out a single WFAsic instance; the scaling story beyond
+//! one chip is more instances on the same SoC, not more Aligners per
+//! instance (Eq. 7 bounds the latter). Each lane is a full
+//! [`WfasicDevice`] with its own register file, DMA engine, input FIFO and
+//! (optional) fault plan, programmed through the same nine registers a
+//! lone device has. Every lane's AXI-Full traffic is granted slots by one
+//! shared [`BusArbiter`], so concurrent lanes contend for memory bandwidth
+//! and the contention shows up as per-lane arbitration waits.
+//!
+//! [`MultiLaneBackend::submit_batch`] accepts a queue of jobs, deals them
+//! round-robin over the available lanes, and on each lane overlaps the
+//! DMA-in of job *k+1* with the compute of job *k* (the lane's input port
+//! is free once the last record has arrived — [`RunReport::input_done`] —
+//! long before the Aligners drain). Its [`AlignmentBackend`] impl chunks
+//! one backend batch into such a queue.
 //!
 //! Cycle accounting stays honest end to end: every lane's transfers are
 //! granted slots by the shared memory-controller arbiter (contention is
@@ -17,7 +26,7 @@
 //! lane's breakdown sums exactly to [`BatchResult::total_cycles`].
 //!
 //! Every job runs through the one attempt loop in [`crate::job`], the loop
-//! [`crate::WfasicDriver::submit`] also calls, under the scheduler's
+//! [`crate::WfasicDriver::submit`] also calls, under the engine's
 //! [`AlignPolicy`]: retries (with fresh per-lane fault streams) on the
 //! lane's own timeline, a watchdog bound, and optional CPU fallback — so
 //! one faulting lane degrades to software answers without stalling the rest
@@ -27,21 +36,26 @@
 //!
 //! A 1-lane batch of one job is bit-identical to
 //! [`crate::WfasicDriver::submit`]: same loop, same memory layout, same
-//! uncontended bus timing. The backend-equivalence suite pins this.
+//! uncontended bus timing (lane 0 keeps the lone device's perf track IDs
+//! and fault stream keys). The backend-equivalence suite pins this.
 
 use crate::api::{DriverError, JobResult, MemLayout, WaitMode};
-use crate::backend::{AlignPolicy, CpuRoute, CpuWfaBackend};
+use crate::backend::{
+    AlignPolicy, AlignmentBackend, BackendBatch, BackendCounters, Capabilities, CpuRoute,
+    CpuWfaBackend,
+};
 use crate::job::{self, Lane, LaneTimeline};
-use wfasic_accel::device::RunReport;
-use wfasic_accel::multilane::MultiLaneSoc;
+use std::cell::RefCell;
+use std::rc::Rc;
+use wfasic_accel::device::{RunReport, WfasicDevice};
 use wfasic_accel::schedule::WavefrontSchedule;
 use wfasic_accel::AccelConfig;
 use wfasic_seqio::generate::Pair;
-use wfasic_soc::arbiter::ArbiterStats;
+use wfasic_soc::arbiter::{ArbiterStats, BusArbiter};
 use wfasic_soc::clock::Cycle;
-use wfasic_soc::fault::{FaultCounters, FaultPlan};
+use wfasic_soc::fault::FaultPlan;
 use wfasic_soc::mem::MainMemory;
-use wfasic_soc::perf::{attribute_window, PerfCounters};
+use wfasic_soc::perf::{attribute_window, JobPerf, PerfCounters};
 
 /// One alignment job in a batch queue.
 #[derive(Debug, Clone)]
@@ -178,22 +192,33 @@ impl BatchResult {
     }
 }
 
-/// The batch scheduler: a [`MultiLaneSoc`], its memory, and the dispatch /
-/// recovery policy.
+/// Pairs per sub-job when a backend batch is spread across the lanes of a
+/// [`MultiLaneBackend`] (the oracle matrix's differential job size).
+pub const DEFAULT_LANE_CHUNK: usize = 28;
+
+/// An N-lane WFAsic SoC, its memory and the dispatch / recovery policy: one
+/// backend batch is chunked into per-lane jobs, dispatched with DMA/compute
+/// overlap over the shared-port arbiter, and reassembled in submission
+/// order.
 #[derive(Debug)]
-pub struct BatchScheduler {
-    /// The multi-lane SoC.
-    pub soc: MultiLaneSoc,
-    /// Main memory shared by the CPU and every lane.
-    pub mem: MainMemory,
+pub struct MultiLaneBackend {
     /// Every job's watchdog, retry, deadline, fallback and programming
     /// rules, the CPU route, and the lanes' circuit breaker (a
     /// `quarantine_threshold` of 0 disables it; health counters still
     /// accumulate). Cooldowns run on the epoch clock.
     pub policy: AlignPolicy,
+    /// Pairs per sub-job ([`DEFAULT_LANE_CHUNK`] by default). A batch that
+    /// fits one chunk runs as one job, passed through uncopied; an empty
+    /// batch runs no job, except on `device` (`usize::MAX`), which runs
+    /// every batch whole as the lone driver does.
+    pub chunk: usize,
+    lanes: Vec<WfasicDevice>,
+    arbiter: Rc<RefCell<BusArbiter>>,
+    /// Main memory shared by the CPU and every lane.
+    mem: MainMemory,
     /// The CPU engine every lane's fallback and every degraded job runs
     /// on; it takes [`Self::policy`]'s route at every batch.
-    pub(crate) cpu: CpuWfaBackend,
+    cpu: CpuWfaBackend,
     schedule: WavefrontSchedule,
     health: Vec<LaneHealth>,
     /// Monotone cross-batch clock: per-batch timelines restart at 0, so
@@ -201,72 +226,57 @@ pub struct BatchScheduler {
     epoch: Cycle,
     /// Epoch cycles charged by CPU-degraded jobs in the current batch (the
     /// clock must advance even when no lane ran, or a fully-quarantined
-    /// scheduler could never reach a cooldown).
+    /// engine could never reach a cooldown).
     epoch_extra: Cycle,
     degraded_jobs: u64,
     deadline_refusals: u64,
+    name: &'static str,
+    counters: BackendCounters,
 }
 
-impl BatchScheduler {
-    /// A scheduler over `lanes` identically-configured lanes.
+impl MultiLaneBackend {
+    /// A backend over `lanes` identically-configured lanes (at least 1).
     pub fn new(cfg: AccelConfig, lanes: usize) -> Self {
-        let schedule = WavefrontSchedule::for_config(&cfg);
-        BatchScheduler {
-            soc: MultiLaneSoc::new(cfg, lanes),
-            mem: MainMemory::with_default_cap(),
+        assert!(lanes >= 1, "an SoC needs at least one lane");
+        let arbiter = Rc::new(RefCell::new(BusArbiter::new(lanes)));
+        MultiLaneBackend {
             policy: AlignPolicy::default(),
+            chunk: DEFAULT_LANE_CHUNK,
+            lanes: (0..lanes)
+                .map(|lane| {
+                    let mut dev = WfasicDevice::new(cfg).with_lane(lane);
+                    dev.attach_shared_bus(arbiter.clone());
+                    dev
+                })
+                .collect(),
+            arbiter,
+            mem: MainMemory::with_default_cap(),
             cpu: CpuWfaBackend::new(cfg.penalties),
-            schedule,
+            schedule: WavefrontSchedule::for_config(&cfg),
             health: vec![LaneHealth::default(); lanes],
             epoch: 0,
             epoch_extra: 0,
             degraded_jobs: 0,
             deadline_refusals: 0,
+            name: "multilane",
+            counters: BackendCounters::default(),
         }
     }
 
-    /// Number of lanes.
-    pub fn num_lanes(&self) -> usize {
-        self.soc.num_lanes()
-    }
-
-    /// Install a fault plan on one lane; the other lanes stay clean.
-    pub fn set_lane_fault_plan(&mut self, lane: usize, plan: FaultPlan) {
-        self.soc.set_lane_fault_plan(lane, plan);
-    }
-
-    /// Per-lane health records (circuit-breaker state, rolling counts).
-    pub fn lane_health(&self) -> &[LaneHealth] {
-        &self.health
-    }
-
-    /// Times any lane opened its circuit.
-    pub fn quarantine_events(&self) -> u64 {
-        self.health.iter().map(|h| h.quarantines as u64).sum()
-    }
-
-    /// Times any lane was re-admitted from quarantine.
-    pub fn readmissions(&self) -> u64 {
-        self.health.iter().map(|h| h.readmissions as u64).sum()
-    }
-
-    /// Whole jobs answered by the CPU because no lane would take them.
-    pub fn degraded_jobs(&self) -> u64 {
-        self.degraded_jobs
-    }
-
-    /// Jobs refused with [`DriverError::DeadlineExceeded`].
-    pub fn deadline_refusals(&self) -> u64 {
-        self.deadline_refusals
-    }
-
-    /// Injected-fault counters merged across every lane's device.
-    pub fn fault_counters(&self) -> FaultCounters {
-        let mut total = FaultCounters::default();
-        for lane in 0..self.num_lanes() {
-            total.merge(&self.soc.lane(lane).fault_counters());
+    /// The paper's taped-out configuration, named `device`: one lane that
+    /// runs every backend batch whole, as one job, so a batch of any size
+    /// takes the cycles of one driver submit.
+    pub fn device(cfg: AccelConfig) -> Self {
+        MultiLaneBackend {
+            chunk: usize::MAX,
+            name: "device",
+            ..Self::new(cfg, 1)
         }
-        total
+    }
+
+    /// Mutably borrow a lane's device (its register file and fault plan).
+    pub fn lane_mut(&mut self, lane: usize) -> &mut WfasicDevice {
+        &mut self.lanes[lane]
     }
 
     /// Submit a queue of jobs and run the whole batch to completion.
@@ -278,13 +288,13 @@ impl BatchScheduler {
     /// remaining queue to the not-yet-run lanes after it; when no lane
     /// remains the leftovers are answered by the CPU fallback (marked
     /// `recovered`) or refused with [`DriverError::Quarantined`]. With the
-    /// breaker disabled (`quarantine_threshold == 0`, the default) dispatch
-    /// and cycle results are bit-identical to the pre-quarantine scheduler.
+    /// breaker disabled (`quarantine_threshold == 0`, the default) every
+    /// lane takes its round-robin share.
     pub fn submit_batch(&mut self, jobs: &[BatchJob]) -> BatchResult {
-        let n = self.num_lanes();
+        let n = self.lanes.len();
         // Every batch's lane timelines start at cycle 0, so the shared port
         // must too: `BatchResult::arbiter` then describes this batch alone.
-        self.soc.reset_arbiter();
+        self.arbiter.borrow_mut().reset();
         self.cpu.route = CpuRoute::from_policy(&self.policy);
         self.readmit_due_lanes();
         let avail: Vec<usize> = (0..n).filter(|&l| self.health[l].available()).collect();
@@ -348,7 +358,7 @@ impl BatchScheduler {
 
         // Advance the epoch clock past this batch, including the modeled
         // cost of any CPU-degraded work (otherwise a fully-quarantined
-        // scheduler would freeze time and never reach a cooldown).
+        // engine would freeze time and never reach a cooldown).
         self.epoch += total + self.epoch_extra;
         self.epoch_extra = 0;
 
@@ -367,7 +377,7 @@ impl BatchScheduler {
             total_cycles: total,
             lanes,
             lane_done,
-            arbiter: self.soc.arbiter_stats(),
+            arbiter: self.arbiter.borrow().stats.clone(),
             lane_perf,
         }
     }
@@ -435,7 +445,7 @@ impl BatchScheduler {
                 costs.per_alignment + ((p.a.len() + p.b.len()) as f64 * costs.per_base) as Cycle
             })
             .sum::<Cycle>();
-        let cfg = self.soc.lane(0).cfg;
+        let cfg = self.lanes[0].cfg;
         Ok(JobResult {
             results: job
                 .pairs
@@ -459,7 +469,7 @@ impl BatchScheduler {
         timeline: &mut LaneTimeline,
     ) -> Result<JobResult, DriverError> {
         let run = Lane {
-            device: self.soc.lane_mut(lane),
+            device: &mut self.lanes[lane],
             cpu: &mut self.cpu,
             mem: &mut self.mem,
             layout: MemLayout::for_lane(lane),
@@ -492,5 +502,101 @@ impl BatchScheduler {
             self.deadline_refusals += 1;
         }
         out.result
+    }
+}
+
+impl AlignmentBackend for MultiLaneBackend {
+    fn capabilities(&self) -> Capabilities {
+        let cfg = self.lanes[0].cfg;
+        Capabilities {
+            name: self.name,
+            max_len: cfg.max_supported_len,
+            score_max: Some(cfg.score_max()),
+            lanes: self.lanes.len(),
+        }
+    }
+
+    fn align_batch(&mut self, job: &BatchJob) -> Result<BackendBatch, DriverError> {
+        let chunk = self.chunk.max(1);
+        let chunked: Vec<BatchJob>;
+        let whole = self.chunk == usize::MAX || (1..=chunk).contains(&job.pairs.len());
+        let jobs = if whole {
+            std::slice::from_ref(job)
+        } else {
+            chunked = job
+                .pairs
+                .chunks(chunk)
+                .map(|pairs| BatchJob {
+                    pairs: pairs.to_vec(),
+                    backtrace: job.backtrace,
+                    deadline: job.deadline,
+                })
+                .collect();
+            &chunked
+        };
+        let batch = self.submit_batch(jobs);
+        let mut results = Vec::with_capacity(job.pairs.len());
+        let mut perf: Option<JobPerf> = None;
+        let mut reports = Vec::with_capacity(batch.jobs.len());
+        for outcome in batch.jobs {
+            match outcome {
+                Ok(j) => {
+                    if perf.is_none() {
+                        perf = j.report.perf.clone();
+                    }
+                    results.extend(j.results);
+                    reports.push(j.report);
+                }
+                Err(e) => {
+                    // One lost sub-job fails the whole backend batch; with
+                    // the service's `cpu_fallback` policy (or the hetero
+                    // backend above this one) this path is unreachable.
+                    self.counters.errors += 1;
+                    return Err(e);
+                }
+            }
+        }
+        let batch = BackendBatch {
+            results,
+            sim_cycles: Some(batch.total_cycles),
+            perf,
+            reports,
+        };
+        self.counters.absorb(&batch);
+        Ok(batch)
+    }
+
+    fn lane_health(&self) -> Vec<LaneHealth> {
+        self.health.clone()
+    }
+
+    fn set_lane_fault_plan(&mut self, lane: usize, plan: FaultPlan) {
+        self.lanes[lane].set_fault_plan(plan);
+    }
+
+    fn counters(&self) -> BackendCounters {
+        // Merge the lanes' health ledger in: fault counters from every
+        // lane's device, breaker transitions, degradations, refusals, and
+        // the CPU engine's strategy tallies. None of it is reset with the
+        // counters.
+        let mut c = self.counters;
+        for dev in &self.lanes {
+            c.faults.merge(&dev.fault_counters());
+        }
+        c.quarantine_events = self.health.iter().map(|h| h.quarantines as u64).sum();
+        c.readmissions = self.health.iter().map(|h| h.readmissions as u64).sum();
+        c.degraded_jobs = self.degraded_jobs;
+        c.deadline_refusals = self.deadline_refusals;
+        c.merge_cpu_tallies(&self.cpu.counters());
+        c
+    }
+
+    fn reset_counters(&mut self) {
+        self.counters = BackendCounters::default();
+        self.cpu.reset_counters();
+    }
+
+    fn apply_policy(&mut self, policy: &AlignPolicy) {
+        self.policy = *policy;
     }
 }

@@ -2,7 +2,7 @@
 //! the image, program the registers, start, wait, parse).
 //!
 //! [`crate::WfasicDriver::submit`] calls it once on its lone device with a
-//! fresh timeline; [`crate::BatchScheduler`] calls it once per queued job
+//! fresh timeline; [`crate::MultiLaneBackend`] calls it once per queued job
 //! on the job's lane, carrying that lane's timeline from job to job. Both
 //! hold one [`AlignPolicy`], the service's, so watchdog, retry, deadline
 //! and fallback rules are written once:

@@ -13,9 +13,10 @@
 //! * [`backtrace`] — the CPU backtrace over the accelerator's origin
 //!   stream: multi-Aligner data separation, single-Aligner no-separation
 //!   boundary detection, the origin walk, and match insertion (§4.5);
-//! * [`batch`] — the multi-lane batch scheduler: a queue of jobs dealt
-//!   round-robin across N lanes with DMA/compute overlap, a per-lane
-//!   circuit breaker, and submission-order results;
+//! * [`batch`] — the multi-lane engine [`MultiLaneBackend`]: N lanes
+//!   behind a shared-port arbiter, a queue of jobs dealt round-robin across
+//!   them with DMA/compute overlap, a per-lane circuit breaker, and
+//!   submission-order results;
 //! * [`cpu_model`] — analytic Sargantana cycle models for the scalar and
 //!   vectorized CPU WFA baselines and the CPU backtrace costs;
 //! * [`codesign`] — end-to-end experiment execution (accelerator + CPU
@@ -36,10 +37,10 @@ pub mod riscv_backend;
 pub use api::{AlignmentResult, DriverError, JobResult, MemLayout, WaitMode, WfasicDriver};
 pub use backend::{
     AlignPolicy, AlignmentBackend, BackendBatch, BackendCounters, BackendKind, Capabilities,
-    CpuRoute, CpuWfaBackend, HeterogeneousBackend, MultiLaneBackend, StrategySelect, SwgBackend,
+    CpuRoute, CpuWfaBackend, HeterogeneousBackend, StrategySelect, SwgBackend,
 };
 pub use backtrace::{backtrace_alignment_packed, BtAlignment, BtError, Edit};
-pub use batch::{BatchJob, BatchResult, BatchScheduler, LaneHealth, LaneState};
+pub use batch::{BatchJob, BatchResult, LaneHealth, LaneState, MultiLaneBackend};
 pub use codesign::{run_experiment, ExperimentResult};
 pub use cpu_model::{backtrace_cycles, software_backtrace_cycles, CpuCosts};
 pub use faults::{FaultClass, FaultLayer, Provenance};

@@ -105,7 +105,6 @@ impl AlignmentBackend for RiscvBackend {
             max_len: usize::MAX,
             score_max: None,
             lanes: 0,
-            simulated: true,
         }
     }
 

@@ -1,11 +1,12 @@
-//! Batch-scheduler system tests: submission-order integrity, DMA/compute
-//! overlap, per-lane perf-window invariants, and per-lane fault
+//! Multi-lane batch tests (`MultiLaneBackend::submit_batch`):
+//! submission-order integrity, DMA/compute overlap, shared-port
+//! contention, per-lane perf-window invariants, and per-lane fault
 //! degradation. (1-lane bit-identity with the single-device driver lives
 //! in the root `tests/backend_equivalence.rs`.)
 
 use wfa_core::prop;
 use wfasic_accel::AccelConfig;
-use wfasic_driver::{AlignmentBackend, BatchJob, BatchScheduler, DriverError, MultiLaneBackend};
+use wfasic_driver::{AlignmentBackend, BatchJob, DriverError, JobResult, MultiLaneBackend};
 use wfasic_seqio::dataset::InputSetSpec;
 use wfasic_seqio::generate::{ErrorProfile, Pair, PairGenerator};
 use wfasic_soc::fault::FaultPlan;
@@ -34,12 +35,12 @@ fn assign_unique_ids(jobs: &mut [BatchJob]) {
 #[test]
 fn dma_of_the_next_job_overlaps_compute_of_the_previous() {
     let cfg = AccelConfig::wfasic_chip();
-    let mut sched = BatchScheduler::new(cfg, 1);
+    let mut engine = MultiLaneBackend::new(cfg, 1);
     let jobs = vec![
         BatchJob::score_only(pairs(6, 1000, 1)),
         BatchJob::score_only(pairs(6, 1000, 2)),
     ];
-    let batch = sched.submit_batch(&jobs);
+    let batch = engine.submit_batch(&jobs);
     let first = batch.jobs[0].as_ref().unwrap();
     let second = batch.jobs[1].as_ref().unwrap();
 
@@ -57,10 +58,39 @@ fn dma_of_the_next_job_overlaps_compute_of_the_previous() {
     assert!(batch.total_cycles < serial);
 }
 
+/// Four lanes running the same job at once contend for the shared port:
+/// contention delays each lane at least as much as running alone, and it
+/// never changes an answer.
+#[test]
+fn concurrent_lanes_contend_and_still_compute_correctly() {
+    let cfg = AccelConfig::wfasic_chip();
+    let job = BatchJob::score_only(pairs(8, 100, 73));
+    let one = MultiLaneBackend::new(cfg, 1).submit_batch(std::slice::from_ref(&job));
+    let solo = one.jobs[0].as_ref().unwrap();
+    let four = MultiLaneBackend::new(cfg, 4).submit_batch(&vec![job; 4]);
+    assert_eq!(four.lanes, vec![0, 1, 2, 3]);
+    assert!(
+        four.arbiter.wait_cycles() > 0,
+        "shared port never contended"
+    );
+    let scores = |j: &JobResult| j.results.iter().map(|r| r.score).collect::<Vec<_>>();
+    let cycles: Vec<u64> = four
+        .jobs
+        .iter()
+        .map(|outcome| {
+            let j = outcome.as_ref().unwrap();
+            assert_eq!(scores(j), scores(solo));
+            j.report.total_cycles
+        })
+        .collect();
+    assert!(cycles.iter().all(|&c| c >= solo.report.total_cycles));
+    assert!(cycles.iter().any(|&c| c > solo.report.total_cycles));
+}
+
 #[test]
 fn round_robin_preserves_submission_order_and_lane_accounting() {
     let cfg = AccelConfig::wfasic_chip();
-    let mut sched = BatchScheduler::new(cfg, 3);
+    let mut engine = MultiLaneBackend::new(cfg, 3);
     let mut jobs: Vec<BatchJob> = (0..7)
         .map(|i| BatchJob::score_only(pairs(1 + i % 3, 60 + 20 * (i % 4), 40 + i as u64)))
         .collect();
@@ -70,7 +100,7 @@ fn round_robin_preserves_submission_order_and_lane_accounting() {
         .map(|j| j.pairs.iter().map(|p| p.id).collect())
         .collect();
 
-    let batch = sched.submit_batch(&jobs);
+    let batch = engine.submit_batch(&jobs);
     assert_eq!(batch.jobs.len(), 7);
     let got: Vec<Vec<u32>> = batch
         .jobs
@@ -85,14 +115,14 @@ fn round_robin_preserves_submission_order_and_lane_accounting() {
 #[test]
 fn per_lane_counters_attribute_every_cycle_of_the_batch_window() {
     let cfg = AccelConfig::wfasic_chip();
-    let mut sched = BatchScheduler::new(cfg, 2);
-    sched.policy.collect_perf = true;
+    let mut engine = MultiLaneBackend::new(cfg, 2);
+    engine.policy.collect_perf = true;
     let jobs = vec![
         BatchJob::score_only(pairs(4, 200, 11)),
         BatchJob::score_only(pairs(2, 100, 12)),
         BatchJob::score_only(pairs(3, 150, 13)),
     ];
-    let batch = sched.submit_batch(&jobs);
+    let batch = engine.submit_batch(&jobs);
     let lane_perf = batch.lane_perf.as_ref().expect("collect_perf was set");
     assert_eq!(lane_perf.len(), 2);
     for (lane, counters) in lane_perf.iter().enumerate() {
@@ -119,9 +149,9 @@ fn per_lane_counters_attribute_every_cycle_of_the_batch_window() {
 #[test]
 fn a_faulting_lane_degrades_to_cpu_answers_without_stalling_the_batch() {
     let cfg = AccelConfig::wfasic_chip();
-    let mut sched = BatchScheduler::new(cfg, 2);
-    sched.policy.cpu_fallback = true;
-    sched.set_lane_fault_plan(
+    let mut engine = MultiLaneBackend::new(cfg, 2);
+    engine.policy.cpu_fallback = true;
+    engine.set_lane_fault_plan(
         1,
         FaultPlan {
             bit_flip_per_beat: 0.4,
@@ -133,7 +163,7 @@ fn a_faulting_lane_degrades_to_cpu_answers_without_stalling_the_batch() {
         .map(|i| BatchJob::score_only(pairs(3, 100, 600 + i)))
         .collect();
     assign_unique_ids(&mut jobs);
-    let batch = sched.submit_batch(&jobs);
+    let batch = engine.submit_batch(&jobs);
 
     for (i, outcome) in batch.jobs.iter().enumerate() {
         let job = outcome.as_ref().unwrap_or_else(|e| {
@@ -155,12 +185,14 @@ fn a_faulting_lane_degrades_to_cpu_answers_without_stalling_the_batch() {
             assert!(job.results.iter().all(|r| !r.recovered));
         }
     }
+    // So every injected fault was lane 1's.
+    assert!(engine.counters().faults.total() > 0, "lane 1's plan fired");
 }
 
 #[test]
 fn an_oversized_job_fails_alone_without_poisoning_the_batch() {
     let cfg = AccelConfig::wfasic_chip();
-    let mut sched = BatchScheduler::new(cfg, 2);
+    let mut engine = MultiLaneBackend::new(cfg, 2);
     // ~17 MiB encoded image (2200 pairs x ~8 KiB records) overflows the
     // 15 MiB in->out gap of a lane's layout, so the job is refused before
     // it ever touches the hardware.
@@ -171,7 +203,7 @@ fn an_oversized_job_fails_alone_without_poisoning_the_batch() {
         huge,
         BatchJob::score_only(pairs(3, 100, 22)),
     ];
-    let batch = sched.submit_batch(&jobs);
+    let batch = engine.submit_batch(&jobs);
     assert!(batch.jobs[0].is_ok());
     assert!(matches!(
         batch.jobs[1],
@@ -190,12 +222,12 @@ fn batches_never_drop_duplicate_or_reorder_jobs() {
         let lanes = rng.gen_range(1, 9);
         let n_jobs = rng.gen_range(1, 7);
         let cfg = AccelConfig::wfasic_chip();
-        let mut sched = BatchScheduler::new(cfg, lanes);
-        sched.policy.cpu_fallback = true;
+        let mut engine = MultiLaneBackend::new(cfg, lanes);
+        engine.policy.cpu_fallback = true;
         // Sometimes poison one lane; cpu_fallback still answers everything.
         if rng.gen_bool(0.4) {
             let victim = rng.gen_range(0, lanes);
-            sched.set_lane_fault_plan(
+            engine.set_lane_fault_plan(
                 victim,
                 FaultPlan {
                     bit_flip_per_beat: rng.gen_range_f64(0.0, 0.3),
@@ -227,7 +259,7 @@ fn batches_never_drop_duplicate_or_reorder_jobs() {
             .map(|j| j.pairs.iter().map(|p| p.id).collect())
             .collect();
 
-        let batch = sched.submit_batch(&jobs);
+        let batch = engine.submit_batch(&jobs);
         assert_eq!(batch.jobs.len(), n_jobs);
         let mut seen = std::collections::HashSet::new();
         for (i, outcome) in batch.jobs.iter().enumerate() {
@@ -248,8 +280,8 @@ fn batches_never_drop_duplicate_or_reorder_jobs() {
 fn an_empty_batch_reports_zero_throughput() {
     // Guard against 0/0: no jobs means no cycles, and throughput must be
     // a well-defined 0.0, not NaN.
-    let mut sched = BatchScheduler::new(AccelConfig::wfasic_chip(), 2);
-    let batch = sched.submit_batch(&[]);
+    let mut engine = MultiLaneBackend::new(AccelConfig::wfasic_chip(), 2);
+    let batch = engine.submit_batch(&[]);
     assert_eq!(batch.total_cycles, 0);
     assert_eq!(batch.alignments(), 0);
     assert_eq!(batch.throughput(), 0.0);
@@ -259,15 +291,15 @@ fn an_empty_batch_reports_zero_throughput() {
 #[test]
 fn a_tight_deadline_is_refused_with_a_typed_error_and_never_feeds_the_breaker() {
     let cfg = AccelConfig::wfasic_chip();
-    let mut sched = BatchScheduler::new(cfg, 2);
-    sched.policy.quarantine_threshold = 1; // hair-trigger: any counted failure trips
+    let mut engine = MultiLaneBackend::new(cfg, 2);
+    engine.policy.quarantine_threshold = 1; // hair-trigger: any counted failure trips
     let jobs = vec![
         BatchJob::score_only(pairs(3, 100, 0xD0D1)),
         // One cycle of budget cannot cover even the DMA of the input image.
         BatchJob::score_only(pairs(3, 100, 0xD0D2)).with_deadline(1),
         BatchJob::score_only(pairs(3, 100, 0xD0D3)),
     ];
-    let batch = sched.submit_batch(&jobs);
+    let batch = engine.submit_batch(&jobs);
 
     assert!(batch.jobs[0].is_ok());
     assert!(batch.jobs[2].is_ok(), "refusal must not poison the batch");
@@ -278,11 +310,11 @@ fn a_tight_deadline_is_refused_with_a_typed_error_and_never_feeds_the_breaker() 
         }
         other => panic!("expected DeadlineExceeded, got {other:?}"),
     }
-    assert_eq!(sched.deadline_refusals(), 1);
+    assert_eq!(engine.counters().deadline_refusals, 1);
     // A deadline refusal is the caller's contract, not lane sickness: the
     // circuit breaker must not count it even at threshold 1.
-    assert_eq!(sched.quarantine_events(), 0);
-    for h in sched.lane_health() {
+    assert_eq!(engine.counters().quarantine_events, 0);
+    for h in engine.lane_health() {
         assert_eq!(h.consecutive_failures, 0);
         assert!(h.available());
     }
@@ -295,10 +327,10 @@ fn a_corrupted_doorbell_does_not_wedge_the_lane_forever() {
     // on that lane was refused as START-while-busy — a permanently stuck
     // lane. The FSM must consume a malformed doorbell when it refuses it.
     let cfg = AccelConfig::wfasic_chip();
-    let mut sched = BatchScheduler::new(cfg, 1);
-    sched.policy.cpu_fallback = true;
-    sched.policy.max_retries = 0;
-    sched.set_lane_fault_plan(
+    let mut engine = MultiLaneBackend::new(cfg, 1);
+    engine.policy.cpu_fallback = true;
+    engine.policy.max_retries = 0;
+    engine.set_lane_fault_plan(
         0,
         FaultPlan {
             mmio_corrupt: 1.0,
@@ -312,19 +344,19 @@ fn a_corrupted_doorbell_does_not_wedge_the_lane_forever() {
         .map(|i| BatchJob::score_only(pairs(2, 80, 0xB00F + i)))
         .collect();
     assign_unique_ids(&mut jobs);
-    let storm_batch = sched.submit_batch(&jobs);
+    let storm_batch = engine.submit_batch(&jobs);
     assert!(storm_batch.jobs.iter().all(|j| j.is_ok()));
-    assert!(sched.lane_health()[0].failed_attempts > 0);
+    assert!(engine.lane_health()[0].failed_attempts > 0);
 
     // The storm passes. A clean job must now run on the hardware again —
     // with the wedge bug this failed forever with START_WHILE_BUSY.
-    sched.set_lane_fault_plan(0, FaultPlan::none());
+    engine.set_lane_fault_plan(0, FaultPlan::none());
     let clean = BatchJob::score_only(pairs(2, 80, 0xC1EA));
-    let batch = sched.submit_batch(&[clean]);
+    let batch = engine.submit_batch(&[clean]);
     let job = batch.jobs[0].as_ref().expect("lane must recover");
     assert!(job.results.iter().all(|r| r.success && !r.recovered));
     assert_eq!(
-        sched.lane_health()[0].consecutive_failures,
+        engine.lane_health()[0].consecutive_failures,
         0,
         "hardware success must reset the failure streak"
     );
@@ -340,15 +372,22 @@ fn repeated_batches_through_one_backend_cost_the_same_cycles() {
     backend.chunk = 3;
     let job = BatchJob::with_backtrace(pairs(12, 100, 0xA4B1));
     let first = backend.align_batch(&job).unwrap();
-    let first_arb = backend.sched.soc.arbiter_stats();
     let second = backend.align_batch(&job).unwrap();
-    let second_arb = backend.sched.soc.arbiter_stats();
-
     assert!(first.sim_cycles.unwrap() > 0);
     assert_eq!(second.sim_cycles, first.sim_cycles);
-    assert!(first_arb.grants() > 0);
-    assert_eq!(second_arb, first_arb, "arbiter stats describe one batch");
     for (a, b) in first.results.iter().zip(&second.results) {
         assert_eq!((a.id, a.success, a.score), (b.id, b.success, b.score));
     }
+
+    // The same four chunks as one queue: each batch's arbiter stats
+    // describe that batch alone.
+    let chunks: Vec<BatchJob> = job
+        .pairs
+        .chunks(3)
+        .map(|c| BatchJob::with_backtrace(c.to_vec()))
+        .collect();
+    let first_arb = backend.submit_batch(&chunks).arbiter;
+    let second_arb = backend.submit_batch(&chunks).arbiter;
+    assert!(first_arb.grants() > 0);
+    assert_eq!(second_arb, first_arb, "arbiter stats describe one batch");
 }

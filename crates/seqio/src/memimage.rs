@@ -327,21 +327,12 @@ impl CellOrigin {
     }
 }
 
-/// Pack cell origins at 5 bits each, little-endian (cell `n` occupies bits
-/// `5n..5n+5`): a 64-PS block is [`BT_BLOCK_BYTES`] bytes, and designs with
-/// a different number of parallel sections pack to their own width (e.g.
-/// the 2×32PS configuration of Fig. 11, whose blocks are 160 bits).
-pub fn pack_origins(cells: &[CellOrigin]) -> Vec<u8> {
-    let mut out = vec![0u8; (cells.len() * 5).div_ceil(8)];
-    for (n, cell) in cells.iter().enumerate() {
-        pack_code_into(&mut out, n, cell.code());
-    }
-    out
-}
-
-/// [`pack_origins`] over raw 5-bit codes (the form the batched compute
-/// kernel emits — see `wfa_core::kernel::compute_row_with_origins`).
-/// Bit-identical blocks to packing the equivalent [`CellOrigin`]s.
+/// Pack 5-bit cell origin codes ([`CellOrigin::code`], the form the batched
+/// compute kernel emits — see `wfa_core::kernel::compute_row_with_origins`)
+/// at 5 bits each, little-endian (cell `n` occupies bits `5n..5n+5`): a
+/// 64-PS block is [`BT_BLOCK_BYTES`] bytes, and designs with a different
+/// number of parallel sections pack to their own width (e.g. the 2×32PS
+/// configuration of Fig. 11, whose blocks are 160 bits).
 pub fn pack_origin_codes(codes: &[u8]) -> Vec<u8> {
     let mut out = vec![0u8; (codes.len() * 5).div_ceil(8)];
     for (n, &code) in codes.iter().enumerate() {
@@ -543,21 +534,11 @@ mod tests {
         for (n, c) in cells.iter_mut().enumerate() {
             *c = CellOrigin::from_code(((n * 7) % 30) as u8);
         }
-        let block = pack_origins(&cells);
+        let codes: Vec<u8> = cells.iter().map(|c| c.code()).collect();
+        let block = pack_origin_codes(&codes);
         assert_eq!(block.len(), BT_BLOCK_BYTES);
         for (n, c) in cells.iter().enumerate() {
             assert_eq!(unpack_bt_cell(&block, n), *c, "cell {n}");
-        }
-    }
-
-    #[test]
-    fn code_packer_matches_origin_packer() {
-        for len in [1usize, 7, 32, 64] {
-            let cells: Vec<CellOrigin> = (0..len)
-                .map(|n| CellOrigin::from_code(((n * 11) % 30) as u8))
-                .collect();
-            let codes: Vec<u8> = cells.iter().map(|c| c.code()).collect();
-            assert_eq!(pack_origin_codes(&codes), pack_origins(&cells), "len {len}");
         }
     }
 

@@ -8,8 +8,8 @@ use wfa_core::prop::cases;
 use wfa_core::rng::SmallRng;
 use wfasic_seqio::generate::Pair;
 use wfasic_seqio::memimage::{
-    bt_block_bytes, pack_origins, unpack_bt_cell, write_bt_info, BtScoreRecord, BtTxn, CellOrigin,
-    InputImage, MOrigin, NbtRecord, BT_PAYLOAD_BYTES, SECTION,
+    bt_block_bytes, pack_origin_codes, unpack_bt_cell, write_bt_info, BtScoreRecord, BtTxn,
+    CellOrigin, InputImage, MOrigin, NbtRecord, BT_PAYLOAD_BYTES, SECTION,
 };
 
 const CASES: usize = 200;
@@ -105,7 +105,8 @@ fn origin_block_roundtrip() {
     cases(CASES, 0x5E10_0005, |rng, _| {
         let n_cells = rng.gen_range(1, 130);
         let cells: Vec<CellOrigin> = (0..n_cells).map(|_| origin(rng)).collect();
-        let block = pack_origins(&cells);
+        let codes: Vec<u8> = cells.iter().map(|c| c.code()).collect();
+        let block = pack_origin_codes(&codes);
         assert_eq!(block.len(), bt_block_bytes(cells.len()));
         for (n, c) in cells.iter().enumerate() {
             assert_eq!(unpack_bt_cell(&block, n), *c, "cell {n}");

@@ -19,19 +19,19 @@
 //! * [`crate::fifo::SinglePortFifo`] — stuck-FIFO output stalls;
 //! * the accelerator's MMIO path — configuration-write corruption.
 //!
-//! Faults can be confined to a cycle window so tests can target a specific
-//! phase of a job (e.g. only while results stream out).
+//! Faults can be confined to recurring cycle windows (a [`Storm`]), or to
+//! one window (a storm whose period never ends), so tests can target a
+//! specific phase of a job (e.g. only while results stream out).
 
 use crate::clock::Cycle;
 
 /// A sustained, periodic fault storm: the plan's data/timing faults are
 /// armed only during recurring `[k*period + offset, k*period + offset + on)`
-/// windows. Where [`FaultPlan::window`] models a one-shot targeted
-/// campaign, a storm models the *production* failure shape — a flaky link
+/// windows. A storm models the *production* failure shape — a flaky link
 /// or a thermally-marginal lane that degrades in bursts, recovers, and
 /// degrades again — which is exactly what a circuit breaker above the
-/// driver must survive. A lane under `Storm::permanent()` never gets a
-/// clean interval: the quarantine layer has to retire it.
+/// driver must survive. With `period: Cycle::MAX` it is one targeted
+/// window `[offset, offset + on)`; a plan with no storm is armed always.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Storm {
     /// Storm recurrence period in cycles (one on-phase per period).
@@ -50,15 +50,6 @@ impl Storm {
         Storm {
             period: period.max(1),
             on,
-            offset: 0,
-        }
-    }
-
-    /// A storm that never lets up.
-    pub fn permanent() -> Self {
-        Storm {
-            period: 1,
-            on: 1,
             offset: 0,
         }
     }
@@ -96,13 +87,10 @@ pub struct FaultPlan {
     pub stall_cycles: Cycle,
     /// Probability an MMIO write lands with one bit flipped.
     pub mmio_corrupt: f64,
-    /// Half-open cycle window `[start, end)` outside which no data/timing
-    /// faults fire. `None` = always armed. (MMIO corruption ignores the
-    /// window: configuration writes happen outside job time.)
-    pub window: Option<(Cycle, Cycle)>,
-    /// Recurring storm schedule further gating the data/timing faults:
-    /// with a storm installed, faults fire only while the storm rages
-    /// (inside the `window`, if one is also set). `None` = no storm.
+    /// Storm schedule gating the data/timing faults: with a storm
+    /// installed, faults fire only while the storm rages. `None` = always
+    /// armed. (MMIO corruption ignores the storm: configuration writes
+    /// happen outside job time.)
     pub storm: Option<Storm>,
 }
 
@@ -118,7 +106,6 @@ impl FaultPlan {
             fifo_stuck: 0.0,
             stall_cycles: 64,
             mmio_corrupt: 0.0,
-            window: None,
             storm: None,
         }
     }
@@ -134,7 +121,6 @@ impl FaultPlan {
             fifo_stuck: rate,
             stall_cycles: 64,
             mmio_corrupt: rate,
-            window: None,
             storm: None,
         }
     }
@@ -161,15 +147,9 @@ impl FaultPlan {
             && self.mmio_corrupt <= 0.0
     }
 
-    /// Is the plan's window (if any) open — and its storm (if any) raging —
-    /// at `now`?
+    /// Is the plan's storm (if any) raging at `now`?
     pub fn armed_at(&self, now: Cycle) -> bool {
-        let window_open = match self.window {
-            Some((start, end)) => now >= start && now < end,
-            None => true,
-        };
-        let storm_raging = self.storm.is_none_or(|s| s.raging_at(now));
-        window_open && storm_raging
+        self.storm.is_none_or(|s| s.raging_at(now))
     }
 }
 
@@ -292,7 +272,7 @@ impl FaultInjector {
     }
 
     /// Corrupt in-flight transfer data beat by beat: drops, duplications and
-    /// single-bit flips, per the plan. `now` gates on the cycle window.
+    /// single-bit flips, per the plan. `now` gates on the plan's storm.
     pub fn corrupt_beats(&mut self, now: Cycle, data: &mut [u8], beat_bytes: usize) {
         if !self.plan.armed_at(now) || data.is_empty() {
             return;
@@ -344,7 +324,7 @@ impl FaultInjector {
     }
 
     /// Possibly corrupt an MMIO write's value (one flipped bit). Not gated
-    /// by the cycle window — configuration writes happen outside job time.
+    /// by the storm — configuration writes happen outside job time.
     pub fn corrupt_mmio(&mut self, value: u64) -> u64 {
         if !self.roll(self.plan.mmio_corrupt) {
             return value;
@@ -422,8 +402,12 @@ mod tests {
 
     #[test]
     fn window_gates_data_faults() {
-        let mut plan = FaultPlan::uniform(7, 1.0);
-        plan.window = Some((100, 200));
+        // One window, [100, 200): a storm whose period never ends.
+        let mut plan = FaultPlan::uniform(7, 1.0).with_storm(Storm {
+            period: Cycle::MAX,
+            on: 100,
+            offset: 100,
+        });
         plan.drop_beat = 1.0;
         let mut inj = FaultInjector::new(plan);
         let mut data = vec![0xFFu8; 16];
@@ -484,23 +468,11 @@ mod tests {
 
     #[test]
     fn permanent_storm_never_clears() {
-        let storm = Storm::permanent();
-        for now in [0u64, 1, 17, 1 << 30] {
+        // A storm whose on-phase covers the whole period rages always.
+        let storm = Storm::periodic(50, 50);
+        for now in [0u64, 1, 17, 1234, 1 << 30] {
             assert!(storm.raging_at(now));
         }
-        // A storm whose on-phase covers the whole period is permanent too.
-        assert!(Storm::periodic(50, 50).raging_at(1234));
-    }
-
-    #[test]
-    fn storm_composes_with_the_one_shot_window() {
-        let mut plan = FaultPlan::none().with_storm(Storm::periodic(50, 10));
-        plan.window = Some((100, 200));
-        plan.bus_stall = 1.0;
-        let mut inj = FaultInjector::new(plan);
-        assert_eq!(inj.transfer_stall(115), 0, "window open, storm quiet");
-        assert!(inj.transfer_stall(105) > 0, "window open, storm raging");
-        assert_eq!(inj.transfer_stall(255), 0, "storm raging, window shut");
     }
 
     #[test]

@@ -3,23 +3,22 @@
 //! agreement of every engine over one seeded grid is the oracle matrix,
 //! `tests/matrix/mod.rs`.)
 //!
-//! One job on one lane — through the raw driver, the batch scheduler or
-//! the backend layer — is bit-identical on every failure path, perf
+//! One job on one lane — through the raw driver, the lane engine's batch
+//! queue or the backend layer — is bit-identical on every failure path, perf
 //! counters included; a pair the device cannot finish gets the same
 //! software answer, on the service policy's route, whichever backend
-//! recovers it; the service's policy drives the scheduler's lane breaker;
+//! recovers it; the service's policy drives the lanes' circuit breaker;
 //! the heterogeneous backend never drops, duplicates, or reorders a pair
 //! under random envelope violations and fault plans; and a `cpu` batch,
 //! shared with the process's resident helper threads, answers and tallies
 //! exactly as a serial `CpuWfaBackend::align` loop.
 
 use wfasic::accel::{offsets, AccelConfig};
-use wfasic::driver::backend::DEFAULT_LANE_CHUNK;
-use wfasic::driver::batch::BatchJob;
+use wfasic::driver::batch::{BatchJob, DEFAULT_LANE_CHUNK};
 use wfasic::driver::{
-    AlignPolicy, AlignmentBackend, AlignmentResult, BackendCounters, BackendKind, BatchScheduler,
-    CpuRoute, CpuWfaBackend, DriverError, HeterogeneousBackend, JobResult, LaneState,
-    MultiLaneBackend, StrategySelect, WaitMode, WfasicDriver,
+    AlignPolicy, AlignmentBackend, AlignmentResult, BackendCounters, BackendKind, CpuRoute,
+    CpuWfaBackend, DriverError, HeterogeneousBackend, JobResult, LaneState, MultiLaneBackend,
+    StrategySelect, WaitMode, WfasicDriver,
 };
 use wfasic::seqio::{InputSetSpec, Pair, Seq};
 use wfasic::service::{AlignmentService, ServiceConfig};
@@ -82,7 +81,7 @@ struct Scenario {
     expect: fn(&OneLane, u64) -> bool,
 }
 
-/// The raw driver, a one-lane scheduler, the `device` backend and a
+/// The raw driver, a one-lane `submit_batch`, the `device` backend and a
 /// one-lane `multilane` backend run one job through the same attempt loop,
 /// so on every path — clean, retried, timed out, refused, interrupted —
 /// they agree on the answers, the full run report (per-stage perf counters
@@ -214,20 +213,24 @@ fn one_lane_one_job_keeps_raw_driver_perf_counters() {
         );
         assert_eq!(want.irq_pending, 0, "{}: interrupt left pending", sc.name);
 
-        let mut sched = BatchScheduler::new(cfg, 1);
-        sched.policy = sc.policy;
+        let mut lanes = MultiLaneBackend::new(cfg, 1);
+        lanes.policy = sc.policy;
         if let Some(plan) = sc.plan {
-            sched.set_lane_fault_plan(0, plan);
+            lanes.set_lane_fault_plan(0, plan);
         }
-        let batch = sched.submit_batch(std::slice::from_ref(&job));
+        let batch = lanes.submit_batch(std::slice::from_ref(&job));
         assert_eq!(batch.arbiter.wait_cycles(), 0, "one lane never contends");
         if let Ok(j) = &batch.jobs[0] {
             assert_eq!(batch.total_cycles, j.report.total_cycles, "{}", sc.name);
         }
         let out = batch.jobs.into_iter().next().expect("one job");
-        let irq = sched.soc.lane_mut(0).mmio_read(offsets::IRQ_PENDING);
-        let got = OneLane::of_job(out, sched.fault_counters(), irq);
-        assert_eq!(got, want, "{}: scheduler differs from the driver", sc.name);
+        let irq = lanes.lane_mut(0).mmio_read(offsets::IRQ_PENDING);
+        let got = OneLane::of_job(out, lanes.counters().faults, irq);
+        assert_eq!(
+            got, want,
+            "{}: submit_batch differs from the driver",
+            sc.name
+        );
 
         for mut backend in [MultiLaneBackend::device(cfg), MultiLaneBackend::new(cfg, 1)] {
             let name = backend.capabilities().name;
@@ -236,14 +239,10 @@ fn one_lane_one_job_keeps_raw_driver_perf_counters() {
                 backend.set_lane_fault_plan(0, plan);
             }
             let out = backend.align_batch(&job);
-            let irq = backend
-                .sched
-                .soc
-                .lane_mut(0)
-                .mmio_read(offsets::IRQ_PENDING);
+            let irq = backend.lane_mut(0).mmio_read(offsets::IRQ_PENDING);
             let faults = backend.counters().faults;
             // The backend layer does not carry configuration cycles or
-            // retries; the scheduler check above covers them.
+            // retries; the `submit_batch` check above covers them.
             let got = match out {
                 Ok(b) => {
                     assert_eq!(b.reports.len(), 1, "{}: {name} split the job", sc.name);
@@ -341,7 +340,7 @@ fn device_fallback_routes_by_the_policy_and_tallies_its_pairs() {
     assert!(above_optimum > 0, "the driver's fallback ignored its route");
 }
 
-/// The service's policy drives the scheduler's lane circuit breaker. Over
+/// The service's policy drives the lanes' circuit breaker. Over
 /// a two-lane `multilane` service whose watchdog fails every attempt, one
 /// three-chunk batch with a one-strike breaker quarantines both lanes (the
 /// third chunk, shifted off the first lane, finds no lane left and degrades
@@ -616,7 +615,7 @@ fn hetero_never_drops_duplicates_or_reorders_under_violations_and_faults() {
         let mut backend = HeterogeneousBackend::new(cfg, lanes);
         if rng.gen_bool(0.5) {
             let victim = rng.gen_range(0, lanes);
-            backend.accel.sched.set_lane_fault_plan(
+            backend.accel.set_lane_fault_plan(
                 victim,
                 FaultPlan {
                     bit_flip_per_beat: rng.gen_range_f64(0.0, 0.3),
@@ -625,7 +624,7 @@ fn hetero_never_drops_duplicates_or_reorders_under_violations_and_faults() {
                     ..FaultPlan::none()
                 },
             );
-            backend.accel.sched.policy.max_retries = rng.gen_range(0, 3) as u32;
+            backend.accel.policy.max_retries = rng.gen_range(0, 3) as u32;
         }
 
         let n_pairs = rng.gen_range(4, 16);

@@ -15,7 +15,8 @@ use wfasic::accel::regs::{error_code, offsets};
 use wfasic::accel::{AccelConfig, WfasicDevice};
 use wfasic::seqio::memimage::{pair_record_bytes, InputImage};
 use wfasic::seqio::InputSetSpec;
-use wfasic::soc::fault::FaultPlan;
+use wfasic::soc::clock::Cycle;
+use wfasic::soc::fault::{FaultPlan, Storm};
 use wfasic::soc::perf::Stage;
 use wfasic::soc::MainMemory;
 use wfasic::wfa::pool::{available_threads, in_worker, ThreadPool};
@@ -181,11 +182,16 @@ fn bus_bit_flips_are_realigned_from_the_bytes_read() {
         }),
         ..clean
     };
-    // Faults armed only for part of the job (a time-windowed plan).
+    // Faults armed only for part of the job, [300, 900): a storm whose
+    // period never ends.
     let windowed = Job {
         plan: Some(FaultPlan {
             bit_flip_per_beat: 0.2,
-            window: Some((300, 900)),
+            storm: Some(Storm {
+                period: Cycle::MAX,
+                on: 600,
+                offset: 300,
+            }),
             ..FaultPlan::none()
         }),
         ..clean
