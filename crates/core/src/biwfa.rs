@@ -61,6 +61,8 @@
 //! engine: at that size full history *is* linear memory, it is optimal by
 //! construction, and it terminates the recursion.
 
+use std::cell::Cell;
+
 use crate::arena::WavefrontArena;
 use crate::cigar::{Cigar, Op};
 use crate::penalties::Penalties;
@@ -92,9 +94,18 @@ enum Touch {
 }
 
 impl Touch {
-    /// Every touch kind, in scan order (also the index into a
-    /// [`Side`]'s reach triples).
+    /// Every touch kind, in scan order.
     const ALL: [Touch; 3] = [Touch::Mm, Touch::Ii, Touch::Dd];
+
+    /// The credit this kind of touch earns against `c_fwd + c_rev`: an
+    /// I–I / D–D touch pays the gap open on both sides, so the witnessed
+    /// alignment (one gap run crossing the split) costs `open` less.
+    fn credit(self, open: u64) -> u64 {
+        match self {
+            Touch::Mm => 0,
+            Touch::Ii | Touch::Dd => open,
+        }
+    }
 
     /// The component of `set` whose fronts meet in this kind of touch.
     fn component(self, set: &WavefrontSet) -> Option<&Wavefront> {
@@ -408,13 +419,21 @@ fn reach(w: Option<&Wavefront>) -> i64 {
     far as i64 - w.lo as i64
 }
 
-/// One side of the meet phase: a machine plus the M/I/D [`reach`] of every
+/// The [`reach`] of one finalised front: M's at once, I's and D's on
+/// first use.
+#[derive(Clone)]
+struct FrontReach {
+    m: i64,
+    /// `[I, D]`, once a scan has asked for them.
+    gaps: Cell<Option<[i64; 2]>>,
+}
+
+/// One side of the meet phase: a machine plus the [`FrontReach`] of every
 /// front it has finalised, indexed by score like its spine.
 struct Side<'s> {
     mach: WfaMachine<'s>,
-    /// `reach[s][t as usize]` for `t` in [`Touch::ALL`]; [`UNREACHED`] for
-    /// scores without a front.
-    reach: Vec<[i64; 3]>,
+    /// [`UNREACHED`] M reach for scores without a front.
+    reach: Vec<FrontReach>,
 }
 
 impl<'s> Side<'s> {
@@ -426,15 +445,35 @@ impl<'s> Side<'s> {
     }
 
     /// Extend the current front, which makes it final, and record its
-    /// per-component reach. True when a front exists at this score.
+    /// M reach. True when a front exists at this score.
     fn extend(&mut self) -> bool {
         let found = self.mach.extend_current();
         let s = self.mach.s;
-        self.reach.resize(s + 1, [UNREACHED; 3]);
+        let unreached = FrontReach {
+            m: UNREACHED,
+            gaps: Cell::new(None),
+        };
+        self.reach.resize(s + 1, unreached);
         if let Some(set) = self.mach.front(s) {
-            self.reach[s] = Touch::ALL.map(|t| reach(t.component(set)));
+            self.reach[s].m = reach(Some(&set.m));
         }
         found
+    }
+
+    /// The I (`Touch::Ii`) or D reach of `set`, this side's front at score
+    /// `s`, computed on first use.
+    fn gap_reach(&self, s: usize, set: &WavefrontSet, touch: Touch) -> i64 {
+        let cell = &self.reach[s].gaps;
+        let [i, d] = cell.get().unwrap_or_else(|| {
+            let gaps = [reach(set.i.as_ref()), reach(set.d.as_ref())];
+            cell.set(Some(gaps));
+            gaps
+        });
+        if touch == Touch::Ii {
+            i
+        } else {
+            d
+        }
     }
 }
 
@@ -597,10 +636,23 @@ where
 /// Scan `mover`'s newest (just-extended) front against every front still
 /// retained by `fixed`, recording each diagonal touch as a candidate.
 ///
-/// Cheap reachability gate, exact per (front, component) pair: a pair
-/// whose precomputed [`reach`] values fail [`Meet::may_touch`] — their
-/// farthest anti-diagonals sum below `n + m` — cannot touch on any
-/// diagonal, so its offsets are never read.
+/// Three exact cuts skip work whose touches could never be kept:
+///
+/// - **Value cutoff.** [`push_candidate`] drops any value above the best
+///   so far plus [`VALUE_TIER_SLACK`], and the best only falls during a
+///   scan, so a (fixed front, kind) pair whose value
+///   `c_mover + c_fixed − credit` exceeds the cutoff taken at the start
+///   is skipped. Values grow with `c_fixed`, so the walk stops at the
+///   first fixed front that even the gap credit cannot bring under it.
+/// - **Reachability gate**, per (front, component) pair: a pair whose
+///   [`reach`] values fail [`Meet::may_touch`] — their farthest
+///   anti-diagonals sum below `n + m` — cannot touch on any diagonal, so
+///   its offsets are never read.
+/// - **M first.** On every diagonal an I or D offset is at most M's
+///   (M takes the max of X, I and D, then extends), so neither gap
+///   component reaches past M. A front pair whose M components fail the
+///   gate fails it for all three kinds; I and D reaches are computed only
+///   for pairs that pass.
 fn scan_touches(
     mover: &Side<'_>,
     fixed: &Side<'_>,
@@ -612,20 +664,38 @@ fn scan_touches(
     let Some(mover_set) = mover.mach.front(c_mover) else {
         return;
     };
-    let mover_reach = mover.reach[c_mover];
+    let cutoff = cands
+        .iter()
+        .map(|c| c.value)
+        .min()
+        .map_or(u64::MAX, |best| best.saturating_add(VALUE_TIER_SLACK));
     for c_fixed in fixed.mach.s.saturating_sub(meet.window)..=fixed.mach.s {
+        let sum = (c_mover + c_fixed) as u64;
+        if sum.saturating_sub(meet.open) > cutoff {
+            break;
+        }
         let Some(fixed_set) = fixed.mach.front(c_fixed) else {
             continue;
         };
-        let fixed_reach = fixed.reach[c_fixed];
+        if !meet.may_touch(mover.reach[c_mover].m, fixed.reach[c_fixed].m) {
+            continue;
+        }
         for touch in Touch::ALL {
-            if !meet.may_touch(mover_reach[touch as usize], fixed_reach[touch as usize]) {
+            if sum.saturating_sub(touch.credit(meet.open)) > cutoff {
                 continue;
             }
             let (Some(mw), Some(fw)) = (touch.component(mover_set), touch.component(fixed_set))
             else {
                 continue;
             };
+            if touch != Touch::Mm
+                && !meet.may_touch(
+                    mover.gap_reach(c_mover, mover_set, touch),
+                    fixed.gap_reach(c_fixed, fixed_set, touch),
+                )
+            {
+                continue;
+            }
             let pair = FrontPair::new(c_mover, c_fixed, mover_is_fwd, touch);
             record_component_touches(mw, fw, &pair, meet, cands);
         }
@@ -718,14 +788,7 @@ fn record_cell(k: i32, f: i32, r: i32, pair: &FrontPair, meet: &Meet, cands: &mu
     } else {
         (m as i32 - n as i32 - k, r)
     };
-    // I–I / D–D touch: both halves pay the open, so the witnessed
-    // alignment (one gap run crossing the split) costs `o` less.
-    let open_credit = if pair.touch == Touch::Mm {
-        0
-    } else {
-        meet.open
-    };
-    let value = ((pair.c_fwd + pair.c_rev) as u64).saturating_sub(open_credit);
+    let value = ((pair.c_fwd + pair.c_rev) as u64).saturating_sub(pair.touch.credit(meet.open));
     let j = off_fwd as usize;
     let i = (off_fwd - k_fwd) as usize;
     // Gap-interior splits peel one op off the forward half, so the touch
@@ -889,8 +952,18 @@ mod tests {
         cands
     }
 
-    #[test]
-    fn gated_blocked_scan_matches_the_full_scan_reference() {
+    /// One touch-scan test pair, with the length and error rate it was
+    /// drawn at.
+    struct ScanCase {
+        len: usize,
+        err: usize,
+        a: Vec<u8>,
+        b: Vec<u8>,
+        p: Penalties,
+    }
+
+    /// The touch-scan test pairs, drawn in order from one seed.
+    fn scan_cases() -> Vec<ScanCase> {
         let mut rng = SmallRng::seed_from_u64(0x70C4_0001);
         let odd = Penalties::new(5, 7, 3).unwrap();
         let free_open = Penalties::new(3, 0, 1).unwrap();
@@ -905,10 +978,20 @@ mod tests {
             (2500, 4, [1, 1, 1], odd),
             (2500, 4, [1, 1, 1], free_open),
         ];
+        cases
+            .iter()
+            .map(|&(len, err, mix, p)| {
+                let a = random_seq(len, &mut rng);
+                let b = mutate_mix(&a, err, mix, &mut rng);
+                ScanCase { len, err, a, b, p }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn gated_blocked_scan_matches_the_full_scan_reference() {
         let mut gap_touches = 0;
-        for &(len, err, mix, p) in cases {
-            let a = random_seq(len, &mut rng);
-            let b = mutate_mix(&a, err, mix, &mut rng);
+        for ScanCase { len, err, a, b, p } in scan_cases() {
             for hinted in [false, true] {
                 let cands = meet_against_reference(&a, &b, &p, hinted);
                 assert!(!cands.is_empty(), "len={len} err={err}% found no touch");
@@ -916,6 +999,46 @@ mod tests {
             }
         }
         assert!(gap_touches > 0, "no I–I / D–D touch exercised");
+    }
+
+    #[test]
+    fn no_gap_component_reaches_past_m_in_a_real_meet() {
+        // The M-first gate's premise, on the HiFi-like, Nanopore-like and
+        // odd-penalty pairs of the scan reference test. Each scan checks
+        // its mover's new front, so every front of both sides is checked
+        // once it is final (the reverse side's score-0 front, never a
+        // mover, holds only M).
+        let cases = scan_cases();
+        let mut fronts = [0usize; 2];
+        let mut gap_fronts = 0usize;
+        for case in [&cases[0], &cases[1], &cases[3]] {
+            let mut arena = WavefrontArena::new();
+            let mut stats = WfaStats::default();
+            meet_phase_with(
+                &case.a,
+                &case.b,
+                Goal::Prove(None),
+                &case.p,
+                &mut arena,
+                &mut stats,
+                |mover, fixed, meet, mover_is_fwd, cands| {
+                    scan_touches(mover, fixed, meet, mover_is_fwd, cands);
+                    let s = mover.mach.s;
+                    let set = mover.mach.front(s).unwrap();
+                    let m = reach(Some(&set.m));
+                    assert!(reach(set.i.as_ref()) <= m, "front {s}: I reaches past M");
+                    assert!(reach(set.d.as_ref()) <= m, "front {s}: D reaches past M");
+                    fronts[usize::from(mover_is_fwd)] += 1;
+                    gap_fronts += usize::from(set.i.is_some() || set.d.is_some());
+                },
+            )
+            .unwrap();
+        }
+        assert!(
+            fronts.iter().all(|&f| f > 100),
+            "fronts per side: {fronts:?}"
+        );
+        assert!(gap_fronts > 100, "{gap_fronts} fronts with a gap component");
     }
 
     /// A random stored front for an `n × m` matrix: NULL or an in-matrix

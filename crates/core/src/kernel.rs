@@ -14,6 +14,11 @@
 //!   or 32 packed bases ([`lcp_packed_word`]) via XOR + `trailing_zeros`.
 //!   The portable path on every other CPU.
 //!
+//! Both entry points settle their first word inline before dispatching:
+//! [`lcp_bytes`] compares 8 bytes, [`lcp_packed`] a 32-base window, with
+//! one XOR + `trailing_zeros`. WFA's runs average a couple of bases, so
+//! most extends never reach the dispatched kernel.
+//!
 //! Nothing overrides the CPU's choice; [`kernel_dispatch`] only reports it.
 //! Each operator keeps a scalar reference ([`lcp_bytes_scalar`],
 //! [`lcp_packed_scalar`], [`compute_row_scalar`],
@@ -88,6 +93,22 @@ pub fn kernel_dispatch() -> KernelDispatch {
 /// (including non-ACGT) and therefore cannot pack.
 #[inline]
 pub fn lcp_bytes(a: &[u8], b: &[u8], i: usize, j: usize) -> usize {
+    // The word kernel's first iteration, hoisted as in `lcp_packed`: the
+    // out-of-line AVX2 call costs more than a typical 2–3 base run.
+    let word = |s: &[u8], at: usize| s.get(at..).and_then(<[u8]>::first_chunk).copied();
+    if let (Some(wa), Some(wb)) = (word(a, i), word(b, j)) {
+        let diff = u64::from_le_bytes(wa) ^ u64::from_le_bytes(wb);
+        if diff != 0 {
+            return (diff.trailing_zeros() / 8) as usize;
+        }
+        return BYTES_PER_WORD + lcp_bytes_dispatched(a, b, i + BYTES_PER_WORD, j + BYTES_PER_WORD);
+    }
+    lcp_bytes_dispatched(a, b, i, j)
+}
+
+/// [`lcp_bytes`] without its inline first word: the AVX2 kernel when the
+/// CPU has it, the word kernel otherwise.
+fn lcp_bytes_dispatched(a: &[u8], b: &[u8], i: usize, j: usize) -> usize {
     #[cfg(target_arch = "x86_64")]
     if kernel_dispatch() == KernelDispatch::Avx2 {
         // SAFETY: `kernel_dispatch` reports AVX2 only when the CPU has it.
@@ -845,9 +866,11 @@ mod tests {
     type ByteLcpFn = fn(&[u8], &[u8], usize, usize) -> usize;
     type PackedLcpFn = fn(&PackedSeq, &PackedSeq, usize, usize) -> usize;
 
-    /// Every compiled byte-LCP fast path the CPU can run, by name.
+    /// Every compiled byte-LCP fast path the CPU can run, by name, and the
+    /// dispatching entry with its inline first word.
     fn byte_tiers() -> Vec<(&'static str, ByteLcpFn)> {
-        let mut tiers: Vec<(&'static str, ByteLcpFn)> = vec![("word", lcp_bytes_word)];
+        let mut tiers: Vec<(&'static str, ByteLcpFn)> =
+            vec![("dispatched", lcp_bytes), ("word", lcp_bytes_word)];
         #[cfg(target_arch = "x86_64")]
         if is_x86_feature_detected!("avx2") {
             // SAFETY: the CPU reports AVX2.
@@ -1060,6 +1083,34 @@ mod tests {
             }
             for (name, f) in packed_tiers() {
                 assert_eq!(f(&pa, &pb, 0, 0), k, "{name} packed kernel, k={k}");
+            }
+        }
+    }
+
+    #[test]
+    fn first_word_mismatches_and_starts_near_either_end() {
+        // A mismatch at each byte of the inline first word and just past
+        // it, from starts within a word of either end of both sequences
+        // (where the first word does not fit and the kernel dispatches).
+        let len = 40;
+        let a: Vec<u8> = (0..len).map(|t| b"ACGT"[(t * t + t / 3) % 4]).collect();
+        let starts = (0..=BYTES_PER_WORD).chain(len - BYTES_PER_WORD..=len);
+        for i in starts.clone() {
+            for j in starts.clone() {
+                // `b[j..]` copies `a[i..]`, then breaks it at byte `d`.
+                let run = (len - i).min(len - j);
+                for d in 0..=BYTES_PER_WORD {
+                    let mut b = vec![b'A'; len];
+                    b[j..j + run].copy_from_slice(&a[i..i + run]);
+                    if d < run {
+                        b[j + d] = b'N';
+                    }
+                    let want = d.min(run);
+                    assert_eq!(lcp_bytes_scalar(&a, &b, i, j), want);
+                    for (name, f) in byte_tiers() {
+                        assert_eq!(f(&a, &b, i, j), want, "{name}: i={i} j={j} d={d}");
+                    }
+                }
             }
         }
     }

@@ -37,7 +37,7 @@ pub struct Storm {
     /// Storm recurrence period in cycles (one on-phase per period).
     pub period: Cycle,
     /// Cycles at the start of each period during which faults are armed.
-    /// `on >= period` makes the storm permanent.
+    /// `on >= period` makes the storm permanent from `offset` on.
     pub on: Cycle,
     /// Phase offset of the first storm window.
     pub offset: Cycle,
@@ -56,11 +56,10 @@ impl Storm {
 
     /// Is the storm raging at `now`?
     pub fn raging_at(&self, now: Cycle) -> bool {
-        if self.on >= self.period {
-            return true;
-        }
-        let phase = (now.wrapping_sub(self.offset)) % self.period;
-        now >= self.offset && phase < self.on
+        // `on >= period` short-circuits before the modulo, so a hand-built
+        // `period: 0` still means permanent.
+        now >= self.offset
+            && (self.on >= self.period || (now - self.offset) % self.period < self.on)
     }
 }
 
@@ -473,6 +472,19 @@ mod tests {
         for now in [0u64, 1, 17, 1234, 1 << 30] {
             assert!(storm.raging_at(now));
         }
+    }
+
+    #[test]
+    fn permanent_storm_waits_for_its_offset() {
+        let storm = Storm {
+            period: 10,
+            on: 10,
+            offset: 100,
+        };
+        assert!(!storm.raging_at(0));
+        assert!(!storm.raging_at(99), "calm until the offset");
+        assert!(storm.raging_at(100));
+        assert!(storm.raging_at(1_000_000));
     }
 
     #[test]
