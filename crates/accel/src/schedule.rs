@@ -116,7 +116,7 @@ impl WavefrontSchedule {
     /// is processed in `P`-aligned row groups of the wavefront matrix (row
     /// `= k + k_max`), because the Fig. 6 bank distribution and its
     /// duplicated edge banks only cover aligned batches.
-    pub fn blocks_for_depth(depth: u32, k_max: u32, parallel_sections: usize) -> u64 {
+    fn blocks_for_depth(depth: u32, k_max: u32, parallel_sections: usize) -> u64 {
         let lo = (k_max - depth) as usize / parallel_sections;
         let hi = (k_max + depth) as usize / parallel_sections;
         (hi - lo + 1) as u64
@@ -128,7 +128,7 @@ impl WavefrontSchedule {
     }
 
     /// The step for a score, if that score is ever computed.
-    pub fn step_of(&self, score: u32) -> Option<&Step> {
+    fn step_of(&self, score: u32) -> Option<&Step> {
         let idx = *self.by_score.get(score as usize)?;
         idx.map(|i| &self.steps[i as usize])
     }

@@ -50,7 +50,7 @@ impl Sizes {
     }
 
     /// Pairs for one input-set shape.
-    pub fn pairs_for(&self, spec: &InputSetSpec) -> usize {
+    fn pairs_for(&self, spec: &InputSetSpec) -> usize {
         match spec.length {
             100 => self.pairs_100,
             1_000 => self.pairs_1k,
@@ -157,7 +157,7 @@ pub struct Fig10Row {
 /// ingests a pair only when an Aligner is (about to be) idle, record reads
 /// serialize on the shared port, pairs go to the earliest-idle Aligner.
 /// Matches `WfasicDevice::run` for backtrace-off jobs (validated in tests).
-pub fn schedule_multi_aligner(read_cycles: Cycle, aligns: &[Cycle], n_aligners: usize) -> Cycle {
+fn schedule_multi_aligner(read_cycles: Cycle, aligns: &[Cycle], n_aligners: usize) -> Cycle {
     let mut read_free: Cycle = 0;
     let mut free: Vec<Cycle> = vec![0; n_aligners];
     let mut completion: Vec<Cycle> = Vec::with_capacity(aligns.len());

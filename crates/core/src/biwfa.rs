@@ -27,14 +27,10 @@
 //!    the exact full-history engine (correct, just not linear-memory for
 //!    that — empirically rare — subtree).
 //!
-//! The top level ends in one of three ways. Its meet proves `v` as above.
+//! The top level ends in one of two ways. Its meet proves `v` as above.
 //! Or its mover reaches the end cell before the proof: that score is the
 //! optimum, small enough to lie below its own horizon, and the whole pair
-//! goes to the exact engine. Or, under a score limit, both sides pass
-//! `horizon(limit)` with no touch at or below the limit, which proves
-//! `s* > limit` (below), and the call fails with
-//! [`WfaError::ScoreLimitExceeded`], as does a proven or end-cell score
-//! above the limit.
+//! goes to the exact engine.
 //!
 //! **Why the meet's stop proves the optimum.** Walk an optimal path and
 //! split it between two operations (an M–M split, prefix cost `c1`,
@@ -51,10 +47,7 @@
 //! (or at once when `v = 0`). Then `v ≤ s*`: were `s*` below `v`,
 //! `horizon(s*) ≤ horizon(v)` and its touch would already hold the
 //! minimum. A value-`v` candidate whose splice re-scores to exactly `v`
-//! is a real alignment, so `v ≥ s*` as well: it is optimal. A score limit
-//! reads the same argument backwards: were `s* ≤ limit`, a touch of value
-//! `s*` would be recorded by `horizon(limit)`, so a meet past that depth
-//! with no touch at or below the limit shows `s* > limit`.
+//! is a real alignment, so `v ≥ s*` as well: it is optimal.
 //!
 //! Small subproblems (`n + m ≤ 1 kb`, or at an interior node an expected
 //! score within a few penalty lookbacks) drop straight to the exact
@@ -182,7 +175,7 @@ pub(crate) fn biwfa_align(
 }
 
 /// [`biwfa_align`], reporting which path answered. Work stats accumulate
-/// in `stats`, also when the score limit is exceeded.
+/// in `stats`.
 fn biwfa_top(
     seqs: SeqsRef<'_>,
     opts: &WfaOptions,
@@ -204,35 +197,24 @@ fn biwfa_top(
             (&a_buf, &b_buf)
         }
     };
-    let over = |score: u64| match opts.score_limit {
-        Some(limit) if score > u64::from(limit) => Err(WfaError::ScoreLimitExceeded { limit }),
-        _ => Ok(()),
-    };
 
     let mut cigar = Cigar::new();
     let mut proven = None;
     if !a.is_empty() && !b.is_empty() && a.len() + b.len() > EXACT_CUTOFF_LEN {
-        let (cands, stop) = meet_phase(a, b, Goal::Prove(opts.score_limit), &p, arena, stats)?;
-        match stop {
-            Stop::OverLimit(limit) => return Err(WfaError::ScoreLimitExceeded { limit }),
-            // The end cell's score is the optimum, below the horizon.
-            Stop::End(score) => over(score)?,
-            // The meet proved `v ≤ s*`, so a splice that re-scores to `v`
-            // is optimal (module doc).
-            Stop::Horizon => {
-                let v = cands[0].value;
-                let tier = cands.iter().take_while(|c| c.value == v).count();
-                proven = try_splits(a, b, &cands[..tier], &p, arena, &mut cigar, stats)?;
-            }
-            // Only a hinted meet starves; the leaf answers regardless.
-            Stop::Starved => {}
+        let (cands, stop) = meet_phase(a, b, Goal::Prove, &p, arena, stats)?;
+        // The meet proved `v ≤ s*`, so a splice that re-scores to `v` is
+        // optimal (module doc). An end-cell stop leaves the optimum, below
+        // the horizon, to the leaf; only a hinted meet starves.
+        if stop == Stop::Horizon {
+            let v = cands[0].value;
+            let tier = cands.iter().take_while(|c| c.value == v).count();
+            proven = try_splits(a, b, &cands[..tier], &p, arena, &mut cigar, stats)?;
         }
     }
     let (score, answer) = match proven {
         Some(score) => (score, Answer::Proven),
         None => (leaf(a, b, &p, arena, &mut cigar, stats)?, Answer::Exact),
     };
-    over(score)?;
     debug_assert!(cigar.check(a, b).is_ok(), "BiWFA produced an invalid CIGAR");
     Ok((score, cigar, answer))
 }
@@ -439,7 +421,7 @@ struct Side<'s> {
 impl<'s> Side<'s> {
     fn new(a: &'s [u8], b: &'s [u8], p: &Penalties, arena: &mut WavefrontArena) -> Self {
         Side {
-            mach: WfaMachine::new(SeqsRef::Bytes(a, b), *p, None, None, arena),
+            mach: WfaMachine::new(SeqsRef::Bytes(a, b), *p, arena),
             reach: Vec::new(),
         }
     }
@@ -484,9 +466,8 @@ enum Goal {
     /// claimed.
     Hint(u64),
     /// The top level's hint-free meet: prove the lowest touch value a
-    /// lower bound on the optimum or, under a score limit, the optimum
-    /// above the limit (module doc).
-    Prove(Option<u32>),
+    /// lower bound on the optimum (module doc).
+    Prove,
 }
 
 /// Why a meet phase stopped.
@@ -497,9 +478,6 @@ enum Stop {
     Horizon,
     /// The mover reached the end cell first, at this score: the optimum.
     End(u64),
-    /// Both sides passed `horizon(limit)` with no touch at or below this
-    /// limit, which proves `s* > limit`.
-    OverLimit(u32),
     /// A hinted meet gave up: the score cap, or a hint so low that nothing
     /// touched.
     Starved,
@@ -546,19 +524,12 @@ where
     // A hinted meet stops at its hint's horizon once anything touched. A
     // hint-free one stops at the horizon of its lowest touch value, which
     // proves that value a lower bound on the optimum; no alignment costs
-    // less than 0, so a touch of value 0 needs no steps at all. Under a
-    // score limit it stops as soon as no touch at or below the limit has
-    // shown up by the limit's horizon.
+    // less than 0, so a touch of value 0 needs no steps at all.
     let stop_rule = |cands: &[Candidate], depth: usize| {
         let v = cands.iter().map(|c| c.value).min();
         match goal {
             Goal::Hint(hint) => (v.is_some() && depth >= horizon(hint)).then_some(Stop::Horizon),
-            Goal::Prove(Some(limit))
-                if v.is_none_or(|v| v > u64::from(limit)) && depth >= horizon(limit.into()) =>
-            {
-                Some(Stop::OverLimit(limit))
-            }
-            Goal::Prove(_) => {
+            Goal::Prove => {
                 let v = v?;
                 (v == 0 || depth >= horizon(v)).then_some(Stop::Horizon)
             }
@@ -926,7 +897,7 @@ mod tests {
         let score = wfa_align(a, b, &WfaOptions::score_only(*p)).unwrap().score;
         let goal = match hinted {
             true => Goal::Hint(score as u64),
-            false => Goal::Prove(None),
+            false => Goal::Prove,
         };
         let mut reference = Vec::new();
         let mut scans = 0usize;
@@ -1017,7 +988,7 @@ mod tests {
             meet_phase_with(
                 &case.a,
                 &case.b,
-                Goal::Prove(None),
+                Goal::Prove,
                 &case.p,
                 &mut arena,
                 &mut stats,
@@ -1188,14 +1159,6 @@ mod tests {
         (aln, answer)
     }
 
-    /// `biwfa_opts` under a score limit.
-    fn limited(limit: u32) -> WfaOptions {
-        WfaOptions {
-            score_limit: Some(limit),
-            ..biwfa_opts()
-        }
-    }
-
     #[test]
     fn the_meet_proves_a_hifi_pair() {
         let mut rng = SmallRng::seed_from_u64(0xB1F4_0028);
@@ -1216,7 +1179,7 @@ mod tests {
         }
         let mut stats = WfaStats::default();
         let mut arena = WavefrontArena::new();
-        let (_, stop) = meet_phase(&a, &b, Goal::Prove(None), &P, &mut arena, &mut stats).unwrap();
+        let (_, stop) = meet_phase(&a, &b, Goal::Prove, &P, &mut arena, &mut stats).unwrap();
         assert_eq!(stop, Stop::End(2 * P.x as u64));
         let (aln, answer) = top(&a, &b, &biwfa_opts());
         assert_eq!(answer, Answer::Exact);
@@ -1257,65 +1220,6 @@ mod tests {
             "strict window peak {} vs legacy peak {}",
             bi.stats.peak_memory_bytes,
             legacy.stats.peak_memory_bytes
-        );
-    }
-
-    #[test]
-    fn respects_the_score_limit() {
-        let mut rng = SmallRng::seed_from_u64(7);
-        let a = random_seq(2000, &mut rng);
-        let b = random_seq(2000, &mut rng);
-        assert!(matches!(
-            wfa_align(&a, &b, &limited(10)),
-            Err(WfaError::ScoreLimitExceeded { limit: 10 })
-        ));
-        // At or below the cutoff the limit checks the exact engine's score.
-        assert_eq!(
-            wfa_align(b"GATTACA", b"GACTATA", &limited(7)).unwrap_err(),
-            WfaError::ScoreLimitExceeded { limit: 7 }
-        );
-        assert_eq!(
-            wfa_align(b"GATTACA", b"GACTATA", &limited(8))
-                .unwrap()
-                .score,
-            8
-        );
-    }
-
-    #[test]
-    fn a_score_limit_past_the_cutoff_stops_the_meet_early() {
-        let mut rng = SmallRng::seed_from_u64(0xB1F4_002B);
-        let a = random_seq(2000, &mut rng);
-        let b = mutate(&a, 5, &mut rng);
-        let (unlimited, answer) = top(&a, &b, &biwfa_opts());
-        assert_eq!(answer, Answer::Proven);
-        let score = unlimited.score;
-        // A limit at the optimum admits the pair, with the same answer.
-        let (at, answer) = top(&a, &b, &limited(score));
-        assert_eq!(answer, Answer::Proven);
-        assert_eq!(at.cigar, unlimited.cigar);
-        // Below it, the meet shows `s* > limit` once both sides pass the
-        // limit's horizon, before any split is aligned: the lower the
-        // limit, the sooner.
-        let cells_under = |limit: u32| {
-            let mut stats = WfaStats::default();
-            let seqs = SeqsRef::Bytes(&a, &b);
-            let got = biwfa_top(
-                seqs,
-                &limited(limit),
-                &mut WavefrontArena::new(),
-                &mut stats,
-            );
-            assert_eq!(got.unwrap_err(), WfaError::ScoreLimitExceeded { limit });
-            stats.cells_computed
-        };
-        let (just_under, half) = (cells_under(score - 1), cells_under(score / 2));
-        assert!(
-            half < just_under && just_under < unlimited.stats.cells_computed,
-            "cells: limit {} {half}, limit {} {just_under}, unlimited {}",
-            score / 2,
-            score - 1,
-            unlimited.stats.cells_computed
         );
     }
 

@@ -7,8 +7,9 @@
 //! It implements, from scratch:
 //!
 //! * the exact gap-affine **WFA** (paper Eq. 3/4) with full backtrace,
-//!   score-only bounded-memory mode, hardware-style score/band limits, and
-//!   work statistics ([`wfa`], [`wavefront`], [`backtrace`]);
+//!   score-only bounded-memory mode and work statistics ([`wfa`],
+//!   [`wavefront`], [`backtrace`]); the chip's `k_max` / `Score_max`
+//!   limits belong to the device model, not to these engines;
 //! * the **Smith-Waterman-Gotoh** full-DP baseline (Eq. 2) as the
 //!   correctness oracle and CUPS reference ([`swg`]);
 //! * 2-bit **packed sequences** with machine-word extension — the functional

@@ -58,14 +58,6 @@ pub struct WfaOptions {
     /// Keep all wavefronts and produce a CIGAR (otherwise score-only with
     /// bounded memory, like the accelerator with backtrace disabled).
     pub compute_cigar: bool,
-    /// Abort if the score exceeds this limit (models the hardware
-    /// `Score_max = 2*k_max + 4`, Eq. 6). `None` = unbounded.
-    pub score_limit: Option<u32>,
-    /// Clamp wavefronts to diagonals `-band..=band` (models the hardware
-    /// `k_max` storage bound). `None` = unbounded. Ignored by the
-    /// [`AlignStrategy::BiWfa`] CIGAR path, whose memory bound comes from
-    /// the bidirectional window instead.
-    pub band: Option<i32>,
     /// Parameters of the heuristic wavefront reduction, read only under
     /// [`AlignStrategy::AdaptiveBand`]; `None` there uses
     /// [`AdaptiveParams::default`].
@@ -79,8 +71,6 @@ impl WfaOptions {
             penalties,
             strategy: AlignStrategy::Exact,
             compute_cigar: true,
-            score_limit: None,
-            band: None,
             adaptive: None,
         }
     }
@@ -110,19 +100,6 @@ impl WfaOptions {
             strategy: AlignStrategy::AdaptiveBand,
             adaptive: Some(params),
             ..Self::exact(penalties)
-        }
-    }
-
-    /// Hardware-like configuration: score limit from `k_max` via Eq. 6 and
-    /// banded wavefront storage.
-    pub fn hardware(penalties: Penalties, k_max: u32) -> Self {
-        WfaOptions {
-            penalties,
-            strategy: AlignStrategy::Exact,
-            compute_cigar: false,
-            score_limit: Some(Penalties::hardware_score_max(k_max)),
-            band: Some(k_max as i32),
-            adaptive: None,
         }
     }
 }
@@ -166,12 +143,10 @@ pub struct WfaAlignment {
 /// WFA failure modes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WfaError {
-    /// The optimal score exceeds the configured `score_limit` (the hardware
-    /// sets `Success = 0` in this case).
+    /// No alignment reached the end cell at or below `limit`, the
+    /// all-gaps cost that bounds every optimum. Only a heuristic run whose
+    /// wavefront reduction pruned every path to the end can get here.
     ScoreLimitExceeded { limit: u32 },
-    /// The alignment needs diagonals beyond the configured band; with banded
-    /// storage the end diagonal can be unreachable.
-    BandExceeded { band: i32, needed: i32 },
     /// Invalid penalties.
     BadPenalties(crate::penalties::PenaltyError),
 }
@@ -180,13 +155,7 @@ impl std::fmt::Display for WfaError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             WfaError::ScoreLimitExceeded { limit } => {
-                write!(f, "alignment score exceeds the configured limit {limit}")
-            }
-            WfaError::BandExceeded { band, needed } => {
-                write!(
-                    f,
-                    "end diagonal {needed} outside the configured band ±{band}"
-                )
+                write!(f, "no alignment reached the end within score {limit}")
             }
             WfaError::BadPenalties(e) => write!(f, "invalid penalties: {e}"),
         }
@@ -379,11 +348,11 @@ pub(crate) struct WfaMachine<'s> {
     pub(crate) n: i32,
     pub(crate) m: i32,
     p: Penalties,
-    band: Option<i32>,
-    /// Hard score cap: min(score_limit, all-gaps alignment cost).
+    /// The all-gaps alignment cost, which bounds every optimum: the
+    /// loop's termination guard. An exact run always ends at or below it;
+    /// a heuristic run whose reduction pruned every path to the end has
+    /// no other way to stop.
     cap: u64,
-    /// The limit to report in [`WfaError::ScoreLimitExceeded`].
-    limit_for_error: u32,
     /// `fronts[s]` is the wavefront set for score `s` (None once dropped
     /// by the retention window or never materialized).
     pub(crate) fronts: Vec<Option<WavefrontSet>>,
@@ -396,22 +365,10 @@ pub(crate) struct WfaMachine<'s> {
 }
 
 impl<'s> WfaMachine<'s> {
-    pub(crate) fn new(
-        seqs: SeqsRef<'s>,
-        p: Penalties,
-        band: Option<i32>,
-        score_limit: Option<u32>,
-        arena: &mut WavefrontArena,
-    ) -> Self {
+    pub(crate) fn new(seqs: SeqsRef<'s>, p: Penalties, arena: &mut WavefrontArena) -> Self {
         let n = seqs.a_len() as i32;
         let m = seqs.b_len() as i32;
-        // Hard cap: the all-gaps alignment is always available, so the
-        // optimal score can never exceed it.
-        let natural_cap = p.gap_cost(n as u32) as u64 + p.gap_cost(m as u32) as u64;
-        let cap = match score_limit {
-            Some(lim) => (lim as u64).min(natural_cap),
-            None => natural_cap,
-        };
+        let cap = p.gap_cost(n as u32) as u64 + p.gap_cost(m as u32) as u64;
         let mut fronts = arena.take_spine();
         fronts.push(Some(WavefrontSet {
             m: arena.initial(),
@@ -428,9 +385,7 @@ impl<'s> WfaMachine<'s> {
             n,
             m,
             p,
-            band,
             cap,
-            limit_for_error: score_limit.unwrap_or(cap as u32),
             fronts,
             s: 0,
             drop_floor: 0,
@@ -544,7 +499,7 @@ impl<'s> WfaMachine<'s> {
         let s = self.s;
         if s as u64 > self.cap {
             return Err(WfaError::ScoreLimitExceeded {
-                limit: self.limit_for_error,
+                limit: self.cap as u32,
             });
         }
 
@@ -600,16 +555,8 @@ impl<'s> WfaMachine<'s> {
         consider(src_sub, fronts);
         consider(src_open, fronts);
         consider(src_ext, fronts);
-        let mut lo = lo - 1;
-        let mut hi = hi + 1;
-        if let Some(band) = self.band {
-            lo = lo.max(-band);
-            hi = hi.min(band);
-            if lo > hi {
-                fronts.push(None);
-                return Ok(());
-            }
-        }
+        let lo = lo - 1;
+        let hi = hi + 1;
 
         let mut wi = arena.wavefront(lo, hi);
         let mut wd = arena.wavefront(lo, hi);
@@ -716,17 +663,6 @@ pub(crate) fn wfa_align_inner(
     let p = opts.penalties;
     let n = seqs.a_len() as i32;
     let m = seqs.b_len() as i32;
-    let k_end = m - n;
-
-    if let Some(band) = opts.band {
-        if k_end.abs() > band {
-            return Err(WfaError::BandExceeded {
-                band,
-                needed: k_end,
-            });
-        }
-    }
-
     let lookback = p.x.max(p.o + p.e) as usize;
     let retention = if opts.compute_cigar {
         Retention::Full
@@ -741,7 +677,7 @@ pub(crate) fn wfa_align_inner(
     let adaptive =
         (opts.strategy == AlignStrategy::AdaptiveBand).then(|| opts.adaptive.unwrap_or_default());
 
-    let mut mach = WfaMachine::new(seqs, p, opts.band, opts.score_limit, arena);
+    let mut mach = WfaMachine::new(seqs, p, arena);
     loop {
         // --- extend() + termination check ---
         if mach.extend_current() {
@@ -847,36 +783,6 @@ mod tests {
         assert!(so.cigar.is_none());
         // Score-only retains at most lookback+1 wavefronts: less memory.
         assert!(so.stats.peak_memory_bytes <= full.stats.peak_memory_bytes);
-    }
-
-    #[test]
-    fn score_limit_enforced() {
-        let opts = WfaOptions {
-            score_limit: Some(4),
-            ..WfaOptions::exact(P)
-        };
-        // Needs 2 mismatches (8) > 4.
-        let err = wfa_align(b"AATT", b"TTTTT", &opts).unwrap_err();
-        assert!(matches!(err, WfaError::ScoreLimitExceeded { .. }));
-    }
-
-    #[test]
-    fn band_exceeded_rejects_skewed_lengths() {
-        let opts = WfaOptions {
-            band: Some(2),
-            ..WfaOptions::exact(P)
-        };
-        let err = wfa_align(b"AC", b"ACGTACGT", &opts).unwrap_err();
-        assert!(matches!(err, WfaError::BandExceeded { needed: 6, .. }));
-    }
-
-    #[test]
-    fn hardware_options_align_within_limits() {
-        // k_max = 10 supports scores up to 24: a 3-mismatch alignment fits.
-        let opts = WfaOptions::hardware(P, 10);
-        let r = wfa_align(b"GATTACAGAT", b"GACTACAGTT", &opts).unwrap();
-        let swg = swg_align(b"GATTACAGAT", b"GACTACAGTT", &P);
-        assert_eq!(r.score as u64, swg.score);
     }
 
     #[test]

@@ -73,15 +73,6 @@ impl ExperimentResult {
         let seconds = self.wfasic_total as f64 / hz;
         self.equivalent_cells as f64 / seconds / 1e9
     }
-
-    /// Accelerator energy per alignment in microjoules, from the paper's
-    /// post-PnR power (312 mW at 1.1 GHz): the portability argument of the
-    /// introduction ("could be supplied with batteries").
-    pub fn accel_energy_per_alignment_uj(&self) -> f64 {
-        let seconds = self.accel_cycles as f64 / wfasic_soc::clock::WFASIC_ASIC_HZ;
-        let power_w = wfasic_accel::area::anchors::POWER_W;
-        power_w * seconds / self.pairs.max(1) as f64 * 1e6
-    }
 }
 
 /// Run the full co-designed pipeline and the CPU baselines for one set of
@@ -228,16 +219,6 @@ mod tests {
         let p = pairs(1000, 10, 2, 5);
         let r = run_experiment(&AccelConfig::wfasic_chip(), &p, false, false);
         assert!(r.vector_vs_scalar() > 1.0);
-    }
-
-    #[test]
-    fn energy_per_alignment_is_microjoule_scale() {
-        // A 1K-10% alignment takes ~10k cycles at 1.1 GHz and 312 mW:
-        // roughly 3 µJ — battery-friendly, as the intro argues.
-        let p = pairs(1000, 10, 2, 8);
-        let r = run_experiment(&AccelConfig::wfasic_chip(), &p, false, false);
-        let uj = r.accel_energy_per_alignment_uj();
-        assert!(uj > 0.1 && uj < 100.0, "energy {uj} uJ");
     }
 
     #[test]

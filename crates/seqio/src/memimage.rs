@@ -185,6 +185,9 @@ pub struct BtTxn {
 
 impl BtTxn {
     /// Unpack from the 16-byte wire format.
+    ///
+    /// `bytes` must be exactly one [`SECTION`]; any other length panics.
+    /// Stream readers hand it `chunks_exact(SECTION)` pieces.
     pub fn decode(bytes: &[u8]) -> BtTxn {
         assert_eq!(bytes.len(), SECTION);
         let mut payload = [0u8; BT_PAYLOAD_BYTES];
@@ -397,7 +400,17 @@ pub fn bt_block_bytes(p: usize) -> usize {
 }
 
 /// Extract cell `n`'s 5-bit origin from a packed block.
+///
+/// The cell's bits must lie inside `block`: a whole block of
+/// [`bt_block_bytes`]`(p)` bytes with `n < p`, as the driver's BT walk
+/// passes after checking the block against the stream's length. A shorter
+/// slice can panic on an out-of-bounds read.
 pub fn unpack_bt_cell(block: &[u8], n: usize) -> CellOrigin {
+    debug_assert!(
+        5 * n + 5 <= 8 * block.len(),
+        "cell {n} past a {}-byte block",
+        block.len()
+    );
     let bit = 5 * n;
     let byte = bit / 8;
     let off = bit % 8;
