@@ -90,12 +90,22 @@ impl PackedSeq {
         out
     }
 
-    /// Decode into a caller-provided buffer (alloc-free staging for the
-    /// memory-image encoder). `out` must hold exactly `len()` bytes.
+    /// Decode the first `out.len()` bases into `out` (alloc-free staging
+    /// for the memory-image encoder), shifting through one packed word per
+    /// 32 bases. `out` must not be longer than the sequence.
     pub fn write_ascii_into(&self, out: &mut [u8]) {
-        assert_eq!(out.len(), self.len, "destination must hold len() bytes");
-        for (i, slot) in out.iter_mut().enumerate() {
-            *slot = decode_base(self.get(i));
+        assert!(
+            out.len() <= self.len,
+            "prefix ({}) longer than sequence ({})",
+            out.len(),
+            self.len
+        );
+        for (chunk, &word) in out.chunks_mut(BASES_PER_WORD).zip(&self.words) {
+            let mut w = word;
+            for slot in chunk {
+                *slot = decode_base(w as u8);
+                w >>= 2;
+            }
         }
     }
 
@@ -106,31 +116,6 @@ impl PackedSeq {
         let shift = 2 * (i % BASES_PER_WORD);
         let w = &mut self.words[i / BASES_PER_WORD];
         *w = (*w & !(3u64 << shift)) | (((code & 3) as u64) << shift);
-    }
-
-    /// Append one already-encoded 2-bit base code.
-    #[inline]
-    pub fn push_code(&mut self, code: u8) {
-        let i = self.len;
-        if i.is_multiple_of(BASES_PER_WORD) {
-            self.words.push(0);
-        }
-        self.words[i / BASES_PER_WORD] |= ((code & 3) as u64) << (2 * (i % BASES_PER_WORD));
-        self.len = i + 1;
-    }
-
-    /// The packed sub-sequence `range` (a copy; used at debug/replay
-    /// boundaries that previously round-tripped through ASCII).
-    pub fn slice(&self, range: std::ops::Range<usize>) -> PackedSeq {
-        assert!(range.start <= range.end && range.end <= self.len);
-        let mut out = PackedSeq {
-            len: 0,
-            words: Vec::with_capacity((range.end - range.start).div_ceil(BASES_PER_WORD)),
-        };
-        for i in range {
-            out.push_code(self.get(i));
-        }
-        out
     }
 
     /// The packed words viewed as little-endian bytes — the load stream for

@@ -61,8 +61,7 @@ use crate::cigar::{Cigar, Op};
 use crate::penalties::Penalties;
 use crate::wavefront::{offset_is_valid, Wavefront, WavefrontSet};
 use crate::wfa::{
-    wfa_align_seqs_ref, Retention, SeqsRef, WfaAlignment, WfaError, WfaMachine, WfaOptions,
-    WfaStats,
+    wfa_align_seqs_ref, Retention, WfaAlignment, WfaError, WfaMachine, WfaOptions, WfaStats,
 };
 
 /// Subproblems at or below this total length are aligned exactly.
@@ -159,14 +158,17 @@ enum Answer {
 }
 
 /// Entry point for the `BiWfa` strategy (called by
-/// `wfa_align_seqs_ref` when a CIGAR is requested).
+/// `wfa_align_seqs_ref` when a CIGAR is requested). Invalid penalties are
+/// the only error: with them checked, every path below ends in an answer.
 pub(crate) fn biwfa_align(
-    seqs: SeqsRef<'_>,
+    a: &[u8],
+    b: &[u8],
     opts: &WfaOptions,
     arena: &mut WavefrontArena,
 ) -> Result<WfaAlignment, WfaError> {
+    opts.penalties.validate().map_err(WfaError::BadPenalties)?;
     let mut stats = WfaStats::default();
-    let (score, cigar, _) = biwfa_top(seqs, opts, arena, &mut stats)?;
+    let (score, cigar, _) = biwfa_top(a, b, &opts.penalties, arena, &mut stats);
     Ok(WfaAlignment {
         score: score as u32,
         cigar: Some(cigar),
@@ -174,49 +176,34 @@ pub(crate) fn biwfa_align(
     })
 }
 
-/// [`biwfa_align`], reporting which path answered. Work stats accumulate
-/// in `stats`.
+/// [`biwfa_align`] on validated penalties, reporting which path
+/// answered. Work stats accumulate in `stats`.
 fn biwfa_top(
-    seqs: SeqsRef<'_>,
-    opts: &WfaOptions,
+    a: &[u8],
+    b: &[u8],
+    p: &Penalties,
     arena: &mut WavefrontArena,
     stats: &mut WfaStats,
-) -> Result<(u64, Cigar, Answer), WfaError> {
-    opts.penalties.validate().map_err(WfaError::BadPenalties)?;
-    let p = opts.penalties;
-
-    // The meet and the recursion run on plain bytes: they need arbitrary
-    // sub-slices and reversed copies, which the packed representation
-    // cannot lend.
-    let (a_buf, b_buf);
-    let (a, b): (&[u8], &[u8]) = match seqs {
-        SeqsRef::Bytes(a, b) => (a, b),
-        SeqsRef::Packed(pa, pb) => {
-            a_buf = pa.to_ascii();
-            b_buf = pb.to_ascii();
-            (&a_buf, &b_buf)
-        }
-    };
-
+) -> (u64, Cigar, Answer) {
     let mut cigar = Cigar::new();
     let mut proven = None;
     if !a.is_empty() && !b.is_empty() && a.len() + b.len() > EXACT_CUTOFF_LEN {
-        let (cands, stop) = meet_phase(a, b, Goal::Prove, &p, arena, stats)?;
+        let (cands, stop) = meet_phase(a, b, Goal::Prove, p, arena, stats);
         // The meet proved `v ≤ s*`, so a splice that re-scores to `v` is
         // optimal (module doc). An end-cell stop leaves the optimum, below
         // the horizon, to the leaf; only a hinted meet starves.
         if stop == Stop::Horizon {
             let v = cands[0].value;
             let tier = cands.iter().take_while(|c| c.value == v).count();
-            proven = try_splits(a, b, &cands[..tier], &p, arena, &mut cigar, stats)?;
+            proven = try_splits(a, b, &cands[..tier], p, arena, &mut cigar, stats);
         }
     }
     let (score, answer) = match proven {
         Some(score) => (score, Answer::Proven),
-        None => (leaf(a, b, &p, arena, &mut cigar, stats)?, Answer::Exact),
+        None => (leaf(a, b, p, arena, &mut cigar, stats), Answer::Exact),
     };
     debug_assert!(cigar.check(a, b).is_ok(), "BiWFA produced an invalid CIGAR");
-    Ok((score, cigar, answer))
+    (score, cigar, answer)
 }
 
 /// A recursion leaf, optimal by construction: the forced all-gap
@@ -230,7 +217,7 @@ fn leaf(
     arena: &mut WavefrontArena,
     out: &mut Cigar,
     stats: &mut WfaStats,
-) -> Result<u64, WfaError> {
+) -> u64 {
     let (n, m) = (a.len(), b.len());
     if n == 0 || m == 0 {
         if m > 0 {
@@ -239,12 +226,13 @@ fn leaf(
         if n > 0 {
             out.push_run(Op::Del, n as u32);
         }
-        return Ok(p.gap_cost(n.max(m) as u32) as u64);
+        return p.gap_cost(n.max(m) as u32) as u64;
     }
-    let r = wfa_align_seqs_ref(SeqsRef::Bytes(a, b), &WfaOptions::exact(*p), arena)?;
+    let r = wfa_align_seqs_ref(a, b, &WfaOptions::exact(*p), arena)
+        .expect("validated penalties, and an exact run ends at or below its all-gaps cap");
     absorb_stats(stats, &r.stats);
     splice(out, r.cigar.as_ref().expect("exact mode produces a CIGAR"));
-    Ok(r.score as u64)
+    r.score as u64
 }
 
 /// Recursively align `a` vs `b`, appending the transcript to `out`.
@@ -260,7 +248,7 @@ fn biwfa_rec(
     arena: &mut WavefrontArena,
     out: &mut Cigar,
     stats: &mut WfaStats,
-) -> Result<u64, WfaError> {
+) -> u64 {
     let (n, m) = (a.len(), b.len());
     let lookback = p.x.max(p.o + p.e) as u64;
     // Small or nearly-converged subproblems: full history is already
@@ -268,9 +256,9 @@ fn biwfa_rec(
     if n == 0 || m == 0 || n + m <= EXACT_CUTOFF_LEN || expected <= 8 * lookback {
         return leaf(a, b, p, arena, out, stats);
     }
-    let (cands, _) = meet_phase(a, b, Goal::Hint(expected), p, arena, stats)?;
-    match try_splits(a, b, &cands, p, arena, out, stats)? {
-        Some(cost) => Ok(cost),
+    let (cands, _) = meet_phase(a, b, Goal::Hint(expected), p, arena, stats);
+    match try_splits(a, b, &cands, p, arena, out, stats) {
+        Some(cost) => cost,
         // No candidate verified (or none found): exact fallback.
         // Correctness is unaffected; only this subtree loses the memory
         // bound.
@@ -292,21 +280,21 @@ fn try_splits(
     arena: &mut WavefrontArena,
     out: &mut Cigar,
     stats: &mut WfaStats,
-) -> Result<Option<u64>, WfaError> {
+) -> Option<u64> {
     // Balanced splits come first (the meet's sort): they halve the
     // problem, and their touch cells sit where the two frontiers met —
     // overwhelmingly a cell of an optimal path.
     for cand in cands.iter().take(MAX_SPLIT_TRIES) {
         let mut spliced = Cigar::new();
         let mut try_stats = *stats;
-        let got = try_split(a, b, cand, p, arena, &mut spliced, &mut try_stats)?;
+        let got = try_split(a, b, cand, p, arena, &mut spliced, &mut try_stats);
         if got <= cand.value {
             *stats = try_stats;
             splice(out, &spliced);
-            return Ok(Some(got));
+            return Some(got);
         }
     }
-    Ok(None)
+    None
 }
 
 /// Split at `cand` and align both halves recursively; appends to `out`
@@ -319,34 +307,34 @@ fn try_split(
     arena: &mut WavefrontArena,
     out: &mut Cigar,
     stats: &mut WfaStats,
-) -> Result<u64, WfaError> {
+) -> u64 {
     let (i, j) = (cand.i, cand.j);
     match cand.touch {
         Touch::Mm => {
-            biwfa_rec(&a[..i], &b[..j], cand.c_fwd as u64, p, arena, out, stats)?;
-            biwfa_rec(&a[i..], &b[j..], cand.c_rev as u64, p, arena, out, stats)?;
+            biwfa_rec(&a[..i], &b[..j], cand.c_fwd as u64, p, arena, out, stats);
+            biwfa_rec(&a[i..], &b[j..], cand.c_rev as u64, p, arena, out, stats);
         }
         Touch::Ii => {
             // The split lies inside an insertion run: peel one explicit
             // `I` so the halves splice back into a single gap run.
             let hint = (cand.c_fwd as u64).saturating_sub(p.e as u64);
-            biwfa_rec(&a[..i], &b[..j - 1], hint, p, arena, out, stats)?;
+            biwfa_rec(&a[..i], &b[..j - 1], hint, p, arena, out, stats);
             out.push_run(Op::Ins, 1);
             let hint = (cand.c_rev as u64).saturating_sub(p.e as u64);
-            biwfa_rec(&a[i..], &b[j..], hint, p, arena, out, stats)?;
+            biwfa_rec(&a[i..], &b[j..], hint, p, arena, out, stats);
         }
         Touch::Dd => {
             let hint = (cand.c_fwd as u64).saturating_sub(p.e as u64);
-            biwfa_rec(&a[..i - 1], &b[..j], hint, p, arena, out, stats)?;
+            biwfa_rec(&a[..i - 1], &b[..j], hint, p, arena, out, stats);
             out.push_run(Op::Del, 1);
             let hint = (cand.c_rev as u64).saturating_sub(p.e as u64);
-            biwfa_rec(&a[i..], &b[j..], hint, p, arena, out, stats)?;
+            biwfa_rec(&a[i..], &b[j..], hint, p, arena, out, stats);
         }
     }
     // Re-score the spliced transcript as a whole: `Cigar::score` sees the
     // merged runs, so a gap run healed across the split point is charged
     // exactly one open.
-    Ok(out.score(p))
+    out.score(p)
 }
 
 /// Append `piece` to `out`, merging adjacent same-op runs at the seam.
@@ -421,7 +409,7 @@ struct Side<'s> {
 impl<'s> Side<'s> {
     fn new(a: &'s [u8], b: &'s [u8], p: &Penalties, arena: &mut WavefrontArena) -> Self {
         Side {
-            mach: WfaMachine::new(SeqsRef::Bytes(a, b), *p, arena),
+            mach: WfaMachine::new(a, b, *p, arena),
             reach: Vec::new(),
         }
     }
@@ -493,7 +481,7 @@ fn meet_phase(
     p: &Penalties,
     arena: &mut WavefrontArena,
     stats: &mut WfaStats,
-) -> Result<(Vec<Candidate>, Stop), WfaError> {
+) -> (Vec<Candidate>, Stop) {
     meet_phase_with(a, b, goal, p, arena, stats, scan_touches)
 }
 
@@ -508,7 +496,7 @@ fn meet_phase_with<S>(
     arena: &mut WavefrontArena,
     stats: &mut WfaStats,
     mut scan: S,
-) -> Result<(Vec<Candidate>, Stop), WfaError>
+) -> (Vec<Candidate>, Stop)
 where
     S: FnMut(&Side<'_>, &Side<'_>, &Meet, bool, &mut Vec<Candidate>),
 {
@@ -573,7 +561,7 @@ where
             // us; surface "no candidates" and let the caller fall back.
             break;
         }
-        mover.mach.step(arena, Retention::Strict(window))?;
+        mover.mach.step(arena, Retention::Strict(window));
         let mut end = None;
         if mover.extend() {
             end = mover
@@ -601,7 +589,7 @@ where
     stats.peak_memory_bytes = stats.peak_memory_bytes.max(phase_peak);
 
     cands.sort_by_key(|c| (c.value, c.balance(), c.touch != Touch::Mm));
-    Ok((cands, stop.unwrap_or(Stop::Starved)))
+    (cands, stop.unwrap_or(Stop::Starved))
 }
 
 /// Scan `mover`'s newest (just-extended) front against every front still
@@ -917,8 +905,7 @@ mod tests {
                 );
                 scans += 1;
             },
-        )
-        .unwrap();
+        );
         assert!(scans > 1);
         cands
     }
@@ -1002,8 +989,7 @@ mod tests {
                     fronts[usize::from(mover_is_fwd)] += 1;
                     gap_fronts += usize::from(set.i.is_some() || set.d.is_some());
                 },
-            )
-            .unwrap();
+            );
         }
         assert!(
             fronts.iter().all(|&f| f > 100),
@@ -1145,9 +1131,7 @@ mod tests {
         let p = opts.penalties;
         let want = wfa_align(a, b, &WfaOptions::score_only(p)).unwrap().score as u64;
         let mut stats = WfaStats::default();
-        let seqs = SeqsRef::Bytes(a, b);
-        let (score, cigar, answer) =
-            biwfa_top(seqs, opts, &mut WavefrontArena::new(), &mut stats).unwrap();
+        let (score, cigar, answer) = biwfa_top(a, b, &p, &mut WavefrontArena::new(), &mut stats);
         assert_eq!(score, want, "{answer:?}");
         cigar.check(a, b).unwrap();
         assert_eq!(cigar.score(&p), want, "{answer:?}");
@@ -1179,7 +1163,7 @@ mod tests {
         }
         let mut stats = WfaStats::default();
         let mut arena = WavefrontArena::new();
-        let (_, stop) = meet_phase(&a, &b, Goal::Prove, &P, &mut arena, &mut stats).unwrap();
+        let (_, stop) = meet_phase(&a, &b, Goal::Prove, &P, &mut arena, &mut stats);
         assert_eq!(stop, Stop::End(2 * P.x as u64));
         let (aln, answer) = top(&a, &b, &biwfa_opts());
         assert_eq!(answer, Answer::Exact);

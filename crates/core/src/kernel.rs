@@ -29,7 +29,8 @@
 //!
 //! [`extend_row`] extends a whole wavefront row of packed cells in one
 //! pass (gathering four diagonals' windows at a time on AVX2); it is the
-//! Extend phase of both the accelerator model and the software WFA.
+//! accelerator model's Extend phase. The software WFA runs on bytes and
+//! extends each cell with [`lcp_bytes`].
 //! Simulated accelerator cycles are derived from the modeled comparison
 //! blocks (`wfasic_accel::extend::compare_cycles`), never from host word
 //! width, so the kernel path cannot leak into cycle counts.
@@ -306,11 +307,12 @@ unsafe fn lcp_packed_avx2(a: &PackedSeq, b: &PackedSeq, i: usize, j: usize) -> u
     (matched + lcp_packed_word(a, b, i + matched, j + matched)).min(limit)
 }
 
-/// The Extend phase (paper §4.3.2) as one pass over a wavefront row:
-/// `offs[t]` is the offset (`j`) of diagonal `k_lo + t`. NULL cells are left
-/// untouched; every valid cell (it must lie inside the DP matrix, or this
-/// panics) advances by its `lcp_packed` match count, then `on_cell(t,
-/// matches, limit)` gets its index, matches and `limit = min(a.len() - i,
+/// The Aligner's Extend phase (paper §4.3.2) as one pass over a wavefront
+/// row of the packed sequences the Extractor wrote: `offs[t]` is the
+/// offset (`j`) of diagonal `k_lo + t`. NULL cells are left untouched;
+/// every valid cell (it must lie inside the DP matrix, or this panics)
+/// advances by its `lcp_packed` match count, then `on_cell(t, matches,
+/// limit)` gets its index, matches and `limit = min(a.len() - i,
 /// b.len() - j)`, in increasing index order.
 /// `matches < limit` means the run stopped on a mismatch inside both
 /// sequences.

@@ -13,8 +13,8 @@
 //! * the **Smith-Waterman-Gotoh** full-DP baseline (Eq. 2) as the
 //!   correctness oracle and CUPS reference ([`swg`]);
 //! * 2-bit **packed sequences** with machine-word extension — the functional
-//!   model of the hardware Extend sub-module and of vectorized CPU code
-//!   ([`bitpack`]);
+//!   model of the hardware Extend sub-module ([`bitpack`]); the software
+//!   engines above run on bytes;
 //! * the heuristic **adaptive** wavefront reduction as an extension
 //!   ([`adaptive`]).
 //!

@@ -1,33 +1,33 @@
-//! The end-to-end sequence representation: 2-bit packed on the hot path,
-//! raw bytes for everything the hardware would flag as unsupported.
+//! The end-to-end sequence representation: 2-bit packed for reads the
+//! device can hold, raw bytes for everything the hardware would flag as
+//! unsupported.
 //!
 //! The WFAsic Extractor packs each base into 2 bits the moment a read
-//! enters the device (paper §4.2); the host pipeline used to carry ASCII
-//! `Vec<u8>` from the generator all the way to the aligners and re-pack on
-//! every extend call. [`Seq`] moves the packing to sequence *construction*:
-//! a clean uppercase-ACGT read is stored as a [`PackedSeq`] once and every
-//! downstream consumer (the software WFA oracle, the CPU-fallback routes,
-//! the memory-image encoder) works from the packed form, unpacking only at
-//! CIGAR-replay and debug boundaries.
+//! enters the device (paper §4.2). [`Seq`] does the packing at sequence
+//! *construction*: a clean uppercase-ACGT read is stored as a
+//! [`PackedSeq`] once, at a quarter of the bytes, and the device path
+//! reads that form. The software WFA runs on bytes: its entry
+//! ([`crate::wfa::wfa_align_seqs_with_arena`]) decodes a packed pair once,
+//! a word at a time, and so does the memory-image encoder.
 //!
 //! Reads the hardware cannot represent ('N' bases, gap characters,
 //! arbitrary bytes from robustness tests) fall back to [`Seq::Raw`] and
-//! keep their exact bytes — the byte-oriented WFA oracle still aligns them,
-//! so broken data degrades to the slow path instead of being rejected.
+//! keep their exact bytes — the byte-oriented WFA still aligns them, so
+//! broken data is aligned in software instead of being rejected.
 //!
 //! Canonical-form invariant: [`Seq::from_bytes`] packs *iff* every byte is
 //! uppercase ACGT, so equal byte content built through the constructor
 //! always compares equal (`derive(PartialEq)` never has to compare across
 //! representations).
 
-use crate::bitpack::{decode_base, encode_base, PackedSeq};
+use crate::bitpack::{encode_base, PackedSeq};
 use std::borrow::Cow;
 
-/// A DNA sequence: packed (hot path) or raw bytes (anything else).
+/// A DNA sequence: packed (uppercase ACGT) or raw bytes (anything else).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Seq {
-    /// 2-bit packed uppercase ACGT — what the generator produces and every
-    /// aligner hot path consumes.
+    /// 2-bit packed uppercase ACGT — what the generator produces and the
+    /// device model reads.
     Packed(PackedSeq),
     /// Verbatim bytes for sequences outside the 2-bit alphabet.
     Raw(Vec<u8>),
@@ -62,7 +62,7 @@ impl Seq {
         self.len() == 0
     }
 
-    /// The packed form, when this sequence is on the hot path.
+    /// The packed form, when every base is uppercase ACGT.
     pub fn as_packed(&self) -> Option<&PackedSeq> {
         match self {
             Seq::Packed(p) => Some(p),
@@ -70,8 +70,8 @@ impl Seq {
         }
     }
 
-    /// The ASCII bytes: borrowed for raw sequences, decoded (allocating)
-    /// for packed ones. Boundary use only — hot paths stay packed.
+    /// The ASCII bytes: borrowed for raw sequences, decoded (allocating,
+    /// a word at a time) for packed ones — the software WFA's input.
     pub fn bytes(&self) -> Cow<'_, [u8]> {
         match self {
             Seq::Packed(p) => Cow::Owned(p.to_ascii()),
@@ -107,19 +107,9 @@ impl Seq {
     /// memory-image encoder's staging primitive; `out` must not be longer
     /// than the sequence).
     pub fn write_prefix_into(&self, out: &mut [u8]) {
-        assert!(
-            out.len() <= self.len(),
-            "prefix ({}) longer than sequence ({})",
-            out.len(),
-            self.len()
-        );
         match self {
             Seq::Raw(v) => out.copy_from_slice(&v[..out.len()]),
-            Seq::Packed(p) => {
-                for (i, slot) in out.iter_mut().enumerate() {
-                    *slot = decode_base(p.get(i));
-                }
-            }
+            Seq::Packed(p) => p.write_ascii_into(out),
         }
     }
 }

@@ -15,7 +15,6 @@
 use crate::adaptive::{reduce_wavefront, AdaptiveParams};
 use crate::arena::WavefrontArena;
 use crate::backtrace;
-use crate::bitpack::PackedSeq;
 use crate::cigar::Cigar;
 use crate::kernel;
 use crate::penalties::Penalties;
@@ -229,50 +228,15 @@ pub fn compute_cell_m(m_sub: i32, i_cur: i32, d_cur: i32, k: i32, n: i32, m: i32
     sub.max(i_cur).max(d_cur)
 }
 
-/// A borrowed pair of input sequences in either representation. The WFA
-/// core is representation-agnostic: the only sequence-dependent operation
-/// it performs is the `extend()` LCP, which [`WfaMachine::extend_current`]
-/// runs per cell on the byte kernel or per row on [`kernel::extend_row`].
-#[derive(Clone, Copy)]
-pub(crate) enum SeqsRef<'s> {
-    /// ASCII bytes (1 byte/base) — any alphabet.
-    Bytes(&'s [u8], &'s [u8]),
-    /// 2-bit packed ACGT — the hot-path representation (4 bases/byte,
-    /// wider effective SIMD lanes in the LCP kernel).
-    Packed(&'s PackedSeq, &'s PackedSeq),
-}
-
-impl SeqsRef<'_> {
-    /// Length of the first (vertical, `i`-indexed) sequence.
-    #[inline]
-    pub fn a_len(&self) -> usize {
-        match self {
-            SeqsRef::Bytes(a, _) => a.len(),
-            SeqsRef::Packed(a, _) => a.len(),
-        }
-    }
-
-    /// Length of the second (horizontal, `j`-indexed) sequence.
-    #[inline]
-    pub fn b_len(&self) -> usize {
-        match self {
-            SeqsRef::Bytes(_, b) => b.len(),
-            SeqsRef::Packed(_, b) => b.len(),
-        }
-    }
-}
-
 /// Align `a` against `b` end-to-end over raw bytes (any alphabet), with a
 /// private [`WavefrontArena`]. Callers aligning many pairs should hold
 /// [`Seq`]s and reuse one arena via [`wfa_align_seqs_with_arena`].
 pub fn wfa_align(a: &[u8], b: &[u8], opts: &WfaOptions) -> Result<WfaAlignment, WfaError> {
-    wfa_align_seqs_ref(SeqsRef::Bytes(a, b), opts, &mut WavefrontArena::new())
+    wfa_align_seqs_ref(a, b, opts, &mut WavefrontArena::new())
 }
 
-/// Align a [`Seq`] pair, picking the representation-appropriate kernel:
-/// packed×packed stays on the packed hot path; any raw side (broken data,
-/// non-ACGT alphabets) routes through the byte oracle, unpacking a packed
-/// partner at this boundary only.
+/// Align a [`Seq`] pair. The engine runs on bytes: a packed side is
+/// decoded once here, a raw side (non-ACGT alphabets) is borrowed as is.
 pub fn wfa_align_seqs(a: &Seq, b: &Seq, opts: &WfaOptions) -> Result<WfaAlignment, WfaError> {
     wfa_align_seqs_with_arena(a, b, opts, &mut WavefrontArena::new())
 }
@@ -287,21 +251,13 @@ pub fn wfa_align_seqs_with_arena(
     opts: &WfaOptions,
     arena: &mut WavefrontArena,
 ) -> Result<WfaAlignment, WfaError> {
-    match (a, b) {
-        (Seq::Packed(pa), Seq::Packed(pb)) => {
-            wfa_align_seqs_ref(SeqsRef::Packed(pa, pb), opts, arena)
-        }
-        _ => {
-            let ab = a.bytes();
-            let bb = b.bytes();
-            wfa_align_seqs_ref(SeqsRef::Bytes(&ab, &bb), opts, arena)
-        }
-    }
+    wfa_align_seqs_ref(&a.bytes(), &b.bytes(), opts, arena)
 }
 
-/// The lowest-level entry: align an already-borrowed [`SeqsRef`].
+/// The lowest-level entry: align two byte slices with `arena`'s buffers.
 pub(crate) fn wfa_align_seqs_ref(
-    seqs: SeqsRef<'_>,
+    a: &[u8],
+    b: &[u8],
     opts: &WfaOptions,
     arena: &mut WavefrontArena,
 ) -> Result<WfaAlignment, WfaError> {
@@ -310,8 +266,8 @@ pub(crate) fn wfa_align_seqs_ref(
         // BiWfa requests fall through to the unidirectional loop below,
         // which is already O(s) memory in score-only mode and computes the
         // identical (exact) score.
-        AlignStrategy::BiWfa if opts.compute_cigar => crate::biwfa::biwfa_align(seqs, opts, arena),
-        _ => wfa_align_inner(seqs, opts, arena),
+        AlignStrategy::BiWfa if opts.compute_cigar => crate::biwfa::biwfa_align(a, b, opts, arena),
+        _ => wfa_align_inner(a, b, opts, arena),
     }
 }
 
@@ -344,7 +300,8 @@ pub(crate) enum Retention {
 /// pre-refactor monolithic loop did, so cycle models and gated metrics are
 /// bit-identical.
 pub(crate) struct WfaMachine<'s> {
-    seqs: SeqsRef<'s>,
+    a: &'s [u8],
+    b: &'s [u8],
     pub(crate) n: i32,
     pub(crate) m: i32,
     p: Penalties,
@@ -365,9 +322,9 @@ pub(crate) struct WfaMachine<'s> {
 }
 
 impl<'s> WfaMachine<'s> {
-    pub(crate) fn new(seqs: SeqsRef<'s>, p: Penalties, arena: &mut WavefrontArena) -> Self {
-        let n = seqs.a_len() as i32;
-        let m = seqs.b_len() as i32;
+    pub(crate) fn new(a: &'s [u8], b: &'s [u8], p: Penalties, arena: &mut WavefrontArena) -> Self {
+        let n = a.len() as i32;
+        let m = b.len() as i32;
         let cap = p.gap_cost(n as u32) as u64 + p.gap_cost(m as u32) as u64;
         let mut fronts = arena.take_spine();
         fronts.push(Some(WavefrontSet {
@@ -381,7 +338,8 @@ impl<'s> WfaMachine<'s> {
             ..WfaStats::default()
         };
         WfaMachine {
-            seqs,
+            a,
+            b,
             n,
             m,
             p,
@@ -411,8 +369,8 @@ impl<'s> WfaMachine<'s> {
         self.live_memory
     }
 
-    /// Has the score cap been reached (the next [`Self::step`] would
-    /// fail)?
+    /// Has the score cap been reached? [`Self::step`] must not be called
+    /// past it.
     #[inline]
     pub(crate) fn at_cap(&self) -> bool {
         self.s as u64 >= self.cap
@@ -430,26 +388,17 @@ impl<'s> WfaMachine<'s> {
         stats.score_steps += 1;
         stats.max_wavefront_len = stats.max_wavefront_len.max(set.m.len() as u64);
         let lo = set.m.lo;
-        let mut account = |_idx: usize, matches: usize, limit: usize| {
+        for (idx, off) in set.m.offsets.iter_mut().enumerate() {
+            if !offset_is_valid(*off) {
+                continue;
+            }
+            let (i, j) = ((*off - (lo + idx as i32)) as usize, *off as usize);
+            let matches = kernel::lcp_bytes(self.a, self.b, i, j);
+            *off += matches as i32;
             stats.extend_calls += 1;
             // Count the terminating comparison too when we stopped on a
             // mismatch inside both sequences.
-            stats.bases_compared += matches as u64 + (matches < limit) as u64;
-        };
-        match self.seqs {
-            SeqsRef::Packed(a, b) => kernel::extend_row(a, b, &mut set.m.offsets, lo, account),
-            // The only path for non-ACGT input: one byte LCP per valid cell.
-            SeqsRef::Bytes(a, b) => {
-                for (idx, off) in set.m.offsets.iter_mut().enumerate() {
-                    if !offset_is_valid(*off) {
-                        continue;
-                    }
-                    let (i, j) = ((*off - (lo + idx as i32)) as usize, *off as usize);
-                    let matches = kernel::lcp_bytes(a, b, i, j);
-                    *off += matches as i32;
-                    account(idx, matches, (n - i).min(m - j));
-                }
-            }
+            stats.bases_compared += matches as u64 + (matches < (n - i).min(m - j)) as u64;
         }
         true
     }
@@ -488,20 +437,13 @@ impl<'s> WfaMachine<'s> {
 
     /// Advance the score by one and `compute()` the next wavefront set
     /// (Eq. 3, batched kernel). `retention` governs which old fronts are
-    /// recycled — see [`Retention`].
-    pub(crate) fn step(
-        &mut self,
-        arena: &mut WavefrontArena,
-        retention: Retention,
-    ) -> Result<(), WfaError> {
+    /// recycled — see [`Retention`]. The caller stops at the cap: see
+    /// [`Self::at_cap`].
+    pub(crate) fn step(&mut self, arena: &mut WavefrontArena, retention: Retention) {
+        debug_assert!(!self.at_cap(), "step past the all-gaps cap");
         let (n, m, p) = (self.n, self.m, self.p);
         self.s += 1;
         let s = self.s;
-        if s as u64 > self.cap {
-            return Err(WfaError::ScoreLimitExceeded {
-                limit: self.cap as u32,
-            });
-        }
 
         if let Retention::Strict(w) = retention {
             // Reclaim everything older than the window, on every step —
@@ -530,7 +472,7 @@ impl<'s> WfaMachine<'s> {
         // A wavefront for this score exists only if some source exists.
         if src_sub.is_none() && src_open.is_none() && src_ext.is_none() {
             fronts.push(None);
-            return Ok(());
+            return;
         }
 
         // New diagonal range: sources widen by one on each side through the
@@ -613,7 +555,7 @@ impl<'s> WfaMachine<'s> {
             arena.recycle(wi);
             arena.recycle(wd);
             fronts.push(None);
-            return Ok(());
+            return;
         }
         let set = WavefrontSet {
             m: wm,
@@ -644,7 +586,6 @@ impl<'s> WfaMachine<'s> {
             }
         }
         self.stats.peak_memory_bytes = self.stats.peak_memory_bytes.max(self.live_memory);
-        Ok(())
     }
 
     /// Tear the machine down, returning every retained buffer to the
@@ -655,14 +596,15 @@ impl<'s> WfaMachine<'s> {
 }
 
 pub(crate) fn wfa_align_inner(
-    seqs: SeqsRef<'_>,
+    a: &[u8],
+    b: &[u8],
     opts: &WfaOptions,
     arena: &mut WavefrontArena,
 ) -> Result<WfaAlignment, WfaError> {
     opts.penalties.validate().map_err(WfaError::BadPenalties)?;
     let p = opts.penalties;
-    let n = seqs.a_len() as i32;
-    let m = seqs.b_len() as i32;
+    let n = a.len() as i32;
+    let m = b.len() as i32;
     let lookback = p.x.max(p.o + p.e) as usize;
     let retention = if opts.compute_cigar {
         Retention::Full
@@ -677,7 +619,7 @@ pub(crate) fn wfa_align_inner(
     let adaptive =
         (opts.strategy == AlignStrategy::AdaptiveBand).then(|| opts.adaptive.unwrap_or_default());
 
-    let mut mach = WfaMachine::new(seqs, p, arena);
+    let mut mach = WfaMachine::new(a, b, p, arena);
     loop {
         // --- extend() + termination check ---
         if mach.extend_current() {
@@ -704,10 +646,12 @@ pub(crate) fn wfa_align_inner(
         }
 
         // --- advance the score and compute() the next wavefront set ---
-        if let Err(e) = mach.step(arena, retention) {
+        if mach.at_cap() {
+            let limit = mach.cap as u32;
             mach.finish(arena);
-            return Err(e);
+            return Err(WfaError::ScoreLimitExceeded { limit });
         }
+        mach.step(arena, retention);
     }
 }
 

@@ -116,13 +116,21 @@ fn packed_extend_equals_naive() {
     });
 }
 
-/// Packing round-trips.
+/// Packing round-trips, and the word-at-a-time decoder equals the
+/// per-base decode on every prefix.
 #[test]
 fn pack_roundtrip() {
+    use wfa_core::bitpack::decode_base;
     cases(CASES, 0x57FA_0006, |rng, _| {
         let a = dna(rng, 200);
         let p = PackedSeq::from_ascii(&a).unwrap();
         assert_eq!(p.to_ascii(), a);
+        for prefix in 0..=a.len() {
+            let mut out = vec![0u8; prefix];
+            p.write_ascii_into(&mut out);
+            let want: Vec<u8> = (0..prefix).map(|i| decode_base(p.get(i))).collect();
+            assert_eq!(out, want, "prefix {prefix} of {}", a.len());
+        }
     });
 }
 
@@ -213,7 +221,7 @@ fn wfa_exactness_holds_on_the_cpus_kernel_path() {
 
 /// BiWFA is score-identical to the exact engine and its CIGAR replays to
 /// exactly the optimal score on the kernel path the CPU takes, so the
-/// packed extend under the bidirectional machines is covered the same way
+/// byte extend under the bidirectional machines is covered the same way
 /// the exact engine's is.
 #[test]
 fn biwfa_matches_exact_on_the_cpus_kernel_path() {
@@ -232,10 +240,11 @@ fn biwfa_matches_exact_on_the_cpus_kernel_path() {
     });
 }
 
-/// The packed and byte representations run the same engine: on ACGT pairs
-/// the exact and BiWFA strategies return identical alignments and
-/// identical `WfaStats` (extend calls, bases compared, peak memory and
-/// all) whichever representation they are handed.
+/// A packed `Seq` pair and its bytes run the same engine: the entry
+/// decodes the packed pair once, so on ACGT pairs the exact and BiWFA
+/// strategies return identical alignments and identical `WfaStats`
+/// (extend calls, bases compared, peak memory and all) whichever
+/// representation they are handed.
 #[test]
 fn packed_and_byte_paths_are_identical() {
     use wfa_core::Seq;
