@@ -262,13 +262,13 @@ fn extend_column(
     // `(idx, idx % p)` of the cell after the last one handed over: cells
     // arrive in increasing order, so the section advances without a divide.
     extend_row(a, b, offs, k_lo, |idx, matches, limit| {
-        sections[idx % p] += compare_cycles(cfg, matches) + cfg.extend_issue_cycles;
+        sections[idx % p] += compare_cycles(cfg, matches) + AccelConfig::EXTEND_ISSUE_CYCLES;
         extends += 1;
         bases += matches as u64 + (matches < limit) as u64;
     });
     let busiest = sections.iter().copied().max().unwrap_or(0);
     let cycles = if busiest > 0 {
-        cfg.extend_fill_cycles + busiest
+        AccelConfig::EXTEND_FILL_CYCLES + busiest
     } else {
         0
     };
@@ -315,8 +315,8 @@ fn align_with(
         out.stats.extends += 1;
         out.stats.bases_compared += r.matches as u64 + 1;
         m0.set(0, r.matches as i32);
-        out.extend_cycles += section_run_cycles(cfg, &[r.compare_cycles]);
-        out.cycles = out.extend_cycles + cfg.score_loop_overhead;
+        out.extend_cycles += section_run_cycles(&[r.compare_cycles]);
+        out.cycles = out.extend_cycles + AccelConfig::SCORE_LOOP_OVERHEAD;
     }
     if k_end == 0 && m0.get(0) == m {
         out.success = true;
@@ -472,8 +472,9 @@ fn align_with(
     }
 
     window.drain_into(&mut scratch.arena);
-    out.cycles =
-        out.extend_cycles + out.compute_cycles + out.stats.score_steps * cfg.score_loop_overhead;
+    out.cycles = out.extend_cycles
+        + out.compute_cycles
+        + out.stats.score_steps * AccelConfig::SCORE_LOOP_OVERHEAD;
     out
 }
 
@@ -607,7 +608,7 @@ mod tests {
             out.cycles,
             out.extend_cycles
                 + out.compute_cycles
-                + out.stats.score_steps * cfg().score_loop_overhead
+                + out.stats.score_steps * AccelConfig::SCORE_LOOP_OVERHEAD
         );
         assert!(out.stats.cells > 0);
         assert!(out.stats.batches > 0);
@@ -671,7 +672,7 @@ mod tests {
             *off += r.matches as i32;
             runs[idx % cfg.parallel_sections].push(r.compare_cycles);
         }
-        let cycles = runs.iter().map(|r| section_run_cycles(cfg, r)).max();
+        let cycles = runs.iter().map(|r| section_run_cycles(r)).max();
         (cycles.unwrap_or(0), extends, bases)
     }
 

@@ -93,7 +93,7 @@ fn edge_banks(cfg: &AccelConfig) -> usize {
 }
 
 /// Memory bytes by structure.
-pub fn memory_breakdown(cfg: &AccelConfig) -> MemBreakdown {
+fn memory_breakdown(cfg: &AccelConfig) -> MemBreakdown {
     let p = cfg.parallel_sections;
     let input_words = cfg.input_ram_words();
     let input_seq = cfg.num_aligners * 2 * p * input_words * 4;
@@ -107,7 +107,7 @@ pub fn memory_breakdown(cfg: &AccelConfig) -> MemBreakdown {
     // I and D merged: (1 previous + frame) each.
     let wavefront_id = cfg.num_aligners * p * bank_bytes(4);
 
-    let fifos = 2 * cfg.fifo_depth * 16;
+    let fifos = 2 * AccelConfig::FIFO_DEPTH * 16;
     MemBreakdown {
         input_seq,
         wavefront_m,

@@ -21,9 +21,6 @@ pub struct AccelConfig {
     pub max_supported_len: usize,
     /// Gap-affine penalties baked into the datapath: (4, 6, 2).
     pub penalties: Penalties,
-    /// Input/output FIFO depth in 16-byte words (256 in the chip). Only
-    /// the area model reads it: the timeline models no FIFO occupancy.
-    pub fifo_depth: usize,
     /// Shared AXI-Full port timing.
     pub bus: BusConfig,
     /// Keep the duplicated M-window edge banks (RAM 1'/RAM N', paper §4.4).
@@ -34,25 +31,29 @@ pub struct AccelConfig {
     /// [`AccelConfig::with_folded_edge_banks`].
     pub duplicate_edge_banks: bool,
 
-    // --- Aligner timing constants (cycle model) ---
-    /// Extend pipeline fill before the first 16-base comparison (paper
-    /// §4.3.2: "after five initial cycles").
-    pub extend_fill_cycles: Cycle,
-    /// Per-cell issue overhead when a section's extends are pipelined
-    /// back-to-back within a phase.
-    pub extend_issue_cycles: Cycle,
+    // --- Aligner timing (cycle model) ---
     /// Bases compared per cycle per Extend sub-module (16: one Input_Seq
     /// RAM word).
     pub extend_bases_per_cycle: usize,
     /// Cycles per compute batch of `parallel_sections` cells: two
     /// sequential M-window reads + the parallel I/D read + write-back.
     pub compute_batch_cycles: Cycle,
-    /// Fixed per-score-iteration control overhead (range bookkeeping,
-    /// frame-column rotation).
-    pub score_loop_overhead: Cycle,
 }
 
 impl AccelConfig {
+    /// Input/output FIFO depth in 16-byte words (256 in the chip). Only
+    /// the area model reads it: the timeline models no FIFO occupancy.
+    pub const FIFO_DEPTH: usize = 256;
+    /// Extend pipeline fill before the first 16-base comparison (paper
+    /// §4.3.2: "after five initial cycles").
+    pub const EXTEND_FILL_CYCLES: Cycle = 5;
+    /// Per-cell issue overhead when a section's extends are pipelined
+    /// back-to-back within a phase.
+    pub const EXTEND_ISSUE_CYCLES: Cycle = 1;
+    /// Fixed per-score-iteration control overhead (range bookkeeping,
+    /// frame-column rotation).
+    pub const SCORE_LOOP_OVERHEAD: Cycle = 6;
+
     /// The taped-out WFAsic: 1 Aligner × 64 parallel sections, 10K reads,
     /// error scores to 8000 (k_max = 3998), penalties (4, 6, 2).
     pub fn wfasic_chip() -> Self {
@@ -62,14 +63,10 @@ impl AccelConfig {
             k_max: 3998,
             max_supported_len: 10_000,
             penalties: Penalties::WFASIC_DEFAULT,
-            fifo_depth: 256,
             bus: BusConfig::WFASIC_DEFAULT,
             duplicate_edge_banks: true,
-            extend_fill_cycles: 5,
-            extend_issue_cycles: 1,
             extend_bases_per_cycle: 16,
             compute_batch_cycles: 4,
-            score_loop_overhead: 6,
         }
     }
 

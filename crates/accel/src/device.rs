@@ -249,11 +249,6 @@ impl WfasicDevice {
         self.fault_plan = None;
     }
 
-    /// The installed fault plan, if any.
-    pub fn fault_plan(&self) -> Option<FaultPlan> {
-        self.fault_plan
-    }
-
     /// Everything injected so far, across all jobs and the MMIO path.
     pub fn fault_counters(&self) -> FaultCounters {
         let mut total = self.fault_counters;
@@ -452,10 +447,14 @@ impl WfasicDevice {
             return self.refuse(start, error_code::BAD_ADDR, job.out_addr, job.irq_enable);
         }
         // End of the output window (OUT_SIZE = 0 means "to end of memory").
-        let out_limit = if job.out_size == 0 {
-            mem_cap
-        } else {
-            mem_cap.min(job.out_addr + job.out_size)
+        let mut out = OutWindow {
+            cursor: job.out_addr,
+            limit: if job.out_size == 0 {
+                mem_cap
+            } else {
+                mem_cap.min(job.out_addr + job.out_size)
+            },
+            overrun: None,
         };
 
         let num_pairs = (job.in_size / rec_bytes as u64) as usize;
@@ -487,10 +486,7 @@ impl WfasicDevice {
         let mut completion: Vec<Cycle> = Vec::with_capacity(num_pairs);
         let mut pairs: Vec<PairReport> = Vec::with_capacity(num_pairs);
 
-        let mut out_cursor = job.out_addr;
-        let mut output_bytes: u64 = 0;
         let mut last_event: Cycle = 0;
-        let mut error: Option<DeviceError> = None;
 
         // Pending NBT records (flushed four per transaction).
         let mut nbt_pending: Vec<(NbtRecord, Cycle)> = Vec::new();
@@ -564,35 +560,22 @@ impl WfasicDevice {
                 let n_chunks = chunks.len();
                 let mut write_done = t0;
                 for (ci, chunk) in chunks.enumerate() {
-                    if out_cursor + chunk.len() as u64 > out_limit {
-                        error = Some(DeviceError {
-                            code: error_code::OUT_OVERRUN,
-                            info: out_cursor,
-                        });
-                        break 'job;
-                    }
                     // Chunk becomes available proportionally through the
                     // alignment; the last chunk only after completion.
                     let avail = t0 + (outcome.cycles * (ci as Cycle + 1)) / n_chunks as Cycle;
-                    write_done = dma::write(mem, &mut bus, avail, out_cursor, chunk);
-                    out_cursor += chunk.len() as u64;
-                    output_bytes += chunk.len() as u64;
+                    let Some(wd) = out.write(mem, &mut bus, avail, chunk) else {
+                        break 'job;
+                    };
+                    write_done = wd;
                 }
                 done = done.max(write_done);
             } else {
                 nbt_pending.push((nbt_record(&outcome), done));
                 if nbt_pending.len() == 4 {
                     let (bytes, avail) = drain_nbt(&mut nbt_pending);
-                    if out_cursor + bytes.len() as u64 > out_limit {
-                        error = Some(DeviceError {
-                            code: error_code::OUT_OVERRUN,
-                            info: out_cursor,
-                        });
+                    let Some(wd) = out.write(mem, &mut bus, avail, &bytes) else {
                         break 'job;
-                    }
-                    let wd = dma::write(mem, &mut bus, avail, out_cursor, &bytes);
-                    out_cursor += bytes.len() as u64;
-                    output_bytes += bytes.len() as u64;
+                    };
                     last_event = last_event.max(wd);
                 }
             }
@@ -615,16 +598,9 @@ impl WfasicDevice {
         }
 
         // Flush a partial NBT transaction (skipped if the job aborted).
-        if error.is_none() && !nbt_pending.is_empty() {
+        if out.overrun.is_none() && !nbt_pending.is_empty() {
             let (bytes, avail) = drain_nbt(&mut nbt_pending);
-            if out_cursor + bytes.len() as u64 > out_limit {
-                error = Some(DeviceError {
-                    code: error_code::OUT_OVERRUN,
-                    info: out_cursor,
-                });
-            } else {
-                let wd = dma::write(mem, &mut bus, avail, out_cursor, &bytes);
-                output_bytes += bytes.len() as u64;
+            if let Some(wd) = out.write(mem, &mut bus, avail, &bytes) {
                 last_event = last_event.max(wd);
             }
         }
@@ -661,6 +637,7 @@ impl WfasicDevice {
             JobPerf::from_spans_window(spans, start, total_cycles)
         });
         self.publish_perf(perf.as_ref());
+        let (output_bytes, error) = (out.cursor - job.out_addr, out.overrun);
         self.regs.poke(offsets::IDLE, 1);
         self.regs.poke(offsets::OUT_BYTES, output_bytes);
         self.regs.poke(offsets::JOB_CYCLES, total_cycles - start);
@@ -777,6 +754,40 @@ impl Ahead {
             return None;
         }
         self.outcomes.get_mut(k)?.take()
+    }
+}
+
+/// The Collector's output window: where its next write lands, where the
+/// window ends, and the `OUT_OVERRUN` that aborted the job, if one did.
+struct OutWindow {
+    cursor: u64,
+    limit: u64,
+    overrun: Option<DeviceError>,
+}
+
+impl OutWindow {
+    /// DMA `bytes` to the window's cursor, ready at `avail`, and return the
+    /// cycle the write completes. Bytes that would cross the window's end
+    /// are not written: the overrun (at the cursor) is recorded and `None`
+    /// returned, and the job aborts.
+    fn write(
+        &mut self,
+        mem: &mut MainMemory,
+        bus: &mut MemoryBus,
+        avail: Cycle,
+        bytes: &[u8],
+    ) -> Option<Cycle> {
+        let len = bytes.len() as u64;
+        if self.cursor + len > self.limit {
+            self.overrun = Some(DeviceError {
+                code: error_code::OUT_OVERRUN,
+                info: self.cursor,
+            });
+            return None;
+        }
+        let done = dma::write(mem, bus, avail, self.cursor, bytes);
+        self.cursor += len;
+        Some(done)
     }
 }
 

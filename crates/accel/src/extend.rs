@@ -64,14 +64,14 @@ pub fn compare_cycles(cfg: &AccelConfig, matches: usize) -> Cycle {
 
 /// Cycle cost of one section extending a run of cells back-to-back:
 /// one pipeline fill, then per-cell issue overhead plus comparison blocks.
-pub fn section_run_cycles(cfg: &AccelConfig, cell_compare_cycles: &[Cycle]) -> Cycle {
+pub fn section_run_cycles(cell_compare_cycles: &[Cycle]) -> Cycle {
     if cell_compare_cycles.is_empty() {
         return 0;
     }
-    cfg.extend_fill_cycles
+    AccelConfig::EXTEND_FILL_CYCLES
         + cell_compare_cycles
             .iter()
-            .map(|&c| c + cfg.extend_issue_cycles)
+            .map(|&c| c + AccelConfig::EXTEND_ISSUE_CYCLES)
             .sum::<Cycle>()
 }
 
@@ -125,10 +125,9 @@ mod tests {
 
     #[test]
     fn section_run_accounting() {
-        let c = cfg();
-        assert_eq!(section_run_cycles(&c, &[]), 0);
+        assert_eq!(section_run_cycles(&[]), 0);
         // Fill 5 + (2+1) + (1+1) = 10.
-        assert_eq!(section_run_cycles(&c, &[2, 1]), 10);
+        assert_eq!(section_run_cycles(&[2, 1]), 10);
     }
 
     #[test]
@@ -136,8 +135,7 @@ mod tests {
         // "the comparator compares 16 bases of the sequences at each clock
         // cycle, after five initial cycles": a 64-base match run from a cold
         // section costs 5 + ceil(65/16 rounded in blocks) = 5 + (64/16+1).
-        let c = cfg();
-        let run = section_run_cycles(&c, &[(64 / 16) as Cycle + 1]);
+        let run = section_run_cycles(&[(64 / 16) as Cycle + 1]);
         assert_eq!(run, 5 + 5 + 1);
     }
 }

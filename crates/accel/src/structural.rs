@@ -157,8 +157,8 @@ pub fn align_structural(
         out.stats.extends += 1;
         out.stats.bases_compared += r.matches as u64 + 1;
         m_store.write(center, m_col_of(0), r.matches as i32);
-        out.extend_cycles += section_run_cycles(cfg, &[r.compare_cycles]);
-        out.cycles = out.extend_cycles + cfg.score_loop_overhead;
+        out.extend_cycles += section_run_cycles(&[r.compare_cycles]);
+        out.cycles = out.extend_cycles + AccelConfig::SCORE_LOOP_OVERHEAD;
         if k_end == 0 && r.matches as i32 == m {
             out.success = true;
             out.score = 0;
@@ -338,7 +338,7 @@ pub fn align_structural(
         }
         let extend_phase = section_cycles
             .iter()
-            .map(|cells| section_run_cycles(cfg, cells))
+            .map(|cells| section_run_cycles(cells))
             .max()
             .unwrap_or(0);
         out.extend_cycles += extend_phase;
@@ -354,8 +354,9 @@ pub fn align_structural(
         }
     }
 
-    out.cycles =
-        out.extend_cycles + out.compute_cycles + out.stats.score_steps * cfg.score_loop_overhead;
+    out.cycles = out.extend_cycles
+        + out.compute_cycles
+        + out.stats.score_steps * AccelConfig::SCORE_LOOP_OVERHEAD;
     out
 }
 

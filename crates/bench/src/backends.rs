@@ -31,21 +31,21 @@ pub const LANES: usize = 4;
 
 /// One backend's comparison row.
 #[derive(Debug, Clone)]
-pub struct BackendRow {
+struct BackendRow {
     /// Backend name (`cpu`, `swg`, `riscv`, `device`, `multilane`,
     /// `hetero`).
-    pub name: &'static str,
+    name: &'static str,
     /// Pairs aligned.
-    pub pairs: usize,
+    pairs: usize,
     /// Wall-clock alignments per second (median iteration).
-    pub aligns_per_sec: f64,
+    aligns_per_sec: f64,
     /// Simulated device cycles for the batch (`None` for pure software).
-    pub sim_cycles: Option<u64>,
+    sim_cycles: Option<u64>,
     /// Wall-clock milliseconds to align one 12 kb / 5% pair with
     /// backtrace, and the CPU engine that answered it (`None` for
     /// backends whose envelope cannot take a 12 kb read). Display-only —
     /// never part of [`baseline_metrics`].
-    pub longread: Option<(f64, &'static str)>,
+    longread: Option<(f64, &'static str)>,
 }
 
 /// The long-read spot-check: one fixed 12 kb / 5% pair, beyond the stock
@@ -129,7 +129,7 @@ fn run_backend(kind: BackendKind, sizes: &Sizes, timed_iters: usize) -> BackendR
 }
 
 /// Run the comparison for every backend.
-pub fn backend_rows(sizes: &Sizes, timed_iters: usize) -> Vec<BackendRow> {
+fn backend_rows(sizes: &Sizes, timed_iters: usize) -> Vec<BackendRow> {
     BackendKind::ALL
         .iter()
         .map(|&kind| run_backend(kind, sizes, timed_iters))

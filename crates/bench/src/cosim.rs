@@ -168,7 +168,7 @@ pub fn calibrated_band(length: usize) -> (f64, f64) {
 /// still crossing both error rates with every penalty set; full extends
 /// the length axis toward the band limit of the kernel's score-512
 /// envelope.
-pub fn class_grid(quick: bool) -> Vec<CosimClass> {
+fn class_grid(quick: bool) -> Vec<CosimClass> {
     let lengths: &[usize] = if quick {
         &[80, 100]
     } else {

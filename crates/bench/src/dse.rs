@@ -260,7 +260,7 @@ pub fn dominates(a: &DseRow, b: &DseRow) -> bool {
 /// Mark every non-dominated row as frontier. Dominance is a strict partial
 /// order, so every dominated point is (transitively) dominated by some
 /// frontier point — the property tests pin both directions down.
-pub fn mark_frontier(rows: &mut [DseRow]) {
+fn mark_frontier(rows: &mut [DseRow]) {
     for i in 0..rows.len() {
         rows[i].frontier = (0..rows.len()).all(|j| j == i || !dominates(&rows[j], &rows[i]));
     }

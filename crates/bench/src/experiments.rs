@@ -186,7 +186,7 @@ pub fn fig10(sizes: &Sizes) -> Vec<Fig10Row> {
             let set = spec.generate(sizes.pairs_for(spec), sizes.seed);
             let mut drv = wfasic_driver::WfasicDriver::new(cfg);
             let job = drv
-                .submit(&set.pairs, false, wfasic_driver::WaitMode::PollIdle)
+                .submit(&set.pairs, false)
                 .expect("fault-free job cannot fail");
             let read = job.report.pairs[0].read_cycles;
             // Tile the simulated align durations up to the scheduling size.
@@ -311,7 +311,7 @@ pub fn table2(sizes: &Sizes) -> Vec<Table2Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wfasic_driver::{WaitMode, WfasicDriver};
+    use wfasic_driver::WfasicDriver;
 
     #[test]
     fn batch_scaling_reaches_3x_at_4_lanes_on_the_quick_queue() {
@@ -343,7 +343,7 @@ mod tests {
         };
         let set = spec.generate(10, 3);
         let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-        let job = drv.submit(&set.pairs, false, WaitMode::PollIdle).unwrap();
+        let job = drv.submit(&set.pairs, false).unwrap();
         let read = job.report.pairs[0].read_cycles;
         let aligns: Vec<Cycle> = job.report.pairs.iter().map(|p| p.align_cycles).collect();
         let sched = schedule_multi_aligner(read, &aligns, 1);
@@ -412,7 +412,7 @@ pub struct PerfRow {
 /// Run every input set with `PERF_CTRL` enabled (backtrace off) and return
 /// the per-stage breakdown for each.
 pub fn perf_breakdown(sizes: &Sizes) -> Vec<PerfRow> {
-    use wfasic_driver::{WaitMode, WfasicDriver};
+    use wfasic_driver::WfasicDriver;
     let cfg = AccelConfig::wfasic_chip();
     InputSetSpec::ALL
         .iter()
@@ -421,7 +421,7 @@ pub fn perf_breakdown(sizes: &Sizes) -> Vec<PerfRow> {
             let mut drv = WfasicDriver::new(cfg);
             drv.policy.collect_perf = true;
             let job = drv
-                .submit(&set.pairs, false, WaitMode::PollIdle)
+                .submit(&set.pairs, false)
                 .expect("fault-free job cannot fail");
             let perf = job.perf().expect("collect_perf was set");
             PerfRow {
@@ -437,12 +437,12 @@ pub fn perf_breakdown(sizes: &Sizes) -> Vec<PerfRow> {
 /// viewable in `chrome://tracing` or Perfetto. Uses a 2-Aligner device so
 /// the per-Aligner tracks show the dispatch interleaving.
 pub fn trace_json(spec: &InputSetSpec, sizes: &Sizes) -> String {
-    use wfasic_driver::{WaitMode, WfasicDriver};
+    use wfasic_driver::WfasicDriver;
     let set = spec.generate(sizes.pairs_for(spec), sizes.seed);
     let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip().with_aligners(2));
     drv.policy.collect_perf = true;
     let job = drv
-        .submit(&set.pairs, false, WaitMode::PollIdle)
+        .submit(&set.pairs, false)
         .expect("fault-free job cannot fail");
     job.chrome_trace().expect("collect_perf was set")
 }
@@ -550,7 +550,7 @@ impl FaultSweepRow {
 /// Sweep fault rates across the short-read input sets and measure how the
 /// retry + CPU-fallback policy holds completion at 100%.
 pub fn fault_sweep(sizes: &Sizes) -> Vec<FaultSweepRow> {
-    use wfasic_driver::{WaitMode, WfasicDriver};
+    use wfasic_driver::WfasicDriver;
     use wfasic_soc::fault::FaultPlan;
 
     const RATES: [f64; 4] = [0.0, 0.001, 0.01, 0.05];
@@ -586,7 +586,7 @@ pub fn fault_sweep(sizes: &Sizes) -> Vec<FaultSweepRow> {
             }
             let before = drv.device.fault_counters().total();
             let job = drv
-                .submit(&set.pairs, false, WaitMode::PollIdle)
+                .submit(&set.pairs, false)
                 .expect("fallback-enabled submit always answers");
             let injected = drv.device.fault_counters().total() - before;
             let recovered = job.recovered_count();

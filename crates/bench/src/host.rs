@@ -14,7 +14,7 @@
 //!   and at the requested width, reporting alignments/sec and
 //!   DP-equivalent cells/sec (`|a|*|b|` per pair, the paper's §5.5 CUPS
 //!   convention). What the width-N/width-1 ratio compares is spelled out
-//!   on [`HostOutcome::speedup_n_over_1`].
+//!   on `HostOutcome::speedup_n_over_1`.
 //!
 //! Results print as a table and are also emitted as schema-versioned JSON
 //! ([`SCHEMA`], default `BENCH_host.json`) so CI can archive them. A
@@ -37,7 +37,7 @@ use wfa_core::pool::{available_threads, chunk_ranges, ThreadPool};
 use wfa_core::rng::SmallRng;
 use wfa_core::{PackedSeq, Penalties};
 use wfasic_accel::AccelConfig;
-use wfasic_driver::{BatchJob, CpuWfaBackend, WaitMode, WfasicDriver};
+use wfasic_driver::{BatchJob, CpuWfaBackend, WfasicDriver};
 use wfasic_seqio::InputSetSpec;
 
 /// Schema tag stamped into the JSON record (bump on layout changes).
@@ -97,18 +97,18 @@ pub struct HostOutcome {
 
 impl HostOutcome {
     /// SIMD-over-word kernel speedup on the realistic run-length workload.
-    pub fn simd_over_word(&self) -> f64 {
+    fn simd_over_word(&self) -> f64 {
         self.simd_gbps / self.word_gbps
     }
 
     /// SIMD-over-word kernel speedup at peak (long identical runs — the
     /// workload where vector width is the limit, not per-call overhead).
-    pub fn simd_over_word_peak(&self) -> f64 {
+    fn simd_over_word_peak(&self) -> f64 {
         self.peak_simd_gbps / self.peak_word_gbps
     }
 
     /// Word-over-scalar kernel speedup.
-    pub fn word_over_scalar(&self) -> f64 {
+    fn word_over_scalar(&self) -> f64 {
         self.word_gbps / self.scalar_gbps
     }
 
@@ -131,7 +131,7 @@ impl HostOutcome {
     /// the same host. Near 1 means the device's own split already uses the
     /// host's threads; it sits above 1 by what the device's serial timing
     /// phase costs.
-    pub fn speedup_n_over_1(&self) -> Option<f64> {
+    fn speedup_n_over_1(&self) -> Option<f64> {
         self.many.map(|many| self.one.seconds / many.seconds)
     }
 }
@@ -428,7 +428,7 @@ fn queue_seconds(jobs: &[BatchJob], width: usize) -> f64 {
         let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
         let mut run = |jobs: &[BatchJob]| {
             for job in jobs {
-                let out = drv.submit(&job.pairs, job.backtrace, WaitMode::PollIdle);
+                let out = drv.submit(&job.pairs, job.backtrace);
                 assert!(out.is_ok(), "device jobs must pass");
             }
         };

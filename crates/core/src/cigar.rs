@@ -74,7 +74,7 @@ pub struct EditStats {
 
 impl EditStats {
     /// Total number of gap openings (`num_o` in the paper's Eq. 5).
-    pub fn gap_openings(&self) -> u64 {
+    fn gap_openings(&self) -> u64 {
         self.ins_runs + self.del_runs
     }
 
@@ -138,7 +138,8 @@ impl Cigar {
     }
 
     /// Build from an uncompressed op string such as `"MMXMMIMD"`.
-    pub fn from_str_ops(s: &str) -> Option<Self> {
+    #[cfg(test)]
+    fn from_str_ops(s: &str) -> Option<Self> {
         let mut c = Cigar::new();
         for ch in s.chars() {
             c.push(Op::from_code(ch)?);

@@ -10,7 +10,7 @@
 //! * **Avx2** — `std::arch::x86_64` kernels comparing 32 ASCII bases or
 //!   128 packed bases per iteration ([`lcp_packed_simd`]), taken whenever
 //!   `is_x86_feature_detected!("avx2")` reports the feature.
-//! * **Word** — one `u64` per iteration: 8 ASCII bases ([`lcp_bytes_word`])
+//! * **Word** — one `u64` per iteration: 8 ASCII bases (`lcp_bytes_word`)
 //!   or 32 packed bases ([`lcp_packed_word`]) via XOR + `trailing_zeros`.
 //!   The portable path on every other CPU.
 //!
@@ -21,7 +21,7 @@
 //!
 //! Nothing overrides the CPU's choice; [`kernel_dispatch`] only reports it.
 //! Each operator keeps a scalar reference ([`lcp_bytes_scalar`],
-//! [`lcp_packed_scalar`], [`compute_row_scalar`],
+//! `lcp_packed_scalar`, [`compute_row_scalar`],
 //! [`compute_row_with_origins_scalar`]) that the tests in this module
 //! compare every path against directly, across unaligned starts,
 //! word/vector-boundary mismatches, empty sequences and length-limited
@@ -47,7 +47,7 @@
 use crate::bitpack::PackedSeq;
 use crate::wavefront::OFFSET_NULL;
 
-/// Bytes (= bases) compared per machine word by [`lcp_bytes_word`].
+/// Bytes (= bases) compared per machine word by `lcp_bytes_word`.
 pub const BYTES_PER_WORD: usize = 8;
 
 // ---------------------------------------------------------------------------
@@ -140,7 +140,7 @@ pub fn lcp_bytes_scalar(a: &[u8], b: &[u8], i: usize, j: usize) -> usize {
 /// so the lowest differing byte lane is the earliest mismatch). The
 /// sub-word tail falls back to the scalar loop.
 #[inline]
-pub fn lcp_bytes_word(a: &[u8], b: &[u8], i: usize, j: usize) -> usize {
+fn lcp_bytes_word(a: &[u8], b: &[u8], i: usize, j: usize) -> usize {
     let (sa, sb) = (&a[i..], &b[j..]);
     let limit = sa.len().min(sb.len());
     let mut k = 0;
@@ -208,8 +208,8 @@ pub fn lcp_packed(a: &PackedSeq, b: &PackedSeq, i: usize, j: usize) -> usize {
 }
 
 /// One-base-at-a-time reference for the packed kernels.
-#[inline]
-pub fn lcp_packed_scalar(a: &PackedSeq, b: &PackedSeq, i: usize, j: usize) -> usize {
+#[cfg(test)]
+fn lcp_packed_scalar(a: &PackedSeq, b: &PackedSeq, i: usize, j: usize) -> usize {
     let limit = (a.len() - i).min(b.len() - j);
     let mut count = 0;
     while count < limit && a.get(i + count) == b.get(j + count) {

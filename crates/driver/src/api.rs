@@ -3,10 +3,10 @@
 //!
 //! [`WfasicDriver`] owns one device and main memory, and exposes the flow
 //! the paper's co-design uses: build the input image, program the
-//! memory-mapped registers over AXI-Lite, start the job, wait (polling Idle
-//! or taking the interrupt), then parse results — including the CPU-side
-//! backtrace when enabled. [`WfasicDriver::submit`] is a one-lane call into
-//! the attempt loop in [`crate::job`], the same loop every lane of a
+//! memory-mapped registers over AXI-Lite, start the job, poll Idle, then
+//! parse results — including the CPU-side backtrace when enabled.
+//! [`WfasicDriver::submit`] is a one-lane call into the attempt loop in
+//! [`crate::job`], the same loop every lane of a
 //! [`crate::MultiLaneBackend`] runs.
 //!
 //! Robustness (paper §5.1, made a driver contract): `submit` returns a
@@ -138,15 +138,6 @@ impl JobResult {
     }
 }
 
-/// Wait strategy after starting a job.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WaitMode {
-    /// Poll the Idle register.
-    PollIdle,
-    /// Enable and take the completion interrupt.
-    Interrupt,
-}
-
 /// Why a submission failed (after exhausting retries, with CPU fallback
 /// disabled).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -248,9 +239,9 @@ pub struct WfasicDriver {
     pub device: WfasicDevice,
     /// Main memory shared between CPU and accelerator.
     pub mem: MainMemory,
-    /// Every job's watchdog, retry, deadline, fallback and programming
-    /// rules, and the fallback's CPU route. A lone driver has no lane to
-    /// quarantine, so the three circuit-breaker fields go unread.
+    /// Every job's watchdog, retry, fallback and programming rules, and
+    /// the fallback's CPU route. A lone driver has no lane to quarantine,
+    /// so the three circuit-breaker fields go unread.
     pub policy: AlignPolicy,
     /// Where jobs are staged in main memory.
     pub layout: MemLayout,
@@ -280,13 +271,11 @@ impl WfasicDriver {
     /// Failures (device refusal, watchdog timeout, unparseable results) are
     /// retried up to [`AlignPolicy::max_retries`] times; if every attempt
     /// fails the job is either recovered entirely on the CPU (when
-    /// [`AlignPolicy::cpu_fallback`] is set) or reported as an error.
-    pub fn submit(
-        &mut self,
-        pairs: &[Pair],
-        backtrace: bool,
-        wait: WaitMode,
-    ) -> Result<JobResult, DriverError> {
+    /// [`AlignPolicy::cpu_fallback`] is set) or reported as an error. The
+    /// driver polls Idle for completion, and a lone driver's job has no
+    /// deadline: a cycle budget is a [`crate::BatchJob::deadline`], which
+    /// the lane engines take.
+    pub fn submit(&mut self, pairs: &[Pair], backtrace: bool) -> Result<JobResult, DriverError> {
         self.cpu.route = CpuRoute::from_policy(&self.policy);
         let lane = Lane {
             device: &mut self.device,
@@ -296,7 +285,7 @@ impl WfasicDriver {
             schedule: &self.schedule,
             timeline: &mut LaneTimeline::default(),
         };
-        job::run_job(lane, &self.policy, None, pairs, backtrace, wait).result
+        job::run_job(lane, &self.policy, None, pairs, backtrace).result
     }
 }
 
@@ -317,7 +306,7 @@ mod tests {
         .generate(5, 42)
         .pairs;
         let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-        let job = drv.submit(&pairs, false, WaitMode::PollIdle).unwrap();
+        let job = drv.submit(&pairs, false).unwrap();
         assert_eq!(job.results.len(), 5);
         assert!(job.config_cycles > 0);
         assert_eq!(job.retries, 0);
@@ -341,7 +330,7 @@ mod tests {
         .generate(4, 7)
         .pairs;
         let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-        let job = drv.submit(&pairs, true, WaitMode::PollIdle).unwrap();
+        let job = drv.submit(&pairs, true).unwrap();
         assert!(job.cpu_backtrace_cycles > 0);
         assert!(!job.separated, "single aligner defaults to no separation");
         for (res, pair) in job.results.iter().zip(&pairs) {
@@ -361,7 +350,7 @@ mod tests {
         .generate(6, 3)
         .pairs;
         let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip().with_aligners(3));
-        let job = drv.submit(&pairs, true, WaitMode::PollIdle).unwrap();
+        let job = drv.submit(&pairs, true).unwrap();
         assert!(job.separated);
         for (res, pair) in job.results.iter().zip(&pairs) {
             assert!(res.success);
@@ -383,11 +372,11 @@ mod tests {
         .pairs;
         let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
         drv.policy.force_separation = true;
-        let sep_job = drv.submit(&pairs, true, WaitMode::PollIdle).unwrap();
+        let sep_job = drv.submit(&pairs, true).unwrap();
         assert!(sep_job.separated);
 
         let mut drv2 = WfasicDriver::new(AccelConfig::wfasic_chip());
-        let nosep_job = drv2.submit(&pairs, true, WaitMode::PollIdle).unwrap();
+        let nosep_job = drv2.submit(&pairs, true).unwrap();
         assert!(
             sep_job.cpu_backtrace_cycles > nosep_job.cpu_backtrace_cycles,
             "separation must cost more CPU cycles"
@@ -400,24 +389,6 @@ mod tests {
     }
 
     #[test]
-    fn interrupt_wait_mode() {
-        let pairs = InputSetSpec {
-            length: 100,
-            error_pct: 5,
-        }
-        .generate(1, 1)
-        .pairs;
-        let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-        let job = drv.submit(&pairs, false, WaitMode::Interrupt).unwrap();
-        assert!(job.report.interrupt_raised);
-        assert_eq!(
-            drv.device.mmio_read(offsets::IRQ_PENDING),
-            0,
-            "driver cleared the irq"
-        );
-    }
-
-    #[test]
     fn unsupported_pair_flows_through_with_success_false() {
         let mut pairs = InputSetSpec {
             length: 100,
@@ -427,7 +398,7 @@ mod tests {
         .pairs;
         pairs[1].b.set_byte(5, b'N');
         let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-        let job = drv.submit(&pairs, true, WaitMode::PollIdle).unwrap();
+        let job = drv.submit(&pairs, true).unwrap();
         assert!(job.results[0].success);
         assert!(!job.results[1].success);
         assert!(job.results[1].cigar.is_none());
@@ -445,7 +416,7 @@ mod tests {
         pairs[1].b.set_byte(5, b'N');
         let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
         drv.policy.cpu_fallback = true;
-        let job = drv.submit(&pairs, true, WaitMode::PollIdle).unwrap();
+        let job = drv.submit(&pairs, true).unwrap();
         assert_eq!(job.recovered_count(), 1);
         for res in &job.results {
             assert!(res.success, "fallback answers every pair");
@@ -470,14 +441,14 @@ mod tests {
         .pairs;
         let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
         drv.policy.watchdog_cycles = 1; // everything times out
-        let err = drv.submit(&pairs, false, WaitMode::PollIdle).unwrap_err();
+        let err = drv.submit(&pairs, false).unwrap_err();
         assert!(
             matches!(err, DriverError::Timeout { watchdog: 1, .. }),
             "{err}"
         );
         // Device is still usable afterwards.
         drv.policy.watchdog_cycles = 1 << 40;
-        assert!(drv.submit(&pairs, false, WaitMode::PollIdle).is_ok());
+        assert!(drv.submit(&pairs, false).is_ok());
     }
 
     #[test]
@@ -491,7 +462,7 @@ mod tests {
         let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
         drv.policy.watchdog_cycles = 1;
         drv.policy.cpu_fallback = true;
-        let job = drv.submit(&pairs, false, WaitMode::PollIdle).unwrap();
+        let job = drv.submit(&pairs, false).unwrap();
         assert_eq!(job.recovered_count(), 2);
         assert_eq!(job.retries, drv.policy.max_retries);
         for (res, pair) in job.results.iter().zip(&pairs) {
@@ -513,7 +484,7 @@ mod tests {
         .pairs;
         let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
         drv.policy.out_size = 32; // too small for a BT stream -> OUT_OVERRUN
-        let err = drv.submit(&pairs, true, WaitMode::PollIdle).unwrap_err();
+        let err = drv.submit(&pairs, true).unwrap_err();
         match err {
             DriverError::Device(e) => assert_eq!(e.code, error_code::OUT_OVERRUN),
             other => panic!("expected a device error, got {other}"),
@@ -539,25 +510,23 @@ mod tests {
             bus_stall: 0.05,
             ..FaultPlan::none()
         });
-        for wait in [WaitMode::PollIdle, WaitMode::Interrupt] {
-            let job = drv.submit(&pairs, false, wait).unwrap();
-            assert_eq!(job.results.len(), pairs.len());
-            for (res, pair) in job.results.iter().zip(&pairs) {
-                assert!(res.success, "every pair is answered");
-                if res.recovered {
-                    // CPU-recovered pairs realign the original input, so
-                    // they are exact. (A bit flip that maps one valid base
-                    // to another can leave a hardware pair "successful" but
-                    // silently corrupted — exactly like ECC-less silicon.)
-                    assert_eq!(
-                        res.score as u64,
-                        swg_score(&pair.a.bytes(), &pair.b.bytes(), &Penalties::WFASIC_DEFAULT)
-                    );
-                }
+        let job = drv.submit(&pairs, false).unwrap();
+        assert_eq!(job.results.len(), pairs.len());
+        for (res, pair) in job.results.iter().zip(&pairs) {
+            assert!(res.success, "every pair is answered");
+            if res.recovered {
+                // CPU-recovered pairs realign the original input, so
+                // they are exact. (A bit flip that maps one valid base
+                // to another can leave a hardware pair "successful" but
+                // silently corrupted — exactly like ECC-less silicon.)
+                assert_eq!(
+                    res.score as u64,
+                    swg_score(&pair.a.bytes(), &pair.b.bytes(), &Penalties::WFASIC_DEFAULT)
+                );
             }
-            assert_eq!(drv.device.mmio_read(offsets::IDLE), 1);
-            assert_eq!(drv.device.mmio_read(offsets::IRQ_PENDING), 0);
         }
+        assert_eq!(drv.device.mmio_read(offsets::IDLE), 1);
+        assert_eq!(drv.device.mmio_read(offsets::IRQ_PENDING), 0);
         assert!(
             drv.device.fault_counters().total() > 0,
             "faults were injected"
@@ -574,7 +543,7 @@ mod tests {
         .pairs;
         let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
         drv.policy.collect_perf = true;
-        let job = drv.submit(&pairs, false, WaitMode::PollIdle).unwrap();
+        let job = drv.submit(&pairs, false).unwrap();
         let counters = job.perf_breakdown().expect("collect_perf was set");
         assert_eq!(counters.total(), job.report.total_cycles);
         let trace = job.chrome_trace().unwrap();
@@ -583,7 +552,7 @@ mod tests {
 
         // Same job without perf: identical cycles, no breakdown.
         let mut plain = WfasicDriver::new(AccelConfig::wfasic_chip());
-        let job2 = plain.submit(&pairs, false, WaitMode::PollIdle).unwrap();
+        let job2 = plain.submit(&pairs, false).unwrap();
         assert!(job2.perf_breakdown().is_none());
         assert_eq!(job2.report.total_cycles, job.report.total_cycles);
     }
@@ -600,11 +569,11 @@ mod tests {
         .generate(4, 15)
         .pairs;
         let mut base = WfasicDriver::new(AccelConfig::wfasic_chip());
-        let job_a = base.submit(&pairs, true, WaitMode::PollIdle).unwrap();
+        let job_a = base.submit(&pairs, true).unwrap();
         let mut moved = WfasicDriver::new(AccelConfig::wfasic_chip());
         moved.layout = MemLayout::for_lane(3);
         assert_ne!(moved.layout, MemLayout::default());
-        let job_b = moved.submit(&pairs, true, WaitMode::PollIdle).unwrap();
+        let job_b = moved.submit(&pairs, true).unwrap();
         assert_eq!(job_a.report.total_cycles, job_b.report.total_cycles);
         for (a, b) in job_a.results.iter().zip(&job_b.results) {
             assert_eq!((a.id, a.score, a.success), (b.id, b.score, b.success));
@@ -625,7 +594,7 @@ mod tests {
         let (pairs, other) = (spec.generate(3, 17).pairs, spec.generate(5, 18).pairs);
         let run = |drv: &mut WfasicDriver, pairs: &[Pair], bt| {
             drv.policy.collect_perf = true;
-            format!("{:?}", drv.submit(pairs, bt, WaitMode::PollIdle).unwrap())
+            format!("{:?}", drv.submit(pairs, bt).unwrap())
         };
         let cfg = AccelConfig::wfasic_chip();
         let (mut fresh, mut reused) = (WfasicDriver::new(cfg), WfasicDriver::new(cfg));
@@ -641,7 +610,7 @@ mod tests {
             .map(|i| Pair::new(i, vec![b'A'; 600_000], vec![b'C'; 600_000]))
             .collect();
         let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-        let err = drv.submit(&pairs, false, WaitMode::PollIdle).unwrap_err();
+        let err = drv.submit(&pairs, false).unwrap_err();
         assert!(matches!(err, DriverError::BatchTooLarge { .. }));
     }
 }

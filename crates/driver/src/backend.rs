@@ -311,16 +311,8 @@ pub struct AlignPolicy {
     pub max_retries: u32,
     /// Simulated cycles of deterministic backoff before each retry (a real
     /// driver sleeps between resubmissions instead of hammering a faulting
-    /// device). Delays the retry's DMA and counts against the deadline.
+    /// device). Delays the retry's DMA and counts against the job's deadline.
     pub retry_backoff_cycles: Cycle,
-    /// Optional cycle budget for the whole job (all attempts + backoff).
-    /// When the budget runs out the job is refused with
-    /// [`DriverError::DeadlineExceeded`] instead of waiting or retrying
-    /// further — CPU fallback does **not** rescue a blown deadline; the
-    /// refusal is the contract. A job's own [`BatchJob::deadline`]
-    /// overrides it. `None` = no deadline (the watchdog is then the only
-    /// bound).
-    pub deadline_cycles: Option<Cycle>,
     /// Quarantine a device lane after this many consecutive job failures
     /// (0 = circuit breaker off). Every [`MultiLaneBackend`] has a
     /// breaker, the one-lane `device` backend included; a lone
@@ -364,7 +356,6 @@ impl Default for AlignPolicy {
             watchdog_cycles: 1 << 40,
             max_retries: 1,
             retry_backoff_cycles: 0,
-            deadline_cycles: None,
             quarantine_threshold: 0,
             quarantine_cooldown: 0,
             retire_after: 0,
@@ -387,8 +378,8 @@ impl AlignPolicy {
 
     /// The fault-containment preset the chaos soak runs under: CPU fallback
     /// on, a 3-strike circuit breaker with a 2M-cycle cooldown, and 10k
-    /// cycles of backoff between retries. No deadline — callers opt into
-    /// budgets per job.
+    /// cycles of backoff between retries. Deadlines are per job
+    /// ([`BatchJob::deadline`]).
     pub fn resilient() -> Self {
         AlignPolicy {
             max_retries: 2,
@@ -1103,7 +1094,6 @@ mod tests {
             watchdog_cycles: 123,
             max_retries: 7,
             retry_backoff_cycles: 55,
-            deadline_cycles: Some(9_999),
             quarantine_threshold: 4,
             quarantine_cooldown: 1_000,
             retire_after: 2,

@@ -34,12 +34,12 @@
 //! spans, and the per-lane circuit breaker, which reads its threshold,
 //! cooldown and retirement count from that same policy.
 //!
-//! A 1-lane batch of one job is bit-identical to
+//! A 1-lane batch of one job with no deadline is bit-identical to
 //! [`crate::WfasicDriver::submit`]: same loop, same memory layout, same
 //! uncontended bus timing (lane 0 keeps the lone device's perf track IDs
 //! and fault stream keys). The backend-equivalence suite pins this.
 
-use crate::api::{DriverError, JobResult, MemLayout, WaitMode};
+use crate::api::{DriverError, JobResult, MemLayout};
 use crate::backend::{
     AlignPolicy, AlignmentBackend, BackendBatch, BackendCounters, Capabilities, CpuRoute,
     CpuWfaBackend,
@@ -64,10 +64,12 @@ pub struct BatchJob {
     pub pairs: Vec<Pair>,
     /// Generate backtrace data (CIGARs) for this job?
     pub backtrace: bool,
-    /// Optional cycle budget for this job (all attempts + retry backoff).
-    /// Overrides the policy's [`AlignPolicy::deadline_cycles`];
-    /// when the budget runs out the job gets a typed
-    /// [`DriverError::DeadlineExceeded`] refusal instead of waiting longer.
+    /// Optional cycle budget for this job (all attempts + retry backoff),
+    /// the stack's only deadline; `None` = no deadline (the policy's
+    /// watchdog is then the only bound). When the budget runs out the job
+    /// gets a typed [`DriverError::DeadlineExceeded`] refusal instead of
+    /// waiting or retrying further — CPU fallback does **not** rescue a
+    /// blown deadline; the refusal is the contract.
     pub deadline: Option<Cycle>,
 }
 
@@ -476,14 +478,7 @@ impl MultiLaneBackend {
             schedule: &self.schedule,
             timeline,
         };
-        let out = job::run_job(
-            run,
-            &self.policy,
-            job.deadline,
-            &job.pairs,
-            job.backtrace,
-            WaitMode::PollIdle,
-        );
+        let out = job::run_job(run, &self.policy, job.deadline, &job.pairs, job.backtrace);
         self.health[lane].failed_attempts += out.failed_attempts;
         if out.exhausted {
             // The lane burned every retry, which is what the circuit

@@ -11,7 +11,7 @@
 //! * per-pair alignment/reading cycles (Table 1's columns) and Eq. 7's
 //!   `MaxAligners`.
 
-use crate::api::{WaitMode, WfasicDriver};
+use crate::api::WfasicDriver;
 use crate::cpu_model::{software_backtrace_cycles, CpuCosts};
 use wfa_core::wfa::{wfa_align_seqs, WfaOptions};
 use wfasic_accel::AccelConfig;
@@ -87,7 +87,7 @@ pub fn run_experiment(
     let mut drv = WfasicDriver::new(*cfg);
     drv.policy.force_separation = force_separation;
     let job = drv
-        .submit(pairs, backtrace, WaitMode::PollIdle)
+        .submit(pairs, backtrace)
         .expect("fault-free experiment job cannot fail");
 
     // CPU baselines from real software-WFA work measurements.

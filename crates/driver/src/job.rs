@@ -4,11 +4,12 @@
 //! [`crate::WfasicDriver::submit`] calls it once on its lone device with a
 //! fresh timeline; [`crate::MultiLaneBackend`] calls it once per queued job
 //! on the job's lane, carrying that lane's timeline from job to job. Both
-//! hold one [`AlignPolicy`], the service's, so watchdog, retry, deadline
-//! and fallback rules are written once:
+//! hold one [`AlignPolicy`], the service's, so watchdog, retry and
+//! fallback rules are written once; the only deadline is the job's own
+//! ([`crate::BatchJob::deadline`]):
 //!
 //! * each attempt restages the image, programs all nine registers, runs the
-//!   device and acknowledges any pending interrupt;
+//!   device, polls Idle and acknowledges any pending interrupt;
 //! * then, in order: a spent deadline refuses the job, a watchdog overrun,
 //!   a latched device error or an unparseable result stream fails the
 //!   attempt, and with CPU fallback on the pairs the hardware flagged are
@@ -19,7 +20,7 @@
 //! * if every attempt fails the whole job is answered in software, or the
 //!   last failure is returned.
 
-use crate::api::{AlignmentResult, DriverError, JobResult, MemLayout, WaitMode};
+use crate::api::{AlignmentResult, DriverError, JobResult, MemLayout};
 use crate::backend::{AlignPolicy, CpuWfaBackend};
 use crate::backtrace::{
     backtrace_alignment_packed, separate_stream, split_consecutive_stream, BtAlignment, BtError,
@@ -87,15 +88,15 @@ impl Outcome {
 
 /// Run `pairs` on `lane` under `policy`, starting its DMA at the lane's
 /// `dma_free` and its Aligners at `compute_free`, and advance the timeline
-/// past the job. The job's own `deadline` overrides
-/// [`AlignPolicy::deadline_cycles`]. See the module docs for the rules.
+/// past the job. `deadline` is the job's own cycle budget
+/// ([`crate::BatchJob::deadline`]; `None` = no deadline). See the module
+/// docs for the rules.
 pub(crate) fn run_job(
     lane: Lane<'_>,
     policy: &AlignPolicy,
     deadline: Option<Cycle>,
     pairs: &[Pair],
     backtrace: bool,
-    wait: WaitMode,
 ) -> Outcome {
     let max_read_len = round_up_16(
         pairs
@@ -123,10 +124,8 @@ pub(crate) fn run_job(
         (offsets::OUT_ADDR, layout.out_addr),
         (offsets::OUT_SIZE, policy.out_size),
         (offsets::PERF_CTRL, policy.collect_perf as u64),
-        (
-            offsets::IRQ_ENABLE,
-            matches!(wait, WaitMode::Interrupt) as u64,
-        ),
+        // The driver polls Idle, so it leaves the interrupt off.
+        (offsets::IRQ_ENABLE, 0),
         (offsets::START, 1),
     ];
     let mut config_cycles: Cycle = 0;
@@ -139,7 +138,6 @@ pub(crate) fn run_job(
     let mut compute_start = lane.timeline.compute_free;
     // Every attempt's duration and every retry backoff count against the
     // deadline.
-    let deadline = deadline.or(policy.deadline_cycles);
     let mut spent: Cycle = 0;
 
     for attempt in 0..=policy.max_retries {
@@ -158,8 +156,8 @@ pub(crate) fn run_job(
         config_cycles += AXI_LITE_ACCESS_CYCLES * registers.len() as Cycle;
 
         let report = lane.device.run_at(lane.mem, dma_start, compute_start);
-        // Completion: take the interrupt, falling back to polling Idle if
-        // the interrupt was lost (e.g. a corrupted IRQ_ENABLE write).
+        // Completion: poll Idle, then clear any interrupt a corrupted
+        // IRQ_ENABLE write raised.
         debug_assert_eq!(lane.device.mmio_read(offsets::IDLE), 1);
         acknowledge_interrupt(lane.device);
         // The silicon ran whatever the attempt comes to, so the lane's next
@@ -247,8 +245,8 @@ pub(crate) fn run_job(
 }
 
 /// Acknowledge any pending interrupt (write-1-to-clear) once the status
-/// registers have been collected. Always check, even when polling: a
-/// corrupted `IRQ_ENABLE` write can raise an interrupt nobody asked for.
+/// registers have been collected. The driver polls, but a corrupted
+/// `IRQ_ENABLE` write can raise an interrupt nobody asked for.
 /// The ack itself travels over MMIO and can arrive corrupted (a flipped bit
 /// 0 drops the clear), so verify the pending bit dropped and re-arm if not.
 fn acknowledge_interrupt(device: &mut WfasicDevice) {

@@ -34,7 +34,7 @@ pub mod faults;
 pub mod job;
 pub mod riscv_backend;
 
-pub use api::{AlignmentResult, DriverError, JobResult, MemLayout, WaitMode, WfasicDriver};
+pub use api::{AlignmentResult, DriverError, JobResult, MemLayout, WfasicDriver};
 pub use backend::{
     AlignPolicy, AlignmentBackend, BackendBatch, BackendCounters, BackendKind, Capabilities,
     CpuRoute, CpuWfaBackend, HeterogeneousBackend, StrategySelect, SwgBackend,

@@ -4,7 +4,7 @@
 
 use wfasic_accel::regs::offsets;
 use wfasic_accel::AccelConfig;
-use wfasic_driver::{WaitMode, WfasicDriver};
+use wfasic_driver::WfasicDriver;
 use wfasic_seqio::dataset::InputSetSpec;
 use wfasic_soc::fault::FaultPlan;
 use wfasic_soc::perf::Stage;
@@ -30,7 +30,7 @@ fn stage_cycles_sum_exactly_to_total_on_seeded_batches() {
         let input = pairs(len, err, n, seed);
         for backtrace in [false, true] {
             let mut drv = perf_driver(AccelConfig::wfasic_chip());
-            let job = drv.submit(&input, backtrace, WaitMode::PollIdle).unwrap();
+            let job = drv.submit(&input, backtrace).unwrap();
             let counters = job.perf_breakdown().expect("collect_perf set");
             assert_eq!(
                 counters.total(),
@@ -46,7 +46,7 @@ fn multi_aligner_jobs_keep_the_invariant() {
     let input = pairs(1_000, 10, 8, 7);
     for n_aligners in [2, 4] {
         let mut drv = perf_driver(AccelConfig::wfasic_chip().with_aligners(n_aligners));
-        let job = drv.submit(&input, false, WaitMode::PollIdle).unwrap();
+        let job = drv.submit(&input, false).unwrap();
         let perf = job.perf().unwrap();
         assert_eq!(perf.counters.total(), job.report.total_cycles);
         // Every aligner shows up in the span stream.
@@ -65,7 +65,7 @@ fn breakdown_is_stable_across_identical_runs() {
     let input = pairs(1_000, 5, 4, 0x5EED);
     let run = || {
         let mut drv = perf_driver(AccelConfig::wfasic_chip());
-        let job = drv.submit(&input, false, WaitMode::PollIdle).unwrap();
+        let job = drv.submit(&input, false).unwrap();
         (job.report.total_cycles, *job.perf_breakdown().unwrap())
     };
     let (t1, c1) = run();
@@ -81,8 +81,8 @@ fn disabling_perf_changes_no_cycle_results() {
     let input = pairs(100, 10, 6, 11);
     let mut on = perf_driver(AccelConfig::wfasic_chip());
     let mut off = WfasicDriver::new(AccelConfig::wfasic_chip());
-    let job_on = on.submit(&input, true, WaitMode::PollIdle).unwrap();
-    let job_off = off.submit(&input, true, WaitMode::PollIdle).unwrap();
+    let job_on = on.submit(&input, true).unwrap();
+    let job_off = off.submit(&input, true).unwrap();
     assert!(job_off.perf_breakdown().is_none());
     assert_eq!(job_on.report.total_cycles, job_off.report.total_cycles);
     let detail = |j: &wfasic_driver::JobResult| {
@@ -110,7 +110,7 @@ fn counters_still_sum_under_an_active_fault_plan() {
         fifo_stuck: 0.2,
         ..FaultPlan::none().with_stall_cycles(50)
     });
-    let job = drv.submit(&input, false, WaitMode::PollIdle).unwrap();
+    let job = drv.submit(&input, false).unwrap();
     let counters = job.perf_breakdown().expect("perf survives fault injection");
     assert_eq!(counters.total(), job.report.total_cycles);
 
@@ -121,7 +121,7 @@ fn counters_still_sum_under_an_active_fault_plan() {
         fifo_stuck: 1.0,
         ..FaultPlan::none().with_stall_cycles(500)
     });
-    let job = drv.submit(&input, false, WaitMode::PollIdle).unwrap();
+    let job = drv.submit(&input, false).unwrap();
     let counters = job.perf_breakdown().unwrap();
     assert_eq!(counters.total(), job.report.total_cycles);
     assert!(job.report.faults.fifo_stalls > 0, "the plan fired");
@@ -137,7 +137,7 @@ fn aborted_job_reports_partial_attribution_without_panicking() {
     let mut drv = perf_driver(AccelConfig::wfasic_chip());
     drv.policy.out_size = 32; // guarantees OUT_OVERRUN on a BT stream
     drv.policy.max_retries = 0;
-    let err = drv.submit(&input, true, WaitMode::PollIdle).unwrap_err();
+    let err = drv.submit(&input, true).unwrap_err();
     assert!(matches!(err, wfasic_driver::DriverError::Device(_)));
     // The device still published the partial attribution over MMIO.
     let mut sum = 0;
@@ -152,7 +152,7 @@ fn aborted_job_reports_partial_attribution_without_panicking() {
 fn chrome_trace_is_valid_and_cycle_aligned() {
     let input = pairs(100, 10, 4, 17);
     let mut drv = perf_driver(AccelConfig::wfasic_chip().with_aligners(2));
-    let job = drv.submit(&input, false, WaitMode::PollIdle).unwrap();
+    let job = drv.submit(&input, false).unwrap();
     let trace = job.chrome_trace().unwrap();
     assert!(trace.starts_with('{') && trace.ends_with('}'));
     assert_eq!(

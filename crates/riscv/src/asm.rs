@@ -44,13 +44,13 @@ fn err(line: usize, message: impl Into<String>) -> AsmError {
 }
 
 /// Parse a vector register name (v0..v31).
-pub fn parse_vreg(s: &str) -> Option<u8> {
+fn parse_vreg(s: &str) -> Option<u8> {
     let n: u8 = s.trim().strip_prefix('v')?.parse().ok()?;
     (n < 32).then_some(n)
 }
 
 /// Parse a register name (x0..x31 or ABI name).
-pub fn parse_reg(s: &str) -> Option<Reg> {
+fn parse_reg(s: &str) -> Option<Reg> {
     let s = s.trim();
     if let Some(num) = s.strip_prefix('x') {
         let n: u8 = num.parse().ok()?;

@@ -11,7 +11,7 @@ use crate::vector::VInstr;
 use std::fmt;
 
 /// ABI register name.
-pub fn reg_name(r: u8) -> &'static str {
+fn reg_name(r: u8) -> &'static str {
     const NAMES: [&str; 32] = [
         "zero", "ra", "sp", "gp", "tp", "t0", "t1", "t2", "s0", "s1", "a0", "a1", "a2", "a3", "a4",
         "a5", "a6", "a7", "s2", "s3", "s4", "s5", "s6", "s7", "s8", "s9", "s10", "s11", "t3", "t4",

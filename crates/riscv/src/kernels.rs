@@ -598,7 +598,7 @@ fail:
 ";
 
 /// The assembled vector kernel (cached).
-pub fn wfa_vector_program() -> &'static Program {
+fn wfa_vector_program() -> &'static Program {
     static PROG: OnceLock<Program> = OnceLock::new();
     PROG.get_or_init(|| assemble(WFA_VECTOR_ASM).expect("the bundled vector kernel must assemble"))
 }
@@ -659,12 +659,12 @@ fn template_kernel(asm: &str, x: u32, o: u32, e: u32) -> String {
 }
 
 /// The scalar kernel's assembly, re-templated for penalties `(x, o, e)`.
-pub fn wfa_scalar_asm_for(x: u32, o: u32, e: u32) -> String {
+fn wfa_scalar_asm_for(x: u32, o: u32, e: u32) -> String {
     template_kernel(WFA_SCALAR_ASM, x, o, e)
 }
 
 /// The vector kernel's assembly, re-templated for penalties `(x, o, e)`.
-pub fn wfa_vector_asm_for(x: u32, o: u32, e: u32) -> String {
+fn wfa_vector_asm_for(x: u32, o: u32, e: u32) -> String {
     template_kernel(WFA_VECTOR_ASM, x, o, e)
 }
 

@@ -83,7 +83,7 @@ pub struct InputSet {
 
 impl InputSet {
     /// Longest sequence in the set (either side).
-    pub fn max_seq_len(&self) -> usize {
+    fn max_seq_len(&self) -> usize {
         self.pairs
             .iter()
             .map(|p| p.a.len().max(p.b.len()))

@@ -172,7 +172,7 @@ pub fn mutate(seq: &[u8], num_edits: usize, profile: &ErrorProfile, rng: &mut Sm
 /// [`mutate`] with an optional length cap: insertions that would exceed
 /// `max_len` are applied as substitutions instead (keeping the nominal edit
 /// count while guaranteeing the result fits a fixed-size device buffer).
-pub fn mutate_capped(
+fn mutate_capped(
     seq: &[u8],
     num_edits: usize,
     profile: &ErrorProfile,

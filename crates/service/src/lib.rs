@@ -241,7 +241,8 @@ impl AlignmentService {
     }
 
     /// Replace the policy (re-applied to the backend).
-    pub fn set_policy(&mut self, policy: AlignPolicy) {
+    #[cfg(test)]
+    fn set_policy(&mut self, policy: AlignPolicy) {
         self.cfg.policy = policy;
         self.backend.apply_policy(&policy);
     }

@@ -57,7 +57,7 @@ impl BusConfig {
     };
 
     /// Bytes per burst.
-    pub fn burst_bytes(&self) -> usize {
+    fn burst_bytes(&self) -> usize {
         self.beat_bytes * self.burst_beats
     }
 

@@ -59,12 +59,12 @@ impl Cache {
     }
 
     /// Sargantana L1 data cache: 32KB (non-blocking; we model latency only).
-    pub fn sargantana_l1d() -> Self {
+    fn sargantana_l1d() -> Self {
         Cache::new(32 << 10, 4, 64, 2)
     }
 
     /// The SoC's 512KB L2.
-    pub fn soc_l2() -> Self {
+    fn soc_l2() -> Self {
         Cache::new(512 << 10, 8, 64, 12)
     }
 
@@ -102,7 +102,8 @@ impl Cache {
     }
 
     /// Flush all lines (e.g. between benchmark repetitions).
-    pub fn flush(&mut self) {
+    #[cfg(test)]
+    fn flush(&mut self) {
         self.tags.fill(None);
         for (set, order) in self.lru.iter_mut().enumerate() {
             *order = (0..self.ways as u8).collect();
@@ -111,7 +112,8 @@ impl Cache {
     }
 
     /// Hit rate over all accesses so far.
-    pub fn hit_rate(&self) -> f64 {
+    #[cfg(test)]
+    fn hit_rate(&self) -> f64 {
         let total = self.hits + self.misses;
         if total == 0 {
             0.0

@@ -147,7 +147,7 @@ impl FaultPlan {
     }
 
     /// Is the plan's storm (if any) raging at `now`?
-    pub fn armed_at(&self, now: Cycle) -> bool {
+    fn armed_at(&self, now: Cycle) -> bool {
         self.storm.is_none_or(|s| s.raging_at(now))
     }
 }

@@ -5,7 +5,7 @@
 //! Run with: `cargo run --release --example quickstart`
 
 use wfasic::accel::AccelConfig;
-use wfasic::driver::{WaitMode, WfasicDriver};
+use wfasic::driver::WfasicDriver;
 use wfasic::seqio::Pair;
 use wfasic::wfa::{swg_align, wfa_align, Penalties, WfaOptions};
 
@@ -38,7 +38,7 @@ fn main() {
     let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
     let pairs = vec![Pair::new(0, a.clone(), b.clone())];
     let job = drv
-        .submit(&pairs, true, WaitMode::PollIdle)
+        .submit(&pairs, true)
         .expect("fault-free job cannot fail");
     let res = &job.results[0];
     let hw_cigar = res.cigar.as_ref().unwrap();

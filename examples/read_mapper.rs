@@ -7,7 +7,7 @@
 
 use std::collections::HashMap;
 use wfasic::accel::AccelConfig;
-use wfasic::driver::{WaitMode, WfasicDriver};
+use wfasic::driver::WfasicDriver;
 use wfasic::seqio::{Pair, PairGenerator};
 use wfasic::wfa::Penalties;
 
@@ -84,9 +84,7 @@ fn main() {
 
     // Seed extension on the accelerator (backtrace on: mappers need CIGARs).
     let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-    let job = drv
-        .submit(&jobs, true, WaitMode::PollIdle)
-        .expect("fault-free job cannot fail");
+    let job = drv.submit(&jobs, true).expect("fault-free job cannot fail");
 
     // Pick the best-scoring candidate per read.
     let mut best: HashMap<usize, (u32, usize, String)> = HashMap::new();

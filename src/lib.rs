@@ -18,7 +18,7 @@
 //! ## Quickstart
 //!
 //! ```
-//! use wfasic::driver::{WaitMode, WfasicDriver};
+//! use wfasic::driver::WfasicDriver;
 //! use wfasic::accel::AccelConfig;
 //! use wfasic::seqio::InputSetSpec;
 //!
@@ -26,7 +26,7 @@
 //! // accelerator with backtrace enabled.
 //! let pairs = InputSetSpec { length: 100, error_pct: 5 }.generate(4, 42).pairs;
 //! let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-//! let job = drv.submit(&pairs, true, WaitMode::PollIdle).expect("job failed");
+//! let job = drv.submit(&pairs, true).expect("job failed");
 //! for (res, pair) in job.results.iter().zip(&pairs) {
 //!     assert!(res.success);
 //!     res.cigar.as_ref().unwrap().check(&pair.a.bytes(), &pair.b.bytes()).unwrap();

@@ -18,7 +18,7 @@ use wfasic::driver::batch::{BatchJob, DEFAULT_LANE_CHUNK};
 use wfasic::driver::{
     AlignPolicy, AlignmentBackend, AlignmentResult, BackendCounters, BackendKind, CpuRoute,
     CpuWfaBackend, DriverError, HeterogeneousBackend, JobResult, LaneState, MultiLaneBackend,
-    StrategySelect, WaitMode, WfasicDriver,
+    StrategySelect, WfasicDriver,
 };
 use wfasic::seqio::{InputSetSpec, Pair, Seq};
 use wfasic::service::{AlignmentService, ServiceConfig};
@@ -77,6 +77,8 @@ struct Scenario {
     name: &'static str,
     backtrace: bool,
     policy: AlignPolicy,
+    /// The job's own cycle budget ([`BatchJob::deadline`]).
+    deadline: Option<u64>,
     plan: Option<FaultPlan>,
     expect: fn(&OneLane, u64) -> bool,
 }
@@ -88,7 +90,9 @@ struct Scenario {
 /// included), configuration cycles, retries, injected faults and the
 /// interrupt left pending. A retry replays the job after the failed attempt
 /// and its backoff, so the watchdog and the deadline see each attempt's own
-/// duration.
+/// duration. A lone driver has no deadline, so a job with one compares the
+/// three lane paths; the service over the `device` backend answers every
+/// job the same and tallies a deadline refusal once.
 #[test]
 fn one_lane_one_job_keeps_raw_driver_perf_counters() {
     let cfg = AccelConfig::wfasic_chip();
@@ -104,7 +108,7 @@ fn one_lane_one_job_keeps_raw_driver_perf_counters() {
     );
     let clean = |backtrace| {
         let mut drv = WfasicDriver::new(cfg);
-        let out = drv.submit(&pairs, backtrace, WaitMode::PollIdle);
+        let out = drv.submit(&pairs, backtrace);
         out.unwrap().report.duration()
     };
     let bt_cycles = clean(true);
@@ -117,6 +121,7 @@ fn one_lane_one_job_keeps_raw_driver_perf_counters() {
                 collect_perf: true,
                 ..AlignPolicy::default()
             },
+            deadline: None,
             plan: None,
             expect: |s, _| s.perf.is_some() && s.job.is_some_and(|(_, retries, _)| retries == 0),
         },
@@ -128,6 +133,7 @@ fn one_lane_one_job_keeps_raw_driver_perf_counters() {
                 cpu_fallback: true,
                 ..AlignPolicy::default()
             },
+            deadline: None,
             plan: Some(FaultPlan::uniform(2, 0.01)),
             expect: |s, _| s.job.is_some_and(|(_, retries, _)| retries == 1),
         },
@@ -137,10 +143,10 @@ fn one_lane_one_job_keeps_raw_driver_perf_counters() {
             policy: AlignPolicy {
                 max_retries: 2,
                 retry_backoff_cycles: bt_cycles / 2,
-                deadline_cycles: Some(3 * bt_cycles),
                 cpu_fallback: true,
                 ..AlignPolicy::default()
             },
+            deadline: Some(3 * bt_cycles),
             plan: Some(FaultPlan::uniform(2, 0.01)),
             expect: |s, _| s.job.is_some_and(|(_, retries, _)| retries == 1),
         },
@@ -152,6 +158,7 @@ fn one_lane_one_job_keeps_raw_driver_perf_counters() {
                 max_retries: 1,
                 ..AlignPolicy::default()
             },
+            deadline: None,
             plan: None,
             // Both attempts time out; the retry waited its own attempt's
             // cycles, like the first.
@@ -163,10 +170,8 @@ fn one_lane_one_job_keeps_raw_driver_perf_counters() {
         Scenario {
             name: "deadline refusal",
             backtrace: false,
-            policy: AlignPolicy {
-                deadline_cycles: Some(100),
-                ..AlignPolicy::default()
-            },
+            policy: AlignPolicy::default(),
+            deadline: Some(100),
             plan: None,
             expect: |s, _| {
                 matches!(
@@ -182,6 +187,7 @@ fn one_lane_one_job_keeps_raw_driver_perf_counters() {
                 cpu_fallback: true,
                 ..AlignPolicy::default()
             },
+            deadline: None,
             plan: Some(FaultPlan {
                 seed: 0,
                 mmio_corrupt: 0.1,
@@ -195,23 +201,8 @@ fn one_lane_one_job_keeps_raw_driver_perf_counters() {
         let job = BatchJob {
             pairs: pairs.clone(),
             backtrace: sc.backtrace,
-            deadline: None,
+            deadline: sc.deadline,
         };
-
-        let mut drv = WfasicDriver::new(cfg);
-        drv.policy = sc.policy;
-        if let Some(plan) = sc.plan {
-            drv.device.set_fault_plan(plan);
-        }
-        let out = drv.submit(&pairs, sc.backtrace, WaitMode::PollIdle);
-        let irq = drv.device.mmio_read(offsets::IRQ_PENDING);
-        let want = OneLane::of_job(out, drv.device.fault_counters(), irq);
-        assert!(
-            (sc.expect)(&want, clean(sc.backtrace)),
-            "{}: {want:?}",
-            sc.name
-        );
-        assert_eq!(want.irq_pending, 0, "{}: interrupt left pending", sc.name);
 
         let mut lanes = MultiLaneBackend::new(cfg, 1);
         lanes.policy = sc.policy;
@@ -225,12 +216,29 @@ fn one_lane_one_job_keeps_raw_driver_perf_counters() {
         }
         let out = batch.jobs.into_iter().next().expect("one job");
         let irq = lanes.lane_mut(0).mmio_read(offsets::IRQ_PENDING);
-        let got = OneLane::of_job(out, lanes.counters().faults, irq);
-        assert_eq!(
-            got, want,
-            "{}: submit_batch differs from the driver",
+        let want = OneLane::of_job(out, lanes.counters().faults, irq);
+        assert!(
+            (sc.expect)(&want, clean(sc.backtrace)),
+            "{}: {want:?}",
             sc.name
         );
+        assert_eq!(want.irq_pending, 0, "{}: interrupt left pending", sc.name);
+
+        if sc.deadline.is_none() {
+            let mut drv = WfasicDriver::new(cfg);
+            drv.policy = sc.policy;
+            if let Some(plan) = sc.plan {
+                drv.device.set_fault_plan(plan);
+            }
+            let out = drv.submit(&pairs, sc.backtrace);
+            let irq = drv.device.mmio_read(offsets::IRQ_PENDING);
+            let got = OneLane::of_job(out, drv.device.fault_counters(), irq);
+            assert_eq!(
+                got, want,
+                "{}: the driver differs from submit_batch",
+                sc.name
+            );
+        }
 
         for mut backend in [MultiLaneBackend::device(cfg), MultiLaneBackend::new(cfg, 1)] {
             let name = backend.capabilities().name;
@@ -260,8 +268,28 @@ fn one_lane_one_job_keeps_raw_driver_perf_counters() {
                 }
                 Err(e) => OneLane::of_job(Err(e), faults, irq),
             };
-            assert_eq!(got, want, "{}: {name} differs from the driver", sc.name);
+            assert_eq!(got, want, "{}: {name} differs from submit_batch", sc.name);
         }
+
+        let config = ServiceConfig {
+            policy: sc.policy,
+            ..ServiceConfig::default()
+        };
+        let mut svc = AlignmentService::new(Box::new(MultiLaneBackend::device(cfg)), config);
+        if let Some(plan) = sc.plan {
+            svc.backend_mut().set_lane_fault_plan(0, plan);
+        }
+        svc.submit(job).expect("an empty queue has room");
+        let out = svc.try_next().expect("one job").outcome;
+        let got = out.map(|b| format!("{:?}", b.results));
+        assert_eq!(got, want.results, "{}: the service differs", sc.name);
+        let refused = matches!(want.results, Err(DriverError::DeadlineExceeded { .. }));
+        assert_eq!(
+            svc.stats().deadline_refused,
+            u64::from(refused),
+            "{}",
+            sc.name
+        );
     }
 }
 
@@ -328,7 +356,7 @@ fn device_fallback_routes_by_the_policy_and_tallies_its_pairs() {
     cpu.apply_policy(&tight);
     let mut drv = WfasicDriver::new(cfg);
     drv.policy = tight;
-    let job = drv.submit(&pairs, true, WaitMode::PollIdle).unwrap();
+    let job = drv.submit(&pairs, true).unwrap();
     let mut above_optimum = 0;
     for (res, pair) in job.results.iter().zip(&pairs) {
         if res.recovered {

@@ -11,7 +11,7 @@
 
 use wfasic::accel::regs::{error_code, offsets};
 use wfasic::accel::{AccelConfig, WfasicDevice};
-use wfasic::driver::{DriverError, WaitMode, WfasicDriver};
+use wfasic::driver::{DriverError, WfasicDriver};
 use wfasic::seqio::InputSetSpec;
 use wfasic::soc::fault::FaultPlan;
 use wfasic::soc::MainMemory;
@@ -38,7 +38,7 @@ fn recovering_driver() -> WfasicDriver {
 fn assert_recovered(drv: &mut WfasicDriver, plan: FaultPlan, seed: u64) {
     let input = pairs(6, seed);
     drv.device.set_fault_plan(plan);
-    let job = drv.submit(&input, false, WaitMode::PollIdle).unwrap();
+    let job = drv.submit(&input, false).unwrap();
     assert_eq!(job.results.len(), input.len());
     for (res, pair) in job.results.iter().zip(&input) {
         assert!(res.success, "pair {} must be answered", pair.id);
@@ -94,14 +94,14 @@ fn scenario_stuck_fifo_delays_but_completes() {
     let input = pairs(4, 103);
     // Baseline without faults.
     let mut clean = WfasicDriver::new(AccelConfig::wfasic_chip());
-    let base = clean.submit(&input, false, WaitMode::PollIdle).unwrap();
+    let base = clean.submit(&input, false).unwrap();
 
     let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
     drv.device.set_fault_plan(FaultPlan {
         fifo_stuck: 1.0,
         ..FaultPlan::none().with_stall_cycles(200)
     });
-    let job = drv.submit(&input, false, WaitMode::PollIdle).unwrap();
+    let job = drv.submit(&input, false).unwrap();
     assert!(drv.device.fault_counters().fifo_stalls > 0);
     assert!(
         job.report.total_cycles > base.report.total_cycles,
@@ -182,7 +182,7 @@ fn scenario_output_buffer_overrun() {
     // Without fallback the abort surfaces as a driver error.
     let mut strict = WfasicDriver::new(AccelConfig::wfasic_chip());
     strict.policy.out_size = 16; // one transaction: far too small
-    let err = strict.submit(&input, true, WaitMode::PollIdle).unwrap_err();
+    let err = strict.submit(&input, true).unwrap_err();
     match err {
         DriverError::Device(e) => assert_eq!(e.code, error_code::OUT_OVERRUN),
         other => panic!("expected OUT_OVERRUN, got {other}"),
@@ -192,7 +192,7 @@ fn scenario_output_buffer_overrun() {
     // With fallback every pair is still answered, exactly.
     let mut drv = recovering_driver();
     drv.policy.out_size = 16;
-    let job = drv.submit(&input, true, WaitMode::PollIdle).unwrap();
+    let job = drv.submit(&input, true).unwrap();
     assert_eq!(job.recovered_count(), input.len());
     for (res, pair) in job.results.iter().zip(&input) {
         assert!(res.success);
@@ -209,8 +209,10 @@ fn scenario_output_buffer_overrun() {
 }
 
 /// Scenario 7: everything at once — flips, drops, duplicates, stalls, MMIO
-/// corruption — under both wait modes, including interrupt loss and W1C
-/// acknowledge. The driver must always come back with answers.
+/// corruption — over four jobs, each drawing fresh fault streams. A
+/// corrupted `IRQ_ENABLE` write raises an interrupt the polling driver
+/// never asked for, which it must still acknowledge (W1C). The driver must
+/// always come back with answers.
 #[test]
 fn scenario_combined_storm_with_interrupts() {
     let input = pairs(5, 107);
@@ -224,13 +226,8 @@ fn scenario_combined_storm_with_interrupts() {
         mmio_corrupt: 0.02,
         ..FaultPlan::none()
     });
-    for round in 0..4 {
-        let wait = if round % 2 == 0 {
-            WaitMode::PollIdle
-        } else {
-            WaitMode::Interrupt
-        };
-        let job = drv.submit(&input, false, wait).unwrap();
+    for _ in 0..4 {
+        let job = drv.submit(&input, false).unwrap();
         assert_eq!(job.results.len(), input.len());
         assert!(job.results.iter().all(|r| r.success));
         assert_eq!(drv.device.mmio_read(offsets::IDLE), 1);
@@ -250,13 +247,13 @@ fn scenario_watchdog_timeout_recovery() {
     let input = pairs(3, 108);
     let mut drv = recovering_driver();
     drv.policy.watchdog_cycles = 10; // nothing real completes this fast
-    let job = drv.submit(&input, false, WaitMode::PollIdle).unwrap();
+    let job = drv.submit(&input, false).unwrap();
     assert_eq!(job.recovered_count(), input.len());
     assert_eq!(job.retries, drv.policy.max_retries);
 
     // Without fallback, the timeout is an error the caller sees.
     drv.policy.cpu_fallback = false;
-    let err = drv.submit(&input, false, WaitMode::PollIdle).unwrap_err();
+    let err = drv.submit(&input, false).unwrap_err();
     assert!(
         matches!(err, DriverError::Timeout { watchdog: 10, .. }),
         "{err}"

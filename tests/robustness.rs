@@ -9,7 +9,7 @@
 
 use wfasic::accel::regs::offsets;
 use wfasic::accel::{AccelConfig, WfasicDevice};
-use wfasic::driver::{WaitMode, WfasicDriver};
+use wfasic::driver::WfasicDriver;
 use wfasic::seqio::memimage::{pair_record_bytes, InputImage};
 use wfasic::seqio::{InputSetSpec, Pair};
 use wfasic::soc::MainMemory;
@@ -26,7 +26,7 @@ fn n_bases_flagged_not_hung() {
     pairs[2].b.set_byte(100, b'n');
     pairs[4].a.set_byte(0, b'-');
     let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-    let job = drv.submit(&pairs, true, WaitMode::PollIdle).unwrap();
+    let job = drv.submit(&pairs, true).unwrap();
     assert!(!job.results[0].success);
     assert!(job.results[1].success);
     assert!(!job.results[2].success);
@@ -106,7 +106,7 @@ fn empty_and_tiny_sequences_flow_through() {
         Pair::new(3, Vec::new(), Vec::new()),
     ];
     let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-    let job = drv.submit(&pairs, true, WaitMode::PollIdle).unwrap();
+    let job = drv.submit(&pairs, true).unwrap();
     assert!(job.results.iter().all(|r| r.success));
     assert_eq!(job.results[0].score, 6 + 4 * 2);
     assert_eq!(job.results[1].score, 0);
@@ -131,7 +131,7 @@ fn mixed_lengths_in_one_job() {
         Pair::new(2, b"GATTACA".to_vec(), b"GACTACA".to_vec()),
     ];
     let mut drv = WfasicDriver::new(AccelConfig::wfasic_chip());
-    let job = drv.submit(&pairs, false, WaitMode::PollIdle).unwrap();
+    let job = drv.submit(&pairs, false).unwrap();
     assert!(job.results.iter().all(|r| r.success));
     assert_eq!(job.results[0].score, 0);
     assert_eq!(job.results[1].score, 0);
