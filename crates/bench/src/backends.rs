@@ -71,13 +71,7 @@ fn longread_spot(kind: BackendKind, sizes: &Sizes) -> Option<(f64, &'static str)
     let ms = start.elapsed().as_secs_f64() * 1e3;
     assert!(res.success);
     let c = backend.counters();
-    let engine = if c.biwfa_pairs > 0 {
-        "biwfa"
-    } else if c.adaptive_pairs > 0 {
-        "adaptive"
-    } else {
-        "exact"
-    };
+    let engine = if c.biwfa_pairs > 0 { "biwfa" } else { "exact" };
     Some((ms, engine))
 }
 

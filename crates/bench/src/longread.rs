@@ -186,7 +186,7 @@ pub fn run(opts: &RunOptions) -> LongreadOutcome {
                 tech.name()
             );
             let c = backend.counters();
-            let cpu_pairs = c.exact_pairs + c.biwfa_pairs + c.adaptive_pairs;
+            let cpu_pairs = c.exact_pairs + c.biwfa_pairs;
             TechRow {
                 tech,
                 pairs: job.pairs.len(),

@@ -10,13 +10,13 @@
 //!   score-only bounded-memory mode and work statistics ([`wfa`],
 //!   [`wavefront`], [`backtrace`]); the chip's `k_max` / `Score_max`
 //!   limits belong to the device model, not to these engines;
+//! * the bidirectional linear-memory **BiWFA** for long reads, with the
+//!   same exact score in `O(s)` retained memory ([`biwfa`]);
 //! * the **Smith-Waterman-Gotoh** full-DP baseline (Eq. 2) as the
 //!   correctness oracle and CUPS reference ([`swg`]);
 //! * 2-bit **packed sequences** with machine-word extension — the functional
 //!   model of the hardware Extend sub-module ([`bitpack`]); the software
-//!   engines above run on bytes;
-//! * the heuristic **adaptive** wavefront reduction as an extension
-//!   ([`adaptive`]).
+//!   engines above run on bytes.
 //!
 //! ## Quickstart
 //!
@@ -32,7 +32,6 @@
 //! cigar.check(a, b).unwrap();
 //! ```
 
-pub mod adaptive;
 pub mod arena;
 pub mod backtrace;
 pub mod bitpack;
@@ -48,7 +47,6 @@ pub mod swg;
 pub mod wavefront;
 pub mod wfa;
 
-pub use adaptive::AdaptiveParams;
 pub use arena::WavefrontArena;
 pub use bitpack::PackedSeq;
 pub use cigar::{Cigar, CigarError, EditStats, Op};

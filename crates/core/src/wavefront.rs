@@ -108,63 +108,6 @@ impl Wavefront {
     pub fn is_all_null(&self) -> bool {
         self.offsets.iter().all(|&o| !offset_is_valid(o))
     }
-
-    /// Shrink the stored range to the smallest span containing all valid
-    /// offsets (used by the adaptive heuristic so later wavefronts, whose
-    /// ranges derive from this one's bounds, actually narrow). No-op when
-    /// every cell is NULL.
-    pub fn shrink_to_valid(&mut self) {
-        let mut first = None;
-        let mut last = None;
-        for (idx, &o) in self.offsets.iter().enumerate() {
-            if offset_is_valid(o) {
-                if first.is_none() {
-                    first = Some(idx);
-                }
-                last = Some(idx);
-            }
-        }
-        let (Some(first), Some(last)) = (first, last) else {
-            return;
-        };
-        if first == 0 && last == self.offsets.len() - 1 {
-            return;
-        }
-        self.offsets.drain(last + 1..);
-        self.offsets.drain(..first);
-        self.hi = self.lo + last as i32;
-        self.lo += first as i32;
-    }
-
-    /// Clamp the stored range to `lo..=hi`, dropping cells outside.
-    /// Returns false (leaving the wavefront unchanged) when the ranges do
-    /// not intersect.
-    pub fn clamp_range(&mut self, lo: i32, hi: i32) -> bool {
-        let new_lo = self.lo.max(lo);
-        let new_hi = self.hi.min(hi);
-        if new_lo > new_hi {
-            return false;
-        }
-        if new_lo == self.lo && new_hi == self.hi {
-            return true;
-        }
-        let first = (new_lo - self.lo) as usize;
-        let last = (new_hi - self.lo) as usize;
-        self.offsets.drain(last + 1..);
-        self.offsets.drain(..first);
-        self.lo = new_lo;
-        self.hi = new_hi;
-        true
-    }
-
-    /// Iterator over `(k, offset)` pairs with valid offsets.
-    pub fn valid_cells(&self) -> impl Iterator<Item = (i32, i32)> + '_ {
-        self.offsets
-            .iter()
-            .enumerate()
-            .filter(|(_, &o)| offset_is_valid(o))
-            .map(move |(idx, &o)| (self.lo + idx as i32, o))
-    }
 }
 
 /// The M/I/D wavefront triple for one score.
@@ -216,8 +159,6 @@ mod tests {
         assert_eq!(w.get(-2), 5);
         assert_eq!(w.get(3), 7);
         assert_eq!(w.get(0), OFFSET_NULL);
-        let cells: Vec<_> = w.valid_cells().collect();
-        assert_eq!(cells, vec![(-2, 5), (3, 7)]);
     }
 
     #[test]

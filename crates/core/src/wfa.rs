@@ -12,7 +12,6 @@
 //!
 //! The iteration stops when the wavefront reaches the cell `(n, m)`.
 
-use crate::adaptive::{reduce_wavefront, AdaptiveParams};
 use crate::arena::WavefrontArena;
 use crate::backtrace;
 use crate::cigar::Cigar;
@@ -22,9 +21,8 @@ use crate::seq::Seq;
 use crate::wavefront::{fill_row, offset_is_valid, WavefrontSet, OFFSET_NULL};
 
 /// Which algorithm answers an alignment call — the strategy axis of the
-/// engine. All three strategies share the same wavefront kernels, arena
-/// and extend ladder; they differ in what they *retain* and what they
-/// *guarantee*:
+/// engine. Both strategies are exact and share the same wavefront
+/// kernels, arena and extend ladder; they differ in what they *retain*:
 ///
 /// * [`AlignStrategy::Exact`] — today's full-history WFA: optimal score
 ///   and CIGAR, `O(s²)` retained wavefront memory in CIGAR mode.
@@ -32,10 +30,6 @@ use crate::wavefront::{fill_row, offset_is_valid, WavefrontSet, OFFSET_NULL};
 ///   and reverse score-only wavefronts meet in the middle and the engine
 ///   recurses on the split point. Optimal score and a valid optimal
 ///   CIGAR, `O(s)` retained wavefront memory — the long-read mode.
-/// * [`AlignStrategy::AdaptiveBand`] — the WFA-adaptive heuristic
-///   reduction ([`crate::adaptive`]) as a first-class mode: the returned
-///   score is an upper bound on the optimal (equal on realistic error
-///   distributions), with narrower wavefronts.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum AlignStrategy {
     /// Exact full-history WFA (the default).
@@ -43,8 +37,6 @@ pub enum AlignStrategy {
     Exact,
     /// Bidirectional linear-memory WFA (exact score, `O(s)` memory).
     BiWfa,
-    /// Heuristic adaptive wavefront reduction (upper-bound score).
-    AdaptiveBand,
 }
 
 /// Options controlling a WFA run.
@@ -57,10 +49,6 @@ pub struct WfaOptions {
     /// Keep all wavefronts and produce a CIGAR (otherwise score-only with
     /// bounded memory, like the accelerator with backtrace disabled).
     pub compute_cigar: bool,
-    /// Parameters of the heuristic wavefront reduction, read only under
-    /// [`AlignStrategy::AdaptiveBand`]; `None` there uses
-    /// [`AdaptiveParams::default`].
-    pub adaptive: Option<AdaptiveParams>,
 }
 
 impl WfaOptions {
@@ -70,7 +58,6 @@ impl WfaOptions {
             penalties,
             strategy: AlignStrategy::Exact,
             compute_cigar: true,
-            adaptive: None,
         }
     }
 
@@ -88,16 +75,6 @@ impl WfaOptions {
     pub fn biwfa(penalties: Penalties) -> Self {
         WfaOptions {
             strategy: AlignStrategy::BiWfa,
-            ..Self::exact(penalties)
-        }
-    }
-
-    /// Heuristic adaptive-band alignment (upper-bound score; equal to the
-    /// optimum on realistic error distributions).
-    pub fn adaptive(penalties: Penalties, params: AdaptiveParams) -> Self {
-        WfaOptions {
-            strategy: AlignStrategy::AdaptiveBand,
-            adaptive: Some(params),
             ..Self::exact(penalties)
         }
     }
@@ -143,8 +120,9 @@ pub struct WfaAlignment {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WfaError {
     /// No alignment reached the end cell at or below `limit`, the
-    /// all-gaps cost that bounds every optimum. Only a heuristic run whose
-    /// wavefront reduction pruned every path to the end can get here.
+    /// all-gaps cost. Every optimum s* is at most that cost, so an exact
+    /// run always ends first: this error only reports a defect in the
+    /// engine, never a property of the input.
     ScoreLimitExceeded { limit: u32 },
     /// Invalid penalties.
     BadPenalties(crate::penalties::PenaltyError),
@@ -306,9 +284,10 @@ pub(crate) struct WfaMachine<'s> {
     pub(crate) m: i32,
     p: Penalties,
     /// The all-gaps alignment cost, which bounds every optimum: the
-    /// loop's termination guard. An exact run always ends at or below it;
-    /// a heuristic run whose reduction pruned every path to the end has
-    /// no other way to stop.
+    /// loop's termination guard. An exact run always ends at or below it,
+    /// so reaching it means the engine is at fault; the guard turns such a
+    /// defect into [`WfaError::ScoreLimitExceeded`] instead of a loop that
+    /// never ends.
     cap: u64,
     /// `fronts[s]` is the wavefront set for score `s` (None once dropped
     /// by the retention window or never materialized).
@@ -401,32 +380,6 @@ impl<'s> WfaMachine<'s> {
             stats.bases_compared += matches as u64 + (matches < (n - i).min(m - j)) as u64;
         }
         true
-    }
-
-    /// Apply the heuristic wavefront reduction to the current front,
-    /// never pruning the terminal cell.
-    pub(crate) fn reduce_adaptive(&mut self, params: &AdaptiveParams) {
-        let (n, m) = (self.n, self.m);
-        let k_end = self.k_end();
-        let target = m;
-        let Some(set) = self.fronts[self.s].as_mut() else {
-            return;
-        };
-        if set.m.get(k_end) != target && reduce_wavefront(&mut set.m, n, m, params) > 0 {
-            // Trim the I/D components to the surviving band so future
-            // ranges (unions over all components) narrow too.
-            let (lo, hi) = (set.m.lo, set.m.hi);
-            if let Some(w) = set.i.as_mut() {
-                if !w.clamp_range(lo, hi) {
-                    set.i = None;
-                }
-            }
-            if let Some(w) = set.d.as_mut() {
-                if !w.clamp_range(lo, hi) {
-                    set.d = None;
-                }
-            }
-        }
     }
 
     /// Has the current front's M component reached the end cell `(n, m)`?
@@ -616,33 +569,24 @@ pub(crate) fn wfa_align_inner(
     } else {
         Retention::Legacy(lookback)
     };
-    let adaptive =
-        (opts.strategy == AlignStrategy::AdaptiveBand).then(|| opts.adaptive.unwrap_or_default());
 
     let mut mach = WfaMachine::new(a, b, p, arena);
     loop {
         // --- extend() + termination check ---
-        if mach.extend_current() {
-            if let Some(params) = &adaptive {
-                // Heuristic mode: never prune the terminal cell (the
-                // machine checks before any source use).
-                mach.reduce_adaptive(params);
-            }
-            if mach.reached_end() {
-                let score = mach.s as u32;
-                let stats = mach.stats;
-                let cigar = if opts.compute_cigar {
-                    Some(backtrace::backtrace(n, m, &mach.fronts, score, &p))
-                } else {
-                    None
-                };
-                mach.finish(arena);
-                return Ok(WfaAlignment {
-                    score,
-                    cigar,
-                    stats,
-                });
-            }
+        if mach.extend_current() && mach.reached_end() {
+            let score = mach.s as u32;
+            let stats = mach.stats;
+            let cigar = if opts.compute_cigar {
+                Some(backtrace::backtrace(n, m, &mach.fronts, score, &p))
+            } else {
+                None
+            };
+            mach.finish(arena);
+            return Ok(WfaAlignment {
+                score,
+                cigar,
+                stats,
+            });
         }
 
         // --- advance the score and compute() the next wavefront set ---

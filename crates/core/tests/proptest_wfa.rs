@@ -411,56 +411,6 @@ fn biwfa_stress_grid() {
     });
 }
 
-/// The adaptive band is an upper bound: it never reports a score below the
-/// exact optimum, its CIGAR is always a valid transcript that replays to
-/// the reported score, and at realistic error rates (the co-sim grid's
-/// regime) the heuristic loses nothing.
-#[test]
-fn adaptive_band_is_an_upper_bound_and_exact_at_low_error() {
-    use wfa_core::AdaptiveParams;
-    // Arbitrary pairs: upper-bound + validity only.
-    cases(CASES, 0x57FA_0022, |rng, _| {
-        let (a, b) = dna_pair(rng, 96);
-        let p = Penalties::WFASIC_DEFAULT;
-        let exact = swg_score(&a, &b, &p);
-        let opts = WfaOptions::adaptive(p, AdaptiveParams::default());
-        let ad = wfa_align(&a, &b, &opts).unwrap();
-        assert!(
-            ad.score as u64 >= exact,
-            "adaptive {} beat exact {exact}",
-            ad.score
-        );
-        let cigar = ad.cigar.unwrap();
-        cigar.check(&a, &b).unwrap();
-        assert_eq!(cigar.score(&p), ad.score as u64);
-    });
-    // Realistic mutated pairs (bounded edit count over 200+ bp is a
-    // low-single-digit error rate, the co-sim grid's regime): the band
-    // never clips the optimal path, so adaptive == exact.
-    cases(CASES, 0x57FA_0023, |rng, _| {
-        let mut a = dna(rng, 320);
-        while a.len() < 200 {
-            a.push(*rng.pick(BASES));
-        }
-        let mut b = a.clone();
-        for _ in 0..rng.gen_range(0, 6) {
-            let base = *rng.pick(BASES);
-            let pos = rng.gen_range(0, b.len());
-            match rng.gen_range(0, 3) {
-                0 => b[pos] = base,
-                1 => b.insert(pos, base),
-                _ => {
-                    b.remove(pos);
-                }
-            }
-        }
-        let p = Penalties::WFASIC_DEFAULT;
-        let opts = WfaOptions::adaptive(p, AdaptiveParams::default());
-        let ad = wfa_align(&a, &b, &opts).unwrap();
-        assert_eq!(ad.score as u64, swg_score(&a, &b, &p));
-    });
-}
-
 #[test]
 fn lcp_bytes_edge_positions() {
     let a = b"ACGT";

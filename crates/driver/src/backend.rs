@@ -54,8 +54,7 @@ use std::cell::RefCell;
 use std::sync::Arc;
 use wfa_core::pool;
 use wfa_core::{
-    swg_align, wfa_align_seqs_with_arena, AdaptiveParams, AlignStrategy, Penalties, WavefrontArena,
-    WfaOptions,
+    swg_align, wfa_align_seqs_with_arena, AlignStrategy, Penalties, WavefrontArena, WfaOptions,
 };
 use wfasic_accel::device::RunReport;
 use wfasic_accel::AccelConfig;
@@ -119,18 +118,14 @@ pub enum StrategySelect {
     Exact,
     /// Force the bidirectional linear-memory engine for every pair.
     BiWfa,
-    /// Force the adaptive-band heuristic for every pair (uses
-    /// [`AlignPolicy::adaptive`], or the reference defaults when unset).
-    Adaptive,
 }
 
 impl StrategySelect {
     /// Every selector, in CLI presentation order.
-    pub const ALL: [StrategySelect; 4] = [
+    pub const ALL: [StrategySelect; 3] = [
         StrategySelect::Auto,
         StrategySelect::Exact,
         StrategySelect::BiWfa,
-        StrategySelect::Adaptive,
     ];
 
     /// The stable CLI name.
@@ -139,7 +134,6 @@ impl StrategySelect {
             StrategySelect::Auto => "auto",
             StrategySelect::Exact => "exact",
             StrategySelect::BiWfa => "biwfa",
-            StrategySelect::Adaptive => "adaptive",
         }
     }
 
@@ -172,9 +166,6 @@ pub struct CpuRoute {
     pub select: StrategySelect,
     /// `Auto` routes pairs at or above this max-side length to BiWFA.
     pub long_read_threshold: usize,
-    /// Band parameters for the adaptive strategy (reference defaults when
-    /// `None` and the adaptive strategy is selected anyway).
-    pub adaptive: Option<AdaptiveParams>,
 }
 
 impl Default for CpuRoute {
@@ -182,7 +173,6 @@ impl Default for CpuRoute {
         CpuRoute {
             select: StrategySelect::Auto,
             long_read_threshold: AlignPolicy::DEFAULT_LONG_READ_THRESHOLD,
-            adaptive: None,
         }
     }
 }
@@ -193,7 +183,6 @@ impl CpuRoute {
         CpuRoute {
             select: policy.strategy,
             long_read_threshold: policy.long_read_threshold,
-            adaptive: policy.adaptive,
         }
     }
 
@@ -202,7 +191,6 @@ impl CpuRoute {
         match self.select {
             StrategySelect::Exact => AlignStrategy::Exact,
             StrategySelect::BiWfa => AlignStrategy::BiWfa,
-            StrategySelect::Adaptive => AlignStrategy::AdaptiveBand,
             StrategySelect::Auto => {
                 if pair.a.len().max(pair.b.len()) >= self.long_read_threshold {
                     AlignStrategy::BiWfa
@@ -223,9 +211,6 @@ impl CpuRoute {
         let mut opts = match strategy {
             AlignStrategy::Exact => WfaOptions::exact(penalties),
             AlignStrategy::BiWfa => WfaOptions::biwfa(penalties),
-            AlignStrategy::AdaptiveBand => {
-                WfaOptions::adaptive(penalties, self.adaptive.unwrap_or_default())
-            }
         };
         opts.compute_cigar = backtrace;
         opts
@@ -267,8 +252,6 @@ pub struct BackendCounters {
     /// CPU-routed pairs answered by the bidirectional linear-memory
     /// engine.
     pub biwfa_pairs: u64,
-    /// CPU-routed pairs answered by the adaptive-band heuristic.
-    pub adaptive_pairs: u64,
     /// High-water mark of retained wavefront memory across every CPU-routed
     /// pair (bytes; `WfaStats::peak_memory_bytes`). This is the measured
     /// number behind the BiWFA `O(s)` claim — zero for backends that never
@@ -292,7 +275,6 @@ impl BackendCounters {
     pub(crate) fn merge_cpu_tallies(&mut self, cpu: &BackendCounters) {
         self.exact_pairs += cpu.exact_pairs;
         self.biwfa_pairs += cpu.biwfa_pairs;
-        self.adaptive_pairs += cpu.adaptive_pairs;
         self.peak_memory_bytes = self.peak_memory_bytes.max(cpu.peak_memory_bytes);
     }
 }
@@ -345,9 +327,6 @@ pub struct AlignPolicy {
     /// `Auto` routes pairs whose longer side is at or above this many
     /// bases to the linear-memory BiWFA engine.
     pub long_read_threshold: usize,
-    /// Band parameters for the adaptive strategy (reference defaults when
-    /// the strategy is selected with `None` here).
-    pub adaptive: Option<AdaptiveParams>,
 }
 
 impl Default for AlignPolicy {
@@ -365,7 +344,6 @@ impl Default for AlignPolicy {
             out_size: 0,
             strategy: StrategySelect::Auto,
             long_read_threshold: AlignPolicy::DEFAULT_LONG_READ_THRESHOLD,
-            adaptive: None,
         }
     }
 }
@@ -557,7 +535,6 @@ impl CpuWfaBackend {
         match strategy {
             AlignStrategy::Exact => c.exact_pairs += 1,
             AlignStrategy::BiWfa => c.biwfa_pairs += 1,
-            AlignStrategy::AdaptiveBand => c.adaptive_pairs += 1,
         }
         let (success, score, cigar) =
             match wfa_align_seqs_with_arena(&pair.a, &pair.b, &opts, &mut self.arena) {
@@ -565,6 +542,9 @@ impl CpuWfaBackend {
                     c.peak_memory_bytes = c.peak_memory_bytes.max(al.stats.peak_memory_bytes);
                     (true, al.score, al.cigar)
                 }
+                // Both strategies are exact and end below the all-gaps
+                // cap, so only an engine defect lands here; the pair is
+                // reported failed rather than taking the batch down.
                 Err(_) => (false, 0, None),
             };
         AlignmentResult {
@@ -1026,11 +1006,12 @@ mod tests {
             ..long_route
         };
         assert_eq!(exact.pick(short), AlignStrategy::Exact);
+        // A forced BiWFA route takes a pair far below the threshold.
         let forced = CpuRoute {
-            select: StrategySelect::Adaptive,
+            select: StrategySelect::BiWfa,
             ..route
         };
-        assert_eq!(forced.pick(short), AlignStrategy::AdaptiveBand);
+        assert_eq!(forced.pick(short), AlignStrategy::BiWfa);
     }
 
     #[test]
@@ -1042,7 +1023,7 @@ mod tests {
             .unwrap();
         let c = backend.counters();
         assert_eq!(c.exact_pairs, 4);
-        assert_eq!((c.biwfa_pairs, c.adaptive_pairs), (0, 0));
+        assert_eq!(c.biwfa_pairs, 0);
         assert!(c.peak_memory_bytes > 0);
 
         backend.apply_policy(&AlignPolicy {
@@ -1103,7 +1084,6 @@ mod tests {
             out_size: 4_096,
             strategy: StrategySelect::BiWfa,
             long_read_threshold: 77,
-            adaptive: None,
         };
         let mut dev = MultiLaneBackend::device(AccelConfig::wfasic_chip());
         dev.apply_policy(&policy);

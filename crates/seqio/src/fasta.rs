@@ -15,12 +15,15 @@ pub struct Record {
     pub seq: Vec<u8>,
 }
 
-/// Parse all records from a reader.
+/// Parse all records from a reader. An error names the 1-based line it
+/// stopped at (`line 3: ...`): data before the first header, or a line
+/// that is not UTF-8.
 pub fn read_fasta<R: BufRead>(reader: R) -> io::Result<Vec<Record>> {
     let mut records = Vec::new();
     let mut current: Option<Record> = None;
-    for line in reader.lines() {
-        let line = line?;
+    for (idx, line) in reader.lines().enumerate() {
+        let at_line = |e: &dyn std::fmt::Display| format!("line {}: {e}", idx + 1);
+        let line = line.map_err(|e| io::Error::new(e.kind(), at_line(&e)))?;
         let line = line.trim();
         if line.is_empty() || line.starts_with(';') {
             continue;
@@ -41,7 +44,7 @@ pub fn read_fasta<R: BufRead>(reader: R) -> io::Result<Vec<Record>> {
                 None => {
                     return Err(io::Error::new(
                         io::ErrorKind::InvalidData,
-                        "sequence data before the first FASTA header",
+                        at_line(&"sequence data before the first FASTA header"),
                     ))
                 }
             }
@@ -104,7 +107,19 @@ mod tests {
 
     #[test]
     fn rejects_headerless_data() {
-        assert!(parse_fasta("ACGT\n").is_err());
+        let e = parse_fasta("; comment\n\nACGT\n>r\nAC\n").unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert_eq!(
+            e.to_string(),
+            "line 3: sequence data before the first FASTA header"
+        );
+    }
+
+    #[test]
+    fn non_utf8_error_names_its_line() {
+        let e = read_fasta(&b">r\nAC\nA\xffT\n"[..]).unwrap_err();
+        assert_eq!(e.kind(), io::ErrorKind::InvalidData);
+        assert!(e.to_string().starts_with("line 3: "), "{e}");
     }
 
     #[test]

@@ -1,14 +1,15 @@
 //! Sequencing-technology study: how the error *mix* (not just the rate)
 //! affects the accelerator — Illumina-like substitution-heavy reads vs
-//! PacBio/Nanopore indel-heavy reads at the same nominal error rate — and
-//! what the exact aligner buys over the adaptive heuristic on each.
+//! PacBio/Nanopore indel-heavy reads at the same nominal error rate. The
+//! edit mix of each set comes from exact software alignments, the cycle
+//! counts from the simulated chip.
 //!
 //! Run with: `cargo run --release --example technology_study`
 
 use wfasic::accel::AccelConfig;
 use wfasic::driver::codesign::run_experiment;
 use wfasic::seqio::{ErrorProfile, PairGenerator};
-use wfasic::wfa::{wfa_align_seqs, AdaptiveParams, Penalties, WfaOptions};
+use wfasic::wfa::{wfa_align_seqs, Penalties, WfaOptions};
 
 fn main() {
     let cfg = AccelConfig::wfasic_chip();
@@ -55,45 +56,4 @@ fn main() {
             exp.speedup_vs_scalar()
         );
     }
-
-    // Exact vs adaptive-heuristic on indel-heavy reads: the heuristic may
-    // inflate scores; the exact WFA (what WFAsic implements) never does.
-    println!("\nexact vs adaptive heuristic (Nanopore-like, 1Kb, 8% error):");
-    let mut g = PairGenerator::new(1_000, 0.08, 99)
-        .with_profile(ErrorProfile::NANOPORE)
-        .with_max_len(1_000);
-    let mut inflated = 0;
-    let tight = AdaptiveParams {
-        min_wavefront_length: 2,
-        max_distance_threshold: 12,
-    };
-    for _ in 0..8 {
-        let p = g.pair();
-        let exact = wfa_align_seqs(&p.a, &p.b, &WfaOptions::score_only(penalties)).unwrap();
-        let adaptive = wfa_align_seqs(
-            &p.a,
-            &p.b,
-            &WfaOptions {
-                compute_cigar: false,
-                ..WfaOptions::adaptive(penalties, tight)
-            },
-        )
-        .unwrap();
-        assert!(
-            adaptive.score >= exact.score,
-            "heuristic can never be better than exact"
-        );
-        if adaptive.score > exact.score {
-            inflated += 1;
-        }
-        println!(
-            "  pair {}: exact {}, adaptive {} ({} cells vs {})",
-            p.id,
-            exact.score,
-            adaptive.score,
-            exact.stats.cells_computed,
-            adaptive.stats.cells_computed
-        );
-    }
-    println!("aggressively-pruned heuristic inflated {inflated}/8 scores; WFAsic is exact by construction");
 }

@@ -3,8 +3,7 @@
 //! ```text
 //! wfasic-align <a.fasta> <b.fasta> [--backend cpu|swg|riscv|device|multilane|hetero]
 //!              [--lanes N] [--aligners N] [--no-backtrace] [--cycles]
-//!              [--strategy auto|exact|biwfa|adaptive] [--adaptive MINLEN,MAXDIST]
-//!              [--long-read-threshold N]
+//!              [--strategy auto|exact|biwfa] [--long-read-threshold N]
 //! ```
 //!
 //! Records are paired by position (record `i` of `a.fasta` vs record `i` of
@@ -20,9 +19,8 @@
 //! `--strategy` picks the engine for CPU-routed pairs: `auto` (default)
 //! routes reads at or past `--long-read-threshold` (10 kb) to the
 //! linear-memory BiWFA engine and everything shorter to the exact
-//! full-history engine; `exact`, `biwfa` and `adaptive` force one engine.
-//! `--adaptive MINLEN,MAXDIST` sets the adaptive band (and implies
-//! `--strategy adaptive` unless a strategy was given explicitly).
+//! full-history engine; `exact` and `biwfa` force one engine. Every
+//! strategy is exact, so all three print the same scores.
 //!
 //! Exit codes: 0 success, 1 I/O or alignment failure, 2 usage error,
 //! 3 device/driver error (watchdog, refused job, corrupt result stream),
@@ -39,7 +37,6 @@ use wfasic::seqio::Pair;
 use wfasic::service::{AlignmentService, ServiceConfig, ServiceError};
 use wfasic::soc::perf::track;
 use wfasic::soc::MainMemory;
-use wfasic::wfa::AdaptiveParams;
 
 const EXIT_IO: i32 = 1;
 const EXIT_USAGE: i32 = 2;
@@ -51,8 +48,7 @@ fn usage() -> ! {
         "usage: wfasic-align <a.fasta> <b.fasta> \
          [--backend cpu|swg|riscv|device|multilane|hetero] [--lanes N] \
          [--aligners N] [--no-backtrace] [--cycles] \
-         [--strategy auto|exact|biwfa|adaptive] [--adaptive MINLEN,MAXDIST] \
-         [--long-read-threshold N]"
+         [--strategy auto|exact|biwfa] [--long-read-threshold N]"
     );
     std::process::exit(EXIT_USAGE);
 }
@@ -65,8 +61,7 @@ fn main() {
     let mut backtrace = true;
     let mut aligners = 1usize;
     let mut show_cycles = false;
-    let mut strategy: Option<StrategySelect> = None;
-    let mut adaptive: Option<AdaptiveParams> = None;
+    let mut strategy = StrategySelect::Auto;
     let mut long_read_threshold = AlignPolicy::DEFAULT_LONG_READ_THRESHOLD;
     // Each lane stages its jobs in its own window of the SoC's memory, and
     // each Aligner records on its own perf track below the lane stride.
@@ -81,26 +76,13 @@ fn main() {
             "--strategy" => {
                 i += 1;
                 strategy = match args.get(i).map(|s| s.parse::<StrategySelect>()) {
-                    Some(Ok(s)) => Some(s),
+                    Some(Ok(s)) => s,
                     Some(Err(e)) => {
                         eprintln!("{e}");
                         std::process::exit(EXIT_USAGE);
                     }
                     None => usage(),
                 };
-            }
-            "--adaptive" => {
-                i += 1;
-                adaptive = args
-                    .get(i)
-                    .and_then(|spec| {
-                        let (min, max) = spec.split_once(',')?;
-                        Some(AdaptiveParams {
-                            min_wavefront_length: min.trim().parse().ok()?,
-                            max_distance_threshold: max.trim().parse().ok()?,
-                        })
-                    })
-                    .or_else(|| usage());
             }
             "--long-read-threshold" => {
                 i += 1;
@@ -181,16 +163,9 @@ fn main() {
         .map(|(i, (ra, rb))| Pair::new(i as u32, ra.seq.clone(), rb.seq.clone()))
         .collect();
 
-    // Band parameters without an explicit strategy imply the adaptive one.
-    let strategy = strategy.unwrap_or(if adaptive.is_some() {
-        StrategySelect::Adaptive
-    } else {
-        StrategySelect::Auto
-    });
     let policy = AlignPolicy {
         strategy,
         long_read_threshold,
-        adaptive,
         ..AlignPolicy::default()
     };
 

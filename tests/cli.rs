@@ -54,7 +54,8 @@ fn align(dir: &Path, args: &[&str]) -> Output {
 /// An Aligner or lane count the model has no room for is a usage error,
 /// not an abort: lanes past the 8 staging windows of the SoC's memory,
 /// Aligners past the 61 perf tracks of a lane. The largest counts that fit
-/// still run.
+/// still run. An unknown strategy or flag and a zero long-read threshold
+/// are usage errors too.
 #[test]
 fn zero_aligners_is_a_usage_error() {
     let dir = write_fasta_pair("zero", 2);
@@ -67,6 +68,9 @@ fn zero_aligners_is_a_usage_error() {
         ("multilane", "--lanes", "9", 2),
         ("multilane", "--lanes", "18446744073709551615", 2),
         ("multilane", "--lanes", "8", 0),
+        ("cpu", "--strategy", "adaptive", 2),
+        ("cpu", "--adaptive", "10,50", 2),
+        ("cpu", "--long-read-threshold", "0", 2),
     ];
     let outs: Vec<Output> = cases
         .iter()

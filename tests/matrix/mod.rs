@@ -103,8 +103,6 @@ impl Slice {
 enum Contract {
     /// Success, with the score equal to `swg_score`.
     Score,
-    /// Success, with a score no better than `swg_score` (a heuristic).
-    UpperBound,
     /// With backtrace on, a successful pair has a CIGAR that passes
     /// `check` and whose `score(p)` equals the reported score.
     Cigar,
@@ -192,7 +190,6 @@ rows! {
         |s| s.kind != Long && s.penalties == Penalties::WFASIC_DEFAULT, &[Score, Cigar];
     exact: |p| on(Cpu, chip(p), 1, Exact), |_| true, &[Score, Cigar];
     biwfa: |p| on(Cpu, chip(p), 1, BiWfa), |_| true, &[Score, Cigar, BiwfaTally];
-    adaptive: |p| on(Cpu, chip(p), 1, Adaptive), |_| true, &[UpperBound, Cigar];
     riscv: |p| on(Riscv, chip(p), 1, Auto), |s| s.kind == Paper && s.length == 100, &[Score, Cigar];
     multilane: |p| Engine { whole_slice: true, ..on(MultiLane, chip(p), 4, Auto) },
         |s| s.kind == Sweep, &[Score, Cigar, SameTranscript];
@@ -330,7 +327,6 @@ fn verify(row: &Row, answers: &Answers, device: Option<&Answers>) -> u64 {
             for &c in row.contracts {
                 let broken = match c {
                     Score => (!res.success || score != swg).then(got),
-                    UpperBound => (!res.success || score < swg).then(got),
                     HonestFailure => {
                         let max = u64::from(answers.score_max.expect("a device row"));
                         let honest = match swg <= max {

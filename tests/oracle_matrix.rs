@@ -22,7 +22,7 @@ macro_rules! rows {
 }
 
 rows! {
-    swg, exact, biwfa, adaptive, riscv, hetero,
+    swg, exact, biwfa, riscv, hetero,
     device_2a_32ps, device_3a_64ps, device_4a_16ps, device_2a_8ps, device_1a_1ps,
     device_8ps, device_16ps, device_32ps, device_k12,
 }

@@ -227,11 +227,25 @@ fn fuzz_arbitrary_mmio_sequences_never_panic() {
 /// break UTF-8; stray `>`; NULs; `\r`; a cut mid-record) and both entry
 /// points must return `Ok` or an `io::Error`, never panic. Where the bytes
 /// are still UTF-8, `read_fasta` and `parse_fasta` give the same answer,
-/// and no record they return holds whitespace in its sequence.
+/// and no record they return holds whitespace in its sequence. Every error
+/// names a line of the input, at or before the first byte that broke
+/// UTF-8.
 #[test]
 fn fuzz_corrupted_fasta_never_panics() {
     use wfasic::seqio::fasta::{format_fasta, parse_fasta, read_fasta, Record};
     use wfasic::wfa::prop::cases;
+
+    /// The 1-based line an error names, which must lie in `1..=last`.
+    fn named_line(e: &std::io::Error, last: usize) -> usize {
+        let msg = e.to_string();
+        let line = msg
+            .strip_prefix("line ")
+            .and_then(|rest| rest.split_once(": "))
+            .and_then(|(n, _)| n.parse().ok());
+        let line = line.unwrap_or_else(|| panic!("{msg:?} names no line"));
+        assert!((1..=last).contains(&line), "{msg:?} past line {last}");
+        line
+    }
 
     cases(400, 0xFA57_0001, |rng, _| {
         let records: Vec<Record> = (0..rng.gen_range(1, 5))
@@ -262,17 +276,22 @@ fn fuzz_corrupted_fasta_never_panics() {
                 .iter()
                 .all(|r| !r.seq.iter().any(u8::is_ascii_whitespace)));
         }
+        let lines = bytes.split(|&b| b == b'\n').count();
         match std::str::from_utf8(&bytes) {
             Ok(text) => {
                 let from_text = parse_fasta(text);
                 match (&from_reader, &from_text) {
                     (Ok(a), Ok(b)) => assert_eq!(a, b),
-                    (Err(_), Err(_)) => {}
+                    (Err(a), Err(b)) => assert_eq!(named_line(a, lines), named_line(b, lines)),
                     _ => panic!("the reader and the parser disagree on {text:?}"),
                 }
             }
-            Err(_) => {
-                assert!(from_reader.is_err(), "non-UTF-8 input is an io::Error");
+            Err(utf8) => {
+                let e = from_reader
+                    .as_ref()
+                    .expect_err("non-UTF-8 input is an io::Error");
+                let newlines = bytes[..utf8.valid_up_to()].iter().filter(|&&b| b == b'\n');
+                assert!(named_line(e, lines) <= newlines.count() + 1, "{e}");
                 let _ = parse_fasta(&String::from_utf8_lossy(&bytes));
             }
         }
