@@ -22,15 +22,17 @@
 //! `peak_memory_bytes` statistic that feeds the CPU cycle model are
 //! unchanged. The `ci-check` gate and the oracle matrix enforce that.
 
+use crate::origins::OriginRows;
 use crate::wavefront::{Wavefront, WavefrontSet, OFFSET_NULL};
 
-/// A freelist pool of wavefront offset buffers (plus the `fronts` spines
-/// used by the full-history oracle).
+/// A freelist pool of wavefront offset buffers (plus the per-score
+/// `fronts` spines and origin stores of the engine's machines).
 #[derive(Debug, Default)]
 pub struct WavefrontArena {
     free: Vec<Vec<i32>>,
     rows: Vec<Vec<i32>>,
     spines: Vec<Vec<Option<WavefrontSet>>>,
+    origins: Vec<OriginRows>,
 }
 
 impl WavefrontArena {
@@ -127,6 +129,17 @@ impl WavefrontArena {
             self.recycle_set(set);
         }
         self.spines.push(spine);
+    }
+
+    /// An empty origin store (recycled when available).
+    pub(crate) fn take_origins(&mut self) -> OriginRows {
+        self.origins.pop().unwrap_or_default()
+    }
+
+    /// Return an origin store to the pool, emptied.
+    pub(crate) fn recycle_origins(&mut self, mut rows: OriginRows) {
+        rows.clear();
+        self.origins.push(rows);
     }
 }
 

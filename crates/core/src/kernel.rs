@@ -548,10 +548,11 @@ pub fn compute_row_scalar(
 }
 
 /// [`compute_row`] plus per-cell backtrace origin codes, for the
-/// backtrace-enabled accelerator datapath.
+/// backtrace-enabled accelerator datapath and the exact engine's CIGAR
+/// mode.
 ///
 /// `out_code[t]` is the 5-bit origin bundle of cell `t` in the hardware
-/// BT-stream encoding (`wfasic_seqio::memimage::CellOrigin::code`):
+/// BT-stream encoding, the one [`crate::origins::walk`] decodes:
 /// bits 0..2 hold the M origin (0 none, 1 substitution, 2 insertion-open,
 /// 3 insertion-extend, 4 deletion-open, 5 deletion-extend), bit 3 is set
 /// when I came from `I[s-e][k-1]`, bit 4 when D came from `D[s-e][k+1]`.

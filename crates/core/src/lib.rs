@@ -6,10 +6,11 @@
 //!
 //! It implements, from scratch:
 //!
-//! * the exact gap-affine **WFA** (paper Eq. 3/4) with full backtrace,
-//!   score-only bounded-memory mode and work statistics ([`wfa`],
-//!   [`wavefront`], [`backtrace`]); the chip's `k_max` / `Score_max`
-//!   limits belong to the device model, not to these engines;
+//! * the exact gap-affine **WFA** (paper Eq. 3/4) with a backtrace over
+//!   the chip's 5-bit origin bundles, score-only bounded-memory mode and
+//!   work statistics ([`wfa`], [`wavefront`], [`origins`]); the chip's
+//!   `k_max` / `Score_max` limits belong to the device model, not to
+//!   these engines;
 //! * the bidirectional linear-memory **BiWFA** for long reads, with the
 //!   same exact score in `O(s)` retained memory ([`biwfa`]);
 //! * the **Smith-Waterman-Gotoh** full-DP baseline (Eq. 2) as the
@@ -33,11 +34,11 @@
 //! ```
 
 pub mod arena;
-pub mod backtrace;
 pub mod bitpack;
 pub mod biwfa;
 pub mod cigar;
 pub mod kernel;
+pub mod origins;
 pub mod penalties;
 pub mod pool;
 pub mod prop;
@@ -57,5 +58,5 @@ pub use swg::{swg_align, swg_score, DpAlignment};
 pub use wavefront::{Wavefront, WavefrontSet, OFFSET_NULL};
 pub use wfa::{
     wfa_align, wfa_align_seqs, wfa_align_seqs_with_arena, AlignStrategy, WfaAlignment, WfaError,
-    WfaOptions, WfaStats,
+    WfaOptions, WfaStats, EXACT_BYTE_BUDGET,
 };

@@ -91,6 +91,39 @@ fn wfa_equals_swg_other_penalties() {
     });
 }
 
+/// The origin backtrace on the co-simulation sweep's penalty sets
+/// (`wfasic_bench::cosim::PENALTY_SETS`) plus unit costs: every pair,
+/// empty sides and 1-base pairs included, scores as SWG, and its CIGAR is
+/// a valid transcript costing exactly that score.
+#[test]
+fn origin_backtrace_is_optimal_on_the_cosim_penalty_sets() {
+    let sets = [(4, 6, 2), (7, 4, 1), (2, 8, 3), (1, 1, 1)];
+    let tiny: [&[u8]; 5] = [b"", b"A", b"C", b"AC", b"GTT"];
+    for (n, &(x, o, e)) in sets.iter().enumerate() {
+        let p = Penalties::new(x, o, e).unwrap();
+        let check = |a: &[u8], b: &[u8]| {
+            let wfa = align(a, b, p).unwrap();
+            assert_eq!(wfa.score as u64, swg_score(a, b, &p), "{p:?} {a:?} {b:?}");
+            let cigar = wfa.cigar.unwrap();
+            cigar.check(a, b).unwrap();
+            assert_eq!(cigar.score(&p), wfa.score as u64, "{p:?} {a:?} {b:?}");
+        };
+        for a in tiny {
+            for b in tiny {
+                check(a, b);
+            }
+        }
+        cases(CASES, 0x57FA_0040 + n as u64, |rng, case| {
+            let (a, b) = if case % 2 == 0 {
+                dna_pair(rng, 64)
+            } else {
+                (dna(rng, 12), dna(rng, 12))
+            };
+            check(&a, &b);
+        });
+    }
+}
+
 /// Score-only mode agrees with CIGAR mode.
 #[test]
 fn score_only_agrees() {

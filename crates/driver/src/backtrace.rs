@@ -16,13 +16,18 @@
 //! 3. **Insert matches**: replay the edits forward over the two sequences,
 //!    extending greedily wherever the path passed through an (always
 //!    maximally-extended) M cell.
+//!
+//! Steps 2 and 3 are wfa-core's [`origins`] walk and replay, the ones the
+//! exact software engine runs over its own origin rows; this module only
+//! locates the cells in the stream and extends over packed sequences.
 
-use wfa_core::cigar::{Cigar, Op};
+use wfa_core::cigar::Cigar;
+use wfa_core::origins::{self, BadOrigin};
 use wfa_core::Penalties;
 use wfasic_accel::schedule::WavefrontSchedule;
-use wfasic_seqio::memimage::{
-    unpack_bt_cell, BtScoreRecord, BtTxn, MOrigin, BT_PAYLOAD_BYTES, SECTION,
-};
+use wfasic_seqio::memimage::{unpack_bt_cell, BtScoreRecord, BtTxn, BT_PAYLOAD_BYTES, SECTION};
+
+pub use wfa_core::origins::Edit;
 
 /// One alignment's reassembled backtrace data.
 #[derive(Debug, Clone)]
@@ -79,6 +84,15 @@ impl std::fmt::Display for BtError {
 }
 
 impl std::error::Error for BtError {}
+
+impl From<BadOrigin> for BtError {
+    fn from(e: BadOrigin) -> Self {
+        BtError::BadOrigin {
+            score: e.score,
+            k: e.k,
+        }
+    }
+}
 
 /// Parse a raw BT output region (multi-Aligner case): bucket transactions by
 /// ID, order by counter, reassemble payloads — the *data separation* step.
@@ -177,24 +191,6 @@ fn assemble(id: u32, txns: Vec<BtTxn>) -> Result<BtAlignment, BtError> {
     })
 }
 
-/// One edit from the origin walk, in forward order after reversal.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Edit {
-    /// The operation (Mismatch, Ins or Del — never Match).
-    pub op: Op,
-    /// May matches precede this edit? True when the path reached this edit
-    /// from an M cell (which is always maximally extended), false mid
-    /// gap-chain.
-    pub extend_before: bool,
-}
-
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Comp {
-    M,
-    I,
-    D,
-}
-
 /// Walk the origin stream backwards from `(score, k_end)`.
 /// Returns the edits in *forward* order.
 pub fn walk_origins(
@@ -204,7 +200,7 @@ pub fn walk_origins(
     parallel_sections: usize,
 ) -> Result<Vec<Edit>, BtError> {
     let block_bytes = wfasic_seqio::memimage::bt_block_bytes(parallel_sections);
-    let origin_at = |score: u32, k: i32| -> Result<wfasic_seqio::CellOrigin, BtError> {
+    let origin_at = |score: u32, k: i32| -> Result<u8, BtError> {
         let (block, cell) = schedule
             .locate(score, k)
             .ok_or(BtError::WalkOutOfSchedule { score, k })?;
@@ -215,168 +211,18 @@ pub fn walk_origins(
         }
         Ok(unpack_bt_cell(&bt.payload[start..end], cell))
     };
-
-    let mut edits_rev: Vec<Edit> = Vec::new();
-    let mut s = bt.record.score as i64;
-    let mut k = bt.record.k as i32;
-    let mut comp = Comp::M;
-    let x = p.x as i64;
-    let oe = (p.o + p.e) as i64;
-    let e = p.e as i64;
-
-    while s > 0 {
-        let bad = BtError::BadOrigin { score: s as u32, k };
-        match comp {
-            Comp::M => {
-                let o = origin_at(s as u32, k)?;
-                match o.m {
-                    MOrigin::Sub => {
-                        edits_rev.push(Edit {
-                            op: Op::Mismatch,
-                            extend_before: true,
-                        });
-                        s -= x;
-                    }
-                    MOrigin::InsOpen => {
-                        edits_rev.push(Edit {
-                            op: Op::Ins,
-                            extend_before: true,
-                        });
-                        s -= oe;
-                        k -= 1;
-                    }
-                    MOrigin::InsExt => {
-                        edits_rev.push(Edit {
-                            op: Op::Ins,
-                            extend_before: false,
-                        });
-                        s -= e;
-                        k -= 1;
-                        comp = Comp::I;
-                    }
-                    MOrigin::DelOpen => {
-                        edits_rev.push(Edit {
-                            op: Op::Del,
-                            extend_before: true,
-                        });
-                        s -= oe;
-                        k += 1;
-                    }
-                    MOrigin::DelExt => {
-                        edits_rev.push(Edit {
-                            op: Op::Del,
-                            extend_before: false,
-                        });
-                        s -= e;
-                        k += 1;
-                        comp = Comp::D;
-                    }
-                    MOrigin::None => return Err(bad),
-                }
-            }
-            Comp::I => {
-                let o = origin_at(s as u32, k)?;
-                if o.i_ext {
-                    edits_rev.push(Edit {
-                        op: Op::Ins,
-                        extend_before: false,
-                    });
-                    s -= e;
-                    k -= 1;
-                } else {
-                    edits_rev.push(Edit {
-                        op: Op::Ins,
-                        extend_before: true,
-                    });
-                    s -= oe;
-                    k -= 1;
-                    comp = Comp::M;
-                }
-            }
-            Comp::D => {
-                let o = origin_at(s as u32, k)?;
-                if o.d_ext {
-                    edits_rev.push(Edit {
-                        op: Op::Del,
-                        extend_before: false,
-                    });
-                    s -= e;
-                    k += 1;
-                } else {
-                    edits_rev.push(Edit {
-                        op: Op::Del,
-                        extend_before: true,
-                    });
-                    s -= oe;
-                    k += 1;
-                    comp = Comp::M;
-                }
-            }
-        }
-        if s < 0 {
-            return Err(bad);
-        }
-    }
-    if k != 0 || comp != Comp::M {
-        return Err(BtError::BadOrigin { score: 0, k });
-    }
-    edits_rev.reverse();
-    Ok(edits_rev)
+    origins::walk(bt.record.score as u32, bt.record.k as i32, p, origin_at)
 }
 
 /// Insert matches: replay the edits forward over the 2-bit packed
-/// sequences (paper §4.5: "the CPU traverses the two sequences and inserts
-/// all the necessary matches between the differences").
+/// sequences (paper §4.5).
 pub fn insert_matches_packed(
     a: &wfa_core::bitpack::PackedSeq,
     b: &wfa_core::bitpack::PackedSeq,
     edits: &[Edit],
 ) -> Result<Cigar, BtError> {
-    let mut cigar = Cigar::new();
-    let (mut i, mut j) = (0usize, 0usize);
-    let extend = |i: usize, j: usize| wfa_core::kernel::lcp_packed(a, b, i, j);
-    for edit in edits {
-        if edit.extend_before {
-            let m = extend(i, j);
-            cigar.push_run(Op::Match, m as u32);
-            i += m;
-            j += m;
-        }
-        match edit.op {
-            Op::Mismatch => {
-                if i >= a.len() || j >= b.len() || a.get(i) == b.get(j) {
-                    return Err(BtError::ReconstructionMismatch);
-                }
-                cigar.push(Op::Mismatch);
-                i += 1;
-                j += 1;
-            }
-            Op::Ins => {
-                if j >= b.len() {
-                    return Err(BtError::ReconstructionMismatch);
-                }
-                cigar.push(Op::Ins);
-                j += 1;
-            }
-            Op::Del => {
-                if i >= a.len() {
-                    return Err(BtError::ReconstructionMismatch);
-                }
-                cigar.push(Op::Del);
-                i += 1;
-            }
-            Op::Match => unreachable!("the walk never emits Match edits"),
-        }
-    }
-    // Trailing matches to the ends.
-    let m = extend(i, j);
-    cigar.push_run(Op::Match, m as u32);
-    i += m;
-    j += m;
-    if i != a.len() || j != b.len() {
-        return Err(BtError::ReconstructionMismatch);
-    }
-    Ok(cigar)
+    let lcp = |i, j| wfa_core::kernel::lcp_packed(a, b, i, j);
+    origins::replay(edits, a.len(), b.len(), lcp).ok_or(BtError::ReconstructionMismatch)
 }
 
 /// Full per-alignment CPU backtrace over packed sequences: walk + match

@@ -73,9 +73,10 @@ impl CpuCosts {
 
     /// Cycles for one alignment with the given measured work.
     pub fn align_cycles(&self, stats: &WfaStats) -> Cycle {
-        let spill = if stats.peak_memory_bytes > self.l2_bytes {
+        let working_set = modelled_bytes(stats);
+        let spill = if working_set > self.l2_bytes {
             self.l2_spill_factor
-        } else if stats.peak_memory_bytes > self.l1_bytes {
+        } else if working_set > self.l1_bytes {
             self.l1_spill_factor
         } else {
             1.0
@@ -84,6 +85,17 @@ impl CpuCosts {
             + stats.bases_compared as f64 * self.per_base
             + stats.score_steps as f64 * self.per_step;
         self.per_alignment + work as Cycle
+    }
+}
+
+/// The wavefront bytes the modelled CPU code retains: the paper's software
+/// WFA keeps every wavefront in CIGAR mode, so a CIGAR run is priced at
+/// its full-history footprint, whatever the host engine kept; a
+/// score-only run (no history figure) at its own peak.
+fn modelled_bytes(stats: &WfaStats) -> u64 {
+    match stats.full_history_bytes {
+        0 => stats.peak_memory_bytes,
+        full => full,
     }
 }
 
@@ -140,10 +152,7 @@ pub fn backtrace_cycles(bt_bytes: u64, edits: u64, seq_bases: u64, separate: boo
 pub fn software_backtrace_cycles(stats: &WfaStats, edits: u64, seq_bases: u64) -> Cycle {
     // Full-history memory is roughly steps/lookback times the score-only
     // peak; each walk step touches a previous wavefront.
-    let full_history_bytes = stats
-        .peak_memory_bytes
-        .saturating_mul(stats.score_steps.max(1))
-        / 9;
+    let full_history_bytes = modelled_bytes(stats).saturating_mul(stats.score_steps.max(1)) / 9;
     let per_step: f64 = if full_history_bytes > (512 << 10) {
         140.0 // DRAM-latency bound
     } else if full_history_bytes > (32 << 10) {
@@ -166,6 +175,7 @@ mod tests {
             score_steps: steps,
             max_wavefront_len: steps,
             peak_memory_bytes: mem,
+            full_history_bytes: 0,
         }
     }
 

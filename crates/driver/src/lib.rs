@@ -37,7 +37,7 @@ pub mod riscv_backend;
 pub use api::{AlignmentResult, DriverError, JobResult, MemLayout, WfasicDriver};
 pub use backend::{
     AlignPolicy, AlignmentBackend, BackendBatch, BackendCounters, BackendKind, Capabilities,
-    CpuRoute, CpuWfaBackend, HeterogeneousBackend, StrategySelect, SwgBackend,
+    CpuRoute, CpuWfaBackend, HeterogeneousBackend, SwgBackend,
 };
 pub use backtrace::{backtrace_alignment_packed, BtAlignment, BtError, Edit};
 pub use batch::{BatchJob, BatchResult, LaneHealth, LaneState, MultiLaneBackend};
@@ -45,3 +45,4 @@ pub use codesign::{run_experiment, ExperimentResult};
 pub use cpu_model::{backtrace_cycles, software_backtrace_cycles, CpuCosts};
 pub use faults::{FaultClass, FaultLayer, Provenance};
 pub use riscv_backend::RiscvBackend;
+pub use wfa_core::AlignStrategy;

@@ -20,6 +20,6 @@ pub mod technology;
 
 pub use dataset::{round_up_16, InputSet, InputSetSpec};
 pub use generate::{ErrorProfile, Pair, PairGenerator};
-pub use memimage::{BtScoreRecord, BtTxn, CellOrigin, InputImage, MOrigin, NbtRecord};
+pub use memimage::{BtScoreRecord, BtTxn, InputImage, NbtRecord};
 pub use technology::Technology;
 pub use wfa_core::seq::Seq;

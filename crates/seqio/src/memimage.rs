@@ -251,87 +251,12 @@ impl BtScoreRecord {
 // 5-bit origin codes (Compute sub-module -> CPU backtrace)
 // ---------------------------------------------------------------------------
 
-/// Origin of an M cell (3 bits; paper: "the origin of a cell in the ... M̃
-/// wavefront matrices can come from ... 5 positions").
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MOrigin {
-    /// Cell is null/invalid.
-    None,
-    /// From `M[s-x][k] + 1` (substitution).
-    Sub,
-    /// From the insertion component (which itself opened: `M[s-o-e][k-1]`).
-    InsOpen,
-    /// From the insertion component (which extended: `I[s-e][k-1]`).
-    InsExt,
-    /// From the deletion component (opened).
-    DelOpen,
-    /// From the deletion component (extended).
-    DelExt,
-}
+// Each cell's origin is the 5-bit bundle of paper §4.3.3 — the M origin
+// in bits 0..2, then one bit each for I and D extending — laid out and
+// decoded in `wfa_core::origins`, whose walk both backtraces share.
 
-impl MOrigin {
-    /// 3-bit code.
-    pub fn code(self) -> u8 {
-        match self {
-            MOrigin::None => 0,
-            MOrigin::Sub => 1,
-            MOrigin::InsOpen => 2,
-            MOrigin::InsExt => 3,
-            MOrigin::DelOpen => 4,
-            MOrigin::DelExt => 5,
-        }
-    }
-
-    /// Decode a 3-bit code (6 and 7 are never produced; treated as None).
-    pub fn from_code(c: u8) -> MOrigin {
-        match c & 7 {
-            1 => MOrigin::Sub,
-            2 => MOrigin::InsOpen,
-            3 => MOrigin::InsExt,
-            4 => MOrigin::DelOpen,
-            5 => MOrigin::DelExt,
-            _ => MOrigin::None,
-        }
-    }
-}
-
-/// Per-cell 5-bit origin bundle: M (3 bits), I (1 bit: 1 = extended,
-/// 0 = opened), D (1 bit). Layout: `[d:1][i:1][m:3]` from MSB to LSB.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CellOrigin {
-    /// M component origin.
-    pub m: MOrigin,
-    /// I came from `I[s-e][k-1]` (true) or `M[s-o-e][k-1]` (false).
-    pub i_ext: bool,
-    /// D came from `D[s-e][k+1]` (true) or `M[s-o-e][k+1]` (false).
-    pub d_ext: bool,
-}
-
-impl CellOrigin {
-    /// A null origin (invalid cell).
-    pub const NONE: CellOrigin = CellOrigin {
-        m: MOrigin::None,
-        i_ext: false,
-        d_ext: false,
-    };
-
-    /// 5-bit code.
-    pub fn code(self) -> u8 {
-        self.m.code() | (self.i_ext as u8) << 3 | (self.d_ext as u8) << 4
-    }
-
-    /// Decode a 5-bit code.
-    pub fn from_code(c: u8) -> CellOrigin {
-        CellOrigin {
-            m: MOrigin::from_code(c & 7),
-            i_ext: (c >> 3) & 1 == 1,
-            d_ext: (c >> 4) & 1 == 1,
-        }
-    }
-}
-
-/// Pack 5-bit cell origin codes ([`CellOrigin::code`], the form the batched
-/// compute kernel emits — see `wfa_core::kernel::compute_row_with_origins`)
+/// Pack 5-bit cell origin codes (the form the batched compute kernel
+/// emits — see `wfa_core::kernel::compute_row_with_origins`)
 /// at 5 bits each, little-endian (cell `n` occupies bits `5n..5n+5`): a
 /// 64-PS block is [`BT_BLOCK_BYTES`] bytes, and designs with a different
 /// number of parallel sections pack to their own width (e.g. the 2×32PS
@@ -399,13 +324,13 @@ pub fn bt_block_bytes(p: usize) -> usize {
     (p * 5).div_ceil(8)
 }
 
-/// Extract cell `n`'s 5-bit origin from a packed block.
+/// Extract cell `n`'s 5-bit origin code from a packed block.
 ///
 /// The cell's bits must lie inside `block`: a whole block of
 /// [`bt_block_bytes`]`(p)` bytes with `n < p`, as the driver's BT walk
 /// passes after checking the block against the stream's length. A shorter
 /// slice can panic on an out-of-bounds read.
-pub fn unpack_bt_cell(block: &[u8], n: usize) -> CellOrigin {
+pub fn unpack_bt_cell(block: &[u8], n: usize) -> u8 {
     debug_assert!(
         5 * n + 5 <= 8 * block.len(),
         "cell {n} past a {}-byte block",
@@ -418,7 +343,7 @@ pub fn unpack_bt_cell(block: &[u8], n: usize) -> CellOrigin {
     if off > 3 {
         code |= (block[byte + 1] as u16) << (8 - off);
     }
-    CellOrigin::from_code((code & 0x1F) as u8)
+    (code & 0x1F) as u8
 }
 
 #[cfg(test)]
@@ -522,36 +447,12 @@ mod tests {
     }
 
     #[test]
-    fn origin_codes_roundtrip() {
-        for m in [
-            MOrigin::None,
-            MOrigin::Sub,
-            MOrigin::InsOpen,
-            MOrigin::InsExt,
-            MOrigin::DelOpen,
-            MOrigin::DelExt,
-        ] {
-            for i_ext in [false, true] {
-                for d_ext in [false, true] {
-                    let c = CellOrigin { m, i_ext, d_ext };
-                    assert_eq!(CellOrigin::from_code(c.code()), c);
-                    assert!(c.code() < 32);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn bt_block_pack_unpack() {
-        let mut cells = [CellOrigin::NONE; 64];
-        for (n, c) in cells.iter_mut().enumerate() {
-            *c = CellOrigin::from_code(((n * 7) % 30) as u8);
-        }
-        let codes: Vec<u8> = cells.iter().map(|c| c.code()).collect();
+        let codes: Vec<u8> = (0..64).map(|n| ((n * 7) % 30) as u8).collect();
         let block = pack_origin_codes(&codes);
         assert_eq!(block.len(), BT_BLOCK_BYTES);
-        for (n, c) in cells.iter().enumerate() {
-            assert_eq!(unpack_bt_cell(&block, n), *c, "cell {n}");
+        for (n, &c) in codes.iter().enumerate() {
+            assert_eq!(unpack_bt_cell(&block, n), c, "cell {n}");
         }
     }
 

@@ -11,8 +11,8 @@ use wfa_core::rng::SmallRng;
 
 /// A named long-read technology preset (nominal length, error rate, edit
 /// mix). Generated sets spread read lengths uniformly over
-/// `0.5×..=1.5×` the nominal length, the shape the backend length-class
-/// router has to handle.
+/// `0.5×..=1.5×` the nominal length, so one set straddles the device
+/// envelope the backend router has to handle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Technology {
     /// PacBio CLR: ~25 kb reads at ~10% indel-dominated error.

@@ -3,7 +3,7 @@
 //! ```text
 //! wfasic-align <a.fasta> <b.fasta> [--backend cpu|swg|riscv|device|multilane|hetero]
 //!              [--lanes N] [--aligners N] [--no-backtrace] [--cycles]
-//!              [--strategy auto|exact|biwfa] [--long-read-threshold N]
+//!              [--strategy auto|exact|biwfa]
 //! ```
 //!
 //! Records are paired by position (record `i` of `a.fasta` vs record `i` of
@@ -17,10 +17,10 @@
 //! `--aligners` takes 1–61: each Aligner records on its own perf track.
 //!
 //! `--strategy` picks the engine for CPU-routed pairs: `auto` (default)
-//! routes reads at or past `--long-read-threshold` (10 kb) to the
-//! linear-memory BiWFA engine and everything shorter to the exact
-//! full-history engine; `exact` and `biwfa` force one engine. Every
-//! strategy is exact, so all three print the same scores.
+//! runs the exact engine and hands a pair to the linear-memory BiWFA
+//! engine once its retained bytes pass a fixed budget (1 MiB); `exact`
+//! and `biwfa` force one engine. Every strategy is exact, so all three
+//! print the same scores.
 //!
 //! Exit codes: 0 success, 1 I/O or alignment failure, 2 usage error,
 //! 3 device/driver error (watchdog, refused job, corrupt result stream),
@@ -31,7 +31,7 @@ use std::fs::File;
 use std::io::BufReader;
 use wfasic::accel::AccelConfig;
 use wfasic::driver::batch::BatchJob;
-use wfasic::driver::{AlignPolicy, BackendKind, MemLayout, StrategySelect};
+use wfasic::driver::{AlignPolicy, AlignStrategy, BackendKind, MemLayout};
 use wfasic::seqio::fasta::read_fasta;
 use wfasic::seqio::Pair;
 use wfasic::service::{AlignmentService, ServiceConfig, ServiceError};
@@ -48,7 +48,7 @@ fn usage() -> ! {
         "usage: wfasic-align <a.fasta> <b.fasta> \
          [--backend cpu|swg|riscv|device|multilane|hetero] [--lanes N] \
          [--aligners N] [--no-backtrace] [--cycles] \
-         [--strategy auto|exact|biwfa] [--long-read-threshold N]"
+         [--strategy auto|exact|biwfa]"
     );
     std::process::exit(EXIT_USAGE);
 }
@@ -61,8 +61,7 @@ fn main() {
     let mut backtrace = true;
     let mut aligners = 1usize;
     let mut show_cycles = false;
-    let mut strategy = StrategySelect::Auto;
-    let mut long_read_threshold = AlignPolicy::DEFAULT_LONG_READ_THRESHOLD;
+    let mut strategy = AlignStrategy::Auto;
     // Each lane stages its jobs in its own window of the SoC's memory, and
     // each Aligner records on its own perf track below the lane stride.
     let max_lanes = MainMemory::with_default_cap().cap() as u64 / MemLayout::LANE_BYTES;
@@ -75,7 +74,7 @@ fn main() {
             "--cycles" => show_cycles = true,
             "--strategy" => {
                 i += 1;
-                strategy = match args.get(i).map(|s| s.parse::<StrategySelect>()) {
+                strategy = match args.get(i).map(|s| s.parse::<AlignStrategy>()) {
                     Some(Ok(s)) => s,
                     Some(Err(e)) => {
                         eprintln!("{e}");
@@ -83,14 +82,6 @@ fn main() {
                     }
                     None => usage(),
                 };
-            }
-            "--long-read-threshold" => {
-                i += 1;
-                long_read_threshold = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .filter(|&n| n >= 1)
-                    .unwrap_or_else(|| usage());
             }
             "--backend" => {
                 i += 1;
@@ -165,7 +156,6 @@ fn main() {
 
     let policy = AlignPolicy {
         strategy,
-        long_read_threshold,
         ..AlignPolicy::default()
     };
 

@@ -54,8 +54,8 @@ fn align(dir: &Path, args: &[&str]) -> Output {
 /// An Aligner or lane count the model has no room for is a usage error,
 /// not an abort: lanes past the 8 staging windows of the SoC's memory,
 /// Aligners past the 61 perf tracks of a lane. The largest counts that fit
-/// still run. An unknown strategy or flag and a zero long-read threshold
-/// are usage errors too.
+/// still run. An unknown strategy or flag is a usage error too, the
+/// retired `--long-read-threshold` included, even with a value it took.
 #[test]
 fn zero_aligners_is_a_usage_error() {
     let dir = write_fasta_pair("zero", 2);
@@ -70,7 +70,7 @@ fn zero_aligners_is_a_usage_error() {
         ("multilane", "--lanes", "8", 0),
         ("cpu", "--strategy", "adaptive", 2),
         ("cpu", "--adaptive", "10,50", 2),
-        ("cpu", "--long-read-threshold", "0", 2),
+        ("cpu", "--long-read-threshold", "10000", 2),
     ];
     let outs: Vec<Output> = cases
         .iter()

@@ -28,17 +28,17 @@
 use std::sync::OnceLock;
 use wfasic::accel::AccelConfig;
 use wfasic::driver::{
-    AlignPolicy, AlignmentResult, BackendCounters, BackendKind, BatchJob, StrategySelect,
+    AlignPolicy, AlignStrategy, AlignmentResult, BackendCounters, BackendKind, BatchJob,
 };
 use wfasic::seqio::{ErrorProfile, InputSetSpec, Pair, PairGenerator, Technology};
 use wfasic::service::{AlignmentService, ServiceConfig};
 use wfasic::wfa::pool::ThreadPool;
 use wfasic::wfa::rng::SmallRng;
 use wfasic::wfa::{swg_score, Penalties};
+use AlignStrategy::*;
 use BackendKind::*;
 use Contract::*;
 use Kind::*;
-use StrategySelect::*;
 
 /// Pairs per (penalty set × differential shape) slice.
 pub const PAIRS_PER_SHAPE: usize = 224;
@@ -153,7 +153,7 @@ fn chip(p: Penalties) -> AccelConfig {
 
 /// A `kind` backend over `cfg` on `lanes` lanes, behind the service with
 /// CPU-routed pairs on `strategy`, fed job by job.
-fn on(kind: BackendKind, cfg: AccelConfig, lanes: usize, strategy: StrategySelect) -> Engine {
+fn on(kind: BackendKind, cfg: AccelConfig, lanes: usize, strategy: AlignStrategy) -> Engine {
     let policy = AlignPolicy {
         strategy,
         ..AlignPolicy::default()
